@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perf-smoke bench-wallclock faults-demo obs-smoke sanitize-smoke check-deprecations coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke check-deprecations coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -13,6 +13,12 @@ test:
 perf-smoke:
 	$(PYTHON) -m pytest -x -q -m perf
 	$(PYTHON) benchmarks/bench_wallclock.py --smoke --check
+
+# Layered host-time benchmark self-test (benchmarks/perf/README.md): every
+# workload at toy scale through the real harness, output checks included;
+# under 20 s. The benchmark pins its own CPU and sets its own sys.path.
+bench-selftest:
+	python3 benchmarks/perf/run.py --self-test
 
 # Demonstrate fault injection + recovery end to end (docs/FAULTS.md):
 # Jacobi surviving transient message loss via MPI retransmission and via

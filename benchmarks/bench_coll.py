@@ -13,6 +13,12 @@ size band of each collective AND that every time matches the committed
 BENCH_coll.json baseline — any drift means the cost model, an algorithm
 generator, or a backend integration changed semantics.
 
+Cells whose largest per-rank buffer would exceed ``MAX_BUFFER_BYTES`` are
+refused and printed as skipped, never allocated: the simulator holds real
+numpy payloads, and a 64-GPU all_gather at 16 MiB is 64 x 1 GiB of receive
+buffers. Each size is timed between its own barriers, so dropping the tail
+of a sweep leaves every remaining cell's virtual time unchanged.
+
 Usage:
     python benchmarks/bench_coll.py                  # full sweep, print
     python benchmarks/bench_coll.py --smoke          # CI-sized sweep
@@ -43,16 +49,25 @@ GPUS = 64
 KINDS = ("all_reduce", "all_gather")
 
 SIZES = {
-    "full": tuple(1 << k for k in range(6, 26, 2)),   # 64 B .. 32 MiB
+    "full": tuple(1 << k for k in range(6, 26, 2)),   # 64 B .. 16 MiB
     "smoke": (64, 8192, 1 << 20, 16 << 20),
 }
 
+#: Largest buffer one rank may allocate (the cap benchmarks/perf applies).
+MAX_BUFFER_BYTES = 16 << 20
 
-def _cfg(scale: str) -> OsuConfig:
+
+def _per_rank_bytes(kind: str, size: int) -> int:
+    return size * GPUS if kind == "all_gather" else size
+
+
+def _cfg(scale: str, kind: str) -> OsuConfig:
+    sizes = tuple(s for s in SIZES[scale]
+                  if _per_rank_bytes(kind, s) <= MAX_BUFFER_BYTES)
     if scale == "full":
-        return OsuConfig(sizes=SIZES["full"], iters_small=8, warmup_small=2,
+        return OsuConfig(sizes=sizes, iters_small=8, warmup_small=2,
                          iters_large=4, warmup_large=1, repeats=1)
-    return OsuConfig(sizes=SIZES["smoke"], iters_small=4, warmup_small=1,
+    return OsuConfig(sizes=sizes, iters_small=4, warmup_small=1,
                      iters_large=2, warmup_large=1, repeats=1)
 
 
@@ -66,7 +81,7 @@ POLICIES = {"ring": None, "tuned": "auto", "simple": "ring+Simple"}
 
 def run_cell(payload: dict) -> dict:
     """One (kind, policy) sweep — the worker-pool unit for --jobs."""
-    cfg = _cfg(payload["scale"])
+    cfg = _cfg(payload["scale"], payload["kind"])
     times = run_collective("gpuccl", payload["kind"], cfg, machine=MACHINE,
                            gpus=GPUS, coll=POLICIES[payload["policy"]])
     return {str(size): times[size] for size in cfg.sizes}
@@ -75,6 +90,12 @@ def run_cell(payload: dict) -> dict:
 def run(scale: str, jobs: int = 1) -> dict:
     from benchmarks._common import expand_matrix
 
+    for kind in KINDS:
+        for size in SIZES[scale]:
+            per_rank = _per_rank_bytes(kind, size)
+            if per_rank > MAX_BUFFER_BYTES:
+                print(f"skipped {kind}/{size}: {per_rank} B per rank "
+                      f"exceeds the {MAX_BUFFER_BYTES} B buffer cap")
     # The benchmark grid is the (kind x policy) cross product; virtual
     # times are deterministic, so the --jobs pool path is bit-identical
     # to the serial one.
@@ -96,9 +117,9 @@ def run(scale: str, jobs: int = 1) -> dict:
     else:
         times = {(c["kind"], c["policy"]): run_cell(c) for c in cells}
 
-    cfg = _cfg(scale)
     results = {}
     for kind in KINDS:
+        cfg = _cfg(scale, kind)
         ring = times[(kind, "ring")]
         tuned = times[(kind, "tuned")]
         simple = times[(kind, "simple")]
@@ -201,9 +222,8 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="fan (kind, policy) cells across N worker processes "
                          "via the repro.serve pool (default 1: in-process; "
-                         "note each all_gather cell holds ~64 x largest-size "
-                         "buffers per rank, so concurrent cells need tens of "
-                         "GB of headroom each)")
+                         "each cell holds up to 64 ranks x 2 buffers of "
+                         "MAX_BUFFER_BYTES, ~2 GiB)")
     args = ap.parse_args()
     scale = "smoke" if args.smoke else "full"
     results = run(scale, jobs=args.jobs)

@@ -18,13 +18,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ...coll import GpucclModel, Topology, model_for
 from ...errors import GpucclError
 from ...gpu.stream import ExternalOp, Stream
 from ...launcher import RankContext
 from ...obs import record_transfer, size_class
 from ..common import BufferLike, as_array
 from ..rendezvous import RendezvousBoard
-from .rings import RingModel
 
 __all__ = ["GpucclComm", "GpucclUniqueId", "get_unique_id", "group_start", "group_end"]
 
@@ -122,13 +122,15 @@ class _CommShared:
         self.board = RendezvousBoard(engine)
         self._queues: Dict[Tuple[int, int], Tuple[List[_P2PEntry], List[_P2PEntry]]] = {}
         self.coll_slots: Dict[int, object] = {}
-        self._ring: Optional[RingModel] = None
+        self._ring: Optional[GpucclModel] = None
 
     @property
-    def ring(self) -> RingModel:
+    def ring(self) -> GpucclModel:
+        """Timing model of this communicator, on the Topology that owns
+        its generated schedules (``ring.topo``; see repro.coll.cost)."""
         if self._ring is None:
             gpus = [self.gpu_ids[r] for r in range(self.nranks)]
-            self._ring = RingModel(self.cluster, self.profile, gpus)
+            self._ring = model_for("gpuccl", Topology(self.cluster, gpus))
         return self._ring
 
     def register(self, entry: _P2PEntry) -> None:

@@ -15,14 +15,13 @@ Usage, mirroring the paper's native-GPUSHMEM applications::
     #   ctx.shmem.signal_wait_until(sig, "ge", it)
 """
 
-from .collectives import ShmemTeam, TeamModel
+from .collectives import ShmemTeam
 from .context import ShmemContext, ShmemWorld
 from .device_api import BLOCK, THREAD, WARP, ShmemDevice
 from .heap import CMP, SIGNAL_ADD, SIGNAL_SET, SymBuffer, SymObject
 
 __all__ = [
     "ShmemTeam",
-    "TeamModel",
     "ShmemContext",
     "ShmemWorld",
     "BLOCK",

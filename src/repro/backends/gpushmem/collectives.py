@@ -16,24 +16,10 @@ import numpy as np
 
 from ...errors import GpushmemError
 from ...gpu.stream import ExternalOp, Stream
-from ...coll.models import CANONICAL_SHMEM_KINDS, ShmemModel
+from ...coll import CANONICAL_SHMEM_KINDS, ShmemModel, Topology, model_for
 from ..common import BufferLike, apply_reduce, as_array
 
-__all__ = ["ShmemTeam", "TeamModel"]
-
-
-class TeamModel(ShmemModel):
-    """Analytic timing for put/get-composed collectives on one team.
-
-    The put-tree arithmetic (slowest ring hop, log2 rounds, closing
-    barrier) now lives in :class:`repro.coll.models.ShmemModel` — shared
-    with the tuner — and stays bit-identical; this subclass only adapts
-    the historical ``(world, member_pes)`` constructor.
-    """
-
-    def __init__(self, world, member_pes: List[int]):
-        super().__init__(world.cluster, world.profile,
-                         [world.gpu_of(pe) for pe in member_pes])
+__all__ = ["ShmemTeam"]
 
 
 class _Slot:
@@ -160,7 +146,7 @@ class _Slot:
             for dst in range(p):
                 out = np.concatenate([self.records[src][0][dst * count : (dst + 1) * count] for src in range(p)])
                 put(self.records[dst][1], count * p, out)
-        else:  # pragma: no cover - guarded by TeamModel
+        else:  # pragma: no cover - guarded by ShmemModel
             raise GpushmemError(f"unknown collective kind {kind}")
 
 
@@ -178,15 +164,18 @@ class ShmemTeam:
         self.team_key = team_key
         self._seq = 0
         self._shared = world.board.once(("team_shared", team_key), dict)
-        self._model: Optional[TeamModel] = None
+        self._model: Optional[ShmemModel] = None
 
     @property
-    def model(self) -> TeamModel:
-        """Lazily-built shared timing model for this team."""
+    def model(self) -> ShmemModel:
+        """The team's shared timing model, on the Topology that owns its
+        generated schedules (``model.topo``; see repro.coll.cost)."""
         if self._model is None:
-            self._model = self.world.board.once(
-                ("team_model", self.team_key), lambda: TeamModel(self.world, self.members)
-            )
+            world = self.world
+            self._model = world.board.once(
+                ("team_model", self.team_key),
+                lambda: model_for("gpushmem", Topology(
+                    world.cluster, [world.gpu_of(pe) for pe in self.members])))
         return self._model
 
     def translate(self, team_pe: int) -> int:

@@ -94,15 +94,18 @@ def _staged_recv(comm, buf: BufferLike, count: int, src: int, tag: int) -> None:
 
 
 def _coll_topology(comm):
-    """The communicator's coll Topology, cached (members are immutable)."""
+    """The communicator's coll Topology: one object for all its ranks (the
+    world board hands every member the same one), so a schedule is
+    generated once per call site, not once per rank."""
     topo = getattr(comm, "_coll_topo", None)
     if topo is None:
         from ...coll import Topology
 
         world = comm.ctx.world
-        topo = Topology(comm.ctx.rank_ctx.cluster,
-                        [world.gpu_of(g) for g in comm.members])
-        comm._coll_topo = topo
+        topo = comm._coll_topo = world.board.once(
+            ("coll_topo", comm.comm_id),
+            lambda: Topology(comm.ctx.rank_ctx.cluster,
+                             [world.gpu_of(g) for g in comm.members]))
     return topo
 
 
@@ -119,14 +122,12 @@ def _select_schedule(comm, kind: str, count: int, itemsize: int,
     policy = comm.engine.coll
     if policy is None or comm.size <= 1:
         return None
-    selected = policy.select("mpi", kind, int(count * itemsize),
-                             _coll_topology(comm), engine=comm.engine)
+    topo = _coll_topology(comm)
+    selected = policy.select("mpi", kind, int(count * itemsize), topo,
+                             engine=comm.engine)
     if selected is None or selected == "native":
         return None
-    from ...coll import generate
-
-    sched = generate(str(selected), kind, comm.size, count,
-                     topo=_coll_topology(comm), root=root)
+    sched = topo.schedule(str(selected), kind, count, root)
     if sched is None:
         return None
     return sched, max(1, int(getattr(selected, "channels", 1)))

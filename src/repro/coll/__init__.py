@@ -16,7 +16,8 @@ from .algorithms import (ALGORITHMS, DEFAULT_ALGORITHM, candidates, generate,
                          is_applicable)
 from .cost import (CHANNEL_COUNTS, PROTOCOL_SPECS, PROTOCOLS, ProtocolSpec,
                    Topology, protocol_spec, schedule_cost)
-from .models import CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel
+from .models import (CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel,
+                     model_for)
 from .schedule import (KINDS, Copy, Recv, RecvReduce, Schedule, Send,
                        chunk_layout, execute_schedule, reference_collective,
                        ring_neighbors, ring_path_params)
@@ -58,6 +59,7 @@ __all__ = [
     "execute_schedule",
     "generate",
     "is_applicable",
+    "model_for",
     "reference_collective",
     "resolve_policy",
     "ring_neighbors",

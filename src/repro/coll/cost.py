@@ -6,13 +6,20 @@ rank groups (what the hierarchical generator keys on) and memoized
 ``(latency, bandwidth, per_message_overhead)`` triples per rank pair. Its
 :meth:`Topology.signature` string is the tuning-table key — two
 communicators with the same machine, size and per-node layout share
-selections.
+selections. One Topology per communicator lives for the run and owns
+everything derived from the placement: the generated schedules
+(:meth:`Topology.schedule`) and the per-backend duration models
+(:func:`repro.coll.models.model_for`), so the policy, the backends and
+every rank of the communicator draw on the same objects.
 
 :func:`schedule_cost` prices a schedule round by round: each rank pays
 alpha + per-message overhead + bytes/beta for its sends (sender-side
 serialization, so fan-outs cost what they should), a memory-bandwidth
 term for reductions and local copies, and the round costs the maximum
-over ranks. This deliberately ignores link contention — it is a ranking
+over ranks. The first pricing of a schedule compiles it to its distinct
+rank programs with path parameters resolved (:func:`_compile`); every
+pricing after that touches one representative per program. This
+deliberately ignores link contention — it is a ranking
 function for the tuner, not a replacement for the event-driven link
 occupancy the backends charge at execution time.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from .algorithms import generate
 from .schedule import Copy, Recv, RecvReduce, Schedule, Send
 
 __all__ = [
@@ -95,6 +103,9 @@ class Topology:
         self.gpu_ids = list(gpu_ids)
         self.nranks = len(self.gpu_ids)
         self._params: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        self._schedules: Dict[Tuple[str, str, int, int], Optional[Schedule]] = {}
+        #: backend -> duration model, filled by repro.coll.models.model_for.
+        self.models: Dict[str, object] = {}
         self._groups: List[List[int]] = []
         seen: Dict[int, List[int]] = {}
         for rank, gpu in enumerate(self.gpu_ids):
@@ -126,6 +137,21 @@ class Topology:
             self._params[key] = cached
         return cached
 
+    def schedule(self, algorithm: str, kind: str, count: int,
+                 root: int = 0) -> Optional[Schedule]:
+        """``generate(algorithm, kind, nranks, count, root)`` over this
+        placement, built once (None when inapplicable).
+
+        The cache lives on the object, never under :meth:`signature`:
+        split communicators with equal per-node counts but different
+        rank -> node placement generate different ``hier`` schedules.
+        """
+        key = (algorithm, kind, count, root)
+        if key not in self._schedules:
+            self._schedules[key] = generate(
+                algorithm, kind, self.nranks, count, topo=self, root=root)
+        return self._schedules[key]
+
     def local_bandwidth(self) -> float:
         """Effective local copy/reduce bandwidth (read + write of HBM)."""
         return self.cluster.machine.gpu.mem_bandwidth / 2.0
@@ -136,6 +162,40 @@ class Topology:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Topology {self._signature}>"
+
+
+_SEND, _RECV_REDUCE, _RECV, _COPY = range(4)
+_STEP_CODE = {Send: _SEND, RecvReduce: _RECV_REDUCE, Recv: _RECV, Copy: _COPY}
+
+
+def _compile(sched: Schedule, topo: Topology):
+    """Reduce ``sched`` to what pricing on ``topo`` depends on.
+
+    Returns ``(programs, rounds, order)``: the distinct rank programs of
+    the whole schedule, each a tuple of ``(step code, length, lat, bw,
+    ov)`` with the send path's parameters resolved; the distinct rounds,
+    each the tuple of program indices appearing in it; and the round
+    sequence as indices into ``rounds``. Ranks running the same program
+    cost the same and a round costs its most expensive rank, so one
+    representative per program preserves every cost exactly.
+    """
+    programs: Dict[Tuple, int] = {}
+    rounds: Dict[Tuple[int, ...], int] = {}
+    order: List[int] = []
+    for rnd in sched.rounds:
+        members = set()
+        for rank, steps in rnd.items():
+            prog = []
+            for st in steps:
+                code = _STEP_CODE[type(st)]
+                if code == _SEND:
+                    prog.append((code, st.length)
+                                + topo.path_params(rank, st.peer))
+                else:
+                    prog.append((code, st.length, 0.0, 0.0, 0.0))
+            members.add(programs.setdefault(tuple(prog), len(programs)))
+        order.append(rounds.setdefault(tuple(sorted(members)), len(rounds)))
+    return tuple(programs), tuple(rounds), order
 
 
 def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
@@ -165,31 +225,29 @@ def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
     lat_factor = 1.0 if spec is None else 1.0 + spec.rendezvous_factor
     eff_scale = min(channels * bw_scale, 1.0) * bw_factor
     local_bw = topo.local_bandwidth()
+    compiled = sched.compiled
+    if compiled is None or compiled[0] is not topo:
+        compiled = sched.compiled = (topo, _compile(sched, topo))
+    programs, rounds, order = compiled[1]
+    costs = []
+    for prog in programs:
+        rank_cost = 0.0
+        for code, length, lat, bw, ov in prog:
+            nbytes = length * itemsize
+            if code == _SEND:
+                rank_cost += (lat * lat_factor + ov * ov_factor * channels
+                              + nbytes / (bw * eff_scale))
+            elif code == _COPY:
+                rank_cost += nbytes / local_bw
+                continue  # local copies never stage through the host
+            elif code == _RECV_REDUCE:
+                rank_cost += nbytes / local_bw
+            if staging_inv_bw and nbytes > staging_threshold:
+                rank_cost += nbytes * staging_inv_bw
+        costs.append(rank_cost)
+    round_costs = [max([costs[i] for i in members], default=0.0)
+                   for members in rounds]
     total = 0.0
-    for rnd in sched.rounds:
-        round_cost = 0.0
-        for rank, steps in rnd.items():
-            rank_cost = 0.0
-            for st in steps:
-                if isinstance(st, Send):
-                    nbytes = st.length * itemsize
-                    lat, bw, ov = topo.path_params(rank, st.peer)
-                    rank_cost += (lat * lat_factor + ov * ov_factor * channels
-                                  + nbytes / (bw * eff_scale))
-                    if staging_inv_bw and nbytes > staging_threshold:
-                        rank_cost += nbytes * staging_inv_bw
-                elif isinstance(st, RecvReduce):
-                    nbytes = st.length * itemsize
-                    rank_cost += nbytes / local_bw
-                    if staging_inv_bw and nbytes > staging_threshold:
-                        rank_cost += nbytes * staging_inv_bw
-                elif isinstance(st, Recv):
-                    nbytes = st.length * itemsize
-                    if staging_inv_bw and nbytes > staging_threshold:
-                        rank_cost += nbytes * staging_inv_bw
-                elif isinstance(st, Copy):
-                    rank_cost += st.length * itemsize / local_bw
-            if rank_cost > round_cost:
-                round_cost = rank_cost
-        total += round_cost
+    for i in order:
+        total += round_costs[i]
     return total + per_round_overhead * sched.n_rounds

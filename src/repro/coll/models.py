@@ -10,40 +10,23 @@ the default changes nothing; every other algorithm is priced by
 
 These classes live here (not in the backends) so the tuner can score all
 three backends without importing any of them; the backends import *this*
-module. Constructors take ``(cluster, profile, gpu_ids)`` only.
+module. Constructors take ``(topo, profile)``: a model never builds its
+own :class:`~repro.coll.cost.Topology`, it prices the schedules the
+communicator's Topology owns. :func:`model_for` is how everyone — the
+backends, :class:`~repro.coll.tuner.CollPolicy`, the tuner — gets one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .algorithms import generate
-from .cost import ProtocolSpec, Topology, protocol_spec, schedule_cost
-from .schedule import Schedule, ring_path_params
+from .cost import Topology, protocol_spec, schedule_cost
+from .schedule import ring_path_params
 
-__all__ = ["GpucclModel", "ShmemModel", "MpiModel", "CANONICAL_SHMEM_KINDS"]
+__all__ = ["GpucclModel", "ShmemModel", "MpiModel", "model_for",
+           "CANONICAL_SHMEM_KINDS"]
 
-
-class _ScheduleCache:
-    """Shared generated-schedule cache, keyed off (algorithm, kind, size).
-
-    Protocol x channel tuning prices the same schedule under many knob
-    combinations; regenerating it per combination would dominate tuner
-    time, so each model memoizes generation separately from pricing.
-    """
-
-    def __init__(self, nranks: int, topo: Topology):
-        self._nranks = nranks
-        self._topo = topo
-        self._scheds: Dict[Tuple[str, str, int], Optional[Schedule]] = {}
-
-    def get(self, algorithm: str, kind: str, nbytes: int) -> Optional[Schedule]:
-        key = (algorithm, kind, int(nbytes))
-        if key not in self._scheds:
-            self._scheds[key] = generate(
-                algorithm, kind, self._nranks, int(nbytes), topo=self._topo)
-        return self._scheds[key]
 
 #: GPUSHMEM native collective kind -> canonical schedule kind (barrier and
 #: alltoall have no schedule counterpart and stay on the legacy path).
@@ -65,16 +48,16 @@ class GpucclModel:
     etc.) keep working.
     """
 
-    def __init__(self, cluster, profile, gpu_ids: List[int]):
+    def __init__(self, topo: Topology, profile):
+        self.topo = topo
         self.profile = profile
-        self.p = len(gpu_ids)
-        self.hop_latency, bottleneck = ring_path_params(cluster, gpu_ids)
+        self.p = topo.nranks
+        self.hop_latency, bottleneck = ring_path_params(topo.cluster,
+                                                        topo.gpu_ids)
         self.ring_bandwidth = bottleneck * profile.ring_efficiency
         # Local reduction/copy speed inside the fused kernel.
-        self.local_bandwidth = cluster.machine.gpu.mem_bandwidth / 2.0
-        self.topo = Topology(cluster, gpu_ids)
+        self.local_bandwidth = topo.local_bandwidth()
         self._cache: Dict[Tuple, float] = {}
-        self._scheds = _ScheduleCache(self.p, self.topo)
 
     # ------------------------------------------------------------------ #
     # The legacy ring formulas (the "ring" algorithm).
@@ -138,38 +121,27 @@ class GpucclModel:
         of the kernel launch, the protocol's share of the fixed protocol
         machinery, and one FIFO-arming charge per channel.
         """
-        if protocol is None and channels == 1:
-            if algorithm == "ring" or self.p == 1:
-                return getattr(self, self._RING_TIMES[kind])(nbytes)
-            key = (kind, algorithm, nbytes)
-            cached = self._cache.get(key)
-            if cached is None:
-                sched = self._scheds.get(algorithm, kind, nbytes)
-                if sched is None:
-                    return getattr(self, self._RING_TIMES[kind])(nbytes)
-                cached = self._base() + schedule_cost(
-                    sched, self.topo, 1, bw_scale=self.profile.ring_efficiency
-                )
-                self._cache[key] = cached
-            return cached
-        if self.p == 1:
+        legacy = protocol is None and channels == 1
+        if self.p == 1 or (legacy and algorithm == "ring"):
             return getattr(self, self._RING_TIMES[kind])(nbytes)
         spec = protocol_spec(protocol)
         key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
-            sched = self._scheds.get(algorithm, kind, nbytes)
+            sched = self.topo.schedule(algorithm, kind, nbytes)
             if sched is None:
                 return getattr(self, self._RING_TIMES[kind])(nbytes)
-            ov_factor = 1.0 if spec is None else spec.overhead_factor
-            base = (self.profile.comm_launch_overhead
-                    + ov_factor * self.profile.protocol_overhead
-                    + channels * self.profile.channel_launch_overhead)
-            cached = base + schedule_cost(
+            if legacy:
+                base = self._base()
+            else:
+                ov_factor = 1.0 if spec is None else spec.overhead_factor
+                base = (self.profile.comm_launch_overhead
+                        + ov_factor * self.profile.protocol_overhead
+                        + channels * self.profile.channel_launch_overhead)
+            cached = self._cache[key] = base + schedule_cost(
                 sched, self.topo, 1, bw_scale=self.profile.ring_efficiency,
                 protocol=spec, channels=channels,
             )
-            self._cache[key] = cached
         return cached
 
 
@@ -182,14 +154,14 @@ class ShmemModel:
     composed collectives always pay.
     """
 
-    def __init__(self, cluster, profile, gpu_ids: List[int]):
+    def __init__(self, topo: Topology, profile):
+        self.topo = topo
         self.profile = profile
-        self.p = len(gpu_ids)
-        self.hop_latency, self.bandwidth = ring_path_params(cluster, gpu_ids)
+        self.p = topo.nranks
+        self.hop_latency, self.bandwidth = ring_path_params(topo.cluster,
+                                                            topo.gpu_ids)
         self.rounds = max(1, math.ceil(math.log2(max(self.p, 2))))
-        self.topo = Topology(cluster, gpu_ids)
         self._cache: Dict[Tuple, float] = {}
-        self._scheds = _ScheduleCache(self.p, self.topo)
 
     def barrier_time(self) -> float:
         """Modelled duration of one team barrier."""
@@ -225,37 +197,24 @@ class ShmemModel:
         framing to every put round plus one proxy post per extra rail.
         """
         canonical = CANONICAL_SHMEM_KINDS.get(kind)
-        if protocol is None and channels == 1:
-            if algorithm == "tree" or canonical is None or self.p == 1:
-                return self.collective_time(kind, nbytes)
-            key = (kind, algorithm, nbytes)
-            cached = self._cache.get(key)
-            if cached is None:
-                sched = self._scheds.get(algorithm, canonical, nbytes)
-                if sched is None:
-                    return self.collective_time(kind, nbytes)
-                cached = schedule_cost(
-                    sched, self.topo, 1,
-                    per_round_overhead=self.profile.host_post_overhead,
-                ) + self.barrier_time()
-                self._cache[key] = cached
-            return cached
-        if canonical is None or self.p == 1:
+        legacy = protocol is None and channels == 1
+        if canonical is None or self.p == 1 or (legacy and algorithm == "tree"):
             return self.collective_time(kind, nbytes)
         spec = protocol_spec(protocol)
         key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
-            sched = self._scheds.get(algorithm, canonical, nbytes)
+            sched = self.topo.schedule(algorithm, canonical, nbytes)
             if sched is None:
                 return self.collective_time(kind, nbytes)
-            cached = (channels * self.profile.channel_post_overhead
-                      + schedule_cost(
-                          sched, self.topo, 1,
-                          per_round_overhead=self.profile.host_post_overhead,
-                          protocol=spec, channels=channels,
-                      ) + self.barrier_time())
-            self._cache[key] = cached
+            cost = schedule_cost(
+                sched, self.topo, 1,
+                per_round_overhead=self.profile.host_post_overhead,
+                protocol=spec, channels=channels,
+            )
+            if not legacy:
+                cost = channels * self.profile.channel_post_overhead + cost
+            cached = self._cache[key] = cost + self.barrier_time()
         return cached
 
 
@@ -269,15 +228,14 @@ class MpiModel:
     eager bounce-buffer staging above the threshold.
     """
 
-    def __init__(self, cluster, profile, gpu_ids: List[int]):
+    def __init__(self, topo: Topology, profile):
+        self.topo = topo
         self.profile = profile
-        self.p = len(gpu_ids)
-        self.topo = Topology(cluster, gpu_ids)
+        self.p = topo.nranks
         self._staging_inv_bw = (
             0.0 if profile.collective_gpu_direct else 1.0 / profile.eager_copy_bandwidth
         )
         self._cache: Dict[Tuple, float] = {}
-        self._scheds = _ScheduleCache(self.p, self.topo)
 
     def _transfer(self, nbytes: float) -> float:
         lat, bw, ov = self.topo.path_params(0, self.p - 1)
@@ -320,21 +278,37 @@ class MpiModel:
         if algorithm == "native" or self.p == 1:
             return base + self._native(kind, nbytes)
         spec = protocol_spec(protocol)
-        if spec is None and channels == 1:
-            key = (kind, algorithm, nbytes)
-        else:
-            key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
+        key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
-            sched = self._scheds.get(algorithm, kind, nbytes)
+            sched = self.topo.schedule(algorithm, kind, nbytes)
             if sched is None:
                 return base + self._native(kind, nbytes)
-            cached = schedule_cost(
+            cached = self._cache[key] = schedule_cost(
                 sched, self.topo, 1,
                 per_round_overhead=2 * self.profile.host_call_overhead * channels,
                 staging_threshold=self.profile.eager_threshold,
                 staging_inv_bw=self._staging_inv_bw,
                 protocol=spec, channels=channels,
             )
-            self._cache[key] = cached
         return base + cached
+
+
+_MODELS = {"gpuccl": GpucclModel, "mpi": MpiModel, "gpushmem": ShmemModel}
+
+
+def model_for(backend: str, topo: Topology):
+    """The run's one ``backend`` duration model over ``topo``.
+
+    Built on first use and kept on the Topology, so the backend that times
+    its collectives with it, the policy that ranks candidates with it and
+    the tuner share one set of cached durations. None when the machine has
+    no profile for the backend (no GPUSHMEM on that preset).
+    """
+    if backend not in topo.models:
+        if backend not in _MODELS:
+            raise ValueError(f"unknown backend {backend!r}")
+        profile = getattr(topo.cluster.machine, backend)
+        topo.models[backend] = (
+            None if profile is None else _MODELS[backend](topo, profile))
+    return topo.models[backend]

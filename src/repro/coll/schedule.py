@@ -17,10 +17,9 @@ copies run in step order; rounds are barriers in the *data-flow* sense only
 (a backend may overlap rounds as long as per-pair FIFO order holds, which
 is what the MPI executor relies on).
 
-This module also hosts the shared ring/chunk arithmetic that used to be
-re-derived independently by ``backends/gpuccl/rings.py`` and
-``backends/gpushmem/collectives.py``: :func:`ring_neighbors`,
-:func:`chunk_layout` and :func:`ring_path_params`.
+This module also hosts the ring/chunk arithmetic the GPUCCL and GPUSHMEM
+models share: :func:`ring_neighbors`, :func:`chunk_layout` and
+:func:`ring_path_params`.
 """
 
 from __future__ import annotations
@@ -113,7 +112,8 @@ class Copy(_Step):
 class Schedule:
     """A generated collective: per-rank step programs in global rounds."""
 
-    __slots__ = ("kind", "algorithm", "nranks", "count", "workspace", "rounds")
+    __slots__ = ("kind", "algorithm", "nranks", "count", "workspace", "rounds",
+                 "compiled")
 
     def __init__(self, kind: str, algorithm: str, nranks: int, count: int,
                  workspace: Optional[int] = None):
@@ -125,6 +125,9 @@ class Schedule:
         self.count = count
         self.workspace = workspace_size(kind, nranks, count) if workspace is None else workspace
         self.rounds: List[Dict[int, List[_Step]]] = []
+        # (Topology, skeleton) of the last pricing, owned by
+        # repro.coll.cost.schedule_cost; a priced schedule is frozen.
+        self.compiled = None
 
     def new_round(self) -> Dict[int, List[_Step]]:
         """Open a new (initially empty) round and return it."""
@@ -138,10 +141,8 @@ class Schedule:
         Zero-length transfers are dropped on both sides (generators emit
         them symmetrically for ragged chunk layouts).
         """
-        length = getattr(step, "length", 0)
-        if length <= 0:
-            return
-        rnd.setdefault(rank, []).append(step)
+        if step.length > 0:
+            rnd.setdefault(rank, []).append(step)
 
     def rank_rounds(self, rank: int) -> List[List[_Step]]:
         """The per-round step lists of one rank (empty rounds included)."""

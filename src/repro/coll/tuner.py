@@ -26,9 +26,9 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._compat import warn_once
-from .algorithms import DEFAULT_ALGORITHM, candidates, generate, is_applicable
+from .algorithms import DEFAULT_ALGORITHM, candidates, is_applicable
 from .cost import CHANNEL_COUNTS, PROTOCOLS, Topology
-from .models import CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel
+from .models import CANONICAL_SHMEM_KINDS, model_for
 from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError, migrate_v1,
                      validate_table)
 
@@ -99,19 +99,6 @@ class CollSelection(str):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CollSelection {self.describe()}>"
-
-
-def _model_for(backend: str, topo: Topology):
-    machine = topo.cluster.machine
-    if backend == "gpuccl":
-        return GpucclModel(topo.cluster, machine.gpuccl, topo.gpu_ids)
-    if backend == "mpi":
-        return MpiModel(topo.cluster, machine.mpi, topo.gpu_ids)
-    if backend == "gpushmem":
-        if machine.gpushmem is None:
-            return None
-        return ShmemModel(topo.cluster, machine.gpushmem, topo.gpu_ids)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def _score(model, backend: str, kind: str, selection: str,
@@ -257,7 +244,6 @@ class CollPolicy:
         # instead of silently running a table tuned for another cluster.
         self.env_source = env_source
         self._cache: Dict[Tuple[str, str, str, int], Optional[str]] = {}
-        self._models: Dict[Tuple[str, str], Any] = {}
         # Degraded-topology selections (persistent link down): keyed with
         # the dead-pair set so the same policy serves healthy and degraded
         # phases of one run without mixing caches.
@@ -284,18 +270,9 @@ class CollPolicy:
 
     # ------------------------------------------------------------------ #
 
-    def _model(self, backend: str, topo: Topology):
-        model = self._models.get((backend, topo.signature()))
-        if model is None:
-            model = _model_for(backend, topo)
-            if model is None:
-                return None
-            self._models[(backend, topo.signature())] = model
-        return model
-
     def _auto_select(self, backend: str, kind: str, nbytes: int,
                      topo: Topology) -> Optional[CollSelection]:
-        model = self._model(backend, topo)
+        model = model_for(backend, topo)
         if model is None:
             return None
         combos = _combos(backend, kind, topo.nranks, topo)
@@ -323,7 +300,7 @@ class CollPolicy:
         from .schedule import Send
 
         name = "tree" if algorithm == "native" else algorithm
-        sched = generate(name, kind, topo.nranks, max(1, int(nbytes)), topo=topo)
+        sched = topo.schedule(name, kind, max(1, int(nbytes)))
         if sched is None:
             return self.DEAD_PAIR_PENALTY
         for rnd in sched.rounds:
@@ -343,7 +320,7 @@ class CollPolicy:
         key = (backend, topo.signature(), kind, int(nbytes), dead)
         if key not in self._degraded:
             algo: Optional[str] = None
-            model = self._model(backend, topo)
+            model = model_for(backend, topo)
             if model is not None:
                 best_algo = DEFAULT_ALGORITHM[backend]
                 best_cost = _score(model, backend, kind, best_algo, nbytes) \
@@ -464,12 +441,9 @@ class CollTuner:
         self.machine = spec
         self.cluster = Cluster(spec, n_nodes)
         self.topo = Topology(self.cluster, list(range(n_gpus)))
-        self._models: Dict[str, Any] = {}
 
     def model(self, backend: str):
-        if backend not in self._models:
-            self._models[backend] = _model_for(backend, self.topo)
-        return self._models[backend]
+        return model_for(backend, self.topo)
 
     def backends(self) -> List[str]:
         return [b for b in ("mpi", "gpuccl", "gpushmem")

@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.backends.gpuccl.rings import RingModel
-from repro.backends.gpushmem.collectives import TeamModel
+from repro.coll import GpucclModel, ShmemModel, Topology
 from repro.hardware import Cluster, get_machine, lumi, marenostrum5, perlmutter
 
 
-class _FakeWorld:
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.profile = cluster.machine.gpushmem
+def _ring_model(cluster, profile, gpu_ids):
+    return GpucclModel(Topology(cluster, gpu_ids), profile)
 
-    def gpu_of(self, pe):
-        return pe
+
+def _team_model(cluster, pes):
+    return ShmemModel(Topology(cluster, pes), cluster.machine.gpushmem)
 
 
 @pytest.fixture
@@ -22,7 +20,7 @@ def cluster():
 
 
 def test_ring_model_single_rank_is_local(cluster):
-    ring = RingModel(cluster, perlmutter().gpuccl, [0])
+    ring = _ring_model(cluster, perlmutter().gpuccl, [0])
     base = perlmutter().gpuccl.comm_launch_overhead
     assert ring.allreduce_time(0) >= base
     assert ring.allgather_time(1 << 20) == pytest.approx(
@@ -31,7 +29,7 @@ def test_ring_model_single_rank_is_local(cluster):
 
 
 def test_ring_model_monotone_in_size(cluster):
-    ring = RingModel(cluster, perlmutter().gpuccl, list(range(8)))
+    ring = _ring_model(cluster, perlmutter().gpuccl, list(range(8)))
     sizes = [1 << k for k in range(4, 24, 4)]
     times = [ring.allreduce_time(s) for s in sizes]
     assert times == sorted(times)
@@ -39,8 +37,8 @@ def test_ring_model_monotone_in_size(cluster):
 
 
 def test_ring_model_uses_slowest_hop(cluster):
-    intra_only = RingModel(cluster, perlmutter().gpuccl, [0, 1, 2, 3])
-    crossing = RingModel(cluster, perlmutter().gpuccl, [0, 1, 4, 5])
+    intra_only = _ring_model(cluster, perlmutter().gpuccl, [0, 1, 2, 3])
+    crossing = _ring_model(cluster, perlmutter().gpuccl, [0, 1, 4, 5])
     # The inter-node ring pays NIC bandwidth and latency on its worst hop.
     assert crossing.ring_bandwidth < intra_only.ring_bandwidth
     assert crossing.hop_latency > intra_only.hop_latency
@@ -50,16 +48,15 @@ def test_ring_model_uses_slowest_hop(cluster):
 def test_ring_allreduce_bandwidth_term(cluster):
     """Large allreduce time approaches 2(p-1)/p x n / ring_bw."""
     p = 4
-    ring = RingModel(cluster, perlmutter().gpuccl, list(range(p)))
+    ring = _ring_model(cluster, perlmutter().gpuccl, list(range(p)))
     n = 64 << 20
     expected = 2 * (p - 1) / p * n / ring.ring_bandwidth
     assert ring.allreduce_time(n) == pytest.approx(expected, rel=0.1)
 
 
 def test_team_model_tree_rounds(cluster):
-    world = _FakeWorld(cluster)
-    t2 = TeamModel(world, [0, 1])
-    t8 = TeamModel(world, list(range(8)))
+    t2 = _team_model(cluster, [0, 1])
+    t8 = _team_model(cluster, list(range(8)))
     assert t2.rounds == 1
     assert t8.rounds == 3
     assert t8.barrier_time() > t2.barrier_time()
@@ -67,8 +64,7 @@ def test_team_model_tree_rounds(cluster):
 
 
 def test_team_model_single_pe_trivial(cluster):
-    world = _FakeWorld(cluster)
-    t1 = TeamModel(world, [0])
+    t1 = _team_model(cluster, [0])
     assert t1.collective_time("barrier", 0) == pytest.approx(
         perlmutter().gpushmem.host_post_overhead
     )
@@ -77,9 +73,8 @@ def test_team_model_single_pe_trivial(cluster):
 def test_team_model_rejects_unknown_kind(cluster):
     from repro.errors import GpushmemError
 
-    world = _FakeWorld(cluster)
     with pytest.raises(GpushmemError, match="unknown collective"):
-        TeamModel(world, [0, 1]).collective_time("gossip", 8)
+        _team_model(cluster, [0, 1]).collective_time("gossip", 8)
 
 
 @pytest.mark.parametrize("spec", [perlmutter(), lumi(), lumi(True), marenostrum5()])
