@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke check-deprecations coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -49,17 +49,6 @@ sanitize-smoke:
 	$(PYTHON) -m repro cg --backend mpi --gpus 4 --rows 192 --iters 4 --sanitize
 	$(PYTHON) -m repro cg --backend gpuccl --gpus 4 --rows 192 --iters 4 --sanitize
 	$(PYTHON) -m repro cg --backend gpushmem --gpus 4 --rows 192 --iters 4 --sanitize
-
-# Deprecation lane: the new keyword-only API surface must be warning-clean.
-# Old-API tier-1 tests keep running under the default filters elsewhere;
-# here DeprecationWarning is a hard error over the new-API tests and the
-# migrated examples, and tools/check_shim_clean.py asserts no in-repo
-# caller still uses the deprecated spellings (the tree is shim-clean).
-check-deprecations:
-	$(PYTHON) -m pytest -q -W error::DeprecationWarning tests/obs tests/core/test_api_shims.py tests/core/test_split_equivalence.py
-	$(PYTHON) -W error::DeprecationWarning examples/quickstart.py
-	$(PYTHON) -W error::DeprecationWarning examples/jacobi2d.py perlmutter 4 64
-	$(PYTHON) tools/check_shim_clean.py
 
 # Elastic-recovery gate (docs/FAULTS.md, "Elastic recovery"): the
 # revoke/agree/shrink + elastic-app test suites, the crash-mid-collective

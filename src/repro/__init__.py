@@ -7,7 +7,7 @@ Quick start::
     from repro.core import GpucclBackend, LaunchMode
 
     def app(ctx):
-        env = Environment(GpucclBackend, ctx)
+        env = Environment(ctx, backend=GpucclBackend)
         env.set_device(env.node_rank())
         comm = Communicator(env)
         ...

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..._compat import warn_once
 from ...launcher import RankContext, launch
-from ...sim import Tracer
 from . import elastic, native_gpuccl, native_gpushmem_device, native_gpushmem_host, native_mpi, uniconn
 from .harness import CgResult, assemble_x
 from .matrices import MATRICES, queen_like, serena_like, synthetic_spd
@@ -62,52 +58,18 @@ def launch_variant(
     variant: str,
     cfg: CgConfig,
     nranks: int,
-    *legacy,
+    *,
     machine: str = "perlmutter",
     problem: CgProblem = None,
     collect: bool = False,
-    stats_out: Optional[dict] = None,
-    tracer: Optional[Tracer] = None,
-    fault_plan=None,
-    fault_seed: Optional[int] = None,
-    obs: Optional[str] = None,
-    trace_out: Optional[str] = None,
-    sanitize=None,
-    coll=None,
-    capture: Optional[str] = None,
+    **run_options,
 ):
     """Launch a whole CG job for one variant; returns the RunReport.
 
-    Everything after ``(variant, cfg, nranks)`` is keyword-only and the
-    keyword set mirrors Jacobi's ``launch_variant`` / ``jacobi2d.launch_2d``
-    so the chaos sweep drives all apps identically (the old positional
-    ``machine/problem/collect`` spelling works through a warn-once
-    deprecation shim). ``stats_out`` is deprecated: read ``report.stats``.
+    ``run_options`` are :func:`repro.launcher.launch`'s keywords, forwarded
+    untouched (same contract as Jacobi's ``launch_variant``).
     """
-    if legacy:
-        warn_once(
-            "cg.launch_variant.positional",
-            "launch_variant(variant, cfg, nranks, machine, problem, collect) "
-            "with positional options is deprecated; pass them by keyword",
-        )
-        if len(legacy) > 3:
-            raise TypeError("launch_variant() takes at most 6 positional arguments")
-        machine = legacy[0]
-        if len(legacy) > 1:
-            problem = legacy[1]
-        if len(legacy) > 2:
-            collect = legacy[2]
     if problem is None:
         problem = make_problem(cfg)
-    report = launch(run_variant, nranks, machine=machine, args=(variant, cfg, problem, collect),
-                    tracer=tracer, fault_plan=fault_plan, fault_seed=fault_seed,
-                    obs=obs, trace_out=trace_out, sanitize=sanitize, coll=coll,
-                    capture=capture)
-    if stats_out is not None:
-        warn_once(
-            "launch_variant.stats_out",
-            "launch_variant(stats_out=...) is deprecated; use the returned "
-            "RunReport's .stats attribute instead",
-        )
-        stats_out.update(report.stats)
-    return report
+    return launch(run_variant, nranks, machine=machine, args=(variant, cfg, problem, collect),
+                  **run_options)

@@ -8,11 +8,7 @@ Variant registry keys match the paper's legend:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..._compat import warn_once
 from ...launcher import RankContext, launch
-from ...sim import Tracer
 from . import (
     elastic,
     native_gpuccl,
@@ -71,59 +67,18 @@ def launch_variant(
     variant: str,
     cfg: JacobiConfig,
     nranks: int,
-    *legacy,
+    *,
     machine: str = "perlmutter",
     collect: bool = False,
-    stats_out: Optional[dict] = None,
-    tracer: Optional[Tracer] = None,
-    fault_plan=None,
-    fault_seed: Optional[int] = None,
-    obs: Optional[str] = None,
-    trace_out: Optional[str] = None,
-    sanitize=None,
-    coll=None,
-    capture: Optional[str] = None,
+    **run_options,
 ):
     """Launch a whole Jacobi job for one variant.
 
     Returns the :class:`~repro.launcher.RunReport` (a list of per-rank
-    results carrying ``stats``/``metrics``/``faults``). Everything after
-    ``(variant, cfg, nranks)`` is keyword-only — the same keyword set as
-    ``cg.launch_variant`` / ``jacobi2d.launch_2d`` (the old positional
-    spelling works through a warn-once deprecation shim). ``stats_out`` is
-    deprecated: read ``report.stats`` instead.
+    results carrying ``stats``/``metrics``/``faults``). ``run_options`` are
+    :func:`repro.launcher.launch`'s keywords (``tracer``, ``fault_plan``,
+    ``obs``, ``sanitize``, ``coll``, ``capture``, ...), named, validated and
+    defaulted there.
     """
-    if legacy:
-        warn_once(
-            "jacobi.launch_variant.positional",
-            "launch_variant(variant, cfg, nranks, machine, collect, ...) "
-            "with positional options is deprecated; pass them by keyword",
-        )
-        names = ("machine", "collect", "stats_out", "tracer", "fault_plan", "fault_seed")
-        if len(legacy) > len(names):
-            raise TypeError("launch_variant() takes at most 9 positional arguments")
-        for name, value in zip(names, legacy):
-            if name == "machine":
-                machine = value
-            elif name == "collect":
-                collect = value
-            elif name == "stats_out":
-                stats_out = value
-            elif name == "tracer":
-                tracer = value
-            elif name == "fault_plan":
-                fault_plan = value
-            else:
-                fault_seed = value
-    report = launch(run_variant, nranks, machine=machine, args=(variant, cfg, collect),
-                    tracer=tracer, fault_plan=fault_plan, fault_seed=fault_seed,
-                    obs=obs, trace_out=trace_out, sanitize=sanitize, coll=coll,
-                    capture=capture)
-    if stats_out is not None:
-        warn_once(
-            "launch_variant.stats_out",
-            "launch_variant(stats_out=...) is deprecated; use the returned "
-            "RunReport's .stats attribute instead",
-        )
-        stats_out.update(report.stats)
-    return report
+    return launch(run_variant, nranks, machine=machine, args=(variant, cfg, collect),
+                  **run_options)

@@ -20,7 +20,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..._compat import warn_once
 from ...core import Communicator, Coordinator, Environment, LaunchMode, Memory
 from ...gpu import GpuEvent, device_kernel, dim3, elapsed, kernel
 from ...hardware.gpu import KernelCost
@@ -253,66 +252,24 @@ def run_2d(
 def launch_2d(
     cfg: Jacobi2DConfig,
     nranks: int,
-    *legacy,
+    *,
     backend: Union[str, type, None] = "gpuccl",
     launch_mode: Union[str, LaunchMode, None] = None,
     machine: str = "perlmutter",
     collect: bool = False,
-    stats_out: Optional[dict] = None,
-    tracer=None,
-    fault_plan=None,
-    fault_seed: Optional[int] = None,
-    obs: Optional[str] = None,
-    trace_out: Optional[str] = None,
-    sanitize=None,
-    coll=None,
-    capture: Optional[str] = None,
+    **run_options,
 ):
     """Launch a whole 2D Jacobi job; returns the :class:`RunReport`.
 
-    Everything after ``(cfg, nranks)`` is keyword-only — the same keyword
-    set as ``jacobi.launch_variant`` / ``cg.launch_variant`` — and every
-    run option is forwarded to :func:`repro.launcher.launch` (this used to
-    silently drop all of them except ``machine``). The old positional
-    ``backend/launch_mode/machine/collect`` spelling works through a
-    warn-once deprecation shim.
+    ``run_options`` are :func:`repro.launcher.launch`'s keywords, forwarded
+    untouched (same contract as ``jacobi.launch_variant``).
     """
-    if legacy:
-        warn_once(
-            "jacobi2d.launch_2d.positional",
-            "launch_2d(cfg, nranks, backend, launch_mode, machine, collect) "
-            "with positional options is deprecated; pass them by keyword",
-        )
-        if len(legacy) > 4:
-            raise TypeError("launch_2d() takes at most 6 positional arguments")
-        backend = legacy[0]
-        if len(legacy) > 1:
-            launch_mode = legacy[1]
-        if len(legacy) > 2:
-            machine = legacy[2]
-        if len(legacy) > 3:
-            collect = legacy[3]
-    report = launch(
+    return launch(
         lambda ctx: run_2d(ctx, cfg, backend=backend, launch_mode=launch_mode, collect=collect),
         nranks,
         machine=machine,
-        tracer=tracer,
-        fault_plan=fault_plan,
-        fault_seed=fault_seed,
-        obs=obs,
-        trace_out=trace_out,
-        sanitize=sanitize,
-        coll=coll,
-        capture=capture,
+        **run_options,
     )
-    if stats_out is not None:
-        warn_once(
-            "launch_variant.stats_out",
-            "launch_2d(stats_out=...) is deprecated; use the returned "
-            "RunReport's .stats attribute instead",
-        )
-        stats_out.update(report.stats)
-    return report
 
 
 def reference_2d(cfg: Jacobi2DConfig) -> np.ndarray:

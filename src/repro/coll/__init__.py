@@ -21,7 +21,7 @@ from .models import (CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel,
 from .schedule import (KINDS, Copy, Recv, RecvReduce, Schedule, Send,
                        chunk_layout, execute_schedule, reference_collective,
                        ring_neighbors, ring_path_params)
-from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError, migrate_v1,
+from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError,
                      validate_table)
 from .tuner import (ENV_TABLE, CollPolicy, CollSelection, CollTable,
                     CollTuner, resolve_policy)
@@ -37,7 +37,6 @@ __all__ = [
     "protocol_spec",
     "CollSelection",
     "CollTableError",
-    "migrate_v1",
     "KINDS",
     "Schedule",
     "Send",

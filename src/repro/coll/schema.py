@@ -6,17 +6,12 @@ bump whenever a required field changes shape. The CI ``coll-smoke`` lane
 round-trips a dumped table through :func:`validate_table`; the
 ``REPRO_COLL_TABLE`` loader validates before installing a policy.
 
-Version history:
-
-- **v1** — bands are ``[max_nbytes, algorithm]`` pairs with *inclusive*
-  ceilings (``nbytes <= max_nbytes``).
-- **v2** — bands are ``[ceiling_nbytes, algorithm, protocol, channels]``
-  quadruples with *exclusive* ceilings (``nbytes < ceiling``), matching
-  the tuner's "first size the next winner wins" convention; ``protocol``
-  is an NCCL-style wire protocol name or ``null`` (backend legacy) and
-  ``channels`` the parallel-rail count. :func:`migrate_v1` upgrades old
-  documents losslessly (an inclusive ceiling ``c`` becomes the exclusive
-  ceiling ``c + 1``; protocol/channels default to legacy).
+Version 2 (the only one read): bands are ``[ceiling_nbytes, algorithm,
+protocol, channels]`` quadruples with *exclusive* ceilings (``nbytes <
+ceiling``), matching the tuner's "first size the next winner wins"
+convention; ``protocol`` is an NCCL-style wire protocol name or ``null``
+(backend legacy) and ``channels`` the parallel-rail count. Version 1
+(``[max_nbytes, algorithm]`` pairs, inclusive ceilings) is rejected.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CollTableError",
     "validate_table",
-    "migrate_v1",
 ]
 
 SCHEMA_NAME = "repro.coll.table"
@@ -65,17 +59,14 @@ def _check_band(where: str, band: Any) -> None:
 
 def validate_table(doc: Any) -> Dict[str, Any]:
     """Validate a v2 tuning table; returns it unchanged or raises
-    :class:`CollTableError`. A v1 document must go through
-    :func:`migrate_v1` first (the :class:`~repro.coll.tuner.CollTable`
-    loader does this); any other version is rejected up front so a stale
-    or future table never half-loads."""
+    :class:`CollTableError`. Any other version is rejected up front so a
+    stale or future table never half-loads."""
     if not isinstance(doc, dict):
         _fail(f"expected object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_NAME:
         _fail(f"schema is {doc.get('schema')!r}, expected {SCHEMA_NAME!r}")
     if doc.get("version") != SCHEMA_VERSION:
-        _fail(f"version is {doc.get('version')!r}, expected {SCHEMA_VERSION} "
-              f"(v1 documents must be migrated via migrate_v1)")
+        _fail(f"version is {doc.get('version')!r}, expected {SCHEMA_VERSION}")
     if not isinstance(doc.get("machine"), str):
         _fail("machine must be a string")
     entries = doc.get("entries")
@@ -105,40 +96,3 @@ def validate_table(doc: Any) -> Dict[str, Any]:
                           "must be open-ended (null ceiling)")
     return doc
 
-
-def migrate_v1(doc: Any) -> Dict[str, Any]:
-    """Upgrade a v1 document to v2 (returns a new document).
-
-    v1 ceilings were inclusive (``nbytes <= c`` selects the band), v2
-    ceilings are exclusive, so ``c`` maps to ``c + 1`` — every integer
-    message size resolves to the same band before and after migration.
-    Protocol and channel count default to the backend legacy selection
-    (``null`` / ``1``), which is exactly what a v1 table meant.
-    """
-    if not isinstance(doc, dict):
-        _fail(f"expected object, got {type(doc).__name__}")
-    if doc.get("version") != 1:
-        _fail(f"migrate_v1 got version {doc.get('version')!r}, expected 1")
-    entries: Dict[str, Any] = {}
-    for sig, backends in (doc.get("entries") or {}).items():
-        new_backends: Dict[str, Any] = {}
-        for backend, kinds in (backends or {}).items():
-            new_kinds: Dict[str, Any] = {}
-            for kind, bands in (kinds or {}).items():
-                new_bands = []
-                for band in bands or []:
-                    if not isinstance(band, (list, tuple)) or len(band) != 2:
-                        _fail(f"entries[{sig!r}].{backend}.{kind}: v1 bands "
-                              "must be [max_nbytes, algorithm] pairs")
-                    ceiling, algo = band
-                    new_ceiling = None if ceiling is None else ceiling + 1
-                    new_bands.append([new_ceiling, algo, None, 1])
-                new_kinds[kind] = new_bands
-            new_backends[backend] = new_kinds
-        entries[sig] = new_backends
-    return validate_table({
-        "schema": SCHEMA_NAME,
-        "version": SCHEMA_VERSION,
-        "machine": doc.get("machine", ""),
-        "entries": entries,
-    })

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .._compat import warn_once
 from .algorithms import DEFAULT_ALGORITHM, candidates, is_applicable
 from .cost import CHANNEL_COUNTS, PROTOCOLS, Topology
 from .models import CANONICAL_SHMEM_KINDS, model_for
-from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError, migrate_v1,
+from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError,
                      validate_table)
 
 __all__ = ["CollSelection", "CollTable", "CollPolicy", "CollTuner",
@@ -202,19 +202,9 @@ class CollTable:
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "CollTable":
-        """Build from a JSON document; v1 documents migrate transparently,
-        unknown versions raise :class:`CollTableError`."""
-        if not isinstance(doc, dict):
-            raise CollTableError(
-                f"invalid {SCHEMA_NAME} document: expected object, "
-                f"got {type(doc).__name__}")
-        version = doc.get("version")
-        if version == 1:
-            doc = migrate_v1(doc)
-        elif version != SCHEMA_VERSION:
-            raise CollTableError(
-                f"invalid {SCHEMA_NAME} document: unknown schema version "
-                f"{version!r} (supported: 1, {SCHEMA_VERSION})")
+        """Build from a JSON document; anything :func:`validate_table`
+        rejects (including any version but the current one) raises
+        :class:`CollTableError`."""
         validate_table(doc)
         return cls(machine=doc["machine"], entries=doc["entries"])
 
@@ -370,7 +360,7 @@ class CollPolicy:
 
         A ``REPRO_COLL_TABLE`` tuned on another machine or rank layout
         must not be applied (its bands encode the wrong crossovers) and
-        must not silently disable tuning either — warn once and let auto
+        must not silently disable tuning either — warn and let auto
         selection take over. Explicitly passed tables keep the historical
         contract: a signature miss means "no selection" (legacy path).
         """
@@ -381,10 +371,10 @@ class CollPolicy:
                 not self.table.machine
                 or self.table.machine == topo.cluster.machine.name):
             return False
-        warn_once(
-            f"coll-table-mismatch:{sig}",
+        warnings.warn(
             f"{ENV_TABLE} table (machine {self.table.machine!r}) does not "
             f"cover topology {sig!r}; falling back to auto selection",
+            RuntimeWarning,
         )
         return True
 

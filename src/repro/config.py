@@ -3,14 +3,15 @@
 The C++ library selects the default backend and launch mode through
 compile-time definitions (paper Section V). The Python reproduction keeps a
 process-global configuration with the same role; explicit template-style
-arguments always override it.
+arguments always override it. Run options (obs, sanitize, capture, faults,
+...) are *not* here: they are arguments of ``launcher.launch``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .hardware.profiles import UniconnCosts
 
@@ -29,35 +30,6 @@ class UniconnConfig:
     # of two-sided send/recv. Requires communication buffers from
     # Memory.alloc, which become window-backed under this flag.
     mpi_rma: bool = False
-    # Fault injection (repro.sim.faults): a FaultPlan.parse spec string plus
-    # the seed for its probabilistic decisions. None = healthy runs with
-    # zero injection overhead. Explicit launch() arguments override these.
-    fault_spec: Optional[str] = None
-    fault_seed: int = 0
-    # Happens-before sanitizer (repro.sanitize): None disables it (the
-    # default — traces stay byte-identical), "race" instruments every
-    # simulated device-memory access and reports conflicting pairs with no
-    # happens-before path in report.races. launch(sanitize=...) overrides.
-    sanitize: Optional[str] = None
-    # Observability level (repro.obs): "off" disables the metrics registry,
-    # "metrics" (default) collects host-side counters only, "spans" also
-    # emits begin/end span records on the virtual clock for the analyzer /
-    # `repro report`. The default level never emits trace records, keeping
-    # fast-path traces byte-identical. launch(obs=...) overrides this.
-    obs_level: str = "metrics"
-    # Graph capture & replay (repro.sim.capture): "off" (default) never
-    # installs the capture runtime — traces stay byte-identical and the
-    # engine hot path pays a single attribute check. "regions" replays
-    # loops annotated via Coordinator.graph_begin/graph_end or
-    # repro.sim.loop_region; "auto" additionally runs unannotated-loop
-    # detection on Coordinator.launch_kernel. launch(capture=...) overrides.
-    capture: str = "off"
-    # Job service (repro.serve, docs/SERVE.md): the result-store root
-    # (None falls back to $REPRO_SERVE_STORE, then ~/.cache/repro-serve)
-    # and the worker-pool width (None = os.cpu_count()). The CLI's
-    # --store/--jobs flags override both per invocation.
-    serve_store: Optional[str] = None
-    serve_jobs: Optional[int] = None
 
 
 _config = UniconnConfig()

@@ -13,7 +13,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .._compat import warn_once
 from ..backends.gpuccl import GpucclComm, GpucclUniqueId
 from ..errors import CommRevokedError, GpucclError, UniconnError
 from ..gpu.stream import Stream
@@ -104,26 +103,14 @@ class Communicator:
 
     # ------------------------------------------------------------------ #
 
-    def barrier(self, *args, stream: Optional[Stream] = None) -> None:
+    def barrier(self, *, stream: Optional[Stream] = None) -> None:
         """Synchronize all processes of the communicator.
 
         MPI: host barrier (after draining the stream — MPI is not stream
         aware). GPUCCL: a stream-ordered zero-payload allreduce. GPUSHMEM:
         the communicator's team barrier (stream-ordered when a stream is
         given), so split sub-communicators synchronize only their members.
-
-        ``stream`` is keyword-only; the old positional spelling
-        ``barrier(stream)`` works through a warn-once deprecation shim.
         """
-        if args:
-            warn_once(
-                "Communicator.barrier.positional",
-                "Communicator.barrier(stream) with a positional stream is "
-                "deprecated; use barrier(stream=...)",
-            )
-            if stream is not None or len(args) > 1:
-                raise TypeError("barrier() takes at most one stream argument")
-            stream = args[0]
         self._check_revoked()
         self.engine.metrics.inc(
             "uniconn_calls_total",
@@ -146,17 +133,8 @@ class Communicator:
             else:
                 self._team.run_collective("barrier", None, None, 0, stream=stream)
 
-    def split(self, color: int, *args, key: int = 0) -> "Communicator":
+    def split(self, color: int, *, key: int = 0) -> "Communicator":
         """Create a sub-communicator (collective over all members)."""
-        if args:
-            warn_once(
-                "Communicator.split.positional",
-                "Communicator.split(color, key) with a positional key is "
-                "deprecated; use split(color, key=...)",
-            )
-            if len(args) > 1:
-                raise TypeError("split() takes at most color and key")
-            key = args[0]
         self._check_revoked()
         self.engine.sleep(self.env.costs.dispatch)
         if self.backend is MPIBackend:

@@ -31,7 +31,6 @@ import numpy as np
 
 from contextlib import nullcontext
 
-from .._compat import warn_once
 from ..backends.common import as_array
 from ..backends.gpuccl import group_end as _ccl_group_end, group_start as _ccl_group_start
 from ..backends.gpushmem import SymBuffer
@@ -71,24 +70,10 @@ class Coordinator:
     def __init__(
         self,
         env: Environment,
-        *args,
+        *,
         stream: Optional[Stream] = None,
         launch_mode: Union[str, LaunchMode, None] = None,
     ):
-        if args:
-            warn_once(
-                "Coordinator.positional",
-                "Coordinator(env, stream, launch_mode) with positional "
-                "stream/launch_mode is deprecated; use "
-                "Coordinator(env, stream=..., launch_mode=...)",
-            )
-            if stream is not None or len(args) > 2:
-                raise TypeError("stream given twice")
-            stream = args[0]
-            if len(args) == 2:
-                if launch_mode is not None:
-                    raise TypeError("launch_mode given twice")
-                launch_mode = args[1]
         self.env = env
         self.backend = env.backend
         self.engine = env.engine
@@ -161,7 +146,7 @@ class Coordinator:
         kernel: KernelSpec,
         grid,
         block,
-        *legacy,
+        *,
         shmem_bytes: int = 0,
         args: Sequence[Any] = (),
     ) -> None:
@@ -173,21 +158,7 @@ class Coordinator:
         launch — the analogue of CUDA's launch-time capture of the host
         variables the ``kernelArgs`` array points at (which is how the
         paper's bind-once pattern survives pointer swaps in the time loop).
-
-        ``shmem_bytes`` and ``args`` are keyword-only; the old positional
-        spelling works through a warn-once deprecation shim.
         """
-        if legacy:
-            warn_once(
-                "Coordinator.bind_kernel.positional",
-                "bind_kernel(..., shmem_bytes, args) with positional "
-                "shmem_bytes/args is deprecated; pass them by keyword",
-            )
-            if len(legacy) > 2:
-                raise TypeError("bind_kernel() takes at most 6 positional arguments")
-            shmem_bytes = legacy[0]
-            if len(legacy) == 2:
-                args = legacy[1]
         mode = resolve_launch_mode(mode)
         if mode is not self.launch_mode:
             return
@@ -360,24 +331,15 @@ class Coordinator:
         sig_val: int,
         dest: int,
         comm: Communicator,
-        *legacy,
+        *,
         tag: int = 0,
     ) -> None:
         """Send ``count`` elements to ``dest``.
 
         ``recvbuf`` is the (symmetric) destination address and ``sig`` the
         signal location — both used by the one-sided backend and ignored by
-        the two-sided ones, so one call site serves every backend. ``tag``
-        is keyword-only (warn-once shim for the old positional form).
+        the two-sided ones, so one call site serves every backend.
         """
-        if legacy:
-            warn_once(
-                "Coordinator.post.positional",
-                "post(..., tag) with a positional tag is deprecated; use tag=...",
-            )
-            if len(legacy) > 1:
-                raise TypeError("post() takes at most 8 positional arguments")
-            tag = legacy[0]
         self._rec("post")
         with self._span(
             "post", "comm", peer=dest, nbytes=self._nbytes(sendbuf, count)
@@ -431,22 +393,10 @@ class Coordinator:
         sig_val: int,
         src: int,
         comm: Communicator,
-        *legacy,
+        *,
         tag: int = 0,
     ) -> None:
-        """Complete the reception of a matching :meth:`post`.
-
-        ``tag`` is keyword-only (warn-once shim for the old positional form).
-        """
-        if legacy:
-            warn_once(
-                "Coordinator.acknowledge.positional",
-                "acknowledge(..., tag) with a positional tag is deprecated; "
-                "use tag=...",
-            )
-            if len(legacy) > 1:
-                raise TypeError("acknowledge() takes at most 7 positional arguments")
-            tag = legacy[0]
+        """Complete the reception of a matching :meth:`post`."""
         self._rec("acknowledge")
         with self._span(
             "acknowledge", "comm", peer=src, nbytes=self._nbytes(recvbuf, count)

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .._compat import warn_once
 from ..backends.gpushmem import ShmemContext
 from ..backends.mpi import MpiContext
 from ..config import get_config
@@ -28,35 +27,15 @@ __all__ = ["Environment"]
 class Environment:
     """Backend-parameterized library setup/teardown for one rank.
 
-    Canonical form (the rank context is the one mandatory input)::
+    The rank context is the one mandatory input; ``backend=None`` takes the
+    configured default::
 
         with Environment(ctx, backend=GpucclBackend) as env:
             ...
-
-    The legacy backend-first spelling ``Environment(backend, rank_ctx)``
-    still works through a warn-once deprecation shim.
     """
 
-    def __init__(self, *args, backend: BackendLike = None, rank_ctx: RankContext = None):
-        if args:
-            if isinstance(args[0], RankContext):
-                if rank_ctx is not None or len(args) > 1:
-                    raise TypeError("Environment(rank_ctx, *, backend=...) takes one positional argument")
-                rank_ctx = args[0]
-            else:
-                warn_once(
-                    "Environment.positional",
-                    "Environment(backend, rank_ctx) is deprecated; use "
-                    "Environment(rank_ctx, backend=...)",
-                )
-                if backend is not None or len(args) > 2:
-                    raise TypeError("backend given twice")
-                backend = args[0]
-                if len(args) == 2:
-                    if rank_ctx is not None:
-                        raise TypeError("rank_ctx given twice")
-                    rank_ctx = args[1]
-        if rank_ctx is None:
+    def __init__(self, rank_ctx: RankContext, *, backend: BackendLike = None):
+        if not isinstance(rank_ctx, RankContext):
             raise UniconnError("Environment needs the rank context (the simulated process)")
         self.backend = resolve_backend(backend)
         self.rank_ctx = rank_ctx

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._compat import warn_once
 from ..config import get_config
 from ..errors import UniconnError
 from ..gpu.buffer import DeviceBuffer
@@ -93,26 +92,13 @@ class Memory:
     """Backend-aware allocation of communication buffers."""
 
     @staticmethod
-    def alloc(env: Environment, count: int, *legacy, dtype=np.float32):
+    def alloc(env: Environment, count: int, *, dtype=np.float32):
         """Allocate ``count`` elements of communication memory.
 
         Collective on GPUSHMEM (every process must call it in the same
         order with the same shape — the symmetric-heap contract) and on MPI
         when ``mpi_rma`` is configured (window creation is collective).
-
-        ``dtype`` is keyword-only; the old positional spelling
-        ``Memory.alloc(env, n, np.float32)`` works through a warn-once
-        deprecation shim.
         """
-        if legacy:
-            warn_once(
-                "Memory.alloc.positional",
-                "Memory.alloc(env, count, dtype) with a positional dtype is "
-                "deprecated; use Memory.alloc(env, count, dtype=...)",
-            )
-            if len(legacy) > 1:
-                raise TypeError("Memory.alloc() takes at most 3 positional arguments")
-            dtype = legacy[0]
         env.engine.metrics.inc(
             "memory_alloc_total",
             backend=env.backend.name,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from ._compat import warn_once
 from .errors import HardwareError
 from .gpu.device import Device
 from .hardware.cluster import Cluster
@@ -70,8 +69,7 @@ class RunReport(list):
     attributes:
 
     - ``stats``: engine scheduler counters plus ``virtual_time`` (and
-      ``faults`` when an injector was installed) — the old ``stats_out``
-      payload;
+      ``faults`` when an injector was installed);
     - ``metrics``: the run's :class:`~repro.obs.MetricsRegistry`;
     - ``faults``: the injected-fault log (empty list for healthy runs);
     - ``trace_path``: where the Chrome trace was written (``trace_out=``),
@@ -224,7 +222,6 @@ def launch(
     n_nodes: Optional[int] = None,
     placement: str = "block",
     tracer: Optional[Tracer] = None,
-    stats_out: Optional[dict] = None,
     fault_plan: Union["FaultPlan", str, None] = None,
     fault_seed: Optional[int] = None,
     obs: Optional[str] = None,
@@ -237,7 +234,10 @@ def launch(
 
     Returns a :class:`RunReport` — the per-rank results list, carrying the
     run's ``stats``, ``metrics``, ``faults`` and ``trace_path`` as
-    attributes.
+    attributes. This is the one place the run options below are named,
+    validated and defaulted (the app launchers forward them untouched);
+    ``None`` means the literal default stated here, never the process-global
+    config (``coll`` alone also consults ``REPRO_COLL_TABLE``).
 
     ``placement="block"`` (default, the paper's experiments) fills nodes in
     rank order; ``placement="spread"`` distributes ranks cyclically over
@@ -245,7 +245,7 @@ def launch(
     two-GPU microbenchmarks.
 
     ``obs`` selects the observability level (``"off"``/``"metrics"``/
-    ``"spans"``, default from ``UniconnConfig.obs_level``): ``"metrics"``
+    ``"spans"``, default ``"metrics"``): ``"metrics"``
     collects host-side counters in ``report.metrics`` with zero effect on
     virtual time or traces; ``"spans"`` additionally emits begin/end span
     records for the :mod:`repro.obs` analyzer and ``repro report``.
@@ -253,14 +253,11 @@ def launch(
     (creating a tracer when the caller passed none) and records the path
     in ``report.trace_path``.
 
-    ``stats_out`` is a deprecated alias for ``report.stats`` — a dict the
-    engine's scheduler counters plus ``virtual_time`` are copied into.
-
     ``sanitize`` enables the happens-before race & memory sanitizer
-    (``"race"`` or True; default from ``UniconnConfig.sanitize``): every
-    access to simulated device memory is checked for conflicting pairs with
-    no happens-before path, and findings land in ``report.races`` (and
-    ``stats["races"]``) as :class:`~repro.sanitize.RaceReport` objects.
+    (``"race"`` or True; default off): every access to simulated device
+    memory is checked for conflicting pairs with no happens-before path,
+    and findings land in ``report.races`` (and ``stats["races"]``) as
+    :class:`~repro.sanitize.RaceReport` objects.
     With the sanitizer off the run is untouched — traces are byte-identical.
 
     ``coll`` installs a collective algorithm policy (:mod:`repro.coll`):
@@ -272,28 +269,19 @@ def launch(
     every backend on its legacy algorithm — byte-identical traces.
 
     ``capture`` selects graph capture & replay (:mod:`repro.sim.capture`;
-    ``"off"``/``"auto"``/``"regions"``, default from
-    ``UniconnConfig.capture``): annotated steady-state loops are recorded
-    into a replay IR and, once their fingerprint stabilizes, replayed as a
-    fused pre-resolved schedule with byte-identical traces. Counters land
-    in ``report.stats["capture"]``. Fault injection or the sanitizer
-    disable capture for the whole run (live execution, reason recorded).
+    ``"off"``/``"auto"``/``"regions"``, default ``"off"``): annotated
+    steady-state loops are recorded into a replay IR and, once their
+    fingerprint stabilizes, replayed as a fused pre-resolved schedule with
+    byte-identical traces. Counters land in ``report.stats["capture"]``.
+    Fault injection or the sanitizer disable capture for the whole run
+    (live execution, reason recorded).
 
     ``fault_plan`` (a :class:`~repro.sim.FaultPlan` or a spec string for
     ``FaultPlan.parse``) installs deterministic fault injection seeded by
-    ``fault_seed`` — see :mod:`repro.sim.faults`. When omitted, the global
-    config's ``fault_spec``/``fault_seed`` apply; the default (no plan)
-    adds nothing to the run. The injected fault log lands in
+    ``fault_seed`` (default 0) — see :mod:`repro.sim.faults`. The default
+    (no plan) adds nothing to the run. The injected fault log lands in
     ``report.faults`` (and ``stats["faults"]``).
     """
-    from .config import get_config
-
-    if stats_out is not None:
-        warn_once(
-            "launch.stats_out",
-            "launch(stats_out=...) is deprecated; use the returned "
-            "RunReport's .stats attribute instead",
-        )
     spec = get_machine(machine) if isinstance(machine, str) else machine
     min_nodes = math.ceil(n_ranks / spec.gpus_per_node)
     if n_nodes is None:
@@ -301,13 +289,11 @@ def launch(
     elif placement == "block" and n_nodes < min_nodes:
         raise HardwareError(f"{n_ranks} ranks need >= {min_nodes} nodes, got {n_nodes}")
     if obs is None:
-        obs = get_config().obs_level
+        obs = "metrics"
     if obs not in ("off", "metrics", "spans"):
         raise ValueError(f"unknown obs level {obs!r} (off|metrics|spans)")
     from .sanitize import Sanitizer, resolve_mode
 
-    if sanitize is None:
-        sanitize = get_config().sanitize
     san_mode = resolve_mode(sanitize)
     engine = Engine()
     engine.metrics.enabled = obs != "off"
@@ -324,7 +310,7 @@ def launch(
     cluster = Cluster(spec, n_nodes)
     injector = _make_injector(engine, cluster, fault_plan, fault_seed)
     if capture is None:
-        capture = get_config().capture
+        capture = "off"
     from .sim.capture import CAPTURE_MODES, CaptureRuntime
 
     if capture not in CAPTURE_MODES:
@@ -398,20 +384,11 @@ def launch(
             from .sim import write_chrome_trace
 
             report.trace_path = write_chrome_trace(tracer, trace_out)
-        if stats_out is not None:
-            stats_out.update(report.stats)
 
 
 def _make_injector(engine, cluster, fault_plan, fault_seed):
-    """Resolve launch()'s fault arguments (falling back to the global
-    config) into an installed FaultInjector, or None for healthy runs."""
-    from .config import get_config
-
-    if fault_plan is None:
-        cfg = get_config()
-        fault_plan = cfg.fault_spec
-        if fault_seed is None:
-            fault_seed = cfg.fault_seed
+    """Resolve launch()'s fault arguments into an installed FaultInjector,
+    or None for healthy runs."""
     if fault_plan is None:
         return None
     from .sim.faults import FaultInjector, FaultPlan

@@ -10,8 +10,7 @@ The subsystem has three layers (docs/OBSERVABILITY.md):
   begin/end trace records on the virtual clock, layered over the existing
   :class:`~repro.sim.Tracer`. Spans are *off* at the default observability
   level so fast-path Chrome traces stay byte-identical; ``obs="spans"``
-  (or ``obs_level="spans"`` in the config) turns them on and the Chrome
-  exporter renders them as nested B/E slices.
+  turns them on and the Chrome exporter renders them as nested B/E slices.
 - **Analysis** (:func:`analyze_records`, :func:`format_report`,
   :func:`validate_report`) — per-rank compute/comm/sync/idle breakdown and
   critical-path extraction over a recorded run; ``repro report`` is the

@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is a plain host-side accumulator: updating it
 never emits a trace record, never charges virtual time, and never touches
 the scheduler — so instrumentation can stay enabled on the fast path
-without perturbing byte-identity of traces. Disabling it (``obs_level
-"off"``) turns every update into one boolean check.
+without perturbing byte-identity of traces. Disabling it (``obs="off"``)
+turns every update into one boolean check.
 
 Series are identified Prometheus-style: a metric name plus a sorted set of
 ``key=value`` labels, rendered as ``name{k=v,k2=v2}`` in

@@ -7,9 +7,9 @@ MPI events and export to Chrome B/E slices (see
 :func:`repro.sim.to_chrome_trace`).
 
 Spans are *opt-in*: they emit only when ``engine.obs_spans`` is true (set
-by ``launcher.launch(obs="spans")`` or ``UniconnConfig.obs_level``) and a
-trace hook is installed. At the default observability level nothing is
-emitted — the byte-identity guarantees of the fast path are untouched.
+by ``launcher.launch(obs="spans")``) and a trace hook is installed. At the
+default observability level nothing is emitted — the byte-identity
+guarantees of the fast path are untouched.
 
 Each record carries a per-engine ``seq`` so begin/end pairs keep their
 emission order through the Chrome exporter's deterministic sort even when

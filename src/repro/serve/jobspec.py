@@ -32,6 +32,7 @@ APPS = ("jacobi", "cg", "latency", "bandwidth")
 _MODES = ("PureHost", "PartialDevice", "PureDevice")
 _OBS_LEVELS = ("off", "metrics", "spans")
 _CAPTURE_MODES = ("off", "auto", "regions")
+_OSU_IGNORED = ("fault_spec", "coll", "capture", "sanitize", "collect")
 
 
 def canonical_fault_spec(spec: Optional[str]) -> Optional[str]:
@@ -129,6 +130,13 @@ class JobSpec:
         object.__setattr__(self, "collect", bool(self.collect))
         for name in ("ranks", "size", "iters", "seed", "fault_seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.app in ("latency", "bandwidth"):
+            # The OSU runners apply none of these, so a non-default value
+            # would hash (and cache) a run that never honoured it.
+            for f in fields(self):
+                if f.name in _OSU_IGNORED and getattr(self, f.name) != f.default:
+                    raise ValueError(f"JobSpec field {f.name!r} does not apply to "
+                                     f"app {self.app!r} (got {getattr(self, f.name)!r})")
 
     # ------------------------------------------------------------------ #
 

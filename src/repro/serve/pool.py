@@ -47,11 +47,6 @@ __all__ = ["WorkerPool", "JobOutcome", "default_jobs"]
 
 def default_jobs() -> int:
     """Default worker count: every core (the service's saturation goal)."""
-    from ..config import get_config
-
-    configured = getattr(get_config(), "serve_jobs", None)
-    if configured:
-        return int(configured)
     return os.cpu_count() or 1
 
 

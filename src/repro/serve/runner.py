@@ -54,7 +54,9 @@ def _launch_kwargs(spec: JobSpec) -> Dict[str, Any]:
         fault_seed=spec.fault_seed,
         obs=spec.obs,
         sanitize="race" if spec.sanitize else None,
-        coll=spec.coll,
+        # "off", not None: None would let REPRO_COLL_TABLE tune a run whose
+        # hashed spec says it was untuned.
+        coll=spec.coll if spec.coll is not None else "off",
         capture=spec.capture,
     )
 

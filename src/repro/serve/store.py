@@ -34,12 +34,7 @@ DEFAULT_STORE_ENV = "REPRO_SERVE_STORE"
 
 
 def default_store_path() -> Path:
-    """Resolve the store root: config, then env, then ``~/.cache``."""
-    from ..config import get_config
-
-    configured = getattr(get_config(), "serve_store", None)
-    if configured:
-        return Path(configured)
+    """Resolve the store root: ``$REPRO_SERVE_STORE``, then ``~/.cache``."""
     env = os.environ.get(DEFAULT_STORE_ENV)
     if env:
         return Path(env)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.coll import (ALGORITHMS, CollPolicy, CollTable, CollTableError,
                         CollTuner, DEFAULT_ALGORITHM, ENV_TABLE, SCHEMA_NAME,
-                        SCHEMA_VERSION, migrate_v1, resolve_policy,
+                        SCHEMA_VERSION, resolve_policy,
                         validate_table)
 
 
@@ -167,62 +167,22 @@ def test_resolve_policy_forms(tmp_path, monkeypatch):
         resolve_policy(42)
 
 
-def test_v1_table_migrates_losslessly(tmp_path):
-    """A v1 document (inclusive [max_nbytes, algorithm] bands) loads
-    through migrate_v1: every integer size resolves to the same algorithm
-    as the v2 original, with legacy protocol/channels."""
-    t = _tuner(gpus=8)
-    table = t.build_table()
-    sig = t.topo.signature()
-    v1_entries = {}
-    for s, backends in table.entries.items():
-        v1_entries[s] = {
-            backend: {
-                kind: [[None if c is None else c - 1, str(algo)]
-                       for c, algo, _prot, _ch in bands]
-                for kind, bands in kinds.items()
-            }
-            for backend, kinds in backends.items()
-        }
-    v1 = {"schema": SCHEMA_NAME, "version": 1,
-          "machine": table.machine, "entries": v1_entries}
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(v1))
-    loaded = CollTable.load(str(path))
-    for backend in t.backends():
-        for kind in ("all_reduce", "all_gather"):
-            for size in t.PROBE_SIZES:
-                got = loaded.lookup(sig, backend, kind, size)
-                want = table.lookup(sig, backend, kind, size)
-                assert str(got) == str(want), (backend, kind, size)
-                assert got.protocol is None and got.channels == 1
-    # Direct migrate_v1 output is itself a valid v2 document.
-    validate_table(migrate_v1(v1))
-
-
 def test_unknown_schema_version_raises_coll_table_error():
-    """A future (or garbage) version must fail loudly with CollTableError,
-    never a KeyError from half-parsed entries."""
+    """A retired (v1), future or garbage version must fail loudly with a
+    CollTableError naming the supported version, never a KeyError from
+    half-parsed entries."""
     doc = _tuner(gpus=8).build_table().to_doc()
-    for version in (3, 99, None, "2"):
+    for version in (1, 3, 99, None, "2"):
         bad = {**doc, "version": version}
-        try:
+        with pytest.raises(CollTableError, match=rf"expected {SCHEMA_VERSION}$"):
             CollTable.from_doc(bad)
-        except CollTableError:
-            pass
-        else:
-            raise AssertionError(f"version {version!r} accepted")
 
 
 def test_env_table_signature_mismatch_warns_and_falls_back(tmp_path,
                                                            monkeypatch):
     """A REPRO_COLL_TABLE tuned for another machine must not be applied
-    (wrong crossovers) and must not silently disable tuning: warn once,
-    then auto selection takes over."""
-    import warnings
-
-    from repro._compat import _warned
-
+    (wrong crossovers) and must not silently disable tuning: warn visibly
+    (a RuntimeWarning), then auto selection takes over."""
     table = CollTuner("lumi", 8).build_table()
     path = tmp_path / "lumi.json"
     table.save(str(path))
@@ -230,13 +190,9 @@ def test_env_table_signature_mismatch_warns_and_falls_back(tmp_path,
     policy = resolve_policy(None)
     assert policy is not None and policy.env_source
     topo = CollTuner("perlmutter", 8).topo
-    _warned.discard(f"coll-table-mismatch:{topo.signature()}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.warns(RuntimeWarning, match="falling back to auto selection"):
         sel = policy.select("gpuccl", "all_reduce", 64, topo)
     assert sel is not None  # auto fallback picked a selection
-    msgs = [str(w.message) for w in caught]
-    assert any("falling back to auto selection" in m for m in msgs), msgs
     # An explicitly passed mismatched table keeps the historical contract:
     # signature miss -> no selection (legacy path), no warning.
     explicit = CollPolicy.from_table(table)

@@ -17,11 +17,11 @@ def uniconn_run(nranks, backend, body, machine="perlmutter", launch_mode=None, *
     from repro import Coordinator
 
     def main(ctx):
-        env = Environment(backend, ctx)
+        env = Environment(ctx, backend=backend)
         env.set_device(env.node_rank())
         comm = Communicator(env)
         stream = env.device.create_stream()
-        coord = Coordinator(env, stream, launch_mode=launch_mode)
+        coord = Coordinator(env, stream=stream, launch_mode=launch_mode)
         return body(env, comm, coord)
 
     return launch(main, nranks, machine=machine, **kwargs)

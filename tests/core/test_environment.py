@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     Communicator,
+    Coordinator,
     Environment,
     GpucclBackend,
     GpushmemBackend,
@@ -38,7 +39,7 @@ def test_backend_tags_not_instantiable():
 
 def test_environment_rank_queries():
     def main(ctx):
-        env = Environment(MPIBackend, ctx)
+        env = Environment(ctx, backend=MPIBackend)
         out = (env.world_rank(), env.world_size(), env.node_rank(), env.node_size())
         env.set_device(env.node_rank())
         env.close()
@@ -50,7 +51,7 @@ def test_environment_rank_queries():
 
 def test_environment_close_twice_rejected():
     def main(ctx):
-        env = Environment(MPIBackend, ctx)
+        env = Environment(ctx, backend=MPIBackend)
         env.close()
         with pytest.raises(UniconnError, match="twice"):
             env.close()
@@ -61,16 +62,63 @@ def test_environment_close_twice_rejected():
 
 def test_environment_context_manager_closes():
     def main(ctx):
-        with Environment(MPIBackend, ctx) as env:
+        with Environment(ctx, backend=MPIBackend) as env:
             env.set_device(0)
         return env.closed
 
     assert all(launch(main, 1))
 
 
+def test_environment_exit_skips_finalize_on_error():
+    """An exception inside the context manager must unwind, not hang on a
+    collective finalize the other rank never joins."""
+
+    def run(ctx):
+        try:
+            with Environment(ctx, backend="mpi") as env:
+                env.set_device(env.node_rank())
+                raise RuntimeError("boom")
+        except RuntimeError:
+            return "unwound"
+
+    assert launch(run, 2) == ["unwound", "unwound"]
+
+
+def test_retired_positional_spellings_are_plain_type_errors():
+    """Optional arguments are keyword-only; the pre-keyword spellings get
+    Python's own TypeError (no shim, no warning)."""
+
+    def main(ctx):
+        with pytest.raises(TypeError):
+            Environment("mpi", ctx)
+        with pytest.raises(UniconnError, match="rank context"):
+            Environment("mpi")
+        env = Environment(ctx, backend="mpi")
+        env.set_device(env.node_rank())
+        comm = Communicator(env)
+        stream = env.device.create_stream()
+        coord = Coordinator(env, stream=stream)
+        buf = Memory.alloc(env, 4)
+        sig = Memory.alloc(env, 2, dtype=np.uint64)
+        for call in (
+            lambda: Memory.alloc(env, 4, np.uint64),
+            lambda: comm.barrier(stream),
+            lambda: comm.split(0, 1),
+            lambda: Coordinator(env, stream),
+            lambda: coord.post(buf, buf, 4, sig, 1, 0, comm, 7),
+            lambda: coord.acknowledge(buf, 4, sig, 1, 0, comm, 7),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        env.close()
+        return True
+
+    assert all(launch(main, 2))
+
+
 def test_shmem_runtime_only_on_gpushmem_backend():
     def main(ctx):
-        env = Environment(MPIBackend, ctx)
+        env = Environment(ctx, backend=MPIBackend)
         env.set_device(0)
         with pytest.raises(UniconnError, match="no GPUSHMEM runtime"):
             _ = env.shmem
@@ -86,11 +134,11 @@ def test_shmem_runtime_only_on_gpushmem_backend():
 ])
 def test_memory_alloc_type_per_backend(backend, expected_type):
     def main(ctx):
-        env = Environment(backend, ctx)
+        env = Environment(ctx, backend=backend)
         env.set_device(env.node_rank())
         if backend == "gpuccl":
             Communicator(env)  # gpuccl needs no alloc precondition; exercise anyway
-        buf = Memory.alloc(env, 16, np.float32)
+        buf = Memory.alloc(env, 16, dtype=np.float32)
         ok = isinstance(buf, expected_type) and buf.size == 16
         Memory.free(env, buf)
         return ok
@@ -100,7 +148,7 @@ def test_memory_alloc_type_per_backend(backend, expected_type):
 
 def test_memory_free_rejects_foreign_objects():
     def main(ctx):
-        env = Environment("mpi", ctx)
+        env = Environment(ctx, backend="mpi")
         env.set_device(0)
         with pytest.raises(UniconnError, match="not a device buffer"):
             Memory.free(env, np.zeros(4))
@@ -111,7 +159,7 @@ def test_memory_free_rejects_foreign_objects():
 
 def test_gpuccl_uid_bootstrap_is_shared():
     def main(ctx):
-        env = Environment(GpucclBackend, ctx)
+        env = Environment(ctx, backend=GpucclBackend)
         env.set_device(env.node_rank())
         return env.bootstrap_gpuccl_uid()
 

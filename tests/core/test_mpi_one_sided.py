@@ -12,11 +12,11 @@ from repro.gpu import DeviceBuffer
 
 def one_sided_run(nranks, body, **kwargs):
     def main(ctx):
-        env = Environment("mpi", ctx)
+        env = Environment(ctx, backend="mpi")
         env.set_device(env.node_rank())
         comm = Communicator(env)
         stream = env.device.create_stream()
-        coord = Coordinator(env, stream)
+        coord = Coordinator(env, stream=stream)
         return body(env, comm, coord)
 
     # The config override wraps the whole simulation (it is process-global;
@@ -37,7 +37,7 @@ def test_memory_alloc_returns_window_backed_buffers():
 
 def test_memory_alloc_plain_without_flag():
     def main(ctx):
-        env = Environment("mpi", ctx)
+        env = Environment(ctx, backend="mpi")
         env.set_device(0)
         buf = Memory.alloc(env, 8)
         return isinstance(buf, DeviceBuffer) and not isinstance(buf, RmaBuffer)
@@ -51,9 +51,9 @@ def test_ring_exchange_over_rma():
         right, left = (me + 1) % p, (me - 1 + p) % p
         send = Memory.alloc(env, 4)
         recv = Memory.alloc(env, 4)
-        sig = Memory.alloc(env, 2, np.uint64)
+        sig = Memory.alloc(env, 2, dtype=np.uint64)
         send.write(np.full(4, float(me + 1), np.float32))
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         coord.comm_start()
         coord.post(send, recv, 4, sig.offset_by(0, 1), 1, right, comm)
         coord.acknowledge(recv, 4, sig.offset_by(0, 1), 1, left, comm)
@@ -72,20 +72,20 @@ def test_signal_trails_payload_over_rma():
 
     def body(env, comm, coord):
         data = Memory.alloc(env, 1)
-        sig = Memory.alloc(env, 1, np.uint64)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
         data_src = Memory.alloc(env, 1)  # window creation is collective
         me = comm.global_rank()
         if me == 0:
             for it in range(1, 5):
                 data_src.write(np.array([float(it)], np.float32))
                 coord.post(data_src, data, 1, sig, it, 1, comm)
-            comm.barrier(coord.stream)
+            comm.barrier(stream=coord.stream)
             return None
         seen = []
         for it in range(1, 5):
             coord.acknowledge(data, 1, sig, it, 0, comm)
             seen.append(float(data.read()[0]))
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         return seen
 
     results = one_sided_run(2, body)
@@ -95,7 +95,7 @@ def test_signal_trails_payload_over_rma():
 def test_rma_post_requires_window_buffers():
     def body(env, comm, coord):
         plain = env.device.malloc(4, np.float32)
-        sig = Memory.alloc(env, 1, np.uint64)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
         with pytest.raises(UniconnError, match="window-backed"):
             coord.post(plain, plain, 4, sig, 1, 0, comm)
         return True
@@ -120,17 +120,17 @@ def test_jacobi_over_one_sided_mpi_matches_serial():
 def test_rma_slicing_addresses_peer_offsets():
     def body(env, comm, coord):
         buf = Memory.alloc(env, 8)
-        sig = Memory.alloc(env, 1, np.uint64)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
         src = Memory.alloc(env, 2)  # collective: both ranks allocate
         me = comm.global_rank()
         if me == 0:
             src.write(np.array([5.0, 6.0], np.float32))
             coord.post(src, buf.offset_by(3, 2), 2, sig, 1, 1, comm)
-            comm.barrier(coord.stream)
+            comm.barrier(stream=coord.stream)
             return None
         coord.acknowledge(buf.offset_by(3, 2), 2, sig, 1, 0, comm)
         out = buf.read().tolist()
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         return out
 
     results = one_sided_run(2, body)

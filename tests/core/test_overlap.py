@@ -21,17 +21,17 @@ def overlap_run(backend, overlapped):
     n = 1 << 20  # 4 MiB
 
     def main(ctx):
-        env = Environment(backend, ctx)
+        env = Environment(ctx, backend=backend)
         env.set_device(env.node_rank())
         comm = Communicator(env)
         comm_stream = env.device.create_stream("comm")
         compute_stream = env.device.create_stream("compute")
-        coord = Coordinator(env, comm_stream)
+        coord = Coordinator(env, stream=comm_stream)
         send = Memory.alloc(env, n)
         recv = Memory.alloc(env, n)
-        sig = Memory.alloc(env, 1, np.uint64) if env.backend.supports_device_api else None
+        sig = Memory.alloc(env, 1, dtype=np.uint64) if env.backend.supports_device_api else None
         peer = 1 - comm.global_rank()
-        comm.barrier(comm_stream)
+        comm.barrier(stream=comm_stream)
         comm_stream.synchronize()
 
         t0 = env.engine.now
@@ -83,15 +83,15 @@ def test_grouped_operations_progress_together():
     n_msgs = 8
 
     def main(ctx, grouped):
-        env = Environment("gpuccl", ctx)
+        env = Environment(ctx, backend="gpuccl")
         env.set_device(env.node_rank())
         comm = Communicator(env)
         stream = env.device.create_stream()
-        coord = Coordinator(env, stream)
+        coord = Coordinator(env, stream=stream)
         send = Memory.alloc(env, n * n_msgs)
         recv = Memory.alloc(env, n * n_msgs)
         peer = 1 - comm.global_rank()
-        comm.barrier(stream)
+        comm.barrier(stream=stream)
         stream.synchronize()
         t0 = env.engine.now
         if grouped:

@@ -109,6 +109,20 @@ def test_validation_and_round_trip():
     assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
+@pytest.mark.parametrize("app", ["latency", "bandwidth"])
+@pytest.mark.parametrize("field,value", [
+    ("fault_spec", "crash,rank=1,at=1e-4"), ("coll", "auto"),
+    ("capture", "regions"), ("sanitize", True), ("collect", True),
+])
+def test_osu_jobs_reject_options_they_never_apply(app, field, value):
+    """The OSU runners ignore these, so hashing them would cache e.g. a
+    "sanitized" result that never ran the sanitizer."""
+    with pytest.raises(ValueError, match=field):
+        JobSpec(app=app, **{field: value})
+    # Defaults (however spelled) and the options OSU does honour stay legal.
+    JobSpec(app=app, coll="off", sanitize=0, obs="off", ranks=4, machine="lumi")
+
+
 def test_variant_resolution():
     assert JobSpec(app="jacobi", backend="mpi").variant() == "uniconn:mpi"
     assert JobSpec(app="jacobi", backend="gpuccl",

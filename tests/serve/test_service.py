@@ -51,6 +51,21 @@ def test_cached_result_bit_identical_to_fresh(tmp_path):
         json.dumps(fresh, sort_keys=True)
 
 
+def test_env_coll_table_does_not_leak_into_results(tmp_path, monkeypatch):
+    """A spec with coll=None means untuned; a worker that happens to have
+    REPRO_COLL_TABLE set must not run (and cache under that hash) tuned
+    collectives."""
+    from repro.coll import ENV_TABLE, CollTuner
+
+    spec = JobSpec(app="jacobi", backend="gpuccl", ranks=4, size=16, iters=2)
+    monkeypatch.delenv(ENV_TABLE, raising=False)
+    plain = execute_job(spec.to_dict())
+    table = tmp_path / "table.json"
+    CollTuner(spec.machine, spec.ranks).build_table().save(str(table))
+    monkeypatch.setenv(ENV_TABLE, str(table))
+    assert execute_job(spec.to_dict()) == plain
+
+
 def test_in_batch_duplicates_run_once(tmp_path):
     svc = JobService(ResultStore(tmp_path), jobs=2, retries=0)
     spec = SPECS[0]

@@ -53,6 +53,31 @@ def test_unknown_fields_rejected():
         set_config(not_a_field=1)
 
 
+def test_config_is_only_the_compile_time_definitions():
+    """Run options are launch() arguments, not ambient config: the config
+    has no such field, and launch()'s None means the literal default."""
+    import dataclasses
+
+    from repro import launch
+
+    assert {f.name for f in dataclasses.fields(UniconnConfig)} == {
+        "backend", "launch_mode", "costs", "mpi_rma"}
+    with pytest.raises(TypeError):
+        set_config(capture="regions")
+    with pytest.raises(TypeError):
+        set_config(obs_level="spans")
+
+    def fn(ctx):
+        ctx.engine.sleep(1e-6 * (ctx.rank + 1))
+        return ctx.rank
+
+    implicit = launch(fn, 2, obs=None, sanitize=None, capture=None, fault_plan=None)
+    explicit = launch(fn, 2, obs="metrics", sanitize=False, capture="off")
+    assert implicit == explicit
+    assert implicit.stats == explicit.stats
+    assert implicit.metrics.as_dict() == explicit.metrics.as_dict()
+
+
 def test_launch_mode_resolution():
     assert resolve_launch_mode("PureHost") is LaunchMode.PureHost
     assert resolve_launch_mode(LaunchMode.PureDevice) is LaunchMode.PureDevice

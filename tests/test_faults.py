@@ -242,7 +242,7 @@ def test_uniconn_communicator_health_and_abort():
     from repro.errors import UniconnError
 
     def main(ctx):
-        with Environment("mpi", rank_ctx=ctx) as env:
+        with Environment(ctx, backend="mpi") as env:
             env.set_device(ctx.node_rank)
             comm = Communicator(env)
             assert comm.health() == CommHealth(ok=True)

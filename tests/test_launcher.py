@@ -85,3 +85,37 @@ def test_shared_state_created_once():
 
     results = launch(probe, n_ranks=4)
     assert len(set(results)) == 1
+
+
+def _app_launchers():
+    from repro.apps import cg, jacobi
+    from repro.apps.jacobi2d import Jacobi2DConfig, launch_2d
+
+    return {
+        "jacobi": lambda **kw: jacobi.launch_variant(
+            "uniconn:gpuccl", jacobi.JacobiConfig(nx=32, ny=34, iters=2, warmup=1), 4, **kw),
+        "cg": lambda **kw: cg.launch_variant(
+            "uniconn:gpuccl", cg.CgConfig(n=64, nnz_per_row=5, iters=2), 4, **kw),
+        "jacobi2d": lambda **kw: launch_2d(
+            Jacobi2DConfig(nx=32, ny=32, iters=2, warmup=1), 4, **kw),
+    }
+
+
+@pytest.mark.parametrize("app", ["jacobi", "cg", "jacobi2d"])
+def test_app_launchers_forward_run_options_to_launch(app, tmp_path):
+    """The app launchers declare no run option themselves: each one reaches
+    launch() — and so the RunReport — and a misspelt one is launch()'s
+    TypeError."""
+    import json
+
+    run = _app_launchers()[app]
+    report = run(obs="spans", trace_out=str(tmp_path / "trace.json"),
+                 sanitize="race", capture="regions", coll="auto")
+    assert report.trace_path == str(tmp_path / "trace.json")
+    assert report.stats["capture"]["mode"] == "regions"
+    assert report.stats["races"] == []
+    assert report.metrics.counter_total("coll_selected_total") > 0
+    events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+    assert any(e.get("ph") == "B" for e in events)  # obs="spans" slices
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        run(observe="spans")
