@@ -1,11 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Python line counts, as CHANGES.md reports them before/after each PR.
+loc:
+	@for d in src tests; do \
+		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
+	done
 
 # Fast CI gate for the simulation core: the deterministic fast-path
 # invariants, then the smoke-scale wall-clock run checked against the
@@ -22,7 +28,8 @@ bench-selftest:
 
 # Demonstrate fault injection + recovery end to end (docs/FAULTS.md):
 # Jacobi surviving transient message loss via MPI retransmission and via
-# checkpoint rollback, verified bitwise against the serial reference.
+# the elastic solver's checkpoint rollback (elastic:mpi), verified bitwise
+# against the serial reference.
 faults-demo:
 	$(PYTHON) examples/jacobi_fault_recovery.py 4 64
 

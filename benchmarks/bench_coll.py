@@ -80,7 +80,7 @@ POLICIES = {"ring": None, "tuned": "auto", "simple": "ring+Simple"}
 
 
 def run_cell(payload: dict) -> dict:
-    """One (kind, policy) sweep — the worker-pool unit for --jobs."""
+    """One (kind, policy) sweep — the worker-pool unit."""
     cfg = _cfg(payload["scale"], payload["kind"])
     times = run_collective("gpuccl", payload["kind"], cfg, machine=MACHINE,
                            gpus=GPUS, coll=POLICIES[payload["policy"]])
@@ -89,6 +89,7 @@ def run_cell(payload: dict) -> dict:
 
 def run(scale: str, jobs: int = 1) -> dict:
     from benchmarks._common import expand_matrix
+    from repro.serve import WorkerPool
 
     for kind in KINDS:
         for size in SIZES[scale]:
@@ -96,26 +97,21 @@ def run(scale: str, jobs: int = 1) -> dict:
             if per_rank > MAX_BUFFER_BYTES:
                 print(f"skipped {kind}/{size}: {per_rank} B per rank "
                       f"exceeds the {MAX_BUFFER_BYTES} B buffer cap")
-    # The benchmark grid is the (kind x policy) cross product; virtual
-    # times are deterministic, so the --jobs pool path is bit-identical
-    # to the serial one.
+    # The benchmark grid is the (kind x policy) cross product, run through
+    # the repro.serve pool at every --jobs value; virtual times are
+    # deterministic, so the worker count never shows in the results.
     cells = expand_matrix({"kind": list(KINDS), "policy": list(POLICIES)})
     for cell in cells:
         cell["scale"] = scale
-    if jobs > 1:
-        from repro.serve import WorkerPool
-
-        pool = WorkerPool(run_cell, jobs=jobs)
-        outcomes = pool.run(cells, job_ids=[f"{c['kind']}/{c['policy']}"
-                                           for c in cells])
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise RuntimeError(f"benchmark cells failed: "
-                               f"{[(o.job_id, o.error) for o in failed]}")
-        times = {(c["kind"], c["policy"]): o.result
-                 for c, o in zip(cells, outcomes)}
-    else:
-        times = {(c["kind"], c["policy"]): run_cell(c) for c in cells}
+    pool = WorkerPool(run_cell, jobs=jobs)
+    outcomes = pool.run(cells, job_ids=[f"{c['kind']}/{c['policy']}"
+                                       for c in cells])
+    failed = [o for o in outcomes if not o.ok]
+    if failed:
+        raise RuntimeError(f"benchmark cells failed: "
+                           f"{[(o.job_id, o.error) for o in failed]}")
+    times = {(c["kind"], c["policy"]): o.result
+             for c, o in zip(cells, outcomes)}
 
     results = {}
     for kind in KINDS:
@@ -220,9 +216,9 @@ def main() -> int:
                     help="fail on regression vs BENCH_coll.json")
     ap.add_argument("--update", action="store_true", help="rewrite baseline")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="fan (kind, policy) cells across N worker processes "
-                         "via the repro.serve pool (default 1: in-process; "
-                         "each cell holds up to 64 ranks x 2 buffers of "
+                    help="worker processes of the repro.serve pool the "
+                         "(kind, policy) cells run in (default 1; each cell "
+                         "holds up to 64 ranks x 2 buffers of "
                          "MAX_BUFFER_BYTES, ~2 GiB)")
     args = ap.parse_args()
     scale = "smoke" if args.smoke else "full"

@@ -48,6 +48,7 @@ from repro.errors import (
     SimTimeoutError,
     UniconnError,
 )
+from repro.serve import WorkerPool
 
 BACKENDS = ("mpi", "gpuccl", "gpushmem")
 
@@ -195,8 +196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="run the pinned CI subset with exact expected outcomes")
     ap.add_argument("--json", metavar="PATH", help="write results as JSON")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="fan scenarios across N worker processes via the "
-                         "repro.serve pool (default 1: in-process)")
+                    help="worker processes of the repro.serve pool the "
+                         "scenarios run in (default 1)")
     args = ap.parse_args(argv)
 
     all_scenarios = scenarios()
@@ -205,28 +206,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         missing = set(SMOKE) - {sc.name for sc in all_scenarios}
         assert not missing, f"smoke scenarios missing from the matrix: {missing}"
 
-    if args.jobs > 1:
-        # Scenario outcomes are deterministic, so the parallel path is
-        # bit-identical to the serial one — crash isolation comes free
-        # (a scenario that somehow hard-kills its worker fails alone).
-        from repro.serve import WorkerPool
-
-        pool = WorkerPool(run_scenario_twice, jobs=args.jobs)
-        outcomes = pool.run([dataclasses.asdict(sc) for sc in all_scenarios],
-                            job_ids=[sc.name for sc in all_scenarios])
-        pairs = []
-        for sc, outcome in zip(all_scenarios, outcomes):
-            if outcome.ok:
-                pairs.append(outcome.result)
-            else:
-                err = {"outcome": f"error:pool:{outcome.kind}",
-                       "correct": False, "survivors": 0, "final_group": 0,
-                       "fingerprint": f"pool:{outcome.error}"}
-                pairs.append((err, err))
-    else:
-        cg_problem = _cg_setup()
-        pairs = [(run_scenario(sc, cg_problem), run_scenario(sc, cg_problem))
-                 for sc in all_scenarios]
+    # One path for every --jobs value: scenario outcomes are deterministic,
+    # so the worker count never shows in the results, and a scenario that
+    # somehow hard-kills its worker fails alone.
+    pool = WorkerPool(run_scenario_twice, jobs=args.jobs)
+    outcomes = pool.run([dataclasses.asdict(sc) for sc in all_scenarios],
+                        job_ids=[sc.name for sc in all_scenarios])
+    pairs = []
+    for outcome in outcomes:
+        if outcome.ok:
+            pairs.append(outcome.result)
+        else:
+            err = {"outcome": f"error:pool:{outcome.kind}",
+                   "correct": False, "survivors": 0, "final_group": 0,
+                   "fingerprint": f"pool:{outcome.error}"}
+            pairs.append((err, err))
 
     rows = []
     failures = []

@@ -7,10 +7,11 @@ Three runs of the same 4-GPU MPI Jacobi solve:
 2. the same solver under a transient message-drop window — the MPI
    transport retransmits with exponential backoff and the run just takes
    longer;
-3. a harsher fault (tiny retry budget, longer window) under the
-   checkpoint/rollback variant ``mpi-resilient`` — exchanges give up with
-   ``MpiTimeoutError``, all ranks roll back to the last in-memory
-   checkpoint, and replay after the outage clears.
+3. a harsher fault (tiny retry budget, longer window) under the elastic
+   Uniconn variant ``elastic:mpi`` — exchanges give up with
+   ``MpiTimeoutError``, the ranks vote the iteration failed, rebuild the
+   communicator (nobody died, so it keeps its size), roll back to the last
+   in-memory checkpoint, and replay after the outage clears.
 
 Every run is verified bitwise against the serial reference: recovery slows
 the virtual clock but never changes the numerics. The fault schedule is
@@ -50,7 +51,7 @@ def main():
     runs = [
         ("mpi-native", None, "healthy baseline"),
         ("mpi-native", TRANSIENT, "transient drops -> MPI retransmission"),
-        ("mpi-resilient", HARSH, "harsh outage -> checkpoint rollback"),
+        ("elastic:mpi", HARSH, "harsh outage -> checkpoint rollback"),
     ]
     print(f"Jacobi {cfg.nx}x{cfg.ny}, {cfg.iters} iters on {gpus} GPUs (perlmutter)")
     print(f"{'scenario':42s} {'virtual time':>13s} {'faults':>7s} {'rollbacks':>10s}")

@@ -15,7 +15,6 @@ from . import (
     native_gpushmem_device,
     native_gpushmem_host,
     native_mpi,
-    resilient,
     uniconn,
 )
 from .domain import JacobiConfig, init_global, partition_rows, serial_jacobi
@@ -40,7 +39,6 @@ NATIVE_VARIANTS = {
     "gpuccl-native": native_gpuccl.run,
     "gpushmem-host-native": native_gpushmem_host.run,
     "gpushmem-device-native": native_gpushmem_device.run,
-    "mpi-resilient": resilient.run,
 }
 
 

@@ -30,7 +30,7 @@ class JacobiResult:
     total_time: float  # virtual seconds for the measured iterations
     time_per_iter: float
     interior: Optional[np.ndarray] = None  # owned rows (for verification)
-    restarts: int = 0  # checkpoint rollbacks taken (mpi-resilient only)
+    restarts: int = 0  # recovery replays taken (elastic:<backend> only)
 
 
 def make_state(rank_ctx: RankContext, cfg: JacobiConfig, alloc_comm: Callable, alloc_sig=None) -> JacobiState:

@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ...coll import CollSelection
 from ...errors import GpucclError
 from ...gpu.stream import ExternalOp, Stream
 from ...obs import size_class
@@ -20,31 +21,32 @@ from ..common import BufferLike, apply_reduce, as_array
 
 __all__ = ["all_reduce", "broadcast", "reduce", "all_gather", "reduce_scatter"]
 
+#: What runs when no policy selects: the ring on its legacy wire behaviour.
+_RING = CollSelection("ring")
+
 
 class _CollSlot:
     """Rendezvous for one collective invocation across ranks."""
 
     def __init__(self, kind: str, count: int, op: Optional[str], root: Optional[int],
-                 nranks: int, algorithm: str = "ring"):
+                 nranks: int, algorithm: CollSelection):
         self.kind = kind
         self.count = count
         self.op = op
         self.root = root
         self.nranks = nranks
-        # The selection may be a CollSelection carrying protocol/channel
-        # knobs; the slot keys on all three so a rank arriving with a
-        # different wire protocol is a call-order mismatch, same as a
-        # different algorithm.
+        # The slot keys on algorithm, protocol and channels, so a rank
+        # arriving with a different wire protocol is a call-order
+        # mismatch, same as a different algorithm.
         self.algorithm = str(algorithm)
-        self.protocol = getattr(algorithm, "protocol", None)
-        self.channels = getattr(algorithm, "channels", 1)
+        self.protocol = algorithm.protocol
+        self.channels = algorithm.channels
         self.records: Dict[int, tuple] = {}
 
     def arrive(self, shared, rank: int, op_handle, send_snapshot, recv_buf,
                kind: str, count: int, op: Optional[str], root: Optional[int],
-               algorithm: str) -> None:
-        protocol = getattr(algorithm, "protocol", None)
-        channels = getattr(algorithm, "channels", 1)
+               algorithm: CollSelection) -> None:
+        protocol, channels = algorithm.protocol, algorithm.channels
         if (kind, count, op, root, str(algorithm), protocol, channels) != (
                 self.kind, self.count, self.op, self.root, self.algorithm,
                 self.protocol, self.channels):
@@ -135,7 +137,7 @@ def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[Bu
     comm._check(0 if root is None else root)
     shared = comm.shared
     policy = comm.engine.coll
-    algorithm = "ring"
+    algorithm = _RING
     if policy is not None and comm.size > 1:
         nbytes = int(count * as_array(send).dtype.itemsize)
         selected = policy.select("gpuccl", kind, nbytes, shared.ring.topo,
@@ -147,8 +149,8 @@ def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[Bu
         nbytes = int(count * as_array(send).dtype.itemsize)
         metrics.inc("gpuccl_collectives_total", kind=kind,
                     algorithm=str(algorithm),
-                    protocol=getattr(algorithm, "protocol", None) or "-",
-                    channels=str(getattr(algorithm, "channels", 1)),
+                    protocol=algorithm.protocol or "-",
+                    channels=str(algorithm.channels),
                     size=size_class(nbytes), rank=comm.rank)
     comm._coll_seq += 1
     seq = comm._coll_seq

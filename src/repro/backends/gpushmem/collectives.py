@@ -16,17 +16,21 @@ import numpy as np
 
 from ...errors import GpushmemError
 from ...gpu.stream import ExternalOp, Stream
-from ...coll import CANONICAL_SHMEM_KINDS, ShmemModel, Topology, model_for
+from ...coll import (CANONICAL_SHMEM_KINDS, CollSelection, ShmemModel,
+                     Topology, model_for)
 from ..common import BufferLike, apply_reduce, as_array
 
 __all__ = ["ShmemTeam"]
+
+#: What runs when no policy selects: the historical put-tree.
+_TREE = CollSelection("tree")
 
 
 class _Slot:
     """Rendezvous for one collective invocation on one team."""
 
     def __init__(self, world, team: "ShmemTeam", kind: str, count: int, op: Optional[str],
-                 root: Optional[int], algorithm: str = "tree"):
+                 root: Optional[int], algorithm: CollSelection):
         self.world = world
         self.team = team
         self.kind = kind
@@ -36,8 +40,8 @@ class _Slot:
         # Selections carry protocol/channel knobs for the put-with-signal
         # rounds; the slot keys on all three (see check()).
         self.algorithm = str(algorithm)
-        self.protocol = getattr(algorithm, "protocol", None)
-        self.channels = getattr(algorithm, "channels", 1)
+        self.protocol = algorithm.protocol
+        self.channels = algorithm.channels
         self.records: Dict[int, tuple] = {}
         self.finishers: List = []
         from ...sim import SimEvent
@@ -58,9 +62,8 @@ class _Slot:
             self._fire()
 
     def check(self, kind: str, count: int, op: Optional[str], root: Optional[int],
-              algorithm: str) -> None:
-        protocol = getattr(algorithm, "protocol", None)
-        channels = getattr(algorithm, "channels", 1)
+              algorithm: CollSelection) -> None:
+        protocol, channels = algorithm.protocol, algorithm.channels
         if (kind, count, op, root, str(algorithm), protocol, channels) != (
                 self.kind, self.count, self.op, self.root, self.algorithm,
                 self.protocol, self.channels):
@@ -187,7 +190,7 @@ class ShmemTeam:
     # ------------------------------------------------------------------ #
 
     def _slot(self, kind: str, count: int, op: Optional[str], root: Optional[int],
-              algorithm: str) -> _Slot:
+              algorithm: CollSelection) -> _Slot:
         self._seq += 1
         slot = self._shared.get(self._seq)
         if slot is None:
@@ -211,7 +214,7 @@ class ShmemTeam:
     ):
         """Join a collective; blocks the task, or enqueues on ``stream``."""
         engine = self.world.engine
-        algorithm = "tree"
+        algorithm = _TREE
         policy = engine.coll
         if policy is not None and self.size > 1:
             canonical = CANONICAL_SHMEM_KINDS.get(kind)
@@ -224,13 +227,12 @@ class ShmemTeam:
                     algorithm = selected
         metrics = engine.metrics
         if metrics.enabled:
-            legacy_tree = (algorithm == "tree"
-                           and getattr(algorithm, "protocol", None) is None)
+            legacy_tree = algorithm == "tree" and algorithm.protocol is None
             algo_label = "put-tree" if legacy_tree else str(algorithm)
             metrics.inc("shmem_collectives_total", kind=kind,
                         algorithm=algo_label,
-                        protocol=getattr(algorithm, "protocol", None) or "-",
-                        channels=str(getattr(algorithm, "channels", 1)),
+                        protocol=algorithm.protocol or "-",
+                        channels=str(algorithm.channels),
                         team_size=self.size, rank=self.members[self.my_pe])
         slot = self._slot(kind, count, op, root, algorithm)
         n_snap = count if snapshot_count is None else snapshot_count

@@ -130,7 +130,7 @@ def _select_schedule(comm, kind: str, count: int, itemsize: int,
     sched = topo.schedule(str(selected), kind, count, root)
     if sched is None:
         return None
-    return sched, max(1, int(getattr(selected, "channels", 1)))
+    return sched, selected.channels
 
 
 def _run_schedule(comm, sched, work: np.ndarray, op: Optional[str],

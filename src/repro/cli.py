@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _capture_arg(sp):
         sp.add_argument("--capture", default=None,
-                        choices=["off", "auto", "regions"],
+                        choices=["off", "regions"],
                         help="graph capture & replay for steady-state loops "
                              "(docs/MODEL.md); replay counters are printed "
                              "after the run")
@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Fault injection (see docs/FAULTS.md): --fault-spec installs a "
                "deterministic fault plan, e.g. "
                "'drop,tag=0,start=1e-4,end=3e-4' for a transient message "
-               "outage; --resilient runs the checkpoint/rollback variant "
-               "that survives it. A worked example lives in "
+               "outage; --backend elastic:mpi runs the checkpoint/replay "
+               "variant that survives it. A worked example lives in "
                "examples/jacobi_fault_recovery.py.")
     common(sp)
     sp.add_argument("--backend", default="gpuccl")
@@ -79,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iters", type=int, default=20)
     sp.add_argument("--verify", action="store_true")
     _fault_args(sp)
-    sp.add_argument("--resilient", action="store_true",
-                    help="run the fault-tolerant mpi-resilient variant "
-                         "(checkpoint + rollback; ignores --backend/--mode)")
-    sp.add_argument("--checkpoint-every", type=int, default=8,
-                    help="iterations between in-memory checkpoints (--resilient)")
     _sanitize_arg(sp)
     _capture_arg(sp)
 
@@ -270,38 +265,31 @@ def _cmd_machines(args, out) -> int:
 
 
 def _cmd_jacobi(args, out) -> int:
+    from .apps import variant_name
     from .apps.jacobi import JacobiConfig, assemble, launch_variant, serial_jacobi
-    from .apps.jacobi import resilient
-    from .launcher import launch
 
     cfg = JacobiConfig(nx=args.size, ny=args.size + 2, iters=args.iters,
                        warmup=max(1, args.iters // 10))
-    if args.resilient:
-        variant = "mpi-resilient"
-        results = launch(resilient.run, args.gpus, machine=args.machine,
-                         args=(cfg, args.verify, args.checkpoint_every),
-                         fault_plan=args.fault_spec, fault_seed=args.fault_seed,
-                         sanitize=args.sanitize)
-    else:
-        variant = f"uniconn:{args.backend}" + ("" if args.mode == "PureHost" else f":{args.mode}")
-        results = launch_variant(variant, cfg, args.gpus, machine=args.machine,
-                                 collect=args.verify,
-                                 fault_plan=args.fault_spec, fault_seed=args.fault_seed,
-                                 sanitize=args.sanitize, capture=args.capture)
-    t = max(r.time_per_iter for r in results)
+    variant = variant_name(args.backend, args.mode)
+    results = launch_variant(variant, cfg, args.gpus, machine=args.machine,
+                             collect=args.verify,
+                             fault_plan=args.fault_spec, fault_seed=args.fault_seed,
+                             sanitize=args.sanitize, capture=args.capture)
+    survivors = [r for r in results if r is not None]  # elastic runs lose ranks
+    t = max(r.time_per_iter for r in survivors)
     print(f"jacobi {cfg.nx}x{cfg.ny} x{args.gpus} GPUs [{variant}] on {args.machine}: "
           f"{t * 1e6:.2f} us/iter", file=out)
     _print_capture(results, out)
     for when, kind, fields in results.faults:
         detail = " ".join(f"{k}={v}" for k, v in fields.items())
         print(f"  fault t={when:.6g}s {kind} {detail}", file=out)
-    restarts = max((getattr(r, "restarts", 0) for r in results), default=0)
+    restarts = max(r.restarts for r in survivors)
     if restarts:
         print(f"  recovered via {restarts} checkpoint rollback(s)", file=out)
     races = _print_races(results, out)
     if args.verify:
         ref = serial_jacobi(cfg, iters=cfg.warmup + cfg.iters)
-        ok = np.array_equal(assemble(cfg, results), ref)
+        ok = np.array_equal(assemble(cfg, survivors), ref)
         print(f"verification: {'PASS (bitwise)' if ok else 'FAIL'}", file=out)
         return 1 if (not ok or races) else 0
     return 1 if races else 0
@@ -407,11 +395,12 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
+    from .apps import variant_name
     from .apps.jacobi import JacobiConfig, launch_variant
     from .obs import SCHEMA_NAME, SCHEMA_VERSION, analyze_records, format_report, validate_report
     from .sim import Tracer
 
-    variant = f"uniconn:{args.backend}" + ("" if args.mode == "PureHost" else f":{args.mode}")
+    variant = variant_name(args.backend, args.mode)
     cfg = JacobiConfig(nx=args.size, ny=args.size + 2, iters=args.iters,
                        warmup=max(1, args.iters // 10))
     tracer = Tracer()

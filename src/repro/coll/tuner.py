@@ -6,7 +6,8 @@ Three layers (docs/COLLECTIVES.md):
   signature, backend and collective kind, a list of
   ``[ceiling_nbytes, algorithm, protocol, channels]`` size bands
   (exclusive ceilings, last band open-ended). JSON round-trips through
-  :mod:`repro.coll.schema` validation; v1 documents migrate on load.
+  :mod:`repro.coll.schema` validation; any version but the current one
+  is rejected.
 - :class:`CollPolicy` — what backends consult at run time via
   ``engine.coll``; ``None`` (the default) means "no engine installed" and
   costs the backends a single attribute check. A policy runs in one of
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algorithms import DEFAULT_ALGORITHM, candidates, is_applicable
 from .cost import CHANNEL_COUNTS, PROTOCOLS, Topology
@@ -88,6 +89,9 @@ class CollSelection(str):
         if "/" in algo:
             algo, _, tail = algo.partition("/")
             channels = int(tail)
+            if channels < 1:
+                raise ValueError(
+                    f"channel count must be >= 1 in {text!r}, got {channels}")
         protocol = None
         if "+" in algo:
             algo, _, protocol = algo.partition("+")
@@ -101,14 +105,42 @@ class CollSelection(str):
         return f"<CollSelection {self.describe()}>"
 
 
-def _score(model, backend: str, kind: str, selection: str,
+#: The ``coll_selected_total`` labels of "no selection: legacy path".
+_NO_SELECTION = CollSelection("default")
+
+
+def _score(model, backend: str, kind: str, selection: CollSelection,
            nbytes: int) -> float:
-    protocol = getattr(selection, "protocol", None)
-    channels = getattr(selection, "channels", 1)
     if backend == "gpushmem":
-        return model.duration(_SHMEM_NATIVE[kind], nbytes, str(selection),
-                              protocol, channels)
-    return model.duration(kind, nbytes, str(selection), protocol, channels)
+        kind = _SHMEM_NATIVE[kind]
+    return model.duration(kind, nbytes, str(selection), selection.protocol,
+                          selection.channels)
+
+
+def _best(model, backend: str, kind: str, nbytes: int,
+          combos: Sequence[CollSelection],
+          surcharge: Optional[Callable[[CollSelection], float]] = None
+          ) -> Tuple[CollSelection, float]:
+    """(winner, predicted seconds) over ``combos``, each priced by the
+    backend model plus an optional per-candidate ``surcharge``; ties go to
+    the earliest combination, so a leading legacy default wins exact
+    draws."""
+    best_sel, best_cost = None, None
+    for sel in combos:
+        cost = _score(model, backend, kind, sel, nbytes)
+        if surcharge is not None:
+            cost += surcharge(sel)
+        if best_cost is None or cost < best_cost:
+            best_sel, best_cost = sel, cost
+    return best_sel, best_cost
+
+
+def _algorithms(backend: str, kind: str, nranks: int,
+                topo: Optional[Topology]) -> List[str]:
+    """The backend's legacy default, then every other applicable algorithm."""
+    default = DEFAULT_ALGORITHM[backend]
+    return [default] + [a for a in candidates(kind, nranks, topo)
+                        if a != default]
 
 
 def _combos(backend: str, kind: str, nranks: int,
@@ -120,14 +152,10 @@ def _combos(backend: str, kind: str, nranks: int,
     no GPU wire protocols — it tunes (algorithm x channels) only — and
     its ``native`` path ignores both knobs, so it appears exactly once.
     """
-    default = DEFAULT_ALGORITHM[backend]
-    algos = [default] + [a for a in candidates(kind, nranks, topo)
-                         if a != default]
-    combos = [CollSelection(default)]
+    algos = _algorithms(backend, kind, nranks, topo)
+    combos = [CollSelection(algos[0])]
     if backend == "mpi":
-        for algo in algos:
-            if algo == default:
-                continue
+        for algo in algos[1:]:
             for channels in CHANNEL_COUNTS:
                 combos.append(CollSelection(algo, None, channels))
         return combos
@@ -162,9 +190,10 @@ class CollTable:
         for band in bands:
             if len(band) == 2:
                 ceiling, sel = band
-                protocol = getattr(sel, "protocol", None)
-                channels = getattr(sel, "channels", 1)
-                normalized.append([ceiling, str(sel), protocol, channels])
+                if not isinstance(sel, CollSelection):
+                    sel = CollSelection(sel)
+                normalized.append([ceiling, str(sel), sel.protocol,
+                                   sel.channels])
             elif len(band) == 4:
                 ceiling, algo, protocol, channels = band
                 normalized.append([ceiling, str(algo), protocol,
@@ -242,12 +271,9 @@ class CollPolicy:
     @classmethod
     def fixed(cls, algorithm: str, protocol: Optional[str] = None,
               channels: int = 1) -> "CollPolicy":
-        return cls(mode="fixed",
-                   algorithm=CollSelection(str(algorithm),
-                                           getattr(algorithm, "protocol",
-                                                   protocol),
-                                           getattr(algorithm, "channels",
-                                                   channels)))
+        if not isinstance(algorithm, CollSelection):
+            algorithm = CollSelection(algorithm, protocol, channels)
+        return cls(mode="fixed", algorithm=algorithm)
 
     @classmethod
     def from_table(cls, table: CollTable,
@@ -265,14 +291,8 @@ class CollPolicy:
         model = model_for(backend, topo)
         if model is None:
             return None
-        combos = _combos(backend, kind, topo.nranks, topo)
-        best_sel = combos[0]
-        best_cost = _score(model, backend, kind, best_sel, nbytes)
-        for sel in combos[1:]:
-            cost = _score(model, backend, kind, sel, nbytes)
-            if cost < best_cost:
-                best_sel, best_cost = sel, cost
-        return best_sel
+        return _best(model, backend, kind, nbytes,
+                     _combos(backend, kind, topo.nranks, topo))[0]
 
     # ------------------------------------------------------------------ #
     # Degraded-topology rescheduling (repro.resilience).
@@ -309,20 +329,15 @@ class CollPolicy:
         fixed "ring" policy must not stay wedged on a dead ring)."""
         key = (backend, topo.signature(), kind, int(nbytes), dead)
         if key not in self._degraded:
-            algo: Optional[str] = None
+            algo: Optional[CollSelection] = None
             model = model_for(backend, topo)
             if model is not None:
-                best_algo = DEFAULT_ALGORITHM[backend]
-                best_cost = _score(model, backend, kind, best_algo, nbytes) \
-                    + self._dead_penalty(best_algo, backend, kind, nbytes, topo, dead)
-                for cand in candidates(kind, topo.nranks, topo):
-                    if cand == best_algo:
-                        continue
-                    cost = _score(model, backend, kind, cand, nbytes) \
-                        + self._dead_penalty(cand, backend, kind, nbytes, topo, dead)
-                    if cost < best_cost:
-                        best_algo, best_cost = cand, cost
-                algo = CollSelection(best_algo)
+                algo = _best(
+                    model, backend, kind, nbytes,
+                    [CollSelection(a) for a in
+                     _algorithms(backend, kind, topo.nranks, topo)],
+                    lambda sel: self._dead_penalty(str(sel), backend, kind,
+                                                   nbytes, topo, dead))[0]
             self._degraded[key] = algo
             if engine is not None:
                 if engine.metrics.enabled:
@@ -342,16 +357,15 @@ class CollPolicy:
     # ------------------------------------------------------------------ #
 
     def _count(self, engine, backend: str, kind: str, nbytes: int,
-               algo: Optional[str]) -> Optional[str]:
+               algo: Optional[CollSelection]) -> Optional[CollSelection]:
         if engine is not None and engine.metrics.enabled:
             from ..obs import size_class
 
+            label = algo if algo is not None else _NO_SELECTION
             engine.metrics.inc(
                 "coll_selected_total", backend=backend, kind=kind,
-                algorithm=algo if algo is not None else "default",
-                protocol=getattr(algo, "protocol", None) or "-",
-                channels=str(getattr(algo, "channels", 1)),
-                size=size_class(int(nbytes)),
+                algorithm=label, protocol=label.protocol or "-",
+                channels=str(label.channels), size=size_class(int(nbytes)),
             )
         return algo
 
@@ -444,20 +458,12 @@ class CollTuner:
         """(winner, predicted seconds) over (algorithm x protocol x
         channels); ties go to the earliest combination, so the backend's
         legacy default wins exact draws."""
-        model = self.model(backend)
-        combos = _combos(backend, kind, self.topo.nranks, self.topo)
-        best_sel = combos[0]
-        best_cost = _score(model, backend, kind, best_sel, nbytes)
-        for sel in combos[1:]:
-            cost = _score(model, backend, kind, sel, nbytes)
-            if cost < best_cost:
-                best_sel, best_cost = sel, cost
-        return best_sel, best_cost
+        return _best(self.model(backend), backend, kind, nbytes,
+                     _combos(backend, kind, self.topo.nranks, self.topo))
 
     @staticmethod
     def _key(sel: CollSelection) -> Tuple:
-        return (str(sel), getattr(sel, "protocol", None),
-                getattr(sel, "channels", 1))
+        return (str(sel), sel.protocol, sel.channels)
 
     def build_table(self, kinds: Sequence[str] = _TUNABLE_KINDS,
                     sizes: Optional[Sequence[int]] = None) -> CollTable:

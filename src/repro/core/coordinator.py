@@ -183,13 +183,6 @@ class Coordinator:
                 f"no kernel bound for launch mode {self.launch_mode.name}"
             )
         self._rec("launch_kernel")
-        cap = self.engine.capture
-        if cap is not None:
-            # Unannotated-loop detection (capture="auto"): a stable launch
-            # stride is the telltale of a steady-state loop worth annotating.
-            cap.auto_tick(
-                ("launch", self.backend.name, self.launch_mode.name, b.kernel.name)
-            )
         with self._span(f"launch:{b.kernel.name}", "dispatch"):
             self.engine.sleep(self.env.costs.dispatch)
             launch_args = b.args() if callable(b.args) else b.args

@@ -269,7 +269,7 @@ def launch(
     every backend on its legacy algorithm — byte-identical traces.
 
     ``capture`` selects graph capture & replay (:mod:`repro.sim.capture`;
-    ``"off"``/``"auto"``/``"regions"``, default ``"off"``): annotated
+    ``"off"``/``"regions"``, default ``"off"``): annotated
     steady-state loops are recorded into a replay IR and, once their
     fingerprint stabilizes, replayed as a fused pre-resolved schedule with
     byte-identical traces. Counters land in ``report.stats["capture"]``.
@@ -314,7 +314,8 @@ def launch(
     from .sim.capture import CAPTURE_MODES, CaptureRuntime
 
     if capture not in CAPTURE_MODES:
-        raise ValueError(f"unknown capture mode {capture!r} (off|auto|regions)")
+        raise ValueError(f"unknown capture mode {capture!r} "
+                         f"({'|'.join(CAPTURE_MODES)})")
     cap_rt = None
     capture_blocked = None
     if capture != "off":
@@ -324,7 +325,7 @@ def launch(
         elif engine.sanitizer is not None:
             capture_blocked = "sanitizer"
         else:
-            cap_rt = CaptureRuntime(engine, capture)
+            cap_rt = CaptureRuntime(engine)
             engine.capture = cap_rt
 
             # Link busy_until anchors are absolute virtual times; a replay

@@ -22,6 +22,9 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
+from ..apps import variant_name
+from ..sim.capture import CAPTURE_MODES
+
 __all__ = ["JobSpec", "SPEC_SCHEMA", "canonical_coll", "canonical_fault_spec"]
 
 SPEC_SCHEMA = "repro.serve.jobspec/1"
@@ -31,7 +34,6 @@ APPS = ("jacobi", "cg", "latency", "bandwidth")
 
 _MODES = ("PureHost", "PartialDevice", "PureDevice")
 _OBS_LEVELS = ("off", "metrics", "spans")
-_CAPTURE_MODES = ("off", "auto", "regions")
 _OSU_IGNORED = ("fault_spec", "coll", "capture", "sanitize", "collect")
 
 
@@ -88,8 +90,9 @@ class JobSpec:
     ``size`` is the app's characteristic size: the grid edge for jacobi,
     the matrix rows for cg, the largest message for the OSU sweeps.
     ``backend`` accepts a bare backend name ("mpi"/"gpuccl"/"gpushmem"),
-    a full variant ("elastic:mpi", "mpi-resilient", "gpuccl-native"), and
-    for jacobi composes with ``mode`` the same way the CLI does.
+    a full variant ("elastic:mpi", "gpuccl-native"), and for jacobi
+    composes with ``mode`` the same way the CLI does
+    (:func:`repro.apps.variant_name`).
     """
 
     app: str = "jacobi"
@@ -115,9 +118,9 @@ class JobSpec:
             raise ValueError(f"unknown mode {self.mode!r} (expected one of {_MODES})")
         if self.obs not in _OBS_LEVELS:
             raise ValueError(f"unknown obs level {self.obs!r} (expected one of {_OBS_LEVELS})")
-        if self.capture not in _CAPTURE_MODES:
+        if self.capture not in CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {self.capture!r} "
-                             f"(expected one of {_CAPTURE_MODES})")
+                             f"(expected one of {CAPTURE_MODES})")
         if self.ranks < 1:
             raise ValueError(f"ranks must be >= 1, got {self.ranks}")
         if self.size < 1 or self.iters < 1:
@@ -170,16 +173,8 @@ class JobSpec:
 
     def variant(self) -> str:
         """The app-level variant string this spec resolves to."""
-        if self.app in ("latency", "bandwidth"):
-            if ":" in self.backend or self.backend.endswith("-native"):
-                return self.backend
-            return f"uniconn:{self.backend}"
-        if ":" in self.backend or "-" in self.backend:
-            return self.backend  # elastic:mpi, mpi-resilient, gpuccl-native, ...
-        variant = f"uniconn:{self.backend}"
-        if self.app == "jacobi" and self.mode != "PureHost":
-            variant += f":{self.mode}"
-        return variant
+        return variant_name(self.backend,
+                            self.mode if self.app == "jacobi" else "PureHost")
 
     def describe(self) -> str:
         """One-line human label for tables and progress events."""

@@ -103,7 +103,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["CaptureRuntime", "CaptureRegion", "loop_region", "CAPTURE_MODES"]
 
-CAPTURE_MODES = ("off", "auto", "regions")
+CAPTURE_MODES = ("off", "regions")
 
 # Largest structural period (in iterations) probed by the detector.
 _MAX_D = 4
@@ -737,15 +737,12 @@ class CaptureRuntime:
     """Per-engine capture state: the entry ring, regions and counters.
 
     Installed on ``Engine.capture`` by the launcher when
-    ``launch(capture=...)`` asks for it; ``None`` (the default) keeps
-    every engine hook at one attribute check.
+    ``launch(capture="regions")`` asks for it; ``None`` (the default)
+    keeps every engine hook at one attribute check.
     """
 
-    def __init__(self, engine, mode: str = "auto"):
-        if mode not in ("auto", "regions"):
-            raise ValueError(f"capture mode {mode!r}: expected 'auto' or 'regions'")
+    def __init__(self, engine):
         self.engine = engine
-        self.mode = mode
         self.disabled: Optional[str] = None
         root = _Entry(0.0, -1, 0.0, -1)
         self._entries: List[_Entry] = [root]
@@ -769,8 +766,6 @@ class CaptureRuntime:
         self.iterations_skipped = 0
         self.replay_host_seconds = 0.0
         self.bailouts: Counter = Counter()
-        self._auto: Dict[Any, list] = {}
-        self._auto_detected: set = set()
 
     # ------------------------------------------------------------------ #
     # Engine hooks (hot path).
@@ -826,29 +821,6 @@ class CaptureRuntime:
             )
         return reg
 
-    def auto_tick(self, key: Any) -> None:
-        """Stride detector for unannotated loops (mode ``"auto"``).
-
-        Purely diagnostic: replay needs the loop's cooperation (it must
-        consume skipped iterations), so unannotated loops are reported in
-        ``auto_detected_loops`` rather than replayed.
-        """
-        if self.mode != "auto" or key in self._auto_detected:
-            return
-        idx = self._abs
-        rec = self._auto.get(key)
-        if rec is None:
-            self._auto[key] = [idx, 0, 0]
-            return
-        stride = idx - rec[0]
-        if stride > 0 and stride == rec[1]:
-            rec[2] += 1
-            if rec[2] >= 3:
-                self._auto_detected.add(key)
-        else:
-            rec[1], rec[2] = stride, 0
-        rec[0] = idx
-
     def disable(self, reason: str) -> None:
         """Stop capturing (revocation, etc.); recording never resumes."""
         if self.disabled is None:
@@ -880,7 +852,7 @@ class CaptureRuntime:
 
     def stats_dict(self) -> Dict[str, Any]:
         return {
-            "mode": self.mode,
+            "mode": "regions",
             "enabled": self.disabled is None,
             "disabled": self.disabled,
             "replays": self.replays,
@@ -892,5 +864,4 @@ class CaptureRuntime:
             "device_mark_regions": sorted(
                 k for k, r in self.regions.items() if r.device_mode),
             "bailouts": dict(sorted(self.bailouts.items())),
-            "auto_detected_loops": len(self._auto_detected),
         }

@@ -2,13 +2,14 @@
 
 import io
 import json
+import re
 
 import pytest
 
-from repro.coll import (ALGORITHMS, CollPolicy, CollTable, CollTableError,
-                        CollTuner, DEFAULT_ALGORITHM, ENV_TABLE, SCHEMA_NAME,
-                        SCHEMA_VERSION, resolve_policy,
-                        validate_table)
+from repro.coll import (ALGORITHMS, CollPolicy, CollSelection, CollTable,
+                        CollTableError, CollTuner, DEFAULT_ALGORITHM,
+                        ENV_TABLE, SCHEMA_NAME, SCHEMA_VERSION,
+                        resolve_policy, validate_table)
 
 
 def _tuner(machine="perlmutter", gpus=64):
@@ -213,3 +214,11 @@ def test_cli_tune_coll_dump(tmp_path):
     table = CollTable.from_doc(doc)
     sig = CollTuner("perlmutter", 64).topo.signature()
     assert table.lookup(sig, "gpuccl", "all_reduce", 32 << 20) == "ring"
+
+
+@pytest.mark.parametrize("spec", ["ring/0", "ring/-2", "tree+LL/0"])
+def test_selection_parse_rejects_channel_counts_below_one(spec):
+    """A zero-rail selection used to parse, hash into a JobSpec and then
+    divide by zero inside schedule_cost."""
+    with pytest.raises(ValueError, match=re.escape(spec)):
+        CollSelection.parse(spec)

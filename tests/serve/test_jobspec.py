@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,7 +58,7 @@ def test_every_field_change_changes_hash():
         "app": "jacobi", "backend": "mpi", "mode": "PureDevice",
         "machine": "lumi", "ranks": 4, "size": 64, "iters": 8, "seed": 0,
         "fault_spec": "crash,rank=2,at=1e-4;watchdog,timeout=5e-3",
-        "fault_seed": 0, "coll": None, "capture": "auto", "sanitize": True,
+        "fault_seed": 0, "coll": None, "capture": "regions", "sanitize": True,
         "obs": "spans", "collect": True,
     }
     assert set(changed) == {f.name for f in dataclasses.fields(JobSpec)}
@@ -130,3 +131,14 @@ def test_variant_resolution():
     assert JobSpec(app="cg", backend="elastic:mpi").variant() == "elastic:mpi"
     assert JobSpec(app="latency", backend="mpi-native").variant() == "mpi-native"
     assert JobSpec(app="bandwidth", backend="gpuccl").variant() == "uniconn:gpuccl"
+
+
+@pytest.mark.parametrize("coll", ["ring/0", "ring/-2"])
+def test_coll_with_no_channels_is_rejected_before_it_is_hashed(coll):
+    with pytest.raises(ValueError, match=re.escape(coll)):
+        JobSpec(coll=coll)
+
+
+def test_capture_auto_is_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown capture mode 'auto'"):
+        JobSpec(capture="auto")

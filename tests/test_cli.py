@@ -83,3 +83,25 @@ def test_unknown_command_rejected():
 def test_machine_choice_validated():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["jacobi", "--machine", "frontier"])
+
+
+def test_jacobi_backend_takes_full_variants():
+    """--backend composes like JobSpec.backend: a full variant passes
+    through, so the elastic and native solvers run from the CLI."""
+    code, text = run_cli(["jacobi", "--backend", "elastic:mpi", "--gpus", "4",
+                          "--size", "32", "--iters", "4", "--verify"])
+    assert code == 0
+    assert "[elastic:mpi]" in text and "PASS (bitwise)" in text
+    code, text = run_cli(["report", "--backend", "mpi-native", "--gpus", "2",
+                          "--size", "32", "--iters", "2"])
+    assert code == 0 and "[mpi-native]" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "--capture", "auto"],
+    ["jacobi", "--resilient"],
+    ["jacobi", "--checkpoint-every", "4"],
+])
+def test_retired_jacobi_flags_rejected(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)

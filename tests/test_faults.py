@@ -4,8 +4,8 @@ Covers repro.sim.faults end to end: spec parsing, seeded reproducibility,
 link outages/degradation, MPI retransmission with exponential backoff and
 ``MpiTimeoutError`` exhaustion, rank crashes detected via GPUCCL
 ``async_error_query``/``abort``, straggler GPUs, watchdog timeouts, timed
-signal waits, and the checkpoint/rollback Jacobi harness converging to the
-exact fault-free answer under injected faults.
+signal waits, and the elastic Jacobi (``elastic:mpi``) rolling back and
+replaying to the exact fault-free answer under injected faults.
 """
 
 import numpy as np
@@ -131,7 +131,7 @@ def test_injected_link_outage_slows_the_job():
 
 
 def _faulty_run(spec, seed):
-    results = launch_variant("mpi-resilient", CFG, 4, collect=True,
+    results = launch_variant("elastic:mpi", CFG, 4, collect=True,
                              fault_plan=spec, fault_seed=seed)
     return results, results.stats
 
@@ -348,7 +348,8 @@ def test_gpushmem_signal_wait_timeout():
 
 
 # --------------------------------------------------------------------------- #
-# Checkpoint/rollback Jacobi (graceful degradation).
+# Checkpoint/rollback on the elastic Jacobi (graceful degradation): no rank
+# dies, so every shrink returns the same group and the run only replays.
 # --------------------------------------------------------------------------- #
 
 
@@ -357,8 +358,9 @@ def test_resilient_jacobi_survives_harsh_outage_bitwise():
     ref = serial_jacobi(CFG, iters=CFG.warmup + CFG.iters)
     assert np.array_equal(assemble(CFG, results), ref)
     assert max(r.restarts for r in results) >= 1
+    assert {r.nranks for r in results} == {4}
     kinds = {k for _, k, _ in stats["faults"]}
-    assert {"fault.mpi_giveup", "fault.jacobi_rollback"} <= kinds
+    assert {"fault.mpi_giveup", "recover.rebuild"} <= kinds
 
 
 def test_resilient_jacobi_fault_free_matches_serial():
@@ -370,8 +372,8 @@ def test_resilient_jacobi_fault_free_matches_serial():
 
 
 def test_resilient_jacobi_gives_up_on_permanent_fault():
-    with pytest.raises(FaultInjectionError, match="not transient"):
-        launch_variant("mpi-resilient", CFG, 4,
+    with pytest.raises(FaultInjectionError, match="not survivable"):
+        launch_variant("elastic:mpi", CFG, 4,
                        fault_plan="drop,tag=0;retry,base=1e-6,max=1")
 
 

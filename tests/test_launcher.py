@@ -119,3 +119,12 @@ def test_app_launchers_forward_run_options_to_launch(app, tmp_path):
     assert any(e.get("ph") == "B" for e in events)  # obs="spans" slices
     with pytest.raises(TypeError, match="unexpected keyword"):
         run(observe="spans")
+
+
+def test_retired_and_malformed_run_option_values_are_rejected():
+    """capture="auto" is gone with its stride detector; a selection with
+    no channels used to reach schedule_cost and divide by zero."""
+    with pytest.raises(ValueError, match="unknown capture mode 'auto'"):
+        launch(lambda ctx: None, 2, capture="auto")
+    with pytest.raises(ValueError, match="ring/0"):
+        launch(lambda ctx: None, 2, coll="ring/0")
