@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc digest perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -12,6 +12,14 @@ loc:
 	@for d in src tests; do \
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
+
+# Byte-identity digest of ~70 pinned runs (tools/run_digest.py): one line
+# per run with the sha256 of its Chrome trace and of its RunReport document.
+# To show a change preserves behaviour, run it here and in a `git clone` of
+# the parent commit (copy the tool in if the parent predates it) and `diff`
+# the two outputs; ~10 s.
+digest:
+	@$(PYTHON) tools/run_digest.py
 
 # Fast CI gate for the simulation core: the deterministic fast-path
 # invariants, then the smoke-scale wall-clock run checked against the

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ...coll import GpucclModel, Topology, model_for
 from ...errors import GpucclError
 from ...gpu.stream import ExternalOp, Stream
 from ...launcher import RankContext
-from ...obs import record_transfer, size_class
-from ..common import BufferLike, as_array
+from ...obs import size_class
+from ..common import BufferLike, InFlight, as_array
 from ..rendezvous import RendezvousBoard
 
 __all__ = ["GpucclComm", "GpucclUniqueId", "get_unique_id", "group_start", "group_end"]
@@ -153,10 +151,10 @@ class _CommShared:
             )
         path = self.cluster.path(self.gpu_ids[send.src], self.gpu_ids[send.dst])
         requested = self.engine.now + self.profile.protocol_overhead
-        transfer = path.reserve(requested, send.nbytes)
+        flight = InFlight(self.engine, "gpuccl")
+        transfer = flight.wire(path.reserve(requested, send.nbytes), requested)
         metrics = self.engine.metrics
         if metrics.enabled:
-            record_transfer(metrics, "gpuccl", requested, transfer)
             metrics.inc("gpuccl_messages_total", size=size_class(send.nbytes),
                         rank=send.src)
             metrics.inc("gpuccl_bytes_total", send.nbytes, rank=send.src)
@@ -167,40 +165,16 @@ class _CommShared:
             # stream's happens-before edges.
             san.acquire(send)
             san.acquire(recv)
-            san.record(send.buf, "r", 0, send.count, note=f"ccl-send->{send.dst}")
-        payload = as_array(send.buf, send.count).copy()
-        cap = self.engine.capture
-        if cap is not None:
-            sb = as_array(send.buf, send.count)
-            cap.effect(
-                ("csnap", send.src, send.dst,
-                 sb.__array_interface__["data"][0], send.count),
-                lambda p=payload, sb=sb: np.copyto(p, sb),
-            )
-            cap.on_reserve(transfer)
-        epoch = self.engine.fence_epoch
+        flight.snapshot(send.buf, send.count, key=("c", send.src, send.dst),
+                        note=f"ccl-send->{send.dst}")
 
         def deliver() -> None:
-            if self.engine.fence_epoch != epoch:
-                # Fenced by a revoke while on the wire (see Engine.fence):
-                # the payload is discarded and the op left unfinished — its
-                # waiters have already unwound through the recovery path.
-                if metrics.enabled:
-                    metrics.inc("fenced_deliveries_total", backend="gpuccl")
+            if flight.dropped():
+                # Fenced by a revoke while on the wire: the payload is
+                # discarded and the op left unfinished — its waiters have
+                # already unwound through the recovery path.
                 return
-            if san is not None:
-                san.record(recv.buf, "w", 0, send.count,
-                           note=f"ccl-recv<-{send.src}")
-            rb = as_array(recv.buf)
-            cap = self.engine.capture
-            if cap is not None:
-                cap.effect(
-                    ("cdlv", send.src, send.dst,
-                     rb.__array_interface__["data"][0], send.count),
-                    lambda rb=rb, p=payload, c=send.count: np.copyto(rb[:c], p),
-                    freshen=True,
-                )
-            rb[: send.count] = payload
+            flight.land(recv.buf, note=f"ccl-recv<-{send.src}")
             send.parent.entry_done()
             recv.parent.entry_done()
 

@@ -10,147 +10,19 @@ rendezvous slot: blocking task calls (host API), stream-ordered ops
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from ...errors import GpushmemError
 from ...gpu.stream import ExternalOp, Stream
 from ...coll import (CANONICAL_SHMEM_KINDS, CollSelection, ShmemModel,
                      Topology, model_for)
-from ..common import BufferLike, apply_reduce, as_array
+from ...sim import SimEvent
+from ..common import BufferLike, FusedCollective, as_array
 
 __all__ = ["ShmemTeam"]
 
 #: What runs when no policy selects: the historical put-tree.
 _TREE = CollSelection("tree")
-
-
-class _Slot:
-    """Rendezvous for one collective invocation on one team."""
-
-    def __init__(self, world, team: "ShmemTeam", kind: str, count: int, op: Optional[str],
-                 root: Optional[int], algorithm: CollSelection):
-        self.world = world
-        self.team = team
-        self.kind = kind
-        self.count = count
-        self.op = op
-        self.root = root
-        # Selections carry protocol/channel knobs for the put-with-signal
-        # rounds; the slot keys on all three (see check()).
-        self.algorithm = str(algorithm)
-        self.protocol = algorithm.protocol
-        self.channels = algorithm.channels
-        self.records: Dict[int, tuple] = {}
-        self.finishers: List = []
-        from ...sim import SimEvent
-
-        self.done = SimEvent(world.engine, name=f"shmem-{kind}")
-
-    def arrive(self, team_pe: int, snapshot: Optional[np.ndarray], recv_target, finish_cb=None) -> None:
-        if (team_pe in self.records):
-            raise GpushmemError(f"PE {team_pe} joined {self.kind} twice")
-        san = self.world.engine.sanitizer
-        if san is not None:
-            # Every arrival happens-before the collective completes.
-            san.release(self)
-        self.records[team_pe] = (snapshot, recv_target)
-        if finish_cb is not None:
-            self.finishers.append(finish_cb)
-        if len(self.records) == self.team.size:
-            self._fire()
-
-    def check(self, kind: str, count: int, op: Optional[str], root: Optional[int],
-              algorithm: CollSelection) -> None:
-        protocol, channels = algorithm.protocol, algorithm.channels
-        if (kind, count, op, root, str(algorithm), protocol, channels) != (
-                self.kind, self.count, self.op, self.root, self.algorithm,
-                self.protocol, self.channels):
-            raise GpushmemError(
-                f"mismatched team collective: {kind}(count={count}, op={op}, root={root}, "
-                f"algorithm={algorithm}, protocol={protocol}, channels={channels}) "
-                f"vs {self.kind}(count={self.count}, op={self.op}, "
-                f"root={self.root}, algorithm={self.algorithm}, "
-                f"protocol={self.protocol}, channels={self.channels})"
-            )
-
-    def _fire(self) -> None:
-        itemsize = 1
-        for snap, _ in self.records.values():
-            if snap is not None:
-                itemsize = snap.dtype.itemsize
-                break
-        # "tree" with no explicit protocol is the historical put-tree
-        # formula; any other selection is priced over its generated
-        # schedule with the chosen wire protocol and rail count.
-        duration = self.team.model.duration(self.kind, self.count * itemsize,
-                                            self.algorithm, self.protocol,
-                                            self.channels)
-
-        epoch = self.world.engine.fence_epoch
-
-        def complete() -> None:
-            if self.world.engine.fence_epoch != epoch:
-                # Fenced by a revoke before completion (see Engine.fence):
-                # never apply results over the next generation's buffers.
-                if self.world.engine.metrics.enabled:
-                    self.world.engine.metrics.inc(
-                        "fenced_deliveries_total", backend="gpushmem"
-                    )
-                return
-            san = self.world.engine.sanitizer
-            if san is not None:
-                # Completion is ordered after every PE's arrival, not just
-                # the last one (whose context this callback inherits).
-                san.acquire(self)
-            self._apply()
-            self.done.set()
-            for cb in self.finishers:
-                cb()
-
-        self.world.engine.schedule(duration, complete)
-
-    def _apply(self) -> None:
-        kind, count, p = self.kind, self.count, self.team.size
-        if kind == "barrier":
-            return
-        san = self.world.engine.sanitizer
-
-        def put(recv, n, payload) -> None:
-            if san is not None:
-                san.record(recv, "w", 0, n, note=f"shmem-{kind}")
-            as_array(recv)[:n] = payload
-
-        if kind in ("reduce", "allreduce"):
-            total = self.records[0][0].copy()
-            for r in range(1, p):
-                apply_reduce(self.op, total, self.records[r][0])
-            targets = self.records.items() if kind == "allreduce" else [(self.root, self.records[self.root])]
-            for _, (_, recv) in targets:
-                if recv is not None:
-                    put(recv, count, total)
-        elif kind == "broadcast":
-            payload = self.records[self.root][0]
-            for pe, (_, recv) in self.records.items():
-                if recv is not None:
-                    put(recv, count, payload)
-        elif kind == "fcollect":
-            gathered = np.concatenate([self.records[r][0] for r in range(p)])
-            for _, (_, recv) in self.records.items():
-                put(recv, count * p, gathered)
-        elif kind == "reduce_scatter":
-            total = self.records[0][0].copy()
-            for r in range(1, p):
-                apply_reduce(self.op, total, self.records[r][0])
-            for pe, (_, recv) in self.records.items():
-                put(recv, count, total[pe * count : (pe + 1) * count])
-        elif kind == "alltoall":
-            for dst in range(p):
-                out = np.concatenate([self.records[src][0][dst * count : (dst + 1) * count] for src in range(p)])
-                put(self.records[dst][1], count * p, out)
-        else:  # pragma: no cover - guarded by ShmemModel
-            raise GpushmemError(f"unknown collective kind {kind}")
 
 
 class ShmemTeam:
@@ -190,15 +62,27 @@ class ShmemTeam:
     # ------------------------------------------------------------------ #
 
     def _slot(self, kind: str, count: int, op: Optional[str], root: Optional[int],
-              algorithm: CollSelection) -> _Slot:
+              algorithm: CollSelection) -> Tuple[FusedCollective, SimEvent]:
+        """This call's rendezvous slot and the event its blocking (host
+        API) callers wait on; stream callers pass a finisher instead."""
         self._seq += 1
-        slot = self._shared.get(self._seq)
-        if slot is None:
-            slot = _Slot(self.world, self, kind, count, op, root, algorithm)
-            self._shared[self._seq] = slot
+        entry = self._shared.get(self._seq)
+        if entry is None:
+            # "tree" with no explicit protocol is the historical put-tree
+            # formula; any other selection is priced over its generated
+            # schedule with the chosen wire protocol and rail count.
+            slot = FusedCollective(self.world.engine, "gpushmem", self.size,
+                                   self.model.duration, kind, count, op, root,
+                                   algorithm)
+            done = SimEvent(self.world.engine, name=f"shmem-{kind}")
+            slot.finishers.append(done.set)
+            entry = self._shared[self._seq] = (slot, done)
         else:
-            slot.check(kind, count, op, root, algorithm)
-        return slot
+            bad = entry[0].mismatch(kind, count, op, root, algorithm)
+            if bad is not None:
+                raise GpushmemError(
+                    f"mismatched team collective: {bad[0]} vs {bad[1]}")
+        return entry
 
     def run_collective(
         self,
@@ -234,7 +118,7 @@ class ShmemTeam:
                         protocol=algorithm.protocol or "-",
                         channels=str(algorithm.channels),
                         team_size=self.size, rank=self.members[self.my_pe])
-        slot = self._slot(kind, count, op, root, algorithm)
+        slot, done = self._slot(kind, count, op, root, algorithm)
         n_snap = count if snapshot_count is None else snapshot_count
         team_pe = self.my_pe
         # NVSHMEM barrier semantics are quiet + sync: each PE completes its
@@ -244,24 +128,21 @@ class ShmemTeam:
         ctx = self.world.contexts.get(self.members[self.my_pe])
         outstanding = ctx._outstanding if (kind == "barrier" and ctx is not None) else None
 
-        def snap():
-            if send is None:
-                return None
-            san = engine.sanitizer
-            if san is not None:
-                san.record(send, "r", 0, n_snap, note=f"shmem-{kind}")
-            return as_array(send, n_snap).copy()
+        def arrive(finish=None) -> None:
+            if team_pe in slot.records:
+                raise GpushmemError(f"PE {team_pe} joined {kind} twice")
+            slot.arrive(team_pe, send, n_snap, recv, finish)
 
         if stream is None:
             if outstanding is not None:
                 outstanding.wait_for(lambda v: v == 0)
-            slot.arrive(team_pe, snap(), recv)
-            slot.done.wait()
+            arrive()
+            done.wait()
             return None
 
         def on_start(op_handle: ExternalOp) -> None:
             def register() -> None:
-                slot.arrive(team_pe, snap(), recv, finish_cb=op_handle.finish)
+                arrive(op_handle.finish)
 
             def ready() -> None:
                 if outstanding is not None:

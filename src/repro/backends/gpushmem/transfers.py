@@ -14,8 +14,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ...errors import GpushmemError
-from ...obs import record_transfer, size_class
-from ..common import BufferLike, as_array
+from ...obs import size_class
+from ..common import BufferLike, InFlight
 from .heap import SIGNAL_ADD, SIGNAL_SET, SymBuffer
 
 __all__ = ["issue_put", "issue_get", "apply_signal"]
@@ -72,10 +72,9 @@ def issue_put(
         if san is not None:
             san.report_oob(dest, dest.offset, count, f"put->pe{dst_pe}")
         raise GpushmemError(f"put of {count} elements into window of {dest.count}")
-    if san is not None:
-        san.record(src, "r", 0, count, note=f"put->pe{dst_pe}")
-    payload = as_array(src, count).copy()
-    nbytes = count * payload.dtype.itemsize
+    flight = InFlight(engine, "gpushmem").snapshot(
+        src, count, key=("p", src_pe, dst_pe), note=f"put->pe{dst_pe}")
+    nbytes = flight.data.nbytes
     # Resolve the destination view once at issue time; delivery only touches
     # `.raw` (which still performs the use-after-free check).
     dst_view = dest.view_at(dst_pe)
@@ -83,37 +82,24 @@ def issue_put(
     if bandwidth_penalty <= 0 or bandwidth_penalty > 1:
         raise GpushmemError(f"invalid bandwidth penalty {bandwidth_penalty}")
     effective = int(np.ceil(nbytes / bandwidth_penalty))
-    transfer = path.reserve(engine.now + extra_latency, effective)
+    requested = engine.now + extra_latency
+    transfer = flight.wire(path.reserve(requested, effective), requested)
     metrics = engine.metrics
     if metrics.enabled:
-        record_transfer(metrics, "gpushmem", engine.now + extra_latency, transfer)
         metrics.inc("shmem_puts_total", size=size_class(nbytes), rank=src_pe)
         metrics.inc("shmem_bytes_total", nbytes, op="put", rank=src_pe)
 
-    cap = engine.capture
-    if cap is not None:
-        src_arr = as_array(src, count)
-        cap.effect(
-            ("psnap", src_pe, dst_pe,
-             src_arr.__array_interface__["data"][0], count),
-            lambda p=payload, sa=src_arr: np.copyto(p, sa),
-        )
-        cap.on_reserve(transfer)
-
     if on_local_done is not None:
         engine.schedule(max(0.0, transfer.inject_done - engine.now), on_local_done)
-    epoch = engine.fence_epoch
 
     def deliver() -> None:
-        if engine.fence_epoch != epoch:
+        if flight.dropped():
             # A revoke fenced the data plane while this payload was on the
-            # wire (see Engine.fence): neither the payload nor the signal
-            # lands — they could corrupt buffers the next generation has
-            # rebuilt — but the op still *retires* (``on_delivered``), so
-            # issue-side accounting (quiet()'s outstanding counter, which
-            # outlives communicator generations) stays balanced.
-            if metrics.enabled:
-                metrics.inc("fenced_deliveries_total", backend="gpushmem")
+            # wire: neither the payload nor the signal lands — they could
+            # corrupt buffers the next generation has rebuilt — but the op
+            # still *retires* (``on_delivered``), so issue-side accounting
+            # (quiet()'s outstanding counter, which outlives communicator
+            # generations) stays balanced.
             if on_delivered is not None:
                 on_delivered()
             return
@@ -123,16 +109,7 @@ def issue_put(
             # later delivery — e.g. the host-side signal put completing a
             # PartialDevice exchange — carries this payload write.
             san.acquire(path)
-            san.record(dst_view, "w", 0, count, note=f"put<-pe{src_pe}")
-        cap = engine.capture
-        if cap is not None:
-            cap.effect(
-                ("pdlv", src_pe, dst_pe,
-                 dst_view.raw.__array_interface__["data"][0], count),
-                lambda dv=dst_view, p=payload, c=count: np.copyto(dv.raw[:c], p),
-                freshen=True,
-            )
-        dst_view.raw[:count] = payload
+        flight.land(dst_view, note=f"put<-pe{src_pe}")
         if san is not None:
             san.release(path)
         dest.obj.notify()
@@ -188,48 +165,28 @@ def issue_get(
             san.report_oob(src, src.offset, count, f"get<-pe{dst_pe}")
         raise GpushmemError(f"get of {count} elements from window of {src.count}")
     nbytes = count * src.dtype.itemsize
-    src_view = src.view_at(dst_pe)
+    # Gets read the remote buffer at delivery time (and the replayed
+    # effect repeats the same live read, so it stays value-exact).
+    flight = InFlight(engine, "gpushmem").snapshot(
+        src.view_at(dst_pe), count, key=("g", src_pe, dst_pe),
+        note=f"get<-pe{dst_pe}", live=True)
     # Gets traverse the reverse path: remote PE -> reader.
     path = world.cluster.path(world.gpu_of(dst_pe), world.gpu_of(src_pe))
     effective = int(np.ceil(nbytes / bandwidth_penalty))
-    transfer = path.reserve(engine.now + extra_latency, effective)
+    requested = engine.now + extra_latency
+    transfer = flight.wire(path.reserve(requested, effective), requested)
     metrics = engine.metrics
     if metrics.enabled:
-        record_transfer(metrics, "gpushmem", engine.now + extra_latency, transfer)
         metrics.inc("shmem_gets_total", size=size_class(nbytes), rank=src_pe)
         metrics.inc("shmem_bytes_total", nbytes, op="get", rank=src_pe)
 
-    cap = engine.capture
-    if cap is not None:
-        cap.on_reserve(transfer)
-    epoch = engine.fence_epoch
-
     def deliver() -> None:
-        if engine.fence_epoch != epoch:
-            # Fenced (see issue_put): drop the data, retire the op.
-            if metrics.enabled:
-                metrics.inc("fenced_deliveries_total", backend="gpushmem")
-            if on_delivered is not None:
-                on_delivered()
-            return
-        if san is not None:
-            san.acquire(path)
-            san.record(src_view, "r", 0, count, note=f"get<-pe{dst_pe}")
-            san.record(dest, "w", 0, count, note=f"get<-pe{dst_pe}")
-        cap = engine.capture
-        if cap is not None:
-            # Gets read the remote buffer at delivery time; the replayed
-            # closure repeats the same live read, so it stays value-exact.
-            cap.effect(
-                ("gdlv", src_pe, dst_pe,
-                 src_view.raw.__array_interface__["data"][0], count),
-                lambda d=dest, sv=src_view, c=count: np.copyto(
-                    as_array(d)[:c], sv.raw[:c]),
-                freshen=True,
-            )
-        as_array(dest)[:count] = src_view.raw[:count]
-        if san is not None:
-            san.release(path)
+        if not flight.dropped():  # fenced (see issue_put): drop the data, retire the op
+            if san is not None:
+                san.acquire(path)
+            flight.land(dest, note=f"get<-pe{dst_pe}")
+            if san is not None:
+                san.release(path)
         if on_delivered is not None:
             on_delivered()
 

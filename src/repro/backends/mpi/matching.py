@@ -18,14 +18,12 @@ allowed, messages between a pair never overtake each other.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ...errors import MpiError, MpiTimeoutError
 from ...hardware.profiles import MpiProfile
-from ...obs import record_transfer, size_class
-from ..common import BufferLike, as_array
+from ...obs import size_class
+from ..common import BufferLike, InFlight, as_array
 from .request import Request
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "MessageEngine"]
@@ -38,22 +36,23 @@ ANY_TAG = None
 
 class _SendRec:
     __slots__ = (
-        "src", "tag", "count", "nbytes", "kind", "arrival_time",
-        "data", "src_buf", "request", "matched", "path",
+        "src", "tag", "count", "nbytes", "kind", "path", "buf", "arrival_time",
+        "flight", "request", "matched",
     )
 
-    def __init__(self, src: int, tag: int, count: int, nbytes: int, kind: str):
+    def __init__(self, src: int, tag: int, count: int, nbytes: int, kind: str,
+                 path, buf: BufferLike):
         self.src = src
         self.tag = tag
         self.count = count
         self.nbytes = nbytes
         self.kind = kind  # "eager" | "rdv"
+        self.path = path
+        self.buf = buf  # live send buffer (rendezvous reads it at transfer time)
         self.arrival_time: float = 0.0
-        self.data: Optional[np.ndarray] = None  # eager snapshot
-        self.src_buf: Optional[BufferLike] = None  # rendezvous live buffer
+        self.flight: Optional[InFlight] = None  # eager payload, already on the wire
         self.request: Optional[Request] = None
         self.matched = False
-        self.path = None
 
 
 class _RecvRec:
@@ -68,17 +67,123 @@ class _RecvRec:
         self.matched = False
 
 
-def _cap_ptr(a: np.ndarray) -> int:
-    """Stable identity of a buffer view for capture effect keys."""
-    return a.__array_interface__["data"][0]
-
-
 def _tags_match(recv: _RecvRec, send: _SendRec) -> bool:
     if recv.src is not ANY_SOURCE and recv.src != send.src:
         return False
     if recv.tag is not ANY_TAG and recv.tag != send.tag:
         return False
     return True
+
+
+class _Delivery:
+    """A matched pair on its way to the receive buffer: wire attempts —
+    one, unless a fault plan drops some — then the landing.
+
+    Each attempt asks the fault injector — when one that targets MPI
+    messages is installed — for its fate; with none the verdict is simply
+    healthy. A dropped (or checksum-corrupted) attempt is retransmitted
+    after the plan's :class:`~repro.resilience.RetryPolicy` backoff
+    (``base * multiplier**attempt``, plus seeded jitter when enabled);
+    exhausting the retry budget — or the policy's wall timeout — completes
+    the receive request (and, for rendezvous, the send request too) with
+    :class:`MpiTimeoutError`. A message no fault matches takes exactly the
+    timing of a run without a plan.
+    """
+
+    __slots__ = ("engine", "profile", "send", "recv", "dst", "flight",
+                 "injector", "src_g", "dst_g", "first_try")
+
+    def __init__(self, engine, comm, profile: MpiProfile, send: _SendRec,
+                 recv: _RecvRec, dst: int):
+        self.engine = engine
+        self.profile = profile
+        self.send = send
+        self.recv = recv
+        self.dst = dst
+        # Eager payloads were snapshotted and put on the wire at post time;
+        # a rendezvous payload is issued by this match.
+        self.flight = send.flight or InFlight(engine, "mpi")
+        injector = engine.fault_injector
+        if injector is not None and injector.has_message_faults:
+            self.injector = injector
+            self.src_g = comm.global_rank_of(send.src)
+            self.dst_g = comm.global_rank_of(dst)
+        else:
+            self.injector = None
+        self.first_try: Optional[float] = None  # time of the first wire attempt
+
+    def attempt(self, k: int) -> None:
+        engine, send, flight = self.engine, self.send, self.flight
+        if k and flight.fenced:
+            return  # revoked mid-retry: stop retransmitting
+        now = engine.now
+        injector = self.injector
+        if injector is not None and self._faulted(k, now):
+            return
+        eager = send.kind == "eager"
+        if eager and k == 0:
+            if send.arrival_time > now:
+                engine.schedule(send.arrival_time - now, self.deliver)
+            else:
+                # Unexpected message: already here, pay the bounce-buffer
+                # copy.
+                engine.schedule(send.nbytes / self.profile.eager_copy_bandwidth,
+                                self.deliver)
+        else:
+            # The rendezvous transfer (or any retransmission) reserves the
+            # wire now; rendezvous data moves straight from the live send
+            # buffer.
+            if not eager:
+                flight.snapshot(send.buf, send.count,
+                                key=("r", send.src, self.dst, send.tag),
+                                note=f"send[{send.src}->{self.dst} tag={send.tag}]")
+            transfer = flight.wire(send.path.reserve(now, send.nbytes))
+            if not eager and not send.request.done:
+                engine.schedule(max(0.0, transfer.inject_done - now),
+                                send.request.complete)
+            engine.schedule(max(0.0, transfer.delivered - now), self.deliver)
+        if k > 0:
+            injector.record("fault.mpi_recovered", src=self.src_g, dst=self.dst_g,
+                            tag=send.tag, attempt=k)
+
+    def _faulted(self, k: int, now: float) -> bool:
+        """Ask the injector for attempt ``k``'s fate; on a fault, schedule
+        the retransmission (or give up) and return True."""
+        injector, send = self.injector, self.send
+        src_g, dst_g = self.src_g, self.dst_g
+        if self.first_try is None:
+            self.first_try = now
+        verdict = injector.message_verdict(src_g, dst_g, send.tag, now)
+        if verdict is None:
+            return False
+        injector.record(f"fault.mpi_{verdict}", src=src_g, dst=dst_g,
+                        tag=send.tag, attempt=k, nbytes=send.nbytes)
+        policy = injector.plan.retry_policy()
+        if policy.exhausted(k, now - self.first_try):
+            error = MpiTimeoutError(
+                f"transfer {src_g}->{dst_g} tag={send.tag} ({send.nbytes} B) gave up "
+                f"after {k} retransmissions at t={now:.9g}s"
+            )
+            injector.record("fault.mpi_giveup", src=src_g, dst=dst_g, tag=send.tag,
+                            attempts=k)
+            self.recv.request.fail(error)
+            if send.kind == "rdv":
+                send.request.fail(error)
+        else:
+            self.engine.schedule(policy.backoff(k, injector.rng),
+                                 lambda: self.attempt(k + 1))
+        return True
+
+    def deliver(self) -> None:
+        if self.flight.dropped():
+            # Fenced by a revoke while on the wire: the payload never lands
+            # and the recv stays pending — its waiter already unwound
+            # through the recovery path.
+            return
+        send = self.send
+        self.flight.land(self.recv.buf,
+                         note=f"recv[{send.src}->{self.dst} tag={send.tag}]")
+        self.recv.request.complete()
 
 
 class MessageEngine:
@@ -161,32 +266,18 @@ class MessageEngine:
                 # acquires both records).
                 san.release(request)
             if nbytes <= profile.eager_threshold:
-                rec = _SendRec(src, tag, count, nbytes, "eager")
-                san = self.engine.sanitizer
-                if san is not None:
-                    san.record(buf, "r", 0, count,
-                               note=f"send[{src}->{dst} tag={tag}]")
-                rec.data = arr[:count].copy()
-                transfer = path.reserve(self.engine.now, nbytes)
-                cap = self.engine.capture
-                if cap is not None:
-                    # Replayable payload snapshot: refreshes this record's
-                    # eager copy from the live send buffer, in place.
-                    cap.effect(
-                        ("msnap", src, dst, tag, _cap_ptr(arr), count),
-                        lambda r=rec, a=arr, c=count: np.copyto(r.data, a[:c]),
-                    )
-                    cap.on_reserve(transfer)
-                record_transfer(metrics, "mpi", self.engine.now, transfer)
+                rec = _SendRec(src, tag, count, nbytes, "eager", path, buf)
+                rec.flight = InFlight(self.engine, "mpi").snapshot(
+                    buf, count, key=("m", src, dst, tag),
+                    note=f"send[{src}->{dst} tag={tag}]")
+                transfer = rec.flight.wire(path.reserve(self.engine.now, nbytes))
                 rec.arrival_time = transfer.delivered
                 # The sender's buffer is free once the payload is on the wire.
                 self.engine.schedule(
                     max(0.0, transfer.inject_done - self.engine.now), request.complete
                 )
             else:
-                rec = _SendRec(src, tag, count, nbytes, "rdv")
-                rec.src_buf = buf
-                rec.path = path
+                rec = _SendRec(src, tag, count, nbytes, "rdv", path, buf)
             rec.request = request
             if metrics.enabled:
                 metrics.inc("mpi_messages_total", protocol=rec.kind,
@@ -271,16 +362,14 @@ class MessageEngine:
     # ------------------------------------------------------------------ #
 
     def _fire(self, comm, profile: MpiProfile, send: _SendRec, recv: _RecvRec, dst: int) -> None:
-        san = self.engine.sanitizer
+        engine = self.engine
+        san = engine.sanitizer
         if san is not None:
             # The match runs in whichever side posted last; order the
             # delivery after BOTH posts so it inherits, in particular, the
             # receiver's accesses that completed before the irecv.
             san.acquire(send.request)
             san.acquire(recv.request)
-        injector = self.engine.fault_injector
-        if injector is not None and injector.has_message_faults:
-            return self._fire_faulty(comm, profile, send, recv, dst, injector)
         if recv.count < send.count:
             # Reported on the receive side (MPI_ERR_TRUNC); the sender is
             # unaffected, matching real MPI behaviour.
@@ -292,207 +381,12 @@ class MessageEngine:
             )
             send.request.complete()
             return
-        now = self.engine.now
-        note = f"recv[{send.src}->{dst} tag={send.tag}]"
-        epoch = self.engine.fence_epoch
+        delivery = _Delivery(engine, comm, profile, send, recv, dst)
         if send.kind == "eager":
-            payload = send.data
-
-            def deliver() -> None:
-                if self.engine.fence_epoch != epoch:
-                    # Fenced by a revoke while on the wire (Engine.fence):
-                    # the payload never lands and the recv stays pending —
-                    # its waiter already unwound through the recovery path.
-                    if self.engine.metrics.enabled:
-                        self.engine.metrics.inc(
-                            "fenced_deliveries_total", backend="mpi"
-                        )
-                    return
-                san = self.engine.sanitizer
-                if san is not None:
-                    san.record(recv.buf, "w", 0, send.count, note=note)
-                rb = as_array(recv.buf)
-                rb[: send.count] = payload
-                cap = self.engine.capture
-                if cap is not None:
-                    # Replayable delivery: lands the (re-snapshotted) eager
-                    # payload; freshen=True so a pending in-flight delivery
-                    # is overwritten with current data after a takeover.
-                    cap.effect(
-                        ("mdlv", send.src, dst, send.tag, _cap_ptr(rb), send.count),
-                        lambda rb=rb, p=payload, c=send.count: np.copyto(rb[:c], p),
-                        freshen=True,
-                    )
-                recv.request.complete()
-
-            if send.arrival_time <= now:
-                # Unexpected message: already here, pay the bounce-buffer copy.
-                copy_cost = send.nbytes / profile.eager_copy_bandwidth
-                self.engine.schedule(copy_cost, deliver)
-            else:
-                self.engine.schedule(send.arrival_time - now, deliver)
+            delivery.attempt(0)
         else:
-            handshake = profile.rendezvous_rtt_factor * send.path.latency
-
-            def start_transfer() -> None:
-                transfer = send.path.reserve(self.engine.now, send.nbytes)
-                record_transfer(self.engine.metrics, "mpi", self.engine.now, transfer)
-                san = self.engine.sanitizer
-                if san is not None:
-                    san.record(send.src_buf, "r", 0, send.count,
-                               note=f"send[{send.src}->{dst} tag={send.tag}]")
-                payload = as_array(send.src_buf, send.count).copy()
-                cap = self.engine.capture
-                if cap is not None:
-                    sb = as_array(send.src_buf, send.count)
-                    cap.effect(
-                        ("rsnap", send.src, dst, send.tag, _cap_ptr(sb), send.count),
-                        lambda p=payload, sb=sb: np.copyto(p, sb),
-                    )
-                    cap.on_reserve(transfer)
-                self.engine.schedule(
-                    max(0.0, transfer.inject_done - self.engine.now),
-                    send.request.complete,
-                )
-
-                def deliver() -> None:
-                    if self.engine.fence_epoch != epoch:
-                        if self.engine.metrics.enabled:
-                            self.engine.metrics.inc(
-                                "fenced_deliveries_total", backend="mpi"
-                            )
-                        return
-                    san = self.engine.sanitizer
-                    if san is not None:
-                        san.record(recv.buf, "w", 0, send.count, note=note)
-                    rb = as_array(recv.buf)
-                    rb[: send.count] = payload
-                    cap = self.engine.capture
-                    if cap is not None:
-                        cap.effect(
-                            ("rdlv", send.src, dst, send.tag, _cap_ptr(rb), send.count),
-                            lambda rb=rb, p=payload, c=send.count: np.copyto(rb[:c], p),
-                            freshen=True,
-                        )
-                    recv.request.complete()
-
-                self.engine.schedule(max(0.0, transfer.delivered - self.engine.now), deliver)
-
-            self.engine.schedule(handshake, start_transfer)
-
-    # ------------------------------------------------------------------ #
-    # Fault-injected delivery: retransmission with exponential backoff.
-    # ------------------------------------------------------------------ #
-
-    def _fire_faulty(
-        self, comm, profile: MpiProfile, send: _SendRec, recv: _RecvRec, dst: int, injector
-    ) -> None:
-        """Matched-pair delivery when a fault plan targets MPI messages.
-
-        Each wire attempt asks the injector for its fate when the delivery
-        is scheduled. A dropped (or checksum-corrupted) attempt is
-        retransmitted after the plan's :class:`~repro.resilience.RetryPolicy`
-        backoff (``base * multiplier**attempt``, plus seeded jitter when
-        enabled); exhausting the retry budget — or the policy's wall
-        timeout — completes the receive request (and, for rendezvous, the
-        send request too) with :class:`MpiTimeoutError`. A message no fault
-        matches takes exactly the timing of the healthy path, and the
-        default policy reproduces the historical backoff byte for byte.
-        """
-        if recv.count < send.count:
-            recv.request.fail(
-                MpiError(
-                    f"message truncation: recv count {recv.count} < send count "
-                    f"{send.count} (src={send.src}, dst={dst}, tag={send.tag})"
-                )
-            )
-            send.request.complete()
-            return
-        engine = self.engine
-        policy = injector.plan.retry_policy()
-        first_try = [None]  # virtual time of the first wire attempt
-        src_g = comm.global_rank_of(send.src)
-        dst_g = comm.global_rank_of(dst)
-        path = send.path if send.path is not None else self.path_between(comm, send.src, dst)
-
-        def payload() -> np.ndarray:
-            if send.kind == "eager":
-                return send.data
-            san = engine.sanitizer
-            if san is not None:
-                san.record(send.src_buf, "r", 0, send.count,
-                           note=f"send[{send.src}->{dst} tag={send.tag}]")
-            return as_array(send.src_buf, send.count).copy()
-
-        epoch = engine.fence_epoch
-
-        def deliver_from(data: np.ndarray) -> Callable[[], None]:
-            def deliver() -> None:
-                if engine.fence_epoch != epoch:
-                    if engine.metrics.enabled:
-                        engine.metrics.inc("fenced_deliveries_total", backend="mpi")
-                    return
-                san = engine.sanitizer
-                if san is not None:
-                    san.record(recv.buf, "w", 0, send.count,
-                               note=f"recv[{send.src}->{dst} tag={send.tag}]")
-                as_array(recv.buf)[: send.count] = data
-                recv.request.complete()
-
-            return deliver
-
-        def give_up(attempts: int) -> None:
-            error = MpiTimeoutError(
-                f"transfer {src_g}->{dst_g} tag={send.tag} ({send.nbytes} B) gave up "
-                f"after {attempts} retransmissions at t={engine.now:.9g}s"
-            )
-            injector.record("fault.mpi_giveup", src=src_g, dst=dst_g, tag=send.tag,
-                            attempts=attempts)
-            recv.request.fail(error)
-            if send.kind == "rdv":
-                send.request.fail(error)
-
-        def attempt(k: int) -> None:
-            if engine.fence_epoch != epoch:
-                return  # revoked mid-retry: stop retransmitting
-            if first_try[0] is None:
-                first_try[0] = engine.now
-            verdict = injector.message_verdict(src_g, dst_g, send.tag, engine.now)
-            if verdict is None:
-                if send.kind == "eager" and k == 0 and send.arrival_time > engine.now:
-                    # First eager attempt: the wire was reserved at post
-                    # time; keep the healthy path's delivery instant.
-                    engine.schedule(send.arrival_time - engine.now, deliver_from(send.data))
-                elif send.kind == "eager" and k == 0:
-                    copy_cost = send.nbytes / profile.eager_copy_bandwidth
-                    engine.schedule(copy_cost, deliver_from(send.data))
-                else:
-                    transfer = path.reserve(engine.now, send.nbytes)
-                    record_transfer(engine.metrics, "mpi", engine.now, transfer)
-                    if send.kind == "rdv" and not send.request.done:
-                        engine.schedule(
-                            max(0.0, transfer.inject_done - engine.now),
-                            send.request.complete,
-                        )
-                    engine.schedule(
-                        max(0.0, transfer.delivered - engine.now), deliver_from(payload())
-                    )
-                if k > 0:
-                    injector.record("fault.mpi_recovered", src=src_g, dst=dst_g,
-                                    tag=send.tag, attempt=k)
-                return
-            injector.record(f"fault.mpi_{verdict}", src=src_g, dst=dst_g,
-                            tag=send.tag, attempt=k, nbytes=send.nbytes)
-            if policy.exhausted(k, engine.now - first_try[0]):
-                give_up(k)
-                return
-            engine.schedule(policy.backoff(k, injector.rng), lambda: attempt(k + 1))
-
-        if send.kind == "eager":
-            attempt(0)
-        else:
-            handshake = profile.rendezvous_rtt_factor * path.latency
-            engine.schedule(handshake, lambda: attempt(0))
+            engine.schedule(profile.rendezvous_rtt_factor * send.path.latency,
+                            lambda: delivery.attempt(0))
 
     # ------------------------------------------------------------------ #
 

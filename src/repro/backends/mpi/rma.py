@@ -20,14 +20,14 @@ of accumulates matches arrival order on the (FIFO) network path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ...errors import MpiError
-from ...obs import record_transfer, size_class
-from ...sim import Broadcast, Counter, SimEvent, wait_until
-from ..common import BufferLike, apply_reduce, as_array
+from ...obs import size_class
+from ...sim import Broadcast, Counter, wait_until
+from ..common import BufferLike, InFlight, as_array
 
 __all__ = ["MpiWindow"]
 
@@ -93,31 +93,29 @@ class MpiWindow:
             world.gpu_of(self.comm.global_rank_of(target)),
         )
 
-    def _launch(self, target: int, nbytes: int, on_delivered: Callable[[], None]) -> None:
+    def _launch(self, flight: InFlight, target: int, nbytes: int,
+                land: Callable[[], None]) -> None:
         self.engine.sleep(self.ctx.profile.host_call_overhead)
         path = self._path_to(target)
-        transfer = path.reserve(self.engine.now, nbytes)
+        transfer = flight.wire(path.reserve(self.engine.now, nbytes))
         metrics = self.engine.metrics
         if metrics.enabled:
-            record_transfer(metrics, "mpi", self.engine.now, transfer)
             metrics.inc("mpi_rma_messages_total", size=size_class(nbytes),
                         rank=self.comm.rank)
             metrics.inc("mpi_rma_bytes_total", nbytes, rank=self.comm.rank)
         self._outstanding.add(1)
         self._per_target[target] = self._per_target.get(target, 0) + 1
-        epoch = self.engine.fence_epoch
+
+        def retire() -> None:
+            self._outstanding.add(-1)
+            self._per_target[target] -= 1
+            self.shared.updated.notify_all()
 
         def deliver() -> None:
-            if self.engine.fence_epoch != epoch:
-                # Revoked mid-flight (see Engine.fence): retire the op so
-                # flush() accounting stays balanced, but never apply the
-                # payload — the target window may already belong to the
-                # next communicator generation.
-                if metrics.enabled:
-                    metrics.inc("fenced_deliveries_total", backend="mpi")
-                self._outstanding.add(-1)
-                self._per_target[target] -= 1
-                self.shared.updated.notify_all()
+            if flight.dropped():
+                # Revoked mid-flight: retire the op so flush() accounting
+                # stays balanced, but never apply the payload.
+                retire()
                 return
             san = self.engine.sanitizer
             if san is not None:
@@ -126,10 +124,8 @@ class MpiWindow:
                 # payload put it follows — the ordering this module's
                 # completion semantics promise per target.
                 san.acquire(path)
-            on_delivered()
-            self._outstanding.add(-1)
-            self._per_target[target] -= 1
-            self.shared.updated.notify_all()
+            land()
+            retire()
             if san is not None:
                 san.release(path)
 
@@ -141,59 +137,35 @@ class MpiWindow:
 
     def put(self, origin: BufferLike, count: int, target: int, target_disp: int = 0) -> None:
         """MPI_Put: write ``count`` elements into the target's window."""
-        dst = self._check(target, count, target_disp)
+        self._check(target, count, target_disp)
         exposed = self.shared.exposed[target]
-        san = self.engine.sanitizer
-        if san is not None:
-            san.record(origin, "r", 0, count, note=f"rma-put->{target}")
-        payload = as_array(origin, count).copy()
-        nbytes = int(count * payload.dtype.itemsize)
-        me = self.comm.rank
-
-        def deliver() -> None:
-            if san is not None:
-                san.record(exposed, "w", target_disp, count, note=f"rma-put<-{me}")
-            dst[target_disp : target_disp + count] = payload
-
-        self._launch(target, nbytes, deliver)
+        flight = InFlight(self.engine, "mpi").snapshot(
+            origin, count, note=f"rma-put->{target}")
+        note = f"rma-put<-{self.comm.rank}"
+        self._launch(flight, target, flight.data.nbytes,
+                     lambda: flight.land(exposed, note=note, offset=target_disp))
 
     def get(self, origin: BufferLike, count: int, target: int, target_disp: int = 0) -> None:
         """MPI_Get: read ``count`` elements from the target's window."""
-        src = self._check(target, count, target_disp)
-        exposed = self.shared.exposed[target]
-        san = self.engine.sanitizer
-        dst = as_array(origin, count)
-        nbytes = int(count * dst.dtype.itemsize)
-
-        def deliver() -> None:
-            if san is not None:
-                san.record(exposed, "r", target_disp, count, note=f"rma-get->{target}")
-                san.record(origin, "w", 0, count, note=f"rma-get<-{target}")
-            dst[:count] = src[target_disp : target_disp + count]
-
-        self._launch(target, nbytes, deliver)
+        self._check(target, count, target_disp)
+        nbytes = int(count * as_array(origin, count).dtype.itemsize)
+        flight = InFlight(self.engine, "mpi").snapshot(
+            self.shared.exposed[target], count, note=f"rma-get->{target}",
+            offset=target_disp, live=True)
+        note = f"rma-get<-{target}"
+        self._launch(flight, target, nbytes, lambda: flight.land(origin, note=note))
 
     def accumulate(self, origin: BufferLike, count: int, target: int,
                    op: str = "sum", target_disp: int = 0) -> None:
         """MPI_Accumulate: atomic element-wise update of the target window."""
-        dst = self._check(target, count, target_disp)
+        self._check(target, count, target_disp)
         exposed = self.shared.exposed[target]
-        san = self.engine.sanitizer
-        if san is not None:
-            san.record(origin, "r", 0, count, note=f"rma-acc->{target}")
-        payload = as_array(origin, count).copy()
-        nbytes = int(count * payload.dtype.itemsize)
-        me = self.comm.rank
-
-        def deliver() -> None:
-            if san is not None:
-                # Accumulates are atomic per MPI semantics: they conflict
-                # with reads/writes but not with other accumulates.
-                san.record(exposed, "aw", target_disp, count, note=f"rma-acc<-{me}")
-            view = dst[target_disp : target_disp + count]
-            apply_reduce(op, view, payload)
-
-        self._launch(target, nbytes, deliver)
+        flight = InFlight(self.engine, "mpi").snapshot(
+            origin, count, note=f"rma-acc->{target}")
+        note = f"rma-acc<-{self.comm.rank}"
+        self._launch(flight, target, flight.data.nbytes,
+                     lambda: flight.land(exposed, note=note, offset=target_disp,
+                                         reduce=op))
 
     # ------------------------------------------------------------------ #
     # Synchronization.

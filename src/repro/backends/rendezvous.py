@@ -17,7 +17,7 @@ from ..sim import Broadcast, Engine, wait_until
 __all__ = ["RendezvousBoard"]
 
 
-class _Slot:
+class _Entry:
     __slots__ = ("payloads", "bcast", "result")
 
     def __init__(self, engine: Engine):
@@ -31,12 +31,12 @@ class RendezvousBoard:
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        self._slots: Dict[Hashable, _Slot] = {}
+        self._slots: Dict[Hashable, _Entry] = {}
 
-    def _slot(self, key: Hashable) -> _Slot:
+    def _slot(self, key: Hashable) -> _Entry:
         slot = self._slots.get(key)
         if slot is None:
-            slot = _Slot(self.engine)
+            slot = _Entry(self.engine)
             self._slots[key] = slot
         return slot
 

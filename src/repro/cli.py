@@ -296,17 +296,20 @@ def _cmd_jacobi(args, out) -> int:
 
 
 def _cmd_cg(args, out) -> int:
+    from .apps import variant_name
     from .apps.cg import CgConfig, assemble_x, final_residual, launch_variant, make_problem
 
     cfg = CgConfig(n=args.rows, nnz_per_row=args.nnz, iters=args.iters)
     problem = make_problem(cfg)
-    results = launch_variant(f"uniconn:{args.backend}", cfg, args.gpus,
+    variant = variant_name(args.backend)
+    results = launch_variant(variant, cfg, args.gpus,
                              machine=args.machine, problem=problem, collect=True,
                              sanitize=args.sanitize, capture=args.capture)
-    x = assemble_x(results, cfg.n)
+    survivors = [r for r in results if r is not None]  # elastic runs lose ranks
+    x = assemble_x(survivors, cfg.n)
     rel = final_residual(problem, x) / float(np.linalg.norm(problem.b))
-    t = max(r.time_per_iter for r in results)
-    print(f"cg n={cfg.n} x{args.gpus} GPUs [uniconn:{args.backend}] on {args.machine}: "
+    t = max(r.time_per_iter for r in survivors)
+    print(f"cg n={cfg.n} x{args.gpus} GPUs [{variant}] on {args.machine}: "
           f"{t * 1e6:.2f} us/iter, |b-Ax|/|b| = {rel:.2e}", file=out)
     _print_capture(results, out)
     return 1 if _print_races(results, out) else 0
@@ -378,13 +381,15 @@ def _cmd_tune(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
+    from .apps import variant_name
     from .apps.jacobi import JacobiConfig, run_variant
     from .launcher import launch
     from .sim import Tracer, write_chrome_trace
 
     tracer = Tracer()
     cfg = JacobiConfig(nx=64, ny=66, iters=5, warmup=1)
-    report = launch(lambda ctx: run_variant(ctx, f"uniconn:{args.backend}", cfg),
+    variant = variant_name(args.backend)
+    report = launch(lambda ctx: run_variant(ctx, variant, cfg),
                     args.gpus, machine=args.machine, tracer=tracer,
                     fault_plan=args.fault_spec, fault_seed=args.fault_seed,
                     sanitize=args.sanitize)

@@ -44,22 +44,53 @@ def test_trace_byte_identical_fast_vs_slow(monkeypatch, variant):
     assert trace_fast == trace_slow
 
 
-def test_trace_byte_identical_without_and_with_inert_fault_plan(monkeypatch):
+INERT_PLAN = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
+# A halo row above every preset's eager threshold: rendezvous traffic.
+CFG_RDV = JacobiConfig(nx=4096, ny=34, iters=3, warmup=1)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG_RDV], ids=["eager", "rdv"])
+@pytest.mark.parametrize("variant", ["mpi-native", "uniconn:mpi"])
+def test_trace_byte_identical_without_and_with_inert_fault_plan(monkeypatch, variant, cfg):
     """Fault injection is free when it does nothing.
 
     A run with no plan and a run whose plan's fault window never overlaps
-    the job (forcing every MPI message through the fault-aware delivery
-    path, where every verdict is 'healthy') must produce byte-identical
-    traces — injected-fault support cannot perturb fault-free timings.
+    the job (every MPI delivery attempt asks the injector for a verdict,
+    and every verdict is 'healthy') must produce byte-identical traces on
+    eager and rendezvous traffic alike — injected-fault support cannot
+    perturb fault-free timings.
     """
-    _, stats_none, trace_none = _traced_run(monkeypatch, "mpi-native", fast=True)
-    inert = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
-    _, stats_inert, trace_inert = _traced_run(
-        monkeypatch, "mpi-native", fast=True, fault_plan=inert
+    res_none, stats_none, trace_none = _traced_run(monkeypatch, variant, fast=True,
+                                                   cfg=cfg)
+    res_inert, stats_inert, trace_inert = _traced_run(
+        monkeypatch, variant, fast=True, fault_plan=INERT_PLAN, cfg=cfg
     )
+    rdv = res_inert.metrics.counter_total("mpi_messages_total", protocol="rdv")
+    assert (rdv > 0) == (cfg is CFG_RDV)
+    assert rdv == res_none.metrics.counter_total("mpi_messages_total", protocol="rdv")
     assert stats_none["virtual_time"] == stats_inert["virtual_time"]
     assert trace_none == trace_inert
     assert stats_inert["faults"] == []  # installed, but nothing ever fired
+
+
+def test_cg_trace_byte_identical_without_and_with_inert_fault_plan():
+    """The same identity on CG: MPI collectives (eager) and the
+    rendezvous-size AllGatherv of the search direction."""
+    from repro.apps import cg
+
+    cfg = cg.CgConfig(n=4096, nnz_per_row=9, iters=4, seed=3)
+    problem = cg.make_problem(cfg)
+    traces, reports = [], []
+    for plan in (None, INERT_PLAN):
+        tracer = Tracer()
+        reports.append(cg.launch_variant("uniconn:mpi", cfg, 4, problem=problem,
+                                         tracer=tracer, fault_plan=plan))
+        traces.append(json.dumps({"traceEvents": to_chrome_trace(tracer)},
+                                 sort_keys=True))
+    assert reports[1].metrics.counter_total("mpi_messages_total", protocol="rdv") > 0
+    assert reports[0].stats["virtual_time"] == reports[1].stats["virtual_time"]
+    assert traces[0] == traces[1]
+    assert reports[1].stats["faults"] == []
 
 
 def test_trace_byte_identical_with_sanitizer_off(monkeypatch):
@@ -179,9 +210,8 @@ def test_capture_disabled_by_fault_injector(monkeypatch):
     The run still traces byte-identically to a plain uncaptured run."""
     _, stats_plain, trace_plain = _traced_run(monkeypatch, "mpi-native",
                                               fast=True, cfg=CFG_STEADY)
-    inert = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
     _, stats_cap, trace_cap = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                          fault_plan=inert, capture="regions",
+                                          fault_plan=INERT_PLAN, capture="regions",
                                           cfg=CFG_STEADY)
     cap = stats_cap["capture"]
     assert cap["enabled"] is False

@@ -97,6 +97,34 @@ def test_jacobi_backend_takes_full_variants():
     assert code == 0 and "[mpi-native]" in text
 
 
+@pytest.mark.parametrize("backend", ["mpi-native", "elastic:mpi", "gpuccl"])
+def test_cg_backend_takes_full_variants(backend):
+    """`repro cg` composes its variant like `repro jacobi` does."""
+    from repro.apps import variant_name
+
+    code, text = run_cli(["cg", "--backend", backend, "--gpus", "4",
+                          "--rows", "192", "--iters", "4"])
+    assert code == 0
+    assert f"[{variant_name(backend)}]" in text and "|b-Ax|/|b|" in text
+
+
+def test_trace_backend_takes_full_variants(tmp_path):
+    out = tmp_path / "trace.json"
+    code, text = run_cli(["trace", "--backend", "mpi-native", "--gpus", "2",
+                          "--out", str(out)])
+    assert code == 0 and "events ->" in text
+    assert json.loads(out.read_text())["traceEvents"]
+
+
+def test_variant_name_passes_full_variants_through():
+    from repro.apps import variant_name
+
+    assert variant_name("gpushmem") == "uniconn:gpushmem"
+    assert variant_name("gpushmem", "PureDevice") == "uniconn:gpushmem:PureDevice"
+    for full in ("elastic:mpi", "mpi-native", "uniconn:gpushmem:PureDevice"):
+        assert variant_name(full, "PureDevice") == full
+
+
 @pytest.mark.parametrize("argv", [
     ["jacobi", "--capture", "auto"],
     ["jacobi", "--resilient"],

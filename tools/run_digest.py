@@ -1,0 +1,164 @@
+"""Byte-identity digest of a pinned run matrix (make digest).
+
+Prints one line per run — name, sha256 of the Chrome trace, sha256 of
+``RunReport.to_dict()`` (stats, full metrics dump, fault log, race
+reports, collected results; minus the wall-clock ``replay_host_seconds``)
+— then one combined hash. A behaviour-preserving change is one ``diff`` of
+two outputs: copy this file into a ``git clone`` of the parent commit, run
+it there and here, compare. Every value is virtual-clocked, so the output
+is stable across processes and hosts.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.apps import cg, jacobi  # noqa: E402
+from repro.apps.osu import OsuConfig  # noqa: E402
+from repro.apps.osu.bandwidth import BANDWIDTH_VARIANTS  # noqa: E402
+from repro.apps.osu.latency import LATENCY_VARIANTS  # noqa: E402
+from repro.config import configured  # noqa: E402
+from repro.launcher import launch  # noqa: E402
+from repro.sim import Tracer, to_chrome_trace  # noqa: E402
+
+JACOBI_VARIANTS = ("mpi-native", "gpuccl-native", "gpushmem-host-native",
+                   "gpushmem-device-native", "uniconn:mpi", "uniconn:gpuccl",
+                   "uniconn:gpushmem")
+BACKENDS = ("mpi", "gpuccl", "gpushmem")
+INERT = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
+HARSH_DROPS = "drop,tag=0,start=1e-4,end=6e-4;retry,base=1e-5,max=2"
+CRASH = "crash,rank=1,at=1e-4;watchdog,timeout=5e-3"
+DEAD_LINK = "down,link=nvlink?1->2?,start=0;watchdog,timeout=5e-3"
+
+STEADY = jacobi.JacobiConfig(nx=96, ny=98, iters=48, warmup=1)
+# Halo rows above every preset's eager threshold: rendezvous traffic.
+WIDE = jacobi.JacobiConfig(nx=4096, ny=34, iters=24, warmup=1)
+SMALL = jacobi.JacobiConfig(nx=32, ny=34, iters=16, warmup=2)
+CG = cg.CgConfig(n=512, nnz_per_row=9, iters=12, seed=3)
+CG_WIDE = cg.CgConfig(n=4096, nnz_per_row=9, iters=6, seed=3)
+OSU = OsuConfig(sizes=(8, 1024, 65536, 1 << 20), iters_small=6, warmup_small=1,
+                iters_large=3, warmup_large=1, window=8, repeats=1)
+
+
+def _jacobi(variant, cfg, ranks, **options):
+    return lambda tracer: jacobi.launch_variant(
+        variant, cfg, ranks, collect=True, tracer=tracer, **options)
+
+
+def _cg(variant, cfg, ranks, **options):
+    problem = cg.make_problem(cfg)
+    return lambda tracer: cg.launch_variant(
+        variant, cfg, ranks, problem=problem, collect=True, tracer=tracer, **options)
+
+
+def _osu(table, variant, inter=False):
+    where = dict(n_nodes=2, placement="spread") if inter else {}
+
+    def run(tracer):
+        with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
+            return launch(table[variant], 2, args=(OSU,), tracer=tracer, **where)
+
+    return run
+
+
+def _dead_link(backend):
+    """A fixed-ring all_reduce that must reschedule around a downed link."""
+    from repro import Communicator, Coordinator, Environment
+    from repro.core import IN_PLACE, Memory
+
+    def body(ctx):
+        env = Environment(ctx, backend=backend)
+        env.set_device(env.node_rank())
+        comm = Communicator(env)
+        coord = Coordinator(env, stream=env.device.create_stream())
+        buf = Memory.alloc(env, 1024)
+        buf.write(np.full(1024, float(comm.global_rank() + 1)))
+        for _ in range(3):
+            coord.all_reduce(IN_PLACE, buf, 1024, "sum", comm)
+        coord.stream.synchronize()
+        return buf.read().copy()
+
+    return lambda tracer: launch(body, 4, tracer=tracer, coll="ring",
+                                 fault_plan=DEAD_LINK)
+
+
+def matrix():
+    """(name, run(tracer) -> RunReport) for every pinned run, in order."""
+    for variant in JACOBI_VARIANTS:
+        for capture in ("off", "regions"):
+            yield (f"jacobi16/{variant}/capture={capture}",
+                   _jacobi(variant, STEADY, 16, capture=capture))
+    for mode in ("PartialDevice", "PureDevice"):
+        yield (f"jacobi16/uniconn:gpushmem:{mode}",
+               _jacobi(f"uniconn:gpushmem:{mode}", STEADY, 16))
+    for variant in ("mpi-native", "uniconn:mpi"):
+        for capture in ("off", "regions"):
+            yield (f"jacobi8-rdv/{variant}/capture={capture}",
+                   _jacobi(variant, WIDE, 8, capture=capture))
+        yield (f"jacobi8-rdv/{variant}/inert-plan",
+               _jacobi(variant, WIDE, 8, fault_plan=INERT))
+    for backend in BACKENDS:
+        for coll in ("off", "auto", "ring+LL/2"):
+            yield (f"cg8/uniconn:{backend}/coll={coll}",
+                   _cg(f"uniconn:{backend}", CG, 8, coll=coll))
+    yield "cg4-rdv/uniconn:mpi", _cg("uniconn:mpi", CG_WIDE, 4)
+    yield "cg4-rdv/uniconn:mpi/inert-plan", _cg("uniconn:mpi", CG_WIDE, 4,
+                                                 fault_plan=INERT)
+    for variant in LATENCY_VARIANTS:
+        yield f"osu-latency/{variant}", _osu(LATENCY_VARIANTS, variant)
+    for variant in BANDWIDTH_VARIANTS:
+        yield f"osu-bandwidth/{variant}", _osu(BANDWIDTH_VARIANTS, variant)
+    for variant in ("mpi-native", "uniconn:gpuccl", "uniconn:gpushmem"):
+        yield (f"osu-latency-inter/{variant}",
+               _osu(LATENCY_VARIANTS, variant, inter=True))
+    for backend in BACKENDS:
+        yield (f"sanitize/jacobi8/uniconn:{backend}",
+               _jacobi(f"uniconn:{backend}", SMALL, 8, sanitize="race"))
+        yield (f"sanitize/cg4/uniconn:{backend}",
+               _cg(f"uniconn:{backend}", CG, 4, sanitize="race"))
+    yield ("sanitize/jacobi8/uniconn:gpushmem:PureDevice",
+           _jacobi("uniconn:gpushmem:PureDevice", SMALL, 8, sanitize="race"))
+    yield ("fault/harsh-drops/elastic:mpi",
+           _jacobi("elastic:mpi", SMALL, 4, fault_plan=HARSH_DROPS, fault_seed=1))
+    yield ("fault/harsh-drops/elastic:mpi/nx=4096",
+           _jacobi("elastic:mpi", WIDE, 4, fault_plan=HARSH_DROPS, fault_seed=1))
+    for backend in BACKENDS:
+        yield (f"fault/crash/jacobi/elastic:{backend}",
+               _jacobi(f"elastic:{backend}", SMALL, 4, fault_plan=CRASH, fault_seed=5))
+        yield (f"fault/crash/cg/elastic:{backend}",
+               _cg(f"elastic:{backend}", CG, 4, fault_plan=CRASH, fault_seed=5))
+        yield f"fault/dead-link/all_reduce/uniconn:{backend}", _dead_link(backend)
+
+
+def _sha(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def digest(run):
+    tracer = Tracer()
+    report = run(tracer)
+    doc = report.to_dict()
+    doc["stats"].get("capture", {}).pop("replay_host_seconds", None)
+    return _sha({"traceEvents": to_chrome_trace(tracer)}), _sha(doc)
+
+
+def main() -> int:
+    combined = hashlib.sha256()
+    count = 0
+    for name, run in matrix():
+        trace, report = digest(run)
+        line = f"{name} trace={trace} report={report}"
+        print(line, flush=True)
+        combined.update(line.encode() + b"\n")
+        count += 1
+    print(f"combined[{count} runs] {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
