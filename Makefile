@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc digest perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc digest digest-check perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -13,13 +13,19 @@ loc:
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 
-# Byte-identity digest of ~70 pinned runs (tools/run_digest.py): one line
-# per run with the sha256 of its Chrome trace and of its RunReport document.
-# To show a change preserves behaviour, run it here and in a `git clone` of
-# the parent commit (copy the tool in if the parent predates it) and `diff`
-# the two outputs; ~10 s.
+# Byte-identity digest of 71 pinned runs (tools/run_digest.py): one line
+# per run with the sha256 of its Chrome trace and of its RunReport document
+# (plus the host-side scheduler counters as an unhashed `sched=` field);
+# ~15 s. `digest-check` compares the trace=/report= hashes with the
+# committed tools/digest.golden and exits 1 on any difference: a change
+# that preserves behaviour passes it untouched, one that means to change
+# behaviour regenerates the golden (`make digest | sed 's/ sched=.*//' >
+# tools/digest.golden`) and says which lines moved and why.
 digest:
 	@$(PYTHON) tools/run_digest.py
+
+digest-check:
+	@$(PYTHON) tools/run_digest.py --check tools/digest.golden
 
 # Fast CI gate for the simulation core: the deterministic fast-path
 # invariants, then the smoke-scale wall-clock run checked against the

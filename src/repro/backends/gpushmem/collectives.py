@@ -134,6 +134,7 @@ class ShmemTeam:
             slot.arrive(team_pe, send, n_snap, recv, finish)
 
         if stream is None:
+            engine.settle()  # arrive at the caller's own time
             if outstanding is not None:
                 outstanding.wait_for(lambda v: v == 0)
             arrive()

@@ -191,7 +191,7 @@ class ShmemContext:
         hanging the simulation.
         """
         self.engine.metrics.inc("shmem_signal_waits_total", kind="host", rank=self.my_pe)
-        wait_until(sig.obj.updated, _signal_predicate(sig, cmp, value),
+        wait_until(sig.obj.updated[sig.my_pe], _signal_predicate(sig, cmp, value),
                    timeout=timeout,
                    what=f"signal_wait_until(sym{sig.obj.index} {cmp} {value}) on PE {self.my_pe}")
         return int(sig.local.raw[0])
@@ -260,7 +260,7 @@ class ShmemContext:
         pred = _signal_predicate(sig, cmp, value)
 
         def on_start(op: ExternalOp) -> None:
-            sig.obj.watch(pred, op.finish)
+            sig.obj.watch(sig.my_pe, pred, op.finish)
 
         stream.enqueue(ExternalOp(self.engine, "shmem-signal-wait", on_start))
 

@@ -7,9 +7,13 @@ handle plus a PE number (the OpenSHMEM addressing model). A
 symmetric object, so slices (`sync_arr + 1` style pointer arithmetic)
 translate correctly to every peer.
 
-Waiting is built in: every symmetric object carries an update broadcast and
-a watcher list, which is what ``signal_wait_until`` (device/task side) and
-``signal_wait_until_on_stream`` (host side) hang off.
+Waiting is built in: every symmetric object carries, *per PE*, an update
+broadcast and a watcher list, which is what ``signal_wait_until``
+(device/task side) and ``signal_wait_until_on_stream`` (host side) hang
+off. A waiter watches its own PE's copy, so the wake contract is: whoever
+changes the object's memory on a PE must ``notify`` *the PE whose memory
+changed* — and only that PE's predicates are evaluated, so an update costs
+O(its waiters), not O(all PEs).
 """
 
 from __future__ import annotations
@@ -41,13 +45,15 @@ class SymObject:
     """One collective allocation, with per-PE backing storage."""
 
     def __init__(self, engine, index: int, count: int, dtype: np.dtype, npes: int):
+        self.engine = engine
         self.index = index
         self.count = count
         self.dtype = np.dtype(dtype)
         self.npes = npes
         self.per_pe: Dict[int, DeviceBuffer] = {}
-        self.updated = Broadcast(engine, f"sym{index}")
-        self._watchers: List[Tuple[Callable[[], bool], Callable[[], None]]] = []
+        self.updated = [Broadcast(engine, f"sym{index}") for _ in range(npes)]
+        self._watchers: List[List[Tuple[Callable[[], bool], Callable[[], None]]]] = [
+            [] for _ in range(npes)]
 
     def attach(self, pe: int, buf: DeviceBuffer) -> None:
         """Register one PE's local storage for this symmetric object."""
@@ -74,36 +80,40 @@ class SymObject:
     # Update notification (signals, waits).
     # -------------------------------------------------------------- #
 
-    def watch(self, predicate: Callable[[], bool], callback: Callable[[], None]) -> None:
-        """Run ``callback`` once ``predicate`` holds (checked on updates)."""
+    def watch(self, pe: int, predicate: Callable[[], bool],
+              callback: Callable[[], None]) -> None:
+        """Run ``callback`` once ``predicate`` — over this object's memory
+        on ``pe`` — holds (checked on that PE's updates)."""
         if predicate():
-            san = self.updated.engine.sanitizer
+            san = self.engine.sanitizer
             if san is not None:
-                san.run_acquired(self.updated, callback)
+                san.run_acquired(self.updated[pe], callback)
             else:
                 callback()
         else:
-            self._watchers.append((predicate, callback))
+            self._watchers[pe].append((predicate, callback))
 
-    def notify(self) -> None:
-        """Declare that this object's memory changed on some PE."""
-        san = self.updated.engine.sanitizer
+    def notify(self, pe: int) -> None:
+        """Declare that this object's memory changed on ``pe``."""
+        updated = self.updated[pe]
+        san = self.engine.sanitizer
         if san is not None:
             # Watcher callbacks act for their waiters: order them after the
             # memory update they observed.
-            san.release(self.updated)
-        if self._watchers:
+            san.release(updated)
+        watchers = self._watchers[pe]
+        if watchers:
             still = []
-            for predicate, callback in self._watchers:
+            for predicate, callback in watchers:
                 if predicate():
                     if san is not None:
-                        san.run_acquired(self.updated, callback)
+                        san.run_acquired(updated, callback)
                     else:
                         callback()
                 else:
                     still.append((predicate, callback))
-            self._watchers = still
-        self.updated.notify_all()
+            self._watchers[pe] = still
+        updated.notify_all()
 
 
 class SymBuffer:
@@ -192,8 +202,9 @@ class SymBuffer:
         float data into an int window) is rejected uniformly instead of
         being forced through ``np.asarray``.
         """
+        self.obj.engine.settle()  # a host write happens at the host's own time
         self.local.write(values)
-        self.obj.notify()
+        self.obj.notify(self.my_pe)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -38,7 +38,7 @@ def apply_signal(sig: SymBuffer, pe: int, value: int, op: str) -> None:
         arr[0] += value
     else:
         raise GpushmemError(f"unknown signal op {op!r}")
-    sig.obj.notify()
+    sig.obj.notify(pe)
 
 
 def issue_put(
@@ -112,7 +112,7 @@ def issue_put(
         flight.land(dst_view, note=f"put<-pe{src_pe}")
         if san is not None:
             san.release(path)
-        dest.obj.notify()
+        dest.obj.notify(dst_pe)
         if signal is not None:
             sig, value, op = signal
 

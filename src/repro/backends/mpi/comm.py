@@ -133,34 +133,21 @@ class MpiCommunicator:
     def isend(self, buf: BufferLike, count: int, dst: int, tag: int = 0) -> Request:
         """Nonblocking send.
 
-        On the engine's fast path the host-call overhead is *deferred*
-        (``Engine.defer_busy``) instead of slept: the call returns without a
-        scheduler round-trip and the matcher registers the send on a timer
-        at the exact virtual time the eager-charging path would have — so a
-        burst of posts costs zero context switches but identical timestamps.
+        The host-call overhead is not slept here but handed to the matcher,
+        which charges it as busy time and registers the send at the exact
+        virtual time a sleeping caller would have (``Engine.after_busy``) —
+        so a burst of posts costs zero context switches but identical
+        timestamps.
         """
         self.ctx._check_live()
-        overhead = self._profile.host_call_overhead
-        if self.engine.fast_path and overhead > 0:
-            delay = self.engine.defer_busy(overhead)
-            return self.ctx.world.matcher.post_send(
-                self, self._profile, buf, count, dst, tag, defer=delay
-            )
-        self._charge(overhead)
-        return self.ctx.world.matcher.post_send(self, self._profile, buf, count, dst, tag)
+        return self.ctx.world.matcher.post_send(
+            self, self._profile, buf, count, dst, tag, self._profile.host_call_overhead)
 
     def irecv(self, buf: BufferLike, count: int, src: Optional[int], tag: Optional[int] = 0) -> Request:
-        """Nonblocking receive (overhead deferred on the fast path; see
-        :meth:`isend`)."""
+        """Nonblocking receive (overhead charged as in :meth:`isend`)."""
         self.ctx._check_live()
-        overhead = self._profile.host_call_overhead
-        if self.engine.fast_path and overhead > 0:
-            delay = self.engine.defer_busy(overhead)
-            return self.ctx.world.matcher.post_recv(
-                self, self._profile, buf, count, src, tag, defer=delay
-            )
-        self._charge(overhead)
-        return self.ctx.world.matcher.post_recv(self, self._profile, buf, count, src, tag)
+        return self.ctx.world.matcher.post_recv(
+            self, self._profile, buf, count, src, tag, self._profile.host_call_overhead)
 
     def sendrecv(
         self,

@@ -238,17 +238,18 @@ class MessageEngine:
         count: int,
         dst: int,
         tag: int,
-        defer: float = 0.0,
+        overhead: float = 0.0,
     ) -> Request:
         """Register a send; returns the sender-completion request.
 
-        With ``defer > 0`` the registration (snapshot, wire reservation,
-        trace, match scan) runs on a timer that many virtual seconds from
-        now — the exact time at which the eager-charging caller would have
-        reached this point after sleeping its host overhead — while the
-        argument validation still happens (and raises) in the caller's
-        frame. The caller must not modify ``buf`` before the request
-        completes, which MPI already requires of nonblocking sends.
+        ``overhead`` is the host-call cost a nonblocking caller has not
+        slept: it is charged here, and the registration (snapshot, wire
+        reservation, trace, match scan) runs when the caller's busy time
+        has elapsed (``Engine.after_busy``) — the exact time at which a
+        caller that slept the overhead would have reached this point —
+        while the argument validation still happens (and raises) in the
+        caller's frame. The caller must not modify ``buf`` before the
+        request completes, which MPI already requires of nonblocking sends.
         """
         if not 0 <= dst < comm.size:
             raise MpiError(f"send: destination {dst} out of range [0,{comm.size})")
@@ -302,10 +303,7 @@ class MessageEngine:
                 metrics.set_gauge("mpi_match_queue_depth", len(sends),
                                   queue="unexpected", rank=dst)
 
-        if defer > 0:
-            self.engine.schedule(defer, register)
-        else:
-            register()
+        self.engine.after_busy(register, overhead)
         return request
 
     def post_recv(
@@ -316,12 +314,10 @@ class MessageEngine:
         count: int,
         src: Optional[int],
         tag: Optional[int],
-        defer: float = 0.0,
+        overhead: float = 0.0,
     ) -> Request:
-        """Register a receive; returns the receive-completion request.
-
-        ``defer`` works exactly as in :meth:`post_send`.
-        """
+        """Register a receive; returns the receive-completion request
+        (``overhead`` as in :meth:`post_send`)."""
         if src is not ANY_SOURCE and not 0 <= src < comm.size:
             raise MpiError(f"recv: source {src} out of range [0,{comm.size})")
         dst = comm.rank
@@ -351,10 +347,7 @@ class MessageEngine:
                 metrics.set_gauge("mpi_match_queue_depth", len(recvs),
                                   queue="posted", rank=dst)
 
-        if defer > 0:
-            self.engine.schedule(defer, register)
-        else:
-            register()
+        self.engine.after_busy(register, overhead)
         return request
 
     # ------------------------------------------------------------------ #

@@ -37,7 +37,7 @@ class Request:
     @property
     def done(self) -> bool:
         """True once the operation completed (possibly with error)."""
-        return self._event.is_set()
+        return self._event.poll()
 
     def test(self) -> bool:
         """Nonblocking completion check (MPI_Test)."""
@@ -59,7 +59,9 @@ def waitall(requests: Iterable[Request]) -> None:
     way, so virtual timestamps are unchanged.
     """
     reqs = list(requests)
-    pending = [r for r in reqs if not r.done]
+    # The raw state, not the settling `done` poll: what is pending gets
+    # waited for, and a wait catches up with the caller's busy time itself.
+    pending = [r for r in reqs if not r._event.is_set()]
     if len(pending) > 1 and pending[0].engine.fast_path:
         engine = pending[0].engine
         task = engine._require_current()

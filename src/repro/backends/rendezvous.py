@@ -47,6 +47,7 @@ class RendezvousBoard:
         ``member`` id and the same ``size``; the key must be unique per
         logical rendezvous (include a sequence number for repeated use).
         """
+        self.engine.settle()  # arrive at the caller's own time
         slot = self._slot(key)
         slot.payloads[member] = payload
         slot.bcast.notify_all()

@@ -184,7 +184,7 @@ class Coordinator:
             )
         self._rec("launch_kernel")
         with self._span(f"launch:{b.kernel.name}", "dispatch"):
-            self.engine.sleep(self.env.costs.dispatch)
+            self.engine.defer_busy(self.env.costs.dispatch)
             launch_args = b.args() if callable(b.args) else b.args
             if self.launch_mode is LaunchMode.PureHost:
                 self.env.device.launch(
@@ -282,7 +282,7 @@ class Coordinator:
             gpu=self.stream.device.gpu_id,
             backend=self.backend.name,
         )
-        self.engine.sleep(self.env.costs.dispatch)
+        self.engine.defer_busy(self.env.costs.dispatch)
         self._grouping = True
         if self.backend is GpucclBackend:
             _ccl_group_start()
@@ -292,7 +292,7 @@ class Coordinator:
         if not self._grouping:
             raise UniconnError("comm_end without comm_start")
         self._rec("comm_end")
-        self.engine.sleep(self.env.costs.dispatch)
+        self.engine.defer_busy(self.env.costs.dispatch)
         self._grouping = False
         try:
             if self.backend is GpucclBackend:
@@ -357,7 +357,7 @@ class Coordinator:
             else:
                 comm.mpi.send(sendbuf, count, dest, tag)
             return
-        self.engine.sleep(costs.dispatch)
+        self.engine.defer_busy(costs.dispatch)
         if self.backend is GpucclBackend:
             comm.ccl.send(sendbuf, count, dest, self.stream)
             return
@@ -412,7 +412,7 @@ class Coordinator:
             else:
                 comm.mpi.recv(recvbuf, count, src, tag)
             return
-        self.engine.sleep(costs.dispatch)
+        self.engine.defer_busy(costs.dispatch)
         if self.backend is GpucclBackend:
             comm.ccl.recv(recvbuf, count, src, self.stream)
             return
@@ -435,10 +435,10 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.allreduce(sendbuf, recvbuf, count, op)
             elif self.backend is GpucclBackend:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 comm.ccl.all_reduce(sendbuf, recvbuf, count, op, self.stream)
             else:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 self.env.shmem.allreduce(
                     sendbuf, recvbuf, count, op, team=comm.team, stream=self.stream
                 )
@@ -454,10 +454,10 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.reduce(sendbuf, recvbuf, count, op, root)
             elif self.backend is GpucclBackend:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 comm.ccl.reduce(sendbuf, recvbuf, count, op, root, self.stream)
             else:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 self.env.shmem.reduce(
                     sendbuf, recvbuf, count, op, root, team=comm.team, stream=self.stream
                 )
@@ -470,10 +470,10 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.bcast(buf, count, root)
             elif self.backend is GpucclBackend:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 comm.ccl.broadcast(buf, buf, count, root, self.stream)
             else:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 self.env.shmem.broadcast(
                     buf, buf, count, root, team=comm.team, stream=self.stream
                 )
@@ -486,10 +486,10 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.allgather(sendbuf, recvbuf, count)
             elif self.backend is GpucclBackend:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 comm.ccl.all_gather(sendbuf, recvbuf, count, self.stream)
             else:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 self.env.shmem.fcollect(
                     sendbuf, recvbuf, count, team=comm.team, stream=self.stream
                 )
@@ -506,10 +506,10 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.reduce_scatter(sendbuf, recvbuf, count, op)
             elif self.backend is GpucclBackend:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 comm.ccl.reduce_scatter(sendbuf, recvbuf, count, op, self.stream)
             else:
-                self.engine.sleep(self.env.costs.dispatch)
+                self.engine.defer_busy(self.env.costs.dispatch)
                 self.env.shmem.reduce_scatter(
                     sendbuf, recvbuf, count, op, team=comm.team, stream=self.stream
                 )
@@ -532,7 +532,7 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.allgatherv(sendbuf, sendcount, recvbuf, counts, displs)
                 return
-            self.engine.sleep(self.env.costs.dispatch)
+            self.engine.defer_busy(self.env.costs.dispatch)
             p = comm.global_size()
             me = comm.global_rank()
             if self.backend is GpucclBackend:
@@ -605,7 +605,7 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.gatherv(sendbuf, sendcount, recvbuf, counts, displs, root)
                 return
-            self.engine.sleep(self.env.costs.dispatch)
+            self.engine.defer_busy(self.env.costs.dispatch)
             p = comm.global_size()
             if self.backend is GpucclBackend:
                 ccl = comm.ccl
@@ -649,7 +649,7 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.scatterv(sendbuf, counts, displs, recvbuf, recvcount, root)
                 return
-            self.engine.sleep(self.env.costs.dispatch)
+            self.engine.defer_busy(self.env.costs.dispatch)
             p = comm.global_size()
             if self.backend is GpucclBackend:
                 ccl = comm.ccl
@@ -678,7 +678,7 @@ class Coordinator:
                 self._mpi_pre()
                 comm.mpi.alltoall(sendbuf, recvbuf, count)
                 return
-            self.engine.sleep(self.env.costs.dispatch)
+            self.engine.defer_busy(self.env.costs.dispatch)
             p = comm.global_size()
             if self.backend is GpucclBackend:
                 ccl = comm.ccl
@@ -705,7 +705,7 @@ class Coordinator:
         and the mandatory stream synchronization (MPI is not stream-aware).
         """
         costs = self.env.costs
-        self.engine.sleep(costs.dispatch + costs.mpi_decision + costs.mpi_stream_query)
+        self.engine.defer_busy(costs.dispatch + costs.mpi_decision + costs.mpi_stream_query)
         with self._span("stream.sync", "sync"):
             self.stream.synchronize()
 

@@ -39,12 +39,12 @@ class GpuEvent:
     @property
     def recorded(self) -> bool:
         """True once the marker completed in stream order."""
-        return self._op is not None and self._op.completed_at is not None
+        return self._op is not None and self._op.done.poll()
 
     @property
     def time(self) -> float:
         """Virtual timestamp of the event (requires completion)."""
-        if self._op is None or self._op.completed_at is None:
+        if not self.recorded:
             raise GpuError(f"event {self.name}: not completed yet")
         return self._op.completed_at
 

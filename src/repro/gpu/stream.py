@@ -148,11 +148,22 @@ class Stream:
     # ------------------------------------------------------------------ #
 
     def enqueue(self, op: StreamOp) -> StreamOp:
-        """Add an operation; starts immediately if the stream is idle."""
+        """Add an operation; starts immediately if the stream is idle.
+
+        This is the one seam between host code and device timelines, so it
+        is where a host running ahead of the clock (``Engine.defer_busy``)
+        is put back on it: ``_last`` — what a later ``synchronize`` waits
+        for — is recorded now, the enqueue itself happens when the
+        caller's busy time has elapsed.
+        """
         if self.aborted:
             raise GpuError(f"stream {self.name}: enqueue on an aborted stream")
         op.stream = self
         self._last = op
+        self.engine.after_busy(lambda: self._enqueue(op))
+        return op
+
+    def _enqueue(self, op: StreamOp) -> None:
         if not op.silent:
             san = self.engine.sanitizer
             if san is not None:
@@ -168,7 +179,6 @@ class Stream:
             self._start(op)
         else:
             self._queue.append(op)
-        return op
 
     def _start(self, op: StreamOp) -> None:
         if op.silent:
@@ -228,6 +238,7 @@ class Stream:
         """
         if self.aborted:
             return
+        self.engine.settle()  # the caller's own pending enqueues land first
         self.aborted = True
         self.engine.trace("stream.abort", stream=self.name, gpu=self.device.gpu_id)
         dropped, self._queue = list(self._queue), deque()
@@ -236,9 +247,11 @@ class Stream:
 
     @property
     def idle(self) -> bool:
+        self.engine.settle()  # an enqueue of the caller's may be pending
         return self._active is None
 
     def pending_ops(self) -> int:
+        self.engine.settle()
         return (0 if self._active is None else 1) + len(self._queue)
 
     def synchronize(self) -> None:

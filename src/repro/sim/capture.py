@@ -573,7 +573,7 @@ class CaptureRegion:
                     for fn in tail_fx:
                         fn()
                 prevt, curt = curt, prevt
-            eng.now = prevt[L - 1]
+            eng._now = prevt[L - 1]
         else:
             for period in range(K):
                 final = period == K - 1
@@ -582,7 +582,7 @@ class CaptureRegion:
                     r = (b1 + 1 + k) - e.parent
                     t = (curt[k - r] if r <= k else prevt[k - r + L]) + e.delay
                     curt[k] = t
-                    eng.now = t
+                    eng._now = t
                     if k < L - 1:
                         _emit(hook, t, e.items)
                     elif final:
@@ -774,9 +774,9 @@ class CaptureRuntime:
     def on_fire(self, timer) -> None:
         tag = timer.cap
         if tag is not None:
-            e = _Entry(self.engine.now, tag[0], tag[1], tag[2])
+            e = _Entry(self.engine._now, tag[0], tag[1], tag[2])
         else:
-            e = _Entry(self.engine.now, -1, 0.0, -1)
+            e = _Entry(self.engine._now, -1, 0.0, -1)
         self._abs += 1
         self._entries.append(e)
         self._cur = e
@@ -806,7 +806,7 @@ class CaptureRuntime:
 
     def on_reserve(self, transfer) -> None:
         """Link congestion marker: queued transfers veto nearby replay."""
-        if transfer.start != self.engine.now:
+        if transfer.start != self.engine._now:
             self._congestion = self._abs
 
     # ------------------------------------------------------------------ #

@@ -20,6 +20,10 @@ Both produce bit-identical virtual-time traces; only host wall-clock
 differs. ``Engine.stats`` counts what the scheduler did so the difference
 is observable (see ``benchmarks/bench_wallclock.py``).
 
+The fast path also switches threads only where a task must observe another
+task: a determinate host delay is kept as busy-time debt on the caller
+instead of slept (:meth:`Engine.defer_busy`; docs/MODEL.md section 7).
+
 This is the substrate every other subsystem (GPU runtime, MPI, GPUCCL,
 GPUSHMEM, Uniconn) is built on.
 """
@@ -68,7 +72,10 @@ class EngineStats:
       context switches);
     - ``inline_resumes``: blocks resolved without any handoff (the wake-up
       had already happened and the blocker was next in FIFO order);
-    - ``timers_fired``: virtual-time events executed;
+    - ``timers_fired``: events of the virtual timeline: timers executed,
+      plus host charges kept as debt instead of slept (``defer_busy``),
+      minus the timers that only carry such a debt's effects — so the
+      count does not depend on the scheduler mode;
     - ``tasks_spawned``: simulated processes created;
     - ``wakeups``: ``make_ready`` transitions (how many times a task was
       moved to the ready queue — the thundering-herd indicator).
@@ -149,7 +156,7 @@ class Task:
         self._pending_error: Optional[BaseException] = None
         self.result: Any = None
         self.wait_reason: str = ""
-        # Deferred host-busy time (see Engine.defer_busy): virtual time this
+        # Busy-time debt (see Engine.defer_busy): the virtual time this
         # task's host is committed through but has not yet slept off.
         self.busy_until: float = 0.0
         self._sem = _LockChannel() if engine.fast_path else threading.Semaphore(0)
@@ -168,11 +175,9 @@ class Task:
                 raise SimAborted(self.name)
             self.state = _RUNNING
             self.result = self.fn()
-            if self.busy_until > self.engine.now:
-                # Settle deferred host-busy time so the task finishes (and
-                # releases joiners) at the same virtual time as if every
-                # charge had been slept eagerly.
-                self.engine.sleep(0.0)
+            # The task finishes (and releases joiners) at the same virtual
+            # time as if every charge had been slept eagerly.
+            self.engine.settle()
         except SimAborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - must capture everything
@@ -196,8 +201,9 @@ class Engine:
     """The virtual clock plus the cooperative task scheduler."""
 
     def __init__(self, fast_path: Optional[bool] = None) -> None:
-        self.now: float = 0.0
+        self._now: float = 0.0
         self.fast_path = _fastpath_default() if fast_path is None else bool(fast_path)
+        self._defer = False  # decided by run()
         self.stats = EngineStats()
         self._heap: List[tuple] = []  # (when, seq, Timer)
         self._seq = 0
@@ -270,6 +276,7 @@ class Engine:
         """Create a simulated process. It becomes runnable immediately."""
         if self._finished:
             raise EngineStateError("engine already finished")
+        self.settle()
         task = Task(self, fn, name)
         if self.sanitizer is not None:
             self.sanitizer.on_spawn(task)
@@ -290,6 +297,17 @@ class Engine:
         if self._running or self._finished:
             raise EngineStateError("engine can only be run once")
         self._running = True
+        # defer_busy defers unless this is the reference scheduler or an
+        # instrument observes task context or timer structure while a task
+        # is ahead of the clock. Decided once: all install before run().
+        self._defer = (
+            self.fast_path
+            and self.sanitizer is None
+            and self.capture is None
+            and not self.obs_spans
+            and self.fault_injector is None
+            and self.watchdog_timeout is None
+        )
         if self._tasks:
             self._dispatch_next()
             self._done_sem.acquire()
@@ -302,45 +320,123 @@ class Engine:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        task = self._current
+        if task is not None and task.busy_until > self._now:
+            self.settle()  # `delay` counts from the caller's own time
         if self.sanitizer is not None:
             callback = self.sanitizer.wrap_callback(callback)
-        timer = Timer(self.now + delay, callback)
+        timer = Timer(self._now + delay, callback)
         if self.capture is not None:
             self.capture.on_schedule(timer, delay)
         self._seq += 1
         heapq.heappush(self._heap, (timer.when, self._seq, timer))
         return timer
 
+    def _at_busy_end(self, task: Task, callback: Callable[[], None],
+                     extra: float = 0.0) -> None:
+        """Timer ``extra`` past the end of ``task``'s busy time: an absolute
+        time, the same sum the clock of a sleeping task would reach. It
+        carries what the task's charges deferred and is no timeline event
+        of its own (each charge was counted when made), so ``timers_fired``
+        is compensated in advance."""
+        when = task.busy_until + extra
+        delay = when - self._now
+        if self.capture is not None:
+            # Replay re-times a timer as its parent's fire time + delay,
+            # so under capture `when` must be exactly that sum.
+            delay = extra + (task.busy_until - self._now)
+            when = self._now + delay
+        self.stats.timers_fired -= 1
+        # schedule()'s tail, at an absolute time (kept apart: that one is
+        # the per-timer hot path).
+        if self.sanitizer is not None:
+            callback = self.sanitizer.wrap_callback(callback)
+        timer = Timer(when, callback)
+        if self.capture is not None:
+            self.capture.on_schedule(timer, delay)
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, timer))
+
     def sleep(self, duration: float) -> None:
         """Block the calling task for ``duration`` seconds of virtual time.
 
-        Outstanding deferred host-busy time (see :meth:`defer_busy`) is
-        settled first: the sleep starts where the deferred work ends, just
-        as if the task had slept each deferred charge eagerly.
+        Busy-time debt (see :meth:`defer_busy`) comes first: the sleep
+        starts where the debt ends, as if each charge had been slept.
         """
         task = self._require_current()
-        lag = task.busy_until - self.now
-        if lag > 0:
-            duration += lag
-        self.schedule(duration, task.make_ready)
+        if duration >= 0 and task.busy_until > self._now:
+            self.stats.timers_fired += 1  # the sleep's own end, which the timer carries
+            self._at_busy_end(task, task.make_ready, duration)
+        else:
+            self.schedule(duration, task.make_ready)
         self.block(f"sleep({duration:g})", watchdog=False)
 
-    def defer_busy(self, seconds: float) -> float:
-        """Commit the calling task's host to ``seconds`` more busy time
-        *without blocking yet*; return the delay from now until that work
-        completes (for scheduling its effects at the exact virtual time the
-        eager ``sleep(seconds)`` path would produce them).
+    def defer_busy(self, seconds: float) -> None:
+        """Charge the calling task ``seconds`` of host time whose end is
+        known now (a call overhead, a dispatch cost).
 
-        Fast-path only (callers keep the eager sleep on the slow path, so
-        effects stay synchronous there). The debt is settled — the task
-        blocked until ``busy_until`` — by the next ``sleep`` (which starts
-        after it) or the next ``block`` (which catches up before returning),
-        so the task can never observe ``now`` earlier than the slow path.
+        The charge becomes *debt*: ``task.busy_until`` moves, nobody blocks,
+        and the task runs on ahead of the clock. What it then does for the
+        outside world goes through :meth:`after_busy`, at the exact instant
+        a sleeping task would have done it, and it never sees a clock
+        earlier than its own busy time: ``block`` catches up before
+        returning, and :attr:`now`, :meth:`schedule`, :meth:`spawn`, every
+        publishing sync primitive and nonblocking poll :meth:`settle` first
+        (docs/MODEL.md section 7 has the full argument). Under the
+        reference scheduler, or an instrument that observes what the task
+        does while it is ahead (see :meth:`run`), the charge is slept.
         """
-        task = self._require_current()
-        start = task.busy_until if task.busy_until > self.now else self.now
+        if seconds <= 0:
+            return
+        if self._defer:
+            self._charge(self._require_current(), seconds)
+        else:
+            self.sleep(seconds)
+
+    def after_busy(self, callback: Callable[[], None], seconds: float = 0.0) -> None:
+        """Charge the calling task ``seconds`` more, then run ``callback``
+        when its busy time has elapsed — right now if it owes none, or if
+        the caller is itself a timer callback (which no task's debt binds).
+        Told the effect, the engine defers this charge under every
+        instrument (the timer is an ordinary one); only the reference
+        scheduler sleeps it.
+        """
+        task = self._current
+        if task is not None:
+            if seconds > 0:
+                if self.fast_path:
+                    self._charge(task, seconds)
+                else:
+                    self.sleep(seconds)
+            if task.busy_until > self._now:
+                self._at_busy_end(task, callback)
+                return
+        callback()
+
+    def _charge(self, task: Task, seconds: float) -> None:
+        start = task.busy_until if task.busy_until > self._now else self._now
         task.busy_until = start + seconds
-        return task.busy_until - self.now
+        # The end of a charge is one event of the virtual timeline whether
+        # or not a timer fires for it: `timers_fired` stays the same count
+        # in every mode.
+        self.stats.timers_fired += 1
+
+    def settle(self) -> None:
+        """Block the calling task until its busy-time debt has elapsed.
+        No-op without debt and from timer callbacks."""
+        task = self._current
+        if task is not None and task.busy_until > self._now:
+            self._at_busy_end(task, task.make_ready)
+            self.block("busy", watchdog=False)
+
+    @property
+    def now(self) -> float:
+        """Current virtual time, as the caller is entitled to see it: a
+        task in debt settles first (engine internals read ``_now``)."""
+        task = self._current
+        if task is not None and task.busy_until > self._now:
+            self.settle()
+        return self._now
 
     def block(self, reason: str = "", *, watchdog: bool = True) -> None:
         """Suspend the calling task until someone calls ``make_ready`` on it.
@@ -385,10 +481,10 @@ class Engine:
                 if task.poisoned:
                     raise SimAborted(task.name)
                 task.state = _RUNNING
-            if task.busy_until > self.now:
-                # Woken before its deferred host-busy time elapsed: the
-                # task may not observe `now` until the debt is settled.
-                self.schedule(task.busy_until - self.now, task.make_ready)
+            if task.busy_until > self._now:
+                # Woken before its busy time elapsed: the task may not
+                # observe the clock until the debt is settled.
+                self._at_busy_end(task, task.make_ready)
                 continue
             if wd_timer is not None:
                 wd_timer.cancel()
@@ -482,13 +578,16 @@ class Engine:
                 nxt = ready.popleft()
                 self._current = nxt
                 return nxt
+            # Callbacks run for no task: whoever is firing them is blocked.
+            # (Every way out of this function assigns _current again.)
+            self._current = None
             fired = False
             while heap and not fired:
                 when, _, timer = heapq.heappop(heap)
                 if timer.cancelled:
                     continue
-                if when > self.now:
-                    self.now = when
+                if when > self._now:
+                    self._now = when
                 cap = self.capture
                 if cap is not None:
                     cap.on_fire(timer)
@@ -502,9 +601,8 @@ class Engine:
                 continue
             # No runnable task and no future event.
             if self._tasks:
-                self._record_failure(DeadlockError(self._waiter_report(), when=self.now))
+                self._record_failure(DeadlockError(self._waiter_report(), when=self._now))
                 return self._drain_select()
-            self._current = None
             self._done_sem.release()
             return None
 
@@ -554,10 +652,10 @@ class Engine:
         report = self._waiter_report()
         task._pending_error = SimTimeoutError(
             f"blocking wait exceeded watchdog timeout "
-            f"{self.watchdog_timeout:g}s at t={self.now:.9g}s: {task.name} "
+            f"{self.watchdog_timeout:g}s at t={self._now:.9g}s: {task.name} "
             f"waiting on {task.wait_reason or '<unknown>'}\n{report}",
             report=report,
-            when=self.now,
+            when=self._now,
         )
         self.trace("fault.watchdog", task=task.name, reason=task.wait_reason)
         task.make_ready()

@@ -15,7 +15,11 @@ rules keep this deterministic and correct:
 
 - **mutators must notify**: any state change that could make a registered
   predicate true must call ``notify_all`` on the broadcast guarding that
-  state (this was already required by the ``wait_until`` re-check loop);
+  state (this was already required by the ``wait_until`` re-check loop).
+  A notify evaluates every predicate registered on its broadcast, so state
+  that splits by owner should split its broadcasts the same way and
+  notify *the owner whose state changed* — GPUSHMEM symmetric objects keep
+  one broadcast per PE for this reason (``gpushmem/heap.py``);
 - **predicates must be pure**: they read shared simulated state and return
   a bool, with no side effects — they can be evaluated any number of times
   at notify points without changing behaviour.
@@ -28,6 +32,13 @@ simultaneously-satisfied waiters proceed — and therefore the trace — is
 bit-identical between the two modes. A woken waiter still re-checks its
 predicate before proceeding (an earlier-woken task may have consumed the
 state) and simply blocks again, in place, if it no longer holds.
+
+Busy-time debt: a task may run ahead of the clock (``Engine.defer_busy``),
+and what it publishes must happen at its own time. So the publishing half
+of every primitive (``set``, ``notify_all``, ``add``, ``put``) and
+``wait_until``, whose predicate could come out differently later, call
+``Engine.settle`` first. Blocking halves need nothing: ``Engine.block``
+catches up before it returns, and ``wait`` on a set event is monotone.
 """
 
 from __future__ import annotations
@@ -53,12 +64,20 @@ class SimEvent:
         self._callbacks: List[Callable[[], None]] = []
 
     def is_set(self) -> bool:
-        """True once the event fired."""
+        """True once the event fired (the raw state; see :meth:`poll`)."""
+        return self._set
+
+    def poll(self) -> bool:
+        """:meth:`is_set` for a caller that acts on "not yet": the event
+        may fire within the caller's busy time, so that is settled first."""
+        if not self._set:
+            self.engine.settle()
         return self._set
 
     def set(self) -> None:
         if self._set:
             return
+        self.engine.settle()
         san = self.engine.sanitizer
         if san is not None:
             san.release(self)
@@ -141,6 +160,7 @@ class Broadcast:
         Callback watchers are predicate-filtered in both modes (they have
         no thread to herd-wake).
         """
+        self.engine.settle()
         san = self.engine.sanitizer
         if san is not None:
             san.release(self)
@@ -235,6 +255,7 @@ def wait_until(
     (the timer is cancelled), so timed and untimed waits that complete
     produce identical virtual timings.
     """
+    broadcast.engine.settle()
     if predicate():
         san = broadcast.engine.sanitizer
         if san is not None:
@@ -282,6 +303,7 @@ class SimQueue:
 
     def put(self, item: Any) -> None:
         """Append an item and wake waiters."""
+        self.engine.settle()
         self._items.append(item)
         self._bcast.notify_all()
 
@@ -315,11 +337,13 @@ class Counter:
         return self._value
 
     def set(self, value: int) -> None:
+        self.engine.settle()
         self._value = value
         self._bcast.notify_all()
 
     def add(self, delta: int) -> None:
         """Adjust the value and wake waiters."""
+        self.engine.settle()
         self._value += delta
         self._bcast.notify_all()
 

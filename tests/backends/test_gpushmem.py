@@ -197,6 +197,52 @@ def test_signal_wait_until_on_stream_blocks_stream():
     assert val == 3.0
 
 
+def test_notify_evaluates_only_the_notified_pes_predicates(monkeypatch):
+    """Per-PE wake contract: a signal update on PE k evaluates PE k's wait
+    predicates and nobody else's — O(1) per notify in a 16-PE ring where,
+    at every update, every later PE is still waiting (host waits on even
+    PEs, stream waits on odd ones)."""
+    from repro.backends.gpushmem import heap
+
+    calls = {"predicate": 0}
+    per_notify = []
+    ge = heap.CMP["ge"]
+
+    def counting_ge(a, b):
+        calls["predicate"] += 1
+        return ge(a, b)
+
+    notify = heap.SymObject.notify
+
+    def counting_notify(self, pe):
+        before = calls["predicate"]
+        notify(self, pe)
+        per_notify.append(calls["predicate"] - before)
+
+    monkeypatch.setitem(heap.CMP, "ge", counting_ge)
+    monkeypatch.setattr(heap.SymObject, "notify", counting_notify)
+
+    def body(shmem, stream):
+        data = shmem.malloc(1)
+        sig = shmem.malloc(1, np.uint64)
+        me, n = shmem.my_pe, shmem.n_pes
+        if me > 0:
+            if me % 2:
+                shmem.signal_wait_until_on_stream(sig, "ge", 1, stream)
+                stream.synchronize()
+            else:
+                shmem.signal_wait_until(sig, "ge", 1)
+        if me + 1 < n:
+            shmem.put_signal(data, np.full(1, float(me), np.float32), 1, sig, 1, me + 1)
+        return float(data.read()[0])
+
+    results = shmem_run(16, body)
+    assert results[1:] == [float(pe) for pe in range(15)]
+    assert len(per_notify) == 2 * 15  # payload landing + signal update, per hop
+    assert max(per_notify) == 1  # the waiter on the notified PE; never the other 14
+    assert sum(per_notify) == 15
+
+
 def test_quiet_completes_nbi_puts():
     @device_kernel()
     def sender(ctx, dest, src, peer):

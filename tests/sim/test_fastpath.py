@@ -4,7 +4,9 @@ Two families of guarantees:
 
 1. **Determinism**: the fast path must be invisible in virtual time — full
    Chrome traces of multi-rank application runs are byte-identical between
-   ``REPRO_SIM_FASTPATH=1`` and ``=0``.
+   ``REPRO_SIM_FASTPATH=1`` and ``=0``. The reference scheduler charges
+   every host delay eagerly, so these identities are also what guards the
+   deferred charges (``Engine.defer_busy``) of the default path.
 2. **It actually does something**: the stats counters show inline resumes
    happening and the thundering herd disappearing where the slow path has
    one.
@@ -12,14 +14,23 @@ Two families of guarantees:
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.apps.jacobi import JacobiConfig, launch_variant
+from repro.backends.mpi import MpiContext
 from repro.backends.mpi.request import Request, waitall
 from repro.errors import MpiError
+from repro.gpu import Device, TimedOp, kernel
+from repro.hardware import Cluster, perlmutter
+from repro.launcher import launch
 from repro.sim import Broadcast, Counter, Engine, SimEvent, Tracer, run_spmd, to_chrome_trace
 
 CFG = JacobiConfig(nx=96, ny=98, iters=3, warmup=1)
+
+
+def _trace_json(tracer) -> str:
+    return json.dumps({"traceEvents": to_chrome_trace(tracer)}, sort_keys=True)
 
 
 def _traced_run(monkeypatch, variant: str, fast: bool, fault_plan=None,
@@ -29,19 +40,126 @@ def _traced_run(monkeypatch, variant: str, fast: bool, fault_plan=None,
     results = launch_variant(variant, cfg, 8, tracer=tracer,
                              fault_plan=fault_plan, sanitize=sanitize,
                              coll=coll, capture=capture)
-    trace = json.dumps({"traceEvents": to_chrome_trace(tracer)}, sort_keys=True)
-    return results, results.stats, trace
+    return results, results.stats, _trace_json(tracer)
+
+
+def _fast_and_reference(monkeypatch, run):
+    """``run(tracer) -> RunReport`` under both schedulers: for each, the
+    trace, the virtual clock, every rank's result with array payloads as
+    digests (``RunReport.to_dict``) and the timeline-event count — what
+    must not differ — plus the stats, which may."""
+    out = []
+    for fast in (True, False):
+        monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fast else "0")
+        tracer = Tracer()
+        report = run(tracer)
+        same = (_trace_json(tracer), report.stats["virtual_time"],
+                report.to_dict()["results"], report.stats["timers_fired"])
+        out.append((same, report.stats))
+    return out
+
+
+UNICONN_VARIANTS = ["uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem",
+                    "uniconn:gpushmem:PartialDevice", "uniconn:gpushmem:PureDevice"]
 
 
 @pytest.mark.parametrize(
-    "variant", ["mpi-native", "gpuccl-native", "gpushmem-host-native"]
+    "variant",
+    ["mpi-native", "gpuccl-native", "gpushmem-host-native"] + UNICONN_VARIANTS,
 )
 def test_trace_byte_identical_fast_vs_slow(monkeypatch, variant):
-    res_fast, stats_fast, trace_fast = _traced_run(monkeypatch, variant, fast=True)
-    res_slow, stats_slow, trace_slow = _traced_run(monkeypatch, variant, fast=False)
-    assert [r.total_time for r in res_fast] == [r.total_time for r in res_slow]
-    assert stats_fast["virtual_time"] == stats_slow["virtual_time"]
-    assert trace_fast == trace_slow
+    (fast, stats_fast), (slow, stats_slow) = _fast_and_reference(
+        monkeypatch,
+        lambda tracer: launch_variant(variant, CFG, 8, tracer=tracer, collect=True))
+    assert fast == slow
+    if variant in UNICONN_VARIANTS:
+        # The identity is not vacuous: the default path did defer the
+        # uniform layer's charges instead of sleeping each one.
+        assert stats_fast["switches"] < 0.7 * stats_slow["switches"]
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gpuccl", "gpushmem"])
+def test_cg_byte_identical_fast_vs_slow(monkeypatch, backend):
+    from repro.apps import cg
+
+    cfg = cg.CgConfig(n=512, nnz_per_row=9, iters=6, seed=3)
+    problem = cg.make_problem(cfg)
+    (fast, _), (slow, _) = _fast_and_reference(
+        monkeypatch,
+        lambda tracer: cg.launch_variant(f"uniconn:{backend}", cfg, 4, problem=problem,
+                                         collect=True, tracer=tracer))
+    assert fast == slow
+
+
+def _osu_uniconn_cases():
+    from repro.apps.osu.bandwidth import BANDWIDTH_VARIANTS
+    from repro.apps.osu.latency import LATENCY_VARIANTS
+
+    for kind, table in (("latency", LATENCY_VARIANTS), ("bandwidth", BANDWIDTH_VARIANTS)):
+        for variant in table:
+            if variant.startswith("uniconn:"):
+                yield pytest.param(table[variant], variant, id=f"{kind}/{variant}")
+
+
+@pytest.mark.parametrize("fn,variant", _osu_uniconn_cases())
+def test_osu_uniconn_byte_identical_fast_vs_slow(monkeypatch, fn, variant):
+    from repro.apps.osu import OsuConfig
+    from repro.config import configured
+
+    cfg = OsuConfig(sizes=(8, 65536), iters_small=4, warmup_small=1,
+                    iters_large=2, warmup_large=1, window=4, repeats=1)
+
+    def run(tracer):
+        with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
+            return launch(fn, 2, args=(cfg,), tracer=tracer)
+
+    (fast, _), (slow, _) = _fast_and_reference(monkeypatch, run)
+    assert fast == slow
+
+
+@kernel()
+def _noop_kernel(ctx):
+    pass
+
+
+def _after_two_posts(then):
+    """2 ranks: isend + irecv to the peer, then ``then(ctx, t0)`` before
+    the waitall; returns launch's ``run(tracer)``."""
+
+    def body(ctx):
+        ctx.set_device(ctx.node_rank)
+        mpi = MpiContext(ctx)
+        comm, device, peer = mpi.comm_world, ctx.require_device(), 1 - ctx.rank
+        send, recv = device.malloc(4, np.float32), device.malloc(4, np.float32)
+        t0 = ctx.engine.now
+        reqs = [comm.isend(send, 4, peer), comm.irecv(recv, 4, peer)]
+        out = then(ctx, t0)
+        waitall(reqs)
+        device.synchronize()
+        mpi.finalize()
+        return out
+
+    return lambda tracer: launch(body, 2, tracer=tracer)
+
+
+def test_kernel_launched_after_posts_starts_after_their_overhead(monkeypatch):
+    """The posts' call overhead is deferred, not forgiven: a launch that
+    follows them enqueues when a host that slept each overhead would."""
+    run = _after_two_posts(lambda ctx, t0: ctx.require_device().launch(_noop_kernel, 1, 32))
+    (fast, _), (slow, _) = _fast_and_reference(monkeypatch, run)
+    assert fast == slow
+    enqueues = [e["ts"] for e in json.loads(fast[0])["traceEvents"]
+                if e["name"] == "stream.enqueue"]
+    overhead_us = 2 * 0.4  # two host_call_overheads (perlmutter MPI profile)
+    assert enqueues and min(enqueues) == pytest.approx(overhead_us)
+
+
+def test_clock_read_after_posts_includes_their_overhead(monkeypatch):
+    """A task never sees a clock earlier than its own busy time."""
+    run = _after_two_posts(lambda ctx, t0: ctx.engine.now - t0)
+    (fast, _), (slow, _) = _fast_and_reference(monkeypatch, run)
+    assert fast == slow
+    assert fast[2] == [pytest.approx(8e-07)] * 2
 
 
 INERT_PLAN = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
@@ -348,6 +466,111 @@ def test_stats_as_dict_and_events():
     assert d["events"] == d["switches"] + d["inline_resumes"] + d["timers_fired"]
     assert d["tasks_spawned"] == 1
     assert engine.stats.events() == d["events"]
+
+
+# --------------------------------------------------------------------------- #
+# Deferred charges (Engine.defer_busy / after_busy / settle).
+# --------------------------------------------------------------------------- #
+
+
+def _host_task(body, fast=True):
+    """Run ``body(engine, stream)`` as the one task of a one-GPU engine."""
+    engine = Engine(fast_path=fast)
+    stream = Device(engine, Cluster(perlmutter(), 1), gpu_id=0).create_stream()
+    out = {}
+    engine.spawn(lambda: out.update(result=body(engine, stream)), name="host")
+    engine.run()
+    return out["result"], engine
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_charge_then_enqueue_starts_the_op_after_the_charge(fast):
+    started = []
+
+    def body(engine, stream):
+        engine.defer_busy(1.0)
+        stream.enqueue(TimedOp(engine, "op", lambda: started.append(engine.now) or 2.0))
+        engine.defer_busy(0.5)
+        stream.synchronize()
+        return engine.now
+
+    end, engine = _host_task(body, fast)
+    assert started == [1.0] and end == 3.0
+    # Deferred: one block (the synchronize). Reference: one per charge too.
+    assert engine.stats.switches + engine.stats.inline_resumes == (2 if fast else 4)
+
+
+def test_stream_is_not_idle_while_an_enqueue_is_pending():
+    def body(engine, stream):
+        engine.defer_busy(1.0)
+        stream.enqueue(TimedOp(engine, "op", lambda: 2.0))
+        # The poll settles the caller's debt first, so it sees its own op.
+        return stream.idle, stream.pending_ops(), stream.query(), engine.now
+
+    assert _host_task(body)[0] == (False, 1, False, 1.0)
+
+
+def test_callback_enqueue_ignores_a_blocked_tasks_debt():
+    """Timer callbacks run for no task: the thread firing them belongs to a
+    task that owes busy time, and an enqueue made by the callback must not
+    be held back to the end of that debt."""
+    started = []
+
+    def body(engine, stream):
+        op = TimedOp(engine, "op", lambda: started.append(engine.now) or 0.0)
+        engine.schedule(1.0, lambda: stream.enqueue(op))
+        engine.defer_busy(5.0)
+        engine.sleep(10.0)  # blocks in debt; this thread fires the timer
+        return engine.now
+
+    assert _host_task(body)[0] == 15.0
+    assert started == [1.0]
+
+
+@pytest.mark.parametrize("publish", ["set", "add", "put", "notify_all", "spawn", "schedule"])
+def test_a_task_in_debt_publishes_at_its_own_time(publish):
+    """Whatever another task can observe happens at the publisher's busy
+    time, not at the clock it is running ahead of."""
+    from repro.sim import SimQueue
+
+    engine = Engine(fast_path=True)
+    event, counter = SimEvent(engine), Counter(engine)
+    queue, bcast = SimQueue(engine), Broadcast(engine)
+    seen = []
+    observe = lambda: seen.append(engine.now)
+
+    def observer():
+        {"set": event.wait, "add": lambda: counter.wait_for(lambda v: v > 0),
+         "put": queue.get, "notify_all": bcast.wait}.get(publish, lambda: None)()
+        if publish not in ("spawn", "schedule"):
+            observe()
+
+    def publisher():
+        engine.defer_busy(1.0)
+        {"set": event.set, "add": lambda: counter.add(1), "put": lambda: queue.put(1),
+         "notify_all": bcast.notify_all,
+         "spawn": lambda: engine.spawn(observe, name="child"),
+         "schedule": lambda: engine.schedule(0.0, observe)}[publish]()
+
+    engine.spawn(observer, name="observer")
+    engine.spawn(publisher, name="publisher")
+    engine.run()
+    assert seen == [1.0]
+
+
+def test_instruments_keep_charges_eager():
+    """With a watchdog (or sanitizer, capture, spans, fault injector)
+    installed the charge is slept at the call, as on the reference path."""
+    def body(engine, stream):
+        engine.defer_busy(1.0)
+        return engine.current_task.busy_until
+
+    engine = Engine(fast_path=True)
+    engine.watchdog_timeout = 100.0
+    out = {}
+    engine.spawn(lambda: out.update(busy=body(engine, None)), name="host")
+    engine.run()
+    assert out["busy"] == 0.0 and engine.now == 1.0
 
 
 # --------------------------------------------------------------------------- #

@@ -2,11 +2,18 @@
 
 Prints one line per run — name, sha256 of the Chrome trace, sha256 of
 ``RunReport.to_dict()`` (stats, full metrics dump, fault log, race
-reports, collected results; minus the wall-clock ``replay_host_seconds``)
-— then one combined hash. A behaviour-preserving change is one ``diff`` of
-two outputs: copy this file into a ``git clone`` of the parent commit, run
-it there and here, compare. Every value is virtual-clocked, so the output
-is stable across processes and hosts.
+reports, collected results) — then one combined hash of those. Every
+hashed value is virtual-clocked, so ``trace=``/``report=`` are stable
+across processes and hosts; ``tools/digest.golden`` holds them and
+``--check`` (``make digest-check``) exits 1 on any difference, which is
+how a change proves it preserves behaviour.
+
+Two things a run reports are *host-side* and kept out of ``report=``: the
+wall-clock ``replay_host_seconds``, and the scheduler counters
+(``SCHED``) that virtual time never depends on — a scheduler improvement
+moves those without changing behaviour. They print as a trailing
+``sched=switches/inline_resumes/timers_fired/wakeups`` field that the
+golden and the combined hash ignore.
 """
 
 import hashlib
@@ -25,6 +32,8 @@ from repro.apps.osu.latency import LATENCY_VARIANTS  # noqa: E402
 from repro.config import configured  # noqa: E402
 from repro.launcher import launch  # noqa: E402
 from repro.sim import Tracer, to_chrome_trace  # noqa: E402
+
+SCHED = ("switches", "inline_resumes", "timers_fired", "wakeups", "events")
 
 JACOBI_VARIANTS = ("mpi-native", "gpuccl-native", "gpushmem-host-native",
                    "gpushmem-device-native", "uniconn:mpi", "uniconn:gpuccl",
@@ -144,21 +153,40 @@ def digest(run):
     report = run(tracer)
     doc = report.to_dict()
     doc["stats"].get("capture", {}).pop("replay_host_seconds", None)
-    return _sha({"traceEvents": to_chrome_trace(tracer)}), _sha(doc)
+    sched = "/".join(str(doc["stats"].pop(k)) for k in SCHED[:-1])
+    doc["stats"].pop("events")  # the sum of three of the above
+    return _sha({"traceEvents": to_chrome_trace(tracer)}), _sha(doc), sched
 
 
-def main() -> int:
+def main(argv) -> int:
+    """No arguments: print the digest. ``--check FILE``: also compare the
+    ``trace=``/``report=`` lines with FILE and exit 1 if any differ."""
+    golden = None
+    if argv:
+        if len(argv) != 2 or argv[0] != "--check":
+            print("usage: run_digest.py [--check GOLDEN]", file=sys.stderr)
+            return 2
+        golden = Path(argv[1]).read_text().splitlines()
     combined = hashlib.sha256()
-    count = 0
+    lines = []
     for name, run in matrix():
-        trace, report = digest(run)
+        trace, report, sched = digest(run)
         line = f"{name} trace={trace} report={report}"
-        print(line, flush=True)
+        print(f"{line} sched={sched}", flush=True)
         combined.update(line.encode() + b"\n")
-        count += 1
-    print(f"combined[{count} runs] {combined.hexdigest()}")
-    return 0
+        lines.append(line)
+    lines.append(f"combined[{len(lines)} runs] {combined.hexdigest()}")
+    print(lines[-1])
+    if golden is None or golden == lines:
+        return 0
+    want = dict(l.split(" ", 1) for l in golden)
+    got = dict(l.split(" ", 1) for l in lines)
+    for name in sorted(want.keys() | got.keys()):
+        if want.get(name) != got.get(name):
+            print(f"DIFFERS {name}\n  golden {want.get(name)}\n  now    {got.get(name)}",
+                  file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
