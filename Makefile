@@ -15,7 +15,8 @@ loc:
 
 # Byte-identity digest of 71 pinned runs (tools/run_digest.py): one line
 # per run with the sha256 of its Chrome trace and of its RunReport document
-# (plus the host-side scheduler counters as an unhashed `sched=` field);
+# (plus the host-side scheduler counters, and on sanitized runs the
+# sanitizer's bookkeeping counts, as unhashed `sched=`/`san=` fields);
 # ~15 s. `digest-check` compares the trace=/report= hashes with the
 # committed tools/digest.golden and exits 1 on any difference: a change
 # that preserves behaviour passes it untouched, one that means to change
@@ -58,11 +59,14 @@ obs-smoke:
 	print('obs-smoke OK')"
 
 # Sanitizer smoke (docs/SANITIZER.md): the seeded-race catalogue must be
-# caught (tests/test_sanitize.py), then the example apps must run clean
-# under --sanitize on every backend — the command exits nonzero on any
-# finding.
+# caught (tests/test_sanitize.py) and reported identically by the reference
+# clock bookkeeping (tests/test_sanitize_clocks.py), then the example apps
+# must run clean under --sanitize on every backend — the command exits
+# nonzero on any finding. The last run (16 GPUs x 60 iterations, ~1 s)
+# guards the sanitizer's linear cost: with unbounded clocks it needs 10 s
+# and 750 MB.
 sanitize-smoke:
-	$(PYTHON) -m pytest -x -q tests/test_sanitize.py
+	$(PYTHON) -m pytest -x -q tests/test_sanitize.py tests/test_sanitize_clocks.py
 	$(PYTHON) -m repro jacobi --backend mpi --gpus 4 --size 64 --iters 8 --sanitize
 	$(PYTHON) -m repro jacobi --backend gpuccl --gpus 4 --size 64 --iters 8 --sanitize
 	$(PYTHON) -m repro jacobi --backend gpushmem --gpus 4 --size 64 --iters 8 --sanitize
@@ -70,6 +74,7 @@ sanitize-smoke:
 	$(PYTHON) -m repro cg --backend mpi --gpus 4 --rows 192 --iters 4 --sanitize
 	$(PYTHON) -m repro cg --backend gpuccl --gpus 4 --rows 192 --iters 4 --sanitize
 	$(PYTHON) -m repro cg --backend gpushmem --gpus 4 --rows 192 --iters 4 --sanitize
+	$(PYTHON) -m repro jacobi --backend gpushmem --gpus 16 --size 64 --iters 60 --sanitize
 
 # Elastic-recovery gate (docs/FAULTS.md, "Elastic recovery"): the
 # revoke/agree/shrink + elastic-app test suites, the crash-mid-collective

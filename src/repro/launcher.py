@@ -251,7 +251,9 @@ def launch(
     records for the :mod:`repro.obs` analyzer and ``repro report``.
     ``trace_out``, if given, writes the Chrome trace there after the run
     (creating a tracer when the caller passed none) and records the path
-    in ``report.trace_path``.
+    in ``report.trace_path``; the path is opened before the run, so an
+    unwritable one raises ``OSError`` at once, and a write that fails after
+    a rank raised never replaces the rank's exception.
 
     ``sanitize`` enables the happens-before race & memory sanitizer
     (``"race"`` or True; default off): every access to simulated device
@@ -295,6 +297,11 @@ def launch(
     from .sanitize import Sanitizer, resolve_mode
 
     san_mode = resolve_mode(sanitize)
+    if trace_out is not None:
+        # An unwritable path fails here (the OSError names it), not after
+        # the whole job has been simulated.
+        with open(trace_out, "a"):
+            pass
     engine = Engine()
     engine.metrics.enabled = obs != "off"
     engine.obs_spans = obs == "spans"
@@ -347,6 +354,7 @@ def launch(
         return fn(RankContext(job, rank), *args)
 
     report = RunReport()
+    failure = None
     try:
         report.extend(run_spmd(n_ranks, body, engine=engine))
         return report
@@ -354,6 +362,7 @@ def launch(
         # Let callers inspect partial observability (including any races
         # found before the failure) when a rank raises.
         exc.run_report = report
+        failure = exc
         raise
     finally:
         if engine.sanitizer is not None:
@@ -361,6 +370,7 @@ def launch(
             report.stats["races"] = [r.as_dict() for r in report.races]
             if engine.sanitizer.dropped:
                 report.stats["races_dropped"] = engine.sanitizer.dropped
+            report.stats["sanitizer"] = engine.sanitizer.stats()
         report.stats.update(engine.stats.as_dict())
         report.stats["virtual_time"] = engine.now
         if cap_rt is not None:
@@ -384,7 +394,13 @@ def launch(
         if trace_out is not None and tracer is not None:
             from .sim import write_chrome_trace
 
-            report.trace_path = write_chrome_trace(tracer, trace_out)
+            try:
+                report.trace_path = write_chrome_trace(tracer, trace_out)
+            except OSError:
+                # A rank's failure is the error to report; a trace that
+                # could not be written on top of it is not.
+                if failure is None:
+                    raise
 
 
 def _make_injector(engine, cluster, fault_plan, fault_seed):

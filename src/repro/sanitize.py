@@ -24,9 +24,20 @@ Model (FastTrack-style epochs over sparse vector clocks):
   (which underlie stream completion, MPI request completion, SHMEM
   signals, barriers and collectives), task spawn/join, and scheduled
   callbacks (issue happens-before delivery).
-* Device buffers keep a bounded shadow history of accesses; a new access
-  that overlaps an earlier one of a conflicting kind with no
+* Device buffers keep a shadow history of accesses (an access leaves it
+  when a later, ordered access covers its range and conflict set); a new
+  access that overlaps an earlier one of a conflicting kind with no
   happens-before path produces a :class:`RaceReport`.
+* The only reader of a clock component is that check
+  (``vc.get(prev.ctx_id)``), so an id matters only while it is *alive*: a
+  shadow access is stamped with it, or a context holds it and can still
+  record one. Contexts are single-use (a callback run, a stream op, a
+  finished task give their id up when they leave the stack); a given-up
+  id passes only to a context already ordered after everything done under
+  it (the next op of a stream, the next delivery on a path), never to an
+  unrelated one; and every clock drops its dead ids whenever it outgrows
+  the alive set — which keeps each clock operation proportional to what
+  shadow memory can still ask about instead of to the length of the run.
 
 Access kinds: ``r`` read, ``w`` write, ``rw`` conservative kernel access,
 ``aw`` atomic write (signal updates — unordered atomics do not race with
@@ -55,6 +66,12 @@ _SUBSUMES: Dict[str, Tuple[str, ...]] = {
     cur: tuple(p for p, pc in _CONFLICTS.items() if set(pc) <= set(cc))
     for cur, cc in _CONFLICTS.items()
 }
+
+# A clock sheds its dead ids once it holds more than this many entries per
+# alive id. Compaction leaves at most one entry per alive id, so a clock is
+# rebuilt only after it has grown by this factor: amortised O(1) per entry
+# ever added to it.
+_COMPACT_RATIO = 2
 
 
 def resolve_mode(value) -> Optional[str]:
@@ -93,6 +110,18 @@ class AccessCtx:
         self.kernel = kernel
 
 
+class _SyncClock:
+    """A sync object's vector clock: copy-on-write like a context's, and
+    pinning the object so its ``id()`` is never recycled under us."""
+
+    __slots__ = ("obj", "vc", "owns")
+
+    def __init__(self, obj, vc: dict):
+        self.obj = obj
+        self.vc = vc
+        self.owns = False
+
+
 class _Access:
     """One recorded access in a buffer's shadow history."""
 
@@ -123,7 +152,7 @@ class _Access:
 
 
 class _Shadow:
-    """Bounded per-buffer access history."""
+    """Per-buffer access history (pruned by subsumption in ``record``)."""
 
     __slots__ = ("label", "size", "accesses")
 
@@ -209,15 +238,50 @@ class Sanitizer:
         self.reports: List[RaceReport] = []
         self.dropped = 0
         self._next_id = 1
+        # The alive set: context id -> shadow accesses stamped with it, +1
+        # while its context can still record. An id not in here will never
+        # be looked up in a clock again.
+        self._refs: Dict[int, int] = {}
+        # Alive ids whose context has retired -> tick of their last access:
+        # a context whose clock holds that very entry is ordered after all
+        # the id ever did and may carry it on (``_epoch``).
+        self._vacant: Dict[int, int] = {}
         self._root = AccessCtx({}, owns=True, note="main")
         self._stack: List[AccessCtx] = []
         self._task_ctxs: Dict[object, AccessCtx] = {}
-        # id(obj) -> (obj, vc): sync-object vector clocks; the object is
-        # pinned so ids are never recycled under us.
-        self._vcs: Dict[int, Tuple[object, dict]] = {}
+        self._vcs: Dict[int, _SyncClock] = {}  # by id(sync object)
         # id(root DeviceBuffer) -> (root, _Shadow)
         self._shadows: Dict[int, Tuple[object, _Shadow]] = {}
         self._seen = set()
+        # Self-accounting (``stats()``): exact, deterministic counts.
+        self._n_contexts = 1
+        self._n_accesses = 0
+        self._clock_ops = 0
+        self._clock_visited = 0
+        self._clock_peak = 0
+        self._compactions = 0
+        self._alive_peak = 0
+
+    def stats(self) -> Dict[str, int]:
+        """What the bookkeeping cost (``report.stats["sanitizer"]``).
+
+        ``contexts`` were created and ``ids`` issued to those that recorded
+        one of the ``accesses`` (fewer ids than such contexts: FIFO chains
+        hand theirs on), at most ``alive_peak`` of them alive at once.
+        ``clock_ops`` counts clock copies, joins and ``compactions``,
+        ``clock_entries_visited`` the entries they walked and
+        ``clock_peak`` the longest single walk.
+        """
+        return {
+            "contexts": self._n_contexts,
+            "ids": self._next_id - 1,
+            "accesses": self._n_accesses,
+            "clock_ops": self._clock_ops,
+            "clock_entries_visited": self._clock_visited,
+            "clock_peak": self._clock_peak,
+            "compactions": self._compactions,
+            "alive_peak": self._alive_peak,
+        }
 
     # ------------------------------------------------------------------ #
     # Contexts.
@@ -236,26 +300,99 @@ class Sanitizer:
             self._task_ctxs[task] = ctx
         return ctx
 
-    def _own(self, ctx: AccessCtx) -> None:
-        if not ctx.owns:
-            ctx.vc = dict(ctx.vc)
-            ctx.owns = True
+    def _visit(self, vc: dict) -> None:
+        """Account for one walk over ``vc`` (a copy, a join or a rebuild)."""
+        n = len(vc)
+        self._clock_ops += 1
+        self._clock_visited += n
+        if n > self._clock_peak:
+            self._clock_peak = n
+
+    def _trim(self, holder) -> dict:
+        """The clock of ``holder`` (a context or a :class:`_SyncClock`),
+        rebuilt from the alive ids first if it has outgrown them. Every
+        walk over a clock goes through here, so none is longer than
+        ``_COMPACT_RATIO`` entries per alive id."""
+        vc = holder.vc
+        refs = self._refs
+        if len(vc) > _COMPACT_RATIO * (len(refs) + 1):
+            self._visit(refs)
+            self._compactions += 1
+            holder.vc = vc = {k: vc[k] for k in refs if k in vc}
+            holder.owns = True
+        return vc
+
+    def _own(self, holder) -> dict:
+        """The clock of ``holder`` as a dict it alone may mutate."""
+        vc = self._trim(holder)
+        if not holder.owns:
+            self._visit(vc)
+            holder.vc = vc = dict(vc)
+            holder.owns = True
+        return vc
+
+    def _join(self, vc: dict, src: dict) -> None:
+        """``vc`` := componentwise max of ``vc`` and ``src``."""
+        self._visit(src)
+        get = vc.get
+        for k, v in src.items():
+            if v > get(k, 0):
+                vc[k] = v
+
+    def _decref(self, cid: int) -> None:
+        n = self._refs[cid] - 1
+        if n:
+            self._refs[cid] = n
+        else:
+            del self._refs[cid]
+            self._vacant.pop(cid, None)
+
+    def _retire(self, ctx: AccessCtx) -> None:
+        """``ctx`` has left the stack for good: it gives its id up. The id
+        stays alive, and open to a successor, until the last shadow access
+        that carries it is gone. (Should the context record again after
+        all, ``_epoch`` finds it an id like any newcomer; its clock still
+        covers what it did under the old one.)"""
+        cid = ctx.id
+        if cid is not None:
+            ctx.id = None
+            self._decref(cid)
+            if cid in self._refs:
+                self._vacant[cid] = ctx.vc[cid]
 
     def _bump(self, ctx: AccessCtx) -> None:
-        """Advance the context's epoch (called whenever it releases)."""
-        if ctx.id is None:
-            return
-        self._own(ctx)
-        ctx.tick += 1
-        ctx.vc[ctx.id] = ctx.tick
+        """The context's clock was just handed out (a fork, a release): its
+        next access gets a new epoch, which ``_epoch`` writes into the
+        clock then — hand-outs with no access in between share one."""
+        if ctx.id is not None:
+            ctx.tick = ctx.vc[ctx.id] + 1
 
     def _epoch(self, ctx: AccessCtx) -> Tuple[int, int]:
+        """The ``(id, tick)`` to stamp on an access ``ctx`` makes now."""
         if ctx.id is None:
-            ctx.id = self._next_id
-            self._next_id += 1
-            ctx.tick = 1
-            self._own(ctx)
-            ctx.vc[ctx.id] = 1
+            refs = self._refs
+            held = ctx.vc.get
+            for cid, tick in self._vacant.items():
+                # No clock holds more than ``tick`` for a vacant id, and one
+                # that holds it is ordered after every access made under it:
+                # continuing the id at tick + 1 orders exactly what a fresh
+                # id would, with one clock entry for the whole chain.
+                if held(cid) == tick:
+                    del self._vacant[cid]
+                    refs[cid] += 1
+                    ctx.id = cid
+                    ctx.tick = tick + 1
+                    break
+            else:
+                ctx.id = self._next_id
+                self._next_id += 1
+                ctx.tick = 1
+                refs[ctx.id] = 1
+                if len(refs) > self._alive_peak:
+                    self._alive_peak = len(refs)
+            self._own(ctx)[ctx.id] = ctx.tick
+        elif ctx.vc[ctx.id] != ctx.tick:  # first access since a hand-out
+            self._own(ctx)[ctx.id] = ctx.tick
         return ctx.id, ctx.tick
 
     def fork(self, parent: Optional[AccessCtx] = None, *, rank=None,
@@ -271,6 +408,7 @@ class Sanitizer:
                           rank=parent.rank if rank is None else rank,
                           stream=parent.stream if stream is None else stream,
                           note=parent.note if note is None else note)
+        self._n_contexts += 1
         parent.owns = False
         self._bump(parent)
         return child
@@ -279,7 +417,8 @@ class Sanitizer:
         self._stack.append(ctx)
 
     def pop(self) -> None:
-        self._stack.pop()
+        """Leave the innermost pushed context, which is then spent."""
+        self._retire(self._stack.pop())
 
     def bind_rank(self, rank: int) -> None:
         """Attribute the current context (a rank's task) to ``rank``."""
@@ -289,48 +428,29 @@ class Sanitizer:
     # Happens-before edges.
     # ------------------------------------------------------------------ #
 
-    def _obj_vc(self, obj, create: bool) -> Optional[dict]:
-        ent = self._vcs.get(id(obj))
-        if ent is None:
-            if not create:
-                return None
-            ent = (obj, {})
-            self._vcs[id(obj)] = ent
-        return ent[1]
-
     def release(self, obj) -> None:
         """current ──► obj: join the current clock into the object's."""
         ctx = self.current()
-        if ctx.id is not None:
-            self._own(ctx)
-            ctx.vc[ctx.id] = ctx.tick
-        ovc = self._obj_vc(obj, create=True)
-        for k, v in ctx.vc.items():
-            if v > ovc.get(k, 0):
-                ovc[k] = v
+        vc = self._trim(ctx)
+        clock = self._vcs.get(id(obj))
+        if clock is None:
+            # First release into this object (the common case: a request,
+            # a delivery slot): share the releaser's clock, frozen.
+            ctx.owns = False
+            self._vcs[id(obj)] = _SyncClock(obj, vc)
+        else:
+            self._join(self._own(clock), vc)
         self._bump(ctx)
 
     def acquire(self, obj) -> None:
         """obj ──► current: join the object's clock into the current one."""
-        ovc = self._obj_vc(obj, create=False)
-        if not ovc:
-            return
-        ctx = self.current()
-        self._own(ctx)
-        vc = ctx.vc
-        for k, v in ovc.items():
-            if v > vc.get(k, 0):
-                vc[k] = v
+        self._acquire_into(self.current(), obj)
 
     def _acquire_into(self, ctx: AccessCtx, obj) -> None:
-        ovc = self._obj_vc(obj, create=False)
-        if not ovc:
+        clock = self._vcs.get(id(obj))
+        if clock is None or not clock.vc:
             return
-        self._own(ctx)
-        vc = ctx.vc
-        for k, v in ovc.items():
-            if v > vc.get(k, 0):
-                vc[k] = v
+        self._join(self._own(ctx), self._trim(clock))
 
     def run_acquired(self, obj, fn) -> None:
         """Run ``fn`` in a fork of the current context ordered after ``obj``.
@@ -345,19 +465,18 @@ class Sanitizer:
         try:
             fn()
         finally:
-            self._stack.pop()
+            self.pop()
 
     def wrap_callback(self, fn):
         """Wrap an ``Engine.schedule`` callback: issue happens-before fire."""
         child = self.fork()
-        stack = self._stack
 
         def run():
-            stack.append(child)
+            self._stack.append(child)
             try:
                 fn()
             finally:
-                stack.pop()
+                self.pop()
 
         return run
 
@@ -367,13 +486,13 @@ class Sanitizer:
         self._task_ctxs[task] = self.fork(note=getattr(task, "name", "task"))
 
     def on_finish_task(self, task) -> None:
-        ctx = self._task_ctxs.get(task)
+        ctx = self._task_ctxs.pop(task, None)
         if ctx is not None:
             self._stack.append(ctx)
             try:
                 self.release(task)
             finally:
-                self._stack.pop()
+                self.pop()
 
     def on_join(self, task) -> None:
         self.acquire(task)
@@ -394,11 +513,7 @@ class Sanitizer:
         # stream (released by Stream._advance).
         self._acquire_into(child, stream)
         if enq is not None:
-            self._own(child)
-            vc = child.vc
-            for k, v in enq.vc.items():
-                if v > vc.get(k, 0):
-                    vc[k] = v
+            self._join(self._own(child), self._trim(enq))
             # The op belongs to the rank that enqueued it, regardless of
             # which context happened to drive the stream advance (often a
             # neighbour's delivery callback).
@@ -486,9 +601,12 @@ class Sanitizer:
                              max(a0, prev.start), min(a1, prev.stop))
             if ordered and prev.start >= a0 and prev.stop <= a1 \
                     and prev.kind in subsumes:
+                self._decref(prev.ctx_id)
                 continue  # subsumed: drop from the shadow history
             keep.append(prev)
         cid, tick = self._epoch(ctx)
+        self._refs[cid] += 1
+        self._n_accesses += 1
         keep.append(_Access(cid, tick, kind, a0, a1, ctx.rank, ctx.stream,
                             note, self.engine.now))
         sh.accesses = keep

@@ -14,6 +14,8 @@ one row per rank; point records (enqueues, sends, receives) become instant
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .trace import TraceRecord, Tracer
@@ -21,6 +23,10 @@ from .trace import TraceRecord, Tracer
 __all__ = ["to_chrome_trace", "write_chrome_trace"]
 
 _US = 1e6  # chrome traces use microseconds
+
+# Tie-break key of the canonical order: json.dumps(event, sort_keys=True),
+# without building an encoder per event.
+_content = json.JSONEncoder(sort_keys=True).encode
 
 
 def to_chrome_trace(tracer: Tracer) -> List[dict]:
@@ -92,21 +98,24 @@ def to_chrome_trace(tracer: Tracer) -> List[dict]:
     # byte-identical traces. Span events additionally sort by their
     # emission seq before the content tie-break so B/E nesting survives
     # same-timestamp ties; every other event has seq 0, leaving the
-    # default-level ordering (and byte-identity) untouched.
-    events.sort(
-        key=lambda e: (
-            e["ts"],
-            e.get("__seq", 0),
-            json.dumps({k: v for k, v in e.items() if k != "__seq"}, sort_keys=True),
-        )
-    )
-    for e in events:
-        e.pop("__seq", None)
+    # default-level ordering (and byte-identity) untouched. Most events
+    # (every span) are alone at their (ts, seq), so the content key is
+    # computed only inside the runs that tie on both.
+    when = itemgetter(0)
+    keyed = sorted((((e["ts"], e.pop("__seq", 0)), e) for e in events), key=when)
+    events = []
+    for _, tied in groupby(keyed, key=when):
+        run = [e for _, e in tied]
+        if len(run) > 1:
+            run.sort(key=_content)
+        events += run
     return events
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> str:
     """Write ``{"traceEvents": [...]}`` to ``path``; returns the path."""
+    # One dumps, one write: json.dump(obj, fh) never uses the C encoder.
+    text = json.dumps({"traceEvents": to_chrome_trace(tracer)})
     with open(path, "w") as fh:
-        json.dump({"traceEvents": to_chrome_trace(tracer)}, fh)
+        fh.write(text)
     return path

@@ -25,12 +25,15 @@ def _bump(ctx, buf, by):
     buf.data[:] += by
 
 
-def _program(backend, nranks, steps):
+def _program(backend, nranks, steps, omit=None):
     """One rank's body for ``steps``; every rank runs the same list.
 
     Each exchange step owns its send/recv/signal slots, so the program is
     race-free by construction and every payload depends on the kernels
     launched before it (they bump the buffer the next exchange sends).
+    ``omit`` seeds a bug (``test_sanitize_reference.py``): the
+    ``acknowledge`` or ``synchronize`` of step ``omit`` is left out
+    (``len(steps)``: the closing ``synchronize``).
     """
     n_x = sum(1 for s in steps if s[0] == "exchange")
 
@@ -49,7 +52,7 @@ def _program(backend, nranks, steps):
         coord.bind_kernel("PureHost", _bump, 1, 32, args=lambda: (work, float(me + 1)))
         comm.barrier(stream=stream)
         t0, clock, x = engine.now, [], 0
-        for step in steps:
+        for i, step in enumerate(steps):
             if step[0] == "exchange":
                 _, grouped, shift = step
                 s = sig.offset_by(x, 1) if sig is not None else None
@@ -57,14 +60,15 @@ def _program(backend, nranks, steps):
                     to, frm = (me + shift) % nranks, (me - shift) % nranks
                     coord.comm_start()
                     coord.post(work, recvs[x], COUNT, s, 1, to, comm, tag=x)
-                    coord.acknowledge(recvs[x], COUNT, s, 1, frm, comm, tag=x)
+                    if i != omit:
+                        coord.acknowledge(recvs[x], COUNT, s, 1, frm, comm, tag=x)
                     coord.comm_end()
                 elif (me ^ 1) < nranks:  # ungrouped: pairs, lower rank posts first
                     peer = me ^ 1
                     for op in ("post", "ack") if me < peer else ("ack", "post"):
                         if op == "post":
                             coord.post(work, recvs[x], COUNT, s, 1, peer, comm, tag=x)
-                        else:
+                        elif i != omit:
                             coord.acknowledge(recvs[x], COUNT, s, 1, peer, comm, tag=x)
                 x += 1
             elif step[0] == "launch":
@@ -74,10 +78,12 @@ def _program(backend, nranks, steps):
             elif step[0] == "broadcast":
                 coord.broadcast(work, COUNT, step[1] % nranks, comm)
             elif step[0] == "sync":
-                stream.synchronize()
+                if i != omit:
+                    stream.synchronize()
             else:  # "now"
                 clock.append(engine.now - t0)
-        stream.synchronize()
+        if omit != len(steps):
+            stream.synchronize()
         out = (clock, engine.now - t0, work.read().copy(), [r.read().copy() for r in recvs])
         env.close()
         return out

@@ -72,9 +72,48 @@ def test_chrome_trace_written_as_valid_json(tmp_path):
     tracer = traced_jacobi()
     path = write_chrome_trace(tracer, str(tmp_path / "trace.json"))
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     assert "traceEvents" in doc
     assert len(doc["traceEvents"]) > 10
+    assert text == json.dumps({"traceEvents": to_chrome_trace(tracer)})
+
+
+def test_chrome_trace_order_is_canonical_under_ties():
+    """Many events on one timestamp: the file does not depend on the order
+    the records were emitted in, and its order is the one a single sort on
+    (ts, span seq, full content) gives — the sort the writer used to do
+    for every event and now does only inside the ties."""
+    import random
+
+    records = []
+    for i in range(48):  # instants, eight to a timestamp, all distinct
+        records.append(("mpi.send", (i // 8) * 1e-6,
+                        dict(src=i % 3, dst=i % 5, tag=i % 2, nbytes=i)))
+    for i in range(24):  # zero-length spans sharing those timestamps
+        t = (i // 6) * 1e-6
+        records.append(("span.begin", t, dict(name=f"s{i % 4}", rank=i % 2, seq=2 * i + 1)))
+        records.append(("span.end", t, dict(name=f"s{i % 4}", rank=i % 2, seq=2 * i + 2)))
+    for i in range(6):  # spans without a seq tie with the instants on (ts, 0)
+        records.append(("span.begin", 1e-6, dict(name=f"u{i}", rank=i)))
+
+    def trace_of(order):
+        tracer = Tracer()
+        for kind, t, fields in order:
+            tracer(kind, t=t, **fields)
+        return to_chrome_trace(tracer)
+
+    events = trace_of(records)
+    rng = random.Random(7)
+    for _ in range(5):
+        rng.shuffle(records)
+        assert trace_of(records) == events
+
+    def one_key(e):
+        seq = e["args"].get("seq", 0) if e["ph"] in "BE" else 0
+        return e["ts"], seq, json.dumps(e, sort_keys=True)
+
+    assert sorted(rng.sample(events, len(events)), key=one_key) == events
 
 
 def test_rocshmem_experimental_enables_gpushmem_on_lumi():

@@ -133,3 +133,22 @@ def test_variant_name_passes_full_variants_through():
 def test_retired_jacobi_flags_rejected(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
+
+
+def test_report_sanitize_document_carries_the_sanitizer_stats(tmp_path):
+    """The sanitizer accounts for itself, only when it ran."""
+    out = tmp_path / "report.json"
+    argv = ["report", "--gpus", "2", "--size", "32", "--iters", "2",
+            "--metrics-out", str(out)]
+    code, text = run_cli(argv + ["--sanitize"])
+    assert code == 0 and "no races detected" in text
+    doc = json.loads(out.read_text())
+    assert doc["races"] == []
+    assert set(doc["stats"]["sanitizer"]) == {
+        "contexts", "ids", "accesses", "clock_ops", "clock_entries_visited",
+        "clock_peak", "compactions", "alive_peak"}
+    assert all(isinstance(v, int) for v in doc["stats"]["sanitizer"].values())
+    assert doc["stats"]["sanitizer"]["accesses"] > 0
+    code, _ = run_cli(argv)
+    assert code == 0
+    assert "sanitizer" not in json.loads(out.read_text())["stats"]

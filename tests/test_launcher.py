@@ -128,3 +128,53 @@ def test_retired_and_malformed_run_option_values_are_rejected():
         launch(lambda ctx: None, 2, capture="auto")
     with pytest.raises(ValueError, match="ring/0"):
         launch(lambda ctx: None, 2, coll="ring/0")
+
+
+def _report_cli(*extra):
+    from tests.test_cli import run_cli
+
+    return run_cli(["report", "--gpus", "2", "--size", "32", "--iters", "2", *extra])
+
+
+def test_unwritable_trace_out_fails_before_the_run(tmp_path, monkeypatch):
+    """The path is checked up front, through launch() and `repro report
+    --trace-out` alike: nothing is simulated for a trace that cannot land."""
+    from repro import launcher
+
+    simulated = []
+    run_spmd = launcher.run_spmd
+    monkeypatch.setattr(launcher, "run_spmd",
+                        lambda *a, **kw: simulated.append(1) or run_spmd(*a, **kw))
+    bad = str(tmp_path / "no_such_dir" / "trace.json")
+    with pytest.raises(OSError, match="no_such_dir"):
+        launch(lambda ctx: None, 2, trace_out=bad)
+    with pytest.raises(OSError, match="no_such_dir"):
+        _report_cli("--trace-out", bad)
+    assert not simulated
+
+
+def test_trace_write_failure_never_replaces_a_rank_failure(tmp_path, monkeypatch):
+    """A rank's exception (and the partial report on it) survives a trace
+    that cannot be written afterwards; with nothing to mask, the write
+    error is the error."""
+    import repro.sim
+    from repro.errors import SimTimeoutError
+
+    def disk_full(tracer, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(repro.sim, "write_chrome_trace", disk_full)
+    out = str(tmp_path / "trace.json")
+
+    def body(ctx):
+        raise RuntimeError("rank failure")
+
+    with pytest.raises(RuntimeError, match="rank failure") as caught:
+        launch(body, 2, trace_out=out)
+    assert "virtual_time" in caught.value.run_report.stats
+    with pytest.raises(SimTimeoutError) as caught:
+        _report_cli("--trace-out", out,
+                    "--fault-spec", "crash,rank=1,at=1e-5;watchdog,timeout=1e-3")
+    assert caught.value.run_report.faults
+    with pytest.raises(OSError, match="No space left"):
+        launch(lambda ctx: None, 2, trace_out=out)

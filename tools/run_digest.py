@@ -8,12 +8,14 @@ across processes and hosts; ``tools/digest.golden`` holds them and
 ``--check`` (``make digest-check``) exits 1 on any difference, which is
 how a change proves it preserves behaviour.
 
-Two things a run reports are *host-side* and kept out of ``report=``: the
-wall-clock ``replay_host_seconds``, and the scheduler counters
-(``SCHED``) that virtual time never depends on — a scheduler improvement
-moves those without changing behaviour. They print as a trailing
-``sched=switches/inline_resumes/timers_fired/wakeups`` field that the
-golden and the combined hash ignore.
+Three things a run reports are *host-side* and kept out of ``report=``:
+the wall-clock ``replay_host_seconds``, the scheduler counters (``SCHED``)
+that virtual time never depends on, and the race sanitizer's own
+bookkeeping counts (``stats["sanitizer"]``) that its findings never depend
+on — an improvement to either moves those without changing behaviour.
+They print as trailing ``sched=switches/inline_resumes/timers_fired/wakeups``
+and (sanitized runs) ``san=ids/clock_ops/clock_entries_visited/clock_peak/
+compactions`` fields that the golden and the combined hash ignore.
 """
 
 import hashlib
@@ -34,6 +36,7 @@ from repro.launcher import launch  # noqa: E402
 from repro.sim import Tracer, to_chrome_trace  # noqa: E402
 
 SCHED = ("switches", "inline_resumes", "timers_fired", "wakeups", "events")
+SAN = ("ids", "clock_ops", "clock_entries_visited", "clock_peak", "compactions")
 
 JACOBI_VARIANTS = ("mpi-native", "gpuccl-native", "gpushmem-host-native",
                    "gpushmem-device-native", "uniconn:mpi", "uniconn:gpuccl",
@@ -153,9 +156,12 @@ def digest(run):
     report = run(tracer)
     doc = report.to_dict()
     doc["stats"].get("capture", {}).pop("replay_host_seconds", None)
-    sched = "/".join(str(doc["stats"].pop(k)) for k in SCHED[:-1])
+    unhashed = "sched=" + "/".join(str(doc["stats"].pop(k)) for k in SCHED[:-1])
     doc["stats"].pop("events")  # the sum of three of the above
-    return _sha({"traceEvents": to_chrome_trace(tracer)}), _sha(doc), sched
+    san = doc["stats"].pop("sanitizer", None)
+    if san is not None:
+        unhashed += " san=" + "/".join(str(san[k]) for k in SAN)
+    return _sha({"traceEvents": to_chrome_trace(tracer)}), _sha(doc), unhashed
 
 
 def main(argv) -> int:
@@ -170,9 +176,9 @@ def main(argv) -> int:
     combined = hashlib.sha256()
     lines = []
     for name, run in matrix():
-        trace, report, sched = digest(run)
+        trace, report, unhashed = digest(run)
         line = f"{name} trace={trace} report={report}"
-        print(f"{line} sched={sched}", flush=True)
+        print(f"{line} {unhashed}", flush=True)
         combined.update(line.encode() + b"\n")
         lines.append(line)
     lines.append(f"combined[{len(lines)} runs] {combined.hexdigest()}")
