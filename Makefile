@@ -111,8 +111,10 @@ bench-coll:
 
 # Job-service gate (docs/SERVE.md): the serve test suite, then an
 # end-to-end smoke through the real CLI — an 8-point sweep submitted
-# twice must be 100% cache hits and >= 2x faster the second time, and a
-# timeout-killed job must fail alone without poisoning the worker pool.
+# twice must be 100% cache hits and >= 2x faster the second time, a
+# timeout-killed job must fail alone without poisoning the worker pool, a
+# cached submit in a fresh interpreter must import no simulator, pool or
+# numpy, and a malformed queue line must cost `repro serve` only that line.
 serve-smoke:
 	$(PYTHON) -m pytest -q tests/serve
 	$(PYTHON) tools/serve_smoke.py

@@ -15,45 +15,55 @@ Quick start::
     launch(app, n_ranks=8, machine="perlmutter")
 
 See README.md for the full tour and DESIGN.md for the architecture.
+
+Importing the package loads nothing: every public name, and every
+subpackage reachable as an attribute of a bare ``import repro``
+(``repro.core``, ``repro.sim``, ...), is resolved on first use, so
+``python -m repro submit`` answering from the result store never imports
+the simulator (docs/SERVE.md, "What a submit costs").
 """
 
-from .config import UniconnConfig, configured, get_config, set_config
-from .core import (
-    Communicator,
-    Coordinator,
-    Environment,
-    GpucclBackend,
-    GpushmemBackend,
-    IN_PLACE,
-    LaunchMode,
-    MPIBackend,
-    Memory,
-    ReductionOperator,
-    ThreadGroup,
-)
-from .launcher import Job, RankContext, RunReport, launch
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "UniconnConfig",
-    "configured",
-    "get_config",
-    "set_config",
-    "Communicator",
-    "Coordinator",
-    "Environment",
-    "GpucclBackend",
-    "GpushmemBackend",
-    "IN_PLACE",
-    "LaunchMode",
-    "MPIBackend",
-    "Memory",
-    "ReductionOperator",
-    "ThreadGroup",
-    "launch",
-    "Job",
-    "RankContext",
-    "RunReport",
-    "__version__",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "UniconnConfig": "config",
+    "configured": "config",
+    "get_config": "config",
+    "set_config": "config",
+    "Communicator": "core",
+    "Coordinator": "core",
+    "Environment": "core",
+    "GpucclBackend": "core",
+    "GpushmemBackend": "core",
+    "IN_PLACE": "core",
+    "LaunchMode": "core",
+    "MPIBackend": "core",
+    "Memory": "core",
+    "ReductionOperator": "core",
+    "ThreadGroup": "core",
+    "launch": "launcher",
+    "Job": "launcher",
+    "RankContext": "launcher",
+    "RunReport": "launcher",
+}
+
+#: Subpackages reachable as ``repro.<name>`` without importing them first.
+_SUBMODULES = ("backends", "coll", "config", "core", "errors", "gpu",
+               "hardware", "launcher", "obs", "sim")
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Resolve a public name or subpackage on first use (PEP 562)."""
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

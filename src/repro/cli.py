@@ -22,8 +22,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 __all__ = ["main", "build_parser"]
 
 
@@ -265,6 +263,8 @@ def _cmd_machines(args, out) -> int:
 
 
 def _cmd_jacobi(args, out) -> int:
+    import numpy as np
+
     from .apps import variant_name
     from .apps.jacobi import JacobiConfig, assemble, launch_variant, serial_jacobi
 
@@ -296,6 +296,8 @@ def _cmd_jacobi(args, out) -> int:
 
 
 def _cmd_cg(args, out) -> int:
+    import numpy as np
+
     from .apps import variant_name
     from .apps.cg import CgConfig, assemble_x, final_residual, launch_variant, make_problem
 
@@ -448,6 +450,12 @@ def _make_service(args, out):
     from .serve import JobService, ResultStore
 
     def printer(event):
+        if event["event"] == "rejected":  # printed even under --quiet
+            print(f"  [rejected] queue line {event['line']}: {event['error']}",
+                  file=out)
+            return
+        if args.quiet:
+            return
         label = event.get("spec") or event.get("error") or ""
         wall = event.get("wall_s")
         tail = f" ({wall:.2f}s)" if wall is not None else ""
@@ -457,21 +465,24 @@ def _make_service(args, out):
 
     store = ResultStore(args.store)
     return JobService(store, jobs=args.jobs, timeout=args.timeout,
-                      retries=args.retries,
-                      events=None if args.quiet else printer)
+                      retries=args.retries, events=printer)
 
 
 def _print_service_summary(svc, n_docs, out) -> None:
     s = svc.summary()
     cache = s["cache"]
+    rejected = s["rejected_lines"]
     print(f"{n_docs} job(s): {s['jobs']['done']:g} executed, "
           f"{cache['hits']:g} cache hit(s), {s['jobs']['failed']:g} failed, "
           f"{s['retries']:g} retrie(s), "
-          f"{s['worker_respawns']:g} worker respawn(s)", file=out)
+          f"{s['worker_respawns']:g} worker respawn(s)"
+          + (f", {rejected:g} queue line(s) rejected" if rejected else ""),
+          file=out)
 
 
 def _cmd_submit(args, out) -> int:
     from .serve import JobSpec, expand_matrix, parse_sweep
+    from .serve.store import write_documents
 
     base = dict(
         app=args.app, backend=args.backend, mode=args.mode,
@@ -481,14 +492,18 @@ def _cmd_submit(args, out) -> int:
         capture=args.capture or "off", sanitize=bool(args.sanitize),
         collect=args.collect,
     )
-    if args.sweep:
-        axes = parse_sweep(args.sweep)
-        # "gpus" is the CLI spelling of the JobSpec "ranks" field.
-        axes = {("ranks" if k == "gpus" else k): v for k, v in axes.items()}
-        specs = [JobSpec.from_dict({**base, **point})
-                 for point in expand_matrix(axes)]
-    else:
-        specs = [JobSpec.from_dict(base)]
+    try:
+        if args.sweep:
+            axes = parse_sweep(args.sweep)
+            # "gpus" is the CLI spelling of the JobSpec "ranks" field.
+            axes = {("ranks" if k == "gpus" else k): v for k, v in axes.items()}
+            specs = [JobSpec.from_dict({**base, **point})
+                     for point in expand_matrix(axes)]
+        else:
+            specs = [JobSpec.from_dict(base)]
+    except ValueError as exc:
+        print(f"repro submit: error: {exc}", file=sys.stderr)
+        return 2
     svc = _make_service(args, out)
     docs = svc.run(specs)
     for spec, doc in zip(specs, docs):
@@ -503,11 +518,8 @@ def _cmd_submit(args, out) -> int:
         print(f"{mark} {spec.short_hash}  {spec.describe()}{detail}", file=out)
     _print_service_summary(svc, len(docs), out)
     if args.json:
-        import json
-
         with open(args.json, "w") as fh:
-            json.dump(docs, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_documents(docs, fh)
         print(f"result documents -> {args.json}", file=out)
     return 1 if any(d.get("status") != "done" for d in docs) else 0
 
@@ -524,7 +536,7 @@ def _cmd_serve(args, out) -> int:
         print("interrupted", file=out)
     if n is not None:
         _print_service_summary(svc, n, out)
-    return 0
+    return 1 if svc.summary()["rejected_lines"] else 0
 
 
 def _cmd_jobs(args, out) -> int:

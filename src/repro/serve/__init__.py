@@ -24,12 +24,18 @@ simulation itself is deterministic, and the store round-trips reports
 through ``RunReport.to_dict()`` with sorted-key JSON.
 """
 
+from importlib import import_module
+
 from .jobspec import JobSpec, canonical_coll, canonical_fault_spec
 from .matrix import expand_matrix, parse_sweep
-from .pool import JobOutcome, WorkerPool
-from .runner import execute_job
 from .service import JobService
 from .store import DEFAULT_STORE_ENV, ResultStore, default_store_path
+
+#: The execution half loads on first use: the front half above answers a
+#: request from the store without multiprocessing, numpy or the simulator
+#: (docs/SERVE.md, "What a submit costs").
+_ON_FIRST_USE = {"JobOutcome": "pool", "WorkerPool": "pool",
+                 "execute_job": "runner"}
 
 __all__ = [
     "JobSpec",
@@ -45,3 +51,11 @@ __all__ = [
     "DEFAULT_STORE_ENV",
     "default_store_path",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_ON_FIRST_USE[name]}"), name)
+    globals()[name] = value
+    return value

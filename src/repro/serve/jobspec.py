@@ -13,21 +13,34 @@ simulation hash identically even when they were spelled differently:
   :meth:`to_dict`, so kwargs/dict ordering can never leak into the hash;
 - defaults are literals (never the process-global config), so the hash is
   stable across processes and interpreter invocations.
+
+The hash also covers :func:`model_fingerprint` — the simulator's own
+source bytes — so a result cached under one cost model is never served by
+another.
+
+This module imports no simulator code: a spec that carries a fault plan
+or a collective selection imports what canonicalising it needs, and every
+other spec is validated and hashed without it (docs/SERVE.md, "What a
+submit costs").
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
+import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Any, Dict, Optional
 
 from ..apps import variant_name
-from ..sim.capture import CAPTURE_MODES
+from ..options import CAPTURE_MODES
 
-__all__ = ["JobSpec", "SPEC_SCHEMA", "canonical_coll", "canonical_fault_spec"]
+__all__ = ["JobSpec", "SPEC_SCHEMA", "canonical_coll", "canonical_fault_spec",
+           "model_fingerprint"]
 
-SPEC_SCHEMA = "repro.serve.jobspec/1"
+SPEC_SCHEMA = "repro.serve.jobspec/2"
 
 #: Apps the runner knows how to execute (docs/SERVE.md).
 APPS = ("jacobi", "cg", "latency", "bandwidth")
@@ -35,6 +48,48 @@ APPS = ("jacobi", "cg", "latency", "bandwidth")
 _MODES = ("PureHost", "PartialDevice", "PureDevice")
 _OBS_LEVELS = ("off", "metrics", "spans")
 _OSU_IGNORED = ("fault_spec", "coll", "capture", "sanitize", "collect")
+_INT_FIELDS = ("ranks", "size", "iters", "seed", "fault_seed")
+_STR_FIELDS = ("backend", "machine")
+_BOOL_FIELDS = ("sanitize", "collect")
+
+#: Not part of the model: the service envelope and the CLI can change
+#: without invalidating a single cached result.
+_NOT_MODEL = ("serve", "cli.py", "__main__.py")
+
+
+@lru_cache(maxsize=None)
+def model_fingerprint() -> str:
+    """SHA-256 over the simulator's source files (hex), once per process.
+
+    Every ``*.py`` under the ``repro`` package except ``serve/``,
+    ``cli.py`` and ``__main__.py``, as (sorted relative path, bytes). The
+    files are read, never imported, so fingerprinting costs a few
+    milliseconds and loads nothing; mtimes and ``__pycache__`` do not
+    enter. Falls back to ``__version__`` when no source is readable (a
+    bytecode-only install).
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sources = []
+    for base, dirs, files in os.walk(root):
+        if base == root:
+            dirs[:] = [d for d in dirs if d not in _NOT_MODEL]
+            files = [f for f in files if f not in _NOT_MODEL]
+        sources += [os.path.relpath(os.path.join(base, f), root).replace(os.sep, "/")
+                    for f in files if f.endswith(".py")]
+    digest = hashlib.sha256()
+    try:
+        for name in sorted(sources):
+            with open(os.path.join(root, name), "rb") as fh:
+                data = fh.read()
+            digest.update(f"{name}\0{len(data)}\0".encode())
+            digest.update(data)
+    except OSError:
+        sources = []
+    if not sources:
+        from .. import __version__
+
+        return f"version:{__version__}"
+    return digest.hexdigest()
 
 
 def canonical_fault_spec(spec: Optional[str]) -> Optional[str]:
@@ -49,8 +104,11 @@ def canonical_fault_spec(spec: Optional[str]) -> Optional[str]:
         return None
     from ..sim.faults import FaultPlan
 
-    plan = spec if isinstance(spec, FaultPlan) else FaultPlan.parse(spec)
-    return plan.spec_string() or None
+    if isinstance(spec, str):
+        spec = FaultPlan.parse(spec)
+    elif not isinstance(spec, FaultPlan):
+        raise ValueError(f"fault_spec must be a fault spec string, got {spec!r}")
+    return spec.spec_string() or None
 
 
 def canonical_coll(coll: Any) -> Optional[str]:
@@ -83,6 +141,19 @@ def canonical_coll(coll: Any) -> Optional[str]:
     return sel.spec_string()
 
 
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an int, or ValueError naming the field: ``32.9`` must
+    not hash as ``32``, and ``True`` is not a rank count."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One simulation request; every field is part of the config hash.
@@ -112,6 +183,19 @@ class JobSpec:
     collect: bool = False  # gather per-rank payloads into the summary digest
 
     def __post_init__(self) -> None:
+        # Normalize first, so the range checks below see integers and
+        # equality and hashing agree for every spelling of one simulation.
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value in (0, 1)):
+                raise ValueError(f"{name} must be a boolean, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        for name in _STR_FIELDS:
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, "
+                                 f"got {getattr(self, name)!r}")
         if self.app not in APPS:
             raise ValueError(f"unknown app {self.app!r} (expected one of {APPS})")
         if self.mode not in _MODES:
@@ -125,14 +209,8 @@ class JobSpec:
             raise ValueError(f"ranks must be >= 1, got {self.ranks}")
         if self.size < 1 or self.iters < 1:
             raise ValueError(f"size/iters must be >= 1, got {self.size}/{self.iters}")
-        # Normalize at construction so equality and hashing agree for
-        # every spelling of the same simulation.
         object.__setattr__(self, "fault_spec", canonical_fault_spec(self.fault_spec))
         object.__setattr__(self, "coll", canonical_coll(self.coll))
-        object.__setattr__(self, "sanitize", bool(self.sanitize))
-        object.__setattr__(self, "collect", bool(self.collect))
-        for name in ("ranks", "size", "iters", "seed", "fault_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.app in ("latency", "bandwidth"):
             # The OSU runners apply none of these, so a non-default value
             # would hash (and cache) a run that never honoured it.
@@ -161,9 +239,11 @@ class JobSpec:
         """Deterministic content hash of this spec (hex SHA-256).
 
         Stable across processes, dict orderings and equivalent spec-string
-        spellings; any semantic field change changes the hash.
+        spellings; any semantic field change — and any change to the
+        simulator's sources (:func:`model_fingerprint`) — changes the hash.
         """
-        doc = {"schema": SPEC_SCHEMA, **self.to_dict()}
+        doc = {"schema": SPEC_SCHEMA, "model": model_fingerprint(),
+               **self.to_dict()}
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

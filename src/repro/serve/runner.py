@@ -11,14 +11,31 @@ is what makes cached results bit-identical to fresh runs.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict
+from importlib import import_module
+from typing import Any, Dict, Iterable
 
 import numpy as np
 
 from .jobspec import JobSpec
 from .store import RESULT_SCHEMA
 
-__all__ = ["execute_job"]
+__all__ = ["execute_job", "load_apps"]
+
+#: App -> the package its runner drives (imported on first use).
+_APP_PACKAGES = {"jacobi": "repro.apps.jacobi", "cg": "repro.apps.cg",
+                 "latency": "repro.apps.osu", "bandwidth": "repro.apps.osu"}
+
+
+def load_apps(apps: Iterable[str]) -> None:
+    """Import the packages the named apps run on.
+
+    ``JobService`` calls this before it forks its workers, so a batch
+    imports an app (and scipy behind ``cg``) once, in the parent, not once
+    per worker and again per respawn; a batch that never names an app
+    never pays for it.
+    """
+    for app in apps:
+        import_module(_APP_PACKAGES[app])
 
 
 def execute_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:

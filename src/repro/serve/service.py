@@ -11,9 +11,15 @@ The orchestration layer behind ``repro submit`` and ``repro serve``:
    timeouts, bounded retry); completed documents are stamped with wall
    seconds and written back to the store.
 
+A batch pays only for what it uses (docs/SERVE.md, "What a submit
+costs"): this module imports neither the pool nor the runner, and step 3
+loads them — and the app packages the misses name — only when there is a
+miss, in this process, before the first worker is forked.
+
 ``serve_loop`` is the long-running front-end: it tails a JSONL job file
 (or FIFO), expanding each line — a spec object or ``{"sweep": {...},
-"defaults": {...}}`` — into jobs as lines arrive.
+"defaults": {...}}`` — into jobs as lines arrive; a line that does not
+parse into jobs is rejected (event ``rejected``) and costs only itself.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .jobspec import JobSpec
 from .matrix import expand_matrix
-from .pool import WorkerPool
-from .runner import execute_job
-from .store import RESULT_SCHEMA, ResultStore
+from .store import RESULT_SCHEMA, ResultStore, StoredDoc
 
 __all__ = ["JobService", "parse_queue_line"]
 
@@ -82,8 +86,15 @@ class JobService:
             self._emit({"event": "queued", "job": i,
                         "hash": h[:12], "spec": spec.describe()})
 
-        # Pass 2: fresh execution through the pool.
+        # Pass 2: fresh execution through the pool. Everything a job needs
+        # is imported here, once, so forked workers (and their respawns)
+        # inherit it instead of each importing it again.
         if to_run:
+            from .pool import WorkerPool
+            from .runner import execute_job, load_apps
+
+            load_apps({specs[i].app for i in to_run})
+
             def pool_events(event: Dict[str, Any]) -> None:
                 # The service already emitted richer "queued" events in
                 # pass 1; label the pool's lifecycle events with the spec.
@@ -110,10 +121,9 @@ class JobService:
                         "error": outcome.error,
                         "error_kind": outcome.kind,
                     }
-                doc = dict(doc)
-                doc["wall_s"] = outcome.wall_s
-                doc["attempts"] = outcome.attempts
-                doc["stored_at_unix"] = now
+                doc = StoredDoc({**doc, "wall_s": outcome.wall_s,
+                                 "attempts": outcome.attempts,
+                                 "stored_at_unix": now})
                 self.store.put(doc)
                 docs[i] = doc
 
@@ -147,21 +157,32 @@ class JobService:
         processed = 0
         batches = 0
         offset = 0
+        lineno = 0
         while True:
-            lines: List[str] = []
+            lines: List[bytes] = []
             try:
-                with open(queue_path) as fh:
+                with open(queue_path, "rb") as fh:
                     fh.seek(offset)
                     lines = fh.readlines()
                     offset = fh.tell()
             except FileNotFoundError:
                 if once:
                     return processed
+            if lines and not once and not lines[-1].endswith(b"\n"):
+                offset -= len(lines.pop())  # a writer is mid-line: next poll
             for line in lines:
+                lineno += 1
                 line = line.strip()
-                if not line or line.startswith("#"):
+                if not line or line.startswith(b"#"):
                     continue
-                specs = parse_queue_line(line)
+                try:
+                    specs = parse_queue_line(line)
+                except ValueError as exc:
+                    # A bad line costs that line, never the loop.
+                    self.metrics.inc("serve_rejected_lines_total")
+                    self._emit({"event": "rejected", "line": lineno,
+                                "error": f"{type(exc).__name__}: {exc}"})
+                    continue
                 self.run(specs)
                 processed += len(specs)
                 batches += 1
@@ -182,11 +203,12 @@ class JobService:
             },
             "retries": m.counter_total("serve_retries_total"),
             "worker_respawns": m.counter("serve_worker_respawns_total"),
+            "rejected_lines": m.counter("serve_rejected_lines_total"),
         }
 
 
-def parse_queue_line(line: str) -> List[JobSpec]:
-    """One JSONL queue line -> JobSpecs.
+def parse_queue_line(line: Union[str, bytes]) -> List[JobSpec]:
+    """One JSONL queue line -> JobSpecs; ValueError for anything else.
 
     A plain object is one spec; ``{"sweep": {axis: [...]}, "defaults":
     {...}}`` expands the cross product over the default fields.
@@ -194,8 +216,10 @@ def parse_queue_line(line: str) -> List[JobSpec]:
     payload = json.loads(line)
     if not isinstance(payload, dict):
         raise ValueError(f"queue line must be a JSON object, got {type(payload).__name__}")
-    if "sweep" in payload:
-        defaults = payload.get("defaults", {})
-        return [JobSpec.from_dict({**defaults, **point})
-                for point in expand_matrix(payload["sweep"])]
-    return [JobSpec.from_dict(payload)]
+    if "sweep" not in payload:
+        return [JobSpec.from_dict(payload)]
+    sweep, defaults = payload["sweep"], payload.get("defaults", {})
+    if not isinstance(sweep, dict) or not isinstance(defaults, dict):
+        raise ValueError('"sweep" and "defaults" must be JSON objects')
+    return [JobSpec.from_dict({**defaults, **point})
+            for point in expand_matrix(sweep)]

@@ -101,9 +101,9 @@ from math import frexp, gcd, ldexp
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["CaptureRuntime", "CaptureRegion", "loop_region", "CAPTURE_MODES"]
+from ..options import CAPTURE_MODES
 
-CAPTURE_MODES = ("off", "regions")
+__all__ = ["CaptureRuntime", "CaptureRegion", "loop_region", "CAPTURE_MODES"]
 
 # Largest structural period (in iterations) probed by the detector.
 _MAX_D = 4

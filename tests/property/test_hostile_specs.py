@@ -1,0 +1,106 @@
+"""Hostile job requests: a spec dict or queue line either becomes JobSpecs
+that round-trip with an equal hash, or raises ``ValueError`` — never
+anything else, so ``repro serve`` can reject it and keep draining. No
+simulation runs here."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from repro.serve import JobSpec
+from repro.serve.service import parse_queue_line
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(1 << 70), max_value=1 << 70) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+#: Per field, values that are legal or nearly legal.
+_NEAR = {
+    "app": ["jacobi", "cg", "latency", "bandwidth", "Jacobi", ""],
+    "backend": ["mpi", "gpuccl", "gpushmem", "elastic:mpi", "mpi-native", "٣"],
+    "mode": ["PureHost", "PartialDevice", "PureDevice", "purehost"],
+    "machine": ["perlmutter", "lumi", "no-such-machine"],
+    "ranks": [1, 2, 64, 2.0, 0, -1, 2.5, "2", True, 1 << 70],
+    "size": [1, 32, 32.0, 32.9, 0, "32", 1e308, 1 << 70],
+    "iters": [1, 8, 8.0, 0, None, [8]],
+    "seed": [0, 7, -3, 0.0, "0"],
+    "fault_spec": [None, "", ";;", "crash,rank=1,at=1e-4", "crash, rank=1, at=0.0001",
+                   "watchdog,timeout=5e-3;crash,rank=0,at=0", "drop,p=nan",
+                   "drop,tag=٣", "crash,rank=1", "degrade,link=x,factor=inf", 7],
+    "fault_seed": [0, 11, 1.0, False],
+    "coll": [None, False, "off", "auto", "tuned", "ring", "ring/1", "ring+LL/2",
+             "ring/0", "tree/x", "ring+XX", "ring/٣", True, 0],
+    "capture": ["off", "regions", "auto", None],
+    "sanitize": [True, False, 0, 1, "false", None, 2],
+    "obs": ["off", "metrics", "spans", "all"],
+    "collect": [True, False, 1, "yes"],
+}
+assert sorted(_NEAR) == sorted(JobSpec().to_dict())
+
+
+def _legal(name, value) -> bool:
+    try:
+        JobSpec(**{name: value})
+    except ValueError:
+        return False
+    return True
+
+
+def _mostly_legal(wrap):
+    """A dict over the spec fields whose values are legal one by one (the
+    combination may still not be), then up to two of them replaced by
+    near-misses or junk and, sometimes, one unknown key: most examples get
+    past the first check and reach canonicalisation and the OSU exclusions."""
+    return st.builds(
+        lambda legal, hostile, extra: {**legal, **hostile, **extra},
+        st.fixed_dictionaries({}, optional={
+            name: wrap(st.sampled_from([v for v in values if _legal(name, v)]))
+            for name, values in _NEAR.items()}),
+        st.lists(st.sampled_from(sorted(_NEAR)), max_size=2, unique=True).flatmap(
+            lambda names: st.fixed_dictionaries({
+                name: wrap(st.sampled_from(_NEAR[name]) | _junk) for name in names})),
+        st.just({}) | st.dictionaries(st.text(max_size=8), _junk, max_size=1))
+
+
+_spec_dict = _mostly_legal(lambda values: values)
+
+
+def _check(specs) -> None:
+    assert specs and all(isinstance(s, JobSpec) for s in specs)
+    for spec in specs:
+        # Through JSON, as the store and the worker pipe carry it.
+        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec and again.config_hash() == spec.config_hash()
+        assert spec.describe()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_dict)
+def test_spec_dict_round_trips_or_is_a_value_error(d):
+    try:
+        spec = JobSpec.from_dict(d)
+    except ValueError:
+        return
+    _check([spec])
+
+
+_axes = _mostly_legal(lambda values: st.lists(values, max_size=3) | values)
+_payload = (_spec_dict | _junk
+            | st.fixed_dictionaries({"sweep": _axes | _junk},
+                                    optional={"defaults": _spec_dict | _junk}))
+_line = (_payload.map(json.dumps)
+         | _payload.map(lambda p: json.dumps(p)[:-1])  # truncated mid-write
+         | st.text(max_size=40) | st.binary(max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line)
+def test_queue_line_yields_specs_or_is_a_value_error(line):
+    try:
+        specs = parse_queue_line(line)
+    except ValueError:
+        return
+    _check(specs)

@@ -110,6 +110,27 @@ def test_validation_and_round_trip():
     assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
+def test_a_fractional_size_is_not_the_cached_integer_one():
+    """``size=32.9`` used to truncate to 32 and hash equal to it, so a
+    sweep over it was served the 32-point result."""
+    with pytest.raises(ValueError, match="size must be an integer"):
+        JobSpec(size=32.9)
+    assert JobSpec(size=32.0) == JobSpec(size=32)  # integral floats are ints
+    assert JobSpec(size=32.0).config_hash() == JobSpec(size=32).config_hash()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("ranks", "2"), ("iters", None), ("ranks", True), ("seed", float("nan")),
+    ("fault_seed", float("inf")), ("size", [32]), ("sanitize", "false"),
+    ("collect", 2), ("backend", 5), ("machine", None), ("fault_spec", 7),
+])
+def test_wrong_types_are_value_errors_naming_the_field(field, value):
+    """The range checks used to run before the int() normalisation, so a
+    string rank count died in ``TypeError: '<' not supported``."""
+    with pytest.raises(ValueError, match=field):
+        JobSpec(**{field: value})
+
+
 @pytest.mark.parametrize("app", ["latency", "bandwidth"])
 @pytest.mark.parametrize("field,value", [
     ("fault_spec", "crash,rank=1,at=1e-4"), ("coll", "auto"),

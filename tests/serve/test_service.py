@@ -2,6 +2,7 @@
 
 import io
 import json
+import types
 
 import pytest
 
@@ -115,6 +116,59 @@ def test_serve_loop_once_drains_queue_file(tmp_path):
     assert len(ResultStore(tmp_path / "store")) == 2
 
 
+BAD_LINES = [
+    "not json",
+    "[1, 2]",
+    '{"app": "jacobi", "workers": 4}',
+    '{"ranks": "2"}',
+    '{"coll": "ring/0"}',
+    '{"sweep": [1], "defaults": {}}',
+    '{"sweep": {"size": [16]}, "defaults": 3}',
+    '{"sweep": {"size": []}}',
+]
+
+
+def test_a_malformed_queue_line_costs_exactly_that_line(tmp_path):
+    """Every bad line is one ``rejected`` event with its line number and
+    one count; the jobs around it run, whatever kind of bad it is."""
+    good = [json.dumps(spec.to_dict()) for spec in SPECS]
+    queue = tmp_path / "queue.jsonl"
+    queue.write_bytes(("\n".join([good[0], *BAD_LINES, good[1]]) + "\n").encode()
+                      + b"\xff\xfe not utf-8\n")
+    events = []
+    svc = JobService(ResultStore(tmp_path / "store"), jobs=1, retries=0,
+                     events=events.append)
+    assert svc.serve_loop(queue, once=True) == 2
+    rejected = [e for e in events if e["event"] == "rejected"]
+    assert [e["line"] for e in rejected] == list(range(2, len(BAD_LINES) + 2)) \
+        + [len(BAD_LINES) + 3]
+    assert all(e["error"] for e in rejected)
+    assert svc.summary()["rejected_lines"] == len(BAD_LINES) + 1
+    assert svc.summary()["jobs"] == {"done": 2, "failed": 0}
+    with pytest.raises(IsADirectoryError):  # I/O errors are not bad lines
+        svc.serve_loop(tmp_path, once=True)
+
+
+def test_tailing_waits_for_the_end_of_a_line_being_written(tmp_path, monkeypatch):
+    queue = tmp_path / "queue.jsonl"
+    line = json.dumps(SPECS[0].to_dict())
+    queue.write_text(line + "\n" + line[:20])
+    events = []
+    svc = JobService(ResultStore(tmp_path / "store"), jobs=1, retries=0,
+                     events=events.append)
+
+    def finish_the_line(seconds):
+        with open(queue, "a") as fh:
+            fh.write(line[20:] + "\n")
+
+    import repro.serve.service as service
+    monkeypatch.setattr(service, "time", types.SimpleNamespace(
+        sleep=finish_the_line, time=service.time.time))
+    assert svc.serve_loop(queue, max_batches=2) == 2
+    assert not [e for e in events if e["event"] == "rejected"]
+    assert svc.summary()["cache"]["hits"] == 1  # the second copy of the line
+
+
 def test_parse_queue_line_shapes():
     (one,) = parse_queue_line(json.dumps({"app": "jacobi", "size": 32}))
     assert one.size == 32
@@ -157,6 +211,32 @@ def test_cli_submit_sweep_twice_then_jobs_table(tmp_path):
 
     code, text = run_cli(["jobs", "--store", store, "--failed"])
     assert code == 0 and "no jobs" in text
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--sweep", "ranks=abc"], "ranks must be an integer"),
+    (["--sweep", "size=32.9"], "size must be an integer"),
+    (["--sweep", "workers=4"], "unknown JobSpec field"),
+    (["--coll", "ring/0"], "channel count"),
+])
+def test_cli_submit_bad_spec_is_one_line_and_exit_2(tmp_path, capsys, argv, needle):
+    code, text = run_cli(["submit", "--store", str(tmp_path / "store"), *argv])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert needle in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "store").exists()  # nothing ran
+
+
+def test_cli_serve_once_reports_rejected_lines_even_when_quiet(tmp_path):
+    queue = tmp_path / "q.jsonl"
+    queue.write_text(json.dumps(SPECS[0].to_dict()) + "\nnot json\n"
+                     + json.dumps(SPECS[1].to_dict()) + "\n")
+    code, text = run_cli(["serve", "--store", str(tmp_path / "store"), "--quiet",
+                          "--jobs", "1", "--queue", str(queue), "--once"])
+    assert code == 1
+    assert "[rejected] queue line 2: JSONDecodeError" in text
+    assert "2 job(s): 2 executed" in text and "1 queue line(s) rejected" in text
+    assert "[   done]" not in text  # --quiet still hides per-job progress
 
 
 def test_cli_submit_json_and_serve_once(tmp_path):

@@ -1,23 +1,69 @@
 """CI gate for the repro.serve job service (make serve-smoke).
 
-Three contracts, checked end to end through the real CLI:
+Five contracts, checked end to end through the real CLI:
 
 1. a small sweep submitted twice is 100% cache hits the second time;
 2. the cached pass is at least 2x faster than the cold pass;
 3. a job killed by the per-job timeout fails alone — the rest of the
-   batch completes and the run exits nonzero without hanging the pool.
+   batch completes and the run exits nonzero without hanging the pool;
+4. a cached submit in a fresh interpreter (``python -m repro``) loads
+   none of ``HIT_PATH_FORBIDDEN`` — contracts 1-3 run inside this warm
+   process and cannot see what a request imports (docs/SERVE.md, "What a
+   submit costs");
+5. a malformed queue line costs ``repro serve`` that line: the jobs around
+   it run, the line is reported, the command exits 1 without a traceback.
 """
 
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 from repro.cli import main  # noqa: E402
+
+#: What a request answered from the result store must never load.
+HIT_PATH_FORBIDDEN = (
+    "numpy", "scipy", "multiprocessing", "repro.sim", "repro.gpu",
+    "repro.backends", "repro.core", "repro.coll", "repro.launcher",
+    "repro.apps.jacobi", "repro.apps.cg")
+
+_PROBE = """
+import json, runpy, sys
+argv, forbidden = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+sys.argv = ["repro"] + argv
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in forbidden if m in sys.modules]
+print("LOADED " + json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def run_fresh(argv):
+    """``python -m repro <argv>`` in a fresh interpreter.
+
+    Returns (exit code, stdout, stderr, the ``HIT_PATH_FORBIDDEN`` modules
+    the command left in ``sys.modules``).
+    """
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps([str(a) for a in argv]),
+         json.dumps(HIT_PATH_FORBIDDEN)],
+        env=env, capture_output=True, text=True, timeout=300)
+    out, marker, tail = proc.stdout.rpartition("LOADED ")
+    if not marker:
+        raise RuntimeError(f"repro {argv} died:\n{proc.stdout}\n{proc.stderr}")
+    report = json.loads(tail)
+    return report["code"] or 0, out, proc.stderr, report["loaded"]
 
 
 def run(argv):
@@ -74,6 +120,27 @@ def main_smoke() -> int:
     total, executed, hits, failed = summary_counts(text)
     check(code == 0 and hits == 8 and failed == 0,
           "pool healthy after the kill (sweep still 100% hits)")
+
+    print("serve-smoke: a cached submit in a fresh interpreter")
+    code, text, _, loaded = run_fresh(sweep + ["--json", os.path.join(store, "docs.json")])
+    total, executed, hits, failed = summary_counts(text)
+    check(code == 0 and hits == total == 8 and executed == 0,
+          "fresh-interpreter pass 100% cache hits")
+    check(not loaded, f"hit path loaded nothing it must not (found: {loaded})")
+
+    print("serve-smoke: one malformed queue line between two jobs")
+    queue = os.path.join(store, "q.jsonl")
+    with open(queue, "w") as fh:
+        fh.write('{"app":"jacobi","ranks":2,"size":32,"iters":3}\n'
+                 "not json\n"
+                 '{"app":"jacobi","backend":"gpuccl","ranks":2,"size":32,"iters":3}\n')
+    code, text, err, _ = run_fresh(["serve", "--store", store, "--queue", queue,
+                                    "--once", "--quiet"])
+    total, executed, hits, failed = summary_counts(text)
+    check(total == executed == 2 and failed == 0, "both well-formed jobs ran")
+    check("[rejected] queue line 2" in text and "1 queue line(s) rejected" in text,
+          "the bad line is reported with its line number, even under --quiet")
+    check(code == 1 and "Traceback" not in err, "exit 1, no traceback")
 
     print("serve-smoke PASSED")
     return 0
