@@ -13,11 +13,11 @@ loc:
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 
-# Byte-identity digest of 71 pinned runs (tools/run_digest.py): one line
+# Byte-identity digest of 85 pinned runs (tools/run_digest.py): one line
 # per run with the sha256 of its Chrome trace and of its RunReport document
-# (plus the host-side scheduler counters, and on sanitized runs the
-# sanitizer's bookkeeping counts, as unhashed `sched=`/`san=` fields);
-# ~15 s. `digest-check` compares the trace=/report= hashes with the
+# (plus the host-side scheduler counters and OS-thread count, and on
+# sanitized runs the sanitizer's bookkeeping counts, as unhashed
+# `sched=`/`san=` fields); ~15 s. `digest-check` compares the trace=/report= hashes with the
 # committed tools/digest.golden and exits 1 on any difference: a change
 # that preserves behaviour passes it untouched, one that means to change
 # behaviour regenerates the golden (`make digest | sed 's/ sched=.*//' >
@@ -29,7 +29,8 @@ digest-check:
 	@$(PYTHON) tools/run_digest.py --check tools/digest.golden
 
 # Fast CI gate for the simulation core: the deterministic fast-path
-# invariants, then the smoke-scale wall-clock run checked against the
+# invariants (scheduler traffic, and OS threads started per device-mode
+# task), then the smoke-scale wall-clock run checked against the
 # committed BENCH_wallclock.json baseline (>30% events/sec drop fails).
 perf-smoke:
 	$(PYTHON) -m pytest -x -q -m perf

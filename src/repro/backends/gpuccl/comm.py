@@ -20,7 +20,8 @@ from ...coll import GpucclModel, Topology, model_for
 from ...errors import GpucclError
 from ...gpu.stream import ExternalOp, Stream
 from ...launcher import RankContext
-from ...obs import size_class
+from ...obs import SeriesBy, size_class
+from ...sim import current_engine
 from ..common import BufferLike, InFlight, as_array
 from ..rendezvous import RendezvousBoard
 
@@ -77,10 +78,7 @@ class _FusedOp(ExternalOp):
 
     def _launch(self, _op: ExternalOp) -> None:
         profile = self.comm.profile
-        metrics = self.engine.metrics
-        if metrics.enabled:
-            metrics.observe("gpuccl_group_size", len(self.entries),
-                            rank=self.comm.rank)
+        self.comm._group_size.observe(len(self.entries))
         delay = profile.comm_launch_overhead + profile.per_op_overhead * len(self.entries)
 
         def register() -> None:
@@ -121,6 +119,10 @@ class _CommShared:
         self._queues: Dict[Tuple[int, int], Tuple[List[_P2PEntry], List[_P2PEntry]]] = {}
         self.coll_slots: Dict[int, object] = {}
         self._ring: Optional[GpucclModel] = None
+        metrics = engine.metrics
+        self._messages = SeriesBy(metrics.bind_counter, "gpuccl_messages_total",
+                                   "size", "rank")
+        self._bytes = SeriesBy(metrics.bind_counter, "gpuccl_bytes_total", "rank")
 
     @property
     def ring(self) -> GpucclModel:
@@ -153,11 +155,9 @@ class _CommShared:
         requested = self.engine.now + self.profile.protocol_overhead
         flight = InFlight(self.engine, "gpuccl")
         transfer = flight.wire(path.reserve(requested, send.nbytes), requested)
-        metrics = self.engine.metrics
-        if metrics.enabled:
-            metrics.inc("gpuccl_messages_total", size=size_class(send.nbytes),
-                        rank=send.src)
-            metrics.inc("gpuccl_bytes_total", send.nbytes, rank=send.src)
+        if self.engine.metrics.enabled:
+            self._messages[size_class(send.nbytes), send.src].inc()
+            self._bytes[send.src].inc(send.nbytes)
         san = self.engine.sanitizer
         if san is not None:
             # The match runs in whichever side registered last; order it
@@ -198,10 +198,7 @@ _active_groups: Dict[object, _Group] = {}
 
 
 def _current_task():
-    from ...sim import current_engine
-
-    engine = current_engine()
-    return engine.current_task
+    return current_engine().current_task
 
 
 def group_start() -> None:
@@ -264,6 +261,8 @@ class GpucclComm:
         self.shared.global_ranks[rank] = rank_ctx.rank
         self._coll_seq = 0
         self._destroyed = False
+        self._group_size = self.engine.metrics.bind_histogram(
+            "gpuccl_group_size", rank=rank)
         # Bootstrap: all ranks must arrive before any communication.
         self.shared.board.gather("init", rank, nranks)
         self.engine.sleep(self.profile.bootstrap_overhead)

@@ -24,10 +24,12 @@ from ...errors import GpushmemError
 from ...gpu.kernel import DeviceCtx, KernelSpec
 from ...gpu.stream import ExternalOp, Stream
 from ...launcher import Job, RankContext
+from ...obs import SeriesBy
 from ...sim import Counter, wait_until
 from ..common import BufferLike
 from ..rendezvous import RendezvousBoard
 from .collectives import ShmemTeam
+from .device_api import ShmemDevice
 from .heap import CMP, SIGNAL_SET, SymBuffer, SymObject
 from .transfers import issue_get, issue_put
 
@@ -50,6 +52,11 @@ class ShmemWorld:
         self.board = RendezvousBoard(job.engine)
         self.contexts: Dict[int, "ShmemContext"] = {}
         self.allocations: List[SymObject] = []
+        # Traffic series (fed by transfers.issue_put / issue_get).
+        bind = self.engine.metrics.bind_counter
+        self.puts = SeriesBy(bind, "shmem_puts_total", "size", "rank")
+        self.gets = SeriesBy(bind, "shmem_gets_total", "size", "rank")
+        self.bytes_moved = SeriesBy(bind, "shmem_bytes_total", "op", "rank")
 
     def gpu_of(self, pe: int) -> int:
         """The GPU id a PE drives."""
@@ -81,6 +88,9 @@ class ShmemContext:
         self.world.contexts[self.my_pe] = self
         self._alloc_index = 0
         self._outstanding = Counter(self.engine, name=f"quiet[{self.my_pe}]")
+        bind = self.engine.metrics.bind_counter
+        self._host_waits = bind("shmem_signal_waits_total", kind="host", rank=self.my_pe)
+        self._stream_waits = bind("shmem_signal_waits_total", kind="stream", rank=self.my_pe)
         self.world.board.gather("shmem_init", self.my_pe, self.n_pes)
         self.team_world = ShmemTeam(self.world, list(range(self.n_pes)), self.my_pe, "world")
 
@@ -190,7 +200,7 @@ class ShmemContext:
         injection — raises :class:`~repro.errors.SimTimeoutError` instead of
         hanging the simulation.
         """
-        self.engine.metrics.inc("shmem_signal_waits_total", kind="host", rank=self.my_pe)
+        self._host_waits.inc()
         wait_until(sig.obj.updated[sig.my_pe], _signal_predicate(sig, cmp, value),
                    timeout=timeout,
                    what=f"signal_wait_until(sym{sig.obj.index} {cmp} {value}) on PE {self.my_pe}")
@@ -256,7 +266,7 @@ class ShmemContext:
     def signal_wait_until_on_stream(self, sig: SymBuffer, cmp: str, value: int,
                                     stream: Stream) -> None:
         """Block the *stream* until the local signal satisfies the compare."""
-        self.engine.metrics.inc("shmem_signal_waits_total", kind="stream", rank=self.my_pe)
+        self._stream_waits.inc()
         pred = _signal_predicate(sig, cmp, value)
 
         def on_start(op: ExternalOp) -> None:
@@ -334,8 +344,6 @@ class ShmemContext:
         """
         if not kernel.uses_device_comm:
             raise GpushmemError("collective_launch requires a @device_kernel")
-        from .device_api import ShmemDevice
-
         inner = kernel.fn
         shmem_ctx = self
 

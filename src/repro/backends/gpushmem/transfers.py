@@ -84,10 +84,9 @@ def issue_put(
     effective = int(np.ceil(nbytes / bandwidth_penalty))
     requested = engine.now + extra_latency
     transfer = flight.wire(path.reserve(requested, effective), requested)
-    metrics = engine.metrics
-    if metrics.enabled:
-        metrics.inc("shmem_puts_total", size=size_class(nbytes), rank=src_pe)
-        metrics.inc("shmem_bytes_total", nbytes, op="put", rank=src_pe)
+    if engine.metrics.enabled:
+        world.puts[size_class(nbytes), src_pe].inc()
+        world.bytes_moved["put", src_pe].inc(nbytes)
 
     if on_local_done is not None:
         engine.schedule(max(0.0, transfer.inject_done - engine.now), on_local_done)
@@ -175,10 +174,9 @@ def issue_get(
     effective = int(np.ceil(nbytes / bandwidth_penalty))
     requested = engine.now + extra_latency
     transfer = flight.wire(path.reserve(requested, effective), requested)
-    metrics = engine.metrics
-    if metrics.enabled:
-        metrics.inc("shmem_gets_total", size=size_class(nbytes), rank=src_pe)
-        metrics.inc("shmem_bytes_total", nbytes, op="get", rank=src_pe)
+    if engine.metrics.enabled:
+        world.gets[size_class(nbytes), src_pe].inc()
+        world.bytes_moved["get", src_pe].inc(nbytes)
 
     def deliver() -> None:
         if not flight.dropped():  # fenced (see issue_put): drop the data, retire the op

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...errors import MpiError, MpiTimeoutError
 from ...hardware.profiles import MpiProfile
-from ...obs import size_class
+from ...obs import SeriesBy, size_class
 from ..common import BufferLike, InFlight, as_array
 from .request import Request
 
@@ -196,6 +196,13 @@ class MessageEngine:
         # (comm_id, dst_local) -> pending records, in arrival order.
         self._sends: Dict[Tuple[int, int], List[_SendRec]] = {}
         self._recvs: Dict[Tuple[int, int], List[_RecvRec]] = {}
+        metrics = engine.metrics
+        self._messages = SeriesBy(metrics.bind_counter, "mpi_messages_total",
+                                   "protocol", "size", "rank")
+        self._bytes = SeriesBy(metrics.bind_counter, "mpi_bytes_total",
+                                "protocol", "rank")
+        self._depth = SeriesBy(metrics.bind_gauge, "mpi_match_queue_depth",
+                                "queue", "rank")
         engine.time_shift_hooks.append(self._shift_time)
 
     def _shift_time(self, span: float) -> None:
@@ -281,9 +288,8 @@ class MessageEngine:
                 rec = _SendRec(src, tag, count, nbytes, "rdv", path, buf)
             rec.request = request
             if metrics.enabled:
-                metrics.inc("mpi_messages_total", protocol=rec.kind,
-                            size=size_class(nbytes), rank=src)
-                metrics.inc("mpi_bytes_total", nbytes, protocol=rec.kind, rank=src)
+                self._messages[rec.kind, size_class(nbytes), src].inc()
+                self._bytes[rec.kind, src].inc(nbytes)
             self.engine.trace("mpi.send", src=src, dst=dst, tag=tag, nbytes=nbytes,
                               protocol=rec.kind, comm=comm.comm_id)
             sends, recvs = self._queues(comm.comm_id, dst)
@@ -300,8 +306,7 @@ class MessageEngine:
             # Depth of the unexpected-message queue at this receiver; the
             # high-water mark surfaces receives posted chronically late.
             if metrics.enabled:
-                metrics.set_gauge("mpi_match_queue_depth", len(sends),
-                                  queue="unexpected", rank=dst)
+                self._depth["unexpected", dst].set(len(sends))
 
         self.engine.after_busy(register, overhead)
         return request
@@ -342,10 +347,8 @@ class MessageEngine:
                     self._fire(comm, profile, send, rec, dst)
                     return
             recvs.append(rec)
-            metrics = self.engine.metrics
-            if metrics.enabled:
-                metrics.set_gauge("mpi_match_queue_depth", len(recvs),
-                                  queue="posted", rank=dst)
+            if self.engine.metrics.enabled:
+                self._depth["posted", dst].set(len(recvs))
 
         self.engine.after_busy(register, overhead)
         return request

@@ -76,11 +76,16 @@ class Communicator:
             ("uniconn_comm_flags", self._mpi_comm.comm_id), dict
         )
         self._res_seq = 0  # agree/shrink round counter (lockstep by contract)
-        self.engine.metrics.inc(
+        metrics = self.engine.metrics
+        metrics.inc(
             "communicator_init_total",
             backend=self.backend.name,
             rank=env.world_rank(),
             kind=_kind or ("split" if _parts is not None else "world"),
+        )
+        self._barrier_calls = metrics.bind_counter(
+            "uniconn_calls_total", op="barrier", backend=self.backend.name,
+            rank=self.global_rank(),
         )
 
     # ------------------------------------------------------------------ #
@@ -112,12 +117,7 @@ class Communicator:
         given), so split sub-communicators synchronize only their members.
         """
         self._check_revoked()
-        self.engine.metrics.inc(
-            "uniconn_calls_total",
-            op="barrier",
-            backend=self.backend.name,
-            rank=self.global_rank(),
-        )
+        self._barrier_calls.inc()
         with self._span("barrier", "sync"):
             self.engine.sleep(self.env.costs.dispatch)
             if self.backend is MPIBackend:

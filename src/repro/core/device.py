@@ -50,7 +50,9 @@ class UniconnDevice:
             ) from None
 
     def _charge(self) -> None:
-        self.engine.sleep(self._costs.device_dispatch)
+        # Debt, like the host-side charges: the native call that follows
+        # sleeps or settles first, so it starts where this charge ends.
+        self.engine.defer_busy(self._costs.device_dispatch)
 
     @staticmethod
     def _world_pe(comm: DeviceComm, peer: int) -> int:

@@ -111,6 +111,14 @@ class ExternalOp(StreamOp):
             if cap is not None:
                 cap.effect(("xop", self.name), action)
             action()
+        san = self.engine.sanitizer
+        if san is not None and self.stream is not None:
+            # The finisher may be a context that never ran on this stream (a
+            # remote notifier's callback ending a signal wait): order it —
+            # and through `done` whoever synchronizes on this op — after the
+            # stream's earlier ops. (Timed and task ops complete in their
+            # own context, which acquired the stream when they started.)
+            san.acquire(self.stream)
         self._complete()
 
 

@@ -17,24 +17,34 @@ The subsystem has three layers (docs/OBSERVABILITY.md):
   CLI frontend.
 
 This package intentionally imports nothing from the rest of ``repro`` so
-the simulation engine can depend on it without cycles.
+the simulation engine can depend on it without cycles. The analysis layer
+(``analyze``, ``schema``) loads on first use: the registry and the span
+helpers are what every run — and a cached ``repro submit`` — needs.
 """
 
-from .analyze import (
-    ObsReport,
-    PathSegment,
-    RankBreakdown,
-    analyze_records,
-    format_report,
-)
-from .metrics import SIZE_CLASSES, MetricsRegistry, record_transfer, size_class
-from .schema import SCHEMA_NAME, SCHEMA_VERSION, validate_report
+from importlib import import_module
+
+from .metrics import (SIZE_CLASSES, MetricsRegistry, SeriesBy, record_transfer,
+                      size_class)
 from .spans import begin_span, end_span, span, spans_enabled
+
+#: Analysis name -> the submodule that defines it (resolved on first use).
+_LAZY = {
+    "ObsReport": "analyze",
+    "PathSegment": "analyze",
+    "RankBreakdown": "analyze",
+    "analyze_records": "analyze",
+    "format_report": "analyze",
+    "SCHEMA_NAME": "schema",
+    "SCHEMA_VERSION": "schema",
+    "validate_report": "schema",
+}
 
 __all__ = [
     "MetricsRegistry",
     "SIZE_CLASSES",
     "record_transfer",
+    "SeriesBy",
     "size_class",
     "span",
     "begin_span",
@@ -49,3 +59,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "validate_report",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve an analysis name on first use (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value

@@ -14,7 +14,13 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
-__all__ = ["expand_matrix", "parse_sweep", "sweep_specs"]
+__all__ = ["MAX_SWEEP_POINTS", "expand_matrix", "parse_sweep", "sweep_specs"]
+
+#: Largest cross product one sweep may ask for. Every grid in the repo has
+#: tens to hundreds of points; a queue line with three 1000-value axes
+#: would otherwise make the service build 10^9 specs. A constant, not an
+#: option: a bigger study is several sweeps.
+MAX_SWEEP_POINTS = 10_000
 
 
 def expand_matrix(axes: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -22,19 +28,26 @@ def expand_matrix(axes: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
 
     The first axis varies slowest (outermost loop), matching the nested
     ``for`` loops it replaces; each result dict preserves the axes' key
-    order. Scalar axis values are treated as one-element lists.
+    order. Scalar axis values are treated as one-element lists. A product
+    of more than :data:`MAX_SWEEP_POINTS` points is a ``ValueError``, raised
+    from the axis lengths alone — before anything is built.
     """
     if not axes:
         return [{}]
     names = list(axes)
     columns = []
+    points = 1
     for name in names:
         values = axes[name]
         if isinstance(values, (str, bytes)) or not isinstance(values, (list, tuple, range)):
             values = [values]
         if len(values) == 0:
             raise ValueError(f"sweep axis {name!r} has no values")
-        columns.append(list(values))
+        columns.append(values)
+        points *= len(values)
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep asks for {points} points; the limit is "
+                         f"{MAX_SWEEP_POINTS} per sweep")
     return [dict(zip(names, combo)) for combo in product(*columns)]
 
 

@@ -295,7 +295,7 @@ class CaptureRegion:
         self.history.append(_Mark(
             i, rt._abs, m, rt._order, rt.n_enq, rt.n_comp, rt.n_spawn,
             dict(eng._name_seqs),
-            dict(metrics._counters) if metrics.enabled else {},
+            metrics.counter_values() if metrics.enabled else {},
             {k: (h.count, h.sum, dict(h.buckets))
              for k, h in metrics._histograms.items()} if metrics.enabled else {},
         ))
@@ -717,8 +717,9 @@ def _apply_metric_deltas(metrics, m1: _Mark, m2: _Mark, K: int) -> None:
     for key, v2 in m2.counters.items():
         delta = v2 - m1.counters.get(key, 0)
         if delta:
+            counter = counters[key]
             for _ in range(K):
-                counters[key] = counters.get(key, 0) + delta
+                counter.value += delta
     hists = metrics._histograms
     for key, (c2, s2, b2) in m2.hists.items():
         c1, s1, b1 = m1.hists.get(key, (0, 0.0, {}))

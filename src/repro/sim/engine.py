@@ -1,8 +1,11 @@
 """Deterministic discrete-event simulation engine.
 
-Simulated processes ("tasks") are real Python threads scheduled
+Simulated processes ("tasks") run on real Python threads scheduled
 *cooperatively*: exactly one task runs at any moment, and control is handed
-off explicitly through per-task handoff channels. Virtual time only
+off explicitly through per-thread handoff channels. A thread whose task has
+finished parks on its engine and carries the next task spawned, so a
+device-mode kernel launch costs a task, not a thread; ``Engine.run``
+releases and joins every thread before it returns. Virtual time only
 advances when every task is blocked, at which point the earliest pending
 timer fires. Because the ready queue is FIFO and timers are
 sequence-numbered, a given program produces the exact same interleaving and
@@ -76,7 +79,8 @@ class EngineStats:
       plus host charges kept as debt instead of slept (``defer_busy``),
       minus the timers that only carry such a debt's effects — so the
       count does not depend on the scheduler mode;
-    - ``tasks_spawned``: simulated processes created;
+    - ``tasks_spawned``: simulated processes created (OS threads are
+      recycled between them, so fewer are started);
     - ``wakeups``: ``make_ready`` transitions (how many times a task was
       moved to the ready queue — the thundering-herd indicator).
     """
@@ -142,10 +146,41 @@ class _LockChannel:
         self._lock.release()
 
 
-class Task:
-    """One simulated process, backed by a real (cooperatively run) thread."""
+class _Carrier:
+    """One OS thread of an engine: it runs a task to its end, parks on the
+    engine, and runs the next task :meth:`Engine.spawn` gives it — a
+    simulated process costs a thread only while no parked one is free.
 
-    def __init__(self, engine: "Engine", fn: Callable[[], Any], name: str):
+    The handoff channel belongs to the carrier (its current task borrows it
+    as ``task._sem``): a parked carrier waits on it for its next task's
+    first scheduling, or for :meth:`Engine.run` to let it go.
+    """
+
+    __slots__ = ("engine", "channel", "task", "thread")
+
+    def __init__(self, engine: "Engine"):
+        self.engine = engine
+        self.channel = _LockChannel() if engine.fast_path else threading.Semaphore(0)
+        self.task: Optional["Task"] = None
+        self.thread = threading.Thread(target=self._main, daemon=True)
+        self.thread.start()
+
+    def _main(self) -> None:
+        _thread_local.engine = self.engine
+        while True:
+            self.channel.acquire()  # the task's first scheduling, or the release
+            task = self.task
+            if task is None:
+                return
+            self.thread.name = task.name
+            task._main()
+
+
+class Task:
+    """One simulated process, run cooperatively on a carrier thread."""
+
+    def __init__(self, engine: "Engine", fn: Callable[[], Any], name: str,
+                 carrier: _Carrier):
         self.engine = engine
         self.fn = fn
         self.name = name
@@ -159,17 +194,17 @@ class Task:
         # Busy-time debt (see Engine.defer_busy): the virtual time this
         # task's host is committed through but has not yet slept off.
         self.busy_until: float = 0.0
-        self._sem = _LockChannel() if engine.fast_path else threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
-        self._ident: Optional[int] = None
+        # The carrier's channel and thread id, copied: block() and
+        # _require_current() read them on every handoff.
+        self._carrier = carrier
+        self._sem = carrier.channel
+        self._ident = carrier.thread.ident
         self._finish_waiters: List["Task"] = []
+        carrier.task = self
 
     # ------------------------------------------------------------------ #
 
     def _main(self) -> None:
-        _thread_local.engine = self.engine
-        self._ident = threading.get_ident()
-        self._sem.acquire()  # wait to be scheduled for the first time
         try:
             if self.poisoned:
                 raise SimAborted(self.name)
@@ -209,6 +244,7 @@ class Engine:
         self._seq = 0
         self._ready: deque = deque()
         self._tasks: set = set()
+        self._parked: List[_Carrier] = []  # carriers whose task has finished
         self._current: Optional[Task] = None
         self._done_sem = threading.Semaphore(0)
         self._failure: Optional[BaseException] = None
@@ -277,14 +313,14 @@ class Engine:
         if self._finished:
             raise EngineStateError("engine already finished")
         self.settle()
-        task = Task(self, fn, name)
+        parked = self._parked
+        task = Task(self, fn, name, parked.pop() if parked else _Carrier(self))
         if self.sanitizer is not None:
             self.sanitizer.on_spawn(task)
         if self.capture is not None:
             self.capture.n_spawn += 1
         self._tasks.add(task)
         self.stats.tasks_spawned += 1
-        task._thread.start()
         task.make_ready()
         return task
 
@@ -313,6 +349,14 @@ class Engine:
             self._done_sem.acquire()
         self._finished = True
         self._running = False
+        # Every task has finished, so every carrier is parked: let them go,
+        # whatever the outcome — no thread outlives the run. (All released,
+        # then all joined: they exit back to back, not one handoff each.)
+        parked, self._parked = self._parked, []
+        for carrier in parked:
+            carrier.channel.release()
+        for carrier in parked:
+            carrier.thread.join()
         if self._failure is not None:
             raise self._failure
 
@@ -547,6 +591,10 @@ class Engine:
         for waiter in task._finish_waiters:
             waiter.make_ready()
         task._finish_waiters.clear()
+        # Park before the handoff: past it this thread owns nothing but
+        # its own channel.
+        task._carrier.task = None
+        self._parked.append(task._carrier)
         self._dispatch_next()
 
     def _dispatch_next(self) -> None:

@@ -5,14 +5,28 @@ exchange routine written against the Uniconn API runs unchanged over MPI,
 GPUCCL, and GPUSHMEM (and, for the device modes, inside GPU kernels).
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro import Coordinator, IN_PLACE, LaunchMode, Memory, ThreadGroup
+from repro import Coordinator, IN_PLACE, LaunchMode, Memory, ThreadGroup, launch
+from repro.config import configured
 from repro.errors import UniconnError
 from repro.gpu import device_kernel, kernel
 from repro.hardware import KernelCost
+from repro.sim import Tracer
 from tests.core.conftest import ALL_BACKENDS, uniconn_run
+
+# The "coordinator surface" program `make digest` pins: every public
+# Coordinator method once, per-step payloads returned.
+_spec = importlib.util.spec_from_file_location(
+    "run_digest", Path(__file__).resolve().parents[2] / "tools" / "run_digest.py")
+run_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_digest)
+
+OBS_LEVELS = ["off", "metrics", "spans"]
 
 
 def ring_exchange_once(env, comm, coord, iteration=1):
@@ -370,3 +384,184 @@ def test_thread_group_granularities_all_work():
         results = uniconn_run(2, "gpushmem", body_of(group), launch_mode="PureDevice")
         assert results[0] == [6.0, 6.0]
         assert results[1] == [5.0, 5.0]
+
+
+# --------------------------------------------------------------------- #
+# The whole surface: one implementation per backend, one behaviour.
+# --------------------------------------------------------------------- #
+
+#: uniconn_calls_total per rank of the surface program (17 steps on 4 ranks).
+SURFACE_CALLS = {
+    "all_reduce": 2, "reduce": 2, "broadcast": 1, "all_gather": 1, "reduce_scatter": 2,
+    "all_gather_v": 2, "gather_v": 2, "scatter_v": 2, "all_to_all": 1,
+    "comm_start": 1, "comm_end": 1, "barrier": 2 * 17,
+}
+ROOTED = {"reduce", "broadcast", "gather_v", "scatter_v"}
+
+
+def _surface(backend, obs, rma=False):
+    tracer = Tracer()
+    with configured(mpi_rma=rma):
+        report = launch(run_digest.surface(backend), 4, obs=obs, tracer=tracer)
+    return report, tracer
+
+
+@pytest.fixture(scope="module")
+def surface_reference():
+    return _surface("mpi", "metrics")[0]
+
+
+@pytest.mark.parametrize("obs", OBS_LEVELS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS + ["mpi-rma"])
+def test_surface_payloads_counts_and_spans(backend, obs, surface_reference):
+    rma = backend == "mpi-rma"
+    name = "mpi" if rma else backend
+    report, tracer = _surface(name, obs, rma=rma)
+    for rank, steps in enumerate(report):
+        assert len(steps) == 17
+        for step, (got, want) in enumerate(zip(steps, surface_reference[rank])):
+            assert np.array_equal(got, want), f"{backend} rank {rank} step {step}"
+
+    m = report.metrics
+    if obs == "off":
+        assert m.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+    else:
+        for op, per_rank in SURFACE_CALLS.items():
+            for rank in range(4):
+                assert m.counter("uniconn_calls_total", op=op, backend=name,
+                                 rank=rank) == per_rank, (op, rank)
+        # The ring: everyone; the ungrouped pair: evens post, odds acknowledge.
+        assert [m.counter("uniconn_calls_total", op="post", backend=name, rank=r)
+                for r in range(4)] == [2, 1, 2, 1]
+        assert [m.counter("uniconn_calls_total", op="acknowledge", backend=name, rank=r)
+                for r in range(4)] == [1, 2, 1, 2]
+        assert m.counter_total("uniconn_calls_total") == 4 * sum(SURFACE_CALLS.values()) + 12
+
+    spans = [r for r in tracer.records if r.kind in ("span.begin", "span.end")]
+    if obs != "spans":
+        assert spans == []
+        return
+    stacks = {rank: [] for rank in range(4)}
+    seen = set()
+    for record in spans:
+        f = record.fields
+        assert f["backend"] == name and f["gpu"] == f["rank"]
+        stack = stacks[f["rank"]]
+        if record.kind == "span.begin":
+            stack.append(f["name"])
+            continue
+        assert stack.pop() == f["name"]  # begin/end nest per rank
+        seen.add(f["name"])
+        if f["name"] in ("post", "acknowledge"):
+            assert f["cat"] == "comm" and f["nbytes"] == 16
+            assert abs(f["peer"] - f["rank"]) in (1, 3)
+        elif f["name"] in SURFACE_CALLS and f["name"] not in ("comm_start", "comm_end", "barrier"):
+            assert f["cat"] == "comm" and f["nbytes"] > 0
+            assert ("root" in f) == (f["name"] in ROOTED)
+    assert all(stack == [] for stack in stacks.values())
+    assert seen >= (set(SURFACE_CALLS) - {"comm_start", "comm_end"}) | {
+        "post", "acknowledge", "comm_group"}
+    assert ("stream.sync" in seen) == (name == "mpi")
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_surface_is_race_free_under_the_sanitizer(backend):
+    """Each step ends in synchronize + barrier; on GPUSHMEM the stream's last
+    op is then a signal wait finished by the remote notifier."""
+    report = launch(run_digest.surface(backend), 4, sanitize="race")
+    assert report.races == [], "\n".join(str(r) for r in report.races)
+
+
+@device_kernel(name="push_right")
+def _push_right(ctx, send, recv, sig, comm_d):
+    """Device half of a ring exchange: payload only when ``sig`` is None
+    (PartialDevice), the whole exchange otherwise (PureDevice)."""
+    u, right, left = ctx.uniconn, (comm_d.rank + 1) % comm_d.size, (comm_d.rank - 1) % comm_d.size
+    u.post(send, recv, 4, sig, 1, right, comm_d, group=ThreadGroup.BLOCK)
+    if sig is not None:
+        u.acknowledge(recv, 4, sig, 1, left, comm_d)
+
+
+@pytest.mark.parametrize("obs", OBS_LEVELS)
+@pytest.mark.parametrize("mode", ["PartialDevice", "PureDevice"])
+def test_device_modes_launch_count_and_bracket(mode, obs):
+    def body(env, comm, coord):
+        p, me = comm.global_size(), comm.global_rank()
+        send, recv = Memory.alloc(env, 4), Memory.alloc(env, 4)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
+        send.write(np.full(4, float(me + 1), np.float32))
+        comm.barrier(stream=coord.stream)
+        coord.bind_kernel(mode, _push_right, 2, 128, args=(
+            send, recv, sig if mode == "PureDevice" else None, comm.to_device()))
+        coord.launch_kernel()
+        coord.comm_start()
+        coord.post(send, recv, 4, sig, 1, (me + 1) % p, comm)
+        coord.acknowledge(recv, 4, sig, 1, (me - 1) % p, comm)
+        coord.comm_end()
+        coord.stream.synchronize()
+        return recv.read().tolist()
+
+    tracer = Tracer()
+    report = uniconn_run(4, "gpushmem", body, launch_mode=mode, obs=obs, tracer=tracer)
+    assert list(report) == [[float((me - 1) % 4 + 1)] * 4 for me in range(4)]
+    m = report.metrics
+    for op in ("launch_kernel", "comm_start", "post", "acknowledge", "comm_end"):
+        assert m.counter_total("uniconn_calls_total", op=op) == (0 if obs == "off" else 4)
+    # PureDevice's host Post/Acknowledge move nothing: every put is the kernel's.
+    assert m.counter_total("shmem_puts_total") == (0 if obs == "off" else 4 * (2 - (mode == "PureDevice")))
+    names = [r.fields["name"] for r in tracer.records if r.kind == "span.begin"]
+    if obs == "spans":
+        assert names.count("launch:push_right") == names.count("post") == 4
+    else:
+        assert names == []
+
+
+def test_wrong_buffers_and_modes_keep_their_messages():
+    def shmem_body(env, comm, coord):
+        plain = np.zeros(8, np.float32)
+        sym, sig = Memory.alloc(env, 8), Memory.alloc(env, 1, dtype=np.uint64)
+        for what, call in {
+            "post": lambda: coord.post(sym, plain, 4, sig, 1, 0, comm),
+            "all_gather_v": lambda: coord.all_gather_v(sym, 1, plain, [1, 1], [0, 1], comm),
+            "gather_v": lambda: coord.gather_v(sym, 1, plain, [1, 1], [0, 1], 0, comm),
+            "scatter_v": lambda: coord.scatter_v(sym, [1, 1], [0, 1], plain, 1, 0, comm),
+        }.items():
+            with pytest.raises(UniconnError, match=f"^{what} over GPUSHMEM needs a symmetric "
+                                                   r"destination buffer \(allocate it with"):
+                call()
+        return True
+
+    assert all(uniconn_run(2, "gpushmem", shmem_body))
+    assert all(uniconn_run(2, "gpushmem", shmem_body, launch_mode="PartialDevice"))
+
+    def rma_body(env, comm, coord):
+        plain, sig = env.device.malloc(4), Memory.alloc(env, 1, dtype=np.uint64)
+        with pytest.raises(UniconnError, match="^post over one-sided MPI needs window-backed"):
+            coord.post(plain, plain, 4, sig, 1, 0, comm)
+        with pytest.raises(UniconnError, match="^acknowledge over one-sided MPI needs"):
+            coord.acknowledge(plain, 4, sig, 1, 0, comm)
+        return coord.uses_signals
+
+    with configured(mpi_rma=True):
+        assert all(uniconn_run(2, "mpi", rma_body))
+
+    for backend in ("mpi", "gpuccl"):
+        with pytest.raises(UniconnError, match=r"launch mode PartialDevice requires a device-API "
+                                               rf"backend \(GPUSHMEM\); got {backend}"):
+            uniconn_run(1, backend, lambda env, comm, coord: None, launch_mode="PartialDevice")
+
+
+def test_one_class_per_backend_and_mode_all_coordinators():
+    seen = {}
+
+    def body(env, comm, coord):
+        seen[(env.backend.name, coord.launch_mode.name, env.engine.obs_spans)] = type(coord)
+        assert isinstance(coord, Coordinator)
+        return coord.uses_signals
+
+    for backend, mode in [("mpi", None), ("gpuccl", None), ("gpushmem", "PureHost"),
+                          ("gpushmem", "PartialDevice"), ("gpushmem", "PureDevice")]:
+        for obs in ("metrics", "spans"):
+            signals = uniconn_run(1, backend, body, launch_mode=mode, obs=obs)
+            assert list(signals) == [backend == "gpushmem"]
+    assert len(set(seen.values())) == len(seen) == 10

@@ -6,11 +6,14 @@ MPI's dissemination barrier moves zero-byte messages and GPUCCL's barrier
 is a zero-payload allreduce, so neither perturbs the payload totals.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Communicator, Coordinator, Environment, Memory, launch
-from repro.obs import MetricsRegistry, size_class
+from repro.obs import MetricsRegistry, SeriesBy, size_class
 
 COUNT = 256  # float32 elements -> 1024 B per message, size class <=4KiB
 ITERS = 5
@@ -111,3 +114,108 @@ def test_registry_primitives():
     d = m.as_dict()
     assert d["counters"]["x{a=1}"] == 5
     assert d["gauges"]["g{q=d}"] == {"last": 3, "max": 7}
+
+
+# --------------------------------------------------------------------- #
+# Bound series vs the keyword spelling: one storage, one dump.
+# --------------------------------------------------------------------- #
+
+_UPDATE = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+_KEYWORD = {"counter": "inc", "gauge": "set_gauge", "histogram": "observe"}
+
+_labels = st.fixed_dictionaries({}, optional={
+    "rank": st.integers(0, 2),
+    "backend": st.sampled_from(["mpi", "gpuccl"]),
+    "size": st.sampled_from(["<=256B", ">1MiB"]),
+})
+_value = (st.integers(-3, 1 << 40) | st.sampled_from([0, 0.0, 1, 1e-7, 2.5])
+          | st.floats(-1e6, 1e15, allow_nan=False))
+_update = st.tuples(st.sampled_from(sorted(_UPDATE)), st.sampled_from(["a_total", "b", "c_seconds"]),
+                    _labels, _value, st.booleans())
+
+
+def _replay(updates, idle=(), enabled=True):
+    """``updates`` through the keyword spelling alone, and again with the
+    ones flagged ``bound`` going through (reused) handles, next to handles
+    bound for ``idle`` series that are never updated."""
+    plain, mixed = MetricsRegistry(enabled), MetricsRegistry(enabled)
+    handles = {}
+    for kind, name, labels in idle:
+        getattr(mixed, f"bind_{kind}")(name, **labels)
+    for kind, name, labels, value, bound in updates:
+        getattr(plain, _KEYWORD[kind])(name, value, **labels)
+        if bound:
+            key = (kind, name, tuple(sorted(labels.items())))
+            if key not in handles:
+                handles[key] = getattr(mixed, f"bind_{kind}")(name, **labels)
+            getattr(handles[key], _UPDATE[kind])(value)
+        else:
+            getattr(mixed, _KEYWORD[kind])(name, value, **labels)
+    return plain, mixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_update, max_size=30),
+       st.lists(st.tuples(st.sampled_from(sorted(_UPDATE)), st.just("idle"), _labels), max_size=3))
+def test_bound_handles_and_keywords_share_one_storage(updates, idle):
+    plain, mixed = _replay(updates, idle)
+    dump = plain.as_dict()
+    assert mixed.as_dict() == dump
+    assert json.dumps(mixed.as_dict()) == json.dumps(dump)  # 1 vs 1.0 matters
+    assert not any("idle" in series for section in dump.values() for series in section)
+    assert MetricsRegistry.from_dict(dump).as_dict() == dump
+
+    plain, mixed = _replay(updates, idle, enabled=False)
+    assert plain.as_dict() == mixed.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+def test_series_appear_with_their_first_update_not_their_binding():
+    m = MetricsRegistry()
+    bound = m.bind_counter("x", rank=0)
+    gauge = m.bind_gauge("g")
+    hist = m.bind_histogram("h")
+    assert m.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert m.counter("x", rank=0) == 0 and m.gauge("g") == 0 and m.histogram("h") == {}
+    bound.inc(0.0)  # a zero is an update: the series exists from here on
+    m.inc("y", 0)
+    assert m.as_dict()["counters"] == {"x{rank=0}": 0.0, "y": 0}
+    assert m.bind_counter("x", rank=0) is bound
+    m.inc("x", 2, rank=0)
+    gauge.set(4)
+    gauge.set(1)
+    hist.observe(3.0)
+    assert m.counter("x", rank=0) == bound.value == 2.0
+    assert m.as_dict()["gauges"] == {"g": {"last": 1, "max": 4}}
+    assert m.histogram("h")["buckets"] == {"10": 1}
+    by_rank = SeriesBy(m.bind_counter, "z", "rank", backend="mpi")
+    by_rank[1].inc(5)
+    assert by_rank[1] is m.bind_counter("z", backend="mpi", rank=1)
+    assert m.counter("z", rank=1, backend="mpi") == 5
+    by_two = SeriesBy(m.bind_gauge, "q", "queue", "rank")
+    by_two["posted", 2].set(3)
+    assert m.gauge("q", rank=2, queue="posted") == 3 and list(by_two) == [("posted", 2)]
+
+
+def _decade_reference(value: float) -> str:
+    """The bucket rule as it was first written: multiply up from 1e-9."""
+    if value <= 0:
+        return "0"
+    edge = 1e-9
+    while edge < value and edge < 1e12:
+        edge *= 10.0
+    return f"{edge:g}"
+
+
+def test_histogram_buckets_are_the_decades_they_always_were():
+    powers = [10.0 ** k for k in range(-12, 14)]
+    values = [0, 0.0, -1.0, -1e-30, float("inf")]
+    for p in powers:
+        values += [p, p * (1 - 1e-15), p * (1 + 1e-15), 3.3 * p, float(f"1e{round(np.log10(p))}")]
+    edge = 1e-9
+    for _ in range(24):  # the edges themselves, rounding included
+        values += [edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf)]
+        edge *= 10.0
+    for value in values:
+        m = MetricsRegistry()
+        m.observe("h", value)
+        assert list(m.histogram("h")["buckets"]) == [_decade_reference(value)], value

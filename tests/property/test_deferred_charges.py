@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Communicator, Coordinator, Environment, Memory, launch
 from repro.core import IN_PLACE
-from repro.gpu import kernel
+from repro.gpu import device_kernel, kernel
 from repro.hardware import KernelCost
 from repro.sim import Tracer, to_chrome_trace
 
@@ -25,7 +25,24 @@ def _bump(ctx, buf, by):
     buf.data[:] += by
 
 
-def _program(backend, nranks, steps, omit=None):
+@device_kernel()
+def _bump_or_send(ctx, buf, by, send):
+    """The device modes' one kernel: a ``launch`` step's bump, or (``send``
+    set by the exchange step that launches it) the device half of an
+    exchange — the payload put alone when it carries no signal
+    (PartialDevice), the acknowledge too when it does (PureDevice)."""
+    ctx.compute(KernelCost(bytes_moved=4096.0))
+    if send is None:
+        buf.data[:] += by
+        return
+    recv, sig, to, frm, comm_d = send
+    if to is not None:
+        ctx.uniconn.post(buf, recv, COUNT, sig, 1, to, comm_d)
+    if sig is not None and frm is not None:
+        ctx.uniconn.acknowledge(recv, COUNT, sig, 1, frm, comm_d)
+
+
+def _program(backend, nranks, steps, omit=None, mode="PureHost"):
     """One rank's body for ``steps``; every rank runs the same list.
 
     Each exchange step owns its send/recv/signal slots, so the program is
@@ -33,7 +50,9 @@ def _program(backend, nranks, steps, omit=None):
     launched before it (they bump the buffer the next exchange sends).
     ``omit`` seeds a bug (``test_sanitize_reference.py``): the
     ``acknowledge`` or ``synchronize`` of step ``omit`` is left out
-    (``len(steps)``: the closing ``synchronize``).
+    (``len(steps)``: the closing ``synchronize``). In a device ``mode``
+    (GPUSHMEM) every exchange first launches its device half; the host
+    calls that follow are the same, and mean what that mode makes of them.
     """
     n_x = sum(1 for s in steps if s[0] == "exchange")
 
@@ -42,7 +61,7 @@ def _program(backend, nranks, steps, omit=None):
         env.set_device(env.node_rank())
         comm = Communicator(env)
         stream = env.device.create_stream()
-        coord = Coordinator(env, stream=stream)
+        coord = Coordinator(env, stream=stream, launch_mode=mode)
         me, engine = comm.global_rank(), env.engine
         work = Memory.alloc(env, COUNT)
         recvs = [Memory.alloc(env, COUNT) for _ in range(n_x)]
@@ -50,6 +69,18 @@ def _program(backend, nranks, steps, omit=None):
                if coord.uses_signals else None)
         work.write(np.full(COUNT, float(me + 1), np.float32))
         coord.bind_kernel("PureHost", _bump, 1, 32, args=lambda: (work, float(me + 1)))
+        send = [None]  # what the next device launch sends, if anything
+        if mode != "PureHost":
+            comm_d = comm.to_device()
+            coord.bind_kernel(mode, _bump_or_send, 1, 32,
+                              args=lambda: (work, float(me + 1), send[0]))
+
+        def device_half(recv, s, to, frm):
+            if mode != "PureHost":
+                send[0] = (recv, s if mode == "PureDevice" else None, to, frm, comm_d)
+                coord.launch_kernel()
+                send[0] = None
+
         comm.barrier(stream=stream)
         t0, clock, x = engine.now, [], 0
         for i, step in enumerate(steps):
@@ -58,6 +89,7 @@ def _program(backend, nranks, steps, omit=None):
                 s = sig.offset_by(x, 1) if sig is not None else None
                 if grouped:  # a ring: everyone posts `shift` ahead
                     to, frm = (me + shift) % nranks, (me - shift) % nranks
+                    device_half(recvs[x], s, to, frm)
                     coord.comm_start()
                     coord.post(work, recvs[x], COUNT, s, 1, to, comm, tag=x)
                     if i != omit:
@@ -65,6 +97,7 @@ def _program(backend, nranks, steps, omit=None):
                     coord.comm_end()
                 elif (me ^ 1) < nranks:  # ungrouped: pairs, lower rank posts first
                     peer = me ^ 1
+                    device_half(recvs[x], s, peer, peer)
                     for op in ("post", "ack") if me < peer else ("ack", "post"):
                         if op == "post":
                             coord.post(work, recvs[x], COUNT, s, 1, peer, comm, tag=x)
@@ -101,23 +134,26 @@ STEP = st.one_of(
 )
 
 
-def _run(fast, backend, nranks, steps):
+def _run(fast, variant, nranks, steps):
+    backend, _, mode = variant.partition(":")
     tracer = Tracer()
     with mock.patch.dict(os.environ, {"REPRO_SIM_FASTPATH": "1" if fast else "0"}):
-        report = launch(_program(backend, nranks, steps), nranks, tracer=tracer)
+        report = launch(_program(backend, nranks, steps, mode=mode or "PureHost"),
+                        nranks, tracer=tracer)
     trace = json.dumps({"traceEvents": to_chrome_trace(tracer)}, sort_keys=True)
     return trace, report.to_dict()["results"], report.stats
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    backend=st.sampled_from(["mpi", "gpuccl", "gpushmem"]),
+    variant=st.sampled_from(["mpi", "gpuccl", "gpushmem", "gpushmem:PartialDevice",
+                             "gpushmem:PureDevice"]),
     nranks=st.integers(2, 5),
     steps=st.lists(STEP, min_size=1, max_size=10),
 )
-def test_deferred_charges_match_the_eager_reference(backend, nranks, steps):
-    deferred = _run(True, backend, nranks, steps)
-    reference = _run(False, backend, nranks, steps)
+def test_deferred_charges_match_the_eager_reference(variant, nranks, steps):
+    deferred = _run(True, variant, nranks, steps)
+    reference = _run(False, variant, nranks, steps)
     assert deferred[0] == reference[0]  # trace
     assert deferred[1] == reference[1]  # clock reads, end time, payload digests
     # Same timeline, and deferral never costs a handoff (a charge followed

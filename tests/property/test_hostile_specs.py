@@ -4,6 +4,7 @@ anything else, so ``repro serve`` can reject it and keep draining. No
 simulation runs here."""
 
 import json
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -104,3 +105,20 @@ def test_queue_line_yields_specs_or_is_a_value_error(line):
     except ValueError:
         return
     _check(specs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=101, max_value=3000), min_size=2, max_size=3))
+def test_an_oversized_sweep_is_rejected_before_it_allocates(lengths):
+    """Every axis alone is fine, their product is over 10 000 (up to
+    2.7e10 points): one ValueError, in the time it takes to multiply."""
+    axes = dict(zip(("seed", "iters", "size"), (list(range(1, n + 1)) for n in lengths)))
+    line = json.dumps({"sweep": axes, "defaults": {"app": "jacobi", "ranks": 2}})
+    t0 = time.perf_counter()
+    try:
+        parse_queue_line(line)
+    except ValueError as exc:
+        assert "points" in str(exc)
+    else:
+        raise AssertionError("oversized sweep accepted")
+    assert time.perf_counter() - t0 < 0.05

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serve import expand_matrix, parse_sweep
+from repro.serve.matrix import MAX_SWEEP_POINTS
 
 
 def test_cross_product_order_first_axis_outermost():
@@ -19,6 +20,17 @@ def test_scalars_wrap_and_empty_axis_rejected():
     assert expand_matrix({}) == [{}]
     with pytest.raises(ValueError):
         expand_matrix({"a": []})
+
+
+def test_cross_product_is_bounded_before_it_is_built():
+    """10^9 points are refused from the axis lengths alone (ranges are not
+    even walked); the limit itself, and the repo's own grids, are fine."""
+    huge = {"seed": range(1000), "iters": range(1, 1001), "size": range(8, 1008)}
+    with pytest.raises(ValueError, match=rf"1000000000 points.*limit is {MAX_SWEEP_POINTS}"):
+        expand_matrix(huge)
+    with pytest.raises(ValueError, match="points"):
+        expand_matrix({"a": range(MAX_SWEEP_POINTS), "b": [0, 1]})
+    assert len(expand_matrix({"a": range(MAX_SWEEP_POINTS), "b": "x"})) == MAX_SWEEP_POINTS
 
 
 def test_parse_sweep_coercion():

@@ -125,6 +125,8 @@ BAD_LINES = [
     '{"sweep": [1], "defaults": {}}',
     '{"sweep": {"size": [16]}, "defaults": 3}',
     '{"sweep": {"size": []}}',
+    json.dumps({"sweep": {"seed": list(range(1000)), "iters": list(range(1, 1001)),
+                          "size": list(range(8, 1008))}}),  # 10^9 points
 ]
 
 
@@ -218,6 +220,8 @@ def test_cli_submit_sweep_twice_then_jobs_table(tmp_path):
     (["--sweep", "size=32.9"], "size must be an integer"),
     (["--sweep", "workers=4"], "unknown JobSpec field"),
     (["--coll", "ring/0"], "channel count"),
+    (["--sweep", "seed=" + ",".join(map(str, range(200))),
+      "iters=" + ",".join(map(str, range(1, 201)))], "40000 points; the limit is 10000"),
 ])
 def test_cli_submit_bad_spec_is_one_line_and_exit_2(tmp_path, capsys, argv, needle):
     code, text = run_cli(["submit", "--store", str(tmp_path / "store"), *argv])

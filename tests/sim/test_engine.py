@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event engine and cooperative scheduler."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.errors import DeadlockError, EngineStateError
+from repro.errors import DeadlockError, EngineStateError, SimTimeoutError
 from repro.sim import Engine, current_engine, run_spmd
 
 
@@ -266,3 +269,150 @@ def test_many_tasks_scale():
         eng.spawn(mk(i), name=f"t{i}")
     eng.run()
     assert done == list(range(100))
+
+
+# --------------------------------------------------------------------- #
+# Task threads: recycled per engine, gone when run() returns.
+# --------------------------------------------------------------------- #
+
+
+def _jacobi(variant, ranks=4, iters=5, **options):
+    from repro.apps import jacobi
+
+    cfg = jacobi.JacobiConfig(nx=32, ny=34, iters=iters, warmup=1)
+    return jacobi.launch_variant(variant, cfg, ranks, **options)
+
+
+def _raising_rank():
+    from repro.launcher import launch
+
+    def body(ctx):
+        ctx.engine.sleep(1e-6 * (ctx.rank + 1))
+        if ctx.rank == 2:
+            raise ValueError("rank 2 gives up")
+        ctx.engine.sleep(1.0)
+
+    with pytest.raises(ValueError, match="rank 2 gives up"):
+        launch(body, 4)
+
+
+def _deadlock():
+    from repro.launcher import launch
+
+    with pytest.raises(DeadlockError):
+        launch(lambda ctx: ctx.engine.block("never woken"), 4)
+
+
+def _watchdog_timeout():
+    from repro.launcher import launch
+
+    def body(ctx):
+        if ctx.rank:
+            ctx.engine.block("never woken")
+
+    with pytest.raises(SimTimeoutError):
+        launch(body, 4, fault_plan="watchdog,timeout=1e-3")
+
+
+def _elastic_run_that_loses_a_rank():
+    report = _jacobi("elastic:gpushmem", iters=16,
+                     fault_plan="crash,rank=1,at=1e-4;watchdog,timeout=5e-3", fault_seed=5)
+    assert len([r for r in report if r is not None]) == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _jacobi("uniconn:gpushmem:PureDevice"), _raising_rank, _deadlock,
+    _watchdog_timeout, _elastic_run_that_loses_a_rank,
+], ids=["clean", "rank-raises", "deadlock", "watchdog", "elastic-crash"])
+def test_no_thread_outlives_a_launch(run):
+    before = threading.active_count()
+    run()
+    assert threading.active_count() == before
+
+
+@pytest.mark.perf
+def test_device_kernel_tasks_run_on_recycled_threads(monkeypatch):
+    """8 ranks x 6 PureDevice launches are 8 x 7 tasks; a kernel's thread
+    is free again when the next-but-one launch needs one."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread), start(thread))[1])
+    report = _jacobi("uniconn:gpushmem:PureDevice", ranks=8)
+    assert report.stats["tasks_spawned"] == 8 * 7
+    assert len(started) <= 2 * 8 + 1
+
+
+def test_a_recycled_thread_runs_under_its_current_tasks_name():
+    eng = Engine()
+    seen = []
+
+    def body():
+        seen.append((threading.current_thread().name, threading.get_ident()))
+        if len(seen) == 3:
+            raise RuntimeError(f"boom in {threading.current_thread().name}")
+
+    def driver():
+        for name in ("first", "second", "third"):
+            eng.join(eng.spawn(body, name=name))
+
+    eng.spawn(driver, name="driver")
+    with pytest.raises(RuntimeError, match="boom in third"):
+        eng.run()
+    assert [name for name, _ in seen] == ["first", "second", "third"]
+    assert len({ident for _, ident in seen}) == 1
+    assert eng.stats.tasks_spawned == 4
+
+
+def test_blocking_call_from_a_foreign_thread_is_rejected():
+    eng = Engine()
+    errors = []
+
+    def foreign():
+        try:
+            eng.sleep(1.0)
+        except EngineStateError as exc:
+            errors.append(exc)
+
+    def body():
+        thread = threading.Thread(target=foreign)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        eng.sleep(1.0)
+
+    eng.spawn(body)
+    eng.run()
+    assert len(errors) == 1 and "outside a simulated task" in str(errors[0])
+    assert eng.now == 1.0
+
+
+def test_spawn_and_finish_churn_under_a_short_switch_interval():
+    """Parking and taking threads is only ever done by whoever holds the
+    run token; with the interpreter switching threads every few bytecodes,
+    a carrier handed over too early would run a task twice or never."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        eng = Engine()
+        ran = []
+
+        def child(tag):
+            eng.sleep(1e-3)
+            ran.append(tag)
+
+        def parent(rank):
+            for wave in range(20):
+                kids = [eng.spawn(lambda t=(rank, wave, k): child(t)) for k in range(3)]
+                for kid in kids:
+                    eng.join(kid)
+
+        before = threading.active_count()
+        for rank in range(8):
+            eng.spawn(lambda r=rank: parent(r), name=f"rank{rank}")
+        eng.run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == [(r, w, k) for r in range(8) for w in range(20) for k in range(3)]
+    assert eng.stats.tasks_spawned == 8 + 8 * 20 * 3
+    assert threading.active_count() == before

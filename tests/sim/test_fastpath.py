@@ -46,15 +46,16 @@ def _traced_run(monkeypatch, variant: str, fast: bool, fault_plan=None,
 def _fast_and_reference(monkeypatch, run):
     """``run(tracer) -> RunReport`` under both schedulers: for each, the
     trace, the virtual clock, every rank's result with array payloads as
-    digests (``RunReport.to_dict``) and the timeline-event count — what
-    must not differ — plus the stats, which may."""
+    digests (``RunReport.to_dict``), the timeline-event count and the
+    task count — what must not differ — plus the stats, which may."""
     out = []
     for fast in (True, False):
         monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fast else "0")
         tracer = Tracer()
         report = run(tracer)
         same = (_trace_json(tracer), report.stats["virtual_time"],
-                report.to_dict()["results"], report.stats["timers_fired"])
+                report.to_dict()["results"], report.stats["timers_fired"],
+                report.stats["tasks_spawned"])
         out.append((same, report.stats))
     return out
 

@@ -194,6 +194,32 @@ def test_signal_wait_fixes_the_race():
     assert report[1] == 7.0
 
 
+def test_sync_after_an_externally_completed_stream_op_orders_the_host():
+    """A stream that ends in a signal wait is completed by the *remote*
+    notifier's callback, a context that never ran on the stream; a
+    ``synchronize()`` on it must still order the host after the stream's
+    earlier kernel."""
+
+    def body(ctx):
+        ctx.set_device(ctx.node_rank)
+        shmem = ShmemContext(ctx)
+        stream = ctx.device.create_stream()
+        work = shmem.malloc(32, np.float32)
+        halo = shmem.malloc(32, np.float32)
+        sig = shmem.malloc(1, np.uint64)
+        right = (ctx.rank + 1) % ctx.world_size
+        shmem.barrier_all()
+        ctx.device.launch(k_fill, dim3(1), dim3(32), args=(work,), stream=stream)
+        shmem.put_signal_on_stream(halo, work, 32, sig, 1, right, stream)
+        shmem.signal_wait_until_on_stream(sig, "ge", 1, stream)
+        stream.synchronize()
+        return float(work.read()[0] + halo.read()[0])
+
+    report = launch(body, 8, sanitize="race")
+    assert report.races == [], _ops(report)
+    assert report == [2.0] * 8
+
+
 def test_collective_overlapping_async_kernel_is_a_race():
     """A collective snapshots its send buffer while a kernel still owns it."""
 

@@ -104,7 +104,6 @@ def _ring(backend, clean_iters, seeded=True):
             coord.comm_end()
             if buggy:
                 halo.read()  # BUG (stream-ordered backends): no synchronize
-        comm.barrier(stream=stream)
         stream.synchronize()
         out = work.read().copy()
         env.close()

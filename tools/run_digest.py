@@ -13,14 +13,17 @@ the wall-clock ``replay_host_seconds``, the scheduler counters (``SCHED``)
 that virtual time never depends on, and the race sanitizer's own
 bookkeeping counts (``stats["sanitizer"]``) that its findings never depend
 on — an improvement to either moves those without changing behaviour.
-They print as trailing ``sched=switches/inline_resumes/timers_fired/wakeups``
-and (sanitized runs) ``san=ids/clock_ops/clock_entries_visited/clock_peak/
-compactions`` fields that the golden and the combined hash ignore.
+They print as trailing ``sched=switches/inline_resumes/timers_fired/wakeups/
+os_threads`` (the last counted here, around the run: the OS threads the
+engine started for its ``tasks_spawned`` tasks) and (sanitized runs)
+``san=ids/clock_ops/clock_entries_visited/clock_peak/compactions`` fields
+that the golden and the combined hash ignore.
 """
 
 import hashlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,8 @@ WIDE = jacobi.JacobiConfig(nx=4096, ny=34, iters=24, warmup=1)
 SMALL = jacobi.JacobiConfig(nx=32, ny=34, iters=16, warmup=2)
 CG = cg.CgConfig(n=512, nnz_per_row=9, iters=12, seed=3)
 CG_WIDE = cg.CgConfig(n=4096, nnz_per_row=9, iters=6, seed=3)
+SPANS_JACOBI = ("uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem",
+                "uniconn:gpushmem:PartialDevice", "uniconn:gpushmem:PureDevice")
 OSU = OsuConfig(sizes=(8, 1024, 65536, 1 << 20), iters_small=6, warmup_small=1,
                 iters_large=3, warmup_large=1, window=8, repeats=1)
 
@@ -97,6 +102,80 @@ def _dead_link(backend):
 
     return lambda tracer: launch(body, 4, tracer=tracer, coll="ring",
                                  fault_plan=DEAD_LINK)
+
+
+def surface(backend):
+    """Rank body calling every public Coordinator method once: each
+    collective in its plain, IN_PLACE and vectorised forms, one grouped
+    ring and one ungrouped pairwise post/acknowledge. Returns the payload
+    every step left behind (the same on every backend;
+    tests/core/test_coordinator.py runs this too)."""
+    from repro import Communicator, Coordinator, Environment
+    from repro.core import IN_PLACE, Memory
+
+    def body(ctx):
+        env = Environment(ctx, backend=backend)
+        env.set_device(env.node_rank())
+        comm = Communicator(env)
+        coord = Coordinator(env, stream=env.device.create_stream())
+        p, me = comm.global_size(), comm.global_rank()
+        n = 4
+        a, b = Memory.alloc(env, n * p), Memory.alloc(env, n * p)
+        sig = Memory.alloc(env, 2, dtype=np.uint64) if coord.uses_signals else None
+        counts = [1 + r % 3 for r in range(p)]
+        displs = [sum(counts[:r]) for r in range(p)]
+        seen = []
+
+        def step(call, *args, keep=b):
+            a.write(np.arange(n * p, dtype=np.float32) + 100.0 * (me + 1))
+            comm.barrier(stream=coord.stream)
+            call(*args, comm)
+            coord.stream.synchronize()
+            comm.barrier(stream=coord.stream)
+            seen.append(keep.read().copy())
+
+        step(coord.all_reduce, a, b, n, "sum")
+        step(coord.all_reduce, IN_PLACE, b, n, "max")
+        step(coord.reduce, a, b, n, "sum", 1)
+        step(coord.reduce, IN_PLACE, b, n, "min", 0)
+        step(coord.broadcast, b, n, p - 1)
+        step(coord.all_gather, a, b, n)
+        step(coord.reduce_scatter, b, a, n, "sum", keep=a)
+        step(coord.reduce_scatter, IN_PLACE, b, n // p or 1, "sum")
+        step(coord.all_gather_v, a, counts[me], b, counts, displs)
+        step(coord.all_gather_v, b.offset_by(displs[me], counts[me]), counts[me],
+             b, counts, displs)
+        step(coord.gather, a, b, n, 0)
+        step(coord.gather_v, IN_PLACE, counts[me], b, counts, displs, p - 1)
+        step(coord.scatter, b, a, n, 0, keep=a)
+        step(coord.scatter_v, b, counts, displs, a, counts[me], 1, keep=a)
+        step(coord.all_to_all, a, b, n)
+
+        def ring(_comm):
+            coord.comm_start()
+            coord.post(a, b, n, sig, 1, (me + 1) % p, comm)
+            coord.acknowledge(b, n, sig, 1, (me - 1) % p, comm)
+            coord.comm_end()
+
+        def pairs(_comm):
+            # Ungrouped: GPUCCL sends occupy the stream until matched, so
+            # the exchange is one-directional inside disjoint pairs.
+            slot = sig.offset_by(1, 1) if sig is not None else None
+            if me % 2 == 0 and me + 1 < p:
+                coord.post(a, b, n, slot, 1, me + 1, comm, tag=3)
+            elif me % 2:
+                coord.acknowledge(b, n, slot, 1, me - 1, comm, tag=3)
+
+        step(ring)
+        step(pairs)
+        env.close()
+        return seen
+
+    return body
+
+
+def _surface(backend, **options):
+    return lambda tracer: launch(surface(backend), 4, tracer=tracer, **options)
 
 
 def matrix():
@@ -145,18 +224,45 @@ def matrix():
         yield (f"fault/crash/cg/elastic:{backend}",
                _cg(f"elastic:{backend}", CG, 4, fault_plan=CRASH, fault_seed=5))
         yield f"fault/dead-link/all_reduce/uniconn:{backend}", _dead_link(backend)
+    # The Coordinator under span tracing, and its whole public surface.
+    for variant in SPANS_JACOBI:
+        yield f"spans/jacobi8/{variant}", _jacobi(variant, SMALL, 8, obs="spans")
+    for backend in BACKENDS:
+        yield (f"spans/cg8/uniconn:{backend}",
+               _cg(f"uniconn:{backend}", CG, 8, obs="spans"))
+    for backend in BACKENDS:
+        for obs in ("metrics", "spans"):
+            yield f"surface4/uniconn:{backend}/obs={obs}", _surface(backend, obs=obs)
 
 
 def _sha(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _os_threads_during(run, tracer):
+    """``run(tracer)`` and how many OS threads were started meanwhile."""
+    started = 0
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        nonlocal started
+        started += 1
+        start(thread)
+
+    threading.Thread.start = counting_start
+    try:
+        return run(tracer), started
+    finally:
+        threading.Thread.start = start
+
+
 def digest(run):
     tracer = Tracer()
-    report = run(tracer)
+    report, os_threads = _os_threads_during(run, tracer)
     doc = report.to_dict()
     doc["stats"].get("capture", {}).pop("replay_host_seconds", None)
-    unhashed = "sched=" + "/".join(str(doc["stats"].pop(k)) for k in SCHED[:-1])
+    unhashed = "sched=" + "/".join(
+        [str(doc["stats"].pop(k)) for k in SCHED[:-1]] + [str(os_threads)])
     doc["stats"].pop("events")  # the sum of three of the above
     san = doc["stats"].pop("sanitizer", None)
     if san is not None:

@@ -33,7 +33,7 @@ from repro.cli import main  # noqa: E402
 HIT_PATH_FORBIDDEN = (
     "numpy", "scipy", "multiprocessing", "repro.sim", "repro.gpu",
     "repro.backends", "repro.core", "repro.coll", "repro.launcher",
-    "repro.apps.jacobi", "repro.apps.cg")
+    "repro.apps.jacobi", "repro.apps.cg", "repro.obs.analyze", "repro.obs.schema")
 
 _PROBE = """
 import json, runpy, sys
