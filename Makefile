@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc digest digest-check perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc digest digest-check leak-check perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -27,6 +27,17 @@ digest:
 
 digest-check:
 	@$(PYTHON) tools/run_digest.py --check tools/digest.golden
+
+# A finished launch() frees by reference count (docs/MODEL.md section 7,
+# "Memory: who frees what"): 40 sixteen-rank launches under gc.disable()
+# must not grow RSS by 5 MB after the fifth, and every pinned variant
+# (tools/gc_census.py CHECK_VARIANTS, plus the four failure paths) must
+# leave the collector < 100 objects, the same at 4 and 12 iterations, none
+# of them a buffer, array, schedule, task or engine; ~15 s. On a violation
+# it prints the census (types, knots with their edges) and exits 1;
+# `python tools/gc_census.py <variant> [--iters A,B]` examines one variant.
+leak-check:
+	@$(PYTHON) tools/gc_census.py --check
 
 # Fast CI gate for the simulation core: the deterministic fast-path
 # invariants (scheduler traffic, and OS threads started per device-mode

@@ -85,7 +85,7 @@ def unpack_compute_pack(state: JacobiState) -> None:
     """
     part = state.part
     if (state.a.device.engine.sanitizer is not None
-            or state.a._root.freed or state.anew._root.freed):
+            or state.a.root.freed or state.anew.root.freed):
         return _unpack_compute_pack_checked(state)
     nx, chunk = part.nx, part.chunk
     v = state.views.get(state.a)

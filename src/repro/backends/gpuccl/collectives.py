@@ -53,6 +53,9 @@ def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[Bu
         slot = shared.coll_slots[seq] = FusedCollective(
             comm.engine, "gpuccl", comm.size, shared.ring.duration,
             kind, count, op, root, algorithm)
+        # Every member has looked the slot up by the time it completes:
+        # it leaves the table then, snapshots and finishers with it.
+        slot.finishers.append(lambda: shared.coll_slots.pop(seq))
     rank = comm.rank
 
     def on_start(op_handle: ExternalOp) -> None:

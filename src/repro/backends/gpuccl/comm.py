@@ -52,7 +52,7 @@ def get_unique_id() -> GpucclUniqueId:
 
 
 class _P2PEntry:
-    __slots__ = ("kind", "buf", "count", "nbytes", "src", "dst", "parent")
+    __slots__ = ("kind", "buf", "count", "nbytes", "src", "dst", "parent", "_san_clock")
 
     def __init__(self, kind: str, buf: BufferLike, count: int, src: int, dst: int):
         self.kind = kind
@@ -69,21 +69,24 @@ class _FusedOp(ExternalOp):
 
     def __init__(self, comm: "GpucclComm", stream: Stream, entries: List[_P2PEntry]):
         name = f"gpuccl-p2p[r{comm.rank} x{len(entries)}]"
-        super().__init__(comm.engine, name, on_start=self._launch)
+        super().__init__(comm.engine, name, on_start=None)
         self.comm = comm
         self.entries = entries
         self._remaining = len(entries)
-        for e in entries:
-            e.parent = self
 
-    def _launch(self, _op: ExternalOp) -> None:
+    def start(self) -> None:
+        self.started = True
         profile = self.comm.profile
         self.comm._group_size.observe(len(self.entries))
         delay = profile.comm_launch_overhead + profile.per_op_overhead * len(self.entries)
 
         def register() -> None:
+            # The entries change hands: from here the match queues own
+            # them and they name this op, not the other way round.
             shared = self.comm.shared
-            for entry in self.entries:
+            entries, self.entries = self.entries, ()
+            for entry in entries:
+                entry.parent = self
                 shared.register(entry)
 
         self.engine.schedule(delay, register)
@@ -132,6 +135,16 @@ class _CommShared:
             gpus = [self.gpu_ids[r] for r in range(self.nranks)]
             self._ring = model_for("gpuccl", Topology(self.cluster, gpus))
         return self._ring
+
+    def close(self) -> None:
+        """Untie the finished job's communicator state (``Job.close``):
+        unmatched entries, collective slots, the bootstrap rendezvous and
+        the ring model's topology."""
+        self._queues.clear()
+        self.coll_slots.clear()
+        self.board.close()
+        if self._ring is not None:
+            self._ring.topo.close()
 
     def register(self, entry: _P2PEntry) -> None:
         san = self.engine.sanitizer

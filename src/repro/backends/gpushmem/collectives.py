@@ -47,10 +47,12 @@ class ShmemTeam:
         generated schedules (``model.topo``; see repro.coll.cost)."""
         if self._model is None:
             world = self.world
-            self._model = world.board.once(
-                ("team_model", self.team_key),
-                lambda: model_for("gpushmem", Topology(
-                    world.cluster, [world.gpu_of(pe) for pe in self.members])))
+            # The board holds the topology (and closes it with the world);
+            # the model is the one model_for keeps on it.
+            self._model = model_for("gpushmem", world.board.once(
+                ("team_topo", self.team_key),
+                lambda: Topology(world.cluster,
+                                 [world.gpu_of(pe) for pe in self.members])))
         return self._model
 
     def translate(self, team_pe: int) -> int:
@@ -75,8 +77,11 @@ class ShmemTeam:
                                    self.model.duration, kind, count, op, root,
                                    algorithm)
             done = SimEvent(self.world.engine, name=f"shmem-{kind}")
-            slot.finishers.append(done.set)
-            entry = self._shared[self._seq] = (slot, done)
+            # Every member has looked the slot up by the time it completes:
+            # it leaves the table then, snapshots and finishers with it.
+            shared, seq = self._shared, self._seq
+            slot.finishers += [lambda: shared.pop(seq), done.set]
+            entry = shared[seq] = (slot, done)
         else:
             bad = entry[0].mismatch(kind, count, op, root, algorithm)
             if bad is not None:

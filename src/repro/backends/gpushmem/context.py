@@ -58,6 +58,13 @@ class ShmemWorld:
         self.gets = SeriesBy(bind, "shmem_gets_total", "size", "rank")
         self.bytes_moved = SeriesBy(bind, "shmem_bytes_total", "op", "rank")
 
+    def close(self) -> None:
+        """Untie the finished job's GPUSHMEM state (``Job.close``): world
+        <-> contexts (and through them the teams), and the rendezvous
+        board with the symmetric heap and the teams' topologies."""
+        self.contexts.clear()
+        self.board.close()
+
     def gpu_of(self, pe: int) -> int:
         """The GPU id a PE drives."""
         ctx = self.contexts.get(pe)

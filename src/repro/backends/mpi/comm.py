@@ -40,6 +40,16 @@ class MpiWorld:
         gpn = self.job.cluster.gpus_per_node
         return self.job.node_of_rank(global_rank) * gpn + self.job.node_rank_of(global_rank)
 
+    def close(self) -> None:
+        """Untie the finished job's MPI state (``Job.close``): world <->
+        contexts <-> COMM_WORLD, the matcher and its rank lookup, and what
+        the bootstrap rendezvous and unmatched messages still hold."""
+        for ctx in self.contexts.values():
+            ctx.comm_world = None
+        self.contexts.clear()
+        self.board.close()
+        self.matcher = None
+
     def alloc_comm_ids(self, key: Any, n: int) -> int:
         """Deterministically reserve ``n`` consecutive communicator ids."""
 

@@ -17,7 +17,7 @@ class Request:
     from ``wait()`` in the task that owns the request.
     """
 
-    __slots__ = ("engine", "name", "_event", "_error")
+    __slots__ = ("engine", "name", "_event", "_error", "_san_clock")
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine

@@ -54,6 +54,16 @@ class RendezvousBoard:
         wait_until(slot.bcast, lambda: len(slot.payloads) >= size)
         return slot.payloads
 
+    def close(self) -> None:
+        """Drop every slot, with the payloads and results it holds; a
+        result that owns a knot of its own (a Topology and its models) is
+        closed first. Called by the owning world's ``close()``."""
+        for slot in self._slots.values():
+            close = getattr(slot.result, "close", None)
+            if close is not None:
+                close()
+        self._slots.clear()
+
     def once(self, key: Hashable, factory) -> Any:
         """First caller computes ``factory()``; everyone sees the same value."""
         slot = self._slot(key)

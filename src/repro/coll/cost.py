@@ -119,6 +119,13 @@ class Topology:
             "+".join(str(len(g)) for g in self._groups),
         )
 
+    def close(self) -> None:
+        """Let go of the duration models (each points back here) and of
+        the schedules generated for them; whoever built this topology for
+        a job calls this when the job is over."""
+        self.models.clear()
+        self._schedules.clear()
+
     def groups(self) -> List[List[int]]:
         """Ranks grouped by node, in first-appearance order."""
         return self._groups

@@ -644,25 +644,11 @@ class _Spans:
 
     def __init__(self, env, **options):
         super().__init__(env, **options)
-        self._span_fields = dict(rank=env.world_rank(), gpu=self.stream.device.gpu_id,
+        self._span_fields = dict(rank=env.world_rank(), gpu=self.stream.gpu_id,
                                  backend=self.backend.name)
-        for name, where in _COLLECTIVE_SPANS.items():
-            setattr(self, name, self._bracketed(name, *where))
 
     def _span(self, name: str, cat: str, **fields):
         return span(self.engine, name, cat=cat, **self._span_fields, **fields)
-
-    def _bracketed(self, name: str, buf: int, count: int, root: Optional[int] = None):
-        collective, label = getattr(self, name), name[1:]
-
-        def bracketed(*args) -> None:
-            fields = {"nbytes": _nbytes(args[buf], args[count])}
-            if root is not None:
-                fields["root"] = args[root]
-            with self._span(label, "comm", **fields):
-                collective(*args)
-
-        return bracketed
 
     def launch_kernel(self) -> None:
         b = self._binding
@@ -695,6 +681,26 @@ class _Spans:
     def acknowledge(self, recvbuf, count, sig, sig_val, src, comm, *, tag=0) -> None:
         with self._span("acknowledge", "comm", peer=src, nbytes=_nbytes(recvbuf, count)):
             super().acknowledge(recvbuf, count, sig, sig_val, src, comm, tag=tag)
+
+
+def _bracketed(name: str, buf: int, count: int, root: Optional[int] = None):
+    """The ``_Spans`` method bracketing collective ``name`` (a method of the
+    class, not a closure on the instance: that would tie a knot per
+    coordinator)."""
+    label = name[1:]
+
+    def bracketed(self, *args) -> None:
+        fields = {"nbytes": _nbytes(args[buf], args[count])}
+        if root is not None:
+            fields["root"] = args[root]
+        with self._span(label, "comm", **fields):
+            getattr(super(_Spans, self), name)(*args)
+
+    return bracketed
+
+
+for _name, _where in _COLLECTIVE_SPANS.items():
+    setattr(_Spans, _name, _bracketed(_name, *_where))
 
 
 _GPUSHMEM_MODES = {

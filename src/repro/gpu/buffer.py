@@ -25,17 +25,25 @@ class DeviceBuffer:
                  offset: int = 0):
         self.device = device
         self._array = array
-        self._root = root if root is not None else self
-        self._offset = offset  # element offset of this view within _root
+        # None on the allocation itself: a buffer that pointed at itself
+        # would never be freed by reference count (see :attr:`root`).
+        self._root = root
+        self._offset = offset  # element offset of this view within the root
         self.freed = False
 
     # ------------------------------------------------------------------ #
 
     @property
+    def root(self) -> "DeviceBuffer":
+        """The allocation this buffer is a view of (itself for a root)."""
+        return self if self._root is None else self._root
+
+    @property
     def data(self) -> np.ndarray:
         """The live numpy storage (a view for sliced buffers)."""
         san = self.device.engine.sanitizer
-        if self._root.freed:
+        root = self._root
+        if self.freed if root is None else root.freed:
             if san is not None:
                 san.report_uaf(self)
             raise GpuError("use of freed device buffer")
@@ -52,7 +60,8 @@ class DeviceBuffer:
         through :attr:`data`, which inside kernels records a conservative
         read-write of the whole buffer.
         """
-        if self._root.freed:
+        root = self._root
+        if self.freed if root is None else root.freed:
             san = self.device.engine.sanitizer
             if san is not None:
                 san.report_uaf(self)
@@ -88,7 +97,7 @@ class DeviceBuffer:
         start, _, step = key.indices(self.size)
         if step != 1:
             raise GpuError("device buffer views must be contiguous (step 1)")
-        return DeviceBuffer(self.device, self.raw[key], root=self._root,
+        return DeviceBuffer(self.device, self.raw[key], root=self.root,
                             offset=self._offset + start)
 
     def offset(self, start: int, count: int = None) -> "DeviceBuffer":

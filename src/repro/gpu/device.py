@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class Device:
         injector = getattr(engine, "fault_injector", None)
         if injector is not None:
             self.time_scale = injector.straggler_factor(gpu_id)
-        self.default_stream = Stream(self, name=f"default[{gpu_id}]")
+        self._streams: List[Stream] = []  # every stream of this device, for close()
+        self.default_stream = self.create_stream(f"default[{gpu_id}]")
 
     def kernel_time(self, cost) -> float:
         """Roofline time of a cost on *this* device (straggler-scaled)."""
@@ -88,7 +89,7 @@ class Device:
 
     def free(self, buf: DeviceBuffer) -> None:
         """Release a buffer allocated by :meth:`malloc` (root buffers only)."""
-        if buf._root is not buf:
+        if buf._root is not None:
             raise GpuError("cannot free a buffer view; free the root allocation")
         if buf.freed:
             raise GpuError("double free of device buffer")
@@ -106,7 +107,14 @@ class Device:
 
     def create_stream(self, name: Optional[str] = None) -> Stream:
         """Create a new independent in-order stream on this device."""
-        return Stream(self, name)
+        stream = Stream(self, name)
+        self._streams.append(stream)
+        return stream
+
+    def close(self) -> None:
+        """Close every stream of the finished job (``Job.close``)."""
+        for stream in self._streams:
+            stream.close()
 
     def memcpy_h2d(self, dst: DeviceBuffer, src: np.ndarray, stream: Optional[Stream] = None) -> None:
         """Asynchronous host-to-device copy on a stream."""
@@ -175,11 +183,16 @@ class Device:
             def body() -> Any:
                 self.engine.sleep(self.model.launch_overhead)
                 san = self.engine.sanitizer
-                if san is not None:
-                    with san.kernel_scope(kernel.name):
+                try:
+                    if san is not None:
+                        with san.kernel_scope(kernel.name):
+                            result = kernel.fn(ctx, *args)
+                    else:
                         result = kernel.fn(ctx, *args)
-                else:
-                    result = kernel.fn(ctx, *args)
+                finally:
+                    # The device-API handles attached for this launch point
+                    # back at the context: the body's return unties them.
+                    ctx.attachments.clear()
                 if ctx.pending_cost.bytes_moved or ctx.pending_cost.flops:
                     self.engine.sleep(self.kernel_time(ctx.pending_cost))
                 return result

@@ -50,8 +50,11 @@ class StreamOp:
     def _complete(self) -> None:
         self.completed_at = self.engine.now
         self.done.set()
-        if self.stream is not None:
-            self.stream._advance(self)
+        # A completed op lets go of its stream (which may still name it as
+        # ``_last``): nothing reads ``op.stream`` past this point.
+        stream, self.stream = self.stream, None
+        if stream is not None:
+            stream._advance(self)
 
 
 class TimedOp(StreamOp):
@@ -100,7 +103,10 @@ class ExternalOp(StreamOp):
 
     def start(self) -> None:
         self.started = True
-        self._on_start(self)
+        # Dropped once used: ``on_start`` closes over what it starts, which
+        # as a rule ends up holding this op's ``finish``.
+        on_start, self._on_start = self._on_start, None
+        on_start(self)
 
     def finish(self, action: Optional[Callable[[], None]] = None) -> None:
         """Called by the owning subsystem when the operation completes."""
@@ -142,7 +148,7 @@ class Stream:
     """One in-order execution queue on a device."""
 
     def __init__(self, device: "Device", name: Optional[str] = None):
-        self.device = device
+        self.gpu_id: int = device.gpu_id  # not the device: it owns a stream
         self.engine: Engine = device.engine
         # Engine-scoped numbering: stream names (which appear in traces)
         # must not depend on how many simulations ran earlier in the
@@ -181,7 +187,7 @@ class Stream:
             if cap is not None:
                 cap.n_enq += 1
             self.engine.trace("stream.enqueue", stream=self.name, op=op.name,
-                              gpu=self.device.gpu_id)
+                              gpu=self.gpu_id)
         if self._active is None:
             self._active = op
             self._start(op)
@@ -193,7 +199,7 @@ class Stream:
             op.start()
             return
         self.engine.trace("stream.start", stream=self.name, op=op.name,
-                          gpu=self.device.gpu_id)
+                          gpu=self.gpu_id)
         san = self.engine.sanitizer
         if san is None:
             op.start()
@@ -214,7 +220,7 @@ class Stream:
             if cap is not None:
                 cap.n_comp += 1
             self.engine.trace("stream.complete", stream=self.name, op=finished.name,
-                              gpu=self.device.gpu_id)
+                              gpu=self.gpu_id)
             san = self.engine.sanitizer
             if san is not None:
                 # FIFO chain: each op's completion context (which contains
@@ -248,10 +254,17 @@ class Stream:
             return
         self.engine.settle()  # the caller's own pending enqueues land first
         self.aborted = True
-        self.engine.trace("stream.abort", stream=self.name, gpu=self.device.gpu_id)
+        self.engine.trace("stream.abort", stream=self.name, gpu=self.gpu_id)
         dropped, self._queue = list(self._queue), deque()
         for op in dropped:
             op.done.set()
+
+    def close(self) -> None:
+        """Forget every op (``Device.close``, when the job is over): one
+        that never completed — fenced by a revoke, deadlocked — points
+        back at the stream that still names it."""
+        self._queue.clear()
+        self._active = self._last = None
 
     @property
     def idle(self) -> bool:
@@ -278,4 +291,4 @@ class Stream:
         return self.idle
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Stream {self.name} dev={self.device.gpu_id} pending={self.pending_ops()}>"
+        return f"<Stream {self.name} dev={self.gpu_id} pending={self.pending_ops()}>"

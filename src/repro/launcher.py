@@ -9,6 +9,7 @@ that the backend libraries and Uniconn's ``Environment`` build on.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from .errors import HardwareError
@@ -33,6 +34,8 @@ class Job:
         self.placement = placement
         self._devices: Dict[int, Device] = {}
         self._shared: Dict[Any, Any] = {}
+        #: node index -> ranks placed on it.
+        self.node_sizes = Counter(self.node_of_rank(r) for r in range(n_ranks))
 
     def node_of_rank(self, rank: int) -> int:
         """Node index a rank is placed on under this job's placement."""
@@ -59,6 +62,20 @@ class Job:
         if key not in self._shared:
             self._shared[key] = factory()
         return self._shared[key]
+
+    def close(self) -> None:
+        """Tear the finished job down (``launch`` calls this last): each
+        shared world unties its own knots through its ``close()``, then the
+        job lets go of worlds and devices, so that whatever the caller
+        still holds — the report, a buffer — pins nothing else."""
+        for state in self._shared.values():
+            close = getattr(state, "close", None)
+            if close is not None:
+                close()
+        self._shared.clear()
+        for device in self._devices.values():
+            device.close()
+        self._devices.clear()
 
 
 class RunReport(list):
@@ -189,10 +206,9 @@ class RankContext:
         self.world_size = job.n_ranks
         self.engine = job.engine
         self.cluster = job.cluster
-        gpn = job.cluster.gpus_per_node
         self.node = job.node_of_rank(rank)
         self.node_rank = job.node_rank_of(rank)
-        self.node_size = sum(1 for r in range(job.n_ranks) if job.node_of_rank(r) == self.node)
+        self.node_size = job.node_sizes[self.node]
         self.device: Optional[Device] = None
 
     def set_device(self, local_index: int) -> Device:
@@ -354,7 +370,7 @@ def launch(
         return fn(RankContext(job, rank), *args)
 
     report = RunReport()
-    failure = None
+    failed = False
     try:
         report.extend(run_spmd(n_ranks, body, engine=engine))
         return report
@@ -362,7 +378,7 @@ def launch(
         # Let callers inspect partial observability (including any races
         # found before the failure) when a rank raises.
         exc.run_report = report
-        failure = exc
+        failed = True  # (a flag: holding `exc` here would pin this frame)
         raise
     finally:
         if engine.sanitizer is not None:
@@ -399,8 +415,15 @@ def launch(
             except OSError:
                 # A rank's failure is the error to report; a trace that
                 # could not be written on top of it is not.
-                if failure is None:
+                if not failed:
                     raise
+        # Everything has been read: the finished job frees by reference
+        # count (docs/MODEL.md section 7, "Memory: who frees what").
+        job.close()
+        if cap_rt is not None:
+            cap_rt.close()
+        engine.sanitizer = engine.capture = engine.fault_injector = None
+        engine.trace_hook = engine.coll = None
 
 
 def _make_injector(engine, cluster, fault_plan, fault_seed):

@@ -91,7 +91,9 @@ class ElasticLoop:
             body()
         except RECOVERABLE_ERRORS as exc:
             failed = True
-            self.last_error = exc
+            # Kept for the messages below, without its traceback: those
+            # frames hold this loop and every buffer of the failed step.
+            self.last_error = exc.with_traceback(None)
         if self.comm.agree(not failed):
             return True
         self.recover()

@@ -111,13 +111,13 @@ class AccessCtx:
 
 
 class _SyncClock:
-    """A sync object's vector clock: copy-on-write like a context's, and
-    pinning the object so its ``id()`` is never recycled under us."""
+    """A sync object's vector clock: copy-on-write like a context's. The
+    object itself holds it (as ``_san_clock``), so the clock lives exactly
+    as long as what it orders and points back at nothing."""
 
-    __slots__ = ("obj", "vc", "owns")
+    __slots__ = ("vc", "owns")
 
-    def __init__(self, obj, vc: dict):
-        self.obj = obj
+    def __init__(self, vc: dict):
         self.vc = vc
         self.owns = False
 
@@ -249,7 +249,6 @@ class Sanitizer:
         self._root = AccessCtx({}, owns=True, note="main")
         self._stack: List[AccessCtx] = []
         self._task_ctxs: Dict[object, AccessCtx] = {}
-        self._vcs: Dict[int, _SyncClock] = {}  # by id(sync object)
         # id(root DeviceBuffer) -> (root, _Shadow)
         self._shadows: Dict[int, Tuple[object, _Shadow]] = {}
         self._seen = set()
@@ -432,12 +431,12 @@ class Sanitizer:
         """current ──► obj: join the current clock into the object's."""
         ctx = self.current()
         vc = self._trim(ctx)
-        clock = self._vcs.get(id(obj))
+        clock = getattr(obj, "_san_clock", None)
         if clock is None:
             # First release into this object (the common case: a request,
             # a delivery slot): share the releaser's clock, frozen.
             ctx.owns = False
-            self._vcs[id(obj)] = _SyncClock(obj, vc)
+            obj._san_clock = _SyncClock(vc)
         else:
             self._join(self._own(clock), vc)
         self._bump(ctx)
@@ -447,7 +446,7 @@ class Sanitizer:
         self._acquire_into(self.current(), obj)
 
     def _acquire_into(self, ctx: AccessCtx, obj) -> None:
-        clock = self._vcs.get(id(obj))
+        clock = getattr(obj, "_san_clock", None)
         if clock is None or not clock.vc:
             return
         self._join(self._own(ctx), self._trim(clock))
@@ -549,7 +548,7 @@ class Sanitizer:
             dev = getattr(buf, "dev", None)  # RmaBuffer -> backing buffer
             if dev is not None:
                 buf = dev
-        root = getattr(buf, "_root", None)
+        root = getattr(buf, "root", None)
         if root is None:
             return None  # host numpy array etc. — out of scope
         return root, getattr(buf, "_offset", 0), buf

@@ -201,8 +201,9 @@ class _BoundaryOp:
     def _complete(self) -> None:
         self.completed_at = self.engine.now
         self.done.set()
-        if self.stream is not None:
-            self.stream._advance(self)
+        stream, self.stream = self.stream, None  # as StreamOp._complete
+        if stream is not None:
+            stream._advance(self)
 
 
 def loop_region(engine, name: str, *, replay_safe: bool = True,
@@ -767,6 +768,11 @@ class CaptureRuntime:
         self.iterations_skipped = 0
         self.replay_host_seconds = 0.0
         self.bailouts: Counter = Counter()
+
+    def close(self) -> None:
+        """Let go of the regions (each points back here) once the run's
+        counters have been read; the launcher's last use of a runtime."""
+        self.regions.clear()
 
     # ------------------------------------------------------------------ #
     # Engine hooks (hot path).

@@ -33,6 +33,7 @@ GPUSHMEM, Uniconn) is built on.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import threading
@@ -328,7 +329,9 @@ class Engine:
         """Drive the simulation to completion (called from the host thread).
 
         Returns when every task has finished; re-raises the first failure
-        raised inside any task (including deadlock detection).
+        raised inside any task (including deadlock detection). Automatic
+        garbage collection is paused for the duration and the caller's
+        setting restored on every way out.
         """
         if self._running or self._finished:
             raise EngineStateError("engine can only be run once")
@@ -344,21 +347,40 @@ class Engine:
             and self.fault_injector is None
             and self.watchdog_timeout is None
         )
-        if self._tasks:
-            self._dispatch_next()
-            self._done_sem.acquire()
-        self._finished = True
-        self._running = False
-        # Every task has finished, so every carrier is parked: let them go,
-        # whatever the outcome — no thread outlives the run. (All released,
-        # then all joined: they exit back to back, not one handoff each.)
-        parked, self._parked = self._parked, []
-        for carrier in parked:
-            carrier.channel.release()
-        for carrier in parked:
-            carrier.thread.join()
-        if self._failure is not None:
-            raise self._failure
+        # The cyclic collector sleeps while the engine runs: the simulator
+        # frees by reference count (docs/MODEL.md section 7, "Memory: who
+        # frees what"), so a collection would walk every rank's live tasks,
+        # buffers and closures to find nothing.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if self._tasks:
+                self._dispatch_next()
+                self._done_sem.acquire()
+        finally:
+            if collecting:
+                gc.enable()
+            self._finished = True
+            self._running = False
+            # Every task has finished, so every carrier is parked: let them
+            # go, whatever the outcome — no thread outlives the run. (All
+            # released, then all joined: they exit back to back, not one
+            # handoff each.) With them goes what could point back at this
+            # engine: timers that never fired, the hooks.
+            parked, self._parked = self._parked, []
+            for carrier in parked:
+                carrier.channel.release()
+            for carrier in parked:
+                carrier.thread.join()
+            self._heap.clear()
+            self._ready.clear()
+            self.time_shift_hooks.clear()
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            try:
+                raise failure
+            finally:
+                del failure  # or this frame, in its traceback, would pin it
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
@@ -534,7 +556,10 @@ class Engine:
                 wd_timer.cancel()
                 if task._pending_error is not None:
                     error, task._pending_error = task._pending_error, None
-                    raise error
+                    try:
+                        raise error
+                    finally:
+                        del error  # or this frame would pin its own traceback
             return
 
     def join(self, other: Task) -> Any:
@@ -591,6 +616,7 @@ class Engine:
         for waiter in task._finish_waiters:
             waiter.make_ready()
         task._finish_waiters.clear()
+        task.fn = None  # whoever still holds the task does not hold its closure
         # Park before the handoff: past it this thread owns nothing but
         # its own channel.
         task._carrier.task = None

@@ -54,7 +54,7 @@ __all__ = ["SimEvent", "Broadcast", "SimQueue", "Counter", "wait_until"]
 class SimEvent:
     """A one-shot event: once set, every past and future waiter proceeds."""
 
-    __slots__ = ("engine", "_set", "_waiters", "_callbacks", "name")
+    __slots__ = ("engine", "_set", "_waiters", "_callbacks", "name", "_san_clock")
 
     def __init__(self, engine: Engine, name: str = "event"):
         self.engine = engine
@@ -116,6 +116,9 @@ class _Waiter:
     skipped and dropped at the next notify sweep (waiters mark themselves
     done when they proceed, so their list position stays stable until
     then — that stability is what keeps fast/slow wake order identical).
+    A done entry holds nothing: that sweep may never come (the last
+    notify of a rendezvous is the one its members proceed on), and the
+    predicate's closure pins whatever the wait was about.
     """
 
     __slots__ = ("task", "predicate", "callback", "done")
@@ -141,7 +144,7 @@ class Broadcast:
     time a notify finds its predicate true.
     """
 
-    __slots__ = ("engine", "_waiters", "name")
+    __slots__ = ("engine", "_waiters", "name", "_san_clock")
 
     def __init__(self, engine: Engine, name: str = "broadcast"):
         self.engine = engine
@@ -224,6 +227,7 @@ class Broadcast:
                     return
         finally:
             w.done = True
+            w.task = w.predicate = None
 
     def watch(self, predicate: Callable[[], bool], callback: Callable[[], None]) -> None:
         """Fire ``callback`` once, at the first notify where the predicate

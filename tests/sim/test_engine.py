@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine and cooperative scheduler."""
 
+import gc
 import sys
 import threading
 
@@ -416,3 +417,71 @@ def test_spawn_and_finish_churn_under_a_short_switch_interval():
     assert sorted(ran) == [(r, w, k) for r in range(8) for w in range(20) for k in range(3)]
     assert eng.stats.tasks_spawned == 8 + 8 * 20 * 3
     assert threading.active_count() == before
+
+
+# The cyclic collector is paused for the duration of Engine.run, and only
+# for that: the caller's setting comes back on every way out.
+
+
+@pytest.fixture
+def collector_on():
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_tasks_run_with_the_collector_paused(collector_on):
+    eng = Engine()
+    seen = []
+
+    def body():
+        seen.append(gc.isenabled())
+        eng.sleep(1.0)
+        seen.append(gc.isenabled())
+
+    eng.spawn(body)
+    eng.run()
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("run", [_raising_rank, _deadlock, _watchdog_timeout],
+                         ids=["rank-raises", "deadlock", "watchdog"])
+def test_collector_state_is_restored_when_a_run_fails(collector_on, run):
+    run()
+    assert gc.isenabled()
+
+
+def test_a_caller_that_disabled_the_collector_finds_it_disabled(collector_on):
+    gc.disable()
+    eng = Engine()
+    eng.spawn(lambda: eng.sleep(1.0))
+    eng.run()
+    assert not gc.isenabled()
+    _raising_rank()
+    assert not gc.isenabled()
+
+
+def test_nested_and_concurrent_engines_leave_the_collector_enabled(collector_on):
+    def inner():
+        eng = Engine()
+        eng.spawn(lambda: eng.sleep(1.0))
+        eng.run()
+
+    outer = Engine()
+    outer.spawn(inner)  # an engine run from inside another engine's task
+    outer.run()
+    assert gc.isenabled()
+
+    def host():
+        for _ in range(20):
+            inner()
+
+    threads = [threading.Thread(target=host) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert gc.isenabled()

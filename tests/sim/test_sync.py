@@ -173,3 +173,30 @@ def test_waiting_on_never_set_event_deadlocks():
     eng.spawn(ev.wait, name="w")
     with pytest.raises(DeadlockError, match="event:never"):
         eng.run()
+
+
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+def test_a_completed_rendezvous_holds_no_predicate(fast_path):
+    """The notify its members proceed on is a gather's last, so nothing ever
+    sweeps their finished waiters out of the slot's broadcast: they must
+    hold nothing themselves — not the predicate, whose closure pins the
+    slot and every payload, and not the task."""
+    from repro.backends.rendezvous import RendezvousBoard
+
+    eng = Engine(fast_path=fast_path)
+    board = RendezvousBoard(eng)
+    proceeded = []
+
+    def member(i):
+        eng.sleep(1e-3 * (4 - i))  # arrive in reverse rank order
+        payloads = board.gather("boot", i, 4, payload=bytearray(16))
+        proceeded.append((i, sorted(payloads)))
+
+    for i in range(4):
+        eng.spawn(lambda i=i: member(i), name=f"m{i}")
+    eng.run()
+    # The last arrival never waits; the others wake in registration order.
+    assert proceeded == [(i, [0, 1, 2, 3]) for i in (0, 3, 2, 1)]
+    left = board._slots["boot"].bcast._waiters
+    assert len(left) == 3 and all(w.done for w in left)
+    assert all(w.predicate is None and w.task is None for w in left)

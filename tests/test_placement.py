@@ -68,3 +68,30 @@ def test_spread_communication_goes_inter_node():
     m = perlmutter()
     assert t_inter > t_intra
     assert t_inter >= 2 * m.nic_latency + m.fabric_latency
+
+
+@pytest.mark.parametrize("placement,n_nodes", [("block", None), ("spread", 3)])
+@pytest.mark.parametrize("n_ranks", [1, 7, 64])
+def test_node_size_is_the_number_of_ranks_on_the_node(placement, n_nodes, n_ranks):
+    """``node_size`` comes from one per-job table; it must equal what the
+    per-rank count over every rank (the loop it replaced) gives."""
+    from repro.hardware import Cluster
+    from repro.launcher import RankContext
+    from repro.sim import Engine
+
+    nodes = n_nodes or -(-n_ranks // perlmutter().gpus_per_node)
+    job = Job(Engine(), Cluster(perlmutter(), nodes), n_ranks, placement=placement)
+    for rank in range(n_ranks):
+        ctx = RankContext(job, rank)
+        assert ctx.node_size == sum(
+            1 for r in range(n_ranks) if job.node_of_rank(r) == ctx.node)
+    assert sum(job.node_sizes.values()) == n_ranks
+
+
+def test_starting_a_job_is_linear_in_the_rank_count(monkeypatch):
+    calls = []
+    real = Job.node_of_rank
+    monkeypatch.setattr(Job, "node_of_rank",
+                        lambda self, rank: calls.append(rank) or real(self, rank))
+    launch(lambda ctx: ctx.node_size, 64)
+    assert len(calls) <= 4 * 64  # it was 64 * 64 + 64
