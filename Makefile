@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc digest digest-check leak-check perf-smoke bench-selftest bench-wallclock faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc digest digest-check leak-check bench-selftest faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -38,14 +38,6 @@ digest-check:
 # `python tools/gc_census.py <variant> [--iters A,B]` examines one variant.
 leak-check:
 	@$(PYTHON) tools/gc_census.py --check
-
-# Fast CI gate for the simulation core: the deterministic fast-path
-# invariants (scheduler traffic, and OS threads started per device-mode
-# task), then the smoke-scale wall-clock run checked against the
-# committed BENCH_wallclock.json baseline (>30% events/sec drop fails).
-perf-smoke:
-	$(PYTHON) -m pytest -x -q -m perf
-	$(PYTHON) benchmarks/bench_wallclock.py --smoke --check
 
 # Layered host-time benchmark self-test (benchmarks/perf/README.md): every
 # workload at toy scale through the real harness, output checks included;
@@ -130,8 +122,3 @@ bench-coll:
 serve-smoke:
 	$(PYTHON) -m pytest -q tests/serve
 	$(PYTHON) tools/serve_smoke.py
-
-# Full-scale wall-clock benchmark; rewrites the committed baseline.
-bench-wallclock:
-	$(PYTHON) benchmarks/bench_wallclock.py --update
-	$(PYTHON) benchmarks/bench_wallclock.py --smoke --update

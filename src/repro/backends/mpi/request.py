@@ -53,16 +53,15 @@ class Request:
 def waitall(requests: Iterable[Request]) -> None:
     """MPI_Waitall: block until every request completes.
 
-    On the engine's fast path, multiple pending requests are waited with a
-    single block (one wakeup at the last completion) instead of one block
-    per request; the resume time is ``max`` of the completion times either
-    way, so virtual timestamps are unchanged.
+    Multiple pending requests are waited with a single block (one wakeup
+    at the last completion) instead of one block per request; the resume
+    time is ``max`` of the completion times either way.
     """
     reqs = list(requests)
     # The raw state, not the settling `done` poll: what is pending gets
     # waited for, and a wait catches up with the caller's busy time itself.
     pending = [r for r in reqs if not r._event.is_set()]
-    if len(pending) > 1 and pending[0].engine.fast_path:
+    if len(pending) > 1:
         engine = pending[0].engine
         task = engine._require_current()
         state = {"n": len(pending)}

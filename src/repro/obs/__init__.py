@@ -9,7 +9,7 @@ The subsystem has three layers (docs/OBSERVABILITY.md):
 - **Spans** (:func:`span`/:func:`begin_span`/:func:`end_span`) — structured
   begin/end trace records on the virtual clock, layered over the existing
   :class:`~repro.sim.Tracer`. Spans are *off* at the default observability
-  level so fast-path Chrome traces stay byte-identical; ``obs="spans"``
+  level so default Chrome traces stay byte-identical; ``obs="spans"``
   turns them on and the Chrome exporter renders them as nested B/E slices.
 - **Analysis** (:func:`analyze_records`, :func:`format_report`,
   :func:`validate_report`) — per-rank compute/comm/sync/idle breakdown and

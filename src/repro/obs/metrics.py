@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` is a plain host-side accumulator: updating it
 never emits a trace record, never charges virtual time, and never touches
-the scheduler — so instrumentation can stay enabled on the fast path
+the scheduler — so instrumentation can stay enabled by default
 without perturbing byte-identity of traces. Disabling it (``obs="off"``,
 decided before anything is bound: ``launch()`` does it right after creating
 the engine) turns every keyword update into one boolean check and every

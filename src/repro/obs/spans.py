@@ -9,7 +9,7 @@ MPI events and export to Chrome B/E slices (see
 Spans are *opt-in*: they emit only when ``engine.obs_spans`` is true (set
 by ``launcher.launch(obs="spans")``) and a trace hook is installed. At the
 default observability level nothing is emitted — the byte-identity
-guarantees of the fast path are untouched.
+guarantees of default traces are untouched.
 
 Each record carries a per-engine ``seq`` so begin/end pairs keep their
 emission order through the Chrome exporter's deterministic sort even when

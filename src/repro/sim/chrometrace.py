@@ -94,13 +94,13 @@ def to_chrome_trace(tracer: Tracer) -> List[dict]:
     # Canonical order: viewers sort by ts anyway, and tie-breaking on the
     # event's full content makes the file independent of the incidental
     # ordering of same-instant callbacks inside the engine — so two runs
-    # (or the two scheduler modes) that simulate the same timeline emit
-    # byte-identical traces. Span events additionally sort by their
-    # emission seq before the content tie-break so B/E nesting survives
-    # same-timestamp ties; every other event has seq 0, leaving the
-    # default-level ordering (and byte-identity) untouched. Most events
-    # (every span) are alone at their (ts, seq), so the content key is
-    # computed only inside the runs that tie on both.
+    # (one deferring host charges, one sleeping them) that simulate the
+    # same timeline emit byte-identical traces. Span events additionally
+    # sort by their emission seq before the content tie-break so B/E
+    # nesting survives same-timestamp ties; every other event has seq 0,
+    # leaving the default-level ordering (and byte-identity) untouched.
+    # Most events (every span) are alone at their (ts, seq), so the content
+    # key is computed only inside the runs that tie on both.
     when = itemgetter(0)
     keyed = sorted((((e["ts"], e.pop("__seq", 0)), e) for e in events), key=when)
     events = []

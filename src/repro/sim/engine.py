@@ -11,21 +11,14 @@ timer fires. Because the ready queue is FIFO and timers are
 sequence-numbered, a given program produces the exact same interleaving and
 the exact same virtual timings on every run.
 
-Two scheduler implementations share those semantics:
-
-- the **fast path** (default) resumes a task inline — no handoff at all —
-  when its wake-up already happened and it is next in the FIFO ready queue,
-  and hands off through a raw lock otherwise;
-- the **slow path** (``REPRO_SIM_FASTPATH=0``) always pays a semaphore
-  release/acquire round trip per block, the original reference behaviour.
-
-Both produce bit-identical virtual-time traces; only host wall-clock
-differs. ``Engine.stats`` counts what the scheduler did so the difference
-is observable (see ``benchmarks/bench_wallclock.py``).
-
-The fast path also switches threads only where a task must observe another
-task: a determinate host delay is kept as busy-time debt on the caller
-instead of slept (:meth:`Engine.defer_busy`; docs/MODEL.md section 7).
+The scheduler pays for a thread handoff only where one is needed: a task
+whose wake-up already happened and which is next in the FIFO ready queue
+resumes inline, with no handoff at all; any other resume is one
+release/acquire of a raw lock. It also switches threads only where a task
+must observe another task: a determinate host delay is kept as busy-time
+debt on the caller instead of slept (:meth:`Engine.defer_busy`;
+docs/MODEL.md section 7). None of this is visible in virtual time;
+``Engine.stats`` counts what the scheduler did.
 
 This is the substrate every other subsystem (GPU runtime, MPI, GPUCCL,
 GPUSHMEM, Uniconn) is built on.
@@ -35,7 +28,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 import threading
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
@@ -53,11 +45,6 @@ _BLOCKED = "blocked"
 _DONE = "done"
 
 _thread_local = threading.local()
-
-
-def _fastpath_default() -> bool:
-    """Fast path unless REPRO_SIM_FASTPATH is 0/false/off."""
-    return os.environ.get("REPRO_SIM_FASTPATH", "1").lower() not in ("0", "false", "off")
 
 
 def current_engine() -> "Engine":
@@ -79,7 +66,7 @@ class EngineStats:
     - ``timers_fired``: events of the virtual timeline: timers executed,
       plus host charges kept as debt instead of slept (``defer_busy``),
       minus the timers that only carry such a debt's effects — so the
-      count does not depend on the scheduler mode;
+      count does not depend on whether charges are deferred;
     - ``tasks_spawned``: simulated processes created (OS threads are
       recycled between them, so fewer are started);
     - ``wakeups``: ``make_ready`` transitions (how many times a task was
@@ -96,7 +83,7 @@ class EngineStats:
         self.wakeups = 0
 
     def events(self) -> int:
-        """Total scheduler events processed (the bench_wallclock metric)."""
+        """Total scheduler events processed."""
         return self.switches + self.inline_resumes + self.timers_fired
 
     def as_dict(self) -> Dict[str, int]:
@@ -125,28 +112,6 @@ class Timer:
         self.cancelled = True
 
 
-class _LockChannel:
-    """Binary handoff channel on a raw lock.
-
-    Semantically a Semaphore(0) restricted to strict release/acquire
-    alternation — which is exactly how the engine uses it — but a raw
-    ``threading.Lock`` is a C primitive, several times cheaper per handoff
-    than the pure-Python ``threading.Semaphore``.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._lock.acquire()
-
-    def acquire(self) -> None:
-        self._lock.acquire()
-
-    def release(self) -> None:
-        self._lock.release()
-
-
 class _Carrier:
     """One OS thread of an engine: it runs a task to its end, parks on the
     engine, and runs the next task :meth:`Engine.spawn` gives it — a
@@ -154,14 +119,17 @@ class _Carrier:
 
     The handoff channel belongs to the carrier (its current task borrows it
     as ``task._sem``): a parked carrier waits on it for its next task's
-    first scheduling, or for :meth:`Engine.run` to let it go.
+    first scheduling, or for :meth:`Engine.run` to let it go. It is a raw
+    lock, held from the start and used in strict release/acquire
+    alternation — a binary semaphore, and a C primitive.
     """
 
     __slots__ = ("engine", "channel", "task", "thread")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
-        self.channel = _LockChannel() if engine.fast_path else threading.Semaphore(0)
+        self.channel = threading.Lock()
+        self.channel.acquire()
         self.task: Optional["Task"] = None
         self.thread = threading.Thread(target=self._main, daemon=True)
         self.thread.start()
@@ -236,9 +204,8 @@ class Task:
 class Engine:
     """The virtual clock plus the cooperative task scheduler."""
 
-    def __init__(self, fast_path: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
-        self.fast_path = _fastpath_default() if fast_path is None else bool(fast_path)
         self._defer = False  # decided by run()
         self.stats = EngineStats()
         self._heap: List[tuple] = []  # (when, seq, Timer)
@@ -336,12 +303,11 @@ class Engine:
         if self._running or self._finished:
             raise EngineStateError("engine can only be run once")
         self._running = True
-        # defer_busy defers unless this is the reference scheduler or an
-        # instrument observes task context or timer structure while a task
-        # is ahead of the clock. Decided once: all install before run().
+        # defer_busy defers unless an instrument observes task context or
+        # timer structure while a task is ahead of the clock. Decided once:
+        # all install before run().
         self._defer = (
-            self.fast_path
-            and self.sanitizer is None
+            self.sanitizer is None
             and self.capture is None
             and not self.obs_spans
             and self.fault_injector is None
@@ -448,9 +414,9 @@ class Engine:
         earlier than its own busy time: ``block`` catches up before
         returning, and :attr:`now`, :meth:`schedule`, :meth:`spawn`, every
         publishing sync primitive and nonblocking poll :meth:`settle` first
-        (docs/MODEL.md section 7 has the full argument). Under the
-        reference scheduler, or an instrument that observes what the task
-        does while it is ahead (see :meth:`run`), the charge is slept.
+        (docs/MODEL.md section 7 has the full argument). Under an
+        instrument that observes what the task does while it is ahead (see
+        :meth:`run`), the charge is slept.
         """
         if seconds <= 0:
             return
@@ -464,16 +430,12 @@ class Engine:
         when its busy time has elapsed — right now if it owes none, or if
         the caller is itself a timer callback (which no task's debt binds).
         Told the effect, the engine defers this charge under every
-        instrument (the timer is an ordinary one); only the reference
-        scheduler sleeps it.
+        instrument (the timer is an ordinary one).
         """
         task = self._current
         if task is not None:
             if seconds > 0:
-                if self.fast_path:
-                    self._charge(task, seconds)
-                else:
-                    self.sleep(seconds)
+                self._charge(task, seconds)
             if task.busy_until > self._now:
                 self._at_busy_end(task, callback)
                 return
@@ -483,8 +445,8 @@ class Engine:
         start = task.busy_until if task.busy_until > self._now else self._now
         task.busy_until = start + seconds
         # The end of a charge is one event of the virtual timeline whether
-        # or not a timer fires for it: `timers_fired` stays the same count
-        # in every mode.
+        # or not a timer fires for it: `timers_fired` is the same count
+        # when an instrument makes defer_busy sleep.
         self.stats.timers_fired += 1
 
     def settle(self) -> None:
@@ -510,9 +472,9 @@ class Engine:
         The caller must have already arranged its own wake-up (a timer, a
         registration on a sync object, ...). If the wake-up already happened
         synchronously the task is in the ready queue and will simply resume.
-        On the fast path, a task whose wake-up has happened by the time the
-        scheduler selects it — and which is next in FIFO order — resumes
-        *inline*, with no handoff at all (a "switchless" event).
+        A task whose wake-up has happened by the time the scheduler selects
+        it — and which is next in FIFO order — resumes *inline*, with no
+        handoff at all (a "switchless" event).
 
         When a watchdog timeout is installed (``watchdog_timeout``), a block
         that outlives it raises :class:`SimTimeoutError` in the blocked task,
@@ -534,7 +496,7 @@ class Engine:
                 task.state = _BLOCKED
                 task.wait_reason = reason
             nxt = self._select_next()
-            if nxt is task and self.fast_path:
+            if nxt is task:
                 if task.poisoned:
                     raise SimAborted(task.name)
                 self.stats.inline_resumes += 1

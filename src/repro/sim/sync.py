@@ -7,11 +7,11 @@ so the simulation stays deterministic.
 Targeted-wakeup contract
 ------------------------
 
-A ``Broadcast`` waiter may register a *predicate* with ``wait_for``. On the
-engine's fast path, ``notify_all`` then only wakes the waiters whose
-predicate currently holds; the rest stay registered, skipping the
-O(waiters) thundering herd of the naive condition-variable pattern. Two
-rules keep this deterministic and correct:
+A ``Broadcast`` waiter may register a *predicate* with ``wait_for``.
+``notify_all`` then only wakes the waiters whose predicate currently holds;
+the rest stay registered, skipping the O(waiters) thundering herd of the
+naive condition-variable pattern. Two rules keep this deterministic and
+correct:
 
 - **mutators must notify**: any state change that could make a registered
   predicate true must call ``notify_all`` on the broadcast guarding that
@@ -24,14 +24,12 @@ rules keep this deterministic and correct:
   a bool, with no side effects — they can be evaluated any number of times
   at notify points without changing behaviour.
 
-Registration is *persistent* in both modes: a waiter keeps its (FIFO) list
-position across notifies until it actually proceeds, and removes itself
-then. The slow path still wakes every waiter at every notify (the herd the
-benchmark measures) but never reorders them, so the order in which
-simultaneously-satisfied waiters proceed — and therefore the trace — is
-bit-identical between the two modes. A woken waiter still re-checks its
-predicate before proceeding (an earlier-woken task may have consumed the
-state) and simply blocks again, in place, if it no longer holds.
+Registration is *persistent*: a waiter keeps its (FIFO) list position
+across notifies until it actually proceeds, and removes itself then, so
+simultaneously-satisfied waiters proceed in registration order. A woken
+waiter still re-checks its predicate before proceeding (an earlier-woken
+task may have consumed the state) and simply blocks again, in place, if it
+no longer holds.
 
 Busy-time debt: a task may run ahead of the clock (``Engine.defer_busy``),
 and what it publishes must happen at its own time. So the publishing half
@@ -115,7 +113,7 @@ class _Waiter:
     Exactly one of ``task``/``callback`` is set. ``done`` entries are
     skipped and dropped at the next notify sweep (waiters mark themselves
     done when they proceed, so their list position stays stable until
-    then — that stability is what keeps fast/slow wake order identical).
+    then).
     A done entry holds nothing: that sweep may never come (the last
     notify of a rendezvous is the one its members proceed on), and the
     predicate's closure pins whatever the wait was about.
@@ -139,9 +137,9 @@ class Broadcast:
     """A multi-shot notification channel (condition variable without a lock).
 
     ``wait`` returns after the *next* ``notify_all``; ``wait_for`` only
-    returns once its predicate holds (and on the fast path is only woken
-    then); ``watch`` fires a callback — without waking any task — the first
-    time a notify finds its predicate true.
+    returns once its predicate holds (and is only woken then); ``watch``
+    fires a callback — without waking any task — the first time a notify
+    finds its predicate true.
     """
 
     __slots__ = ("engine", "_waiters", "name", "_san_clock")
@@ -154,14 +152,10 @@ class Broadcast:
     def notify_all(self) -> None:
         """Wake the waiters whose wake condition can now hold.
 
-        Fast path: only task waiters whose predicate is true are woken
-        (FIFO order). Slow path: every task waiter is woken — the
-        thundering herd the benchmark measures. In *both* modes waiters
-        stay registered at their original position until they proceed (a
-        woken-but-unsatisfied waiter blocks again in place), so the order
-        in which waiters eventually proceed is mode-independent.
-        Callback watchers are predicate-filtered in both modes (they have
-        no thread to herd-wake).
+        Only task waiters whose predicate is true are woken (FIFO order),
+        and callback watchers whose predicate is true fired. Predicate
+        waiters stay registered at their original position until they
+        proceed (a woken-but-unsatisfied waiter blocks again in place).
         """
         self.engine.settle()
         san = self.engine.sanitizer
@@ -170,7 +164,6 @@ class Broadcast:
         if not self._waiters:
             return
         waiters, self._waiters = self._waiters, []
-        fast = self.engine.fast_path
         keep: List[_Waiter] = []
         for w in waiters:
             if w.done:
@@ -191,7 +184,7 @@ class Broadcast:
                 w.done = True
                 w.task.make_ready()
             else:
-                if not fast or w.predicate():
+                if w.predicate():
                     w.task.make_ready()
                 keep.append(w)
         # Registrations made during callbacks land after the kept waiters.
@@ -317,7 +310,11 @@ class SimQueue:
         return self._items.popleft()
 
     def try_get(self) -> Optional[Any]:
-        """Pop an item if present, else None (nonblocking)."""
+        """Pop an item if present, else None (nonblocking). "Empty" is for
+        the caller to act on, and an item may arrive within its busy time,
+        so that is settled first."""
+        if not self._items:
+            self.engine.settle()
         return self._items.popleft() if self._items else None
 
 

@@ -3,7 +3,7 @@
 At obs level "spans" every Coordinator/Communicator operation brackets its
 work in span.begin/span.end records; the Chrome exporter renders them as
 duration slices that must nest per (pid, tid) track. At the default level
-no span records may appear at all (that is what keeps fast-path traces
+no span records may appear at all (that is what keeps default traces
 byte-identical).
 """
 

@@ -1,12 +1,11 @@
 """Deferred host charges are invisible: generated straight-line Coordinator
-programs trace and compute identically on the default path (which keeps
-the uniform layer's charges as busy-time debt, ``Engine.defer_busy``) and
-on the reference scheduler (``REPRO_SIM_FASTPATH=0``, which sleeps each
-one where it is charged)."""
+programs trace and compute identically as launched by default (the uniform
+layer's charges kept as busy-time debt, ``Engine.defer_busy``) and as their
+eager twin: the same launch under a fault plan that never fires, which —
+like any installed instrument — makes the engine sleep each charge where
+it is made."""
 
 import json
-import os
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -16,6 +15,7 @@ from repro.core import IN_PLACE
 from repro.gpu import device_kernel, kernel
 from repro.hardware import KernelCost
 from repro.sim import Tracer, to_chrome_trace
+from tests.sim.test_fastpath import INERT_PLAN
 
 COUNT = 16
 
@@ -134,12 +134,11 @@ STEP = st.one_of(
 )
 
 
-def _run(fast, variant, nranks, steps):
+def _run(deferred, variant, nranks, steps):
     backend, _, mode = variant.partition(":")
     tracer = Tracer()
-    with mock.patch.dict(os.environ, {"REPRO_SIM_FASTPATH": "1" if fast else "0"}):
-        report = launch(_program(backend, nranks, steps, mode=mode or "PureHost"),
-                        nranks, tracer=tracer)
+    report = launch(_program(backend, nranks, steps, mode=mode or "PureHost"),
+                    nranks, tracer=tracer, fault_plan=None if deferred else INERT_PLAN)
     trace = json.dumps({"traceEvents": to_chrome_trace(tracer)}, sort_keys=True)
     return trace, report.to_dict()["results"], report.stats
 

@@ -331,7 +331,6 @@ def test_no_thread_outlives_a_launch(run):
     assert threading.active_count() == before
 
 
-@pytest.mark.perf
 def test_device_kernel_tasks_run_on_recycled_threads(monkeypatch):
     """8 ranks x 6 PureDevice launches are 8 x 7 tasks; a kernel's thread
     is free again when the next-but-one launch needs one."""

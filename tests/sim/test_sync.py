@@ -134,6 +134,26 @@ def test_queue_try_get_nonblocking():
     eng.run()
 
 
+@pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])
+def test_queue_try_get_sees_an_item_arriving_within_the_callers_busy_time(eager):
+    """"Empty" is something the caller acts on, so a poll by a task in debt
+    answers for the task's own time, as it does when charges are slept."""
+    eng = Engine()
+    if eager:
+        eng.watchdog_timeout = 100.0  # any instrument: defer_busy sleeps
+    out = []
+
+    def body():
+        q = SimQueue(eng)
+        eng.schedule(0.5, lambda: q.put("x"))
+        eng.defer_busy(1.0)
+        out.append((q.try_get(), eng.now))
+
+    eng.spawn(body)
+    eng.run()
+    assert out == [("x", 1.0)]
+
+
 def test_counter_wait_for_threshold():
     eng = Engine()
     ctr = Counter(eng)
@@ -175,15 +195,14 @@ def test_waiting_on_never_set_event_deadlocks():
         eng.run()
 
 
-@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
-def test_a_completed_rendezvous_holds_no_predicate(fast_path):
+def test_a_completed_rendezvous_holds_no_predicate():
     """The notify its members proceed on is a gather's last, so nothing ever
     sweeps their finished waiters out of the slot's broadcast: they must
     hold nothing themselves — not the predicate, whose closure pins the
     slot and every payload, and not the task."""
     from repro.backends.rendezvous import RendezvousBoard
 
-    eng = Engine(fast_path=fast_path)
+    eng = Engine()
     board = RendezvousBoard(eng)
     proceeded = []
 
