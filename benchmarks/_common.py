@@ -1,19 +1,15 @@
 """Shared configuration for the figure/table benchmarks.
 
-Set ``REPRO_BENCH_SCALE=paper`` for sweeps closer to the paper's sizes
-(slower); the default "ci" scale reproduces every figure's shape in a few
-minutes total. All timings are virtual-clock measurements; pytest-benchmark
+One scale: problem sizes are scaled down from the paper's so that every
+figure's shape reproduces in minutes (ROADMAP item 3 has the per-figure
+times). All timings are virtual-clock measurements; pytest-benchmark
 records the harness wall time on top.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.apps.osu import OsuConfig, default_sizes
 from repro.serve.matrix import expand_matrix  # noqa: F401  (re-export)
-
-SCALE = os.environ.get("REPRO_BENCH_SCALE", "ci")
 
 # Sweep grids across the benchmarks (chaos_sweep scenario matrix,
 # bench_coll's kind x policy cells, `repro submit --sweep`) all expand
@@ -23,10 +19,6 @@ SCALE = os.environ.get("REPRO_BENCH_SCALE", "ci")
 
 
 def osu_config() -> OsuConfig:
-    if SCALE == "paper":
-        return OsuConfig(sizes=tuple(default_sizes(4, 64 << 20)),
-                         iters_small=1000, warmup_small=100,
-                         iters_large=200, warmup_large=20, repeats=10)
     return OsuConfig(sizes=tuple(default_sizes(4, 4 << 20)),
                      iters_small=30, warmup_small=3,
                      iters_large=8, warmup_large=1, repeats=3)
@@ -34,8 +26,6 @@ def osu_config() -> OsuConfig:
 
 def jacobi_dims() -> tuple:
     # Paper: 2^14 x 2^14, 100K iters. Scaled: the overheads are relative.
-    if SCALE == "paper":
-        return 4096, 4098, 200, 20
     return 512, 514, 12, 2
 
 
@@ -47,13 +37,11 @@ def cg_sizes() -> dict:
     # The MPI-vs-GPUCCL gap needs MB-scale direction vectors (the paper's
     # matrices have 1.4M-4.1M rows); below ~1 MB the fixed launch overheads
     # dominate instead. These sizes keep the paper's regime at CI speed.
-    if SCALE == "paper":
-        return {"serena": (696320, 33), "queen": (524288, 80)}
     return {"serena": (163840, 33), "queen": (114688, 80)}
 
 
 def cg_iters() -> int:
-    return 100 if SCALE == "paper" else 12
+    return 12
 
 
 def jacobi_attribution(variant: str, nranks: int = 4, machine: str = "perlmutter",

@@ -2,7 +2,9 @@
 
 Run the benches first (``pytest benchmarks/ --benchmark-only`` or each
 ``python -m benchmarks.bench_*``), then ``python -m
-benchmarks.generate_experiments_md``.
+benchmarks.generate_experiments_md``. The file is rewritten whole: anything
+written by hand belongs in docs/LOGBOOK.md, which the generated text links
+and nothing generates.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ TEMPLATE = """# EXPERIMENTS — paper vs. measured
 
 Generated by `python -m benchmarks.generate_experiments_md` on {today}
 from `benchmarks/results/*.json` (produced by `pytest benchmarks/
---benchmark-only`; scale: `REPRO_BENCH_SCALE={scale}`).
+--benchmark-only`).
 
 All timings are **virtual-clock** measurements on the simulated cluster
 (see DESIGN.md section 2 for the substitution rationale). Absolute numbers
@@ -318,6 +320,15 @@ from the `repro.obs` breakdown rather than end-to-end totals.
 
 {proto}
 
+## Host-cost logbook (beyond the paper)
+
+The hand-written host-time measurements (deferred charges, one Coordinator
+per backend, bounded sanitizer clocks, the cost of a submit, the
+collector's share, the last two-scheduler reading) live in
+[docs/LOGBOOK.md](docs/LOGBOOK.md): this file is generated and rewritten
+whole, that one is not.
+
+
 ## Known deviations
 
 - Absolute latencies/bandwidths come from a calibrated model, not hardware;
@@ -329,8 +340,8 @@ from the `repro.obs` breakdown rather than end-to-end totals.
 - Fig. 6's ~3% GPUSHMEM-device slowdown on Serena does not reproduce
   (we measure ~0%): the paper attributes no mechanism to it, and the
   simulator has no occupancy/register-pressure effects.
-- Problem sizes are scaled down by default; `REPRO_BENCH_SCALE=paper`
-  runs closer to paper-scale sweeps.
+- Problem sizes are scaled down from the paper's (`benchmarks/_common.py`);
+  the overheads and orderings claimed are relative.
 """
 
 
@@ -378,14 +389,13 @@ def ablations_section():
     return "\n".join(out) + "\n" if out else "*(run bench_ablations first)*\n"
 
 
-def main() -> None:
+def main(out: str = OUT) -> None:
     text = TEMPLATE.format(
         ablations=ablations_section(),
         attribution=attribution_section(load("obs_attribution")),
         coll=coll_section(),
         proto=proto_section(),
         today=date.today().isoformat(),
-        scale=os.environ.get("REPRO_BENCH_SCALE", "ci"),
         fig2=fig2_section(load("fig2_motivation")),
         fig3=fig34_section(load("fig3_intranode"),
                            "Paper band: <=7% average intra-node; measured means are within it."),
@@ -396,9 +406,9 @@ def main() -> None:
         table1=table1_section(load("table1_machines")),
         table2=table2_section(load("table2_sloc")),
     )
-    with open(OUT, "w") as fh:
+    with open(out, "w") as fh:
         fh.write(text)
-    print(f"wrote {OUT}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

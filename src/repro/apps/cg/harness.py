@@ -9,7 +9,6 @@ import numpy as np
 
 from ...gpu import GpuEvent, elapsed
 from ...launcher import RankContext
-from ...sim.capture import loop_region
 from .solver import CgConfig, CgProblem, CgState, make_problem, row_partition
 
 __all__ = ["CgResult", "setup_state", "measure_cg", "assemble_x"]
@@ -77,21 +76,10 @@ def measure_cg(
     device = rank_ctx.require_device()
     barrier()
     stream.synchronize()
-    # CG's scalar recurrences (alpha/beta from evolving dot products) make
-    # its payload pattern iteration-dependent: the region fingerprints the
-    # loop but never replays it (replay_safe=False).
-    region = loop_region(
-        rank_ctx.engine, "cg.iterate", replay_safe=False, parity=1, min_period=2
-    )
     start, end = GpuEvent(device, "cg-start"), GpuEvent(device, "cg-end")
     start.record(stream)
-    i = 0
-    while i < cfg.iters:
-        i += region.boundary(rank_ctx.rank, i, cfg.iters)
-        if i >= cfg.iters:
-            break
+    for _ in range(cfg.iters):
         iteration()
-        i += 1
     end.record(stream)
     end.synchronize()
     total = elapsed(start, end)

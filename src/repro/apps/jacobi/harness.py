@@ -95,7 +95,7 @@ def measure_loop(
     # The steady-state loop: annotated for graph capture & replay. The
     # pointer swap in step() gives the timeline a period of 2 iterations.
     region = loop_region(
-        rank_ctx.engine, "jacobi.measure", replay_safe=True, parity=2, min_period=2
+        rank_ctx.engine, "jacobi.measure", parity=2, min_period=2
     )
     start, end = GpuEvent(device, "start"), GpuEvent(device, "end")
     start.record(stream)

@@ -221,18 +221,8 @@ def run_2d(
     stream.synchronize()
     start, end = GpuEvent(device, "j2d-start"), GpuEvent(device, "j2d-end")
     start.record(stream)
-    # Steady-state loop via the Coordinator's graph-region API; the buffer
-    # swap in step() gives the event timeline a period of 2 iterations.
-    i = 0
-    while i < cfg.iters:
-        i += coord.graph_begin(
-            "jacobi2d", iteration=i, total=cfg.iters, parity=2, min_period=2
-        )
-        if i >= cfg.iters:
-            break
+    for _ in range(cfg.iters):
         step()
-        coord.graph_end()
-        i += 1
     end.record(stream)
     end.synchronize()
     total = elapsed(start, end)

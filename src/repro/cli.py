@@ -7,7 +7,7 @@ Subcommands::
     python -m repro cg      --backend gpushmem --rows 4096
     python -m repro latency --variant uniconn:mpi --inter
     python -m repro bandwidth --variant gpuccl-native
-    python -m repro tune    --machine perlmutter -o table.json
+    python -m repro tune    --machine perlmutter --dump table.json
     python -m repro tune    --coll --gpus 64 --dump coll_table.json
     python -m repro trace   --out trace.json     # Chrome-trace of a Jacobi run
     python -m repro report  --gpus 4             # per-rank time breakdown
@@ -22,6 +22,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .options import APPS, CAPTURE_MODES, LAUNCH_MODES, MACHINES
+
 __all__ = ["main", "build_parser"]
 
 
@@ -32,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--machine", default="perlmutter",
-                        choices=["perlmutter", "lumi", "marenostrum5"])
+        sp.add_argument("--machine", default="perlmutter", choices=MACHINES)
 
     def _fault_args(sp):
         sp.add_argument("--fault-spec", default=None, metavar="SPEC",
@@ -52,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "exit nonzero")
 
     def _capture_arg(sp):
-        sp.add_argument("--capture", default=None,
-                        choices=["off", "regions"],
+        sp.add_argument("--capture", default=None, choices=CAPTURE_MODES,
                         help="graph capture & replay for steady-state loops "
                              "(docs/MODEL.md); replay counters are printed "
                              "after the run")
@@ -70,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                "examples/jacobi_fault_recovery.py.")
     common(sp)
     sp.add_argument("--backend", default="gpuccl")
-    sp.add_argument("--mode", default="PureHost",
-                    choices=["PureHost", "PartialDevice", "PureDevice"])
+    sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
     sp.add_argument("--gpus", type=int, default=8)
     sp.add_argument("--size", type=int, default=256, help="grid edge (nx)")
     sp.add_argument("--iters", type=int, default=20)
@@ -88,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gpus", type=int, default=8)
     sp.add_argument("--iters", type=int, default=30)
     _sanitize_arg(sp)
-    _capture_arg(sp)
 
     for name in ("latency", "bandwidth"):
         sp = sub.add_parser(name, help=f"OSU-style {name} benchmark (2 GPUs)")
@@ -102,11 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Default: probe backend crossovers (core.selection). With "
                "--coll, score the repro.coll algorithm catalogue with the "
                "alpha-beta cost model instead and print per-backend "
-               "collective crossovers; --dump writes the banded tuning "
-               "table (schema repro.coll.table) for launch(coll=...) or "
-               "the REPRO_COLL_TABLE environment variable.")
+               "collective crossovers; --dump then writes the banded "
+               "tuning table (schema repro.coll.table) that "
+               "launch(coll=<path>) replays.")
     common(sp)
-    sp.add_argument("-o", "--output", default=None, help="write table JSON here")
     sp.add_argument("--coll", action="store_true",
                     help="tune collective algorithms (docs/COLLECTIVES.md)")
     sp.add_argument("--gpus", type=int, default=64,
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes", type=int, default=None,
                     help="node count (default: ceil(gpus / gpus_per_node))")
     sp.add_argument("--dump", default=None, metavar="FILE",
-                    help="write the collective tuning table JSON here")
+                    help="write the table JSON here")
 
     sp = sub.add_parser("trace", help="write a Chrome trace of a Jacobi run")
     common(sp)
@@ -132,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(schema repro.obs.report) as JSON for tooling.")
     common(sp)
     sp.add_argument("--backend", default="gpuccl")
-    sp.add_argument("--mode", default="PureHost",
-                    choices=["PureHost", "PartialDevice", "PureDevice"])
+    sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
     sp.add_argument("--gpus", type=int, default=4)
     sp.add_argument("--size", type=int, default=128, help="grid edge (nx)")
     sp.add_argument("--iters", type=int, default=10)
@@ -161,11 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress per-job progress events")
 
     def _spec_args(sp):
-        sp.add_argument("--app", default="jacobi",
-                        choices=["jacobi", "cg", "latency", "bandwidth"])
+        sp.add_argument("--app", default="jacobi", choices=APPS)
         sp.add_argument("--backend", default="mpi")
-        sp.add_argument("--mode", default="PureHost",
-                        choices=["PureHost", "PartialDevice", "PureDevice"])
+        sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
         sp.add_argument("--gpus", type=int, default=4)
         sp.add_argument("--size", type=int, default=64,
                         help="grid edge (jacobi) / rows (cg) / max bytes (osu)")
@@ -306,14 +300,13 @@ def _cmd_cg(args, out) -> int:
     variant = variant_name(args.backend)
     results = launch_variant(variant, cfg, args.gpus,
                              machine=args.machine, problem=problem, collect=True,
-                             sanitize=args.sanitize, capture=args.capture)
+                             sanitize=args.sanitize)
     survivors = [r for r in results if r is not None]  # elastic runs lose ranks
     x = assemble_x(survivors, cfg.n)
     rel = final_residual(problem, x) / float(np.linalg.norm(problem.b))
     t = max(r.time_per_iter for r in survivors)
     print(f"cg n={cfg.n} x{args.gpus} GPUs [{variant}] on {args.machine}: "
           f"{t * 1e6:.2f} us/iter, |b-Ax|/|b| = {rel:.2e}", file=out)
-    _print_capture(results, out)
     return 1 if _print_races(results, out) else 0
 
 
@@ -355,14 +348,13 @@ def _cmd_tune_coll(args, out) -> int:
                 parts.append(
                     name + (f" < {ceiling} B" if ceiling is not None else ""))
             print(f"  {backend:9s} {kind:15s} {', '.join(parts)}", file=out)
-    dest = args.dump or args.output
-    if dest:
-        table.save(dest)
+    if args.dump:
+        table.save(args.dump)
         import json
 
-        with open(dest) as fh:
+        with open(args.dump) as fh:
             validate_table(json.load(fh))
-        print(f"table written to {dest} (schema valid)", file=out)
+        print(f"table written to {args.dump} (schema valid)", file=out)
     return 0
 
 
@@ -376,9 +368,9 @@ def _cmd_tune(args, out) -> int:
         loc = "inter" if inter else "intra"
         for size, winner in table.crossover_sizes(inter_node=inter):
             print(f"{loc:5s} from {size:>8d} B: {winner}", file=out)
-    if args.output:
-        table.save(args.output)
-        print(f"table written to {args.output}", file=out)
+    if args.dump:
+        table.save(args.dump)
+        print(f"table written to {args.dump}", file=out)
     return 0
 
 

@@ -23,7 +23,7 @@ from .schedule import (KINDS, Copy, Recv, RecvReduce, Schedule, Send,
                        ring_neighbors, ring_path_params)
 from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError,
                      validate_table)
-from .tuner import (ENV_TABLE, CollPolicy, CollSelection, CollTable,
+from .tuner import (CollPolicy, CollSelection, CollTable,
                     CollTuner, resolve_policy)
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "CollPolicy",
     "CollTable",
     "CollTuner",
-    "ENV_TABLE",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
     "candidates",

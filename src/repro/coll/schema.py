@@ -3,8 +3,8 @@
 Mirrors :mod:`repro.obs.schema`: hand-rolled structural validation, a
 :class:`CollTableError` naming the first offending field, and a version
 bump whenever a required field changes shape. The CI ``coll-smoke`` lane
-round-trips a dumped table through :func:`validate_table`; the
-``REPRO_COLL_TABLE`` loader validates before installing a policy.
+round-trips a dumped table through :func:`validate_table`;
+``CollTable.load`` validates before a policy is installed.
 
 Version 2 (the only one read): bands are ``[ceiling_nbytes, algorithm,
 protocol, channels]`` quadruples with *exclusive* ceilings (``nbytes <

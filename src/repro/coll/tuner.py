@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algorithms import DEFAULT_ALGORITHM, candidates, is_applicable
@@ -34,10 +33,7 @@ from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError,
                      validate_table)
 
 __all__ = ["CollSelection", "CollTable", "CollPolicy", "CollTuner",
-           "resolve_policy", "ENV_TABLE"]
-
-#: Environment variable naming a tuning-table JSON to install by default.
-ENV_TABLE = "REPRO_COLL_TABLE"
+           "resolve_policy"]
 
 #: Canonical kind -> the native kind name each backend model prices.
 _SHMEM_NATIVE = {v: k for k, v in CANONICAL_SHMEM_KINDS.items()}
@@ -252,16 +248,12 @@ class CollPolicy:
     """Runtime algorithm selector installed as ``engine.coll``."""
 
     def __init__(self, *, mode: str, algorithm: Optional[str] = None,
-                 table: Optional[CollTable] = None, env_source: bool = False):
+                 table: Optional[CollTable] = None):
         if mode not in ("fixed", "table", "auto"):
             raise ValueError(f"unknown policy mode {mode!r}")
         self.mode = mode
         self.algorithm = algorithm
         self.table = table
-        # True when the table came from the REPRO_COLL_TABLE env override:
-        # a signature miss then warns and falls back to auto selection
-        # instead of silently running a table tuned for another cluster.
-        self.env_source = env_source
         self._cache: Dict[Tuple[str, str, str, int], Optional[str]] = {}
         # Degraded-topology selections (persistent link down): keyed with
         # the dead-pair set so the same policy serves healthy and degraded
@@ -276,9 +268,8 @@ class CollPolicy:
         return cls(mode="fixed", algorithm=algorithm)
 
     @classmethod
-    def from_table(cls, table: CollTable,
-                   env_source: bool = False) -> "CollPolicy":
-        return cls(mode="table", table=table, env_source=env_source)
+    def from_table(cls, table: CollTable) -> "CollPolicy":
+        return cls(mode="table", table=table)
 
     @classmethod
     def auto(cls) -> "CollPolicy":
@@ -369,29 +360,6 @@ class CollPolicy:
             )
         return algo
 
-    def _table_fallback(self, topo: Topology) -> bool:
-        """True when an env-installed table doesn't cover this cluster.
-
-        A ``REPRO_COLL_TABLE`` tuned on another machine or rank layout
-        must not be applied (its bands encode the wrong crossovers) and
-        must not silently disable tuning either — warn and let auto
-        selection take over. Explicitly passed tables keep the historical
-        contract: a signature miss means "no selection" (legacy path).
-        """
-        if not self.env_source or self.table is None:
-            return False
-        sig = topo.signature()
-        if self.table.covers(sig) and (
-                not self.table.machine
-                or self.table.machine == topo.cluster.machine.name):
-            return False
-        warnings.warn(
-            f"{ENV_TABLE} table (machine {self.table.machine!r}) does not "
-            f"cover topology {sig!r}; falling back to auto selection",
-            RuntimeWarning,
-        )
-        return True
-
     def select(self, backend: str, kind: str, nbytes: int, topo: Topology,
                engine=None) -> Optional[CollSelection]:
         """The selection to run, or None to stay on the legacy path."""
@@ -414,11 +382,8 @@ class CollPolicy:
                         str(algo), kind, topo.nranks, topo):
                     algo = None
             elif self.mode == "table":
-                if self._table_fallback(topo):
-                    algo = self._auto_select(backend, kind, int(nbytes), topo)
-                else:
-                    algo = self.table.lookup(topo.signature(), backend, kind,
-                                             int(nbytes))
+                algo = self.table.lookup(topo.signature(), backend, kind,
+                                         int(nbytes))
                 if algo is not None and algo != DEFAULT_ALGORITHM[backend] \
                         and not is_applicable(str(algo), kind, topo.nranks,
                                               topo):
@@ -502,29 +467,23 @@ class CollTuner:
 
 
 def resolve_policy(coll) -> Optional[CollPolicy]:
-    """Map ``launch(coll=...)`` / the env override to a policy (or None).
+    """Map ``launch(coll=...)`` to a policy (or None).
 
-    Accepts: None (env lookup, else off), "off"/False (force off), "auto"
-    or "tuned" (cost-model policy), an algorithm name or a fixed-selection
-    string ``algo[+protocol][/channels]`` (e.g. ``ring+LL/2``), a
-    :class:`CollTable`, a table path, or a ready :class:`CollPolicy`.
-    A table installed via the ``REPRO_COLL_TABLE`` env override carries
-    ``env_source=True`` so a topology-signature mismatch at run time
-    warns and falls back to auto selection.
+    Accepts: None/False/"off" (no policy: every backend keeps its legacy
+    algorithm), "auto" (cost-model policy), an algorithm name or a
+    fixed-selection string ``algo[+protocol][/channels]`` (e.g.
+    ``ring+LL/2``), a :class:`CollTable`, a table path, or a ready
+    :class:`CollPolicy`. A table whose signature misses the running
+    topology selects nothing (legacy path).
     """
-    if coll is None:
-        path = os.environ.get(ENV_TABLE)
-        if not path:
-            return None
-        return CollPolicy.from_table(CollTable.load(path), env_source=True)
-    if coll is False or coll == "off":
+    if coll is None or coll is False or coll == "off":
         return None
     if isinstance(coll, CollPolicy):
         return coll
     if isinstance(coll, CollTable):
         return CollPolicy.from_table(coll)
     if isinstance(coll, str):
-        if coll in ("auto", "tuned"):
+        if coll == "auto":
             return CollPolicy.auto()
         from .algorithms import ALGORITHMS
 

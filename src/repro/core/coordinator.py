@@ -86,7 +86,6 @@ class Coordinator:
         self.launch_mode = resolve_launch_mode(launch_mode)
         self._binding: Optional[_Binding] = None
         self._grouping = False
-        self._graph_open: Optional[str] = None  # open graph_begin region name
         self._dispatch = env.costs.dispatch
         self._launch = env.device.launch
         self._calls = SeriesBy(  # one counter per op, bound at the op's first call
@@ -132,51 +131,6 @@ class Coordinator:
             b.kernel, b.grid, b.block,
             args=b.args() if callable(b.args) else b.args, stream=self.stream,
         )
-
-    # Graph capture regions (repro.sim.capture).
-
-    def graph_begin(self, name: str, *, iteration: int, total: Optional[int] = None,
-                    replay_safe: bool = True, parity: int = 1, min_period: int = 1) -> int:
-        """Mark the top of one steady-state loop iteration.
-
-        Returns the number of iterations the caller must *skip* (0 when
-        executing live). When the capture runtime has verified that the
-        region repeats with a stable fingerprint, it replays whole periods
-        as a fused pre-resolved schedule and tells the loop to jump ahead::
-
-            i = 0
-            while i < n:
-                i += coord.graph_begin("solve", iteration=i, total=n)
-                if i >= n:
-                    break
-                ...one iteration...
-                coord.graph_end()
-                i += 1
-
-        ``total`` is required for replay (it bounds how far ahead the
-        schedule may run); without it the region only records. ``parity``
-        declares the iteration period of any pointer-swap scheme (2 for
-        double buffering), and ``replay_safe=False`` marks loops whose
-        payload effects cannot be replayed (the region then only
-        fingerprints). No-op unless the run enabled ``capture=``.
-        """
-        cap = self.engine.capture
-        if cap is None or total is None:
-            return 0
-        region = cap.region(f"coord:{name}", replay_safe=replay_safe, parity=parity,
-                            min_period=min_period)
-        skip = region.boundary(self.env.world_rank(), iteration, total)
-        # Replay or not, the caller's next live iteration (if any) runs
-        # right after this boundary, so its graph_end must find the region
-        # open; a skip that exhausts the loop leaves it open harmlessly.
-        self._graph_open = name
-        return skip
-
-    def graph_end(self) -> None:
-        """Mark the bottom of the iteration opened by :meth:`graph_begin`."""
-        if self._graph_open is None and self.engine.capture is not None:
-            raise UniconnError("graph_end without a matching graph_begin")
-        self._graph_open = None
 
     # Operation grouping (paper Section IV-G).
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import UniconnError
 from ..hardware.machines import MachineSpec, get_machine
 
-__all__ = ["SelectionTable", "tune_machine", "DEFAULT_PROBE_SIZES"]
+__all__ = ["SelectionTable", "DEFAULT_PROBE_SIZES"]
 
 DEFAULT_PROBE_SIZES = (8, 64, 512, 4096, 32768, 262144, 2097152)
 
@@ -146,8 +146,3 @@ class SelectionTable:
         """Load a tuning cache written by save()."""
         with open(path) as fh:
             return cls.from_json(fh.read())
-
-
-def tune_machine(machine: str = "perlmutter", **kwargs) -> SelectionTable:
-    """Convenience wrapper: tune and return the selection table."""
-    return SelectionTable.tune(machine, **kwargs)

@@ -17,7 +17,8 @@ from .gpu.device import Device
 from .hardware.cluster import Cluster
 from .hardware.machines import MachineSpec, get_machine
 from .obs.metrics import MetricsRegistry
-from .sim import Engine, Tracer, run_spmd
+from .options import CAPTURE_MODES, OBS_LEVELS
+from .sim import CaptureRuntime, Engine, Tracer, run_spmd
 
 __all__ = ["Job", "RankContext", "RunReport", "launch"]
 
@@ -253,7 +254,7 @@ def launch(
     attributes. This is the one place the run options below are named,
     validated and defaulted (the app launchers forward them untouched);
     ``None`` means the literal default stated here, never the process-global
-    config (``coll`` alone also consults ``REPRO_COLL_TABLE``).
+    config or the environment.
 
     ``placement="block"`` (default, the paper's experiments) fills nodes in
     rank order; ``placement="spread"`` distributes ranks cyclically over
@@ -261,10 +262,11 @@ def launch(
     two-GPU microbenchmarks.
 
     ``obs`` selects the observability level (``"off"``/``"metrics"``/
-    ``"spans"``, default ``"metrics"``): ``"metrics"``
-    collects host-side counters in ``report.metrics`` with zero effect on
-    virtual time or traces; ``"spans"`` additionally emits begin/end span
-    records for the :mod:`repro.obs` analyzer and ``repro report``.
+    ``"spans"``, default ``"metrics"``): ``"metrics"`` collects host-side
+    counters in ``report.metrics`` with zero effect on virtual time or
+    traces; ``"spans"`` additionally emits begin/end span records into the
+    run's tracer for the :mod:`repro.obs` analyzer and ``repro report``
+    (with neither ``tracer`` nor ``trace_out`` it is the ``"metrics"`` run).
     ``trace_out``, if given, writes the Chrome trace there after the run
     (creating a tracer when the caller passed none) and records the path
     in ``report.trace_path``; the path is opened before the run, so an
@@ -272,7 +274,7 @@ def launch(
     a rank raised never replaces the rank's exception.
 
     ``sanitize`` enables the happens-before race & memory sanitizer
-    (``"race"`` or True; default off): every access to simulated device
+    (``"race"`` or True; None/False is off): every access to simulated device
     memory is checked for conflicting pairs with no happens-before path,
     and findings land in ``report.races`` (and ``stats["races"]``) as
     :class:`~repro.sanitize.RaceReport` objects.
@@ -280,11 +282,10 @@ def launch(
 
     ``coll`` installs a collective algorithm policy (:mod:`repro.coll`):
     an algorithm name ("ring"/"tree"/"recdbl"/"bruck"/"hier") forces that
-    schedule where applicable, ``"auto"``/``"tuned"`` selects per message
-    size with the cost model, and a :class:`~repro.coll.CollTable` (or a
-    path to a dumped table) replays saved selections. The default (None)
-    honours the ``REPRO_COLL_TABLE`` environment variable, else leaves
-    every backend on its legacy algorithm — byte-identical traces.
+    schedule where applicable, ``"auto"`` selects per message size with
+    the cost model, and a :class:`~repro.coll.CollTable` (or a path to a
+    dumped table) replays saved selections. None (the default), False and
+    ``"off"`` leave every backend on its legacy algorithm: identical traces.
 
     ``capture`` selects graph capture & replay (:mod:`repro.sim.capture`;
     ``"off"``/``"regions"``, default ``"off"``): annotated
@@ -308,8 +309,8 @@ def launch(
         raise HardwareError(f"{n_ranks} ranks need >= {min_nodes} nodes, got {n_nodes}")
     if obs is None:
         obs = "metrics"
-    if obs not in ("off", "metrics", "spans"):
-        raise ValueError(f"unknown obs level {obs!r} (off|metrics|spans)")
+    if obs not in OBS_LEVELS:
+        raise ValueError(f"unknown obs level {obs!r} ({'|'.join(OBS_LEVELS)})")
     from .sanitize import Sanitizer, resolve_mode
 
     san_mode = resolve_mode(sanitize)
@@ -320,7 +321,6 @@ def launch(
             pass
     engine = Engine()
     engine.metrics.enabled = obs != "off"
-    engine.obs_spans = obs == "spans"
     if san_mode is not None:
         engine.sanitizer = Sanitizer(engine, mode=san_mode)
     from .coll import resolve_policy
@@ -330,12 +330,12 @@ def launch(
         tracer = Tracer()
     if tracer is not None:
         tracer.install(engine)
+        # A span is a record in a tracer: with no sink, "spans" is "metrics".
+        engine.obs_spans = obs == "spans"
     cluster = Cluster(spec, n_nodes)
     injector = _make_injector(engine, cluster, fault_plan, fault_seed)
     if capture is None:
         capture = "off"
-    from .sim.capture import CAPTURE_MODES, CaptureRuntime
-
     if capture not in CAPTURE_MODES:
         raise ValueError(f"unknown capture mode {capture!r} "
                          f"({'|'.join(CAPTURE_MODES)})")

@@ -1,12 +1,26 @@
-"""Run-option vocabularies shared by layers that must not import each other.
+"""Run-option vocabularies: the one declaration of each.
 
-``repro.serve.JobSpec`` validates a request before any simulator module is
-loaded (docs/SERVE.md, "What a submit costs"), so the values it checks
-against live here — a module that imports nothing — and the simulator
-reads them from here too.
+``repro.serve.JobSpec`` validates a request, and ``repro.cli`` builds its
+parser, before any simulator module is loaded (docs/SERVE.md, "What a
+submit costs"), so the values they check against live here — a module
+that imports nothing — and ``launcher.launch`` reads them from here too.
+``tests/test_options.py`` holds each tuple to the enum or registry that
+implements it.
 """
 
-__all__ = ["CAPTURE_MODES"]
+__all__ = ["APPS", "CAPTURE_MODES", "LAUNCH_MODES", "MACHINES", "OBS_LEVELS"]
+
+#: ``JobSpec.app`` / ``repro submit --app``: what the serve runner executes.
+APPS = ("jacobi", "cg", "latency", "bandwidth")
 
 #: ``launch(capture=...)`` / ``JobSpec.capture`` values (docs/MODEL.md §8).
 CAPTURE_MODES = ("off", "regions")
+
+#: ``--mode`` / ``JobSpec.mode``: the names of ``repro.core.LaunchMode``.
+LAUNCH_MODES = ("PureHost", "PartialDevice", "PureDevice")
+
+#: ``--machine`` presets: the keys of ``repro.hardware.MACHINES``.
+MACHINES = ("perlmutter", "lumi", "marenostrum5")
+
+#: ``launch(obs=...)`` / ``JobSpec.obs`` levels (docs/OBSERVABILITY.md).
+OBS_LEVELS = ("off", "metrics", "spans")

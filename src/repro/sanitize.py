@@ -75,17 +75,14 @@ _COMPACT_RATIO = 2
 
 
 def resolve_mode(value) -> Optional[str]:
-    """Normalize a ``sanitize=`` setting to ``None`` (off) or ``"race"``."""
+    """A ``sanitize=`` setting as ``None`` (off: None/False) or ``"race"``
+    (True/``"race"``); anything else is an error."""
     if value is None or value is False:
         return None
-    if value is True:
+    if value is True or value == "race":
         return "race"
-    mode = str(value).strip().lower()
-    if mode in ("", "0", "off", "none", "no"):
-        return None
-    if mode in ("race", "on", "1", "yes", "true"):
-        return "race"
-    raise ValueError(f"unknown sanitize mode {value!r} (expected 'race' or 'off')")
+    raise ValueError(f"unknown sanitize mode {value!r} "
+                     f"(expected None, False, True or 'race')")
 
 
 class AccessCtx:

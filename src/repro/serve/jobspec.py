@@ -35,19 +35,19 @@ from functools import lru_cache
 from typing import Any, Dict, Optional
 
 from ..apps import variant_name
-from ..options import CAPTURE_MODES
+from ..options import APPS, CAPTURE_MODES, LAUNCH_MODES, OBS_LEVELS
 
 __all__ = ["JobSpec", "SPEC_SCHEMA", "canonical_coll", "canonical_fault_spec",
            "model_fingerprint"]
 
 SPEC_SCHEMA = "repro.serve.jobspec/2"
 
-#: Apps the runner knows how to execute (docs/SERVE.md).
-APPS = ("jacobi", "cg", "latency", "bandwidth")
-
-_MODES = ("PureHost", "PartialDevice", "PureDevice")
-_OBS_LEVELS = ("off", "metrics", "spans")
-_OSU_IGNORED = ("fault_spec", "coll", "capture", "sanitize", "collect")
+#: Per app, the fields its runner cannot honour: a non-default value would
+#: hash (and cache) a run that never applied it, so it is rejected. (An OSU
+#: variant carries a device launch mode in its name; CG annotates no region.)
+_OSU_IGNORED = ("mode", "fault_spec", "coll", "capture", "sanitize", "collect")
+_IGNORED = {"jacobi": (), "cg": ("capture",),
+            "latency": _OSU_IGNORED, "bandwidth": _OSU_IGNORED}
 _INT_FIELDS = ("ranks", "size", "iters", "seed", "fault_seed")
 _STR_FIELDS = ("backend", "machine")
 _BOOL_FIELDS = ("sanitize", "collect")
@@ -114,8 +114,8 @@ def canonical_fault_spec(spec: Optional[str]) -> Optional[str]:
 def canonical_coll(coll: Any) -> Optional[str]:
     """Normalize a collective policy to its canonical spec string.
 
-    None/False/"off" -> None (backend legacy algorithms); "auto"/"tuned"
-    -> "auto" (cost-model selection); an algorithm or full wire selection
+    None/False/"off" -> None (backend legacy algorithms); "auto" stays
+    "auto" (cost-model selection); an algorithm or full wire selection
     ("ring", "ring+LL/2", "tree/1") -> ``CollSelection.spec_string()``.
     Table objects/paths are rejected: a path is not content-addressed, so
     it cannot participate in a config hash that must be stable across
@@ -123,7 +123,7 @@ def canonical_coll(coll: Any) -> Optional[str]:
     """
     if coll is None or coll is False or coll == "off":
         return None
-    if coll in ("auto", "tuned"):
+    if coll == "auto":
         return "auto"
     if not isinstance(coll, str):
         raise ValueError(
@@ -161,8 +161,8 @@ class JobSpec:
     ``size`` is the app's characteristic size: the grid edge for jacobi,
     the matrix rows for cg, the largest message for the OSU sweeps.
     ``backend`` accepts a bare backend name ("mpi"/"gpuccl"/"gpushmem"),
-    a full variant ("elastic:mpi", "gpuccl-native"), and for jacobi
-    composes with ``mode`` the same way the CLI does
+    a full variant ("elastic:mpi", "gpuccl-native"), and for jacobi and
+    cg composes with ``mode`` the same way the CLI does
     (:func:`repro.apps.variant_name`).
     """
 
@@ -173,7 +173,9 @@ class JobSpec:
     ranks: int = 4
     size: int = 64
     iters: int = 8
-    seed: int = 0  # problem seed (cg matrix); reserved otherwise
+    # Problem seed (cg matrix). Sweep-wide by design: every app accepts and
+    # hashes it, so one `--seed` can ride a sweep that mixes apps.
+    seed: int = 0
     fault_spec: Optional[str] = None
     fault_seed: int = 0
     coll: Optional[str] = None
@@ -198,10 +200,10 @@ class JobSpec:
                                  f"got {getattr(self, name)!r}")
         if self.app not in APPS:
             raise ValueError(f"unknown app {self.app!r} (expected one of {APPS})")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r} (expected one of {_MODES})")
-        if self.obs not in _OBS_LEVELS:
-            raise ValueError(f"unknown obs level {self.obs!r} (expected one of {_OBS_LEVELS})")
+        if self.mode not in LAUNCH_MODES:
+            raise ValueError(f"unknown mode {self.mode!r} (expected one of {LAUNCH_MODES})")
+        if self.obs not in OBS_LEVELS:
+            raise ValueError(f"unknown obs level {self.obs!r} (expected one of {OBS_LEVELS})")
         if self.capture not in CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {self.capture!r} "
                              f"(expected one of {CAPTURE_MODES})")
@@ -211,13 +213,11 @@ class JobSpec:
             raise ValueError(f"size/iters must be >= 1, got {self.size}/{self.iters}")
         object.__setattr__(self, "fault_spec", canonical_fault_spec(self.fault_spec))
         object.__setattr__(self, "coll", canonical_coll(self.coll))
-        if self.app in ("latency", "bandwidth"):
-            # The OSU runners apply none of these, so a non-default value
-            # would hash (and cache) a run that never honoured it.
-            for f in fields(self):
-                if f.name in _OSU_IGNORED and getattr(self, f.name) != f.default:
-                    raise ValueError(f"JobSpec field {f.name!r} does not apply to "
-                                     f"app {self.app!r} (got {getattr(self, f.name)!r})")
+        for name in _IGNORED[self.app]:
+            # (a field's default is its class attribute)
+            if getattr(self, name) != getattr(JobSpec, name):
+                raise ValueError(f"JobSpec field {name!r} does not apply to "
+                                 f"app {self.app!r} (got {getattr(self, name)!r})")
 
     # ------------------------------------------------------------------ #
 
@@ -253,8 +253,7 @@ class JobSpec:
 
     def variant(self) -> str:
         """The app-level variant string this spec resolves to."""
-        return variant_name(self.backend,
-                            self.mode if self.app == "jacobi" else "PureHost")
+        return variant_name(self.backend, self.mode)
 
     def describe(self) -> str:
         """One-line human label for tables and progress events."""

@@ -21,10 +21,6 @@ from .store import RESULT_SCHEMA
 
 __all__ = ["execute_job", "load_apps"]
 
-#: App -> the package its runner drives (imported on first use).
-_APP_PACKAGES = {"jacobi": "repro.apps.jacobi", "cg": "repro.apps.cg",
-                 "latency": "repro.apps.osu", "bandwidth": "repro.apps.osu"}
-
 
 def load_apps(apps: Iterable[str]) -> None:
     """Import the packages the named apps run on.
@@ -35,7 +31,7 @@ def load_apps(apps: Iterable[str]) -> None:
     never pays for it.
     """
     for app in apps:
-        import_module(_APP_PACKAGES[app])
+        import_module(_APPS[app][0])
 
 
 def execute_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -52,8 +48,7 @@ def execute_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     part the bit-identity contract covers — free of nondeterminism.
     """
     spec = JobSpec.from_dict(spec_dict)
-    run = _APP_RUNNERS[spec.app]
-    report, summary = run(spec)
+    report, summary = _APPS[spec.app][1](spec)
     return {
         "schema": RESULT_SCHEMA,
         "status": "done",
@@ -71,9 +66,7 @@ def _launch_kwargs(spec: JobSpec) -> Dict[str, Any]:
         fault_seed=spec.fault_seed,
         obs=spec.obs,
         sanitize="race" if spec.sanitize else None,
-        # "off", not None: None would let REPRO_COLL_TABLE tune a run whose
-        # hashed spec says it was untuned.
-        coll=spec.coll if spec.coll is not None else "off",
+        coll=spec.coll,
         capture=spec.capture,
     )
 
@@ -157,9 +150,11 @@ def _run_bandwidth(spec: JobSpec):
     return _run_osu(spec, "bandwidth")
 
 
-_APP_RUNNERS = {
-    "jacobi": _run_jacobi,
-    "cg": _run_cg,
-    "latency": _run_latency,
-    "bandwidth": _run_bandwidth,
+#: App (``repro.options.APPS``) -> (the package its runner drives,
+#: imported on first use; the runner).
+_APPS = {
+    "jacobi": ("repro.apps.jacobi", _run_jacobi),
+    "cg": ("repro.apps.cg", _run_cg),
+    "latency": ("repro.apps.osu", _run_latency),
+    "bandwidth": ("repro.apps.osu", _run_bandwidth),
 }

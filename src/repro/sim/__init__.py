@@ -5,7 +5,7 @@ a virtual clock; all inter-GPU communication timing in this package is
 expressed as events on that clock.
 """
 
-from .capture import CAPTURE_MODES, CaptureRegion, CaptureRuntime, loop_region
+from .capture import CaptureRegion, CaptureRuntime, loop_region
 from .chrometrace import to_chrome_trace, write_chrome_trace
 from .engine import Engine, EngineStats, Task, Timer, current_engine
 from .faults import (
@@ -42,7 +42,6 @@ __all__ = [
     "MessageFault",
     "RankCrash",
     "Straggler",
-    "CAPTURE_MODES",
     "CaptureRegion",
     "CaptureRuntime",
     "loop_region",

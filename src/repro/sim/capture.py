@@ -29,11 +29,11 @@ Fingerprinting
 --------------
 
 Applications annotate their steady-state loop with a
-:class:`CaptureRegion` (``Coordinator.graph_begin``/``graph_end`` or
-:func:`loop_region`) and call ``boundary(rank, i, n)`` once per
-iteration.  The first rank to arrive becomes the *reference* rank; its
-boundary marker cuts the timeline into per-iteration segments.  When the
-last two periods of ``d`` iterations are bit-identical — entry tags,
+:class:`CaptureRegion` (:func:`loop_region`) and call
+``boundary(rank, i, n)`` once per iteration.  The first rank to
+arrive becomes the *reference* rank; its boundary marker cuts the
+timeline into per-iteration segments.  When the last two periods of
+``d`` iterations are bit-identical — entry tags,
 trace-record fields, effect keys, schedule/boundary items, callback
 extents, stream enqueue/complete balance, no task spawns, no link
 congestion — the loop has converged to a steady state and the period is
@@ -87,10 +87,10 @@ Bailout rules
 Anything nondeterministic or structurally unstable falls back to live
 execution, which is trivially byte-identical: an installed fault
 injector or sanitizer disables capture at launch; a communicator
-revocation (``Engine.fence``) disables it mid-run; a watchdog, a
-non-``replay_safe`` region, link congestion, a structure or frontier
-mismatch, a cancelled or untagged pending timer, or a too-short
-remaining tail each veto an individual takeover and count one bailout.
+revocation (``Engine.fence``) disables it mid-run; a watchdog, link
+congestion, a structure or frontier mismatch, a cancelled or untagged
+pending timer, or a too-short remaining tail each veto an individual
+takeover and count one bailout.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ from math import frexp, gcd, ldexp
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
-from ..options import CAPTURE_MODES
-
-__all__ = ["CaptureRuntime", "CaptureRegion", "loop_region", "CAPTURE_MODES"]
+__all__ = ["CaptureRuntime", "CaptureRegion", "loop_region"]
 
 # Largest structural period (in iterations) probed by the detector.
 _MAX_D = 4
@@ -206,28 +204,25 @@ class _BoundaryOp:
             stream._advance(self)
 
 
-def loop_region(engine, name: str, *, replay_safe: bool = True,
-                parity: int = 1, min_period: int = 1):
+def loop_region(engine, name: str, *, parity: int = 1, min_period: int = 1):
     """Region handle for an iteration loop; a no-op sink if capture is off."""
     cap = getattr(engine, "capture", None)
     if cap is None:
         return _NULL_REGION
-    return cap.region(name, replay_safe=replay_safe, parity=parity,
-                      min_period=min_period)
+    return cap.region(name, parity=parity, min_period=min_period)
 
 
 class CaptureRegion:
     """One annotated steady-state loop (shared by every rank's task)."""
 
-    __slots__ = ("rt", "key", "replay_safe", "parity", "min_period",
+    __slots__ = ("rt", "key", "parity", "min_period",
                  "ref_rank", "last_i", "pending", "history", "keep",
                  "device_mode", "streams", "n_total")
 
-    def __init__(self, rt: "CaptureRuntime", key: str, replay_safe: bool,
-                 parity: int, min_period: int):
+    def __init__(self, rt: "CaptureRuntime", key: str, parity: int,
+                 min_period: int):
         self.rt = rt
         self.key = key
-        self.replay_safe = replay_safe
         self.parity = max(1, int(parity))
         self.min_period = max(1, int(min_period))
         self.ref_rank: Optional[int] = None
@@ -279,7 +274,7 @@ class CaptureRegion:
             rt._update_keep()
             self._enqueue_marker(rank, i + skip, n, stream)
             return skip
-        if (skip == 0 and self.replay_safe and n is not None
+        if (skip == 0 and n is not None
                 and len(marks) >= 2 * self.min_period + 1):
             skip += self._try_replay(n)
         self._trim_ring()
@@ -340,7 +335,7 @@ class CaptureRegion:
             # there is no third timeline to fall back to.
             rt.disable(f"boundary-collapse:{self.key}")
             return
-        if (self.replay_safe and self.n_total is not None
+        if (self.n_total is not None
                 and len(marks) >= 2 * self.min_period + 1):
             self._try_replay(self.n_total)
         self._trim_ring()
@@ -818,14 +813,13 @@ class CaptureRuntime:
 
     # ------------------------------------------------------------------ #
 
-    def region(self, name: str, *, replay_safe: bool = True, parity: int = 1,
+    def region(self, name: str, *, parity: int = 1,
                min_period: int = 1) -> CaptureRegion:
         """Create-once lookup of the named region."""
         reg = self.regions.get(name)
         if reg is None:
             reg = self.regions[name] = CaptureRegion(
-                self, name, replay_safe, parity, min_period
-            )
+                self, name, parity, min_period)
         return reg
 
     def disable(self, reason: str) -> None:

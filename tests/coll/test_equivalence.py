@@ -74,8 +74,7 @@ def _expected(kind, p, rank):
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda c: str(c))
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_collectives_bitwise_equal(backend, policy, monkeypatch):
-    monkeypatch.delenv("REPRO_COLL_TABLE", raising=False)
+def test_collectives_bitwise_equal(backend, policy):
     sizes = (7, 8, 12) if policy == "recdbl" else (7, 12)
     for p in sizes:
         report = uniconn_run(p, backend, _body, coll=policy, sanitize="race")
@@ -98,8 +97,7 @@ PROTOCOL_POLICIES = ("ring+LL", "ring+LL128/2", "ring+Simple/4",
 
 @pytest.mark.parametrize("policy", PROTOCOL_POLICIES, ids=lambda c: str(c))
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_protocol_selections_bitwise_equal(backend, policy, monkeypatch):
-    monkeypatch.delenv("REPRO_COLL_TABLE", raising=False)
+def test_protocol_selections_bitwise_equal(backend, policy):
     sizes = (2, 8, 16) if policy.startswith("recdbl") else (2, 7, 16)
     for p in sizes:
         report = uniconn_run(p, backend, _body, coll=policy, sanitize="race")

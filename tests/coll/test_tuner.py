@@ -8,7 +8,7 @@ import pytest
 
 from repro.coll import (ALGORITHMS, CollPolicy, CollSelection, CollTable,
                         CollTableError, CollTuner, DEFAULT_ALGORITHM,
-                        ENV_TABLE, SCHEMA_NAME, SCHEMA_VERSION,
+                        SCHEMA_NAME, SCHEMA_VERSION,
                         resolve_policy, validate_table)
 
 
@@ -148,8 +148,7 @@ def test_schema_rejects_malformed_tables():
             validate_table(doc)
 
 
-def test_resolve_policy_forms(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_TABLE, raising=False)
+def test_resolve_policy_forms(tmp_path):
     assert resolve_policy(None) is None
     assert resolve_policy(False) is None
     assert resolve_policy("off") is None
@@ -159,9 +158,6 @@ def test_resolve_policy_forms(tmp_path, monkeypatch):
     path = tmp_path / "t.json"
     table.save(str(path))
     assert resolve_policy(str(path)).mode == "table"
-    monkeypatch.setenv(ENV_TABLE, str(path))
-    env_policy = resolve_policy(None)
-    assert env_policy is not None and env_policy.mode == "table"
     with pytest.raises(ValueError):
         resolve_policy("no-such-algorithm")
     with pytest.raises(TypeError):
@@ -177,27 +173,6 @@ def test_unknown_schema_version_raises_coll_table_error():
         bad = {**doc, "version": version}
         with pytest.raises(CollTableError, match=rf"expected {SCHEMA_VERSION}$"):
             CollTable.from_doc(bad)
-
-
-def test_env_table_signature_mismatch_warns_and_falls_back(tmp_path,
-                                                           monkeypatch):
-    """A REPRO_COLL_TABLE tuned for another machine must not be applied
-    (wrong crossovers) and must not silently disable tuning: warn visibly
-    (a RuntimeWarning), then auto selection takes over."""
-    table = CollTuner("lumi", 8).build_table()
-    path = tmp_path / "lumi.json"
-    table.save(str(path))
-    monkeypatch.setenv(ENV_TABLE, str(path))
-    policy = resolve_policy(None)
-    assert policy is not None and policy.env_source
-    topo = CollTuner("perlmutter", 8).topo
-    with pytest.warns(RuntimeWarning, match="falling back to auto selection"):
-        sel = policy.select("gpuccl", "all_reduce", 64, topo)
-    assert sel is not None  # auto fallback picked a selection
-    # An explicitly passed mismatched table keeps the historical contract:
-    # signature miss -> no selection (legacy path), no warning.
-    explicit = CollPolicy.from_table(table)
-    assert explicit.select("gpuccl", "all_reduce", 64, topo) is None
 
 
 def test_cli_tune_coll_dump(tmp_path):

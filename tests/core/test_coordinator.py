@@ -562,6 +562,8 @@ def test_one_class_per_backend_and_mode_all_coordinators():
     for backend, mode in [("mpi", None), ("gpuccl", None), ("gpushmem", "PureHost"),
                           ("gpushmem", "PartialDevice"), ("gpushmem", "PureDevice")]:
         for obs in ("metrics", "spans"):
-            signals = uniconn_run(1, backend, body, launch_mode=mode, obs=obs)
+            # (a tracer: spans with no sink to record into are not a level)
+            signals = uniconn_run(1, backend, body, launch_mode=mode, obs=obs,
+                                  tracer=Tracer())
             assert list(signals) == [backend == "gpushmem"]
     assert len(set(seen.values())) == len(seen) == 10

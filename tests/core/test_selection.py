@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.selection import DEFAULT_PROBE_SIZES, SelectionTable, tune_machine
+from repro.core.selection import DEFAULT_PROBE_SIZES, SelectionTable
 from repro.errors import UniconnError
 
 
@@ -66,7 +66,7 @@ def test_json_roundtrip(table, tmp_path):
 
 
 def test_lumi_tuning_skips_gpushmem():
-    t = tune_machine("lumi", probe_sizes=(8,), iters=6)
+    t = SelectionTable.tune("lumi", probe_sizes=(8,), iters=6)
     cands = t.candidates(8)
     assert set(cands) == {"mpi", "gpuccl"}
 

@@ -58,6 +58,18 @@ def test_span_records_only_at_spans_level(backend):
 
 
 @pytest.mark.parametrize("backend", ["mpi", "gpuccl", "gpushmem"])
+def test_spans_without_a_tracer_are_the_metrics_run(backend):
+    """A span is a record in a tracer. With no tracer there is nothing to
+    record, so the run must schedule and cost exactly like obs="metrics";
+    it used to turn every deferred charge eager for a trace nobody kept."""
+    metrics = launch(_workload, 2, args=(backend,), obs="metrics")
+    spans = launch(_workload, 2, args=(backend,), obs="spans")
+    assert spans.stats["switches"] == metrics.stats["switches"]
+    assert spans.stats == metrics.stats
+    assert spans.metrics.as_dict() == metrics.metrics.as_dict()
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gpuccl", "gpushmem"])
 def test_chrome_trace_be_events_nest(backend):
     events = to_chrome_trace(_trace(backend, "spans"))
     stacks = {}

@@ -6,6 +6,7 @@ simulation runs here."""
 import json
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve import JobSpec
@@ -32,7 +33,7 @@ _NEAR = {
                    "watchdog,timeout=5e-3;crash,rank=0,at=0", "drop,p=nan",
                    "drop,tag=٣", "crash,rank=1", "degrade,link=x,factor=inf", 7],
     "fault_seed": [0, 11, 1.0, False],
-    "coll": [None, False, "off", "auto", "tuned", "ring", "ring/1", "ring+LL/2",
+    "coll": [None, False, "off", "auto", "ring", "ring/1", "ring+LL/2",
              "ring/0", "tree/x", "ring+XX", "ring/٣", True, 0],
     "capture": ["off", "regions", "auto", None],
     "sanitize": [True, False, 0, 1, "false", None, 2],
@@ -76,6 +77,24 @@ def _check(specs) -> None:
         again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec and again.config_hash() == spec.config_hash()
         assert spec.describe()
+
+
+#: Requests earlier versions accepted (an alias, or a field the app then
+#: ignored): each is a ValueError naming what it refuses, never a run.
+_RETIRED = [
+    ({"coll": "tuned"}, "tuned"),
+    ({"app": "latency", "mode": "PureDevice"}, "'mode'"),
+    ({"app": "bandwidth", "mode": "PartialDevice"}, "'mode'"),
+    ({"app": "cg", "capture": "regions"}, "'capture'"),
+]
+
+
+@pytest.mark.parametrize("fields, named", _RETIRED, ids=lambda v: str(v))
+def test_retired_spellings_are_rejected(fields, named):
+    with pytest.raises(ValueError, match=named):
+        JobSpec.from_dict(fields)
+    with pytest.raises(ValueError, match=named):
+        parse_queue_line(json.dumps(fields))
 
 
 @settings(max_examples=200, deadline=None)

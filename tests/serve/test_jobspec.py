@@ -53,9 +53,10 @@ def test_hash_ignores_kwarg_and_dict_order():
 
 
 def test_every_field_change_changes_hash():
-    base = JobSpec(**REFERENCE_KWARGS)
+    # (jacobi: the one app that honours every field)
+    base = JobSpec(**{**REFERENCE_KWARGS, "app": "jacobi"})
     changed = {
-        "app": "jacobi", "backend": "mpi", "mode": "PureDevice",
+        "app": "cg", "backend": "mpi", "mode": "PureDevice",
         "machine": "lumi", "ranks": 4, "size": 64, "iters": 8, "seed": 0,
         "fault_spec": "crash,rank=2,at=1e-4;watchdog,timeout=5e-3",
         "fault_seed": 0, "coll": None, "capture": "regions", "sanitize": True,
@@ -81,7 +82,8 @@ def test_fault_spec_spellings_hash_identically():
 
 def test_coll_spellings_hash_identically():
     assert JobSpec(coll="ring/1").config_hash() == JobSpec(coll="ring").config_hash()
-    assert JobSpec(coll="tuned").coll == "auto"
+    with pytest.raises(ValueError, match="tuned"):  # retired alias of "auto"
+        JobSpec(coll="tuned")
     assert JobSpec(coll=None).coll is None
     assert JobSpec(coll="off").coll is None
 
@@ -135,10 +137,12 @@ def test_wrong_types_are_value_errors_naming_the_field(field, value):
 @pytest.mark.parametrize("field,value", [
     ("fault_spec", "crash,rank=1,at=1e-4"), ("coll", "auto"),
     ("capture", "regions"), ("sanitize", True), ("collect", True),
+    ("mode", "PureDevice"),
 ])
 def test_osu_jobs_reject_options_they_never_apply(app, field, value):
     """The OSU runners ignore these, so hashing them would cache e.g. a
-    "sanitized" result that never ran the sanitizer."""
+    "sanitized" result that never ran the sanitizer. (A device launch mode
+    rides in the variant name: ``backend="uniconn:gpushmem:PureDevice"``.)"""
     with pytest.raises(ValueError, match=field):
         JobSpec(app=app, **{field: value})
     # Defaults (however spelled) and the options OSU does honour stay legal.
@@ -152,6 +156,16 @@ def test_variant_resolution():
     assert JobSpec(app="cg", backend="elastic:mpi").variant() == "elastic:mpi"
     assert JobSpec(app="latency", backend="mpi-native").variant() == "mpi-native"
     assert JobSpec(app="bandwidth", backend="gpuccl").variant() == "uniconn:gpuccl"
+
+
+def test_cg_honours_mode_and_rejects_capture():
+    """``mode`` used to be hashed for cg and then dropped (PureDevice ran
+    the PureHost simulation under a different hash); CG annotates no
+    capture region, so ``capture`` is a field it cannot honour."""
+    spec = JobSpec(app="cg", backend="gpushmem", mode="PureDevice")
+    assert spec.variant() == "uniconn:gpushmem:PureDevice"
+    with pytest.raises(ValueError, match="'capture'"):
+        JobSpec(app="cg", capture="regions")
 
 
 @pytest.mark.parametrize("coll", ["ring/0", "ring/-2"])

