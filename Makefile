@@ -13,7 +13,7 @@ loc:
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 
-# Byte-identity digest of 85 pinned runs (tools/run_digest.py): one line
+# Byte-identity digest of 86 pinned runs (tools/run_digest.py): one line
 # per run with the sha256 of its Chrome trace and of its RunReport document
 # (plus the host-side scheduler counters and OS-thread count, and on
 # sanitized runs the sanitizer's bookkeeping counts, as unhashed
@@ -30,7 +30,9 @@ digest-check:
 
 # A finished launch() frees by reference count (docs/MODEL.md section 7,
 # "Memory: who frees what"): 40 sixteen-rank launches under gc.disable()
-# must not grow RSS by 5 MB after the fifth, and every pinned variant
+# must not grow RSS by 5 MB after the fifth — once for one Jacobi job, once
+# for CG jobs each on a new problem (make_problem holds only the latest,
+# ~0.5 MB each; ~4 s) — and every pinned variant
 # (tools/gc_census.py CHECK_VARIANTS, plus the four failure paths) must
 # leave the collector < 100 objects, the same at 4 and 12 iterations, none
 # of them a buffer, array, schedule, task or engine; ~15 s. On a violation

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ...options import CG_MIN_ROWS
+
 __all__ = ["MatrixSpec", "synthetic_spd", "serena_like", "queen_like", "MATRICES"]
 
 
@@ -41,8 +43,8 @@ def synthetic_spd(n: int, nnz_per_row: int, seed: int = 0) -> sp.csr_matrix:
     offsets + random symmetric couplings to reach the target density; made
     strictly diagonally dominant (hence SPD).
     """
-    if n < 8:
-        raise ValueError(f"matrix too small: n={n}")
+    if n < CG_MIN_ROWS:
+        raise ValueError(f"matrix too small: n={n} (minimum {CG_MIN_ROWS})")
     rng = np.random.default_rng(seed)
     k = max(2, int(np.sqrt(n)))
     offsets = [1, k, min(k * 7, n - 1)]

@@ -10,8 +10,9 @@ inside the loop.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,18 +36,50 @@ class CgConfig:
     seed: int = 7
 
 
-@dataclass
+@dataclass(frozen=True)
 class CgProblem:
+    """``A x = b`` with its known solution (see :func:`make_problem`)."""
+
     a: sp.csr_matrix
     b: np.ndarray
     x_true: np.ndarray
 
 
-def make_problem(cfg: CgConfig, matrix: sp.csr_matrix = None) -> CgProblem:
-    """Build A (or take it) and a right-hand side with a known solution."""
-    from .matrices import synthetic_spd
+#: The problem make_problem built last, under its (n, nnz_per_row, seed).
+_held: Dict[Tuple[int, int, int], CgProblem] = {}
+_held_lock = threading.Lock()
 
-    a = matrix if matrix is not None else synthetic_spd(cfg.n, cfg.nnz_per_row, cfg.seed)
+
+def make_problem(cfg: CgConfig, matrix: sp.csr_matrix = None) -> CgProblem:
+    """Build A (or take it) and a right-hand side with a known solution.
+
+    A problem built from ``cfg`` alone is shared and immutable. The process
+    keeps the one it built last, keyed by ``(n, nnz_per_row, seed)`` —
+    ``iters`` does not shape it — and returns that same object for the next
+    call with an equal key. A different key builds a new problem and lets
+    the old one go, so at most one is held. Its ``a.data``, ``a.indices``,
+    ``a.indptr``, ``b`` and ``x_true`` are not writeable: copy before
+    changing one. ``matrix=`` builds from the caller's matrix, is never
+    cached and leaves that matrix as it was.
+    """
+    if matrix is not None:
+        return _with_solution(cfg, matrix)
+    key = (cfg.n, cfg.nnz_per_row, cfg.seed)
+    with _held_lock:
+        problem = _held.get(key)
+        if problem is None:
+            from .matrices import synthetic_spd
+
+            _held.clear()  # before building: never two problems at once
+            problem = _with_solution(cfg, synthetic_spd(*key))
+            a = problem.a
+            for array in (a.data, a.indices, a.indptr, problem.b, problem.x_true):
+                array.flags.writeable = False
+            _held[key] = problem
+    return problem
+
+
+def _with_solution(cfg: CgConfig, a: sp.csr_matrix) -> CgProblem:
     rng = np.random.default_rng(cfg.seed + 1)
     x_true = rng.normal(size=a.shape[0])
     x_true /= np.linalg.norm(x_true)

@@ -1,17 +1,22 @@
-"""Run-option vocabularies: the one declaration of each.
+"""Run-option vocabularies and bounds: the one declaration of each.
 
 ``repro.serve.JobSpec`` validates a request, and ``repro.cli`` builds its
 parser, before any simulator module is loaded (docs/SERVE.md, "What a
 submit costs"), so the values they check against live here — a module
-that imports nothing — and ``launcher.launch`` reads them from here too.
-``tests/test_options.py`` holds each tuple to the enum or registry that
-implements it.
+that imports nothing — and ``launcher.launch`` and ``apps.cg`` read them
+from here too. ``tests/test_options.py`` holds each to the enum, registry
+or builder that implements it.
 """
 
-__all__ = ["APPS", "CAPTURE_MODES", "LAUNCH_MODES", "MACHINES", "OBS_LEVELS"]
+__all__ = ["APPS", "CAPTURE_MODES", "CG_MIN_ROWS", "LAUNCH_MODES", "MACHINES",
+           "OBS_LEVELS"]
 
 #: ``JobSpec.app`` / ``repro submit --app``: what the serve runner executes.
 APPS = ("jacobi", "cg", "latency", "bandwidth")
+
+#: The fewest rows ``apps.cg.synthetic_spd`` builds; ``JobSpec(app="cg")``
+#: rejects a smaller ``size`` before anything is queued.
+CG_MIN_ROWS = 8
 
 #: ``launch(capture=...)`` / ``JobSpec.capture`` values (docs/MODEL.md §8).
 CAPTURE_MODES = ("off", "regions")

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Any, Dict, Optional
 
 from ..apps import variant_name
-from ..options import APPS, CAPTURE_MODES, LAUNCH_MODES, OBS_LEVELS
+from ..options import APPS, CAPTURE_MODES, CG_MIN_ROWS, LAUNCH_MODES, OBS_LEVELS
 
 __all__ = ["JobSpec", "SPEC_SCHEMA", "canonical_coll", "canonical_fault_spec",
            "model_fingerprint"]
@@ -211,6 +211,9 @@ class JobSpec:
             raise ValueError(f"ranks must be >= 1, got {self.ranks}")
         if self.size < 1 or self.iters < 1:
             raise ValueError(f"size/iters must be >= 1, got {self.size}/{self.iters}")
+        if self.app == "cg" and self.size < CG_MIN_ROWS:
+            raise ValueError(f"size is the cg matrix's rows and must be >= "
+                             f"{CG_MIN_ROWS}, got {self.size}")
         object.__setattr__(self, "fault_spec", canonical_fault_spec(self.fault_spec))
         object.__setattr__(self, "coll", canonical_coll(self.coll))
         for name in _IGNORED[self.app]:

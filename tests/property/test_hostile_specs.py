@@ -79,13 +79,16 @@ def _check(specs) -> None:
         assert spec.describe()
 
 
-#: Requests earlier versions accepted (an alias, or a field the app then
-#: ignored): each is a ValueError naming what it refuses, never a run.
+#: Requests earlier versions accepted (an alias, a field the app then
+#: ignored, a CG matrix too small to build that then failed in the worker):
+#: each is a ValueError naming what it refuses, never a run.
 _RETIRED = [
     ({"coll": "tuned"}, "tuned"),
     ({"app": "latency", "mode": "PureDevice"}, "'mode'"),
     ({"app": "bandwidth", "mode": "PartialDevice"}, "'mode'"),
     ({"app": "cg", "capture": "regions"}, "'capture'"),
+    ({"app": "cg", "size": 4}, "size"),
+    ({"app": "cg", "size": 7}, "size"),
 ]
 
 

@@ -51,6 +51,19 @@ def test_options_agree_with_what_implements_them():
         launch(lambda ctx: None, 1, obs="all")
 
 
+def test_cg_min_rows_is_what_synthetic_spd_builds():
+    from repro.apps.cg import synthetic_spd
+    from repro.serve import JobSpec
+
+    assert synthetic_spd(options.CG_MIN_ROWS, 3).shape == (options.CG_MIN_ROWS,) * 2
+    with pytest.raises(ValueError, match="too small"):
+        synthetic_spd(options.CG_MIN_ROWS - 1, 3)
+    JobSpec(app="cg", size=options.CG_MIN_ROWS)
+    with pytest.raises(ValueError, match="size"):
+        JobSpec(app="cg", size=options.CG_MIN_ROWS - 1)
+    JobSpec(app="jacobi", size=options.CG_MIN_ROWS - 1)  # a cg-only bound
+
+
 def test_launch_keywords_are_unchanged():
     assert list(inspect.signature(launch).parameters) == [
         "fn", "n_ranks", "machine", "args", "n_nodes", "placement", "tracer",

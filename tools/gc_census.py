@@ -12,8 +12,10 @@ objects that did *not* die by reference count:
   (a knot tied per iteration, per collective or per kernel launch).
 
 ``--check`` runs the pinned list (``CHECK_VARIANTS`` at 16 ranks, the four
-failure paths, and 40 launches under ``gc.disable()`` whose RSS must stay
-flat) and exits 1 with the report of whatever broke the contract of
+failure paths, and twice 40 launches under ``gc.disable()`` whose RSS must
+stay flat: one Jacobi job repeated, and CG jobs each on a problem of its
+own, which ``make_problem`` must not keep) and exits 1 with the report of
+whatever broke the contract of
 docs/MODEL.md section 7, "Memory: who frees what": per launch fewer than
 ``LIMIT`` objects, the same number at two iteration counts, and no buffer,
 array, schedule, task or engine among them.
@@ -285,25 +287,43 @@ def rss_mb():
         return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-def rss_growth(ranks):
+def rss_growth(run):
     """RSS after launch RSS_LAUNCHES minus RSS after launch RSS_FROM, all
-    under gc.disable(): nothing but reference counts frees anything."""
-    run = runner("jacobi/uniconn:mpi", ranks, 8)
+    under gc.disable(): nothing but reference counts frees anything.
+    ``run(i)`` makes launch ``i``."""
     with collector_off():
         for i in range(1, RSS_LAUNCHES + 1):
-            run()
+            run(i)
             if i == RSS_FROM:
                 base = rss_mb()
         return rss_mb() - base
 
 
+def _cg_on_seed(ranks):
+    """Launch ``i`` solves a CG problem of its own (seed ``i``, ~0.5 MB):
+    ``make_problem`` must let each go when it builds the next."""
+    from repro.apps import cg
+
+    def run(seed):
+        cfg = cg.CgConfig(n=4096, nnz_per_row=9, iters=2, seed=seed)
+        cg.launch_variant("uniconn:mpi", cfg, ranks)
+
+    return run
+
+
 def check(ranks):
     # First, on a heap no earlier collection has left room in: freed
     # garbage would absorb a leak that this is there to see.
-    grown = rss_growth(ranks)
-    failed = int(grown >= RSS_LIMIT_MB)
-    print(f"{'FAIL' if failed else 'ok  '} rss: launch {RSS_LAUNCHES} vs launch {RSS_FROM} "
-          f"under gc.disable(): {grown:+.1f} MB (limit {RSS_LIMIT_MB:g})")
+    jacobi = runner("jacobi/uniconn:mpi", ranks, 8)
+    failed = 0
+    for what, run in (("rss", lambda i: jacobi()),
+                      ("rss cg, a new problem per launch", _cg_on_seed(ranks))):
+        grown = rss_growth(run)
+        bad = grown >= RSS_LIMIT_MB
+        failed += bad
+        print(f"{'FAIL' if bad else 'ok  '} {what}: launch {RSS_LAUNCHES} "
+              f"vs launch {RSS_FROM} under gc.disable(): {grown:+.1f} MB "
+              f"(limit {RSS_LIMIT_MB:g})")
     for name in list(CHECK_VARIANTS) + list(FAILURES):
         problems, garbage = violations(name, ranks)
         print(f"{'FAIL' if problems else 'ok  '} {name}"

@@ -56,6 +56,9 @@ WIDE = jacobi.JacobiConfig(nx=4096, ny=34, iters=24, warmup=1)
 SMALL = jacobi.JacobiConfig(nx=32, ny=34, iters=16, warmup=2)
 CG = cg.CgConfig(n=512, nnz_per_row=9, iters=12, seed=3)
 CG_WIDE = cg.CgConfig(n=4096, nnz_per_row=9, iters=6, seed=3)
+# Fig. 6's regime: each of the 8 ranks' AllGatherv blocks is 128 KiB, so
+# every gather moves 1 MiB.
+CG_MB = cg.CgConfig(n=131072, nnz_per_row=9, iters=4, seed=3)
 SPANS_JACOBI = ("uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem",
                 "uniconn:gpushmem:PartialDevice", "uniconn:gpushmem:PureDevice")
 OSU = OsuConfig(sizes=(8, 1024, 65536, 1 << 20), iters_small=6, warmup_small=1,
@@ -200,6 +203,7 @@ def matrix():
     yield "cg4-rdv/uniconn:mpi", _cg("uniconn:mpi", CG_WIDE, 4)
     yield "cg4-rdv/uniconn:mpi/inert-plan", _cg("uniconn:mpi", CG_WIDE, 4,
                                                  fault_plan=INERT)
+    yield "cg8-mb/gpuccl-native", _cg("gpuccl-native", CG_MB, 8)
     for variant in LATENCY_VARIANTS:
         yield f"osu-latency/{variant}", _osu(LATENCY_VARIANTS, variant)
     for variant in BANDWIDTH_VARIANTS:
