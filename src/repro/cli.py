@@ -9,11 +9,13 @@ Subcommands::
     python -m repro bandwidth --variant gpuccl-native
     python -m repro tune    --machine perlmutter --dump table.json
     python -m repro tune    --coll --gpus 64 --dump coll_table.json
-    python -m repro trace   --out trace.json     # Chrome-trace of a Jacobi run
-    python -m repro report  --gpus 4             # per-rank time breakdown
+    python -m repro report  --gpus 4 --trace-out trace.json  # time breakdown + trace
     python -m repro submit  --sweep app=jacobi,cg backend=mpi,gpuccl --jobs 4
     python -m repro serve   --queue jobs.jsonl   # long-running job service
     python -m repro jobs                         # result-store status table
+
+A run verb (jacobi, cg, latency, bandwidth) is ``repro submit --app <verb>``
+without a store: one JobSpec, run in-process by ``execute_job``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(docs/MODEL.md); replay counters are printed "
                              "after the run")
 
+    def _job_args(sp, backend, gpus, size, iters, size_help="grid edge (nx)"):
+        sp.add_argument("--backend", default=backend)
+        sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
+        sp.add_argument("--gpus", type=int, default=gpus)
+        sp.add_argument("--size", type=int, default=size, help=size_help)
+        sp.add_argument("--iters", type=int, default=iters)
+
     sp = sub.add_parser("machines", help="print the Table I machine models")
 
     sp = sub.add_parser(
@@ -69,11 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                "variant that survives it. A worked example lives in "
                "examples/jacobi_fault_recovery.py.")
     common(sp)
-    sp.add_argument("--backend", default="gpuccl")
-    sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
-    sp.add_argument("--gpus", type=int, default=8)
-    sp.add_argument("--size", type=int, default=256, help="grid edge (nx)")
-    sp.add_argument("--iters", type=int, default=20)
+    _job_args(sp, "gpuccl", 8, 256, 20)
     sp.add_argument("--verify", action="store_true")
     _fault_args(sp)
     _sanitize_arg(sp)
@@ -83,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--backend", default="gpuccl")
     sp.add_argument("--rows", type=int, default=4096)
-    sp.add_argument("--nnz", type=int, default=33)
     sp.add_argument("--gpus", type=int, default=8)
     sp.add_argument("--iters", type=int, default=30)
     _sanitize_arg(sp)
@@ -93,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--variant", default="uniconn:gpuccl")
         sp.add_argument("--inter", action="store_true", help="use two nodes")
-        sp.add_argument("--sizes", type=int, nargs="*", default=None)
+        sp.add_argument("--size", type=int, default=1 << 20,
+                        help="largest message in bytes (sweeps 8 B up in x16 steps)")
 
     sp = sub.add_parser(
         "tune", help="build a backend-selection or collective-algorithm table",
@@ -101,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                "--coll, score the repro.coll algorithm catalogue with the "
                "alpha-beta cost model instead and print per-backend "
                "collective crossovers; --dump then writes the banded "
-               "tuning table (schema repro.coll.table) that "
-               "launch(coll=<path>) replays.")
+               "tuning table (schema repro.coll.table) that the "
+               "coll=<path> run option replays.")
     common(sp)
     sp.add_argument("--coll", action="store_true",
                     help="tune collective algorithms (docs/COLLECTIVES.md)")
@@ -113,14 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", default=None, metavar="FILE",
                     help="write the table JSON here")
 
-    sp = sub.add_parser("trace", help="write a Chrome trace of a Jacobi run")
-    common(sp)
-    sp.add_argument("--backend", default="gpuccl")
-    sp.add_argument("--gpus", type=int, default=4)
-    sp.add_argument("--out", default="trace.json")
-    _fault_args(sp)
-    _sanitize_arg(sp)
-
     sp = sub.add_parser(
         "report", help="run a Jacobi job with span tracing and print the "
                        "per-rank compute/comm/sync/idle breakdown",
@@ -128,11 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                "'spans'; --metrics-out writes the full report document "
                "(schema repro.obs.report) as JSON for tooling.")
     common(sp)
-    sp.add_argument("--backend", default="gpuccl")
-    sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
-    sp.add_argument("--gpus", type=int, default=4)
-    sp.add_argument("--size", type=int, default=128, help="grid edge (nx)")
-    sp.add_argument("--iters", type=int, default=10)
+    _job_args(sp, "gpuccl", 4, 128, 10)
     sp.add_argument("--metrics-out", default=None, metavar="FILE",
                     help="write the JSON report document here")
     sp.add_argument("--trace-out", default=None, metavar="FILE",
@@ -158,12 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _spec_args(sp):
         sp.add_argument("--app", default="jacobi", choices=APPS)
-        sp.add_argument("--backend", default="mpi")
-        sp.add_argument("--mode", default="PureHost", choices=LAUNCH_MODES)
-        sp.add_argument("--gpus", type=int, default=4)
-        sp.add_argument("--size", type=int, default=64,
-                        help="grid edge (jacobi) / rows (cg) / max bytes (osu)")
-        sp.add_argument("--iters", type=int, default=8)
+        _job_args(sp, "mpi", 4, 64, 8,
+                  "grid edge (jacobi) / rows (cg) / max bytes (osu)")
         sp.add_argument("--seed", type=int, default=0,
                         help="problem seed (cg matrix)")
         sp.add_argument("--coll", default=None,
@@ -214,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _print_capture(report, out) -> None:
+def _print_capture(stats, out) -> None:
     """Print the graph-capture summary when capture was requested."""
-    cap = report.stats.get("capture")
+    cap = stats.get("capture")
     if not cap or cap.get("mode", "off") == "off":
         return
     if not cap.get("enabled", False):
@@ -227,21 +216,36 @@ def _print_capture(report, out) -> None:
           f"{cap['events_replayed']} events replayed", file=out)
 
 
-def _print_races(report, out) -> int:
-    """Print sanitizer findings; returns the count (nonzero exit signal)."""
-    races = getattr(report, "races", [])
+def _print_races(stats, out) -> int:
+    """Print the sanitizer findings in a run's stats; returns the count
+    (nonzero exit signal)."""
+    races = stats.get("races")
     if not races:
-        if report.stats.get("races") is not None:
+        if races is not None:
             print("sanitizer: no races detected", file=out)
         return 0
+    from .sanitize import RaceReport
+
     print(f"sanitizer: {len(races)} finding(s)", file=out)
     for r in races:
-        for line in str(r).splitlines():
+        for line in str(RaceReport(**r)).splitlines():
             print(f"  {line}", file=out)
-    dropped = report.stats.get("races_dropped", 0)
-    if dropped:
-        print(f"  ... and {dropped} more (report cap reached)", file=out)
+    if stats.get("races_dropped"):
+        print(f"  ... and {stats['races_dropped']} more (report cap reached)", file=out)
     return len(races)
+
+
+def _spec(args, **fields):
+    """The JobSpec a run verb's flags describe, or None after printing the
+    ``ValueError`` that refused it (the verb then exits 2, as submit does)."""
+    from .serve import JobSpec
+
+    try:
+        return JobSpec(app=fields.pop("app", args.command), machine=args.machine,
+                       **fields)
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_machines(args, out) -> int:
@@ -257,79 +261,71 @@ def _cmd_machines(args, out) -> int:
 
 
 def _cmd_jacobi(args, out) -> int:
-    import numpy as np
+    spec = _spec(args, backend=args.backend, mode=args.mode, ranks=args.gpus,
+                 size=args.size, iters=args.iters, fault_spec=args.fault_spec,
+                 fault_seed=args.fault_seed, sanitize=bool(args.sanitize),
+                 capture=args.capture or "off", collect=args.verify)
+    if spec is None:
+        return 2
+    from .serve.runner import execute_job, jacobi_config, solution_digest
 
-    from .apps import variant_name
-    from .apps.jacobi import JacobiConfig, assemble, launch_variant, serial_jacobi
-
-    cfg = JacobiConfig(nx=args.size, ny=args.size + 2, iters=args.iters,
-                       warmup=max(1, args.iters // 10))
-    variant = variant_name(args.backend, args.mode)
-    results = launch_variant(variant, cfg, args.gpus, machine=args.machine,
-                             collect=args.verify,
-                             fault_plan=args.fault_spec, fault_seed=args.fault_seed,
-                             sanitize=args.sanitize, capture=args.capture)
-    survivors = [r for r in results if r is not None]  # elastic runs lose ranks
-    t = max(r.time_per_iter for r in survivors)
-    print(f"jacobi {cfg.nx}x{cfg.ny} x{args.gpus} GPUs [{variant}] on {args.machine}: "
-          f"{t * 1e6:.2f} us/iter", file=out)
-    _print_capture(results, out)
-    for when, kind, fields in results.faults:
-        detail = " ".join(f"{k}={v}" for k, v in fields.items())
-        print(f"  fault t={when:.6g}s {kind} {detail}", file=out)
-    restarts = max(r.restarts for r in survivors)
+    doc = execute_job(spec.to_dict())  # in-process: no store, no pool
+    summary, report = doc["summary"], doc["report"]
+    print(f"jacobi {spec.size}x{spec.size + 2} x{spec.ranks} GPUs [{spec.variant()}] "
+          f"on {spec.machine}: {summary['time_per_iter_s'] * 1e6:.2f} us/iter", file=out)
+    _print_capture(report["stats"], out)
+    for fault in report["faults"]:
+        detail = " ".join(f"{k}={v}" for k, v in fault["fields"].items())
+        print(f"  fault t={fault['t']:.6g}s {fault['kind']} {detail}", file=out)
+    restarts = max(r["restarts"] for r in report["results"] if r is not None)
     if restarts:
         print(f"  recovered via {restarts} checkpoint rollback(s)", file=out)
-    races = _print_races(results, out)
+    races = _print_races(report["stats"], out)
     if args.verify:
+        from .apps.jacobi import serial_jacobi
+
+        cfg = jacobi_config(spec)
         ref = serial_jacobi(cfg, iters=cfg.warmup + cfg.iters)
-        ok = np.array_equal(assemble(cfg, survivors), ref)
+        ok = summary["solution_sha256"] == solution_digest(ref)
         print(f"verification: {'PASS (bitwise)' if ok else 'FAIL'}", file=out)
         return 1 if (not ok or races) else 0
     return 1 if races else 0
 
 
 def _cmd_cg(args, out) -> int:
-    import numpy as np
+    spec = _spec(args, backend=args.backend, ranks=args.gpus, size=args.rows,
+                 iters=args.iters, sanitize=bool(args.sanitize))
+    if spec is None:
+        return 2
+    from .serve.runner import execute_job
 
-    from .apps import variant_name
-    from .apps.cg import CgConfig, assemble_x, final_residual, launch_variant, make_problem
-
-    cfg = CgConfig(n=args.rows, nnz_per_row=args.nnz, iters=args.iters)
-    problem = make_problem(cfg)
-    variant = variant_name(args.backend)
-    results = launch_variant(variant, cfg, args.gpus,
-                             machine=args.machine, problem=problem, collect=True,
-                             sanitize=args.sanitize)
-    survivors = [r for r in results if r is not None]  # elastic runs lose ranks
-    x = assemble_x(survivors, cfg.n)
-    rel = final_residual(problem, x) / float(np.linalg.norm(problem.b))
-    t = max(r.time_per_iter for r in survivors)
-    print(f"cg n={cfg.n} x{args.gpus} GPUs [{variant}] on {args.machine}: "
-          f"{t * 1e6:.2f} us/iter, |b-Ax|/|b| = {rel:.2e}", file=out)
-    return 1 if _print_races(results, out) else 0
+    doc = execute_job(spec.to_dict())
+    summary = doc["summary"]
+    print(f"cg n={spec.size} x{spec.ranks} GPUs [{spec.variant()}] on {spec.machine}: "
+          f"{summary['time_per_iter_s'] * 1e6:.2f} us/iter, "
+          f"|b-Ax|/|b| = {summary['relative_residual']:.2e}", file=out)
+    return 1 if _print_races(doc["report"]["stats"], out) else 0
 
 
-def _cmd_netbench(args, out, kind: str) -> int:
-    from .apps.osu import OsuConfig, run_bandwidth, run_latency
+def _cmd_netbench(args, out) -> int:
+    # No --iters here: 20 small-message iterations (5 large), the verbs' default.
+    spec = _spec(args, backend=args.variant, ranks=4 if args.inter else 2,
+                 size=args.size, iters=20)
+    if spec is None:
+        return 2
+    from .serve.runner import execute_job
 
-    sizes = tuple(args.sizes) if args.sizes else (8, 1024, 65536, 1 << 20)
-    cfg = OsuConfig(sizes=sizes, iters_small=20, warmup_small=2,
-                    iters_large=6, warmup_large=1, repeats=3)
-    run = run_latency if kind == "latency" else run_bandwidth
-    res = run(args.variant, cfg, machine=args.machine, inter_node=args.inter)
+    (values,) = execute_job(spec.to_dict())["summary"].values()  # seconds or bytes_per_s
+    scale, unit = (1e-6, "us") if args.command == "latency" else (1e9, "GB/s")
+    for size, value in values.items():
+        print(f"{int(size):>10d} B   {value / scale:10.2f} {unit}", file=out)
     where = "inter" if args.inter else "intra"
-    for size in sizes:
-        if kind == "latency":
-            print(f"{size:>10d} B   {res[size] * 1e6:10.2f} us", file=out)
-        else:
-            print(f"{size:>10d} B   {res[size] / 1e9:10.2f} GB/s", file=out)
-    print(f"[{args.variant}, {where}-node, {args.machine}]", file=out)
+    print(f"[{spec.variant()}, {where}-node, {spec.machine}]", file=out)
     return 0
 
 
 def _cmd_tune_coll(args, out) -> int:
-    from .coll import CollTuner, validate_table
+    from .coll import CollSelection, CollTuner, validate_table
 
     tuner = CollTuner(args.machine, args.gpus, n_nodes=args.nodes)
     table = tuner.build_table()
@@ -338,15 +334,9 @@ def _cmd_tune_coll(args, out) -> int:
     for backend in tuner.backends():
         for kind in table.entries[sig][backend]:
             bands = table.entries[sig][backend][kind]
-            parts = []
-            for ceiling, algo, protocol, channels in bands:
-                name = algo
-                if protocol is not None:
-                    name += f"+{protocol}"
-                if channels != 1:
-                    name += f"/{channels}"
-                parts.append(
-                    name + (f" < {ceiling} B" if ceiling is not None else ""))
+            parts = [CollSelection(algo, protocol, channels).describe()
+                     + (f" < {ceiling} B" if ceiling is not None else "")
+                     for ceiling, algo, protocol, channels in bands]
             print(f"  {backend:9s} {kind:15s} {', '.join(parts)}", file=out)
     if args.dump:
         table.save(args.dump)
@@ -374,45 +364,28 @@ def _cmd_tune(args, out) -> int:
     return 0
 
 
-def _cmd_trace(args, out) -> int:
-    from .apps import variant_name
-    from .apps.jacobi import JacobiConfig, run_variant
-    from .launcher import launch
-    from .sim import Tracer, write_chrome_trace
-
-    tracer = Tracer()
-    cfg = JacobiConfig(nx=64, ny=66, iters=5, warmup=1)
-    variant = variant_name(args.backend)
-    report = launch(lambda ctx: run_variant(ctx, variant, cfg),
-                    args.gpus, machine=args.machine, tracer=tracer,
-                    fault_plan=args.fault_spec, fault_seed=args.fault_seed,
-                    sanitize=args.sanitize)
-    write_chrome_trace(tracer, args.out)
-    print(f"{len(tracer.records)} events -> {args.out} "
-          f"(open in chrome://tracing or Perfetto)", file=out)
-    return 1 if _print_races(report, out) else 0
-
-
 def _cmd_report(args, out) -> int:
-    from .apps import variant_name
-    from .apps.jacobi import JacobiConfig, launch_variant
+    spec = _spec(args, app="jacobi", backend=args.backend, mode=args.mode,
+                 ranks=args.gpus, size=args.size, iters=args.iters,
+                 fault_spec=args.fault_spec, fault_seed=args.fault_seed,
+                 sanitize=bool(args.sanitize), obs="spans")
+    if spec is None:
+        return 2
+    from .apps import jacobi
     from .obs import SCHEMA_NAME, SCHEMA_VERSION, analyze_records, format_report, validate_report
+    from .serve.runner import jacobi_config, launch_kwargs
     from .sim import Tracer
 
-    variant = variant_name(args.backend, args.mode)
-    cfg = JacobiConfig(nx=args.size, ny=args.size + 2, iters=args.iters,
-                       warmup=max(1, args.iters // 10))
-    tracer = Tracer()
-    report = launch_variant(variant, cfg, args.gpus, machine=args.machine,
-                            tracer=tracer, obs="spans", trace_out=args.trace_out,
-                            fault_plan=args.fault_spec, fault_seed=args.fault_seed,
-                            sanitize=args.sanitize)
-    analysis = analyze_records(tracer.records, n_ranks=args.gpus,
+    cfg = jacobi_config(spec)
+    tracer = Tracer()  # the analysis reads the live span records
+    report = jacobi.launch_variant(spec.variant(), cfg, spec.ranks, tracer=tracer,
+                                   trace_out=args.trace_out, **launch_kwargs(spec))
+    analysis = analyze_records(tracer.records, n_ranks=spec.ranks,
                                total_time=report.stats.get("virtual_time"))
-    print(f"jacobi {cfg.nx}x{cfg.ny} x{args.gpus} GPUs [{variant}] on {args.machine}",
-          file=out)
+    print(f"jacobi {cfg.nx}x{cfg.ny} x{spec.ranks} GPUs [{spec.variant()}] "
+          f"on {spec.machine}", file=out)
     print(format_report(analysis), file=out)
-    races = _print_races(report, out)
+    races = _print_races(report.stats, out)
     if args.trace_out:
         print(f"chrome trace -> {args.trace_out}", file=out)
     if args.metrics_out:
@@ -423,11 +396,9 @@ def _cmd_report(args, out) -> int:
         doc["metrics"] = report.metrics.as_dict()
         doc["stats"] = {k: v for k, v in report.stats.items()
                         if k not in ("faults", "races")}
-        doc["faults"] = [
-            {"t": when, "kind": kind, "fields": dict(fields)}
-            for when, kind, fields in report.faults
-        ]
-        if args.sanitize:
+        doc["faults"] = [{"t": when, "kind": kind, "fields": dict(fields)}
+                         for when, kind, fields in report.faults]
+        if spec.sanitize:
             doc["races"] = [r.as_dict() for r in report.races]
         validate_report(doc)
         with open(args.metrics_out, "w") as fh:
@@ -532,7 +503,7 @@ def _cmd_serve(args, out) -> int:
 
 
 def _cmd_jobs(args, out) -> int:
-    from .serve import ResultStore
+    from .serve import JobSpec, ResultStore
 
     store = ResultStore(args.store)
     rows = list(store.jobs())
@@ -545,8 +516,6 @@ def _cmd_jobs(args, out) -> int:
           file=out)
     for doc in rows:
         job = doc.get("job", {})
-        from .serve import JobSpec
-
         try:
             label = JobSpec.from_dict(job).describe()
         except (ValueError, TypeError):
@@ -562,26 +531,13 @@ def _cmd_jobs(args, out) -> int:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
-    out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "machines":
-        return _cmd_machines(args, out)
-    if args.command == "jacobi":
-        return _cmd_jacobi(args, out)
-    if args.command == "cg":
-        return _cmd_cg(args, out)
-    if args.command in ("latency", "bandwidth"):
-        return _cmd_netbench(args, out, args.command)
-    if args.command == "tune":
-        return _cmd_tune(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "report":
-        return _cmd_report(args, out)
-    if args.command == "submit":
-        return _cmd_submit(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "jobs":
-        return _cmd_jobs(args, out)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return _COMMANDS[args.command](args, sys.stdout if out is None else out)
+
+
+_COMMANDS = {
+    "machines": _cmd_machines, "jacobi": _cmd_jacobi, "cg": _cmd_cg,
+    "latency": _cmd_netbench, "bandwidth": _cmd_netbench, "tune": _cmd_tune,
+    "report": _cmd_report, "submit": _cmd_submit, "serve": _cmd_serve,
+    "jobs": _cmd_jobs,
+}

@@ -44,8 +44,9 @@ SPEC_SCHEMA = "repro.serve.jobspec/2"
 
 #: Per app, the fields its runner cannot honour: a non-default value would
 #: hash (and cache) a run that never applied it, so it is rejected. (An OSU
-#: variant carries a device launch mode in its name; CG annotates no region.)
-_OSU_IGNORED = ("mode", "fault_spec", "coll", "capture", "sanitize", "collect")
+#: variant carries a device launch mode in its name; CG annotates no region;
+#: an OSU run reports no metrics or spans.)
+_OSU_IGNORED = ("mode", "fault_spec", "coll", "capture", "sanitize", "obs", "collect")
 _IGNORED = {"jacobi": (), "cg": ("capture",),
             "latency": _OSU_IGNORED, "bandwidth": _OSU_IGNORED}
 _INT_FIELDS = ("ranks", "size", "iters", "seed", "fault_seed")
@@ -215,12 +216,18 @@ class JobSpec:
             raise ValueError(f"size is the cg matrix's rows and must be >= "
                              f"{CG_MIN_ROWS}, got {self.size}")
         object.__setattr__(self, "fault_spec", canonical_fault_spec(self.fault_spec))
+        if self.fault_spec is None:  # no plan, no injector: the seed is inert
+            object.__setattr__(self, "fault_seed", 0)
         object.__setattr__(self, "coll", canonical_coll(self.coll))
         for name in _IGNORED[self.app]:
             # (a field's default is its class attribute)
             if getattr(self, name) != getattr(JobSpec, name):
                 raise ValueError(f"JobSpec field {name!r} does not apply to "
                                  f"app {self.app!r} (got {getattr(self, name)!r})")
+        if self.app in ("latency", "bandwidth") and self.ranks not in (2, 4):
+            # One pair of GPUs: ranks says only whether it spans two nodes.
+            raise ValueError(f"ranks for app {self.app!r} must be 2 (an intra-node "
+                             f"pair) or 4 (an inter-node pair), got {self.ranks}")
 
     # ------------------------------------------------------------------ #
 

@@ -1,8 +1,9 @@
 """Execute one JobSpec into a JSON result document (worker-side).
 
-``execute_job`` is the module-level function the worker pool runs: it
-resolves the spec's app, drives the same launch surface the CLI uses,
-and returns the result document the store persists. Everything in the
+``execute_job`` is the module-level function the worker pool runs, and
+the one the CLI run verbs (``repro jacobi|cg|latency|bandwidth``) call
+in-process: it resolves the spec's app, drives its launcher, and returns
+the result document the store persists. Everything in the
 document is deterministic for a given spec — the simulation runs on a
 virtual clock and the report serializes with canonical digests — which
 is what makes cached results bit-identical to fresh runs.
@@ -19,7 +20,8 @@ import numpy as np
 from .jobspec import JobSpec
 from .store import RESULT_SCHEMA
 
-__all__ = ["execute_job", "load_apps"]
+__all__ = ["execute_job", "jacobi_config", "launch_kwargs", "load_apps",
+           "solution_digest"]
 
 
 def load_apps(apps: Iterable[str]) -> None:
@@ -59,7 +61,8 @@ def execute_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _launch_kwargs(spec: JobSpec) -> Dict[str, Any]:
+def launch_kwargs(spec: JobSpec) -> Dict[str, Any]:
+    """The ``launch()`` run options a spec names."""
     return dict(
         machine=spec.machine,
         fault_plan=spec.fault_spec,
@@ -71,17 +74,25 @@ def _launch_kwargs(spec: JobSpec) -> Dict[str, Any]:
     )
 
 
-def _digest(array: np.ndarray) -> str:
+def solution_digest(array: np.ndarray) -> str:
+    """The ``summary["solution_sha256"]`` of a solution array."""
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def jacobi_config(spec: JobSpec):
+    """The ``JacobiConfig`` a jacobi spec runs (``repro report`` runs it too)."""
+    from ..apps.jacobi import JacobiConfig
+
+    return JacobiConfig(nx=spec.size, ny=spec.size + 2, iters=spec.iters,
+                        warmup=max(1, spec.iters // 10))
 
 
 def _run_jacobi(spec: JobSpec):
     from ..apps import jacobi
 
-    cfg = jacobi.JacobiConfig(nx=spec.size, ny=spec.size + 2, iters=spec.iters,
-                              warmup=max(1, spec.iters // 10))
+    cfg = jacobi_config(spec)
     report = jacobi.launch_variant(spec.variant(), cfg, spec.ranks,
-                                   collect=spec.collect, **_launch_kwargs(spec))
+                                   collect=spec.collect, **launch_kwargs(spec))
     survivors = [r for r in report if r is not None]
     summary: Dict[str, Any] = {
         "time_per_iter_s": max(r.time_per_iter for r in survivors),
@@ -89,7 +100,7 @@ def _run_jacobi(spec: JobSpec):
         "virtual_time_s": report.stats.get("virtual_time"),
     }
     if spec.collect:
-        summary["solution_sha256"] = _digest(jacobi.assemble(cfg, survivors))
+        summary["solution_sha256"] = solution_digest(jacobi.assemble(cfg, survivors))
     return report, summary
 
 
@@ -100,7 +111,7 @@ def _run_cg(spec: JobSpec):
                       iters=spec.iters, seed=spec.seed or 7)
     problem = cg.make_problem(cfg)
     report = cg.launch_variant(spec.variant(), cfg, spec.ranks, problem=problem,
-                               collect=True, **_launch_kwargs(spec))
+                               collect=True, **launch_kwargs(spec))
     survivors = [r for r in report if r is not None]
     x = cg.assemble_x(survivors, cfg.n)
     residual = cg.final_residual(problem, x) / float(np.linalg.norm(problem.b))
@@ -111,7 +122,7 @@ def _run_cg(spec: JobSpec):
         "virtual_time_s": report.stats.get("virtual_time"),
     }
     if spec.collect:
-        summary["solution_sha256"] = _digest(x)
+        summary["solution_sha256"] = solution_digest(x)
     return report, summary
 
 
@@ -132,10 +143,10 @@ def _run_osu(spec: JobSpec, kind: str):
                     iters_large=max(2, spec.iters // 4), warmup_large=1,
                     repeats=1)
     run = run_latency if kind == "latency" else run_bandwidth
-    # The OSU benches always use two GPUs; ranks > 2 asks for the
-    # inter-node placement (two GPUs on two nodes), matching --inter.
+    # The OSU benches always use two GPUs; ranks=4 (JobSpec allows 2 or 4)
+    # asks for the inter-node placement, two GPUs on two nodes.
     res = run(spec.variant(), cfg, machine=spec.machine,
-              inter_node=spec.ranks > 2)
+              inter_node=spec.ranks == 4)
     report = RunReport()
     unit = "seconds" if kind == "latency" else "bytes_per_s"
     summary = {unit: {str(size): res[size] for size in cfg.sizes}}

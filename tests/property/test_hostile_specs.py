@@ -89,6 +89,8 @@ _RETIRED = [
     ({"app": "cg", "capture": "regions"}, "'capture'"),
     ({"app": "cg", "size": 4}, "size"),
     ({"app": "cg", "size": 7}, "size"),
+    ({"app": "latency", "obs": "spans"}, "'obs'"),
+    ({"app": "bandwidth", "ranks": 64}, "ranks"),
 ]
 
 

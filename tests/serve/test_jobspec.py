@@ -137,16 +137,40 @@ def test_wrong_types_are_value_errors_naming_the_field(field, value):
 @pytest.mark.parametrize("field,value", [
     ("fault_spec", "crash,rank=1,at=1e-4"), ("coll", "auto"),
     ("capture", "regions"), ("sanitize", True), ("collect", True),
-    ("mode", "PureDevice"),
+    ("mode", "PureDevice"), ("obs", "spans"), ("obs", "off"),
+    ("ranks", 1), ("ranks", 3), ("ranks", 64),
 ])
 def test_osu_jobs_reject_options_they_never_apply(app, field, value):
     """The OSU runners ignore these, so hashing them would cache e.g. a
     "sanitized" result that never ran the sanitizer. (A device launch mode
-    rides in the variant name: ``backend="uniconn:gpushmem:PureDevice"``.)"""
+    rides in the variant name: ``backend="uniconn:gpushmem:PureDevice"``.)
+    An OSU run returns an empty report whatever ``obs`` says, and is one
+    pair of GPUs: ``ranks`` 3 and 64 used to hash the inter-node pair's
+    simulation twice under two more hashes."""
     with pytest.raises(ValueError, match=field):
         JobSpec(app=app, **{field: value})
     # Defaults (however spelled) and the options OSU does honour stay legal.
-    JobSpec(app=app, coll="off", sanitize=0, obs="off", ranks=4, machine="lumi")
+    JobSpec(app=app, coll="off", sanitize=0, obs="metrics", ranks=4, machine="lumi")
+
+
+@pytest.mark.parametrize("app", ["latency", "bandwidth"])
+def test_osu_ranks_name_the_two_placements(app):
+    with pytest.raises(ValueError, match=r"2 \(an intra-node pair\) or 4 "
+                                         r"\(an inter-node pair\), got 3"):
+        JobSpec(app=app, ranks=3)
+    assert JobSpec(app=app, ranks=2) != JobSpec(app=app, ranks=4)
+
+
+def test_a_fault_seed_without_a_plan_is_the_same_run():
+    """``launch`` builds no injector without a plan, so the seed cannot
+    change the run and must not change the hash; an empty plan is no plan."""
+    for spec in (JobSpec(fault_seed=9), JobSpec(fault_spec="", fault_seed=9),
+                 JobSpec(fault_spec=";;", fault_seed=9)):
+        assert spec.fault_seed == 0 and spec == JobSpec()
+        assert spec.config_hash() == JobSpec().config_hash()
+    planned = "crash,rank=1,at=1e-4"
+    assert JobSpec(fault_spec=planned, fault_seed=9).config_hash() != \
+        JobSpec(fault_spec=planned).config_hash()
 
 
 def test_variant_resolution():

@@ -45,15 +45,14 @@ def test_cg_reports_residual():
 
 
 def test_latency_command():
-    code, text = run_cli(["latency", "--variant", "uniconn:mpi",
-                          "--sizes", "8", "1024"])
+    code, text = run_cli(["latency", "--variant", "uniconn:mpi", "--size", "1024"])
     assert code == 0
     assert "us" in text and "intra-node" in text
 
 
 def test_bandwidth_command_inter_node():
     code, text = run_cli(["bandwidth", "--variant", "gpuccl-native",
-                          "--inter", "--sizes", "65536"])
+                          "--inter", "--size", "65536"])
     assert code == 0
     assert "GB/s" in text and "inter-node" in text
 
@@ -67,12 +66,14 @@ def test_tune_writes_table(tmp_path):
     assert "intra" in doc["measurements"]
 
 
-def test_trace_writes_chrome_json(tmp_path):
+def test_report_trace_out_writes_chrome_json(tmp_path):
+    """`repro report --trace-out` writes the run's Chrome trace, spans included."""
     path = tmp_path / "t.json"
-    code, text = run_cli(["trace", "--gpus", "2", "--out", str(path)])
-    assert code == 0
-    doc = json.loads(path.read_text())
-    assert len(doc["traceEvents"]) > 10
+    code, text = run_cli(["report", "--gpus", "2", "--size", "64", "--iters", "5",
+                          "--trace-out", str(path)])
+    assert code == 0 and f"chrome trace -> {path}" in text
+    events = json.loads(path.read_text())["traceEvents"]
+    assert len(events) > 10 and {"B", "E"} <= {e["ph"] for e in events}
 
 
 def test_unknown_command_rejected():
@@ -108,12 +109,12 @@ def test_cg_backend_takes_full_variants(backend):
     assert f"[{variant_name(backend)}]" in text and "|b-Ax|/|b|" in text
 
 
-def test_trace_backend_takes_full_variants(tmp_path):
+def test_report_trace_out_takes_full_variants(tmp_path):
     out = tmp_path / "trace.json"
-    code, text = run_cli(["trace", "--backend", "mpi-native", "--gpus", "2",
-                          "--out", str(out)])
-    assert code == 0 and "events ->" in text
-    assert json.loads(out.read_text())["traceEvents"]
+    code, text = run_cli(["report", "--backend", "mpi-native", "--gpus", "2",
+                          "--size", "32", "--iters", "2", "--trace-out", str(out)])
+    assert code == 0 and "[mpi-native]" in text
+    assert json.loads(out.read_text())["traceEvents"]  # (a native run has no spans)
 
 
 def test_variant_name_passes_full_variants_through():
@@ -131,6 +132,10 @@ def test_variant_name_passes_full_variants_through():
     ["jacobi", "--checkpoint-every", "4"],
     ["tune", "-o", "table.json"],  # one output flag: --dump
     ["cg", "--capture", "regions"],  # CG annotates no loop region
+    # A run verb is a JobSpec; these say what no spec field can.
+    ["cg", "--nnz", "33"],
+    ["latency", "--sizes", "8", "1024"],
+    ["trace", "--out", "trace.json"],  # now `report --trace-out`
 ])
 def test_retired_jacobi_flags_rejected(argv):
     with pytest.raises(SystemExit):
@@ -154,3 +159,115 @@ def test_report_sanitize_document_carries_the_sanitizer_stats(tmp_path):
     code, _ = run_cli(argv)
     assert code == 0
     assert "sanitizer" not in json.loads(out.read_text())["stats"]
+
+
+# --------------------------------------------------------------------- #
+# A run verb is `repro submit --app <verb>` without a store.
+
+
+def _submitted(tmp_path, flags):
+    """The result document `repro submit --json` writes for these flags."""
+    out = tmp_path / "docs.json"
+    code, _ = run_cli(["submit", "--store", str(tmp_path / "store"), "--jobs", "1",
+                       "--quiet", "--json", str(out), *flags])
+    assert code == 0
+    (doc,) = json.loads(out.read_text())
+    return doc
+
+
+def _printed_values(verb, summary):
+    if verb == "latency":
+        return [f"{int(n):>10d} B   {v * 1e6:10.2f} us" for n, v in summary["seconds"].items()]
+    if verb == "bandwidth":
+        return [f"{int(n):>10d} B   {v / 1e9:10.2f} GB/s"
+                for n, v in summary["bytes_per_s"].items()]
+    values = [f"{summary['time_per_iter_s'] * 1e6:.2f} us/iter"]
+    if verb == "cg":
+        values.append(f"|b-Ax|/|b| = {summary['relative_residual']:.2e}")
+    return values
+
+
+_JACOBI = ["--gpus", "4", "--size", "32", "--iters", "4"]
+_CG = ["--gpus", "4", "--rows", "192", "--iters", "4"]
+
+
+@pytest.mark.parametrize("argv, submit", [
+    (["jacobi", "--backend", "mpi", *_JACOBI], ["--backend", "mpi", *_JACOBI]),
+    (["jacobi", "--backend", "elastic:mpi", "--verify", *_JACOBI],
+     ["--backend", "elastic:mpi", "--collect", *_JACOBI]),
+    (["jacobi", "--backend", "gpushmem", "--mode", "PureDevice", *_JACOBI],
+     ["--backend", "gpushmem", "--mode", "PureDevice", *_JACOBI]),
+    (["cg", "--backend", "mpi", *_CG],
+     ["--app", "cg", "--backend", "mpi", "--gpus", "4", "--size", "192", "--iters", "4"]),
+    (["cg", "--backend", "gpuccl", *_CG],
+     ["--app", "cg", "--backend", "gpuccl", "--gpus", "4", "--size", "192", "--iters", "4"]),
+    (["latency", "--variant", "uniconn:mpi", "--size", "2048"],
+     ["--app", "latency", "--backend", "uniconn:mpi", "--gpus", "2", "--size", "2048",
+      "--iters", "20"]),
+    (["latency", "--variant", "gpuccl", "--inter", "--size", "2048"],
+     ["--app", "latency", "--backend", "gpuccl", "--gpus", "4", "--size", "2048",
+      "--iters", "20"]),
+    (["bandwidth", "--variant", "gpuccl-native", "--inter", "--size", "65536"],
+     ["--app", "bandwidth", "--backend", "gpuccl-native", "--gpus", "4",
+      "--size", "65536", "--iters", "20"]),
+    (["bandwidth", "--variant", "uniconn:gpushmem", "--size", "65536"],
+     ["--app", "bandwidth", "--backend", "uniconn:gpushmem", "--gpus", "2",
+      "--size", "65536", "--iters", "20"]),
+], ids=lambda v: " ".join(v))
+def test_run_verb_prints_the_submitted_document(tmp_path, argv, submit):
+    from repro.serve import JobSpec
+
+    doc = _submitted(tmp_path, ["--app", argv[0], *submit])
+    code, text = run_cli(argv)
+    assert code == 0
+    assert f"[{JobSpec.from_dict(doc['job']).variant()}" in text
+    for value in _printed_values(argv[0], doc["summary"]):
+        assert value in text, (value, text)
+    if "--verify" in argv:
+        assert "PASS (bitwise)" in text and doc["summary"]["solution_sha256"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "--gpus", "0"],
+    ["jacobi", "--iters", "0"],
+    ["cg", "--rows", "4"],
+    ["report", "--gpus", "0"],
+])
+def test_a_spec_the_flags_cannot_make_is_one_error_line(argv, capsys):
+    code, text = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith(f"repro {argv[0]}: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_races_print_from_the_document_as_from_the_live_report():
+    """The verbs print findings from `stats["races"]`, the dict form a
+    result document carries; each renders as its RaceReport does."""
+    import numpy as np
+
+    from repro.cli import _print_races
+    from repro.gpu import dim3
+    from repro.gpu.kernel import kernel
+    from repro.hardware.gpu import KernelCost
+    from repro.launcher import launch
+
+    @kernel(name="cli_fill", cost=lambda ctx, buf: KernelCost(bytes_moved=8.0 * buf.size))
+    def k_fill(ctx, buf):
+        buf.data[:] = 1.0
+
+    def body(ctx):
+        device = ctx.set_device(0)
+        stream = device.create_stream()
+        buf = device.malloc(32, np.float32)
+        device.launch(k_fill, dim3(1), dim3(32), args=(buf,), stream=stream)
+        buf.read()  # no stream.synchronize()
+
+    report = launch(body, 1, sanitize="race")
+    out = io.StringIO()
+    stats = json.loads(json.dumps(report.to_dict()["stats"]))
+    assert _print_races(stats, out) == len(report.races) > 0
+    text = out.getvalue()
+    assert text.startswith(f"sanitizer: {len(report.races)} finding(s)")
+    for race in report.races:
+        assert "\n".join(f"  {line}" for line in str(race).splitlines()) in text
