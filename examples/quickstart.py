@@ -4,7 +4,7 @@
 Runs four simulated ranks on a Perlmutter-like node, performs a ring halo
 exchange with Post/Acknowledge and an AllReduce — the same application code
 works over any backend; change BACKEND below (or pass it as argv[1]) to
-"mpi", "gpuccl", or "gpushmem" and nothing else changes.
+"mpi", "mpi-rma", "gpuccl", or "gpushmem" and nothing else changes.
 
 Usage:  python examples/quickstart.py [backend]
 """
@@ -34,7 +34,7 @@ def app(ctx):
             send = Memory.alloc(env, 4)
             recv = Memory.alloc(env, 4)
             sig = (Memory.alloc(env, 1, dtype=np.uint64)
-                   if env.backend.supports_device_api else None)
+                   if coord.uses_signals else None)
             send.write(np.full(4, float(me), np.float32))
             comm.barrier(stream=stream)
 

@@ -29,10 +29,6 @@ __version__ = "1.0.0"
 
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
-    "UniconnConfig": "config",
-    "configured": "config",
-    "get_config": "config",
-    "set_config": "config",
     "Communicator": "core",
     "Coordinator": "core",
     "Environment": "core",
@@ -51,7 +47,7 @@ _EXPORTS = {
 }
 
 #: Subpackages reachable as ``repro.<name>`` without importing them first.
-_SUBMODULES = ("backends", "coll", "config", "core", "errors", "gpu",
+_SUBMODULES = ("backends", "coll", "core", "errors", "gpu",
                "hardware", "launcher", "obs", "sim")
 
 __all__ = [*_EXPORTS, "__version__"]

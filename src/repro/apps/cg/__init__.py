@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ...launcher import RankContext, launch
+from .. import parse_variant
 from . import elastic, native_gpuccl, native_gpushmem_device, native_gpushmem_host, native_mpi, uniconn
 from .harness import CgResult, assemble_x
 from .matrices import MATRICES, queen_like, serena_like, synthetic_spd
@@ -42,15 +43,11 @@ def run_variant(rank_ctx: RankContext, variant: str, cfg: CgConfig, problem: CgP
     ``elastic:<backend>`` selects the shrink-and-replay recovery variant
     (docs/FAULTS.md).
     """
-    if variant in NATIVE_VARIANTS:
+    family, backend, mode = parse_variant(variant)
+    if family == "native":
         return NATIVE_VARIANTS[variant](rank_ctx, cfg, problem, collect=collect)
-    parts = variant.split(":")
-    if parts[0] == "elastic" and len(parts) == 2:
-        return elastic.run(rank_ctx, cfg, problem, backend=parts[1], collect=collect)
-    if parts[0] != "uniconn" or len(parts) not in (2, 3):
-        raise ValueError(f"unknown cg variant {variant!r}")
-    backend = parts[1]
-    mode = parts[2] if len(parts) == 3 else "PureHost"
+    if family == "elastic":
+        return elastic.run(rank_ctx, cfg, problem, backend=backend, collect=collect)
     return uniconn.run(rank_ctx, cfg, problem, backend=backend, launch_mode=mode, collect=collect)
 
 

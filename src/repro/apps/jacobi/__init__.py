@@ -9,6 +9,7 @@ Variant registry keys match the paper's legend:
 from __future__ import annotations
 
 from ...launcher import RankContext, launch
+from .. import parse_variant
 from . import (
     elastic,
     native_gpuccl,
@@ -43,21 +44,15 @@ NATIVE_VARIANTS = {
 
 
 def run_variant(rank_ctx: RankContext, variant: str, cfg: JacobiConfig, collect: bool = False) -> JacobiResult:
-    """Dispatch one rank's Jacobi run by variant name.
-
-    Uniconn variants are named ``uniconn:<backend>`` (host mode) or
-    ``uniconn:gpushmem:<PureHost|PartialDevice|PureDevice>``; the elastic
-    recovery variant is ``elastic:<backend>`` (docs/FAULTS.md).
+    """Dispatch one rank's Jacobi run by variant name
+    (:func:`repro.apps.parse_variant`); the elastic recovery variant is
+    ``elastic:<backend>`` (docs/FAULTS.md).
     """
-    if variant in NATIVE_VARIANTS:
+    family, backend, mode = parse_variant(variant)
+    if family == "native":
         return NATIVE_VARIANTS[variant](rank_ctx, cfg, collect=collect)
-    parts = variant.split(":")
-    if parts[0] == "elastic" and len(parts) == 2:
-        return elastic.run(rank_ctx, cfg, backend=parts[1], collect=collect)
-    if parts[0] != "uniconn" or len(parts) not in (2, 3):
-        raise ValueError(f"unknown jacobi variant {variant!r}")
-    backend = parts[1]
-    mode = parts[2] if len(parts) == 3 else "PureHost"
+    if family == "elastic":
+        return elastic.run(rank_ctx, cfg, backend=backend, collect=collect)
     return uniconn.run(rank_ctx, cfg, backend=backend, launch_mode=mode, collect=collect)
 
 

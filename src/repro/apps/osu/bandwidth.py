@@ -15,7 +15,7 @@ from ...backends.gpuccl import GpucclComm, get_unique_id
 from ...backends.gpushmem import ShmemContext
 from ...backends.mpi import MpiContext, waitall
 from ...bench.timing import paper_mean
-from ...core import Communicator, Coordinator, Environment, Memory
+from ...core import Communicator, Coordinator, Environment, LaunchMode, Memory
 from ...gpu.kernel import device_kernel
 from ...launcher import RankContext
 from .config import OsuConfig
@@ -214,13 +214,12 @@ def _bandwidth_uniconn_host(ctx: RankContext, cfg: OsuConfig, backend: str) -> D
     stream = env.device.create_stream()
     coord = Coordinator(env, stream=stream, launch_mode="PureHost")
     me, peer = comm.global_rank(), 1 - comm.global_rank()
-    has_sig = env.backend.supports_device_api
     out = {}
     for nbytes in cfg.sizes:
         n = _count(nbytes)
         data = Memory.alloc(env, n * cfg.window, dtype=np.float32)
         rbuf = Memory.alloc(env, n * cfg.window, dtype=np.float32)
-        sig = Memory.alloc(env, 2, dtype=np.uint64) if has_sig else None
+        sig = Memory.alloc(env, 2, dtype=np.uint64) if coord.uses_signals else None
         seq = {"it": 0}
 
         def one_round():
@@ -278,9 +277,6 @@ def _bw_uniconn_dev_kernel(ctx, data, rbuf, sig, n, window, rounds, comm_d, out_
 
 
 def _bandwidth_uniconn_device(ctx: RankContext, cfg: OsuConfig) -> Dict[int, float]:
-    from ...core import Coordinator, LaunchMode
-    from ...bench.timing import paper_mean as _pm
-
     env = Environment(ctx, backend="gpushmem")
     env.set_device(env.node_rank())
     comm = Communicator(env)
@@ -314,7 +310,7 @@ def _bandwidth_uniconn_device(ctx: RankContext, cfg: OsuConfig) -> Dict[int, flo
             stream.synchronize()
             samples.append(cfg.window * nbytes * iters / times[0])
             reset_signals()
-        out[nbytes] = _pm(samples)
+        out[nbytes] = paper_mean(samples)
         Memory.free(env, sig)
         Memory.free(env, rbuf)
         Memory.free(env, data)
@@ -331,6 +327,8 @@ BANDWIDTH_VARIANTS = {
     "uniconn:gpuccl": lambda c, cfg: _bandwidth_uniconn_host(c, cfg, "gpuccl"),
     "uniconn:gpushmem": lambda c, cfg: _bandwidth_uniconn_host(c, cfg, "gpushmem"),
     "uniconn:gpushmem-device": _bandwidth_uniconn_device,
+    # One-sided MPI (paper Section V-A future work).
+    "uniconn:mpi-rma": lambda c, cfg: _bandwidth_uniconn_host(c, cfg, "mpi-rma"),
 }
 
 

@@ -308,15 +308,14 @@ LATENCY_VARIANTS = {
     "uniconn:gpuccl": lambda c, cfg: _latency_uniconn_host(c, cfg, "gpuccl"),
     "uniconn:gpushmem": lambda c, cfg: _latency_uniconn_host(c, cfg, "gpushmem"),
     "uniconn:gpushmem-device": lambda c, cfg: _latency_uniconn_device(c, cfg),
-    # Experimental one-sided MPI path (paper Section V-A future work).
-    "uniconn:mpi-rma": lambda c, cfg: _latency_uniconn_host(c, cfg, "mpi"),
+    # One-sided MPI (paper Section V-A future work).
+    "uniconn:mpi-rma": lambda c, cfg: _latency_uniconn_host(c, cfg, "mpi-rma"),
 }
 
 
 def run_latency(variant: str, cfg: OsuConfig = None, machine: str = "perlmutter",
                 inter_node: bool = False) -> Dict[int, float]:
     """Run one latency variant on 2 GPUs; returns {bytes: seconds}."""
-    from ...config import configured
     from ...launcher import launch
 
     cfg = cfg or OsuConfig()
@@ -329,6 +328,5 @@ def run_latency(variant: str, cfg: OsuConfig = None, machine: str = "perlmutter"
     kwargs = dict(machine=machine)
     if inter_node:
         kwargs.update(n_nodes=2, placement="spread")
-    with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
-        results = launch(fn, 2, args=(cfg,), **kwargs)
+    results = launch(fn, 2, args=(cfg,), **kwargs)
     return results[0]

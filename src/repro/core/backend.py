@@ -3,14 +3,13 @@
 Applications select the communication library by passing one of these types
 (`MPIBackend`, `GpucclBackend`, `GpushmemBackend`) to every Uniconn
 construct — exactly the paper's ``Environment<Backend>`` pattern — or by
-name, or rely on the configured default.
+name (``repro.options.BACKENDS``), or rely on the default, MPI.
 """
 
 from __future__ import annotations
 
 from typing import Type, Union
 
-from ..config import get_config
 from ..errors import UniconnError
 
 __all__ = ["Backend", "MPIBackend", "GpucclBackend", "GpushmemBackend", "resolve_backend", "BackendLike"]
@@ -47,15 +46,18 @@ class GpushmemBackend(Backend):
     supports_device_api = True
 
 
-_BY_NAME = {cls.name: cls for cls in (MPIBackend, GpucclBackend, GpushmemBackend)}
+#: Backend name -> tag. ``mpi-rma`` (one-sided Post/Acknowledge, paper
+#: Section V-A future work) is MPI's tag; ``Environment.mpi_rma`` keeps it.
+_BY_NAME = {"mpi": MPIBackend, "mpi-rma": MPIBackend, "gpuccl": GpucclBackend,
+            "gpushmem": GpushmemBackend}
 
 BackendLike = Union[str, Type[Backend], None]
 
 
 def resolve_backend(backend: BackendLike) -> Type[Backend]:
-    """Normalize a tag/type/name/None (=configured default) to a tag type."""
+    """Normalize a tag/type/name/None (= MPI) to a tag type."""
     if backend is None:
-        backend = get_config().backend
+        return MPIBackend
     if isinstance(backend, str):
         try:
             return _BY_NAME[backend.lower()]

@@ -19,8 +19,8 @@ mapped onto the selected backend with that backend's own semantics
 
 The MPI column also reproduces the overhead sources the paper measured:
 each call runs the blocking/non-blocking decision logic and queries the GPU
-stream (MPI has no stream integration), charged from
-:class:`~repro.hardware.profiles.UniconnCosts`.
+stream (MPI has no stream integration), charged from the machine's
+:class:`~repro.hardware.profiles.UniconnCosts` (``MachineSpec.uniconn``).
 
 Backend and launch mode are the paper's template parameters and are
 resolved like them, once: ``Coordinator(env, ...)`` builds the class for
@@ -39,7 +39,6 @@ from ..backends.common import as_array
 from ..backends.gpuccl import group_end as _ccl_group_end, group_start as _ccl_group_start
 from ..backends.gpushmem import SymBuffer
 from ..backends.mpi import waitall as _mpi_waitall
-from ..config import get_config
 from ..errors import UniconnError
 from ..gpu.kernel import DeviceCtx, KernelSpec
 from ..gpu.stream import Stream
@@ -68,8 +67,9 @@ class _Binding(NamedTuple):
 class Coordinator:
     """Kernel-launch and communication coordinator for one stream."""
 
-    #: True when Post/Acknowledge run one-sided and need signal words
-    #: (GPUSHMEM always; MPI under the experimental ``mpi_rma`` config).
+    #: True when Post/Acknowledge run one-sided and need signal words from
+    #: ``Memory.alloc`` (GPUSHMEM, and the ``mpi-rma`` backend): the test an
+    #: app uses to decide whether to allocate them.
     uses_signals = False
 
     def __new__(cls, env: Environment, *, stream=None, launch_mode=None):
@@ -317,8 +317,8 @@ class _MpiCoordinator(Coordinator):
 
 
 class _MpiRmaCoordinator(_MpiCoordinator):
-    """Experimental one-sided Post/Acknowledge (paper Section V-A future
-    work, the ``mpi_rma`` config): MPI_Put of the payload followed by a put
+    """One-sided Post/Acknowledge (paper Section V-A future work, the
+    ``mpi-rma`` backend): MPI_Put of the payload followed by a put
     of the signal word; per-target delivery order makes the signal trail
     the data, like NVSHMEM's put-with-signal."""
 
@@ -344,7 +344,7 @@ def _require_rma(recvbuf, sig, what: str) -> None:
     if not isinstance(recvbuf, RmaBuffer) or not isinstance(sig, RmaBuffer):
         raise UniconnError(
             f"{what} over one-sided MPI needs window-backed destination and "
-            f"signal buffers (allocate them with Memory.alloc under mpi_rma)"
+            f"signal buffers (allocate them with Memory.alloc on the mpi-rma backend)"
         )
 
 
@@ -678,7 +678,7 @@ def _implementation(env: Environment, mode: LaunchMode) -> type:
             f"(GPUSHMEM); got {backend.name}"
         )
     if backend is MPIBackend:
-        implementation = _MpiRmaCoordinator if get_config().mpi_rma else _MpiCoordinator
+        implementation = _MpiRmaCoordinator if env.mpi_rma else _MpiCoordinator
     elif backend is GpucclBackend:
         implementation = _GpucclCoordinator
     else:

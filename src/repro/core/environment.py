@@ -16,7 +16,6 @@ import numpy as np
 
 from ..backends.gpushmem import ShmemContext
 from ..backends.mpi import MpiContext
-from ..config import get_config
 from ..errors import UniconnError
 from ..launcher import RankContext
 from .backend import BackendLike, GpushmemBackend, resolve_backend
@@ -27,21 +26,24 @@ __all__ = ["Environment"]
 class Environment:
     """Backend-parameterized library setup/teardown for one rank.
 
-    The rank context is the one mandatory input; ``backend=None`` takes the
-    configured default::
+    The rank context is the one mandatory input; ``backend=None`` is MPI::
 
         with Environment(ctx, backend=GpucclBackend) as env:
             ...
+
+    ``backend="mpi-rma"`` is MPI (``env.backend is MPIBackend``) with
+    ``mpi_rma`` true: one-sided Post/Acknowledge over window-backed memory.
     """
 
     def __init__(self, rank_ctx: RankContext, *, backend: BackendLike = None):
         if not isinstance(rank_ctx, RankContext):
             raise UniconnError("Environment needs the rank context (the simulated process)")
         self.backend = resolve_backend(backend)
+        self.mpi_rma = isinstance(backend, str) and backend.lower() == "mpi-rma"
         self.rank_ctx = rank_ctx
         self.engine = rank_ctx.engine
         self.cluster = rank_ctx.cluster
-        self.costs = get_config().costs
+        self.costs = rank_ctx.cluster.machine.uniconn
         # Every backend bootstraps over a CPU-side communication library.
         self.mpi = MpiContext(rank_ctx)
         self._shmem: Optional[ShmemContext] = None

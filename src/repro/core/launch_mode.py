@@ -5,7 +5,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Union
 
-from ..config import get_config
 from ..errors import UniconnError
 
 __all__ = ["LaunchMode", "ThreadGroup", "resolve_launch_mode"]
@@ -41,9 +40,9 @@ class ThreadGroup(Enum):
 
 
 def resolve_launch_mode(mode: Union[str, LaunchMode, None]) -> LaunchMode:
-    """Normalize a mode/name/None (=configured default) to a LaunchMode."""
+    """Normalize a mode/name/None (= PureHost) to a LaunchMode."""
     if mode is None:
-        mode = get_config().launch_mode
+        return LaunchMode.PureHost
     if isinstance(mode, LaunchMode):
         return mode
     try:

@@ -3,20 +3,19 @@
 All communication buffers are allocated through :class:`Memory` so that the
 same application code works on every backend: with GPUSHMEM the allocation
 lands on the symmetric heap (mandatory for one-sided access); with MPI and
-GPUCCL it is a plain device allocation kept in a dedicated region — unless
-the experimental ``mpi_rma`` configuration is on, in which case MPI
-allocations are additionally exposed through an RMA window (collective),
-enabling the one-sided Post/Acknowledge path.
+GPUCCL it is a plain device allocation kept in a dedicated region — except
+on the ``mpi-rma`` backend, where MPI allocations are additionally exposed
+through an RMA window (collective), enabling the one-sided
+Post/Acknowledge path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import get_config
 from ..errors import UniconnError
 from ..gpu.buffer import DeviceBuffer
-from .backend import GpushmemBackend, MPIBackend
+from .backend import GpushmemBackend
 from .environment import Environment
 
 __all__ = ["Memory", "RmaBuffer"]
@@ -96,8 +95,8 @@ class Memory:
         """Allocate ``count`` elements of communication memory.
 
         Collective on GPUSHMEM (every process must call it in the same
-        order with the same shape — the symmetric-heap contract) and on MPI
-        when ``mpi_rma`` is configured (window creation is collective).
+        order with the same shape — the symmetric-heap contract) and on the
+        ``mpi-rma`` backend (window creation is collective).
         """
         env.engine.metrics.inc(
             "memory_alloc_total",
@@ -113,7 +112,7 @@ class Memory:
         if env.backend is GpushmemBackend:
             return env.shmem.malloc(count, dtype)
         dev = env.device.malloc(count, dtype)
-        if env.backend is MPIBackend and get_config().mpi_rma:
+        if env.mpi_rma:
             from ..backends.mpi.rma import MpiWindow
 
             return RmaBuffer(MpiWindow(env.mpi.comm_world, dev, count), dev)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .gpu import GpuModel
-from .profiles import GpucclProfile, GpushmemProfile, MpiProfile
+from .profiles import GpucclProfile, GpushmemProfile, MpiProfile, UniconnCosts
 
 __all__ = ["MachineSpec", "perlmutter", "lumi", "marenostrum5", "get_machine", "MACHINES"]
 
@@ -39,6 +39,9 @@ class MachineSpec:
     mpi: MpiProfile
     gpuccl: GpucclProfile
     gpushmem: Optional[GpushmemProfile]
+    # What the Uniconn wrapper layer itself charges (the same on every
+    # preset); ``dataclasses.replace`` changes it for one run.
+    uniconn: UniconnCosts = field(default_factory=UniconnCosts)
     notes: Tuple[str, ...] = field(default_factory=tuple)
 
     def has_gpushmem(self) -> bool:

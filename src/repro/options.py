@@ -8,11 +8,20 @@ from here too. ``tests/test_options.py`` holds each to the enum, registry
 or builder that implements it.
 """
 
-__all__ = ["APPS", "CAPTURE_MODES", "CG_MIN_ROWS", "LAUNCH_MODES", "MACHINES",
-           "OBS_LEVELS"]
+__all__ = ["APPS", "BACKENDS", "CAPTURE_MODES", "CG_MIN_ROWS", "LAUNCH_MODES",
+           "MACHINES", "NATIVES", "OBS_LEVELS"]
 
 #: ``JobSpec.app`` / ``repro submit --app``: what the serve runner executes.
 APPS = ("jacobi", "cg", "latency", "bandwidth")
+
+#: ``--backend`` / ``JobSpec.backend`` / ``Environment(backend=...)``: the
+#: names ``repro.core.resolve_backend`` knows. ``mpi-rma`` is the MPI
+#: library with one-sided Post/Acknowledge (window put + signal).
+BACKENDS = ("mpi", "mpi-rma", "gpuccl", "gpushmem")
+
+#: The per-library variants every app ships beside its Uniconn one.
+NATIVES = ("mpi-native", "gpuccl-native", "gpushmem-host-native",
+           "gpushmem-device-native")
 
 #: The fewest rows ``apps.cg.synthetic_spd`` builds; ``JobSpec(app="cg")``
 #: rejects a smaller ``size`` before anything is queued.

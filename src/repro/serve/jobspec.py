@@ -6,13 +6,14 @@ policy, capture/sanitize/obs flags — and nothing that doesn't (no store
 paths, no worker counts, no timestamps). Two specs that describe the same
 simulation hash identically even when they were spelled differently:
 
-- field values are normalized at construction (fault specs re-serialize
-  through :meth:`~repro.sim.faults.FaultPlan.spec_string`, collective
-  selections through :meth:`~repro.coll.CollSelection.spec_string`);
+- field values are normalized at construction (``uniconn:<backend>[:<mode>]``
+  splits into ``backend`` and ``mode``, fault specs re-serialize through
+  :meth:`~repro.sim.faults.FaultPlan.spec_string`, collective selections
+  through :meth:`~repro.coll.CollSelection.spec_string`);
 - :meth:`config_hash` is SHA-256 over the sorted-key JSON of
   :meth:`to_dict`, so kwargs/dict ordering can never leak into the hash;
-- defaults are literals (never the process-global config), so the hash is
-  stable across processes and interpreter invocations.
+- defaults are literals, so the hash is stable across processes and
+  interpreter invocations.
 
 The hash also covers :func:`model_fingerprint` — the simulator's own
 source bytes — so a result cached under one cost model is never served by
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
-from ..apps import variant_name
+from ..apps import OSU_DEVICE_VARIANT, parse_variant, variant_name
 from ..options import APPS, CAPTURE_MODES, CG_MIN_ROWS, LAUNCH_MODES, OBS_LEVELS
 
 __all__ = ["JobSpec", "SPEC_SCHEMA", "canonical_coll", "canonical_fault_spec",
@@ -46,6 +47,7 @@ SPEC_SCHEMA = "repro.serve.jobspec/2"
 #: hash (and cache) a run that never applied it, so it is rejected. (An OSU
 #: variant carries a device launch mode in its name; CG annotates no region;
 #: an OSU run reports no metrics or spans.)
+_OSU = ("latency", "bandwidth")
 _OSU_IGNORED = ("mode", "fault_spec", "coll", "capture", "sanitize", "obs", "collect")
 _IGNORED = {"jacobi": (), "cg": ("capture",),
             "latency": _OSU_IGNORED, "bandwidth": _OSU_IGNORED}
@@ -161,10 +163,12 @@ class JobSpec:
 
     ``size`` is the app's characteristic size: the grid edge for jacobi,
     the matrix rows for cg, the largest message for the OSU sweeps.
-    ``backend`` accepts a bare backend name ("mpi"/"gpuccl"/"gpushmem"),
-    a full variant ("elastic:mpi", "gpuccl-native"), and for jacobi and
-    cg composes with ``mode`` the same way the CLI does
-    (:func:`repro.apps.variant_name`).
+    ``backend`` accepts a backend name (``options.BACKENDS``) or a full
+    variant ("elastic:mpi", "gpuccl-native", "uniconn:gpushmem:PureDevice")
+    and composes with ``mode`` the same way the CLI does
+    (:func:`repro.apps.parse_variant`): a Uniconn variant is stored as its
+    bare backend and its mode, and a pair no app can run is a ValueError,
+    so each simulation has one spelling and one hash.
     """
 
     app: str = "jacobi"
@@ -224,7 +228,17 @@ class JobSpec:
             if getattr(self, name) != getattr(JobSpec, name):
                 raise ValueError(f"JobSpec field {name!r} does not apply to "
                                  f"app {self.app!r} (got {getattr(self, name)!r})")
-        if self.app in ("latency", "bandwidth") and self.ranks not in (2, 4):
+        if not (self.app in _OSU and self.backend == OSU_DEVICE_VARIANT):
+            family, backend, mode = parse_variant(self.backend, self.mode)
+            # (an OSU spec's own mode is PureHost by now)
+            if self.app in _OSU and (family == "elastic" or mode != self.mode):
+                raise ValueError(f"backend {self.backend!r} names no {self.app} variant "
+                                 f"(expected <library>-native, a backend or "
+                                 f"{OSU_DEVICE_VARIANT})")
+            if family == "uniconn":  # one spelling: the bare backend and the mode
+                object.__setattr__(self, "backend", backend)
+                object.__setattr__(self, "mode", mode)
+        if self.app in _OSU and self.ranks not in (2, 4):
             # One pair of GPUs: ranks says only whether it spans two nodes.
             raise ValueError(f"ranks for app {self.app!r} must be 2 (an intra-node "
                              f"pair) or 4 (an inter-node pair), got {self.ranks}")

@@ -98,5 +98,5 @@ def test_mpi_cg_slower_than_gpuccl():
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ValueError, match="unknown cg variant"):
+    with pytest.raises(ValueError, match="unknown backend 'magic'"):
         launch_variant("magic", CFG, 2, problem=PROBLEM)

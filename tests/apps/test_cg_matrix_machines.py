@@ -35,8 +35,5 @@ def test_cg_pure_device_on_rocshmem_lumi():
 
 
 def test_cg_rma_mpi_collectives_still_two_sided():
-    """mpi_rma affects Post/Acknowledge only; CG's collectives keep working."""
-    from repro import configured
-
-    with configured(mpi_rma=True):
-        _check(launch_variant("uniconn:mpi", CFG, 4, problem=PROBLEM, collect=True))
+    """One-sided MPI changes Post/Acknowledge only; CG's collectives keep working."""
+    _check(launch_variant("uniconn:mpi-rma", CFG, 4, problem=PROBLEM, collect=True))

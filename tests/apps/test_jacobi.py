@@ -92,7 +92,7 @@ def test_uniconn_overhead_vs_native_small():
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ValueError, match="unknown jacobi variant"):
+    with pytest.raises(ValueError, match="unknown backend 'cuda-ipc'"):
         launch_variant("cuda-ipc", CFG, 2)
 
 

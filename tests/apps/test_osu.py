@@ -14,7 +14,7 @@ TINY = OsuConfig(sizes=(8,), iters_small=6, warmup_small=1, repeats=3)
 @pytest.mark.parametrize("variant", [
     "mpi-native", "gpuccl-native", "gpushmem-host-native",
     "gpushmem-device-native", "uniconn:mpi", "uniconn:gpuccl",
-    "uniconn:gpushmem", "uniconn:gpushmem-device",
+    "uniconn:gpushmem", "uniconn:gpushmem-device", "uniconn:mpi-rma",
 ])
 def test_latency_variants_return_sane_values(variant):
     res = run_latency(variant, FAST)
@@ -27,7 +27,7 @@ def test_latency_variants_return_sane_values(variant):
 @pytest.mark.parametrize("variant", [
     "mpi-native", "gpuccl-native", "gpushmem-host-native",
     "gpushmem-device-native", "uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem",
-    "uniconn:gpushmem-device",
+    "uniconn:gpushmem-device", "uniconn:mpi-rma",
 ])
 def test_bandwidth_variants_return_sane_values(variant):
     res = run_bandwidth(variant, FAST)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import Coordinator, IN_PLACE, LaunchMode, Memory, ThreadGroup, launch
-from repro.config import configured
 from repro.errors import UniconnError
 from repro.gpu import device_kernel, kernel
 from repro.hardware import KernelCost
@@ -399,10 +398,9 @@ SURFACE_CALLS = {
 ROOTED = {"reduce", "broadcast", "gather_v", "scatter_v"}
 
 
-def _surface(backend, obs, rma=False):
+def _surface(backend, obs):
     tracer = Tracer()
-    with configured(mpi_rma=rma):
-        report = launch(run_digest.surface(backend), 4, obs=obs, tracer=tracer)
+    report = launch(run_digest.surface(backend), 4, obs=obs, tracer=tracer)
     return report, tracer
 
 
@@ -414,9 +412,8 @@ def surface_reference():
 @pytest.mark.parametrize("obs", OBS_LEVELS)
 @pytest.mark.parametrize("backend", ALL_BACKENDS + ["mpi-rma"])
 def test_surface_payloads_counts_and_spans(backend, obs, surface_reference):
-    rma = backend == "mpi-rma"
-    name = "mpi" if rma else backend
-    report, tracer = _surface(name, obs, rma=rma)
+    name = "mpi" if backend == "mpi-rma" else backend  # the metric label
+    report, tracer = _surface(backend, obs)
     for rank, steps in enumerate(report):
         assert len(steps) == 17
         for step, (got, want) in enumerate(zip(steps, surface_reference[rank])):
@@ -542,8 +539,7 @@ def test_wrong_buffers_and_modes_keep_their_messages():
             coord.acknowledge(plain, 4, sig, 1, 0, comm)
         return coord.uses_signals
 
-    with configured(mpi_rma=True):
-        assert all(uniconn_run(2, "mpi", rma_body))
+    assert all(uniconn_run(2, "mpi-rma", rma_body))
 
     for backend in ("mpi", "gpuccl"):
         with pytest.raises(UniconnError, match=r"launch mode PartialDevice requires a device-API "

@@ -1,4 +1,7 @@
-"""Tests for Environment, backend tags, config defaults, Memory."""
+"""Tests for Environment, backend tags, launch modes, the literal
+defaults, Memory."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,27 +12,78 @@ from repro import (
     Environment,
     GpucclBackend,
     GpushmemBackend,
+    LaunchMode,
     MPIBackend,
     Memory,
-    configured,
     launch,
 )
 from repro.backends.gpushmem import SymBuffer
 from repro.core.backend import resolve_backend
+from repro.core.launch_mode import resolve_launch_mode
 from repro.errors import UniconnError
 from repro.gpu import DeviceBuffer
+from repro.hardware import MACHINES, UniconnCosts, get_machine
 
 
 def test_resolve_backend_by_name_type_and_default():
     assert resolve_backend("mpi") is MPIBackend
+    assert resolve_backend("mpi-rma") is MPIBackend
     assert resolve_backend("GPUCCL") is GpucclBackend
     assert resolve_backend(GpushmemBackend) is GpushmemBackend
-    with configured(backend="gpuccl"):
-        assert resolve_backend(None) is GpucclBackend
+    assert resolve_backend(None) is MPIBackend
     with pytest.raises(UniconnError, match="unknown backend"):
         resolve_backend("nvlinkx")
     with pytest.raises(UniconnError, match="not a backend"):
         resolve_backend(42)
+
+
+def test_defaults():
+    """What a run does not name is a literal, never ambient state: a bare
+    Environment is two-sided MPI, and every preset charges the same
+    Uniconn wrapper costs."""
+    for name in MACHINES:
+        assert get_machine(name).uniconn == UniconnCosts()
+    assert UniconnCosts().dispatch > 0
+
+    def main(ctx):
+        env = Environment(ctx)
+        return env.backend is MPIBackend, env.mpi_rma
+
+    assert list(launch(main, 1)) == [(True, False)]
+
+
+def test_defaults_feed_resolvers():
+    """The resolvers' ``None`` is the literal MPI / PureHost."""
+    assert resolve_backend(None) is MPIBackend
+    assert resolve_launch_mode(None) is LaunchMode.PureHost
+
+
+def test_launch_mode_resolution():
+    assert resolve_launch_mode("PureHost") is LaunchMode.PureHost
+    assert resolve_launch_mode(LaunchMode.PureDevice) is LaunchMode.PureDevice
+    with pytest.raises(UniconnError, match="unknown launch mode"):
+        resolve_launch_mode("Hybrid")
+
+
+def test_launch_mode_device_api_flags():
+    assert not LaunchMode.PureHost.uses_device_api
+    assert LaunchMode.PartialDevice.uses_device_api
+    assert LaunchMode.PureDevice.uses_device_api
+
+
+def test_machine_uniconn_costs_reach_one_run_only():
+    """``MachineSpec.uniconn`` is what Environment charges from; a replaced
+    copy changes the run it is passed to and no other."""
+    slow = dataclasses.replace(get_machine("perlmutter"),
+                               uniconn=UniconnCosts(dispatch=1e-3))
+
+    def main(ctx):
+        env = Environment(ctx, backend="mpi")
+        env.set_device(0)
+        return env.costs.dispatch
+
+    assert list(launch(main, 1, machine=slow)) == [1e-3]
+    assert list(launch(main, 1)) == [UniconnCosts().dispatch]
 
 
 def test_backend_tags_not_instantiable():

@@ -1,10 +1,10 @@
-"""Tests for the experimental one-sided MPI path (config ``mpi_rma``),
-the paper's Section V-A future work."""
+"""Tests for the one-sided MPI path (the ``mpi-rma`` backend), the
+paper's Section V-A future work."""
 
 import numpy as np
 import pytest
 
-from repro import Communicator, Coordinator, Environment, Memory, configured, launch
+from repro import Communicator, Coordinator, Environment, Memory, MPIBackend, launch
 from repro.core.memory import RmaBuffer
 from repro.errors import UniconnError
 from repro.gpu import DeviceBuffer
@@ -12,23 +12,20 @@ from repro.gpu import DeviceBuffer
 
 def one_sided_run(nranks, body, **kwargs):
     def main(ctx):
-        env = Environment(ctx, backend="mpi")
+        env = Environment(ctx, backend="mpi-rma")
         env.set_device(env.node_rank())
         comm = Communicator(env)
         stream = env.device.create_stream()
         coord = Coordinator(env, stream=stream)
         return body(env, comm, coord)
 
-    # The config override wraps the whole simulation (it is process-global;
-    # entering/leaving it per rank-task would interleave incorrectly).
-    with configured(mpi_rma=True):
-        return launch(main, nranks, **kwargs)
+    return launch(main, nranks, **kwargs)
 
 
 def test_memory_alloc_returns_window_backed_buffers():
     def body(env, comm, coord):
         buf = Memory.alloc(env, 8)
-        ok = isinstance(buf, RmaBuffer)
+        ok = isinstance(buf, RmaBuffer) and env.backend is MPIBackend and coord.uses_signals
         Memory.free(env, buf)
         return ok
 
@@ -40,7 +37,8 @@ def test_memory_alloc_plain_without_flag():
         env = Environment(ctx, backend="mpi")
         env.set_device(0)
         buf = Memory.alloc(env, 8)
-        return isinstance(buf, DeviceBuffer) and not isinstance(buf, RmaBuffer)
+        return (not env.mpi_rma and isinstance(buf, DeviceBuffer)
+                and not isinstance(buf, RmaBuffer))
 
     assert all(launch(main, 1))
 
@@ -109,10 +107,7 @@ def test_jacobi_over_one_sided_mpi_matches_serial():
 
     cfg = JacobiConfig(nx=16, ny=18, iters=4, warmup=1)
 
-    with configured(mpi_rma=True):
-        results = launch(
-            lambda ctx: run_variant(ctx, "uniconn:mpi", cfg, collect=True), 4
-        )
+    results = launch(lambda ctx: run_variant(ctx, "uniconn:mpi-rma", cfg, collect=True), 4)
     full = assemble(cfg, results)
     np.testing.assert_array_equal(full, serial_jacobi(cfg, iters=5))
 

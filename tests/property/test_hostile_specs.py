@@ -22,7 +22,8 @@ _junk = st.recursive(
 #: Per field, values that are legal or nearly legal.
 _NEAR = {
     "app": ["jacobi", "cg", "latency", "bandwidth", "Jacobi", ""],
-    "backend": ["mpi", "gpuccl", "gpushmem", "elastic:mpi", "mpi-native", "٣"],
+    "backend": ["mpi", "mpi-rma", "gpuccl", "gpushmem", "elastic:mpi", "mpi-native",
+                "uniconn:gpushmem:PureDevice", "bogus", "٣"],
     "mode": ["PureHost", "PartialDevice", "PureDevice", "purehost"],
     "machine": ["perlmutter", "lumi", "no-such-machine"],
     "ranks": [1, 2, 64, 2.0, 0, -1, 2.5, "2", True, 1 << 70],
@@ -91,6 +92,14 @@ _RETIRED = [
     ({"app": "cg", "size": 7}, "size"),
     ({"app": "latency", "obs": "spans"}, "'obs'"),
     ({"app": "bandwidth", "ranks": 64}, "ranks"),
+    # A backend no app runs, or a mode the variant cannot take: each used
+    # to hash and queue, then fail in the worker or run without the mode.
+    ({"backend": "bogus"}, "backend"),
+    ({"backend": "mpi", "mode": "PureDevice"}, "mode"),
+    ({"backend": "mpi-native", "mode": "PureDevice"}, "mode"),
+    ({"backend": "uniconn:gpushmem:PureDevice", "mode": "PartialDevice"}, "mode"),
+    ({"backend": "elastic:mpi-rma"}, "backend"),
+    ({"app": "latency", "backend": "elastic:mpi"}, "backend"),
 ]
 
 

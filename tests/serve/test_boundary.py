@@ -126,8 +126,7 @@ def test_public_names_are_unchanged():
         "Communicator", "Coordinator", "Environment", "GpucclBackend",
         "GpushmemBackend", "IN_PLACE", "Job", "LaunchMode", "MPIBackend",
         "Memory", "RankContext", "ReductionOperator", "RunReport",
-        "ThreadGroup", "UniconnConfig", "__version__", "configured",
-        "get_config", "launch", "set_config"]
+        "ThreadGroup", "__version__", "launch"]
     assert sorted(repro.serve.__all__) == [
         "DEFAULT_STORE_ENV", "JobOutcome", "JobService", "JobSpec",
         "ResultStore", "WorkerPool", "canonical_coll", "canonical_fault_spec",

@@ -53,8 +53,9 @@ def test_hash_ignores_kwarg_and_dict_order():
 
 
 def test_every_field_change_changes_hash():
-    # (jacobi: the one app that honours every field)
-    base = JobSpec(**{**REFERENCE_KWARGS, "app": "jacobi"})
+    # (jacobi: the one app that honours every field; gpushmem: the one
+    # backend that takes every mode)
+    base = JobSpec(**{**REFERENCE_KWARGS, "app": "jacobi", "backend": "gpushmem"})
     changed = {
         "app": "cg", "backend": "mpi", "mode": "PureDevice",
         "machine": "lumi", "ranks": 4, "size": 64, "iters": 8, "seed": 0,
@@ -175,11 +176,34 @@ def test_a_fault_seed_without_a_plan_is_the_same_run():
 
 def test_variant_resolution():
     assert JobSpec(app="jacobi", backend="mpi").variant() == "uniconn:mpi"
-    assert JobSpec(app="jacobi", backend="gpuccl",
-                   mode="PureDevice").variant() == "uniconn:gpuccl:PureDevice"
+    assert JobSpec(app="jacobi", backend="gpushmem",
+                   mode="PureDevice").variant() == "uniconn:gpushmem:PureDevice"
     assert JobSpec(app="cg", backend="elastic:mpi").variant() == "elastic:mpi"
     assert JobSpec(app="latency", backend="mpi-native").variant() == "mpi-native"
     assert JobSpec(app="bandwidth", backend="gpuccl").variant() == "uniconn:gpuccl"
+    assert JobSpec(app="bandwidth", backend="mpi-rma").variant() == "uniconn:mpi-rma"
+    assert JobSpec(app="latency", backend="uniconn:gpushmem-device").variant() == \
+        "uniconn:gpushmem-device"
+
+
+@pytest.mark.parametrize("spelled, bare", [
+    ({"backend": "uniconn:mpi"}, {"backend": "mpi"}),
+    ({"backend": "uniconn:mpi-rma", "app": "cg"}, {"backend": "mpi-rma", "app": "cg"}),
+    ({"backend": "uniconn:gpushmem:PureDevice"},
+     {"backend": "gpushmem", "mode": "PureDevice"}),
+    ({"backend": "uniconn:gpushmem:PartialDevice", "mode": "PartialDevice"},
+     {"backend": "gpushmem", "mode": "PartialDevice"}),
+    ({"backend": "uniconn:gpushmem", "mode": "PureDevice"},
+     {"backend": "gpushmem", "mode": "PureDevice"}),
+    ({"backend": "uniconn:gpuccl", "app": "latency", "ranks": 2},
+     {"backend": "gpuccl", "app": "latency", "ranks": 2}),
+])
+def test_one_simulation_has_one_hash_however_its_backend_is_spelled(spelled, bare):
+    """A Uniconn variant in ``backend`` used to hash apart from the bare
+    backend and mode it runs; it is now stored as them."""
+    spec = JobSpec(**spelled)
+    assert spec == JobSpec(**bare) and spec.to_dict() == JobSpec(**bare).to_dict()
+    assert spec.config_hash() == JobSpec(**bare).config_hash()
 
 
 def test_cg_honours_mode_and_rejects_capture():

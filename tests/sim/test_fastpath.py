@@ -113,14 +113,12 @@ def _osu_uniconn_cases():
 @pytest.mark.parametrize("fn,variant", _osu_uniconn_cases())
 def test_osu_uniconn_byte_identical_fast_vs_slow(fn, variant):
     from repro.apps.osu import OsuConfig
-    from repro.config import configured
 
     cfg = OsuConfig(sizes=(8, 65536), iters_small=4, warmup_small=1,
                     iters_large=2, warmup_large=1, window=4, repeats=1)
 
     def run(tracer, plan):
-        with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
-            return launch(fn, 2, args=(cfg,), tracer=tracer, fault_plan=plan)
+        return launch(fn, 2, args=(cfg,), tracer=tracer, fault_plan=plan)
 
     (fast, stats_fast), (slow, stats_slow) = _default_and_eager(run)
     assert fast == slow

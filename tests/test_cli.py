@@ -126,6 +126,21 @@ def test_variant_name_passes_full_variants_through():
         assert variant_name(full, "PureDevice") == full
 
 
+def test_parse_variant_is_the_one_grammar():
+    from repro.apps import parse_variant
+
+    assert parse_variant("gpuccl-native") == ("native", "gpuccl-native", "PureHost")
+    assert parse_variant("elastic:gpushmem") == ("elastic", "gpushmem", "PureHost")
+    assert parse_variant("uniconn:gpushmem:PureDevice") == ("uniconn", "gpushmem", "PureDevice")
+    assert parse_variant("gpushmem", "PartialDevice") == ("uniconn", "gpushmem", "PartialDevice")
+    assert parse_variant("mpi-rma") == parse_variant("uniconn:mpi-rma") == (
+        "uniconn", "mpi-rma", "PureHost")
+    for bad in ("uniconn:gpushmem:Turbo", "elastic:gpushmem:PureDevice", "nccl:gpuccl",
+                "uniconn:", "elastic:mpi-rma", "uniconn:gpushmem-device"):
+        with pytest.raises(ValueError):
+            parse_variant(bad)
+
+
 @pytest.mark.parametrize("argv", [
     ["jacobi", "--capture", "auto"],
     ["jacobi", "--resilient"],
@@ -232,6 +247,8 @@ def test_run_verb_prints_the_submitted_document(tmp_path, argv, submit):
     ["jacobi", "--iters", "0"],
     ["cg", "--rows", "4"],
     ["report", "--gpus", "0"],
+    ["jacobi", "--backend", "bogus"],
+    ["jacobi", "--backend", "mpi", "--mode", "PureDevice"],
 ])
 def test_a_spec_the_flags_cannot_make_is_one_error_line(argv, capsys):
     code, text = run_cli(argv)

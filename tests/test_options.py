@@ -36,13 +36,20 @@ def test_cli_choices_are_the_options_tuples():
 
 
 def test_options_agree_with_what_implements_them():
-    from repro.core import LaunchMode
+    from repro.apps import cg, jacobi, osu
+    from repro.core import LaunchMode, backend
     from repro.hardware import MACHINES
     from repro.serve import runner
 
     assert options.LAUNCH_MODES == tuple(m.name for m in LaunchMode)
+    assert options.BACKENDS == tuple(backend._BY_NAME)
     assert sorted(options.MACHINES) == sorted(MACHINES)
     assert options.APPS == tuple(runner._APPS)
+    for app in (jacobi, cg):
+        assert options.NATIVES == tuple(app.NATIVE_VARIANTS)
+    for table in (osu.LATENCY_VARIANTS, osu.BANDWIDTH_VARIANTS):
+        assert {f"uniconn:{b}" for b in options.BACKENDS} < set(table)
+        assert set(options.NATIVES) < set(table)
     for level in options.OBS_LEVELS:
         launch(lambda ctx: None, 1, obs=level)
     for mode in options.CAPTURE_MODES:
@@ -62,6 +69,18 @@ def test_cg_min_rows_is_what_synthetic_spd_builds():
     with pytest.raises(ValueError, match="size"):
         JobSpec(app="cg", size=options.CG_MIN_ROWS - 1)
     JobSpec(app="jacobi", size=options.CG_MIN_ROWS - 1)  # a cg-only bound
+
+
+def test_launch_none_options_are_the_literal_defaults():
+    def fn(ctx):
+        ctx.engine.sleep(1e-6 * (ctx.rank + 1))
+        return ctx.rank
+
+    implicit = launch(fn, 2, obs=None, sanitize=None, capture=None, fault_plan=None)
+    explicit = launch(fn, 2, obs="metrics", sanitize=False, capture="off")
+    assert implicit == explicit
+    assert implicit.stats == explicit.stats
+    assert implicit.metrics.as_dict() == explicit.metrics.as_dict()
 
 
 def test_launch_keywords_are_unchanged():
@@ -85,3 +104,13 @@ def test_src_reads_exactly_two_environment_variables():
         ("repro/serve/store.py", 'xdg = os.environ.get("XDG_CACHE_HOME")'),
     ]
     assert DEFAULT_STORE_ENV == "REPRO_SERVE_STORE"
+
+
+def test_src_has_no_global_statement():
+    """No ambient run state: a backend, a mode or a cost is an argument of
+    the run it shapes, never a module global some call rebinds."""
+    rebinds = [(path.relative_to(SRC).as_posix(), line.strip())
+               for path in sorted(SRC.rglob("*.py"))
+               for line in path.read_text().splitlines()
+               if re.match(r"\s*global\s", line)]
+    assert rebinds == []

@@ -21,7 +21,6 @@ from repro.apps.jacobi import launch_variant as launch_jacobi
 from repro.apps.osu import LATENCY_VARIANTS, OsuConfig
 from repro.backends.gpushmem import ShmemContext
 from repro.backends.mpi import MpiContext
-from repro.config import configured
 from repro.errors import GpuError, GpushmemError
 from repro.gpu import dim3
 from repro.gpu.kernel import kernel
@@ -448,6 +447,5 @@ def test_osu_latency_variants_are_race_free(variant):
     cfg = OsuConfig(sizes=(1024,), iters_small=4, warmup_small=1,
                     iters_large=2, warmup_large=1, window=4, repeats=1)
     fn = LATENCY_VARIANTS[variant]
-    with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
-        report = launch(lambda ctx: fn(ctx, cfg), 2, sanitize="race")
+    report = launch(lambda ctx: fn(ctx, cfg), 2, sanitize="race")
     assert report.races == [], "\n".join(str(r) for r in report.races)

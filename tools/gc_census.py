@@ -37,7 +37,7 @@ FORBIDDEN = ("DeviceBuffer", "SymBuffer", "ndarray", "Schedule", "csr_matrix",
              "Task", "Engine")
 RSS_LAUNCHES, RSS_FROM, RSS_LIMIT_MB = 40, 5, 5.0
 
-JACOBI = ("uniconn:mpi", "uniconn:mpi+rma", "uniconn:gpuccl", "uniconn:gpushmem",
+JACOBI = ("uniconn:mpi", "uniconn:mpi-rma", "uniconn:gpuccl", "uniconn:gpushmem",
           "uniconn:gpushmem:PartialDevice", "uniconn:gpushmem:PureDevice",
           "mpi-native", "gpuccl-native", "elastic:mpi")
 BACKENDS = ("mpi", "gpuccl", "gpushmem")
@@ -57,43 +57,32 @@ def runner(name, ranks, iters):
     """A zero-argument callable launching ``name`` once and returning its
     RunReport. Names are ``<app>/<variant>[@<how>]`` with ``how`` one of
     spans, race, auto."""
-    from repro.config import configured
-
     spec, _, how = name.partition("@")
     app, _, variant = spec.partition("/")
     options = {"spans": {"obs": "spans"}, "race": {"sanitize": "race"},
                "auto": {"coll": "auto"}, "": {}}[how]
-    rma = variant.endswith("+rma")
-    variant = variant.removesuffix("+rma")
     if app == "fail":
-        run = _failure(variant, ranks, iters)
-    elif app == "jacobi":
+        return _failure(variant, ranks, iters)
+    if app == "jacobi":
         from repro.apps import jacobi
 
         cfg = jacobi.JacobiConfig(nx=64, ny=ranks * 4 + 2, iters=iters, warmup=1)
-        run = lambda: jacobi.launch_variant(variant, cfg, ranks, **options)  # noqa: E731
-    elif app == "cg":
+        return lambda: jacobi.launch_variant(variant, cfg, ranks, **options)
+    if app == "cg":
         from repro.apps import cg
 
         cfg = cg.CgConfig(n=ranks * 32, nnz_per_row=9, iters=iters, seed=3)
-        run = lambda: cg.launch_variant(variant, cfg, ranks, **options)  # noqa: E731
-    elif app == "osu":
+        return lambda: cg.launch_variant(variant, cfg, ranks, **options)
+    if app == "osu":
         from repro.apps.osu import OsuConfig
         from repro.apps.osu.collectives import _collective_body
         from repro.launcher import launch
 
         cfg = OsuConfig(sizes=(64, 65536), iters_small=iters, warmup_small=1,
                         iters_large=iters, warmup_large=1, repeats=1)
-        run = lambda: launch(_collective_body, ranks,  # noqa: E731
-                             args=(cfg, variant, "all_reduce"), **options)
-    else:
-        raise SystemExit(f"unknown variant {name!r}")
-
-    def call():
-        with configured(mpi_rma=rma):
-            return run()
-
-    return call
+        return lambda: launch(_collective_body, ranks,
+                              args=(cfg, variant, "all_reduce"), **options)
+    raise SystemExit(f"unknown variant {name!r}")
 
 
 def _failure(kind, ranks, iters):
@@ -338,8 +327,7 @@ def check(ranks):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("variant", nargs="?", default="jacobi/uniconn:mpi",
-                    help="<jacobi|cg|osu|fail>/<variant>[@spans|@race|@auto] "
-                         "(jacobi/uniconn:mpi+rma for the one-sided MPI path)")
+                    help="<jacobi|cg|osu|fail>/<variant>[@spans|@race|@auto]")
     ap.add_argument("--ranks", type=int, default=16)
     ap.add_argument("--iters", default="5",
                     help="iteration count, or A,B for the per-type growth between two")

@@ -34,7 +34,6 @@ from repro.apps import cg, jacobi  # noqa: E402
 from repro.apps.osu import OsuConfig  # noqa: E402
 from repro.apps.osu.bandwidth import BANDWIDTH_VARIANTS  # noqa: E402
 from repro.apps.osu.latency import LATENCY_VARIANTS  # noqa: E402
-from repro.config import configured  # noqa: E402
 from repro.launcher import launch  # noqa: E402
 from repro.sim import Tracer, to_chrome_trace  # noqa: E402
 
@@ -79,11 +78,7 @@ def _cg(variant, cfg, ranks, **options):
 def _osu(table, variant, inter=False):
     where = dict(n_nodes=2, placement="spread") if inter else {}
 
-    def run(tracer):
-        with configured(mpi_rma=(variant == "uniconn:mpi-rma")):
-            return launch(table[variant], 2, args=(OSU,), tracer=tracer, **where)
-
-    return run
+    return lambda tracer: launch(table[variant], 2, args=(OSU,), tracer=tracer, **where)
 
 
 def _dead_link(backend):
@@ -190,6 +185,7 @@ def matrix():
     for mode in ("PartialDevice", "PureDevice"):
         yield (f"jacobi16/uniconn:gpushmem:{mode}",
                _jacobi(f"uniconn:gpushmem:{mode}", STEADY, 16))
+    yield "jacobi16/uniconn:mpi-rma", _jacobi("uniconn:mpi-rma", STEADY, 16)
     for variant in ("mpi-native", "uniconn:mpi"):
         for capture in ("off", "regions"):
             yield (f"jacobi8-rdv/{variant}/capture={capture}",
