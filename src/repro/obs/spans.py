@@ -11,9 +11,14 @@ by ``launcher.launch(obs="spans")``) and a trace hook is installed. At the
 default observability level nothing is emitted — the byte-identity
 guarantees of default traces are untouched.
 
-Each record carries a per-engine ``seq`` so begin/end pairs keep their
-emission order through the Chrome exporter's deterministic sort even when
-several records share one virtual timestamp.
+Each record carries a ``seq`` counted per rank (the record's ``rank``
+field, 0 without one), so begin/end pairs keep their emission order
+through the Chrome exporter's deterministic sort, keyed ``(ts, (rank,
+seq))``, even when several records share one virtual timestamp. A rank's
+own records come out in program order however far its task runs ahead of
+the clock (host charges are deferred under spans too), while the order
+*across* ranks follows the host schedule: a per-engine count would carry
+that schedule into the trace.
 """
 
 from __future__ import annotations
@@ -29,20 +34,21 @@ def spans_enabled(engine: Any) -> bool:
     return bool(getattr(engine, "obs_spans", False)) and engine.trace_hook is not None
 
 
+def _emit(engine: Any, kind: str, name: str, cat: str, fields: dict) -> None:
+    seq = engine.next_seq(("obs.span", fields.get("rank", 0)))
+    engine.trace(kind, name=name, cat=cat, seq=seq, **fields)
+
+
 def begin_span(engine: Any, name: str, cat: str = "host", **fields: Any) -> None:
     """Open a span (no-op unless spans are enabled on ``engine``)."""
     if spans_enabled(engine):
-        engine.trace(
-            "span.begin", name=name, cat=cat, seq=engine.next_seq("obs.span"), **fields
-        )
+        _emit(engine, "span.begin", name, cat, fields)
 
 
 def end_span(engine: Any, name: str, cat: str = "host", **fields: Any) -> None:
     """Close the innermost open span of ``name`` on this rank's timeline."""
     if spans_enabled(engine):
-        engine.trace(
-            "span.end", name=name, cat=cat, seq=engine.next_seq("obs.span"), **fields
-        )
+        _emit(engine, "span.end", name, cat, fields)
 
 
 @contextmanager
@@ -59,8 +65,8 @@ def span(engine: Any, name: str, cat: str = "host", **fields: Any) -> Iterator[N
     if not spans_enabled(engine):
         yield
         return
-    engine.trace("span.begin", name=name, cat=cat, seq=engine.next_seq("obs.span"), **fields)
+    _emit(engine, "span.begin", name, cat, fields)
     try:
         yield
     finally:
-        engine.trace("span.end", name=name, cat=cat, seq=engine.next_seq("obs.span"), **fields)
+        _emit(engine, "span.end", name, cat, fields)

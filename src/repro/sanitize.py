@@ -570,10 +570,16 @@ class Sanitizer:
 
     def record(self, buf, kind: str, start: int = 0,
                count: Optional[int] = None, note: Optional[str] = None) -> None:
-        """Record one access to simulated device memory and check races."""
+        """Record one access to simulated device memory and check races.
+
+        An access is a settle point: a task in debt catches up here, once,
+        before it reads or rewrites the shadow — so it touches memory in
+        the order a task that slept each charge would, and never parks
+        halfway through an update another task could interleave with."""
         res = self._resolve(buf)
         if res is None:
             return
+        t = self.engine.now  # the one settle
         root, off, view = res
         a0 = off + start
         a1 = a0 + (view.size if count is None else count)
@@ -592,8 +598,7 @@ class Sanitizer:
             ordered = vc.get(prev.ctx_id, 0) >= prev.tick
             if not ordered and prev.kind in conflicts:
                 self._report("race", sh, prev.describe(),
-                             _describe_ctx(ctx, kind, a0, a1, note,
-                                           self.engine.now),
+                             _describe_ctx(ctx, kind, a0, a1, note, t),
                              max(a0, prev.start), min(a1, prev.stop))
             if ordered and prev.start >= a0 and prev.stop <= a1 \
                     and prev.kind in subsumes:
@@ -603,8 +608,7 @@ class Sanitizer:
         cid, tick = self._epoch(ctx)
         self._refs[cid] += 1
         self._n_accesses += 1
-        keep.append(_Access(cid, tick, kind, a0, a1, ctx.rank, ctx.stream,
-                            note, self.engine.now))
+        keep.append(_Access(cid, tick, kind, a0, a1, ctx.rank, ctx.stream, note, t))
         sh.accesses = keep
 
     # ------------------------------------------------------------------ #
@@ -619,6 +623,7 @@ class Sanitizer:
         res = self._resolve(buf)
         if res is None:
             return
+        t = self.engine.now  # settles first, as record does
         root, off, view = res
         sh = self._shadow_for(root)
         first = None
@@ -628,18 +633,17 @@ class Sanitizer:
         ctx = self.current()
         note = ctx.kernel or ctx.note or "host"
         self._report("use-after-free", sh, first,
-                     _describe_ctx(ctx, "r", off, off + view.size, note,
-                                   self.engine.now),
+                     _describe_ctx(ctx, "r", off, off + view.size, note, t),
                      off, off + view.size)
 
     def report_oob(self, buf, start: int, count: int, what: str) -> None:
         """A transfer addressed elements outside the symmetric window."""
+        t = self.engine.now  # settles first, as record does
         res = self._resolve(buf)
         label = res and self._shadow_for(res[0]).label or "<window>"
         ctx = self.current()
         note = ctx.kernel or ctx.note or what
-        second = _describe_ctx(ctx, "w", start, start + count, note,
-                               self.engine.now)
+        second = _describe_ctx(ctx, "w", start, start + count, note, t)
         self._emit(RaceReport("out-of-bounds", label, start, start + count,
                               None, second))
 

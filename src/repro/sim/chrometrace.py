@@ -51,14 +51,15 @@ def to_chrome_trace(tracer: Tracer) -> List[dict]:
                 "cat": "stream",
             })
         elif rec.kind in ("span.begin", "span.end"):
-            # Begin/end slices nest by emission order; the per-engine span
-            # seq keeps that order through the deterministic sort below
+            # Begin/end slices nest by a rank's emission order; its per-rank
+            # span seq keeps that order through the deterministic sort below
             # even when several records share one virtual timestamp.
+            rank = f.get("rank", 0)
             events.append({
                 "name": f.get("name", "?"),
                 "ph": "B" if rec.kind == "span.begin" else "E",
                 "ts": rec.t * _US,
-                "pid": f.get("rank", 0),
+                "pid": rank,
                 "tid": f.get("tid", "uniconn"),
                 "cat": f.get("cat", "span"),
                 "args": {
@@ -66,7 +67,7 @@ def to_chrome_trace(tracer: Tracer) -> List[dict]:
                     for k, v in f.items()
                     if k not in ("name", "cat", "tid") and isinstance(v, (int, float, str))
                 },
-                "__seq": f.get("seq", 0),
+                "__seq": (rank, f.get("seq", 0)),
             })
         else:
             events.append({
@@ -96,13 +97,15 @@ def to_chrome_trace(tracer: Tracer) -> List[dict]:
     # ordering of same-instant callbacks inside the engine — so two runs
     # (one deferring host charges, one sleeping them) that simulate the
     # same timeline emit byte-identical traces. Span events additionally
-    # sort by their emission seq before the content tie-break so B/E
-    # nesting survives same-timestamp ties; every other event has seq 0,
-    # leaving the default-level ordering (and byte-identity) untouched.
-    # Most events (every span) are alone at their (ts, seq), so the content
-    # key is computed only inside the runs that tie on both.
+    # sort by (rank, per-rank seq) before the content tie-break, so B/E
+    # nesting survives same-timestamp ties and ranks interleave the same
+    # way whatever order the host ran them in; every other event keys on
+    # () and sorts before the spans of its instant, leaving the
+    # default-level ordering (and byte-identity) untouched. Most events
+    # (every span) are alone at their key, so the content key is computed
+    # only inside the runs that tie on both.
     when = itemgetter(0)
-    keyed = sorted((((e["ts"], e.pop("__seq", 0)), e) for e in events), key=when)
+    keyed = sorted((((e["ts"], e.pop("__seq", ())), e) for e in events), key=when)
     events = []
     for _, tied in groupby(keyed, key=when):
         run = [e for _, e in tied]

@@ -30,7 +30,7 @@ import gc
 import heapq
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from ..errors import DeadlockError, EngineStateError, SimAborted, SimTimeoutError
 from ..obs.metrics import MetricsRegistry
@@ -218,7 +218,7 @@ class Engine:
         self._failure: Optional[BaseException] = None
         self._running = False
         self._finished = False
-        self._name_seqs: Dict[str, int] = {}
+        self._name_seqs: Dict[Hashable, int] = {}
         self.trace_hook: Optional[Callable[..., None]] = None
         # Observability (repro.obs). Metrics are host-side accumulators —
         # updating them never touches virtual time. Spans are begin/end
@@ -303,13 +303,13 @@ class Engine:
         if self._running or self._finished:
             raise EngineStateError("engine can only be run once")
         self._running = True
-        # defer_busy defers unless an instrument observes task context or
-        # timer structure while a task is ahead of the clock. Decided once:
-        # all install before run().
+        # defer_busy defers unless an instrument observes timer structure
+        # or can cut a task off between a charge and its effect. Decided
+        # once: all install before run(). (The sanitizer settles at each
+        # access and trace records stamp the caller's own time, so neither
+        # needs the charge slept.)
         self._defer = (
-            self.sanitizer is None
-            and self.capture is None
-            and not self.obs_spans
+            self.capture is None
             and self.fault_injector is None
             and self.watchdog_timeout is None
         )
@@ -414,9 +414,8 @@ class Engine:
         earlier than its own busy time: ``block`` catches up before
         returning, and :attr:`now`, :meth:`schedule`, :meth:`spawn`, every
         publishing sync primitive and nonblocking poll :meth:`settle` first
-        (docs/MODEL.md section 7 has the full argument). Under an
-        instrument that observes what the task does while it is ahead (see
-        :meth:`run`), the charge is slept.
+        (docs/MODEL.md section 7 has the full argument). Under capture, a
+        fault injector or a watchdog (see :meth:`run`), the charge is slept.
         """
         if seconds <= 0:
             return
@@ -539,13 +538,19 @@ class Engine:
         return self._current
 
     def trace(self, kind: str, **fields: Any) -> None:
-        """Emit a trace record if a hook is installed."""
+        """Emit a trace record if a hook is installed, stamped with the
+        caller's own time: a task in debt is not settled, its record reads
+        ``busy_until`` — the clock it would see had it slept each charge."""
         if self.trace_hook is not None:
-            self.trace_hook(kind, t=self.now, **fields)
+            task = self._current
+            t = self._now
+            if task is not None and task.busy_until > t:
+                t = task.busy_until
+            self.trace_hook(kind, t=t, **fields)
             if self.capture is not None:
                 self.capture.on_record(kind, fields)
 
-    def next_seq(self, kind: str) -> int:
+    def next_seq(self, kind: Hashable) -> int:
         """Monotonic per-kind sequence numbers, scoped to this engine.
 
         Use these (not module globals) for generated names that can end up

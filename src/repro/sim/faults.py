@@ -13,8 +13,8 @@ The layer is free when idle: with no plan installed every hook is a single
 ``engine.fault_injector is None`` (or equivalent) check, no timers are
 scheduled, and traces stay byte-identical to a build without this module
 (``tests/sim/test_fastpath.py`` asserts this). An installed plan that never
-fires is not quite free: like every instrument it makes the engine sleep
-host charges where they are made instead of deferring them
+fires is not quite free: like a watchdog or capture it makes the engine
+sleep host charges where they are made instead of deferring them
 (``Engine.run``) — the same timeline through more handoffs, which is what
 those tests use as the eager twin of a default run.
 

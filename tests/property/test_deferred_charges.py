@@ -2,8 +2,11 @@
 programs trace and compute identically as launched by default (the uniform
 layer's charges kept as busy-time debt, ``Engine.defer_busy``) and as their
 eager twin: the same launch under a fault plan that never fires, which —
-like any installed instrument — makes the engine sleep each charge where
-it is made."""
+like a watchdog or capture — makes the engine sleep each charge where it
+is made. The identity holds on every instrument axis: none, span tracing,
+the race sanitizer, or both — each of which observes deferred charges
+(records stamp the caller's own time; an access settles at entry)
+instead of making them sleep."""
 
 import json
 
@@ -16,6 +19,7 @@ from repro.gpu import device_kernel, kernel
 from repro.hardware import KernelCost
 from repro.sim import Tracer, to_chrome_trace
 from tests.sim.test_fastpath import INERT_PLAN
+from tests.sim.test_fastpath import INSTRUMENTS as INSTRUMENTED
 
 COUNT = 16
 
@@ -134,13 +138,18 @@ STEP = st.one_of(
 )
 
 
-def _run(deferred, variant, nranks, steps):
+INSTRUMENTS = {"none": {}, **INSTRUMENTED}
+
+
+def _run(deferred, variant, nranks, steps, instrument):
     backend, _, mode = variant.partition(":")
     tracer = Tracer()
     report = launch(_program(backend, nranks, steps, mode=mode or "PureHost"),
-                    nranks, tracer=tracer, fault_plan=None if deferred else INERT_PLAN)
+                    nranks, tracer=tracer, fault_plan=None if deferred else INERT_PLAN,
+                    **INSTRUMENTS[instrument])
     trace = json.dumps({"traceEvents": to_chrome_trace(tracer)}, sort_keys=True)
-    return trace, report.to_dict()["results"], report.stats
+    doc = report.to_dict()
+    return trace, (doc["results"], doc["races"]), report.stats
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,12 +158,14 @@ def _run(deferred, variant, nranks, steps):
                              "gpushmem:PureDevice"]),
     nranks=st.integers(2, 5),
     steps=st.lists(STEP, min_size=1, max_size=10),
+    instrument=st.sampled_from(sorted(INSTRUMENTS)),
 )
-def test_deferred_charges_match_the_eager_reference(variant, nranks, steps):
-    deferred = _run(True, variant, nranks, steps)
-    reference = _run(False, variant, nranks, steps)
+def test_deferred_charges_match_the_eager_reference(variant, nranks, steps, instrument):
+    deferred = _run(True, variant, nranks, steps, instrument)
+    reference = _run(False, variant, nranks, steps, instrument)
     assert deferred[0] == reference[0]  # trace
-    assert deferred[1] == reference[1]  # clock reads, end time, payload digests
+    # Clock reads, end time, payload digests; the sanitizer's findings.
+    assert deferred[1] == reference[1]
     # Same timeline, and deferral never costs a handoff (a charge followed
     # at once by a clock read is settled there: equal; anything else: fewer).
     assert deferred[2]["timers_fired"] == reference[2]["timers_fired"]

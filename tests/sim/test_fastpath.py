@@ -6,16 +6,19 @@ Two families of guarantees:
 1. **Determinism**: deferred charges (``Engine.defer_busy``) are invisible —
    the full Chrome trace, clock, results and timeline-event count of a
    multi-rank application run are identical to those of its *eager twin*,
-   the same launch under a fault plan that never fires. Any installed
-   instrument makes ``Engine.run`` sleep every charge where it is made, so
-   the twin (the "slow" side of the ``fast_vs_slow`` tests) reaches the
-   same timeline through one handoff per charge. Instruments and options
-   that should do nothing (sanitizer, collective policy, capture) are held
-   to the same byte-identity.
+   the same launch under a fault plan that never fires. A fault injector,
+   a watchdog or capture makes ``Engine.run`` sleep every charge where it
+   is made, so the twin (the "slow" side of the ``fast_vs_slow`` tests)
+   reaches the same timeline through one handoff per charge. The race
+   sanitizer and span tracing defer like an uninstrumented run, and are
+   held to the same identity against their own eager twins. Instruments
+   and options that should do nothing (sanitizer, collective policy,
+   capture) are held to the same byte-identity.
 2. **It actually does something**: the stats counters are pinned — inline
    resumes happen, one notify wakes one waiter, one waitall is one wakeup.
 """
 
+import hashlib
 import inspect
 import json
 
@@ -29,6 +32,7 @@ from repro.errors import MpiError
 from repro.gpu import Device, TimedOp, kernel
 from repro.hardware import Cluster, perlmutter
 from repro.launcher import launch
+from repro.obs import analyze_records
 from repro.sim import Broadcast, Counter, Engine, SimEvent, Tracer, run_spmd, to_chrome_trace
 
 CFG = JacobiConfig(nx=96, ny=98, iters=3, warmup=1)
@@ -98,6 +102,62 @@ def test_cg_byte_identical_fast_vs_slow(backend):
                                                tracer=tracer, fault_plan=plan))
     assert fast == slow
     assert stats_fast["switches"] < stats_slow["switches"]
+
+
+# The sanitizer and span tracing observe deferred charges instead of making
+# them sleep: same timeline, same findings, same analysis, fewer handoffs.
+SMALL = JacobiConfig(nx=32, ny=34, iters=16, warmup=2)
+INSTRUMENTS = {"spans": dict(obs="spans"), "race": dict(sanitize="race"),
+               "spans+race": dict(obs="spans", sanitize="race")}
+# Host-side stats: the scheduler's counters and the sanitizer's own
+# bookkeeping (and the twin's empty fault log, present only under a plan).
+_HOST_STATS = ("switches", "inline_resumes", "wakeups", "events", "sanitizer", "faults")
+
+
+def _assert_defers_like_its_eager_twin(run, ranks):
+    """Launch ``run(tracer, fault_plan) -> RunReport`` by default and as its
+    eager twin: the Chrome trace, ``to_dict()`` without host-side stats (its
+    ``races`` and ``timers_fired`` included) and the span analysis must be
+    equal, and the default run must switch threads fewer times."""
+    out = []
+    for plan in (None, INERT_PLAN):
+        tracer = Tracer()
+        report = run(tracer, plan)
+        doc = report.to_dict()
+        switches = doc["stats"]["switches"]
+        for key in _HOST_STATS:
+            doc["stats"].pop(key, None)
+        analysis = analyze_records(tracer.records, n_ranks=ranks,
+                                   total_time=report.stats["virtual_time"]).as_dict()
+        # (A digest: pytest's diff of two megabyte strings takes minutes.)
+        trace = hashlib.sha256(_trace_json(tracer).encode()).hexdigest()
+        out.append(((trace, doc, analysis), switches))
+    (fast, switches_fast), (slow, switches_slow) = out
+    assert fast[0] == slow[0]  # trace
+    assert fast[1] == slow[1]  # results, races, metrics, timers_fired
+    assert fast[2] == slow[2]  # time breakdown and critical path
+    assert switches_fast < switches_slow
+
+
+@pytest.mark.parametrize("instrument", INSTRUMENTS)
+@pytest.mark.parametrize("variant", UNICONN_VARIANTS)
+def test_instrumented_jacobi_defers_like_its_eager_twin(variant, instrument):
+    _assert_defers_like_its_eager_twin(
+        lambda tracer, plan: launch_variant(variant, SMALL, 8, tracer=tracer, collect=True,
+                                            fault_plan=plan, **INSTRUMENTS[instrument]), 8)
+
+
+@pytest.mark.parametrize("instrument", INSTRUMENTS)
+@pytest.mark.parametrize("backend", ["mpi", "gpuccl", "gpushmem"])
+def test_instrumented_cg_defers_like_its_eager_twin(backend, instrument):
+    from repro.apps import cg
+
+    cfg = cg.CgConfig(n=512, nnz_per_row=9, iters=6, seed=3)
+    problem = cg.make_problem(cfg)
+    _assert_defers_like_its_eager_twin(
+        lambda tracer, plan: cg.launch_variant(f"uniconn:{backend}", cfg, 8, problem=problem,
+                                               collect=True, tracer=tracer, fault_plan=plan,
+                                               **INSTRUMENTS[instrument]), 8)
 
 
 def _osu_uniconn_cases():
@@ -524,14 +584,29 @@ def test_a_task_in_debt_publishes_at_its_own_time(publish):
 
 
 def test_instruments_keep_charges_eager():
-    """With a watchdog (or sanitizer, capture, spans, fault injector)
-    installed the charge is slept at the call."""
+    """With a watchdog (or capture, a fault injector) installed the charge
+    is slept at the call."""
     def body(engine, stream):
         engine.defer_busy(1.0)
         return engine.current_task.busy_until
 
     busy, engine = _host_task(body, eager=True)
     assert busy == 0.0 and engine.now == 1.0
+
+
+def test_a_record_made_in_debt_is_stamped_with_the_callers_time():
+    """A trace record observes a deferred charge without settling it: it
+    reads the time the caller would see had it slept the charge."""
+    stamps = []
+
+    def body(engine, stream):
+        engine.trace_hook = lambda kind, t, **fields: stamps.append(t)
+        engine.defer_busy(1.0)
+        engine.trace("mark")
+        return engine.current_task.busy_until, engine._now
+
+    assert _host_task(body)[0] == (1.0, 0.0)
+    assert stamps == [1.0]
 
 
 # --------------------------------------------------------------------------- #

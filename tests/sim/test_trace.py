@@ -82,8 +82,9 @@ def test_chrome_trace_written_as_valid_json(tmp_path):
 def test_chrome_trace_order_is_canonical_under_ties():
     """Many events on one timestamp: the file does not depend on the order
     the records were emitted in, and its order is the one a single sort on
-    (ts, span seq, full content) gives — the sort the writer used to do
-    for every event and now does only inside the ties."""
+    (ts, () for an instant or (rank, per-rank span seq) for a span, full
+    content) gives — the sort the writer used to do for every event and
+    now does only inside the ties."""
     import random
 
     records = []
@@ -91,11 +92,11 @@ def test_chrome_trace_order_is_canonical_under_ties():
         records.append(("mpi.send", (i // 8) * 1e-6,
                         dict(src=i % 3, dst=i % 5, tag=i % 2, nbytes=i)))
     for i in range(24):  # zero-length spans sharing those timestamps
-        t = (i // 6) * 1e-6
-        records.append(("span.begin", t, dict(name=f"s{i % 4}", rank=i % 2, seq=2 * i + 1)))
-        records.append(("span.end", t, dict(name=f"s{i % 4}", rank=i % 2, seq=2 * i + 2)))
-    for i in range(6):  # spans without a seq tie with the instants on (ts, 0)
-        records.append(("span.begin", 1e-6, dict(name=f"u{i}", rank=i)))
+        t, rank, seq = (i // 6) * 1e-6, i % 2, i // 2
+        records.append(("span.begin", t, dict(name=f"s{i % 4}", rank=rank, seq=2 * seq + 1)))
+        records.append(("span.end", t, dict(name=f"s{i % 4}", rank=rank, seq=2 * seq + 2)))
+    for i in range(6):  # spans without a seq tie on (ts, (rank, 0))
+        records.append(("span.begin", 1e-6, dict(name=f"u{i}", rank=i % 3)))
 
     def trace_of(order):
         tracer = Tracer()
@@ -110,7 +111,7 @@ def test_chrome_trace_order_is_canonical_under_ties():
         assert trace_of(records) == events
 
     def one_key(e):
-        seq = e["args"].get("seq", 0) if e["ph"] in "BE" else 0
+        seq = (e["pid"], e["args"].get("seq", 0)) if e["ph"] in "BE" else ()
         return e["ts"], seq, json.dumps(e, sort_keys=True)
 
     assert sorted(rng.sample(events, len(events)), key=one_key) == events

@@ -5,7 +5,9 @@ Three families:
 1. Buffer-bug regressions: the bounds/cast checks the sanitizer bring-up
    flushed out of :class:`DeviceBuffer` and :class:`SymBuffer`.
 2. Seeded races: programs with one deliberately-missing synchronization
-   edge; the sanitizer must catch each and attribute *both* accesses.
+   edge; the sanitizer must catch each and attribute *both* accesses, and
+   report the same list whether host charges are deferred (the default)
+   or slept one by one (the eager twin).
 3. Clean runs: the shipped apps on every backend report zero races.
 """
 
@@ -26,8 +28,10 @@ from repro.gpu import dim3
 from repro.gpu.kernel import kernel
 from repro.hardware.gpu import KernelCost
 from repro.launcher import launch
-from repro.sanitize import RaceReport, resolve_mode
-from repro.sim import Tracer, to_chrome_trace
+from repro.sanitize import RaceReport, Sanitizer, resolve_mode
+from repro.sim import Engine, Tracer, to_chrome_trace
+from tests.core.test_coordinator import run_digest
+from tests.sim.test_fastpath import INERT_PLAN
 
 
 # --------------------------------------------------------------------- #
@@ -125,6 +129,25 @@ def _ops(report):
     return [((r.first or {}).get("op"), r.second["op"], r.kind) for r in report.races]
 
 
+def _sanitized(body, nranks):
+    """``launch(body, nranks, sanitize="race")``, held to its eager twin
+    (host charges deferred by default, slept one by one under a fault plan
+    that never fires): the findings are the same list, and the run ends
+    the same way. Returns the report, or raises what the run raised."""
+    outcomes = []
+    for plan in (None, INERT_PLAN):
+        try:
+            outcomes.append((launch(body, nranks, sanitize="race", fault_plan=plan), None))
+        except Exception as exc:  # noqa: BLE001 - compared by type below
+            outcomes.append((exc.run_report, exc))
+    (report, error), (twin, twin_error) = outcomes
+    assert [r.as_dict() for r in report.races] == [r.as_dict() for r in twin.races]
+    assert type(error) is type(twin_error)
+    if error is not None:
+        raise error
+    return report
+
+
 def test_missing_stream_sync_is_a_race():
     """Kernel writes on a stream; the host reads without synchronizing."""
 
@@ -135,7 +158,7 @@ def test_missing_stream_sync_is_a_race():
         device.launch(k_fill, dim3(1), dim3(32), args=(buf,), stream=stream)
         buf.read()  # BUG: no stream.synchronize()
 
-    report = launch(body, 1, sanitize="race")
+    report = _sanitized(body, 1)
     hits = [r for r in report.races
             if r.kind == "race" and r.second["op"] == "san_fill"
             and r.first["kind"] == "r"]
@@ -153,7 +176,7 @@ def test_stream_sync_fixes_the_race():
         stream.synchronize()
         return float(buf.read()[0])
 
-    report = launch(body, 1, sanitize="race")
+    report = _sanitized(body, 1)
     assert report.races == []
     assert report == [1.0]
 
@@ -171,7 +194,7 @@ def test_missing_signal_wait_is_a_race():
         else:
             dest.read()  # BUG: no shmem.signal_wait_until(sig, "ge", 1)
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     hits = [r for r in report.races
             if r.kind == "race" and r.second["op"] == "put<-pe0"
             and r.first["kind"] == "r" and r.first["rank"] == 1]
@@ -191,7 +214,7 @@ def test_signal_wait_fixes_the_race():
         shmem.signal_wait_until(sig, "ge", 1)
         return float(dest.read()[0])
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     assert report.races == []
     assert report[1] == 7.0
 
@@ -217,7 +240,7 @@ def test_sync_after_an_externally_completed_stream_op_orders_the_host():
         stream.synchronize()
         return float(work.read()[0] + halo.read()[0])
 
-    report = launch(body, 8, sanitize="race")
+    report = _sanitized(body, 8)
     assert report.races == [], _ops(report)
     assert report == [2.0] * 8
 
@@ -236,7 +259,7 @@ def test_collective_overlapping_async_kernel_is_a_race():
         shmem.allreduce(a, out, 16)
         stream.synchronize()
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     hits = [(f, s, k) for f, s, k in _ops(report)
             if {f, s} == {"san_fill", "shmem-allreduce"}]
     assert hits, f"collective/kernel race not caught: {_ops(report)}"
@@ -254,7 +277,7 @@ def test_synced_collective_is_clean():
         shmem.allreduce(a, out, 16)
         return float(out.read()[0])
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     assert report.races == []
     assert report == [2.0, 2.0]  # sum over 2 PEs
 
@@ -276,7 +299,7 @@ def test_mpi_read_before_wait_is_a_race():
             req.wait()
         mpi.finalize()
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     hits = [r for r in report.races
             if r.kind == "race" and r.second["kind"] == "w"
             and r.first["kind"] == "r" and r.first["rank"] == 1]
@@ -300,7 +323,7 @@ def test_mpi_wait_fixes_the_race():
         mpi.finalize()
         return out
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     assert report.races == []
     assert report[1] == 3.0
 
@@ -325,7 +348,7 @@ def test_barrier_implies_quiet():
         stream.synchronize()
         return float(window.read()[0])
 
-    report = launch(body, 2, sanitize="race")
+    report = _sanitized(body, 2)
     assert report.races == [], "\n".join(str(r) for r in report.races)
     assert report == [2.0, 1.0]  # each PE sees its neighbour's payload
 
@@ -343,7 +366,7 @@ def test_use_after_free_is_reported():
         buf.read()
 
     with pytest.raises(GpuError, match="freed") as ei:
-        launch(body, 1, sanitize="race")
+        _sanitized(body, 1)
     report = ei.value.run_report
     hits = [r for r in report.races if r.kind == "use-after-free"]
     assert hits
@@ -358,7 +381,7 @@ def test_put_out_of_bounds_is_reported():
         shmem.put(window, np.zeros(8, np.float32), 8, 0)
 
     with pytest.raises(GpushmemError, match="window of 4") as ei:
-        launch(body, 1, sanitize="race")
+        _sanitized(body, 1)
     report = ei.value.run_report
     assert any(r.kind == "out-of-bounds" and r.stop == 8 for r in report.races)
 
@@ -395,6 +418,45 @@ def test_races_surface_as_chrome_trace_instants():
     # The instant carries both access descriptions for trace viewers.
     args = instants[0]["args"]
     assert "second" in args and "san_fill" in json.dumps(args)
+
+
+def test_an_access_never_parks_its_task_halfway_through_a_shadow_update(monkeypatch):
+    """An access made in debt settles once, at entry to ``record``: the task
+    never blocks between reading a buffer's shadow history and writing it
+    back, where an access another task recorded meanwhile would be lost.
+    (The surface program's gatherv/scatterv reads after an ``isend`` enter
+    ``record`` in debt.)"""
+    record, shadow_for, block = Sanitizer.record, Sanitizer._shadow_for, Engine.block
+    recording, updating, in_debt, halfway = set(), set(), [], []
+
+    def watched_record(self, *args, **kwargs):
+        task = self.engine.current_task
+        if task is not None and task.busy_until > self.engine._now:
+            in_debt.append(task.name)
+        recording.add(task)
+        try:
+            return record(self, *args, **kwargs)
+        finally:
+            recording.discard(task)
+            updating.discard(task)
+
+    def watched_shadow_for(self, root):
+        if self.engine.current_task in recording:
+            updating.add(self.engine.current_task)
+        return shadow_for(self, root)
+
+    def watched_block(self, *args, **kwargs):
+        if self.current_task in updating:
+            halfway.append(self.current_task.name)
+        return block(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sanitizer, "record", watched_record)
+    monkeypatch.setattr(Sanitizer, "_shadow_for", watched_shadow_for)
+    monkeypatch.setattr(Engine, "block", watched_block)
+    report = launch(run_digest.surface("mpi"), 4, sanitize="race")
+    assert in_debt, "no access was made in debt: the check is vacuous"
+    assert halfway == []
+    assert report.races == []
 
 
 # --------------------------------------------------------------------- #

@@ -233,6 +233,10 @@ def matrix():
     for backend in BACKENDS:
         for obs in ("metrics", "spans"):
             yield f"surface4/uniconn:{backend}/obs={obs}", _surface(backend, obs=obs)
+    # What `repro report --sanitize --trace-out` runs: both instruments at once.
+    for backend in BACKENDS:
+        yield (f"checked/jacobi8/uniconn:{backend}",
+               _jacobi(f"uniconn:{backend}", SMALL, 8, sanitize="race", obs="spans"))
 
 
 def _sha(doc) -> str:
