@@ -278,7 +278,7 @@ class GpucclComm:
             "gpuccl_group_size", rank=rank)
         # Bootstrap: all ranks must arrive before any communication.
         self.shared.board.gather("init", rank, nranks)
-        self.engine.sleep(self.profile.bootstrap_overhead)
+        self.engine.defer_busy(self.profile.bootstrap_overhead)
 
     # ------------------------------------------------------------------ #
 

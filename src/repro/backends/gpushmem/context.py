@@ -25,7 +25,7 @@ from ...gpu.kernel import DeviceCtx, KernelSpec
 from ...gpu.stream import ExternalOp, Stream
 from ...launcher import Job, RankContext
 from ...obs import SeriesBy
-from ...sim import Counter, wait_until
+from ...sim import Counter, SimEvent, wait_until
 from ..common import BufferLike
 from ..rendezvous import RendezvousBoard
 from .collectives import ShmemTeam
@@ -117,7 +117,7 @@ class ShmemContext:
         obj.attach(self.my_pe, self.device.malloc(count, dtype))
         # nvshmem_malloc synchronizes all PEs.
         self.world.board.gather(("malloc_sync", index), self.my_pe, self.n_pes)
-        return SymBuffer(obj, self.my_pe)
+        return obj.slice(self.my_pe, 0, count)
 
     def free(self, sym: SymBuffer) -> None:
         """Collective symmetric free (nvshmem_free); pass the root buffer."""
@@ -152,12 +152,10 @@ class ShmemContext:
 
     def _issue_put(self, dest, src, count, pe, *, signal=None, penalty=1.0,
                    device_initiated=False, on_local_done=None) -> None:
+        """One put; it counts as outstanding from its issue (see
+        :func:`issue_put`) until it is delivered."""
         self._pe_check(pe)
-        self._outstanding.add(1)
-
-        def delivered() -> None:
-            self._outstanding.add(-1)
-
+        outstanding = self._outstanding
         extra, adjust = self._latency_terms(pe, device_initiated)
         issue_put(
             self.world, self.my_pe, pe, dest, src, count,
@@ -165,9 +163,19 @@ class ShmemContext:
             bandwidth_penalty=penalty,
             extra_latency=extra,
             latency_adjust=adjust,
+            on_issue=lambda: outstanding.add(1),
             on_local_done=on_local_done,
-            on_delivered=delivered,
+            on_delivered=lambda: outstanding.add(-1),
         )
+
+    def _outstanding_at_own_time(self) -> List[int]:
+        """The outstanding-put count as the caller would read it had it
+        slept its charges: a one-element list, filled once its busy time
+        has elapsed (``Engine.after_busy``) — before anything it issues
+        next, and at the latest when it next blocks."""
+        level: List[int] = []
+        self.engine.after_busy(lambda: level.append(self._outstanding.value))
+        return level
 
     # ------------------------------------------------------------------ #
     # Blocking host API.
@@ -175,17 +183,15 @@ class ShmemContext:
 
     def put(self, dest: SymBuffer, src: BufferLike, count: int, pe: int) -> None:
         """Blocking host put: returns when the data is delivered."""
-        self.engine.sleep(self.profile.host_post_overhead)
-        before = self._outstanding.value
+        self.engine.defer_busy(self.profile.host_post_overhead)
+        before = self._outstanding_at_own_time()
         self._issue_put(dest, src, count, pe)
-        self._outstanding.wait_for(lambda v: v <= before)
+        self._outstanding.wait_for(lambda v: v <= before[0])
 
     def get(self, dest: BufferLike, src: SymBuffer, count: int, pe: int) -> None:
         """Blocking host get."""
         self._pe_check(pe)
-        self.engine.sleep(self.profile.host_post_overhead)
-        from ...sim import SimEvent
-
+        self.engine.defer_busy(self.profile.host_post_overhead)
         done = SimEvent(self.engine, "get")
         issue_get(self.world, self.my_pe, pe, dest, src, count, on_delivered=done.set)
         done.wait()
@@ -193,10 +199,10 @@ class ShmemContext:
     def put_signal(self, dest: SymBuffer, src: BufferLike, count: int,
                    sig: SymBuffer, value: int, pe: int, op: str = SIGNAL_SET) -> None:
         """Blocking host put-with-signal."""
-        self.engine.sleep(self.profile.host_post_overhead)
-        before = self._outstanding.value
+        self.engine.defer_busy(self.profile.host_post_overhead)
+        before = self._outstanding_at_own_time()
         self._issue_put(dest, src, count, pe, signal=(sig, value, op))
-        self._outstanding.wait_for(lambda v: v <= before)
+        self._outstanding.wait_for(lambda v: v <= before[0])
 
     def signal_wait_until(self, sig: SymBuffer, cmp: str, value: int,
                           timeout: Optional[float] = None) -> int:
@@ -219,7 +225,7 @@ class ShmemContext:
 
     def fence(self) -> None:
         """Ordering fence; deliveries are already point-to-point ordered."""
-        self.engine.sleep(self.profile.host_post_overhead / 4)
+        self.engine.defer_busy(self.profile.host_post_overhead / 4)
 
     def barrier_all(self) -> None:
         """Host barrier across all PEs."""

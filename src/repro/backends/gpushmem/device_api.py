@@ -19,6 +19,7 @@ from typing import Optional
 
 from ...errors import GpushmemError
 from ...gpu.kernel import DeviceCtx
+from ...sim import SimEvent
 from ..common import BufferLike
 from .heap import SIGNAL_SET, SymBuffer
 from .transfers import issue_get
@@ -54,7 +55,10 @@ class ShmemDevice:
 
     def _issue(self, dest: SymBuffer, src: BufferLike, count: int, pe: int,
                signal, group: str) -> None:
-        self.engine.sleep(self.profile.device_post_overhead)
+        """Charge the issue cost as debt and put: the payload is taken now,
+        in the kernel's own context; it goes on the wire when the charge
+        has elapsed."""
+        self.engine.defer_busy(self.profile.device_post_overhead)
         self._ctx._issue_put(
             dest, src, count, pe,
             signal=signal,
@@ -74,9 +78,9 @@ class ShmemDevice:
     def put(self, dest: SymBuffer, src: BufferLike, count: int, pe: int,
             group: str = BLOCK) -> None:
         """Blocking put: returns when delivered at the target."""
-        before = self._ctx._outstanding.value
+        before = self._ctx._outstanding_at_own_time()
         self._issue(dest, src, count, pe, None, group)
-        self._ctx._outstanding.wait_for(lambda v: v <= before)
+        self._ctx._outstanding.wait_for(lambda v: v <= before[0])
 
     def put_signal_nbi(self, dest: SymBuffer, src: BufferLike, count: int,
                        sig: SymBuffer, value: int, pe: int,
@@ -90,9 +94,7 @@ class ShmemDevice:
         """Blocking get from PE ``pe``."""
         if not 0 <= pe < self.n_pes:
             raise GpushmemError(f"PE {pe} out of range [0,{self.n_pes})")
-        self.engine.sleep(self.profile.device_post_overhead)
-        from ...sim import SimEvent
-
+        self.engine.defer_busy(self.profile.device_post_overhead)
         done = SimEvent(self.engine, "dev-get")
         issue_get(
             self._ctx.world, self.my_pe, pe, dest, src, count,
@@ -121,7 +123,7 @@ class ShmemDevice:
 
     def fence(self) -> None:
         """Order preceding puts before subsequent ones (cheap; FIFO paths)."""
-        self.engine.sleep(self.profile.device_post_overhead / 4)
+        self.engine.defer_busy(self.profile.device_post_overhead / 4)
 
     def barrier_all(self) -> None:
         """Device-side barrier across all PEs (requires collective launch

@@ -54,6 +54,22 @@ class SymObject:
         self.updated = [Broadcast(engine, f"sym{index}") for _ in range(npes)]
         self._watchers: List[List[Tuple[Callable[[], bool], Callable[[], None]]]] = [
             [] for _ in range(npes)]
+        # (pe, offset, count) -> the one SymBuffer of that slice (see
+        # :meth:`slice`); each points back here, so close() empties it.
+        self._slices: Dict[Tuple[int, int, int], "SymBuffer"] = {}
+
+    def slice(self, pe: int, offset: int, count: int) -> "SymBuffer":
+        """PE ``pe``'s handle on ``[offset:offset + count]``: the same object
+        for the same slice, for the whole job."""
+        where = (pe, offset, count)
+        buf = self._slices.get(where)
+        if buf is None:
+            buf = self._slices[where] = SymBuffer(self, pe, offset, count)
+        return buf
+
+    def close(self) -> None:
+        """Drop the slice table (the finished job's ``RendezvousBoard.close``)."""
+        self._slices.clear()
 
     def attach(self, pe: int, buf: DeviceBuffer) -> None:
         """Register one PE's local storage for this symmetric object."""
@@ -184,12 +200,14 @@ class SymBuffer:
         start, stop, step = key.indices(self.count)
         if step != 1:
             raise GpushmemError("symmetric buffer slices must be contiguous")
-        return SymBuffer(self.obj, self.my_pe, self.offset + start, stop - start)
+        return self.offset_by(start, max(0, stop - start))  # reversed: empty, as numpy
 
     def offset_by(self, start: int, count: Optional[int] = None) -> "SymBuffer":
-        """Pointer arithmetic: ``buf.offset_by(n)`` is ``ptr + n``."""
-        stop = self.count if count is None else start + count
-        return self[start:stop]
+        """Pointer arithmetic: ``buf.offset_by(n)`` is ``ptr + n``; the same
+        slice is the same object."""
+        if count is None or start < 0 or count < 0 or start + count > self.count:
+            return self[start:self.count if count is None else start + count]  # clamped
+        return self.obj.slice(self.my_pe, self.offset + start, count)
 
     def read(self) -> np.ndarray:
         """Snapshot the local window contents."""

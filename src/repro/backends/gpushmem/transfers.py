@@ -53,18 +53,23 @@ def issue_put(
     bandwidth_penalty: float = 1.0,
     extra_latency: float = 0.0,
     latency_adjust: float = 0.0,
+    on_issue: Optional[Callable[[], None]] = None,
     on_local_done: Optional[Callable[[], None]] = None,
     on_delivered: Optional[Callable[[], None]] = None,
 ) -> None:
     """Start a put of ``count`` elements from ``src`` (on ``src_pe``) into
     ``dest`` as addressed on ``dst_pe``.
 
-    The payload is snapshotted at issue time (the source kernel/stream owns
-    the buffer while the transfer is in flight). ``bandwidth_penalty`` < 1
-    models sub-BLOCK thread granularities; ``extra_latency`` models the
+    Validation (raising in the caller's frame) and the payload snapshot
+    happen at the call, in the caller's own context: the source kernel or
+    stream owns the buffer while the transfer is in flight. ``on_issue``,
+    the wire reservation and the delivery schedule run when the caller's
+    busy time has elapsed (``Engine.after_busy``), the instant a caller
+    that slept its charges would issue. ``bandwidth_penalty`` < 1 models
+    sub-BLOCK thread granularities; ``extra_latency`` models the
     device-initiated proxy path for inter-node traffic; ``latency_adjust``
-    (possibly negative) shifts delivery for direct load/store paths, clamped
-    so data never arrives before it finished leaving the source.
+    (possibly negative) shifts delivery for direct load/store paths,
+    clamped so data never arrives before it finished leaving the source.
     """
     engine = world.engine
     san = engine.sanitizer
@@ -82,14 +87,23 @@ def issue_put(
     if bandwidth_penalty <= 0 or bandwidth_penalty > 1:
         raise GpushmemError(f"invalid bandwidth penalty {bandwidth_penalty}")
     effective = int(np.ceil(nbytes / bandwidth_penalty))
-    requested = engine.now + extra_latency
-    transfer = flight.wire(path.reserve(requested, effective), requested)
-    if engine.metrics.enabled:
-        world.puts[size_class(nbytes), src_pe].inc()
-        world.bytes_moved["put", src_pe].inc(nbytes)
 
-    if on_local_done is not None:
-        engine.schedule(max(0.0, transfer.inject_done - engine.now), on_local_done)
+    def issue() -> None:
+        if on_issue is not None:
+            on_issue()
+        requested = engine.now + extra_latency
+        transfer = flight.wire(path.reserve(requested, effective), requested)
+        if engine.metrics.enabled:
+            world.puts[size_class(nbytes), src_pe].inc()
+            world.bytes_moved["put", src_pe].inc(nbytes)
+        if on_local_done is not None:
+            engine.schedule(max(0.0, transfer.inject_done - engine.now), on_local_done)
+        delay = max(
+            0.0,
+            transfer.inject_done - engine.now,
+            transfer.delivered - engine.now + latency_adjust,
+        )
+        engine.schedule(delay, deliver)
 
     def deliver() -> None:
         if flight.dropped():
@@ -131,12 +145,7 @@ def issue_put(
         elif on_delivered is not None:
             on_delivered()
 
-    delay = max(
-        0.0,
-        transfer.inject_done - engine.now,
-        transfer.delivered - engine.now + latency_adjust,
-    )
-    engine.schedule(delay, deliver)
+    engine.after_busy(issue)
 
 
 def issue_get(
@@ -155,7 +164,9 @@ def issue_get(
     addressed on ``dst_pe`` into its local ``dest``.
 
     The remote memory is read at delivery time (the closest single-snapshot
-    approximation of a one-sided read racing with remote writes).
+    approximation of a one-sided read racing with remote writes). As in
+    :func:`issue_put`, validation raises in the caller's frame and the rest
+    happens when the caller's busy time has elapsed.
     """
     engine = world.engine
     san = engine.sanitizer
@@ -164,28 +175,32 @@ def issue_get(
             san.report_oob(src, src.offset, count, f"get<-pe{dst_pe}")
         raise GpushmemError(f"get of {count} elements from window of {src.count}")
     nbytes = count * src.dtype.itemsize
-    # Gets read the remote buffer at delivery time (and the replayed
-    # effect repeats the same live read, so it stays value-exact).
-    flight = InFlight(engine, "gpushmem").snapshot(
-        src.view_at(dst_pe), count, key=("g", src_pe, dst_pe),
-        note=f"get<-pe{dst_pe}", live=True)
+    remote = src.view_at(dst_pe)
     # Gets traverse the reverse path: remote PE -> reader.
     path = world.cluster.path(world.gpu_of(dst_pe), world.gpu_of(src_pe))
     effective = int(np.ceil(nbytes / bandwidth_penalty))
-    requested = engine.now + extra_latency
-    transfer = flight.wire(path.reserve(requested, effective), requested)
-    if engine.metrics.enabled:
-        world.gets[size_class(nbytes), src_pe].inc()
-        world.bytes_moved["get", src_pe].inc(nbytes)
 
-    def deliver() -> None:
-        if not flight.dropped():  # fenced (see issue_put): drop the data, retire the op
-            if san is not None:
-                san.acquire(path)
-            flight.land(dest, note=f"get<-pe{dst_pe}")
-            if san is not None:
-                san.release(path)
-        if on_delivered is not None:
-            on_delivered()
+    def issue() -> None:
+        # Gets read the remote buffer at delivery time (and the replayed
+        # effect repeats the same live read, so it stays value-exact).
+        flight = InFlight(engine, "gpushmem").snapshot(
+            remote, count, key=("g", src_pe, dst_pe), note=f"get<-pe{dst_pe}", live=True)
+        requested = engine.now + extra_latency
+        transfer = flight.wire(path.reserve(requested, effective), requested)
+        if engine.metrics.enabled:
+            world.gets[size_class(nbytes), src_pe].inc()
+            world.bytes_moved["get", src_pe].inc(nbytes)
 
-    engine.schedule(max(0.0, transfer.delivered - engine.now), deliver)
+        def deliver() -> None:
+            if not flight.dropped():  # fenced (see issue_put): drop the data, retire the op
+                if san is not None:
+                    san.acquire(path)
+                flight.land(dest, note=f"get<-pe{dst_pe}")
+                if san is not None:
+                    san.release(path)
+            if on_delivered is not None:
+                on_delivered()
+
+        engine.schedule(max(0.0, transfer.delivered - engine.now), deliver)
+
+    engine.after_busy(issue)

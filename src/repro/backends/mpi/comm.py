@@ -110,8 +110,7 @@ class MpiCommunicator:
         return self.members[local_rank]
 
     def _charge(self, seconds: float) -> None:
-        if seconds > 0:
-            self.engine.sleep(seconds)
+        self.engine.defer_busy(seconds)
 
     @property
     def _profile(self):

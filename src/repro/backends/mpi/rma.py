@@ -95,16 +95,21 @@ class MpiWindow:
 
     def _launch(self, flight: InFlight, target: int, nbytes: int,
                 land: Callable[[], None]) -> None:
-        self.engine.sleep(self.ctx.profile.host_call_overhead)
+        """Charge the call overhead as debt; the operation goes on the wire
+        (and counts as outstanding) when it has elapsed."""
+        self.engine.defer_busy(self.ctx.profile.host_call_overhead)
         path = self._path_to(target)
-        transfer = flight.wire(path.reserve(self.engine.now, nbytes))
-        metrics = self.engine.metrics
-        if metrics.enabled:
-            metrics.inc("mpi_rma_messages_total", size=size_class(nbytes),
-                        rank=self.comm.rank)
-            metrics.inc("mpi_rma_bytes_total", nbytes, rank=self.comm.rank)
-        self._outstanding.add(1)
-        self._per_target[target] = self._per_target.get(target, 0) + 1
+
+        def issue() -> None:
+            transfer = flight.wire(path.reserve(self.engine.now, nbytes))
+            metrics = self.engine.metrics
+            if metrics.enabled:
+                metrics.inc("mpi_rma_messages_total", size=size_class(nbytes),
+                            rank=self.comm.rank)
+                metrics.inc("mpi_rma_bytes_total", nbytes, rank=self.comm.rank)
+            self._outstanding.add(1)
+            self._per_target[target] = self._per_target.get(target, 0) + 1
+            self.engine.schedule(max(0.0, transfer.delivered - self.engine.now), deliver)
 
         def retire() -> None:
             self._outstanding.add(-1)
@@ -129,7 +134,7 @@ class MpiWindow:
             if san is not None:
                 san.release(path)
 
-        self.engine.schedule(max(0.0, transfer.delivered - self.engine.now), deliver)
+        self.engine.after_busy(issue)
 
     # ------------------------------------------------------------------ #
     # One-sided operations (nonblocking; complete at synchronization).
@@ -189,8 +194,8 @@ class MpiWindow:
         self._check(target, 0, 0)
         me = self.comm.rank
         # Lock acquisition costs a network round trip to the target.
-        self.engine.sleep(self.ctx.profile.host_call_overhead)
-        self.engine.sleep(2 * self._path_to(target).latency)
+        self.engine.defer_busy(self.ctx.profile.host_call_overhead)
+        self.engine.defer_busy(2 * self._path_to(target).latency)
         wait_until(self.shared.lock_bcast,
                    lambda: self.shared.locks.get(target) is None)
         self.shared.locks[target] = me

@@ -50,7 +50,13 @@ class RendezvousBoard:
         self.engine.settle()  # arrive at the caller's own time
         slot = self._slot(key)
         slot.payloads[member] = payload
-        slot.bcast.notify_all()
+        if len(slot.payloads) >= size:
+            # Only the completing arrival can make a waiter's predicate
+            # true: one notify per rendezvous, not one per member.
+            slot.bcast.notify_all()
+        elif self.engine.sanitizer is not None:
+            # Every arrival still happens-before every member proceeds.
+            self.engine.sanitizer.release(slot.bcast)
         wait_until(slot.bcast, lambda: len(slot.payloads) >= size)
         return slot.payloads
 

@@ -119,7 +119,7 @@ class Communicator:
         self._check_revoked()
         self._barrier_calls.inc()
         with self._span("barrier", "sync"):
-            self.engine.sleep(self.env.costs.dispatch)
+            self.engine.defer_busy(self.env.costs.dispatch)
             if self.backend is MPIBackend:
                 if stream is not None:
                     stream.synchronize()
@@ -136,7 +136,7 @@ class Communicator:
     def split(self, color: int, *, key: int = 0) -> "Communicator":
         """Create a sub-communicator (collective over all members)."""
         self._check_revoked()
-        self.engine.sleep(self.env.costs.dispatch)
+        self.engine.defer_busy(self.env.costs.dispatch)
         if self.backend is MPIBackend:
             return Communicator(self.env, _parts=(self._mpi_comm.split(color, key), None, None))
         if self.backend is GpucclBackend:

@@ -51,7 +51,8 @@ class UniconnDevice:
 
     def _charge(self) -> None:
         # Debt, like the host-side charges: the native call that follows
-        # sleeps or settles first, so it starts where this charge ends.
+        # charges on top of it or settles first, so it starts where this
+        # charge ends.
         self.engine.defer_busy(self._costs.device_dispatch)
 
     @staticmethod

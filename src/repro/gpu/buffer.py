@@ -94,16 +94,25 @@ class DeviceBuffer:
     def __getitem__(self, key: slice) -> "DeviceBuffer":
         if not isinstance(key, slice):
             raise GpuError("device buffers are indexed with slices (views)")
-        start, _, step = key.indices(self.size)
+        start, stop, step = key.indices(self._array.size)
         if step != 1:
             raise GpuError("device buffer views must be contiguous (step 1)")
-        return DeviceBuffer(self.device, self.raw[key], root=self.root,
-                            offset=self._offset + start)
+        return self.offset(start, max(0, stop - start))  # reversed: empty
 
     def offset(self, start: int, count: int = None) -> "DeviceBuffer":
-        """Pointer arithmetic: ``buf.offset(n)`` is the C ``ptr + n``."""
-        stop = None if count is None else start + count
-        return self[start:stop]
+        """Pointer arithmetic: ``buf.offset(n)`` is the C ``ptr + n``; the
+        same slice is the same view object."""
+        if count is None or start < 0 or count < 0 or start + count > self._array.size:
+            return self[start:None if count is None else start + count]  # clamped
+        array = self.raw  # the freed-root check, on every lookup
+        root = self.root
+        views = self.device._views  # one view per slice for the job
+        where = (root, self._offset + start, count)
+        view = views.get(where)
+        if view is None:
+            view = views[where] = DeviceBuffer(
+                self.device, array[start:start + count], root=root, offset=where[1])
+        return view
 
     # Same spelling as SymBuffer, so backend-agnostic code can slice any
     # communication buffer uniformly.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class Device:
         if injector is not None:
             self.time_scale = injector.straggler_factor(gpu_id)
         self._streams: List[Stream] = []  # every stream of this device, for close()
+        # (allocation, offset, length) -> the one view of that slice
+        # (DeviceBuffer.offset); a view points at its root, so close() and
+        # free() empty it.
+        self._views: Dict[Tuple[DeviceBuffer, int, int], DeviceBuffer] = {}
         self.default_stream = self.create_stream(f"default[{gpu_id}]")
 
     def kernel_time(self, cost) -> float:
@@ -100,6 +104,8 @@ class Device:
             san.record_free(buf)
         buf.freed = True
         self.allocated_bytes -= buf.nbytes
+        for where in [w for w in self._views if w[0] is buf]:
+            del self._views[where]
 
     # ------------------------------------------------------------------ #
     # Streams & data movement.
@@ -112,9 +118,11 @@ class Device:
         return stream
 
     def close(self) -> None:
-        """Close every stream of the finished job (``Job.close``)."""
+        """Close every stream of the finished job and drop its buffer views
+        (``Job.close``)."""
         for stream in self._streams:
             stream.close()
+        self._views.clear()
 
     def memcpy_h2d(self, dst: DeviceBuffer, src: np.ndarray, stream: Optional[Stream] = None) -> None:
         """Asynchronous host-to-device copy on a stream."""
@@ -181,7 +189,7 @@ class Device:
 
         if kernel.uses_device_comm:
             def body() -> Any:
-                self.engine.sleep(self.model.launch_overhead)
+                self.engine.defer_busy(self.model.launch_overhead)
                 san = self.engine.sanitizer
                 try:
                     if san is not None:
@@ -194,7 +202,7 @@ class Device:
                     # back at the context: the body's return unties them.
                     ctx.attachments.clear()
                 if ctx.pending_cost.bytes_moved or ctx.pending_cost.flops:
-                    self.engine.sleep(self.kernel_time(ctx.pending_cost))
+                    self.engine.defer_busy(self.kernel_time(ctx.pending_cost))
                 return result
 
             stream.enqueue(TaskOp(self.engine, kernel.name, body))

@@ -13,8 +13,8 @@ Two execution models, mirroring the paper:
 - *device-communication* kernels (``uses_device_comm=True``): the body runs
   on its own simulated task, so it can issue device-initiated communication
   and block on signals mid-kernel (``PureDevice``/``PartialDevice``). The
-  body charges its compute explicitly via ``ctx.compute(...)`` (blocking,
-  models compute *before* the next statement) or ``ctx.charge(...)``
+  body charges its compute explicitly via ``ctx.compute(...)`` (models
+  compute *before* the next statement) or ``ctx.charge(...)``
   (accumulated, applied when the kernel ends).
 
 We execute one body per launch, not one per thread-block: block-level
@@ -61,14 +61,16 @@ class DeviceCtx:
         return bx * by * bz
 
     def compute(self, cost: KernelCost) -> None:
-        """Block for the roofline time of ``cost`` (device-comm kernels)."""
+        """Charge the roofline time of ``cost`` before the next statement
+        (device-comm kernels): busy-time debt, like every determinate
+        charge (``Engine.defer_busy``)."""
         if not self.allow_blocking:
             raise RuntimeError(
                 "ctx.compute() requires a device-communication kernel "
                 "(declare it with @device_kernel); compute-only kernels "
                 "declare their cost at the KernelSpec level"
             )
-        self.device.engine.sleep(self.device.kernel_time(cost))
+        self.device.engine.defer_busy(self.device.kernel_time(cost))
 
     def charge(self, cost: KernelCost) -> None:
         """Accumulate cost to be paid when the kernel finishes."""

@@ -114,11 +114,14 @@ class ResultStore:
     def get(self, config_hash: str) -> Optional[StoredDoc]:
         """The completed result document for a hash, or None (a miss).
 
-        Only ``status == "done"`` documents count as hits; a stored
-        failure is reported as a miss so the job reruns next submit.
+        Only ``status == "done"`` documents stored under their own hash
+        count as hits; a stored failure, or a document whose
+        ``config_hash`` is another job's, is reported as a miss so the job
+        reruns next submit and its write replaces the file.
         """
         doc = _load(self._path(config_hash))
-        if doc is None or doc.get("status") != "done":
+        if (doc is None or doc.get("status") != "done"
+                or doc.get("config_hash") != config_hash):
             self.metrics.inc("serve_cache_misses_total")
             return None
         self.metrics.inc("serve_cache_hits_total")

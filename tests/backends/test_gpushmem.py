@@ -483,6 +483,32 @@ def test_team_split():
     assert results[3] == (1, 2, 4.0)
 
 
+def test_a_reversed_slice_is_empty():
+    """As numpy and DeviceBuffer have it: no negative count or byte size."""
+    def body(shmem, stream):
+        buf = shmem.malloc(16)
+        rev, back = buf[5:2], buf.offset_by(6, -3)
+        return (rev.offset, rev.count, rev.nbytes), (back.offset, back.count, back.nbytes)
+
+    assert shmem_run(1, body)[0] == ((5, 0, 0), (6, 0, 0))
+
+
+def test_slices_are_interned_for_the_job_and_dropped_at_close():
+    def body(shmem, stream):
+        buf = shmem.malloc(16)
+        view = buf.offset_by(4, 8)
+        assert buf.offset_by(4, 8) is view and buf[4:12] is view
+        assert view[2:3] is buf.offset_by(6, 1) and buf.offset_by(0) is buf
+        assert buf[5:2] is buf[5:5]  # the key holds the clamped length
+        assert buf.local.offset(4, 8) is buf.local[4:12] is view.local
+        assert buf.obj._slices and shmem.device._views
+        return buf.obj, shmem.device
+
+    for obj, device in shmem_run(2, body):
+        # Job.close(): no symmetric object or allocation holds a view.
+        assert obj._slices == {} and device._views == {}
+
+
 def test_put_overflow_detected():
     def body(shmem, stream):
         buf = shmem.malloc(2)

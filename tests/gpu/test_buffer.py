@@ -73,6 +73,28 @@ def test_offset_pointer_arithmetic(device):
     np.testing.assert_array_equal(buf.read(), expected)
 
 
+def test_a_slice_is_one_view_object(device):
+    buf = device.malloc(10)
+    view = buf.offset(4, 3)
+    assert buf.offset(4, 3) is view and buf[4:7] is view and buf.offset_by(4, 3) is view
+    assert buf[2:8][2:5] is view  # keyed by (allocation, offset, length)
+    assert buf[:] is not buf  # a view is never its root (only a root is freed)
+    assert buf[5:2] is buf[5:5] and buf[5:2].size == 0  # reversed: empty, as numpy
+    other = device.malloc(10)
+    assert other.offset(4, 3) is not view
+
+
+def test_free_and_close_drop_the_views(device):
+    a, b = device.malloc(8), device.malloc(8)
+    a[1:3], b[1:3]
+    device.free(a)
+    with pytest.raises(GpuError, match="freed"):
+        a[1:3]  # the freed-root check runs on every lookup
+    assert [where[0] for where in device._views] == [b]
+    device.close()
+    assert device._views == {}
+
+
 def test_write_and_read_roundtrip(device):
     buf = device.malloc(5)
     buf.write(np.arange(5, dtype=np.float32))

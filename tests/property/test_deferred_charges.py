@@ -6,7 +6,9 @@ like a watchdog or capture — makes the engine sleep each charge where it
 is made. The identity holds on every instrument axis: none, span tracing,
 the race sanitizer, or both — each of which observes deferred charges
 (records stamp the caller's own time; an access settles at entry)
-instead of making them sleep."""
+instead of making them sleep. A device-API axis (``NATIVE`` steps) calls
+the blocking GPUSHMEM API natively, from the kernel in a device mode and
+from the host in PureHost."""
 
 import json
 
@@ -30,35 +32,66 @@ def _bump(ctx, buf, by):
 
 
 @device_kernel()
-def _bump_or_send(ctx, buf, by, send):
-    """The device modes' one kernel: a ``launch`` step's bump, or (``send``
-    set by the exchange step that launches it) the device half of an
-    exchange — the payload put alone when it carries no signal
-    (PartialDevice), the acknowledge too when it does (PureDevice)."""
+def _bump_or_send(ctx, buf, by, then):
+    """The device modes' one kernel: a ``launch`` step's bump, or (``then``
+    set by the step that launches it) that step's device half."""
     ctx.compute(KernelCost(bytes_moved=4096.0))
-    if send is None:
+    if then is None:
         buf.data[:] += by
-        return
-    recv, sig, to, frm, comm_d = send
-    if to is not None:
-        ctx.uniconn.post(buf, recv, COUNT, sig, 1, to, comm_d)
-    if sig is not None and frm is not None:
-        ctx.uniconn.acknowledge(recv, COUNT, sig, 1, frm, comm_d)
+    else:
+        then(ctx, buf)
+
+
+def _exchange_half(recv, sig, to, frm, comm_d):
+    """The device half of an exchange: the payload put alone when it carries
+    no signal (PartialDevice), the acknowledge too when it does
+    (PureDevice)."""
+    def run(ctx, buf):
+        if to is not None:
+            ctx.uniconn.post(buf, recv, COUNT, sig, 1, to, comm_d)
+        if sig is not None and frm is not None:
+            ctx.uniconn.acknowledge(recv, COUNT, sig, 1, frm, comm_d)
+
+    return run
+
+
+#: The device-API axis: blocking GPUSHMEM calls made natively — from the
+#: kernel (``ctx.shmem``) in a device mode, from the host in PureHost.
+NATIVE = ("put", "put_nbi", "get", "fence")
+
+
+def _native_call(shmem, op, work, landing, const, flag, peer):
+    """One native call into the next rank's ``landing`` slot (or, for a get,
+    out of its never-written ``const``). The host API has no ``put_nbi``:
+    there it is the other blocking put, ``put_signal``."""
+    if op == "put":
+        shmem.put(landing, work, COUNT, peer)
+    elif op == "put_nbi" and hasattr(shmem, "put_nbi"):
+        shmem.put_nbi(landing, work, COUNT, peer)
+        shmem.quiet()
+    elif op == "put_nbi":
+        shmem.put_signal(landing, work, COUNT, flag, 1, peer)
+    elif op == "get":
+        shmem.get(landing, const, COUNT, peer)
+    else:
+        shmem.fence()
 
 
 def _program(backend, nranks, steps, omit=None, mode="PureHost"):
     """One rank's body for ``steps``; every rank runs the same list.
 
-    Each exchange step owns its send/recv/signal slots, so the program is
-    race-free by construction and every payload depends on the kernels
-    launched before it (they bump the buffer the next exchange sends).
-    ``omit`` seeds a bug (``test_sanitize_reference.py``): the
+    Each exchange (and native) step owns its send/recv/signal slots, so the
+    program is race-free by construction and every payload depends on the
+    kernels launched before it (they bump the buffer the next exchange
+    sends). ``omit`` seeds a bug (``test_sanitize_reference.py``): the
     ``acknowledge`` or ``synchronize`` of step ``omit`` is left out
     (``len(steps)``: the closing ``synchronize``). In a device ``mode``
     (GPUSHMEM) every exchange first launches its device half; the host
     calls that follow are the same, and mean what that mode makes of them.
+    A native step runs on GPUSHMEM only.
     """
     n_x = sum(1 for s in steps if s[0] == "exchange")
+    n_native = sum(1 for s in steps if s[0] == "native") if backend == "gpushmem" else 0
 
     def body(ctx):
         env = Environment(ctx, backend=backend)
@@ -72,21 +105,37 @@ def _program(backend, nranks, steps, omit=None, mode="PureHost"):
         sig = (Memory.alloc(env, max(1, n_x), dtype=np.uint64)
                if coord.uses_signals else None)
         work.write(np.full(COUNT, float(me + 1), np.float32))
+        if n_native:
+            lands, const = Memory.alloc(env, COUNT * n_native), Memory.alloc(env, COUNT)
+            flags = Memory.alloc(env, n_native, dtype=np.uint64)
         coord.bind_kernel("PureHost", _bump, 1, 32, args=lambda: (work, float(me + 1)))
-        send = [None]  # what the next device launch sends, if anything
+        then = [None]  # what the next device launch does besides its compute
         if mode != "PureHost":
             comm_d = comm.to_device()
             coord.bind_kernel(mode, _bump_or_send, 1, 32,
-                              args=lambda: (work, float(me + 1), send[0]))
+                              args=lambda: (work, float(me + 1), then[0]))
+
+        def device_launch(half):
+            then[0] = half
+            coord.launch_kernel()
+            then[0] = None
 
         def device_half(recv, s, to, frm):
             if mode != "PureHost":
-                send[0] = (recv, s if mode == "PureDevice" else None, to, frm, comm_d)
-                coord.launch_kernel()
-                send[0] = None
+                device_launch(_exchange_half(recv, s if mode == "PureDevice" else None,
+                                             to, frm, comm_d))
+
+        def native(op, k):
+            call = (op, work, lands.offset_by(k * COUNT, COUNT), const,
+                    flags.offset_by(k, 1), (me + 1) % nranks)
+            if mode == "PureHost":
+                stream.synchronize()  # the host reads `work` the kernels write
+                _native_call(env.shmem, *call)
+            else:
+                device_launch(lambda ctx, buf: _native_call(ctx.shmem, *call))
 
         comm.barrier(stream=stream)
-        t0, clock, x = engine.now, [], 0
+        t0, clock, x, k = engine.now, [], 0, 0
         for i, step in enumerate(steps):
             if step[0] == "exchange":
                 _, grouped, shift = step
@@ -117,11 +166,18 @@ def _program(backend, nranks, steps, omit=None, mode="PureHost"):
             elif step[0] == "sync":
                 if i != omit:
                     stream.synchronize()
+            elif step[0] == "native":
+                if n_native:
+                    native(step[1], k)
+                    k += 1
             else:  # "now"
                 clock.append(engine.now - t0)
+        if n_native:
+            comm.barrier(stream=stream)  # every put lands before its target reads
         if omit != len(steps):
             stream.synchronize()
-        out = (clock, engine.now - t0, work.read().copy(), [r.read().copy() for r in recvs])
+        out = (clock, engine.now - t0, work.read().copy(), [r.read().copy() for r in recvs],
+               lands.read().copy() if n_native else None)
         env.close()
         return out
 
@@ -135,6 +191,7 @@ STEP = st.one_of(
     st.tuples(st.just("broadcast"), st.integers(0, 4)),
     st.tuples(st.just("sync")),
     st.tuples(st.just("now")),
+    st.tuples(st.just("native"), st.sampled_from(NATIVE)),
 )
 
 

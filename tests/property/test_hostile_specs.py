@@ -1,15 +1,18 @@
 """Hostile job requests: a spec dict or queue line either becomes JobSpecs
 that round-trip with an equal hash, or raises ``ValueError`` — never
-anything else, so ``repro serve`` can reject it and keep draining. No
-simulation runs here."""
+anything else, so ``repro serve`` can reject it and keep draining; and a
+hostile store (a document filed under another job's hash) answers a miss.
+No simulation runs here."""
 
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve import JobSpec
+from repro.serve import JobSpec, ResultStore
 from repro.serve.service import parse_queue_line
 
 _junk = st.recursive(
@@ -138,6 +141,25 @@ def test_queue_line_yields_specs_or_is_a_value_error(line):
     except ValueError:
         return
     _check(specs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_spec_dict, _spec_dict)
+def test_a_stored_document_answers_only_its_own_hash(a, b):
+    """A wrong-hash document (one job's result filed under another job's
+    hash) is a miss for that hash, and a hit only for its own."""
+    try:
+        mine, theirs = JobSpec.from_dict(a), JobSpec.from_dict(b)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        doc = {"status": "done", "config_hash": theirs.config_hash(), "job": theirs.to_dict()}
+        h = mine.config_hash()
+        target = Path(root) / h[:2] / f"{h}.json"
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(store.put(doc).read_bytes())
+        assert (store.get(h) is None) == (h != theirs.config_hash())
 
 
 @settings(max_examples=25, deadline=None)

@@ -67,6 +67,22 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     assert store.get(spec.config_hash()) is None
 
 
+def test_a_document_under_another_hash_is_a_miss(tmp_path):
+    """A file at ``<h[:2]>/<h>.json`` whose ``config_hash`` is another
+    job's is not h's result: a miss, so the job reruns and its write
+    replaces the file."""
+    store = ResultStore(tmp_path)
+    mine, theirs = JobSpec(app="jacobi", size=32), JobSpec(app="jacobi", size=64)
+    h = mine.config_hash()
+    target = tmp_path / h[:2] / f"{h}.json"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(store.put(_doc(theirs)).read_bytes())
+    assert store.get(h) is None
+    assert store.counters()["misses"] == 1
+    assert store.put(_doc(mine)) == target
+    assert store.get(h)["config_hash"] == h
+
+
 def test_jobs_iterates_everything(tmp_path):
     store = ResultStore(tmp_path)
     for s in (16, 32):

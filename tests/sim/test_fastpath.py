@@ -160,6 +160,63 @@ def test_instrumented_cg_defers_like_its_eager_twin(backend, instrument):
                                                **INSTRUMENTS[instrument]), 8)
 
 
+def _mpi_blocking(ctx):
+    """Blocking MPI send/recv around a ring, a staged (rendezvous-size)
+    bcast, then a Uniconn ``Communicator.split`` and a barrier on the
+    sub-communicator."""
+    from repro import Communicator, Environment
+
+    env = Environment(ctx, backend="mpi")
+    env.set_device(env.node_rank())
+    comm, device = env.mpi.comm_world, env.device
+    me, p = comm.rank, comm.size
+    out, got, big = device.malloc(4), device.malloc(4), device.malloc(1 << 16)
+    out.write(np.full(4, float(me), np.float32))
+    big.write(np.full(1 << 16, float(me), np.float32))
+    for first in ("send", "recv") if me % 2 == 0 else ("recv", "send"):
+        if first == "send":
+            comm.send(out, 4, (me + 1) % p)
+        else:
+            comm.recv(got, 4, (me - 1) % p)
+    comm.bcast(big, 1 << 16, root=1)
+    Communicator(env).split(me % 2).barrier()
+    result = (env.engine.now, got.read().copy(), big.read(4).copy())
+    env.close()
+    return result
+
+
+def _shmem_api(side):
+    from tests.core.test_coordinator import run_digest
+
+    return lambda tracer, plan: launch(run_digest.shmem_api(side), 4, n_nodes=2,
+                                       placement="spread", tracer=tracer, fault_plan=plan)
+
+
+#: The charges no app above reaches, or reaches only in passing: device
+#: kernels (launch overhead, ``DeviceCtx.compute``, the device API), the
+#: blocking GPUSHMEM host calls, blocking MPI, one-sided MPI, and the
+#: uniform layer's split and barrier.
+CONVERTED = {
+    "jacobi/PartialDevice": lambda tracer, plan: launch_variant(
+        "uniconn:gpushmem:PartialDevice", SMALL, 8, tracer=tracer, collect=True,
+        fault_plan=plan),
+    "jacobi/PureDevice": lambda tracer, plan: launch_variant(
+        "uniconn:gpushmem:PureDevice", SMALL, 8, tracer=tracer, collect=True,
+        fault_plan=plan),
+    "jacobi/mpi-rma": lambda tracer, plan: launch_variant(
+        "uniconn:mpi-rma", SMALL, 8, tracer=tracer, collect=True, fault_plan=plan),
+    "shmem-api/device": _shmem_api("device"),
+    "shmem-api/host": _shmem_api("host"),
+    "mpi-blocking+split": lambda tracer, plan: launch(_mpi_blocking, 4, tracer=tracer,
+                                                     fault_plan=plan),
+}
+
+
+@pytest.mark.parametrize("case", CONVERTED)
+def test_converted_charges_defer_like_their_eager_twin(case):
+    _assert_defers_like_its_eager_twin(CONVERTED[case], 8 if case.startswith("jacobi") else 4)
+
+
 def _osu_uniconn_cases():
     from repro.apps.osu.bandwidth import BANDWIDTH_VARIANTS
     from repro.apps.osu.latency import LATENCY_VARIANTS

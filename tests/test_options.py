@@ -114,3 +114,15 @@ def test_src_has_no_global_statement():
                for line in path.read_text().splitlines()
                if re.match(r"\s*global\s", line)]
     assert rebinds == []
+
+
+def test_library_layers_never_sleep():
+    """A library-layer charge is debt (``Engine.defer_busy``/``after_busy``):
+    only the engine decides to sleep one, under the instruments that need
+    it. No module under gpu/, backends/ or core/ calls ``.sleep(``."""
+    sleeps = [(path.relative_to(SRC).as_posix(), line.strip())
+              for layer in ("gpu", "backends", "core")
+              for path in sorted((SRC / "repro" / layer).rglob("*.py"))
+              for line in path.read_text().splitlines()
+              if ".sleep(" in line]
+    assert sleeps == []

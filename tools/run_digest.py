@@ -176,6 +176,75 @@ def _surface(backend, **options):
     return lambda tracer: launch(surface(backend), 4, tracer=tracer, **options)
 
 
+def shmem_api(side):
+    """Rank body (4 ranks over 2 nodes, ``placement="spread"``) calling each
+    blocking GPUSHMEM API once, from the host (``side="host"``) or from a
+    device kernel (``"device"``), then a Uniconn ``Communicator.split`` and
+    a barrier on the sub-communicator. The next rank is on the other node,
+    the mate on the same one. Returns the clock after each phase and the
+    receive window."""
+    from repro import Communicator, Environment
+    from repro.gpu import device_kernel
+    from repro.hardware import KernelCost
+
+    @device_kernel(name="shmem_api")
+    def calls(ctx, src, got, sig, right, mate):
+        shmem, n = ctx.shmem, src.count
+        # A blocking put completes when the outstanding count is back where
+        # it was at its call: the first one returns with the slower put_nbi
+        # still in flight; that one lands during the compute charge, so the
+        # second waits for itself alone.
+        shmem.put_nbi(got.offset_by(0, n), src, n, right)
+        shmem.put(got.offset_by(n, n), src, n, mate)
+        ctx.compute(KernelCost(bytes_moved=float(1 << 26)))
+        shmem.put(got.offset_by(2 * n, n), src, n, mate)
+        shmem.fence()
+        shmem.get(got.offset_by(3 * n, n), src, n, mate)
+        shmem.put_signal_nbi(got.offset_by(4 * n, n), src, n, sig, 1, right)
+        shmem.quiet()
+        shmem.signal_wait_until(sig, "ge", 1)
+        ctx.charge(KernelCost(flops=1e6))
+
+    def body(ctx):
+        env = Environment(ctx, backend="gpushmem")
+        env.set_device(env.node_rank())
+        comm, shmem = Communicator(env), env.shmem
+        p, me = comm.global_size(), comm.global_rank()
+        right, mate, n = (me + 1) % p, me ^ 2, 8
+        src, got = shmem.malloc(n), shmem.malloc(5 * n)
+        sig = shmem.malloc(1, np.uint64)
+        src.write(np.arange(n, dtype=np.float32) + 10.0 * me)
+        shmem.barrier_all()
+        clock = [env.engine.now]
+        if side == "host":
+            shmem.put(got.offset_by(0, n), src, n, right)
+            shmem.put_signal(got.offset_by(n, n), src, n, sig, 1, right)
+            shmem.fence()
+            shmem.get(got.offset_by(2 * n, n), src, n, mate)
+            shmem.quiet()
+            shmem.signal_wait_until(sig, "ge", 1)
+        else:
+            stream = env.device.create_stream()
+            shmem.collective_launch(calls, 1, 32, args=(src, got, sig, right, mate),
+                                    stream=stream)
+            stream.synchronize()
+        clock.append(env.engine.now)
+        shmem.barrier_all()
+        sub = comm.split(me % 2)
+        sub.barrier()
+        clock.append(env.engine.now)
+        out = got.read().copy()
+        env.close()
+        return clock, out
+
+    return body
+
+
+def _shmem_api(side, **options):
+    return lambda tracer: launch(shmem_api(side), 4, n_nodes=2, placement="spread",
+                                 tracer=tracer, **options)
+
+
 def matrix():
     """(name, run(tracer) -> RunReport) for every pinned run, in order."""
     for variant in JACOBI_VARIANTS:
@@ -237,6 +306,9 @@ def matrix():
     for backend in BACKENDS:
         yield (f"checked/jacobi8/uniconn:{backend}",
                _jacobi(f"uniconn:{backend}", SMALL, 8, sanitize="race", obs="spans"))
+    # The blocking GPUSHMEM calls and Communicator.split, which no app runs.
+    for side in ("host", "device"):
+        yield f"shmem-api4/uniconn:gpushmem:{side}", _shmem_api(side)
 
 
 def _sha(doc) -> str:
