@@ -142,63 +142,54 @@ def _run_schedule(comm, sched, work: np.ndarray, op: Optional[str],
     (validated by the pure-python executor in the tests), so a fast rank
     posting the next round early can never match a message across rounds.
 
-    ``channels > 1`` stripes each Send/Recv/RecvReduce into that many
+    The rank's program is built once per schedule
+    (:meth:`~repro.coll.Schedule.rank_program`). ``channels > 1`` stripes
+    each Send/Recv/RecvReduce into that many
     chunks (balanced :func:`~repro.coll.schedule.chunk_layout`, identical
     on both sides, so per-pair FIFO keeps chunk order); the data lands
     bitwise where the unstriped program would put it.
     """
-    from ...coll.schedule import Copy, Recv, RecvReduce, Send, chunk_layout
+    from ...coll.schedule import COPY, RECV, SEND, chunk_layout
 
     tag = comm._next_coll_tag()
-    for steps in sched.rank_rounds(comm.rank):
+    for steps in sched.rank_program(comm.rank):
         if not steps:
             continue
         reqs: List = []
         plain_recvs: List = []
         reduce_recvs: List = []
         copies: List = []
-        for st in steps:
-            if isinstance(st, Send):
-                view = work[st.offset:st.offset + st.length]
-                _stage(comm, view, st.length)
-                if channels == 1:
-                    reqs.append(comm.isend(view, st.length, st.peer, tag))
-                else:
-                    for off, ln in chunk_layout(st.length, channels):
-                        if ln:
-                            reqs.append(comm.isend(view[off:off + ln], ln,
-                                                   st.peer, tag))
-            elif isinstance(st, RecvReduce):
-                tmp = np.empty(st.length, work.dtype)
-                if channels == 1:
-                    reqs.append(comm.irecv(tmp, st.length, st.peer, tag))
-                else:
-                    for off, ln in chunk_layout(st.length, channels):
-                        if ln:
-                            reqs.append(comm.irecv(tmp[off:off + ln], ln,
-                                                   st.peer, tag))
-                reduce_recvs.append((st, tmp))
-            elif isinstance(st, Recv):
-                view = work[st.offset:st.offset + st.length]
-                if channels == 1:
-                    reqs.append(comm.irecv(view, st.length, st.peer, tag))
-                else:
-                    for off, ln in chunk_layout(st.length, channels):
-                        if ln:
-                            reqs.append(comm.irecv(view[off:off + ln], ln,
-                                                   st.peer, tag))
-                plain_recvs.append(st)
+        for code, peer, offset, length in steps:
+            if code == COPY:
+                copies.append((peer, offset, length))
+                continue
+            if code == SEND:
+                buf = work[offset:offset + length]
+                _stage(comm, buf, length)
+                post = comm.isend
             else:
-                copies.append(st)
+                buf = (work[offset:offset + length] if code == RECV
+                       else np.empty(length, work.dtype))
+                post = comm.irecv
+            if channels == 1:
+                reqs.append(post(buf, length, peer, tag))
+            else:
+                for off, ln in chunk_layout(length, channels):
+                    if ln:
+                        reqs.append(post(buf[off:off + ln], ln, peer, tag))
+            if code == RECV:
+                plain_recvs.append(length)
+            elif code != SEND:
+                reduce_recvs.append((offset, length, buf))
         if reqs:
             waitall(reqs)
-        for st in plain_recvs:
-            _stage(comm, work, st.length)
-        for st, tmp in reduce_recvs:
-            _stage(comm, tmp, st.length)
-            apply_reduce(op, work[st.offset:st.offset + st.length], tmp)
-        for st in copies:
-            work[st.dst:st.dst + st.length] = work[st.src:st.src + st.length]
+        for length in plain_recvs:
+            _stage(comm, work, length)
+        for offset, length, tmp in reduce_recvs:
+            _stage(comm, tmp, length)
+            apply_reduce(op, work[offset:offset + length], tmp)
+        for dst, src, length in copies:
+            work[dst:dst + length] = work[src:src + length]
 
 
 def _execute_schedule(comm, sched, sendbuf, recvbuf, count: int,

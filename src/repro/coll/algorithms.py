@@ -22,9 +22,11 @@ traces byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .schedule import Copy, Recv, RecvReduce, Schedule, Send, chunk_layout
+import numpy as np
+
+from .schedule import COPY, Schedule, chunk_layout
 
 __all__ = ["ALGORITHMS", "DEFAULT_ALGORITHM", "generate", "is_applicable",
            "candidates"]
@@ -43,13 +45,6 @@ def _ceil_log2(n: int) -> int:
     return r
 
 
-def _pair(sched: Schedule, rnd: Dict, src: int, dst: int, s_off: int,
-          d_off: int, length: int, reduce: bool = False) -> None:
-    sched.add(rnd, src, Send(dst, s_off, length))
-    step = RecvReduce(src, d_off, length) if reduce else Recv(src, d_off, length)
-    sched.add(rnd, dst, step)
-
-
 # --------------------------------------------------------------------- #
 # Reusable phase builders over an arbitrary participant list. ``members``
 # is ordered by virtual rank: members[0] is the phase root.
@@ -57,31 +52,31 @@ def _pair(sched: Schedule, rnd: Dict, src: int, dst: int, s_off: int,
 
 
 def _binomial_bcast(sched: Schedule, members: Sequence[int], off: int,
-                    length: int, rounds: Optional[List[Dict]] = None) -> None:
+                    length: int, first: Optional[int] = None) -> None:
     n = len(members)
     n_rounds = _ceil_log2(n)
-    if rounds is None:
-        rounds = [sched.new_round() for _ in range(n_rounds)]
+    if first is None:
+        first = sched.new_round(n_rounds)
     for t in range(n_rounds):
         for v in range(1 << t):
             u = v + (1 << t)
             if u < n:
-                _pair(sched, rounds[t], members[v], members[u], off, off, length)
+                sched.pair(first + t, members[v], members[u], off, off, length)
 
 
 def _binomial_reduce(sched: Schedule, members: Sequence[int], off: int,
-                     length: int, rounds: Optional[List[Dict]] = None) -> None:
+                     length: int, first: Optional[int] = None) -> None:
     n = len(members)
     n_rounds = _ceil_log2(n)
-    if rounds is None:
-        rounds = [sched.new_round() for _ in range(n_rounds)]
+    if first is None:
+        first = sched.new_round(n_rounds)
     for t in range(n_rounds - 1, -1, -1):
-        rnd = rounds[(n_rounds - 1) - t]
+        rnd = first + (n_rounds - 1) - t
         for v in range(1 << t):
             u = v + (1 << t)
             if u < n:
-                _pair(sched, rnd, members[u], members[v], off, off, length,
-                      reduce=True)
+                sched.pair(rnd, members[u], members[v], off, off, length,
+                           reduce=True)
 
 
 def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
@@ -99,8 +94,8 @@ def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
     if rem:
         rnd = sched.new_round()
         for i in range(rem):
-            _pair(sched, rnd, members[2 * i + 1], members[2 * i], 0, 0,
-                  length, reduce=True)
+            sched.pair(rnd, members[2 * i + 1], members[2 * i], 0, 0, length,
+                       reduce=True)
 
     def active(idx: int) -> int:
         return members[2 * idx] if idx < rem else members[idx + rem]
@@ -111,12 +106,12 @@ def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
             pidx = idx ^ (1 << t)
             if pidx > idx:
                 a, b = active(idx), active(pidx)
-                _pair(sched, rnd, a, b, 0, 0, length, reduce=True)
-                _pair(sched, rnd, b, a, 0, 0, length, reduce=True)
+                sched.pair(rnd, a, b, 0, 0, length, reduce=True)
+                sched.pair(rnd, b, a, 0, 0, length, reduce=True)
     if rem:
         rnd = sched.new_round()
         for i in range(rem):
-            _pair(sched, rnd, members[2 * i], members[2 * i + 1], 0, 0, length)
+            sched.pair(rnd, members[2 * i], members[2 * i + 1], 0, 0, length)
 
 
 # --------------------------------------------------------------------- #
@@ -125,54 +120,42 @@ def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
 
 
 def _ring(kind: str, p: int, count: int, root: int) -> Schedule:
+    """All rounds of a phase at once, as grids whose rows are rounds (``s``
+    or ``t``) and whose columns are hops (``r`` or ``d``): C order is the
+    order the steps are emitted in."""
     sched = Schedule(kind, "ring", p, count)
     if p <= 1:
         return sched
+    r = np.arange(p)
+    s = np.arange(p - 1)[:, None]
     if kind == "all_reduce":
-        chunks = chunk_layout(count, p)
-        for s in range(p - 1):  # reduce-scatter phase
-            rnd = sched.new_round()
-            for r in range(p):
-                off, length = chunks[(r - s) % p]
-                _pair(sched, rnd, r, (r + 1) % p, off, off, length, reduce=True)
-        for s in range(p - 1):  # allgather phase
-            rnd = sched.new_round()
-            for r in range(p):
-                off, length = chunks[(r + 1 - s) % p]
-                _pair(sched, rnd, r, (r + 1) % p, off, off, length)
-    elif kind == "all_gather":
-        for s in range(p - 1):
-            rnd = sched.new_round()
-            for r in range(p):
-                idx = (r - s) % p
-                _pair(sched, rnd, r, (r + 1) % p, idx * count, idx * count, count)
-    elif kind == "reduce_scatter":
-        for s in range(p - 1):
-            rnd = sched.new_round()
-            for r in range(p):
-                idx = (r - s - 1) % p
-                _pair(sched, rnd, r, (r + 1) % p, idx * count, idx * count,
-                      count, reduce=True)
-    elif kind == "broadcast":
-        chunks = chunk_layout(count, p)
-        for t in range(len(chunks) + p - 2):
-            rnd = sched.new_round()
-            for d in range(p - 1):
-                k = t - d
-                if 0 <= k < len(chunks):
-                    off, length = chunks[k]
-                    _pair(sched, rnd, (root + d) % p, (root + d + 1) % p,
-                          off, off, length)
-    else:  # reduce: the broadcast pipeline reversed, folding toward root
-        chunks = chunk_layout(count, p)
-        for t in range(len(chunks) + p - 2):
-            rnd = sched.new_round()
-            for d in range(1, p):
-                k = t - (p - 1 - d)
-                if 0 <= k < len(chunks):
-                    off, length = chunks[k]
-                    _pair(sched, rnd, (root + d) % p, (root + d - 1) % p,
-                          off, off, length, reduce=True)
+        offs, lens = np.array(chunk_layout(count, p)).T
+        rs = sched.new_round(p - 1)  # reduce-scatter phase
+        idx = (r - s) % p
+        sched.pairs(rs + s, r, (r + 1) % p, offs[idx], offs[idx], lens[idx],
+                    reduce=True)
+        ag = sched.new_round(p - 1)  # allgather phase
+        idx = (r + 1 - s) % p
+        sched.pairs(ag + s, r, (r + 1) % p, offs[idx], offs[idx], lens[idx])
+    elif kind in ("all_gather", "reduce_scatter"):
+        first = sched.new_round(p - 1)
+        off = (r - s - (kind == "reduce_scatter")) % p * count
+        sched.pairs(first + s, r, (r + 1) % p, off, off, count,
+                    reduce=kind == "reduce_scatter")
+    else:  # pipelined chunk rings: each chunk crosses one hop per round
+        offs, lens = np.array(chunk_layout(count, p)).T
+        t = np.arange(2 * p - 2)[:, None]
+        first = sched.new_round(2 * p - 2)
+        if kind == "broadcast":
+            d = np.arange(p - 1)
+            src, dst, k = (root + d) % p, (root + d + 1) % p, t - d
+        else:  # reduce: the broadcast pipeline reversed, folding toward root
+            d = np.arange(1, p)
+            src, dst, k = (root + d) % p, (root + d - 1) % p, t - (p - 1 - d)
+        live = (k >= 0) & (k < p)
+        k = np.where(live, k, 0)
+        sched.pairs(first + t, src, dst, offs[k], offs[k], np.where(live, lens[k], 0),
+                    reduce=kind == "reduce")
     return sched
 
 
@@ -202,14 +185,14 @@ def _tree(kind: str, p: int, count: int, root: int) -> Schedule:
             step = 1 << t
             for v in range(step, p, 2 * step):
                 blocks = min(step, p - v)
-                _pair(sched, rnd, v, v - step, v * count, v * count,
-                      blocks * count)
+                sched.pair(rnd, v, v - step, v * count, v * count,
+                           blocks * count)
         _binomial_bcast(sched, list(range(p)), 0, p * count)
     else:  # reduce_scatter: reduce the full vector to 0, then scatter
         _binomial_reduce(sched, list(range(p)), 0, p * count)
         rnd = sched.new_round()
         for r in range(1, p):
-            _pair(sched, rnd, 0, r, r * count, r * count, count)
+            sched.pair(rnd, 0, r, r * count, r * count, count)
     return sched
 
 
@@ -240,10 +223,10 @@ def _recdbl(kind: str, p: int, count: int, root: int) -> Optional[Schedule]:
                 if q > r:
                     rbase = (r >> t) << t
                     qbase = (q >> t) << t
-                    _pair(sched, rnd, r, q, rbase * count, rbase * count,
-                          step * count)
-                    _pair(sched, rnd, q, r, qbase * count, qbase * count,
-                          step * count)
+                    sched.pair(rnd, r, q, rbase * count, rbase * count,
+                               step * count)
+                    sched.pair(rnd, q, r, qbase * count, qbase * count,
+                               step * count)
         return sched
     if kind == "reduce_scatter":
         cur = p
@@ -254,10 +237,10 @@ def _recdbl(kind: str, p: int, count: int, root: int) -> Optional[Schedule]:
                 g = (r // cur) * cur
                 if r < g + half:
                     q = r + half
-                    _pair(sched, rnd, r, q, (g + half) * count,
-                          (g + half) * count, half * count, reduce=True)
-                    _pair(sched, rnd, q, r, g * count, g * count,
-                          half * count, reduce=True)
+                    sched.pair(rnd, r, q, (g + half) * count,
+                               (g + half) * count, half * count, reduce=True)
+                    sched.pair(rnd, q, r, g * count, g * count,
+                               half * count, reduce=True)
             cur = half
         return sched
     return None
@@ -276,21 +259,18 @@ def _bruck(kind: str, p: int, count: int, root: int) -> Optional[Schedule]:
     sched = Schedule(kind, "bruck", p, count, workspace=2 * p * count)
     if p <= 1:
         return sched
-    rnd = sched.new_round()
-    for r in range(1, p):
-        sched.add(rnd, r, Copy(r * count, 0, count))
+    r = np.arange(p)
+    sched.steps(sched.new_round(), r[1:], COPY, 0, r[1:] * count, count)
     k = 1
     while k < p:
-        blocks = min(k, p - k)
-        rnd = sched.new_round()
-        for r in range(p):
-            _pair(sched, rnd, r, (r - k) % p, 0, k * count, blocks * count)
+        sched.pairs(sched.new_round(), r, (r - k) % p, 0, k * count,
+                    min(k, p - k) * count)
         k <<= 1
-    rnd = sched.new_round()
-    for r in range(p):
-        for j in range(p):
-            sched.add(rnd, r, Copy(j * count, (p + (r + j) % p) * count, count))
-        sched.add(rnd, r, Copy(p * count, 0, p * count))
+    # Each rank's p block copies into the staging half, then the copy back.
+    rank = r[:, None]
+    dst = np.hstack(((p + (rank + r) % p) * count, np.zeros((p, 1), np.int64)))
+    sched.steps(sched.new_round(), rank, COPY, dst, np.append(r * count, p * count),
+                np.append(np.full(p, count), p * count))
     return sched
 
 
@@ -314,6 +294,23 @@ def _hier_groups(topo, root: int):
     return ordered
 
 
+def _leader_ring(sched: Schedule, groups: List[List[int]], count: int,
+                 reduce: bool) -> None:
+    """Ring over the leaders at node granularity: in round ``s`` leader
+    ``i`` passes every member block of group ``(i - s) % nl`` (one group
+    further back when reducing) to leader ``i + 1``."""
+    nl = len(groups)
+    leaders = np.array([g[0] for g in groups])
+    sizes = np.array([len(g) for g in groups])
+    flat = np.concatenate(groups)
+    gi = ((np.arange(nl) - np.arange(nl - 1)[:, None] - reduce) % nl).ravel()
+    hop = np.repeat(np.arange(gi.size), sizes[gi])  # s * nl + i, per block
+    skip = np.cumsum(sizes)[gi] - np.cumsum(sizes[gi])  # group start - hop start
+    off = flat[np.repeat(skip, sizes[gi]) + np.arange(hop.size)] * count
+    sched.pairs(sched.new_round(nl - 1) + hop // nl, leaders[hop % nl],
+                leaders[(hop + 1) % nl], off, off, count, reduce=reduce)
+
+
 def _hier(kind: str, p: int, count: int, root: int, topo) -> Optional[Schedule]:
     if topo is None:
         return None
@@ -323,55 +320,37 @@ def _hier(kind: str, p: int, count: int, root: int, topo) -> Optional[Schedule]:
     leaders = [g[0] for g in groups]
     sched = Schedule(kind, "hier", p, count)
 
-    def intra_rounds() -> List[Dict]:
-        return [sched.new_round()
-                for _ in range(max(_ceil_log2(len(g)) for g in groups))]
+    def intra_rounds() -> int:
+        return sched.new_round(max(_ceil_log2(len(g)) for g in groups))
 
     if kind == "all_reduce":
-        rounds = intra_rounds()
+        first = intra_rounds()
         for g in groups:
-            _binomial_reduce(sched, g, 0, count, rounds[:_ceil_log2(len(g))])
+            _binomial_reduce(sched, g, 0, count, first)
         _recdbl_allreduce(sched, leaders, count)
-        rounds = intra_rounds()
+        first = intra_rounds()
         for g in groups:
-            _binomial_bcast(sched, g, 0, count, rounds[:_ceil_log2(len(g))])
+            _binomial_bcast(sched, g, 0, count, first)
     elif kind == "broadcast":
         _binomial_bcast(sched, leaders, 0, count)
-        rounds = intra_rounds()
+        first = intra_rounds()
         for g in groups:
-            _binomial_bcast(sched, g, 0, count, rounds[:_ceil_log2(len(g))])
-    elif kind == "all_gather":
-        nl = len(leaders)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, r, g[0], r * count, r * count, count)
-        for s in range(nl - 1):  # ring over leaders at node granularity
-            rnd = sched.new_round()
-            for i in range(nl):
-                for m in groups[(i - s) % nl]:
-                    _pair(sched, rnd, leaders[i], leaders[(i + 1) % nl],
-                          m * count, m * count, count)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, g[0], r, 0, 0, p * count)
-    elif kind == "reduce_scatter":
-        nl = len(leaders)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, r, g[0], 0, 0, p * count, reduce=True)
-        for s in range(nl - 1):  # ring reduce-scatter over node block sets
-            rnd = sched.new_round()
-            for i in range(nl):
-                for m in groups[(i - s - 1) % nl]:
-                    _pair(sched, rnd, leaders[i], leaders[(i + 1) % nl],
-                          m * count, m * count, count, reduce=True)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, g[0], r, r * count, r * count, count)
+            _binomial_bcast(sched, g, 0, count, first)
+    elif kind in ("all_gather", "reduce_scatter"):
+        # Members fan in to their leader, the leaders' ring, fan back out.
+        rest = np.array([r for g in groups for r in g[1:]], np.int64)
+        head = np.array([g[0] for g in groups for _ in g[1:]], np.int64)
+        if kind == "all_gather":
+            sched.pairs(sched.new_round(), rest, head, rest * count,
+                        rest * count, count)
+            _leader_ring(sched, groups, count, False)
+            sched.pairs(sched.new_round(), head, rest, 0, 0, p * count)
+        else:
+            sched.pairs(sched.new_round(), rest, head, 0, 0, p * count,
+                        reduce=True)
+            _leader_ring(sched, groups, count, True)
+            sched.pairs(sched.new_round(), head, rest, rest * count,
+                        rest * count, count)
     else:
         return None
     return sched

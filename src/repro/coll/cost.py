@@ -26,11 +26,14 @@ occupancy the backends charge at execution time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .algorithms import generate
-from .schedule import Copy, Recv, RecvReduce, Schedule, Send
+from .schedule import COPY, RECV_REDUCE, SEND, Schedule
 
 __all__ = [
     "Topology",
@@ -103,6 +106,8 @@ class Topology:
         self.gpu_ids = list(gpu_ids)
         self.nranks = len(self.gpu_ids)
         self._params: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        self._pair_class: Optional[np.ndarray] = None  # see path_classes
+        self._classes: Dict[Tuple[float, float, float], int] = {(0.0, 0.0, 0.0): 0}
         self._schedules: Dict[Tuple[str, str, int, int], Optional[Schedule]] = {}
         #: backend -> duration model, filled by repro.coll.models.model_for.
         self.models: Dict[str, object] = {}
@@ -144,6 +149,22 @@ class Topology:
             self._params[key] = cached
         return cached
 
+    def path_classes(self, pairs: np.ndarray) -> Tuple[np.ndarray, List[Tuple]]:
+        """(class of each ``a * nranks + b`` pair, every class's
+        :meth:`path_params` value): pairs with equal values share a class,
+        and each pair is looked up once per Topology. Pair ``-1`` is class
+        0, ``(0.0, 0.0, 0.0)``: what a step that sends nothing carries."""
+        if self._pair_class is None:
+            self._pair_class = np.full(self.nranks ** 2 + 1, -1, np.int64)
+            self._pair_class[-1] = 0
+        cls = self._pair_class[pairs]
+        if (cls < 0).any():
+            for q in set(pairs[cls < 0].tolist()):
+                self._pair_class[q] = self._classes.setdefault(
+                    self.path_params(*divmod(q, self.nranks)), len(self._classes))
+            cls = self._pair_class[pairs]
+        return cls, list(self._classes)
+
     def schedule(self, algorithm: str, kind: str, count: int,
                  root: int = 0) -> Optional[Schedule]:
         """``generate(algorithm, kind, nranks, count, root)`` over this
@@ -171,8 +192,16 @@ class Topology:
         return f"<Topology {self._signature}>"
 
 
-_SEND, _RECV_REDUCE, _RECV, _COPY = range(4)
-_STEP_CODE = {Send: _SEND, RecvReduce: _RECV_REDUCE, Recv: _RECV, Copy: _COPY}
+def _dense(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ids, first)``: equal keys share an id in ``[0, len(first))`` and
+    ``keys[first[i]]`` is id ``i``'s key."""
+    order = keys.argsort()
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=new[1:])
+    ids = np.empty(len(keys), np.int64)
+    ids[order] = new.cumsum() - 1
+    return ids, order[new]
 
 
 def _compile(sched: Schedule, topo: Topology):
@@ -185,24 +214,65 @@ def _compile(sched: Schedule, topo: Topology):
     sequence as indices into ``rounds``. Ranks running the same program
     cost the same and a round costs its most expensive rank, so one
     representative per program preserves every cost exactly.
+
+    Array work on the columns: a stable sort by (round, rank) keeps each
+    program in emission order; programs are told apart by path-parameter
+    values, never by which pair they came from.
     """
-    programs: Dict[Tuple, int] = {}
-    rounds: Dict[Tuple[int, ...], int] = {}
-    order: List[int] = []
-    for rnd in sched.rounds:
-        members = set()
-        for rank, steps in rnd.items():
-            prog = []
-            for st in steps:
-                code = _STEP_CODE[type(st)]
-                if code == _SEND:
-                    prog.append((code, st.length)
-                                + topo.path_params(rank, st.peer))
-                else:
-                    prog.append((code, st.length, 0.0, 0.0, 0.0))
-            members.add(programs.setdefault(tuple(prog), len(programs)))
-        order.append(rounds.setdefault(tuple(sorted(members)), len(rounds)))
-    return tuple(programs), tuple(rounds), order
+    p, n_rounds = sched.nranks, sched.n_rounds
+    cols = sched.columns
+    n = cols.shape[1]
+    if not n:
+        return (), ((),), [0] * n_rounds
+    rnd, rank, code, peer, _, length = cols
+    cls, params = topo.path_classes(np.where(code == SEND, rank * p + peer, -1))
+    nc = len(params)
+    key = (length * nc + cls) * 4 + code + 1  # > 0; decoded by step() below
+    seg = rnd * p + rank  # (round, rank): one program each
+    perm = seg.argsort(kind="stable")
+    seg, key = seg[perm], key[perm]
+    edge = np.empty(n + 1, bool)
+    edge[0] = edge[n] = True
+    np.not_equal(seg[1:], seg[:-1], out=edge[1:n])
+    bounds = edge.nonzero()[0]
+    start, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    width = int(size.max())
+    digit, base = key, int(key.max()) + 1
+    if base ** width > 1 << 62:  # long programs: as small a base as possible
+        digit = _dense(key)[0] + 1
+        base = int(digit.max()) + 1
+    digits = np.zeros((len(start), width), np.int64)  # 0-padded
+    digits.ravel()[np.arange(n) + np.repeat(
+        np.arange(0, len(start) * width, width) - start, size)] = digit
+    # A program is the number whose base-``base`` digits are its step keys
+    # (0: no step), read ``k`` digits at a time and renumbered densely in
+    # between, so that nothing overflows.
+    k = max(1, int((62 - math.log2(len(start))) / math.log2(base)))
+    prog = np.zeros(len(start), np.int64)
+    for j in range(0, width, k):
+        block = digits[:, j:j + k]
+        weights = base ** np.arange(block.shape[1] - 1, -1, -1)
+        prog = prog * base ** block.shape[1] + block @ weights
+        if j + k < width:
+            prog = _dense(prog)[0]
+    prog, first = _dense(prog)
+
+    def step(value: int) -> Tuple:
+        rest, c = divmod(value - 1, 4)
+        length, cl = divmod(rest, nc)
+        return (c, length) + params[cl]
+
+    programs = tuple(tuple(map(step, key[a:a + m].tolist()))
+                     for a, m in zip(start[first].tolist(), size[first].tolist()))
+    nprog = len(programs)
+    member = np.zeros((n_rounds, nprog), bool)
+    member[seg[start] // p, prog] = True
+    member = member.tobytes()
+    distinct: Dict[bytes, int] = {}
+    order = [distinct.setdefault(member[i:i + nprog], len(distinct))
+             for i in range(0, len(member), nprog)]
+    rounds = tuple(tuple(i for i, m in enumerate(row) if m) for row in distinct)
+    return programs, rounds, order
 
 
 def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
@@ -241,13 +311,13 @@ def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
         rank_cost = 0.0
         for code, length, lat, bw, ov in prog:
             nbytes = length * itemsize
-            if code == _SEND:
+            if code == SEND:
                 rank_cost += (lat * lat_factor + ov * ov_factor * channels
                               + nbytes / (bw * eff_scale))
-            elif code == _COPY:
+            elif code == COPY:
                 rank_cost += nbytes / local_bw
                 continue  # local copies never stage through the host
-            elif code == _RECV_REDUCE:
+            elif code == RECV_REDUCE:
                 rank_cost += nbytes / local_bw
             if staging_inv_bw and nbytes > staging_threshold:
                 rank_cost += nbytes * staging_inv_bw

@@ -262,6 +262,18 @@ class MpiModel:
                 self.p - 1) * self._transfer(nbytes)
         raise ValueError(f"unknown collective kind {kind!r}")
 
+    def native_pairs(self, kind: str) -> frozenset:
+        """``(src, dst)`` pairs the legacy algorithms send over, rooted at 0:
+        binomial bcast (``v`` hears from ``v`` with its lowest set bit
+        cleared), binomial reduce, linear gatherv and scatter."""
+        bcast = {(v & (v - 1), v) for v in range(1, self.p)}
+        reduce = {(b, a) for a, b in bcast}
+        scatter = {(0, r) for r in range(1, self.p)}
+        gather = {(r, 0) for _, r in scatter}
+        return frozenset({"broadcast": bcast, "reduce": reduce,
+                          "all_reduce": reduce | bcast, "all_gather": gather | bcast,
+                          "reduce_scatter": reduce | scatter}[kind])
+
     def duration(self, kind: str, nbytes: int, algorithm: str = "native",
                  protocol: Optional[str] = None, channels: int = 1) -> float:
         """Estimated latency of one collective under ``algorithm``.

@@ -9,6 +9,10 @@ as synchronized *rounds* of per-rank steps over a scratch workspace:
   collective's reduction operator;
 - :class:`Copy` — local workspace move (rotations, staging).
 
+It stores them as integer columns, one entry per step; the step objects
+are views (:attr:`Schedule.rounds`, :meth:`Schedule.rank_rounds`) that
+pricing never builds.
+
 Workspace layout is a fixed convention per collective kind (see
 :func:`workspace_size` and :func:`init_workspace`), so every backend and
 the pure-python executor agree on what a schedule means. Within one round
@@ -49,6 +53,10 @@ __all__ = [
 KINDS = ("all_reduce", "all_gather", "broadcast", "reduce", "reduce_scatter")
 
 
+#: Step codes of a schedule's ``code`` column.
+SEND, RECV_REDUCE, RECV, COPY = range(4)
+
+
 class _Step:
     __slots__ = ()
 
@@ -57,6 +65,7 @@ class Send(_Step):
     """Send ``length`` workspace elements at ``offset`` to ``peer``."""
 
     __slots__ = ("peer", "offset", "length")
+    code = SEND
 
     def __init__(self, peer: int, offset: int, length: int):
         self.peer = peer
@@ -71,6 +80,7 @@ class Recv(_Step):
     """Receive ``length`` elements from ``peer`` into ``offset``."""
 
     __slots__ = ("peer", "offset", "length")
+    code = RECV
 
     def __init__(self, peer: int, offset: int, length: int):
         self.peer = peer
@@ -85,6 +95,7 @@ class RecvReduce(_Step):
     """Receive ``length`` elements from ``peer`` and reduce into ``offset``."""
 
     __slots__ = ("peer", "offset", "length")
+    code = RECV_REDUCE
 
     def __init__(self, peer: int, offset: int, length: int):
         self.peer = peer
@@ -96,9 +107,13 @@ class RecvReduce(_Step):
 
 
 class Copy(_Step):
-    """Local workspace copy of ``length`` elements from ``src`` to ``dst``."""
+    """Local workspace copy of ``length`` elements from ``src`` to ``dst``
+    (stored with ``dst`` as its peer and ``src`` as its offset)."""
 
     __slots__ = ("src", "dst", "length")
+    code = COPY
+    peer = property(lambda self: self.dst)
+    offset = property(lambda self: self.src)
 
     def __init__(self, src: int, dst: int, length: int):
         self.src = src
@@ -110,10 +125,17 @@ class Copy(_Step):
 
 
 class Schedule:
-    """A generated collective: per-rank step programs in global rounds."""
+    """A generated collective: per-rank step programs in global rounds.
 
-    __slots__ = ("kind", "algorithm", "nranks", "count", "workspace", "rounds",
-                 "compiled")
+    Stored as parallel integer columns in emission order (:attr:`columns`):
+    round, rank, step code, peer, offset and length. A rank's program for a
+    round is its steps of that round in emission order. :attr:`rounds` and
+    :meth:`rank_rounds` are step-object views built on demand; a priced or
+    executed schedule is frozen.
+    """
+
+    __slots__ = ("kind", "algorithm", "nranks", "count", "workspace", "n_rounds",
+                 "compiled", "_rows", "_blocks", "_programs")
 
     def __init__(self, kind: str, algorithm: str, nranks: int, count: int,
                  workspace: Optional[int] = None):
@@ -124,33 +146,102 @@ class Schedule:
         self.nranks = nranks
         self.count = count
         self.workspace = workspace_size(kind, nranks, count) if workspace is None else workspace
-        self.rounds: List[Dict[int, List[_Step]]] = []
+        self.n_rounds = 0
+        self._rows: List[int] = []  # steps added one at a time, 6 ints each
+        self._blocks: List[np.ndarray] = []     # (6, n) column blocks
+        self._programs: Dict[int, Tuple] = {}   # rank -> rank_program(rank)
         # (Topology, skeleton) of the last pricing, owned by
-        # repro.coll.cost.schedule_cost; a priced schedule is frozen.
+        # repro.coll.cost.schedule_cost.
         self.compiled = None
 
-    def new_round(self) -> Dict[int, List[_Step]]:
-        """Open a new (initially empty) round and return it."""
-        rnd: Dict[int, List[_Step]] = {}
-        self.rounds.append(rnd)
-        return rnd
+    def new_round(self, n: int = 1) -> int:
+        """Open ``n`` new (initially empty) rounds; the first one's index."""
+        self.n_rounds += n
+        return self.n_rounds - n
 
-    def add(self, rnd: Dict[int, List[_Step]], rank: int, step: _Step) -> None:
+    def add(self, rnd: int, rank: int, step: _Step) -> None:
         """Append ``step`` to ``rank``'s program for round ``rnd``.
 
         Zero-length transfers are dropped on both sides (generators emit
         them symmetrically for ragged chunk layouts).
         """
         if step.length > 0:
-            rnd.setdefault(rank, []).append(step)
+            self._rows += (rnd, rank, step.code, step.peer, step.offset, step.length)
+
+    def pair(self, rnd: int, src: int, dst: int, s_off: int, d_off: int,
+             length: int, reduce: bool = False) -> None:
+        """A matched Send at ``src`` and Recv (RecvReduce) at ``dst``."""
+        if length > 0:
+            self._rows += (rnd, src, SEND, dst, s_off, length,
+                           rnd, dst, RECV_REDUCE if reduce else RECV, src, d_off, length)
+
+    def steps(self, rnd, rank, code, peer, offset, length) -> None:
+        """:meth:`add` for many steps, broadcast together, in C order."""
+        cols = (rnd, rank, code, peer, offset, length)
+        block = np.empty((6,) + np.broadcast(*cols).shape, np.int64)
+        for row, col in zip(block, cols):
+            row[...] = col
+        self._append(block.reshape(6, -1))
+
+    def pairs(self, rnd, src, dst, s_off, d_off, length, reduce=False) -> None:
+        """:meth:`pair` for many pairs, broadcast together, in C order."""
+        block = np.empty((6,) + np.broadcast(rnd, src, dst, s_off, d_off,
+                                             length).shape + (2,), np.int64)
+        for row, send, recv in zip(
+                block, (rnd, src, SEND, dst, s_off, length),
+                (rnd, dst, RECV_REDUCE if reduce else RECV, src, d_off, length)):
+            row[..., 0] = send
+            row[..., 1] = recv
+        self._append(block.reshape(6, -1))
+
+    def _append(self, block: Optional[np.ndarray] = None) -> None:
+        """Move the rows added one at a time, then ``block``, to the blocks."""
+        if self._rows:
+            self._blocks.append(np.fromiter(self._rows, np.int64,
+                                            len(self._rows)).reshape(-1, 6).T)
+            self._rows = []
+        if block is not None:
+            keep = block[5] > 0
+            self._blocks.append(block if keep.all() else block.compress(keep, axis=1))
+
+    @property
+    def columns(self) -> np.ndarray:
+        """``(6, steps)`` int64: round, rank, code, peer, offset, length."""
+        self._append()
+        if len(self._blocks) != 1:
+            self._blocks = [np.concatenate(self._blocks, axis=1) if self._blocks
+                            else np.empty((6, 0), np.int64)]
+        return self._blocks[0]
+
+    def rank_program(self, rank: int) -> Tuple[Tuple[Tuple[int, int, int, int], ...], ...]:
+        """One rank's ``(code, peer, offset, length)`` steps, one tuple per
+        round (empty rounds included); built once per schedule."""
+        prog = self._programs.get(rank)
+        if prog is None:
+            cols = self.columns
+            idx = np.flatnonzero(cols[1] == rank)
+            idx = idx[np.argsort(cols[0, idx], kind="stable")]
+            rounds: List[List] = [[] for _ in range(self.n_rounds)]
+            for rnd, _, *step in cols[:, idx].T.tolist():
+                rounds[rnd].append(tuple(step))
+            prog = self._programs[rank] = tuple(map(tuple, rounds))
+        return prog
 
     def rank_rounds(self, rank: int) -> List[List[_Step]]:
         """The per-round step lists of one rank (empty rounds included)."""
-        return [rnd.get(rank, []) for rnd in self.rounds]
+        return [[Copy(off, peer, n) if code == COPY
+                 else (Send, RecvReduce, Recv)[code](peer, off, n)
+                 for code, peer, off, n in steps] for steps in self.rank_program(rank)]
 
     @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
+    def rounds(self) -> List[Dict[int, List[_Step]]]:
+        """Every round as ``{rank: [steps]}``, ranks in ascending order."""
+        out: List[Dict[int, List[_Step]]] = [{} for _ in range(self.n_rounds)]
+        for rank in range(self.nranks):
+            for rnd, steps in zip(out, self.rank_rounds(rank)):
+                if steps:
+                    rnd[rank] = steps
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Schedule {self.algorithm}:{self.kind} p={self.nranks} "
@@ -266,41 +357,42 @@ def execute_schedule(sched: Schedule, inputs: Sequence[np.ndarray],
                        root, sched.workspace)
         for r in range(p)
     ]
-    for rnd_idx, rnd in enumerate(sched.rounds):
+    programs = [sched.rank_program(r) for r in range(p)]
+    for rnd_idx in range(sched.n_rounds):
+        steps = [(rank, prog[rnd_idx]) for rank, prog in enumerate(programs)
+                 if prog[rnd_idx]]
         # 1. Snapshot every send payload at round entry.
         mail: Dict[Tuple[int, int], List[np.ndarray]] = {}
-        for rank, steps in rnd.items():
-            for st in steps:
-                if isinstance(st, Send):
-                    mail.setdefault((rank, st.peer), []).append(
-                        work[rank][st.offset:st.offset + st.length].copy()
-                    )
+        for rank, prog in steps:
+            for code, peer, off, length in prog:
+                if code == SEND:
+                    mail.setdefault((rank, peer), []).append(
+                        work[rank][off:off + length].copy())
         # 2. Receives land (FIFO per ordered pair), then local copies.
-        for rank, steps in rnd.items():
-            for st in steps:
-                if isinstance(st, (Recv, RecvReduce)):
-                    queue = mail.get((st.peer, rank))
+        for rank, prog in steps:
+            for code, peer, off, length in prog:
+                if code == RECV or code == RECV_REDUCE:
+                    queue = mail.get((peer, rank))
                     if not queue:
                         raise ValueError(
                             f"round {rnd_idx}: rank {rank} receives from "
-                            f"{st.peer} but no message was sent"
+                            f"{peer} but no message was sent"
                         )
                     payload = queue.pop(0)
-                    if payload.size != st.length:
+                    if payload.size != length:
                         raise ValueError(
-                            f"round {rnd_idx}: size mismatch {st.peer}->{rank}: "
-                            f"sent {payload.size}, expected {st.length}"
+                            f"round {rnd_idx}: size mismatch {peer}->{rank}: "
+                            f"sent {payload.size}, expected {length}"
                         )
-                    dst = work[rank][st.offset:st.offset + st.length]
-                    if isinstance(st, RecvReduce):
+                    dst = work[rank][off:off + length]
+                    if code == RECV_REDUCE:
                         _apply_op(op, dst, payload)
                     else:
                         dst[:] = payload
-        for rank, steps in rnd.items():
-            for st in steps:
-                if isinstance(st, Copy):
-                    work[rank][st.dst:st.dst + st.length] = \
-                        work[rank][st.src:st.src + st.length]
+        for rank, prog in steps:
+            for code, dst, src, length in prog:
+                if code == COPY:
+                    work[rank][dst:dst + length] = work[rank][src:src + length]
         leftover = {k: len(v) for k, v in mail.items() if v}
         if leftover:
             raise ValueError(f"round {rnd_idx}: unconsumed messages {leftover}")

@@ -15,6 +15,7 @@ from repro.coll import CollPolicy
 from repro.coll.cost import Topology
 from repro.coll.schedule import Send
 from repro.coll import generate
+from repro.errors import SimTimeoutError
 from repro.hardware import Cluster, get_machine
 from tests.core.conftest import ALL_BACKENDS, uniconn_run
 
@@ -93,3 +94,50 @@ def test_allreduce_completes_over_dead_link(backend):
         np.testing.assert_array_equal(r, np.full(4, 10.0))
     assert report.metrics.counter_total("reschedules_total", cause="link_down") >= 1
     assert any(kind == "recover.reschedule" for _, kind, _ in report.faults)
+
+
+def _mpi_broadcast(root, link, coll):
+    def body(env, comm, coord):
+        from repro.core import Memory
+
+        buf = Memory.alloc(env, 4)
+        if comm.global_rank() == root:
+            buf.write(np.arange(4, dtype=np.float64) + 7.0)
+        coord.broadcast(buf, 4, root, comm)
+        coord.stream.synchronize()
+        return buf.read().copy()
+
+    return uniconn_run(
+        4, "mpi", body, coll=coll,
+        fault_plan=f"down,link=nvlink?{link}?,start=0;watchdog,timeout=5e-3",
+    )
+
+
+def test_mpi_native_penalty_checks_the_binomial_mpi_runs():
+    # MPI's own broadcast from 0 sends 0->2, 0->1, 2->3 (masks descending),
+    # not the catalogue tree's 0->1, 0->2, 1->3.
+    topo = _topo()
+    policy = CollPolicy.auto()
+    for kind, dead in (("broadcast", (2, 3)), ("reduce", (3, 2)),
+                       ("all_reduce", (2, 3)), ("all_gather", (3, 0)),
+                       ("reduce_scatter", (0, 3))):
+        assert policy._dead_penalty("native", "mpi", kind, 64, topo,
+                                    frozenset({dead})) \
+            == CollPolicy.DEAD_PAIR_PENALTY, kind
+    assert policy._dead_penalty("native", "mpi", "broadcast", 64, topo,
+                                frozenset({(1, 3), (1, 2)})) == 0.0
+
+
+@pytest.mark.parametrize("coll", ["ring", "auto"])
+def test_rerouted_mpi_broadcast_avoids_the_dead_link(coll):
+    for got in _mpi_broadcast(0, "2->3", coll):
+        np.testing.assert_array_equal(got, np.arange(4, dtype=np.float64) + 7.0)
+
+
+@pytest.mark.xfail(strict=True, raises=SimTimeoutError,
+                   reason="CollPolicy.select has no root: the native "
+                   "broadcast's links are checked as if rooted at 0")
+@pytest.mark.parametrize("root", [1, 3])
+def test_rerouted_mpi_broadcast_from_another_root(root):
+    for got in _mpi_broadcast(root, "3->0", "auto"):
+        np.testing.assert_array_equal(got, np.arange(4, dtype=np.float64) + 7.0)

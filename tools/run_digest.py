@@ -32,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps import cg, jacobi  # noqa: E402
 from repro.apps.osu import OsuConfig  # noqa: E402
+from repro.apps.osu.collectives import _collective_body  # noqa: E402
 from repro.apps.osu.bandwidth import BANDWIDTH_VARIANTS  # noqa: E402
 from repro.apps.osu.latency import LATENCY_VARIANTS  # noqa: E402
 from repro.launcher import launch  # noqa: E402
@@ -62,6 +63,10 @@ SPANS_JACOBI = ("uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem",
                 "uniconn:gpushmem:PartialDevice", "uniconn:gpushmem:PureDevice")
 OSU = OsuConfig(sizes=(8, 1024, 65536, 1 << 20), iters_small=6, warmup_small=1,
                 iters_large=3, warmup_large=1, window=8, repeats=1)
+# One message size inside each LL / LL128 / Simple band of a 64-GPU
+# perlmutter GPUCCL selection (the band centres of the coll_sweep benchmark).
+COLL64_SIZES = {"all_reduce": (1536, 24 << 10, 192 << 10),
+                "all_gather": (192, 2 << 10, 24 << 10)}
 
 
 def _jacobi(variant, cfg, ranks, **options):
@@ -79,6 +84,15 @@ def _osu(table, variant, inter=False):
     where = dict(n_nodes=2, placement="spread") if inter else {}
 
     return lambda tracer: launch(table[variant], 2, args=(OSU,), tracer=tracer, **where)
+
+
+def _coll64(kind):
+    """A 64-rank GPUCCL OSU collective sweep whose every size is selected
+    by ``coll="auto"``."""
+    cfg = OsuConfig(sizes=COLL64_SIZES[kind], iters_small=1, warmup_small=1,
+                    iters_large=1, warmup_large=1, repeats=1)
+    return lambda tracer: launch(_collective_body, 64, args=(cfg, "gpuccl", kind),
+                                 tracer=tracer, coll="auto")
 
 
 def _dead_link(backend):
@@ -276,6 +290,8 @@ def matrix():
     for variant in ("mpi-native", "uniconn:gpuccl", "uniconn:gpushmem"):
         yield (f"osu-latency-inter/{variant}",
                _osu(LATENCY_VARIANTS, variant, inter=True))
+    for kind in COLL64_SIZES:
+        yield f"osu-coll64/gpuccl:{kind}/coll=auto", _coll64(kind)
     for backend in BACKENDS:
         yield (f"sanitize/jacobi8/uniconn:{backend}",
                _jacobi(f"uniconn:{backend}", SMALL, 8, sanitize="race"))
