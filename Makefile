@@ -13,7 +13,7 @@ loc:
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 
-# Byte-identity digest of 95 pinned runs (tools/run_digest.py): one line
+# Byte-identity digest of 96 pinned runs (tools/run_digest.py): one line
 # per run with the sha256 of its Chrome trace and of its RunReport document
 # (plus the host-side scheduler counters and OS-thread count, and on
 # sanitized runs the sanitizer's bookkeeping counts, as unhashed

@@ -12,8 +12,8 @@ trace byte-identical). This package never imports the backends; they
 import it.
 """
 
-from .algorithms import (ALGORITHMS, DEFAULT_ALGORITHM, candidates, generate,
-                         is_applicable)
+from .algorithms import (ALGORITHMS, CATALOGUE_KINDS, DEFAULT_ALGORITHM,
+                         candidates, generate, is_applicable)
 from .cost import (CHANNEL_COUNTS, PROTOCOL_SPECS, PROTOCOLS, ProtocolSpec,
                    Topology, protocol_spec, schedule_cost)
 from .models import (CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel,
@@ -28,6 +28,7 @@ from .tuner import (CollPolicy, CollSelection, CollTable,
 
 __all__ = [
     "ALGORITHMS",
+    "CATALOGUE_KINDS",
     "DEFAULT_ALGORITHM",
     "CANONICAL_SHMEM_KINDS",
     "CHANNEL_COUNTS",

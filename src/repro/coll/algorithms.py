@@ -14,10 +14,13 @@ Every generator produces a :class:`~repro.coll.schedule.Schedule` for one
   per-node leaders, inter-node exchange among leaders, intra-node fan-out
   (requires a topology with at least two nodes).
 
-Backends keep their native algorithm under its own name ("ring" for
-GPUCCL, "tree" for GPUSHMEM, "native" for MPI) — selecting it routes
-through the untouched legacy code path, which is what keeps default
-traces byte-identical.
+``native`` is not in the catalogue: it is what MPI runs for every data
+collective (:func:`_native`) — binomial broadcast and reduce, linear
+gather-v/scatter-v at the root, and the compositions of those the
+GPU-buffer path takes — so MPI executes, prices and link-checks one
+schedule. GPUCCL's and GPUSHMEM's fused kernels keep their own legacy
+code paths under the names "ring" and "tree"; selecting those routes
+through them, which is what keeps default traces byte-identical.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .schedule import COPY, Schedule, chunk_layout
+from .schedule import COPY, RECV, SEND, Schedule, chunk_layout
 
-__all__ = ["ALGORITHMS", "DEFAULT_ALGORITHM", "generate", "is_applicable",
-           "candidates"]
+__all__ = ["ALGORITHMS", "CATALOGUE_KINDS", "DEFAULT_ALGORITHM", "generate",
+           "is_applicable", "candidates"]
 
 #: Generator names, in catalogue order.
 ALGORITHMS = ("ring", "tree", "recdbl", "bruck", "hier")
 
-#: The algorithm each backend's legacy code path corresponds to.
+#: The kinds the catalogue generates (``native`` generates every kind).
+CATALOGUE_KINDS = ("all_reduce", "all_gather", "broadcast", "reduce",
+                    "reduce_scatter")
+
+#: Each backend's default: its legacy code path, or MPI's native schedule.
 DEFAULT_ALGORITHM = {"gpuccl": "ring", "gpushmem": "tree", "mpi": "native"}
 
 
@@ -357,13 +364,94 @@ def _hier(kind: str, p: int, count: int, root: int, topo) -> Optional[Schedule]:
 
 
 # --------------------------------------------------------------------- #
+# MPI's native algorithms.
+# --------------------------------------------------------------------- #
+
+
+def _mpi_bcast(sched: Schedule, p: int, root: int, length: int) -> None:
+    """MPI's binomial broadcast: virtual rank ``v`` hears from ``v`` with
+    its lowest set bit cleared, then passes on with masks descending (the
+    catalogue ``tree`` sends with masks ascending)."""
+    n_rounds = _ceil_log2(p)
+    first = sched.new_round(n_rounds)
+    for t in range(n_rounds):
+        mask = 1 << (n_rounds - 1 - t)
+        v = np.arange(0, p - mask, 2 * mask)
+        sched.pairs(first + t, (v + root) % p, (v + mask + root) % p, 0, 0,
+                    length)
+
+
+def _mpi_reduce(sched: Schedule, p: int, root: int, length: int) -> None:
+    """MPI's binomial reduce, the mirror of :func:`_mpi_bcast`: with masks
+    ascending, ``v + mask`` folds into ``v``."""
+    n_rounds = _ceil_log2(p)
+    first = sched.new_round(n_rounds)
+    for t in range(n_rounds):
+        mask = 1 << t
+        v = np.arange(0, p - mask, 2 * mask)
+        sched.pairs(first + t, (v + mask + root) % p, (v + root) % p, 0, 0,
+                    length, reduce=True)
+
+
+def _linear(sched: Schedule, p: int, root: int, offs, lens,
+            gather: bool) -> None:
+    """Every other rank's block to (gather) or from the root in one round,
+    in rank order at the root."""
+    others = np.delete(np.arange(p), root)
+    src, dst = (others, root) if gather else (root, others)
+    offs, lens = np.broadcast_to(offs, p)[others], np.broadcast_to(lens, p)[others]
+    sched.pairs(sched.new_round(), src, dst, offs, offs, lens)
+
+
+def _pairwise(sched: Schedule, p: int, count: int) -> None:
+    """Pairwise all_to_all: in round ``k`` rank ``r`` receives from
+    ``r - k``, then sends to ``r + k``."""
+    k = np.arange(1, p)[:, None, None]
+    rank = np.arange(p)[:, None]
+    src, dst = (rank - k) % p, (rank + k) % p
+    sched.steps(sched.new_round(p - 1) + k - 1, rank, np.array([RECV, SEND]),
+                np.concatenate((src, dst), axis=2),
+                np.concatenate(((p + src) * count, dst * count), axis=2), count)
+
+
+def _native(kind: str, p: int, count, root: int) -> Schedule:
+    sched = Schedule(kind, "native", p, count)
+    if p <= 1:
+        return sched
+    if kind == "broadcast":
+        _mpi_bcast(sched, p, root, count)
+    elif kind == "reduce":
+        _mpi_reduce(sched, p, root, count)
+    elif kind == "all_reduce":  # reduce to 0, then broadcast
+        _mpi_reduce(sched, p, 0, count)
+        sched.new_phase()
+        _mpi_bcast(sched, p, 0, count)
+    elif kind == "reduce_scatter":  # reduce the vector to 0, then scatter
+        _mpi_reduce(sched, p, 0, p * count)
+        sched.new_phase()
+        _linear(sched, p, 0, np.arange(p) * count, count, gather=False)
+    elif kind == "all_to_all":
+        _pairwise(sched, p, count)
+    else:  # gather_v, scatter_v; all_gather(_v): gather-v to 0, broadcast
+        lens = np.full(p, count) if kind == "all_gather" else np.array(count)
+        offs = np.cumsum(lens) - lens
+        if kind in ("gather_v", "scatter_v"):
+            _linear(sched, p, root, offs, lens, gather=kind == "gather_v")
+        else:
+            _linear(sched, p, 0, offs, lens, gather=True)
+            sched.new_phase()
+            _mpi_bcast(sched, p, 0, int(lens.sum()))
+    return sched
+
+
+# --------------------------------------------------------------------- #
 # Entry points.
 # --------------------------------------------------------------------- #
 
 
 def is_applicable(algorithm: str, kind: str, nranks: int, topo=None) -> bool:
     """Whether ``algorithm`` can generate ``kind`` at this size/topology."""
-    if nranks <= 1:
+    if nranks <= 1 or kind not in CATALOGUE_KINDS:
         return False
     if algorithm == "ring" or algorithm == "tree":
         return True
@@ -387,7 +475,11 @@ def candidates(kind: str, nranks: int, topo=None) -> List[str]:
 
 def generate(algorithm: str, kind: str, nranks: int, count: int, *,
              topo=None, root: int = 0) -> Optional[Schedule]:
-    """Build the schedule, or None when the combination is inapplicable."""
+    """Build the schedule, or None when the combination is inapplicable.
+    ``native`` applies to every kind at every size (an empty schedule for
+    one rank)."""
+    if algorithm == "native":
+        return _native(kind, nranks, count, root)
     if not is_applicable(algorithm, kind, nranks, topo):
         return None
     if algorithm == "ring":

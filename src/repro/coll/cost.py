@@ -108,7 +108,8 @@ class Topology:
         self._params: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         self._pair_class: Optional[np.ndarray] = None  # see path_classes
         self._classes: Dict[Tuple[float, float, float], int] = {(0.0, 0.0, 0.0): 0}
-        self._schedules: Dict[Tuple[str, str, int, int], Optional[Schedule]] = {}
+        # (algorithm, kind, count or per-rank counts, root) -> schedule
+        self._schedules: Dict[Tuple, Optional[Schedule]] = {}
         #: backend -> duration model, filled by repro.coll.models.model_for.
         self.models: Dict[str, object] = {}
         self._groups: List[List[int]] = []

@@ -3,10 +3,10 @@
 Each model answers one question for its backend: "how long does collective
 ``kind`` over ``nbytes`` take under ``algorithm``?" The *default*
 algorithm of each backend reproduces that backend's legacy analytic
-formula bit-for-bit (GPUCCL's fused ring kernel, GPUSHMEM's put-tree,
-MPI's send/recv composition estimate), so installing a policy that picks
-the default changes nothing; every other algorithm is priced by
-:func:`~repro.coll.cost.schedule_cost` over the generated schedule.
+formula bit-for-bit (GPUCCL's fused ring kernel, GPUSHMEM's put-tree),
+so installing a policy that picks the default changes nothing; every
+other algorithm — and every MPI algorithm, ``native`` included — is priced
+by :func:`~repro.coll.cost.schedule_cost` over the generated schedule.
 
 These classes live here (not in the backends) so the tuner can score all
 three backends without importing any of them; the backends import *this*
@@ -221,11 +221,13 @@ class ShmemModel:
 class MpiModel:
     """Tuner-side estimate of MPI collective latency.
 
-    Unlike the other two backends MPI *executes* schedules as real
-    isend/irecv programs, so this model is only used for ranking: "native"
-    approximates the legacy binomial/linear compositions, everything else
-    prices the generated schedule with per-round host call overhead and
-    eager bounce-buffer staging above the threshold.
+    MPI *executes* every data collective as a generated schedule — its
+    ``native`` algorithms included — as real isend/irecv programs, so this
+    model prices each candidate, ``native`` too, over the very schedule the
+    executor runs: :func:`~repro.coll.cost.schedule_cost` with per-round
+    host call overhead and eager bounce-buffer staging above the threshold.
+    (A native allgather runs as a gather-v plus a public broadcast, which
+    is selected on its own; its price assumes that broadcast is native.)
     """
 
     def __init__(self, topo: Topology, profile):
@@ -237,65 +239,23 @@ class MpiModel:
         )
         self._cache: Dict[Tuple, float] = {}
 
-    def _transfer(self, nbytes: float) -> float:
-        lat, bw, ov = self.topo.path_params(0, self.p - 1)
-        t = lat + ov + nbytes / bw + 2 * self.profile.host_call_overhead
-        if nbytes > self.profile.eager_threshold:
-            t += 2 * nbytes * self._staging_inv_bw
-        return t
-
-    def _native(self, kind: str, nbytes: float) -> float:
-        log_rounds = max(1, math.ceil(math.log2(max(self.p, 2))))
-        local = nbytes / self.topo.local_bandwidth()
-        if kind == "broadcast":
-            return log_rounds * self._transfer(nbytes)
-        if kind == "reduce":
-            return log_rounds * (self._transfer(nbytes) + local)
-        if kind == "all_reduce":
-            return self._native("reduce", nbytes) + self._native("broadcast", nbytes)
-        if kind == "all_gather":
-            # Linear gatherv into the root, then a broadcast of the result.
-            return (self.p - 1) * self._transfer(nbytes) + self._native(
-                "broadcast", self.p * nbytes)
-        if kind == "reduce_scatter":
-            return self._native("reduce", self.p * nbytes) + (
-                self.p - 1) * self._transfer(nbytes)
-        raise ValueError(f"unknown collective kind {kind!r}")
-
-    def native_pairs(self, kind: str) -> frozenset:
-        """``(src, dst)`` pairs the legacy algorithms send over, rooted at 0:
-        binomial bcast (``v`` hears from ``v`` with its lowest set bit
-        cleared), binomial reduce, linear gatherv and scatter."""
-        bcast = {(v & (v - 1), v) for v in range(1, self.p)}
-        reduce = {(b, a) for a, b in bcast}
-        scatter = {(0, r) for r in range(1, self.p)}
-        gather = {(r, 0) for _, r in scatter}
-        return frozenset({"broadcast": bcast, "reduce": reduce,
-                          "all_reduce": reduce | bcast, "all_gather": gather | bcast,
-                          "reduce_scatter": reduce | scatter}[kind])
-
     def duration(self, kind: str, nbytes: int, algorithm: str = "native",
                  protocol: Optional[str] = None, channels: int = 1) -> float:
         """Estimated latency of one collective under ``algorithm``.
 
         MPI has no GPU wire protocols — ``protocol`` is accepted for API
-        symmetry but ignored on the ``native`` path, and the tuner pins it
-        to ``None`` for this backend. ``channels`` models striping every
-        send into that many isend/irecv chunks: each chunk pays its own
-        host calls and per-message overhead, and there is no idle wire
-        bandwidth to recover, so extra channels only ever help when the
-        executor's real per-chunk pipelining (not modelled here) wins.
+        symmetry, and the tuner pins it to ``None`` for this backend.
+        ``channels`` models striping every send into that many isend/irecv
+        chunks: each chunk pays its own host calls and per-message
+        overhead, and there is no idle wire bandwidth to recover, so extra
+        channels only ever help when the executor's real per-chunk
+        pipelining (not modelled here) wins.
         """
-        base = self.profile.collective_call_overhead
-        if algorithm == "native" or self.p == 1:
-            return base + self._native(kind, nbytes)
         spec = protocol_spec(protocol)
         key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
             sched = self.topo.schedule(algorithm, kind, nbytes)
-            if sched is None:
-                return base + self._native(kind, nbytes)
             cached = self._cache[key] = schedule_cost(
                 sched, self.topo, 1,
                 per_round_overhead=2 * self.profile.host_call_overhead * channels,
@@ -303,7 +263,7 @@ class MpiModel:
                 staging_inv_bw=self._staging_inv_bw,
                 protocol=spec, channels=channels,
             )
-        return base + cached
+        return self.profile.collective_call_overhead + cached
 
 
 _MODELS = {"gpuccl": GpucclModel, "mpi": MpiModel, "gpushmem": ShmemModel}

@@ -43,14 +43,20 @@ __all__ = [
     "chunk_layout",
     "ring_path_params",
     "workspace_size",
+    "packed_offsets",
     "execute_schedule",
     "reference_collective",
 ]
 
 #: Canonical collective kinds handled by the engine. ``count`` semantics
 #: follow the backend APIs: total elements for all_reduce/broadcast/reduce,
-#: per-rank elements for all_gather/reduce_scatter.
-KINDS = ("all_reduce", "all_gather", "broadcast", "reduce", "reduce_scatter")
+#: per-rank elements for all_gather/reduce_scatter, per-block elements for
+#: all_to_all, and the tuple of per-rank counts for the vector kinds
+#: (:data:`VECTOR_KINDS`), whose workspace packs the blocks in rank order.
+KINDS = ("all_reduce", "all_gather", "broadcast", "reduce", "reduce_scatter",
+         "gather_v", "scatter_v", "all_gather_v", "all_to_all")
+
+VECTOR_KINDS = ("gather_v", "scatter_v", "all_gather_v")
 
 
 #: Step codes of a schedule's ``code`` column.
@@ -131,11 +137,13 @@ class Schedule:
     round, rank, step code, peer, offset and length. A rank's program for a
     round is its steps of that round in emission order. :attr:`rounds` and
     :meth:`rank_rounds` are step-object views built on demand; a priced or
-    executed schedule is frozen.
+    executed schedule is frozen. :attr:`phases` holds the first round of
+    each composed primitive (:meth:`new_phase`); an executor that tags its
+    messages draws one tag per phase.
     """
 
     __slots__ = ("kind", "algorithm", "nranks", "count", "workspace", "n_rounds",
-                 "compiled", "_rows", "_blocks", "_programs")
+                 "phases", "compiled", "_rows", "_blocks", "_programs")
 
     def __init__(self, kind: str, algorithm: str, nranks: int, count: int,
                  workspace: Optional[int] = None):
@@ -147,6 +155,7 @@ class Schedule:
         self.count = count
         self.workspace = workspace_size(kind, nranks, count) if workspace is None else workspace
         self.n_rounds = 0
+        self.phases: List[int] = [0]
         self._rows: List[int] = []  # steps added one at a time, 6 ints each
         self._blocks: List[np.ndarray] = []     # (6, n) column blocks
         self._programs: Dict[int, Tuple] = {}   # rank -> rank_program(rank)
@@ -158,6 +167,10 @@ class Schedule:
         """Open ``n`` new (initially empty) rounds; the first one's index."""
         self.n_rounds += n
         return self.n_rounds - n
+
+    def new_phase(self) -> None:
+        """Start the next primitive of a composition at the next round."""
+        self.phases.append(self.n_rounds)
 
     def add(self, rnd: int, rank: int, step: _Step) -> None:
         """Append ``step`` to ``rank``'s program for round ``rnd``.
@@ -294,17 +307,30 @@ def ring_path_params(cluster, gpu_ids: Sequence[int]) -> Tuple[float, float]:
 # --------------------------------------------------------------------- #
 
 
-def workspace_size(kind: str, nranks: int, count: int) -> int:
+def packed_offsets(counts: Sequence[int]) -> List[int]:
+    """Where each rank's block starts in a vector kind's packed workspace."""
+    return [sum(counts[:r]) for r in range(len(counts))]
+
+
+def workspace_size(kind: str, nranks: int, count) -> int:
     """Scratch elements each rank needs to execute a schedule of ``kind``."""
     if kind in ("all_reduce", "broadcast", "reduce"):
         return count
+    if kind in VECTOR_KINDS:
+        return sum(count)
+    if kind == "all_to_all":
+        return 2 * nranks * count  # the send blocks, then the receive blocks
     return nranks * count  # all_gather / reduce_scatter
 
 
-def init_workspace(kind: str, rank: int, nranks: int, count: int,
-                   data: np.ndarray, root: int, workspace: int) -> np.ndarray:
-    """Build one rank's initial workspace from its input ``data``."""
-    work = np.zeros(workspace, dtype=data.dtype)
+def init_workspace(kind: str, rank: int, nranks: int, count,
+                   data: Optional[np.ndarray], root: int, workspace: int,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Build one rank's initial workspace from its input ``data``: its own
+    block for gather_v/all_gather_v, the packed vector at a scatter_v root,
+    None where a rank contributes nothing (then ``out`` is required).
+    ``out``: write the input into this array instead of a zeroed one."""
+    work = np.zeros(workspace, dtype=data.dtype) if out is None else out
     if kind in ("all_reduce", "reduce"):
         work[:count] = data[:count]
     elif kind == "broadcast":
@@ -312,20 +338,34 @@ def init_workspace(kind: str, rank: int, nranks: int, count: int,
             work[:count] = data[:count]
     elif kind == "all_gather":
         work[rank * count:(rank + 1) * count] = data[:count]
-    else:  # reduce_scatter
+    elif kind in ("gather_v", "all_gather_v"):
+        at = sum(count[:rank])
+        work[at:at + count[rank]] = data[:count[rank]]
+    elif kind == "scatter_v":
+        if rank == root:
+            work[:] = data[:workspace]
+    else:  # reduce_scatter, all_to_all: the whole input vector
         work[:nranks * count] = data[:nranks * count]
+        if kind == "all_to_all":  # and the block a rank keeps, received
+            at = (nranks + rank) * count
+            work[at:at + count] = data[rank * count:(rank + 1) * count]
     return work
 
 
-def extract_output(kind: str, rank: int, nranks: int, count: int,
+def extract_output(kind: str, rank: int, nranks: int, count,
                    work: np.ndarray, root: int) -> Optional[np.ndarray]:
     """Read one rank's result back out of its final workspace."""
     if kind in ("all_reduce", "broadcast"):
         return work[:count]
-    if kind == "reduce":
-        return work[:count] if rank == root else None
-    if kind == "all_gather":
-        return work[:nranks * count]
+    if kind in ("reduce", "gather_v"):
+        return work[:workspace_size(kind, nranks, count)] if rank == root else None
+    if kind in ("all_gather", "all_gather_v"):
+        return work[:workspace_size(kind, nranks, count)]
+    if kind == "scatter_v":
+        at = sum(count[:rank])
+        return work[at:at + count[rank]]
+    if kind == "all_to_all":
+        return work[nranks * count:2 * nranks * count]
     return work[rank * count:(rank + 1) * count]  # reduce_scatter
 
 
@@ -352,9 +392,11 @@ def execute_schedule(sched: Schedule, inputs: Sequence[np.ndarray],
     p = sched.nranks
     if len(inputs) != p:
         raise ValueError(f"need {p} inputs, got {len(inputs)}")
+    dtype = next(np.asarray(a).dtype for a in inputs if a is not None)
     work = [
-        init_workspace(sched.kind, r, p, sched.count, np.asarray(inputs[r]),
-                       root, sched.workspace)
+        init_workspace(sched.kind, r, p, sched.count,
+                       None if inputs[r] is None else np.asarray(inputs[r]),
+                       root, sched.workspace, out=np.zeros(sched.workspace, dtype))
         for r in range(p)
     ]
     programs = [sched.rank_program(r) for r in range(p)]
@@ -402,27 +444,39 @@ def execute_schedule(sched: Schedule, inputs: Sequence[np.ndarray],
     ]
 
 
-def reference_collective(kind: str, inputs: Sequence[np.ndarray],
-                         op: str = "sum", root: int = 0) -> List[Optional[np.ndarray]]:
-    """The naive (rank-ordered) result every schedule must reproduce."""
+def reference_collective(kind: str, inputs: Sequence[Optional[np.ndarray]],
+                         op: str = "sum", root: int = 0,
+                         counts: Optional[Sequence[int]] = None
+                         ) -> List[Optional[np.ndarray]]:
+    """The naive (rank-ordered) result every schedule must reproduce.
+
+    Inputs follow :func:`init_workspace`: a scatter_v root holds the packed
+    vector, which ``counts`` splits, and every other rank None; every
+    all_to_all rank holds its ``p`` send blocks."""
     p = len(inputs)
-    arrs = [np.asarray(a) for a in inputs]
-    if kind in ("all_reduce", "reduce"):
+    arrs = [None if a is None else np.asarray(a) for a in inputs]
+    if kind in ("all_reduce", "reduce", "reduce_scatter"):
         total = arrs[0].copy()
         for r in range(1, p):
             _apply_op(op, total, arrs[r])
         if kind == "all_reduce":
             return [total.copy() for _ in range(p)]
-        return [total.copy() if r == root else None for r in range(p)]
+        if kind == "reduce":
+            return [total.copy() if r == root else None for r in range(p)]
+        count = total.size // p
+        return [total[r * count:(r + 1) * count].copy() for r in range(p)]
     if kind == "broadcast":
         return [arrs[root].copy() for _ in range(p)]
-    if kind == "all_gather":
+    if kind in ("all_gather", "all_gather_v"):
         gathered = np.concatenate(arrs)
         return [gathered.copy() for _ in range(p)]
-    if kind == "reduce_scatter":
-        count = arrs[0].size // p
-        total = arrs[0].copy()
-        for r in range(1, p):
-            _apply_op(op, total, arrs[r])
-        return [total[r * count:(r + 1) * count].copy() for r in range(p)]
+    if kind == "gather_v":
+        return [np.concatenate(arrs) if r == root else None for r in range(p)]
+    if kind == "scatter_v":
+        offs = packed_offsets(counts)
+        return [arrs[root][o:o + c].copy() for o, c in zip(offs, counts)]
+    if kind == "all_to_all":
+        blocks = [np.split(a, p) for a in arrs]
+        return [np.concatenate([blocks[src][r] for src in range(p)])
+                for r in range(p)]
     raise ValueError(f"unknown collective kind {kind!r}")

@@ -296,21 +296,16 @@ class CollPolicy:
     def _dead_penalty(self, algorithm: str, backend: str, kind: str,
                       nbytes: int, topo: Topology, dead) -> float:
         """0.0 when the algorithm's generated schedule avoids every dead
-        pair, else :data:`DEAD_PAIR_PENALTY`. MPI's legacy "native" path
-        is checked on the pairs its own algorithms send over
-        (:meth:`~repro.coll.models.MpiModel.native_pairs`), rooted at 0:
+        pair, else :data:`DEAD_PAIR_PENALTY`. Schedules are rooted at 0:
         ``select`` is not told the root."""
         from .schedule import SEND
 
-        if algorithm == "native":
-            sends = model_for(backend, topo).native_pairs(kind)
-        else:
-            sched = topo.schedule(algorithm, kind, max(1, int(nbytes)))
-            if sched is None:
-                return self.DEAD_PAIR_PENALTY
-            _, rank, code, peer, _, _ = sched.columns
-            sending = code == SEND
-            sends = zip(rank[sending].tolist(), peer[sending].tolist())
+        sched = topo.schedule(algorithm, kind, max(1, int(nbytes)))
+        if sched is None:
+            return self.DEAD_PAIR_PENALTY
+        _, rank, code, peer, _, _ = sched.columns
+        sending = code == SEND
+        sends = zip(rank[sending].tolist(), peer[sending].tolist())
         return 0.0 if dead.isdisjoint(sends) else self.DEAD_PAIR_PENALTY
 
     def _select_degraded(self, backend: str, kind: str, nbytes: int,

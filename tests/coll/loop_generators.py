@@ -4,6 +4,10 @@ The same catalogue as ``repro.coll.algorithms``, written as one loop per
 round that emits one step object per step: the reference that
 ``test_rank_programs.py`` compares every generated rank program against.
 :class:`LoopSchedule` stores the rounds as dicts of step lists.
+
+``native`` is MPI's own collectives written as an MPI library runs them:
+one loop per rank, each blocking send or receive placed in the round its
+mask or peer names.
 """
 
 from typing import Dict, List, Optional, Sequence
@@ -21,6 +25,10 @@ class LoopSchedule:
         self.workspace = (workspace_size(kind, nranks, count)
                           if workspace is None else workspace)
         self.rounds: List[Dict[int, list]] = []
+        self.phases = [0]
+
+    def new_phase(self) -> None:
+        self.phases.append(len(self.rounds))
 
     def new_round(self) -> Dict[int, list]:
         rnd: Dict[int, list] = {}
@@ -383,8 +391,113 @@ def _hier(kind: str, p: int, count: int, root: int, topo) -> Optional[Schedule]:
     return sched
 
 
+# --------------------------------------------------------------------- #
+# MPI's native collectives: the hand-written per-rank loops.
+# --------------------------------------------------------------------- #
+
+
+def _mpi_bcast(sched: Schedule, p: int, root: int, length: int) -> None:
+    """Binomial: receive from the parent at the lowest set bit of the
+    virtual rank, then send with masks descending."""
+    n = _ceil_log2(p)
+    rounds = [sched.new_round() for _ in range(n)]
+    for r in range(p):
+        vrank = (r - root) % p
+        mask = 1
+        while mask < p:
+            if vrank & mask:
+                sched.add(rounds[n - mask.bit_length()], r,
+                          Recv((vrank - mask + root) % p, 0, length))
+                break
+            mask <<= 1
+        mask >>= 1
+        while mask > 0:
+            if vrank + mask < p:
+                sched.add(rounds[n - mask.bit_length()], r,
+                          Send((vrank + mask + root) % p, 0, length))
+            mask >>= 1
+
+
+def _mpi_reduce(sched: Schedule, p: int, root: int, length: int) -> None:
+    """Binomial, masks ascending: fold in each child, then send to the
+    parent."""
+    rounds = [sched.new_round() for _ in range(_ceil_log2(p))]
+    for r in range(p):
+        vrank = (r - root) % p
+        mask = 1
+        while mask < p:
+            rnd = rounds[mask.bit_length() - 1]
+            if vrank & mask:
+                sched.add(rnd, r, Send((vrank - mask + root) % p, 0, length))
+                break
+            if vrank + mask < p:
+                sched.add(rnd, r, RecvReduce((vrank + mask + root) % p, 0, length))
+            mask <<= 1
+
+
+def _mpi_gatherv(sched: Schedule, p: int, root: int, counts) -> None:
+    """Linear: the root receives every other block in rank order."""
+    rnd = sched.new_round()
+    offs = [sum(counts[:r]) for r in range(p)]
+    for r in range(p):
+        if r != root:
+            sched.add(rnd, r, Send(root, offs[r], counts[r]))
+            continue
+        for src in range(p):
+            if src != root:
+                sched.add(rnd, root, Recv(src, offs[src], counts[src]))
+
+
+def _mpi_scatterv(sched: Schedule, p: int, root: int, counts) -> None:
+    """Linear: the root sends every other block in rank order."""
+    rnd = sched.new_round()
+    offs = [sum(counts[:r]) for r in range(p)]
+    for r in range(p):
+        if r != root:
+            sched.add(rnd, r, Recv(root, offs[r], counts[r]))
+            continue
+        for dst in range(p):
+            if dst != root:
+                sched.add(rnd, root, Send(dst, offs[dst], counts[dst]))
+
+
+def _native(kind: str, p: int, count, root: int) -> Schedule:
+    sched = Schedule(kind, "native", p, count)
+    if p <= 1:
+        return sched
+    if kind == "broadcast":
+        _mpi_bcast(sched, p, root, count)
+    elif kind == "reduce":
+        _mpi_reduce(sched, p, root, count)
+    elif kind == "all_reduce":
+        _mpi_reduce(sched, p, 0, count)
+        sched.new_phase()
+        _mpi_bcast(sched, p, 0, count)
+    elif kind == "gather_v":
+        _mpi_gatherv(sched, p, root, count)
+    elif kind == "scatter_v":
+        _mpi_scatterv(sched, p, root, count)
+    elif kind in ("all_gather", "all_gather_v"):
+        counts = [count] * p if kind == "all_gather" else count
+        _mpi_gatherv(sched, p, 0, counts)
+        sched.new_phase()
+        _mpi_bcast(sched, p, 0, sum(counts))
+    elif kind == "reduce_scatter":
+        _mpi_reduce(sched, p, 0, p * count)
+        sched.new_phase()
+        _mpi_scatterv(sched, p, 0, [count] * p)
+    else:  # all_to_all: pairwise sendrecv rounds, the receive posted first
+        rounds = [sched.new_round() for _ in range(p - 1)]
+        for r in range(p):
+            for k in range(1, p):
+                src, dst = (r - k) % p, (r + k) % p
+                sched.add(rounds[k - 1], r, Recv(src, (p + src) * count, count))
+                sched.add(rounds[k - 1], r, Send(dst, dst * count, count))
+    return sched
+
+
 GENERATORS = {"ring": _ring, "tree": _tree, "recdbl": _recdbl,
-              "bruck": _bruck, "hier": _hier}
+              "bruck": _bruck, "hier": _hier, "native": _native}
 
 
 def generate(algorithm, kind, nranks, count, *, topo=None, root=0):

@@ -2,16 +2,19 @@
 
 ``repro.coll.algorithms`` builds schedules as integer columns with array
 arithmetic; ``loop_generators`` is the same catalogue written one step
-object at a time. For every algorithm x kind x rank count x root x count,
-each rank's program must hold the same steps — type, peer, offset, length —
-in the same order, round by round, because pricing sums a program's steps
-in that order (docs/COLLECTIVES.md, "What selection costs").
+object at a time, and MPI's ``native`` collectives as per-rank loops.
+For every algorithm x kind x rank count x root x count, each rank's
+program must hold the same steps — type, peer, offset, length — in the
+same order, round by round, because pricing sums a program's steps in
+that order (docs/COLLECTIVES.md, "What selection costs") and the MPI
+executor posts them in that order.
 """
 
 import pytest
 
 from repro.coll import (ALGORITHMS, KINDS, CollPolicy, Copy, Recv, RecvReduce,
                         Send, Topology, generate, is_applicable)
+from repro.coll.schedule import VECTOR_KINDS
 from repro.hardware import Cluster, get_machine
 from tests.coll import loop_generators
 
@@ -40,7 +43,8 @@ def _assert_same_programs(topo, algorithm, kind, p, count, root):
     want = loop_generators.generate(algorithm, kind, p, count, topo=topo,
                                     root=root)
     where = (algorithm, kind, p, count, root)
-    assert (got.n_rounds, got.workspace) == (want.n_rounds, want.workspace), where
+    assert (got.n_rounds, got.workspace, got.phases) == \
+        (want.n_rounds, want.workspace, want.phases), where
     assert _programs(got) == _programs(want), where
 
 
@@ -57,6 +61,23 @@ def test_rank_programs_equal_the_loop_generators(p):
                     _assert_same_programs(topo, algorithm, kind, p, count, root)
                     checked += 1
     assert checked >= 2 * len(KINDS)  # ring and tree apply everywhere
+
+
+def _ragged(p):
+    """Per-rank counts with zeros (ranks 1, 6, 11, ...) and one large block."""
+    return tuple(1030 if r == p - 1 else (7 * r + 3) % 5 for r in range(p))
+
+
+@pytest.mark.parametrize("p", RANK_COUNTS)
+def test_native_rank_programs_equal_the_hand_loops(p):
+    topo = _topo(p)
+    for kind in KINDS:
+        vector = kind in VECTOR_KINDS
+        counts = ((_ragged(p), (0,) * p, tuple(range(p))) if vector
+                  else sorted({0, 1, 5, p - 1, p, p + 1, 1030}))
+        for root in sorted({0, p - 1}):
+            for count in counts:
+                _assert_same_programs(topo, "native", kind, p, count, root)
 
 
 @pytest.mark.parametrize("kind", ["all_reduce", "all_gather", "broadcast",

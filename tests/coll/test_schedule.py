@@ -10,7 +10,7 @@ non-zero roots.
 import numpy as np
 import pytest
 
-from repro.coll import (ALGORITHMS, KINDS, Schedule, chunk_layout,
+from repro.coll import (ALGORITHMS, CATALOGUE_KINDS, Schedule, chunk_layout,
                         execute_schedule, generate, is_applicable,
                         reference_collective, ring_neighbors, schedule_cost)
 from repro.coll.cost import Topology
@@ -33,7 +33,7 @@ def _inputs(kind, p, count, seed=7):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", CATALOGUE_KINDS)
 @pytest.mark.parametrize("p", RANK_COUNTS)
 def test_generated_schedule_matches_reference(algorithm, kind, p):
     topo = _topo(p)

@@ -186,8 +186,8 @@ def surface(backend):
     return body
 
 
-def _surface(backend, **options):
-    return lambda tracer: launch(surface(backend), 4, tracer=tracer, **options)
+def _surface(backend, ranks=4, **options):
+    return lambda tracer: launch(surface(backend), ranks, tracer=tracer, **options)
 
 
 def shmem_api(side):
@@ -318,6 +318,8 @@ def matrix():
     for backend in BACKENDS:
         for obs in ("metrics", "spans"):
             yield f"surface4/uniconn:{backend}/obs={obs}", _surface(backend, obs=obs)
+    # Two nodes and ragged counts: non-power-of-two binomials, inter-node staging.
+    yield "surface6/uniconn:mpi/obs=metrics", _surface("mpi", 6, obs="metrics")
     # What `repro report --sanitize --trace-out` runs: both instruments at once.
     for backend in BACKENDS:
         yield (f"checked/jacobi8/uniconn:{backend}",
