@@ -13,7 +13,7 @@ loc:
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 
-# Byte-identity digest of 96 pinned runs (tools/run_digest.py): one line
+# Byte-identity digest of 98 pinned runs (tools/run_digest.py): one line
 # per run with the sha256 of its Chrome trace and of its RunReport document
 # (plus the host-side scheduler counters and OS-thread count, and on
 # sanitized runs the sanitizer's bookkeeping counts, as unhashed
@@ -56,13 +56,23 @@ faults-demo:
 
 # Observability smoke: run `repro report` on a 4-rank Jacobi and assert the
 # emitted JSON satisfies the repro.obs.report schema with a populated
-# breakdown and critical path (docs/OBSERVABILITY.md).
+# breakdown and critical path (docs/OBSERVABILITY.md); then the checked
+# report, `repro report --sanitize --trace-out T --metrics-out R`, on each
+# backend at 4 GPUs: T parses, its ts never decrease and its B/E spans
+# balance per (pid, tid); R validates with zero races (tools/check_trace.py).
 obs-smoke:
 	$(PYTHON) -m repro report --gpus 4 --size 64 --iters 8 --metrics-out /tmp/obs_report.json
 	$(PYTHON) -c "import json; from repro.obs import validate_report; \
 	doc = json.load(open('/tmp/obs_report.json')); validate_report(doc); \
 	assert len(doc['ranks']) == 4 and doc['critical_path'] and doc['metrics']['counters']; \
 	print('obs-smoke OK')"
+	for b in mpi gpuccl gpushmem; do \
+		$(PYTHON) -m repro report --backend $$b --gpus 4 --size 64 --iters 8 --sanitize \
+			--trace-out /tmp/obs_trace_$$b.json --metrics-out /tmp/obs_checked_$$b.json \
+			> /dev/null && \
+		$(PYTHON) tools/check_trace.py /tmp/obs_trace_$$b.json /tmp/obs_checked_$$b.json \
+			|| exit 1; \
+	done
 
 # Sanitizer smoke (docs/SANITIZER.md): the seeded-race catalogue must be
 # caught (tests/test_sanitize.py) and reported identically by the reference

@@ -16,7 +16,7 @@ import numpy as np
 from ..backends.gpuccl import GpucclComm, GpucclUniqueId
 from ..errors import CommRevokedError, GpucclError, UniconnError
 from ..gpu.stream import Stream
-from ..obs import span
+from ..obs.spans import Span
 from .backend import GpucclBackend, GpushmemBackend, MPIBackend
 from .environment import Environment
 
@@ -412,14 +412,8 @@ class Communicator:
             device = self.env.rank_ctx.device
             if device is not None:
                 fields.setdefault("gpu", device.gpu_id)
-            return span(
-                engine,
-                name,
-                cat=cat,
-                rank=self.global_rank(),
-                backend=self.backend.name,
-                **fields,
-            )
+            return Span(engine, name, cat, {"rank": self.global_rank(),
+                                            "backend": self.backend.name, **fields})
         return _NULL
 
     # Internal accessors used by the Coordinator.

@@ -42,7 +42,8 @@ from ..backends.mpi import waitall as _mpi_waitall
 from ..errors import UniconnError
 from ..gpu.kernel import DeviceCtx, KernelSpec
 from ..gpu.stream import Stream
-from ..obs import SeriesBy, begin_span, end_span, span
+from ..obs import SeriesBy
+from ..obs.spans import Span, begin_span, end_span
 from .backend import GpucclBackend, MPIBackend
 from .communicator import Communicator
 from .device import attach_device_api
@@ -601,14 +602,11 @@ class _Spans:
         self._span_fields = dict(rank=env.world_rank(), gpu=self.stream.gpu_id,
                                  backend=self.backend.name)
 
-    def _span(self, name: str, cat: str, **fields):
-        return span(self.engine, name, cat=cat, **self._span_fields, **fields)
-
     def launch_kernel(self) -> None:
         b = self._binding
         if b is None:
             return super().launch_kernel()  # raises
-        with self._span(f"launch:{b.kernel.name}", "dispatch"):
+        with Span(self.engine, f"launch:{b.kernel.name}", "dispatch", self._span_fields):
             super().launch_kernel()
 
     def comm_start(self) -> None:
@@ -625,15 +623,17 @@ class _Spans:
             end_span(self.engine, "comm_group", cat="comm", **self._span_fields)
 
     def _drain(self) -> None:
-        with self._span("stream.sync", "sync"):
+        with Span(self.engine, "stream.sync", "sync", self._span_fields):
             super()._drain()
 
     def post(self, sendbuf, recvbuf, count, sig, sig_val, dest, comm, *, tag=0) -> None:
-        with self._span("post", "comm", peer=dest, nbytes=_nbytes(sendbuf, count)):
+        with Span(self.engine, "post", "comm", {**self._span_fields, "peer": dest,
+                                                "nbytes": _nbytes(sendbuf, count)}):
             super().post(sendbuf, recvbuf, count, sig, sig_val, dest, comm, tag=tag)
 
     def acknowledge(self, recvbuf, count, sig, sig_val, src, comm, *, tag=0) -> None:
-        with self._span("acknowledge", "comm", peer=src, nbytes=_nbytes(recvbuf, count)):
+        with Span(self.engine, "acknowledge", "comm", {**self._span_fields, "peer": src,
+                                                       "nbytes": _nbytes(recvbuf, count)}):
             super().acknowledge(recvbuf, count, sig, sig_val, src, comm, tag=tag)
 
 
@@ -644,10 +644,10 @@ def _bracketed(name: str, buf: int, count: int, root: Optional[int] = None):
     label = name[1:]
 
     def bracketed(self, *args) -> None:
-        fields = {"nbytes": _nbytes(args[buf], args[count])}
+        fields = {**self._span_fields, "nbytes": _nbytes(args[buf], args[count])}
         if root is not None:
             fields["root"] = args[root]
-        with self._span(label, "comm", **fields):
+        with Span(self.engine, label, "comm", fields):
             getattr(super(_Spans, self), name)(*args)
 
     return bracketed

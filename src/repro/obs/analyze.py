@@ -23,6 +23,7 @@ Everything here is duck-typed over objects with ``.kind`` / ``.t`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -107,14 +108,13 @@ class ObsReport:
         }
 
 
-@dataclass
-class _Interval:
-    start: float
-    end: float
-    bucket: str
-    name: str
-    cat: str
-    fields: Dict[str, Any]
+# An interval is a tuple ``(start, end, bucket, name, cat, peer)``: ``bucket``
+# is "" for time that counts as none of the three, ``peer`` the ``peer``
+# field of the record that opened it (None without one).
+
+
+def _bucket(cat: str) -> str:
+    return _COMM if cat in ("comm", "dispatch") else _SYNC if cat == "sync" else ""
 
 
 # --------------------------------------------------------------------------- #
@@ -122,74 +122,47 @@ class _Interval:
 # --------------------------------------------------------------------------- #
 
 
-def _record_sort_key(rec: Any) -> Tuple[float, int]:
-    return (rec.t, rec.fields.get("seq", 0))
+def _intervals(records: List[Any]) -> Tuple[Dict[int, list], Dict[int, list]]:
+    """Pair span.begin/span.end and stream.start/stream.complete records, in
+    ``(t, seq)`` order, into per-rank span and stream intervals.
 
-
-def _span_intervals(records: Iterable[Any]) -> Dict[int, List[_Interval]]:
-    """Pair span.begin/span.end records into per-rank intervals.
-
-    Unclosed spans are clipped at the last record's timestamp; an end
-    without a matching begin is ignored (both only happen on aborted runs).
+    Unclosed spans are clipped at the latest timestamp; an end without a
+    matching begin is ignored (both only happen on aborted runs). A stream
+    op's rank is that of the first span that names its GPU, else the GPU id
+    itself (0 when that is not an int); ``event:`` ops are markers, not work.
     """
-    per_rank: Dict[int, List[_Interval]] = {}
-    stacks: Dict[int, List[Any]] = {}
+    spans: Dict[int, list] = {}
+    stacks: Dict[int, list] = {}
+    gpu_to_rank: Dict[Any, int] = {}
+    ops: list = []  # (gpu, interval) of every paired stream op
+    open_ops: Dict[Tuple, Any] = {}
     last_t = 0.0
     for rec in records:
-        last_t = max(last_t, rec.t)
-        if rec.kind not in ("span.begin", "span.end"):
-            continue
-        rank = rec.fields.get("rank", 0)
-        stack = stacks.setdefault(rank, [])
-        if rec.kind == "span.begin":
-            stack.append(rec)
-            continue
-        name = rec.fields.get("name")
-        opener: Optional[Any] = None
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i].fields.get("name") == name:
-                opener = stack.pop(i)
-                break
-        if opener is None:
-            continue
-        cat = opener.fields.get("cat", "host")
-        bucket = _COMM if cat in ("comm", "dispatch") else _SYNC if cat == "sync" else ""
-        per_rank.setdefault(rank, []).append(
-            _Interval(opener.t, rec.t, bucket, name or "?", cat, dict(opener.fields))
-        )
-    for rank, stack in stacks.items():
-        for rec in stack:  # clip spans left open at the end of the run
-            cat = rec.fields.get("cat", "host")
-            bucket = _COMM if cat in ("comm", "dispatch") else _SYNC if cat == "sync" else ""
-            per_rank.setdefault(rank, []).append(
-                _Interval(rec.t, last_t, bucket, rec.fields.get("name", "?"), cat, dict(rec.fields))
-            )
-    return per_rank
-
-
-def _gpu_rank_map(records: Iterable[Any]) -> Dict[Any, int]:
-    """gpu-id -> rank, learned from span records that carry both fields."""
-    mapping: Dict[Any, int] = {}
-    for rec in records:
-        if rec.kind == "span.begin":
-            gpu = rec.fields.get("gpu")
-            rank = rec.fields.get("rank")
-            if gpu is not None and rank is not None and gpu not in mapping:
-                mapping[gpu] = rank
-    return mapping
-
-
-def _stream_intervals(
-    records: Iterable[Any], gpu_to_rank: Dict[Any, int]
-) -> Dict[int, List[_Interval]]:
-    """Pair stream.start/stream.complete records into per-rank intervals."""
-    per_rank: Dict[int, List[_Interval]] = {}
-    open_ops: Dict[Tuple, Any] = {}
-    for rec in records:
-        f = rec.fields
-        if rec.kind == "stream.start":
+        t, kind, f = rec.t, rec.kind, rec.fields
+        if t > last_t:
+            last_t = t
+        if kind == "span.begin":
+            stacks.setdefault(f.get("rank", 0), []).append(rec)
+            gpu = f.get("gpu")
+            if gpu is not None and gpu not in gpu_to_rank and f.get("rank") is not None:
+                gpu_to_rank[gpu] = f["rank"]
+        elif kind == "span.end":
+            rank = f.get("rank", 0)
+            stack = stacks.get(rank, ())
+            name = f.get("name")
+            for i in range(len(stack) - 1, -1, -1):
+                if stack[i].fields.get("name") == name:
+                    opener = stack.pop(i)
+                    break
+            else:
+                continue
+            of = opener.fields
+            cat = of.get("cat", "host")
+            spans.setdefault(rank, []).append(
+                (opener.t, t, _bucket(cat), name or "?", cat, of.get("peer")))
+        elif kind == "stream.start":
             open_ops[(f.get("gpu"), f.get("stream"), f.get("op"))] = rec
-        elif rec.kind == "stream.complete":
+        elif kind == "stream.complete":
             started = open_ops.pop((f.get("gpu"), f.get("stream"), f.get("op")), None)
             if started is None:
                 continue
@@ -197,12 +170,18 @@ def _stream_intervals(
             if op.startswith("event:"):
                 continue
             bucket = _COMM if op.startswith(_COMM_OP_PREFIXES) else _COMPUTE
-            gpu = f.get("gpu")
-            rank = gpu_to_rank.get(gpu, gpu if isinstance(gpu, int) else 0)
-            per_rank.setdefault(rank, []).append(
-                _Interval(started.t, rec.t, bucket, op, "stream", dict(f))
-            )
-    return per_rank
+            ops.append((f.get("gpu"), (started.t, t, bucket, op, "stream", f.get("peer"))))
+    for rank, stack in stacks.items():
+        for rec in stack:  # clip spans left open at the end of the run
+            f = rec.fields
+            cat = f.get("cat", "host")
+            spans.setdefault(rank, []).append(
+                (rec.t, last_t, _bucket(cat), f.get("name", "?"), cat, f.get("peer")))
+    streams: Dict[int, list] = {}
+    for gpu, iv in ops:
+        rank = gpu_to_rank.get(gpu, gpu if isinstance(gpu, int) else 0)
+        streams.setdefault(rank, []).append(iv)
+    return spans, streams
 
 
 # --------------------------------------------------------------------------- #
@@ -210,19 +189,19 @@ def _stream_intervals(
 # --------------------------------------------------------------------------- #
 
 
-def _sweep(intervals: List[_Interval], total: float) -> Dict[str, float]:
+def _sweep(intervals: list, total: float) -> Dict[str, float]:
     """Partition [0, total] by highest-priority covering bucket."""
     deltas: List[Tuple[float, int, str]] = []
-    for iv in intervals:
-        if not iv.bucket:
+    for start, end, bucket, _, _, _ in intervals:
+        if not bucket:
             continue
-        start = max(0.0, min(iv.start, total))
-        end = max(0.0, min(iv.end, total))
+        start = max(0.0, min(start, total))
+        end = max(0.0, min(end, total))
         if end - start <= _EPS:
             continue
-        deltas.append((start, +1, iv.bucket))
-        deltas.append((end, -1, iv.bucket))
-    deltas.sort(key=lambda d: (d[0], d[1]))
+        deltas.append((start, +1, bucket))
+        deltas.append((end, -1, bucket))
+    deltas.sort(key=itemgetter(0, 1))
     out = {_COMPUTE: 0.0, _COMM: 0.0, _SYNC: 0.0, "idle": 0.0}
     active = {_COMPUTE: 0, _COMM: 0, _SYNC: 0}
     prev = 0.0
@@ -253,33 +232,30 @@ def _sweep(intervals: List[_Interval], total: float) -> Dict[str, float]:
 
 
 def _critical_path(
-    per_rank: Dict[int, List[_Interval]], total: float, max_segments: int = 256
+    per_rank: Dict[int, list], total: float, max_segments: int = 256
 ) -> List[PathSegment]:
     """Backward walk from the makespan, hopping ranks at comm spans."""
-    by_end: Dict[int, List[_Interval]] = {
-        rank: sorted(ivs, key=lambda iv: (iv.end, iv.start))
+    by_end: Dict[int, list] = {
+        rank: sorted(ivs, key=itemgetter(1, 0))  # (end, start)
         for rank, ivs in per_rank.items()
         if ivs
     }
     if not by_end:
         return []
-    cur_rank = max(by_end, key=lambda r: by_end[r][-1].end)
-    cur_t = min(total, by_end[cur_rank][-1].end)
+    cur_rank = max(by_end, key=lambda r: by_end[r][-1][1])
+    cur_t = min(total, by_end[cur_rank][-1][1])
     path: List[PathSegment] = []
     while cur_t > _EPS and len(path) < max_segments:
         ivs = by_end.get(cur_rank, [])
-        chosen: Optional[_Interval] = None
-        for iv in reversed(ivs):
-            if iv.start < cur_t - _EPS:
-                chosen = iv
+        for chosen in reversed(ivs):
+            if chosen[0] < cur_t - _EPS:
                 break
-        if chosen is None:
+        else:
             break
-        end = min(chosen.end, cur_t)
-        path.append(PathSegment(cur_rank, chosen.name, chosen.cat, chosen.start, end))
-        cur_t = chosen.start
-        peer = chosen.fields.get("peer")
-        if chosen.bucket == _COMM and isinstance(peer, int) and peer in by_end:
+        start, end, bucket, name, cat, peer = chosen
+        path.append(PathSegment(cur_rank, name, cat, start, min(end, cur_t)))
+        cur_t = start
+        if bucket == _COMM and isinstance(peer, int) and peer in by_end:
             cur_rank = peer
     path.reverse()
     return path
@@ -302,13 +278,15 @@ def analyze_records(
     that emitted nothing; ``total_time`` overrides the makespan (defaults
     to the latest record timestamp).
     """
-    recs = sorted(records, key=_record_sort_key)
+    records = list(records)
+    keys = [(rec.t, rec.fields.get("seq", 0)) for rec in records]
+    recs = list(map(records.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
     total = total_time if total_time is not None else (recs[-1].t if recs else 0.0)
-    gpu_to_rank = _gpu_rank_map(recs)
-    per_rank: Dict[int, List[_Interval]] = {}
-    for rank, ivs in _span_intervals(recs).items():
+    spans, streams = _intervals(recs)
+    per_rank: Dict[int, list] = {}
+    for rank, ivs in spans.items():
         per_rank.setdefault(rank, []).extend(ivs)
-    for rank, ivs in _stream_intervals(recs, gpu_to_rank).items():
+    for rank, ivs in streams.items():
         per_rank.setdefault(rank, []).extend(ivs)
     ranks = sorted(per_rank)
     if n_ranks is not None:

@@ -23,8 +23,7 @@ that schedule into the trace.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["span", "begin_span", "end_span", "spans_enabled"]
 
@@ -35,8 +34,11 @@ def spans_enabled(engine: Any) -> bool:
 
 
 def _emit(engine: Any, kind: str, name: str, cat: str, fields: dict) -> None:
-    seq = engine.next_seq(("obs.span", fields.get("rank", 0)))
-    engine.trace(kind, name=name, cat=cat, seq=seq, **fields)
+    # The one dict of the record: it becomes the record's own fields.
+    record = {"name": name, "cat": cat,
+              "seq": engine.next_seq(("obs.span", fields.get("rank", 0)))}
+    record.update(fields)
+    engine.trace_fields(kind, record)
 
 
 def begin_span(engine: Any, name: str, cat: str = "host", **fields: Any) -> None:
@@ -51,8 +53,30 @@ def end_span(engine: Any, name: str, cat: str = "host", **fields: Any) -> None:
         _emit(engine, "span.end", name, cat, fields)
 
 
-@contextmanager
-def span(engine: Any, name: str, cat: str = "host", **fields: Any) -> Iterator[None]:
+class Span:
+    """The context of :func:`span`, for a caller that has the span's fields
+    in a dict already (read, never kept past the records it makes)."""
+
+    __slots__ = ("engine", "name", "cat", "fields")
+
+    def __init__(self, engine: Any, name: str, cat: str, fields: dict):
+        self.engine = engine
+        self.name = name
+        self.cat = cat
+        self.fields = fields
+
+    def __enter__(self) -> None:
+        if spans_enabled(self.engine):
+            _emit(self.engine, "span.begin", self.name, self.cat, self.fields)
+        else:
+            self.engine = None  # nothing opened, nothing to close
+
+    def __exit__(self, *exc: Any) -> None:
+        if self.engine is not None:
+            _emit(self.engine, "span.end", self.name, self.cat, self.fields)
+
+
+def span(engine: Any, name: str, cat: str = "host", **fields: Any) -> Span:
     """Context manager bracketing a region with begin/end span records.
 
     ``cat`` classifies the region for the analyzer's time breakdown:
@@ -62,11 +86,4 @@ def span(engine: Any, name: str, cat: str = "host", **fields: Any) -> Iterator[N
     ``peer``, ``nbytes`` ...) ride on both records and feed the
     critical-path walk.
     """
-    if not spans_enabled(engine):
-        yield
-        return
-    _emit(engine, "span.begin", name, cat, fields)
-    try:
-        yield
-    finally:
-        _emit(engine, "span.end", name, cat, fields)
+    return Span(engine, name, cat, fields)

@@ -13,12 +13,12 @@ The sanitizer is strictly opt-in (``launch(..., sanitize="race")`` or the
 ``engine.sanitizer is None`` check and the event schedule — and therefore
 the trace — is byte-identical to an uninstrumented run.
 
-Model (FastTrack-style epochs over sparse vector clocks):
+Model (FastTrack-style epochs over fixed-width vector clocks):
 
 * An :class:`AccessCtx` is one strand of sequential execution: a simulated
   task, a stream op, or a scheduled callback. Each carries a vector clock
-  ``vc`` mapping context ids to ticks; accesses are stamped with the
-  context's current epoch ``(id, tick)``.
+  ``vc``, an int64 array indexed by context id (a missing tail reads 0);
+  accesses are stamped with the context's current epoch ``(id, tick)``.
 * Happens-before edges come from the simulation's own synchronization
   primitives: ``SimEvent.set``/``wait``, ``Broadcast.notify_all``/``wait``
   (which underlie stream completion, MPI request completion, SHMEM
@@ -29,15 +29,16 @@ Model (FastTrack-style epochs over sparse vector clocks):
   access that overlaps an earlier one of a conflicting kind with no
   happens-before path produces a :class:`RaceReport`.
 * The only reader of a clock component is that check
-  (``vc.get(prev.ctx_id)``), so an id matters only while it is *alive*: a
-  shadow access is stamped with it, or a context holds it and can still
-  record one. Contexts are single-use (a callback run, a stream op, a
-  finished task give their id up when they leave the stack); a given-up
-  id passes only to a context already ordered after everything done under
-  it (the next op of a stream, the next delivery on a path), never to an
-  unrelated one; and every clock drops its dead ids whenever it outgrows
-  the alive set — which keeps each clock operation proportional to what
-  shadow memory can still ask about instead of to the length of the run.
+  (``vc[prev.ctx_id] >= prev.tick``), so an id matters only while it is
+  *alive*: a shadow access is stamped with it, or a context holds it and
+  can still record one. Contexts are single-use (a callback run, a stream
+  op, a finished task give their id up when they leave the stack); a
+  given-up id passes only to a context already ordered after everything
+  done under it (the next op of a stream, the next delivery on a path),
+  never to an unrelated one; and a dead id's slot in every clock goes to
+  the next new id, whose ticks start above any the slot ever held — which
+  keeps every clock as wide as the most ids ever alive at once, whatever
+  the length of the run.
 
 Access kinds: ``r`` read, ``w`` write, ``rw`` conservative kernel access,
 ``aw`` atomic write (signal updates — unordered atomics do not race with
@@ -48,6 +49,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 __all__ = ["AccessCtx", "RaceReport", "Sanitizer", "resolve_mode"]
 
@@ -67,12 +70,6 @@ _SUBSUMES: Dict[str, Tuple[str, ...]] = {
     for cur, cc in _CONFLICTS.items()
 }
 
-# A clock sheds its dead ids once it holds more than this many entries per
-# alive id. Compaction leaves at most one entry per alive id, so a clock is
-# rebuilt only after it has grown by this factor: amortised O(1) per entry
-# ever added to it.
-_COMPACT_RATIO = 2
-
 
 def resolve_mode(value) -> Optional[str]:
     """A ``sanitize=`` setting as ``None`` (off: None/False) or ``"race"``
@@ -88,17 +85,22 @@ def resolve_mode(value) -> Optional[str]:
 class AccessCtx:
     """One strand of sequential execution, with its vector clock.
 
-    Vector clocks are copy-on-write: a fork shares the parent's dict and
+    Vector clocks are copy-on-write: a fork shares the parent's array and
     freezes it (both sides copy before their next mutation), so pure
     control-flow chains never pay for copies.
     """
 
-    __slots__ = ("id", "tick", "vc", "owns", "rank", "stream", "note", "kernel")
+    __slots__ = ("id", "tick", "handed", "vc", "owns", "rank", "stream", "note",
+                 "kernel")
 
-    def __init__(self, vc: dict, owns: bool, rank=None, stream=None,
+    def __init__(self, vc: np.ndarray, owns: bool, rank=None, stream=None,
                  note=None, kernel=None):
         self.id: Optional[int] = None  # allocated lazily on first access
-        self.tick = 0
+        self.tick = 0  # the last tick written under ``id``
+        # The clock was handed out (a fork, a release) since that tick: the
+        # next access gets a new epoch, which ``_epoch`` writes into the
+        # clock then — hand-outs with no access in between share one.
+        self.handed = False
         self.vc = vc
         self.owns = owns
         self.rank = rank
@@ -114,7 +116,7 @@ class _SyncClock:
 
     __slots__ = ("vc", "owns")
 
-    def __init__(self, vc: dict):
+    def __init__(self, vc: np.ndarray):
         self.vc = vc
         self.owns = False
 
@@ -234,16 +236,21 @@ class Sanitizer:
         self.max_reports = max_reports
         self.reports: List[RaceReport] = []
         self.dropped = 0
-        self._next_id = 1
-        # The alive set: context id -> shadow accesses stamped with it, +1
-        # while its context can still record. An id not in here will never
-        # be looked up in a clock again.
+        # Context ids are the indices of the clock arrays. The alive set:
+        # id -> shadow accesses stamped with it, +1 while its context can
+        # still record. An id not in here will never be looked up again.
         self._refs: Dict[int, int] = {}
-        # Alive ids whose context has retired -> tick of their last access:
-        # a context whose clock holds that very entry is ordered after all
-        # the id ever did and may carry it on (``_epoch``).
-        self._vacant: Dict[int, int] = {}
-        self._root = AccessCtx({}, owns=True, note="main")
+        # Per id, the tick of its last access if its context has retired
+        # while the id is still alive, else -1: a context whose clock holds
+        # that very entry is ordered after all the id ever did and may carry
+        # it on (``_epoch``).
+        self._vacant = np.zeros(0, np.int64)
+        # Dead ids, whose index the next new id takes, and per index the
+        # highest tick ever written at it: a new id's ticks start above it.
+        self._free: List[int] = []
+        self._last: List[int] = []
+        self._width = 0  # clocks are this long once written to
+        self._root = AccessCtx(np.zeros(0, np.int64), owns=True, note="main")
         self._stack: List[AccessCtx] = []
         self._task_ctxs: Dict[object, AccessCtx] = {}
         # id(root DeviceBuffer) -> (root, _Shadow)
@@ -251,11 +258,12 @@ class Sanitizer:
         self._seen = set()
         # Self-accounting (``stats()``): exact, deterministic counts.
         self._n_contexts = 1
+        self._n_ids = 0
         self._n_accesses = 0
         self._clock_ops = 0
         self._clock_visited = 0
         self._clock_peak = 0
-        self._compactions = 0
+        self._reuses = 0
         self._alive_peak = 0
 
     def stats(self) -> Dict[str, int]:
@@ -263,19 +271,20 @@ class Sanitizer:
 
         ``contexts`` were created and ``ids`` issued to those that recorded
         one of the ``accesses`` (fewer ids than such contexts: FIFO chains
-        hand theirs on), at most ``alive_peak`` of them alive at once.
-        ``clock_ops`` counts clock copies, joins and ``compactions``,
+        hand theirs on), at most ``alive_peak`` of them alive at once;
+        ``id_reuses`` of them took the clock index of a dead one.
+        ``clock_ops`` counts clock copies and joins,
         ``clock_entries_visited`` the entries they walked and
         ``clock_peak`` the longest single walk.
         """
         return {
             "contexts": self._n_contexts,
-            "ids": self._next_id - 1,
+            "ids": self._n_ids,
             "accesses": self._n_accesses,
             "clock_ops": self._clock_ops,
             "clock_entries_visited": self._clock_visited,
             "clock_peak": self._clock_peak,
-            "compactions": self._compactions,
+            "id_reuses": self._reuses,
             "alive_peak": self._alive_peak,
         }
 
@@ -296,44 +305,35 @@ class Sanitizer:
             self._task_ctxs[task] = ctx
         return ctx
 
-    def _visit(self, vc: dict) -> None:
-        """Account for one walk over ``vc`` (a copy, a join or a rebuild)."""
-        n = len(vc)
+    def _visit(self, n: int) -> None:
+        """Account for one walk over ``n`` clock entries (a copy or a join)."""
         self._clock_ops += 1
         self._clock_visited += n
         if n > self._clock_peak:
             self._clock_peak = n
 
-    def _trim(self, holder) -> dict:
-        """The clock of ``holder`` (a context or a :class:`_SyncClock`),
-        rebuilt from the alive ids first if it has outgrown them. Every
-        walk over a clock goes through here, so none is longer than
-        ``_COMPACT_RATIO`` entries per alive id."""
+    def _own(self, holder) -> np.ndarray:
+        """The clock of ``holder`` (a context or a :class:`_SyncClock`) as
+        an array it alone may mutate, ``_width`` long."""
         vc = holder.vc
-        refs = self._refs
-        if len(vc) > _COMPACT_RATIO * (len(refs) + 1):
-            self._visit(refs)
-            self._compactions += 1
-            holder.vc = vc = {k: vc[k] for k in refs if k in vc}
+        if not holder.owns or len(vc) < self._width:
+            self._visit(len(vc))
+            if len(vc) == self._width:
+                vc = vc.copy()
+            else:
+                vc = np.concatenate((vc, np.zeros(self._width - len(vc), np.int64)))
+            holder.vc = vc
             holder.owns = True
         return vc
 
-    def _own(self, holder) -> dict:
-        """The clock of ``holder`` as a dict it alone may mutate."""
-        vc = self._trim(holder)
-        if not holder.owns:
-            self._visit(vc)
-            holder.vc = vc = dict(vc)
-            holder.owns = True
-        return vc
-
-    def _join(self, vc: dict, src: dict) -> None:
-        """``vc`` := componentwise max of ``vc`` and ``src``."""
-        self._visit(src)
-        get = vc.get
-        for k, v in src.items():
-            if v > get(k, 0):
-                vc[k] = v
+    def _join(self, vc: np.ndarray, src: np.ndarray) -> None:
+        """``vc`` := componentwise max of ``vc`` and ``src`` (``vc`` is
+        owned, so at least as long)."""
+        n = len(src)
+        self._visit(n)
+        if n < len(vc):
+            vc = vc[:n]
+        np.maximum(vc, src, out=vc)
 
     def _decref(self, cid: int) -> None:
         n = self._refs[cid] - 1
@@ -341,7 +341,8 @@ class Sanitizer:
             self._refs[cid] = n
         else:
             del self._refs[cid]
-            self._vacant.pop(cid, None)
+            self._vacant[cid] = -1
+            self._free.append(cid)
 
     def _retire(self, ctx: AccessCtx) -> None:
         """``ctx`` has left the stack for good: it gives its id up. The id
@@ -354,42 +355,50 @@ class Sanitizer:
             ctx.id = None
             self._decref(cid)
             if cid in self._refs:
-                self._vacant[cid] = ctx.vc[cid]
-
-    def _bump(self, ctx: AccessCtx) -> None:
-        """The context's clock was just handed out (a fork, a release): its
-        next access gets a new epoch, which ``_epoch`` writes into the
-        clock then — hand-outs with no access in between share one."""
-        if ctx.id is not None:
-            ctx.tick = ctx.vc[ctx.id] + 1
+                self._vacant[cid] = ctx.tick
 
     def _epoch(self, ctx: AccessCtx) -> Tuple[int, int]:
         """The ``(id, tick)`` to stamp on an access ``ctx`` makes now."""
         if ctx.id is None:
             refs = self._refs
-            held = ctx.vc.get
-            for cid, tick in self._vacant.items():
-                # No clock holds more than ``tick`` for a vacant id, and one
-                # that holds it is ordered after every access made under it:
-                # continuing the id at tick + 1 orders exactly what a fresh
-                # id would, with one clock entry for the whole chain.
-                if held(cid) == tick:
-                    del self._vacant[cid]
-                    refs[cid] += 1
-                    ctx.id = cid
-                    ctx.tick = tick + 1
-                    break
+            held = ctx.vc
+            # No clock holds more than its last tick for a vacant id, and one
+            # that holds it is ordered after every access made under it:
+            # continuing the id at the next tick orders exactly what a fresh
+            # id would, with one clock entry for the whole chain.
+            vacant = held == self._vacant[:len(held)]
+            if vacant.any():
+                cid = int(vacant.argmax())
+                self._vacant[cid] = -1
+                refs[cid] += 1
             else:
-                ctx.id = self._next_id
-                self._next_id += 1
-                ctx.tick = 1
-                refs[ctx.id] = 1
+                # A new id. A dead one's index is free to take: every clock
+                # holds at most its last tick there, below any the new id
+                # writes, and no shadow access carries the dead one.
+                if self._free:
+                    cid = self._free.pop()
+                    self._reuses += 1
+                else:
+                    cid = len(self._last)
+                    self._last.append(0)
+                    if cid >= self._width:
+                        self._width = 2 * cid or 1
+                        self._vacant = np.concatenate(
+                            (self._vacant, np.full(self._width - cid, -1, np.int64)))
+                self._n_ids += 1
+                refs[cid] = 1
                 if len(refs) > self._alive_peak:
                     self._alive_peak = len(refs)
-            self._own(ctx)[ctx.id] = ctx.tick
-        elif ctx.vc[ctx.id] != ctx.tick:  # first access since a hand-out
-            self._own(ctx)[ctx.id] = ctx.tick
-        return ctx.id, ctx.tick
+            ctx.id = cid
+        elif ctx.handed:  # first access since a hand-out
+            cid = ctx.id
+        else:
+            return ctx.id, ctx.tick
+        tick = self._last[cid] + 1
+        ctx.tick = self._last[cid] = tick
+        ctx.handed = False
+        self._own(ctx)[cid] = tick
+        return cid, tick
 
     def fork(self, parent: Optional[AccessCtx] = None, *, rank=None,
              stream=None, note=None) -> AccessCtx:
@@ -406,7 +415,7 @@ class Sanitizer:
                           note=parent.note if note is None else note)
         self._n_contexts += 1
         parent.owns = False
-        self._bump(parent)
+        parent.handed = True
         return child
 
     def push(self, ctx: AccessCtx) -> None:
@@ -427,16 +436,15 @@ class Sanitizer:
     def release(self, obj) -> None:
         """current ──► obj: join the current clock into the object's."""
         ctx = self.current()
-        vc = self._trim(ctx)
         clock = getattr(obj, "_san_clock", None)
         if clock is None:
             # First release into this object (the common case: a request,
             # a delivery slot): share the releaser's clock, frozen.
             ctx.owns = False
-            obj._san_clock = _SyncClock(vc)
-        else:
-            self._join(self._own(clock), vc)
-        self._bump(ctx)
+            obj._san_clock = _SyncClock(ctx.vc)
+        elif clock.vc is not ctx.vc:
+            self._join(self._own(clock), ctx.vc)
+        ctx.handed = True
 
     def acquire(self, obj) -> None:
         """obj ──► current: join the object's clock into the current one."""
@@ -444,9 +452,8 @@ class Sanitizer:
 
     def _acquire_into(self, ctx: AccessCtx, obj) -> None:
         clock = getattr(obj, "_san_clock", None)
-        if clock is None or not clock.vc:
-            return
-        self._join(self._own(ctx), self._trim(clock))
+        if clock is not None and clock.vc is not ctx.vc:
+            self._join(self._own(ctx), clock.vc)
 
     def run_acquired(self, obj, fn) -> None:
         """Run ``fn`` in a fork of the current context ordered after ``obj``.
@@ -509,7 +516,7 @@ class Sanitizer:
         # stream (released by Stream._advance).
         self._acquire_into(child, stream)
         if enq is not None:
-            self._join(self._own(child), self._trim(enq))
+            self._join(self._own(child), enq.vc)
             # The op belongs to the rank that enqueued it, regardless of
             # which context happened to drive the stream advance (often a
             # neighbour's delivery callback).
@@ -590,12 +597,13 @@ class Sanitizer:
         conflicts = _CONFLICTS[kind]
         subsumes = _SUBSUMES[kind]
         vc = ctx.vc
+        known = len(vc)
         keep: List[_Access] = []
         for prev in sh.accesses:
             if prev.stop <= a0 or prev.start >= a1:
                 keep.append(prev)
                 continue
-            ordered = vc.get(prev.ctx_id, 0) >= prev.tick
+            ordered = prev.ctx_id < known and vc[prev.ctx_id] >= prev.tick
             if not ordered and prev.kind in conflicts:
                 self._report("race", sh, prev.describe(),
                              _describe_ctx(ctx, kind, a0, a1, note, t),

@@ -110,21 +110,19 @@ class JobService:
                                 job_ids=to_run)
             now = time.time()
             for i, outcome in zip(to_run, outcomes):
-                if outcome.ok:
-                    doc = outcome.result
-                else:
-                    doc = {
-                        "schema": RESULT_SCHEMA,
-                        "status": "failed",
-                        "job": specs[i].to_dict(),
-                        "config_hash": hashes[i],
-                        "error": outcome.error,
-                        "error_kind": outcome.kind,
-                    }
-                doc = StoredDoc({**doc, "wall_s": outcome.wall_s,
-                                 "attempts": outcome.attempts,
-                                 "stored_at_unix": now})
-                self.store.put(doc)
+                stamps = {"wall_s": outcome.wall_s, "attempts": outcome.attempts,
+                          "stored_at_unix": now}
+                doc = StoredDoc(
+                    {**outcome.result, **stamps} if outcome.ok
+                    else _failed(specs[i], hashes[i], outcome.error, outcome.kind, stamps))
+                try:
+                    self.store.put(doc)
+                except OSError as exc:
+                    # An unwritable store fails this job, not the batch.
+                    doc = StoredDoc(_failed(specs[i], hashes[i], f"store: {exc}", "store",
+                                            stamps))
+                    self._emit({"event": "failed", "job": i, "hash": hashes[i][:12],
+                                "spec": specs[i].describe(), "error": doc["error"]})
                 docs[i] = doc
 
         # Pass 3: serve in-batch duplicates from the leaders' documents.
@@ -205,6 +203,14 @@ class JobService:
             "worker_respawns": m.counter("serve_worker_respawns_total"),
             "rejected_lines": m.counter("serve_rejected_lines_total"),
         }
+
+
+def _failed(spec: JobSpec, config_hash: str, error: str, kind: str,
+            stamps: Dict[str, Any]) -> Dict[str, Any]:
+    """The document of a job that failed (``kind``: the pool's failure
+    kind, or ``"store"`` when its document could not be written)."""
+    return {"schema": RESULT_SCHEMA, "status": "failed", "job": spec.to_dict(),
+            "config_hash": config_hash, "error": error, "error_kind": kind, **stamps}
 
 
 def parse_queue_line(line: Union[str, bytes]) -> List[JobSpec]:

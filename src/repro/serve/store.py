@@ -27,6 +27,7 @@ Cache traffic is counted in a :class:`~repro.obs.MetricsRegistry`
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -134,13 +135,19 @@ class ResultStore:
 
     def put(self, doc: Mapping[str, Any]) -> Path:
         """Write one result document (atomic rename, sorted keys); a
-        :class:`StoredDoc` is written as the text it already carries."""
+        :class:`StoredDoc` is written as the text it already carries. A
+        failed write raises its ``OSError`` and leaves no temporary file."""
         config_hash = doc["config_hash"]
         path = self._path(config_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(_text(doc))
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(_text(doc))
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
         self.metrics.inc("serve_cache_writes_total",
                          status=doc.get("status", "done"))
         return path

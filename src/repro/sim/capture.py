@@ -693,7 +693,7 @@ def _emit(hook, t: float, items: List[tuple]) -> None:
         if tag == "e":
             it[2]()
         elif tag == "r" and hook is not None:
-            hook(it[1], t=t, **dict(it[2]))
+            hook(it[1], t, dict(it[2]))
 
 
 def _freshened(callback: Callable[[], None], fns: List[Callable[[], None]]):

@@ -14,8 +14,8 @@ one row per rank; point records (enqueues, sends, receives) become instant
 from __future__ import annotations
 
 import json
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, islice
+from operator import eq
 from typing import Dict, List, Tuple
 
 from .trace import TraceRecord, Tracer
@@ -28,70 +28,91 @@ _US = 1e6  # chrome traces use microseconds
 # without building an encoder per event.
 _content = json.JSONEncoder(sort_keys=True).encode
 
+# An event's ``args`` keep the fields whose value is an int, float or str
+# (bool and other subclasses included). When every value is of one of these
+# exact types, that is all of them.
+_SCALAR = (int, float, str)
+_SCALAR_TYPES = frozenset((int, float, str, bool))
+
+
+def _scalars(fields: dict) -> dict:
+    if _SCALAR_TYPES.issuperset(map(type, fields.values())):
+        return fields.copy()
+    return {k: v for k, v in fields.items() if isinstance(v, _SCALAR)}
+
 
 def to_chrome_trace(tracer: Tracer) -> List[dict]:
     """Convert collected records into chrome trace events."""
     events: List[dict] = []
+    # Each event's key in the canonical order (see below), index for index.
+    keys: List[tuple] = []
+    event, key = events.append, keys.append
     open_ops: Dict[Tuple, TraceRecord] = {}
     for rec in tracer.records:
-        f = rec.fields
-        if rec.kind == "stream.start":
+        kind, f = rec.kind, rec.fields
+        if kind == "span.begin" or kind == "span.end":
+            # Begin/end slices nest by a rank's emission order; its per-rank
+            # span seq keeps that order through the deterministic sort below
+            # even when several records share one virtual timestamp.
+            rank = f.get("rank", 0)
+            ts = rec.t * _US
+            args = _scalars(f)
+            args.pop("name", None)
+            args.pop("cat", None)
+            args.pop("tid", None)
+            event({
+                "name": f.get("name", "?"),
+                "ph": "B" if kind == "span.begin" else "E",
+                "ts": ts,
+                "pid": rank,
+                "tid": f.get("tid", "uniconn"),
+                "cat": f.get("cat", "span"),
+                "args": args,
+            })
+            key((ts, (rank, f.get("seq", 0))))
+        elif kind == "stream.start":
             open_ops[(f.get("gpu"), f.get("stream"), f.get("op"))] = rec
-        elif rec.kind == "stream.complete":
-            key = (f.get("gpu"), f.get("stream"), f.get("op"))
-            started = open_ops.pop(key, None)
+        elif kind == "stream.complete":
+            started = open_ops.pop((f.get("gpu"), f.get("stream"), f.get("op")), None)
             begin = started.t if started is not None else rec.t
-            events.append({
+            ts = begin * _US
+            event({
                 "name": f.get("op", "?"),
                 "ph": "X",
-                "ts": begin * _US,
+                "ts": ts,
                 "dur": max(0.0, (rec.t - begin)) * _US,
                 "pid": f.get("gpu", 0),
                 "tid": f.get("stream", "?"),
                 "cat": "stream",
             })
-        elif rec.kind in ("span.begin", "span.end"):
-            # Begin/end slices nest by a rank's emission order; its per-rank
-            # span seq keeps that order through the deterministic sort below
-            # even when several records share one virtual timestamp.
-            rank = f.get("rank", 0)
-            events.append({
-                "name": f.get("name", "?"),
-                "ph": "B" if rec.kind == "span.begin" else "E",
-                "ts": rec.t * _US,
-                "pid": rank,
-                "tid": f.get("tid", "uniconn"),
-                "cat": f.get("cat", "span"),
-                "args": {
-                    k: v
-                    for k, v in f.items()
-                    if k not in ("name", "cat", "tid") and isinstance(v, (int, float, str))
-                },
-                "__seq": (rank, f.get("seq", 0)),
-            })
+            key((ts, ()))
         else:
-            events.append({
-                "name": rec.kind,
+            ts = rec.t * _US
+            event({
+                "name": kind,
                 "ph": "i",
                 "s": "t",
-                "ts": rec.t * _US,
+                "ts": ts,
                 "pid": f.get("gpu", f.get("src", 0)),
-                "tid": f.get("stream", rec.kind),
-                "cat": rec.kind.split(".")[0],
-                "args": {k: v for k, v in f.items() if isinstance(v, (int, float, str))},
+                "tid": f.get("stream", kind),
+                "cat": kind.split(".")[0],
+                "args": _scalars(f),
             })
+            key((ts, ()))
     # Anything still open at the end (e.g. an op in flight when the run
     # stopped) is emitted as a zero-length marker so it stays visible.
     for (gpu, stream, op), rec in open_ops.items():
-        events.append({
+        ts = rec.t * _US
+        event({
             "name": f"{op} (unfinished)",
             "ph": "i",
             "s": "t",
-            "ts": rec.t * _US,
+            "ts": ts,
             "pid": gpu or 0,
             "tid": stream or "?",
             "cat": "stream",
         })
+        key((ts, ()))
     # Canonical order: viewers sort by ts anyway, and tie-breaking on the
     # event's full content makes the file independent of the incidental
     # ordering of same-instant callbacks inside the engine — so two runs
@@ -104,14 +125,19 @@ def to_chrome_trace(tracer: Tracer) -> List[dict]:
     # default-level ordering (and byte-identity) untouched. Most events
     # (every span) are alone at their key, so the content key is computed
     # only inside the runs that tie on both.
-    when = itemgetter(0)
-    keyed = sorted((((e["ts"], e.pop("__seq", ())), e) for e in events), key=when)
-    events = []
-    for _, tied in groupby(keyed, key=when):
-        run = [e for _, e in tied]
-        if len(run) > 1:
-            run.sort(key=_content)
-        events += run
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    events = list(map(events.__getitem__, order))
+    keys = list(map(keys.__getitem__, order))
+    # i is in ``ties`` when event i has the key of event i - 1.
+    ties = compress(range(1, len(keys)), map(eq, keys, islice(keys, 1, None)))
+    runs: List[List[int]] = []  # [first, last] of each run of tied events
+    for i in ties:
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i - 1, i])
+    for first, last in runs:
+        events[first:last + 1] = sorted(events[first:last + 1], key=_content)
     return events
 
 

@@ -542,13 +542,20 @@ class Engine:
         caller's own time: a task in debt is not settled, its record reads
         ``busy_until`` — the clock it would see had it slept each charge."""
         if self.trace_hook is not None:
-            task = self._current
-            t = self._now
-            if task is not None and task.busy_until > t:
-                t = task.busy_until
-            self.trace_hook(kind, t=t, **fields)
-            if self.capture is not None:
-                self.capture.on_record(kind, fields)
+            self.trace_fields(kind, fields)
+
+    def trace_fields(self, kind: str, fields: Dict[str, Any]) -> None:
+        """``trace`` for a caller holding the record's fields in a dict of
+        its own making, which the hook keeps as the record's: the hook is
+        called ``trace_hook(kind, t, fields)`` (a :class:`Tracer` installs
+        one) and must be installed."""
+        task = self._current
+        t = self._now
+        if task is not None and task.busy_until > t:
+            t = task.busy_until
+        self.trace_hook(kind, t, fields)
+        if self.capture is not None:
+            self.capture.on_record(kind, fields)
 
     def next_seq(self, kind: Hashable) -> int:
         """Monotonic per-kind sequence numbers, scoped to this engine.

@@ -11,11 +11,25 @@ from .engine import Engine
 __all__ = ["TraceRecord", "Tracer"]
 
 
-@dataclass
 class TraceRecord:
-    kind: str
-    t: float
-    fields: Dict[str, Any]
+    """One record: its kind, virtual time and fields (in emission order)."""
+
+    __slots__ = ("kind", "t", "fields")
+
+    def __init__(self, kind: str, t: float, fields: Dict[str, Any]):
+        self.kind = kind
+        self.t = t
+        self.fields = fields
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TraceRecord:
+            return NotImplemented
+        return (self.kind, self.t, self.fields) == (other.kind, other.t, other.fields)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TraceRecord(kind={self.kind!r}, t={self.t!r}, fields={self.fields!r})"
 
 
 @dataclass
@@ -26,8 +40,12 @@ class Tracer:
 
     def install(self, engine: Engine) -> "Tracer":
         """Attach this tracer to an engine's trace hook."""
-        engine.trace_hook = self
+        engine.trace_hook = self.add
         return self
+
+    def add(self, kind: str, t: float, fields: Dict[str, Any]) -> None:
+        """The engine's hook: keeps ``fields`` itself as the record's."""
+        self.records.append(TraceRecord(kind, t, fields))
 
     def __call__(self, kind: str, t: float = 0.0, **fields: Any) -> None:
         self.records.append(TraceRecord(kind, t, fields))

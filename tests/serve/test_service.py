@@ -112,6 +112,58 @@ def test_timeout_fails_job_without_poisoning_batch(tmp_path):
     assert ResultStore(tmp_path).peek(big.config_hash())["status"] == "failed"
 
 
+def test_an_unwritable_store_fails_each_job_not_the_batch(tmp_path):
+    """A store root that is a regular file: both jobs simulate, neither can
+    be written, and the CLI still prints both results, writes the JSON and
+    exits nonzero."""
+    root = tmp_path / "store"
+    root.write_text("not a directory")
+    out_json = tmp_path / "docs.json"
+    code, text = run_cli(["submit", "--store", str(root), "--json", str(out_json),
+                          "--sweep", "backend=mpi,gpuccl", "app=jacobi", "gpus=2",
+                          "size=32", "iters=2"])
+    assert code == 1
+    docs = json.loads(out_json.read_text())
+    assert [d["status"] for d in docs] == ["failed", "failed"]
+    assert {d["error_kind"] for d in docs} == {"store"}
+    assert all("Not a directory" in d["error"] for d in docs)
+    assert text.count("ERR ") == 2
+    assert root.read_text() == "not a directory"
+
+
+def test_a_failed_put_fails_only_its_own_job(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path / "store")
+    bad = SPECS[1].config_hash()
+    put = ResultStore.put
+
+    def failing_put(self, doc):
+        if doc["config_hash"] == bad:
+            raise OSError(28, "No space left on device")
+        return put(self, doc)
+
+    monkeypatch.setattr(ResultStore, "put", failing_put)
+    events = []
+    docs = JobService(store, jobs=1, retries=0, events=events.append).run(SPECS)
+    assert docs[0]["status"] == "done" and store.get(docs[0]["config_hash"]) is not None
+    assert docs[1]["status"] == "failed" and docs[1]["error_kind"] == "store"
+    assert docs[1]["config_hash"] == bad and "No space left" in docs[1]["error"]
+    assert [e["job"] for e in events if e["event"] == "failed"] == [1]
+    assert store.peek(bad) is None
+
+
+def test_a_put_that_fails_leaves_no_temporary_file(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path)
+    doc = {"config_hash": SPECS[0].config_hash(), "status": "done"}
+
+    def no_rename(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr("repro.serve.store.os.replace", no_rename)
+    with pytest.raises(OSError, match="cross-device"):
+        store.put(doc)
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 def test_serve_loop_once_drains_queue_file(tmp_path):
     queue = tmp_path / "queue.jsonl"
     queue.write_text(

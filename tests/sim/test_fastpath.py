@@ -657,7 +657,7 @@ def test_a_record_made_in_debt_is_stamped_with_the_callers_time():
     stamps = []
 
     def body(engine, stream):
-        engine.trace_hook = lambda kind, t, **fields: stamps.append(t)
+        engine.trace_hook = lambda kind, t, fields: stamps.append(t)
         engine.defer_busy(1.0)
         engine.trace("mark")
         return engine.current_task.busy_until, engine._now

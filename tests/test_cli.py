@@ -168,7 +168,7 @@ def test_report_sanitize_document_carries_the_sanitizer_stats(tmp_path):
     assert doc["races"] == []
     assert set(doc["stats"]["sanitizer"]) == {
         "contexts", "ids", "accesses", "clock_ops", "clock_entries_visited",
-        "clock_peak", "compactions", "alive_peak"}
+        "clock_peak", "id_reuses", "alive_peak"}
     assert all(isinstance(v, int) for v in doc["stats"]["sanitizer"].values())
     assert doc["stats"]["sanitizer"]["accesses"] > 0
     code, _ = run_cli(argv)

@@ -2,12 +2,14 @@
 invisible in the findings.
 
 ``tests/test_sanitize.py`` pins *what* is found with programs too short for
-an id ever to die. Here the runs are long enough that clocks are compacted
-and ids handed down FIFO chains, and three things are pinned: the findings
-are exactly those of a reference that does neither, the bookkeeping cost is
-linear in the length of the run (exact counts from
-``report.stats["sanitizer"]``), and long clean runs stay clean — a dropped
-clock entry can only turn "ordered" into "race".
+an id ever to die. Here the runs are long enough that dead ids give their
+clock index to new ones and ids are handed down FIFO chains, and three
+things are pinned: the findings are exactly those of a reference that does
+neither, the bookkeeping cost is linear in the length of the run (exact
+counts from ``report.stats["sanitizer"]``), and long clean runs stay clean.
+A lost clock entry turns "ordered" into "race" (a false positive in a clean
+run); an index reused with ticks it already held turns "race" into
+"ordered" (a finding the reference has and the seeded runs lack).
 """
 
 from unittest import mock
@@ -28,8 +30,9 @@ COUNT = 16
 
 class ReferenceSanitizer(repro.sanitize.Sanitizer):
     """Clock bookkeeping in which a context keeps its id for good, so no id
-    ever dies, is handed on, or leaves a clock: the reference the
-    differential tests compare against (it lives here, not in ``src/``)."""
+    ever dies, is handed on, or gives its clock index to another: the
+    reference the differential tests compare against (it lives here, not in
+    ``src/``)."""
 
     def _retire(self, ctx):
         pass
@@ -39,7 +42,7 @@ def reference_run(run):
     """``run()`` with every sanitizer ``launch`` installs a reference one."""
     with mock.patch.object(repro.sanitize, "Sanitizer", ReferenceSanitizer):
         report = run()
-    assert report.stats["sanitizer"]["compactions"] == 0
+    assert report.stats["sanitizer"]["id_reuses"] == 0
     return report
 
 
@@ -155,10 +158,11 @@ def test_clock_work_is_linear_in_iterations(backend):
     assert long["clock_entries_visited"] <= 3.6 * short["clock_entries_visited"]
     assert long["clock_peak"] <= short["clock_peak"] + 32
     assert long["alive_peak"] <= short["alive_peak"] + 8
-    # Dead ids were shed on the way — unless none ever died: on gpushmem
-    # every recording context sits on a FIFO chain (stream ops, per-path
-    # deliveries), and the whole run lives on the ids of its first iteration.
-    assert long["compactions"] > 0 or long["ids"] == short["ids"]
+    # Dead ids gave their clock index to new ones — unless none ever died:
+    # on gpushmem every recording context sits on a FIFO chain (stream ops,
+    # per-path deliveries), and the whole run lives on the ids of its first
+    # iteration.
+    assert long["id_reuses"] > 0 or long["ids"] == short["ids"]
     assert long["ids"] < long["accesses"] / 2
 
 

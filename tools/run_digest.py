@@ -16,7 +16,7 @@ on — an improvement to either moves those without changing behaviour.
 They print as trailing ``sched=switches/inline_resumes/timers_fired/wakeups/
 os_threads`` (the last counted here, around the run: the OS threads the
 engine started for its ``tasks_spawned`` tasks) and (sanitized runs)
-``san=ids/clock_ops/clock_entries_visited/clock_peak/compactions`` fields
+``san=ids/clock_ops/clock_entries_visited/clock_peak/id_reuses`` fields
 that the golden and the combined hash ignore.
 """
 
@@ -31,6 +31,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps import cg, jacobi  # noqa: E402
+from repro.apps.jacobi2d import Jacobi2DConfig, launch_2d  # noqa: E402
 from repro.apps.osu import OsuConfig  # noqa: E402
 from repro.apps.osu.collectives import _collective_body  # noqa: E402
 from repro.apps.osu.bandwidth import BANDWIDTH_VARIANTS  # noqa: E402
@@ -39,7 +40,7 @@ from repro.launcher import launch  # noqa: E402
 from repro.sim import Tracer, to_chrome_trace  # noqa: E402
 
 SCHED = ("switches", "inline_resumes", "timers_fired", "wakeups", "events")
-SAN = ("ids", "clock_ops", "clock_entries_visited", "clock_peak", "compactions")
+SAN = ("ids", "clock_ops", "clock_entries_visited", "clock_peak", "id_reuses")
 
 JACOBI_VARIANTS = ("mpi-native", "gpuccl-native", "gpushmem-host-native",
                    "gpushmem-device-native", "uniconn:mpi", "uniconn:gpuccl",
@@ -54,6 +55,8 @@ STEADY = jacobi.JacobiConfig(nx=96, ny=98, iters=48, warmup=1)
 # Halo rows above every preset's eager threshold: rendezvous traffic.
 WIDE = jacobi.JacobiConfig(nx=4096, ny=34, iters=24, warmup=1)
 SMALL = jacobi.JacobiConfig(nx=32, ny=34, iters=16, warmup=2)
+# A 3x2 tile grid on two nodes: every halo face, a ragged tile size.
+JACOBI_2D = Jacobi2DConfig(nx=26, ny=22, iters=5, warmup=1)
 CG = cg.CgConfig(n=512, nnz_per_row=9, iters=12, seed=3)
 CG_WIDE = cg.CgConfig(n=4096, nnz_per_row=9, iters=6, seed=3)
 # Fig. 6's regime: each of the 8 ranks' AllGatherv blocks is 128 KiB, so
@@ -269,6 +272,10 @@ def matrix():
         yield (f"jacobi16/uniconn:gpushmem:{mode}",
                _jacobi(f"uniconn:gpushmem:{mode}", STEADY, 16))
     yield "jacobi16/uniconn:mpi-rma", _jacobi("uniconn:mpi-rma", STEADY, 16)
+    for backend in ("mpi", "gpushmem"):
+        yield (f"jacobi2d6/uniconn:{backend}",
+               lambda tracer, b=backend: launch_2d(JACOBI_2D, 6, backend=b, n_nodes=2,
+                                                   collect=True, tracer=tracer))
     for variant in ("mpi-native", "uniconn:mpi"):
         for capture in ("off", "regions"):
             yield (f"jacobi8-rdv/{variant}/capture={capture}",
