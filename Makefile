@@ -115,7 +115,7 @@ chaos-matrix:
 coll-smoke:
 	$(PYTHON) -m pytest -q tests/coll
 	$(PYTHON) -m pytest -q tests/sim/test_fastpath.py -k "coll or capture"
-	$(PYTHON) -m repro tune --coll --gpus 64 --dump /tmp/coll_table.json
+	$(PYTHON) -m repro tune --gpus 64 --dump /tmp/coll_table.json
 	$(PYTHON) benchmarks/bench_coll.py --smoke --check
 
 # Full-scale collective benchmark; rewrites the committed baseline, then

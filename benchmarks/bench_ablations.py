@@ -6,9 +6,7 @@ Not figures from the paper, but quantified justifications of its mechanisms:
   kernel-launch overhead across messages;
 - MPI's eager/rendezvous threshold creates the small-message latency step;
 - device-side ThreadGroup granularity trades bandwidth for flexibility;
-- launch modes shift where time is spent (host loop vs resident kernel);
-- performance-guided backend selection (paper Section VII future work)
-  always matches the per-regime best fixed backend.
+- launch modes shift where time is spent (host loop vs resident kernel).
 """
 
 import dataclasses
@@ -17,7 +15,6 @@ from benchmarks._common import jacobi_dims
 from repro.apps.jacobi import JacobiConfig, launch_variant
 from repro.apps.osu import OsuConfig, run_latency
 from repro.bench import banner, fmt_size, fmt_us, save_json, series_table, shape_check
-from repro.core.selection import SelectionTable
 from repro.hardware import perlmutter
 
 
@@ -169,27 +166,6 @@ def run_launch_mode_ablation():
     return rows
 
 
-def run_selection_ablation():
-    """Auto-selected backend always ties the best fixed backend."""
-    table = SelectionTable.tune("perlmutter", probe_sizes=(8, 4096, 262144), iters=10)
-    banner("Ablation: performance-guided backend selection (paper future work)")
-    results = {}
-    checks = []
-    for inter in (False, True):
-        loc = "inter" if inter else "intra"
-        for size in table.probe_sizes:
-            cands = table.candidates(size, inter_node=inter)
-            best = table.best(size, inter_node=inter)
-            results[f"{loc}/{fmt_size(size)}"] = {"best": best, **{k: v * 1e6 for k, v in cands.items()}}
-            print(f"  {loc:5s} {fmt_size(size):>8s}: best={best:16s} "
-                  + "  ".join(f"{k}={fmt_us(v)}us" for k, v in sorted(cands.items())))
-            checks.append(cands[best] == min(cands.values()))
-    ok = shape_check("selection always picks the measured minimum", all(checks))
-    save_json("ablation_selection", results)
-    assert ok
-    return results
-
-
 def run_decomposition_ablation():
     """1D row partitioning (the paper's layout) vs 2D tiles.
 
@@ -323,10 +299,6 @@ def test_ablation_launch_modes(benchmark):
     benchmark.pedantic(run_launch_mode_ablation, rounds=1, iterations=1)
 
 
-def test_ablation_selection(benchmark):
-    benchmark.pedantic(run_selection_ablation, rounds=1, iterations=1)
-
-
 def test_ablation_mpi_rma(benchmark):
     benchmark.pedantic(run_rma_ablation, rounds=1, iterations=1)
 
@@ -344,7 +316,6 @@ if __name__ == "__main__":
     run_eager_threshold_ablation()
     run_thread_group_ablation()
     run_launch_mode_ablation()
-    run_selection_ablation()
     run_rma_ablation()
     run_decomposition_ablation()
     run_gpudirect_collectives_ablation()

@@ -374,10 +374,6 @@ def ablations_section():
                    f"(fewer messages); in the bandwidth regime 2D's perimeter halos "
                    f"win {d['projection']['t_1d_us'] / d['projection']['t_2d_us']:.1f}x "
                    f"at p=64.")
-    s = load("ablation_selection")
-    if s:
-        out.append("- **Automatic backend selection** (§VII future work): the tuned "
-                   "table matches the measured minimum in every probed regime.")
     gd = load("ablation_gpudirect_collectives")
     if gd:
         gap = gd["mpi_staged_s"] / gd["gpuccl_s"]

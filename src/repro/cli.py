@@ -7,8 +7,7 @@ Subcommands::
     python -m repro cg      --backend gpushmem --rows 4096
     python -m repro latency --variant uniconn:mpi --inter
     python -m repro bandwidth --variant gpuccl-native
-    python -m repro tune    --machine perlmutter --dump table.json
-    python -m repro tune    --coll --gpus 64 --dump coll_table.json
+    python -m repro tune    --gpus 64 --dump coll_table.json
     python -m repro report  --gpus 4 --trace-out trace.json  # time breakdown + trace
     python -m repro submit  --sweep app=jacobi,cg backend=mpi,gpuccl --jobs 4
     python -m repro serve   --queue jobs.jsonl   # long-running job service
@@ -21,12 +20,32 @@ without a store: one JobSpec, run in-process by ``execute_job``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 from .options import APPS, CAPTURE_MODES, LAUNCH_MODES, MACHINES
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _out_path(path: str) -> str:
+    """argparse type of an output file: refused before anything runs when
+    it is a directory or its directory does not exist."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,21 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest message in bytes (sweeps 8 B up in x16 steps)")
 
     sp = sub.add_parser(
-        "tune", help="build a backend-selection or collective-algorithm table",
-        epilog="Default: probe backend crossovers (core.selection). With "
-               "--coll, score the repro.coll algorithm catalogue with the "
-               "alpha-beta cost model instead and print per-backend "
-               "collective crossovers; --dump then writes the banded "
+        "tune", help="build a collective-algorithm tuning table",
+        epilog="Scores the repro.coll algorithm catalogue with the "
+               "alpha-beta cost model and prints per-backend collective "
+               "crossovers (docs/COLLECTIVES.md); --dump writes the banded "
                "tuning table (schema repro.coll.table) that the "
                "coll=<path> run option replays.")
     common(sp)
-    sp.add_argument("--coll", action="store_true",
-                    help="tune collective algorithms (docs/COLLECTIVES.md)")
-    sp.add_argument("--gpus", type=int, default=64,
-                    help="job size the collective table is tuned for")
-    sp.add_argument("--nodes", type=int, default=None,
-                    help="node count (default: ceil(gpus / gpus_per_node))")
-    sp.add_argument("--dump", default=None, metavar="FILE",
+    sp.add_argument("--gpus", type=_positive_int, default=64,
+                    help="job size the table is tuned for")
+    sp.add_argument("--dump", type=_out_path, default=None, metavar="FILE",
                     help="write the table JSON here")
 
     sp = sub.add_parser(
@@ -126,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                "(schema repro.obs.report) as JSON for tooling.")
     common(sp)
     _job_args(sp, "gpuccl", 4, 128, 10)
-    sp.add_argument("--metrics-out", default=None, metavar="FILE",
+    sp.add_argument("--metrics-out", type=_out_path, default=None, metavar="FILE",
                     help="write the JSON report document here")
-    sp.add_argument("--trace-out", default=None, metavar="FILE",
+    sp.add_argument("--trace-out", type=_out_path, default=None, metavar="FILE",
                     help="also write the Chrome trace (with spans) here")
     _fault_args(sp)
     _sanitize_arg(sp)
@@ -176,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _service_args(sp)
     sp.add_argument("--sweep", nargs="+", default=None, metavar="AXIS=V1,V2",
                     help="expand a job matrix over the base spec")
-    sp.add_argument("--json", default=None, metavar="FILE",
+    sp.add_argument("--json", type=_out_path, default=None, metavar="FILE",
                     help="write the batch's result documents here")
 
     sp = sub.add_parser(
@@ -324,10 +338,10 @@ def _cmd_netbench(args, out) -> int:
     return 0
 
 
-def _cmd_tune_coll(args, out) -> int:
+def _cmd_tune(args, out) -> int:
     from .coll import CollSelection, CollTuner, validate_table
 
-    tuner = CollTuner(args.machine, args.gpus, n_nodes=args.nodes)
+    tuner = CollTuner(args.machine, args.gpus)
     table = tuner.build_table()
     sig = tuner.topo.signature()
     print(f"collective tuning table for {sig}", file=out)
@@ -345,22 +359,6 @@ def _cmd_tune_coll(args, out) -> int:
         with open(args.dump) as fh:
             validate_table(json.load(fh))
         print(f"table written to {args.dump} (schema valid)", file=out)
-    return 0
-
-
-def _cmd_tune(args, out) -> int:
-    if args.coll:
-        return _cmd_tune_coll(args, out)
-    from .core.selection import SelectionTable
-
-    table = SelectionTable.tune(args.machine, probe_sizes=(8, 512, 32768, 1 << 20), iters=12)
-    for inter in (False, True):
-        loc = "inter" if inter else "intra"
-        for size, winner in table.crossover_sizes(inter_node=inter):
-            print(f"{loc:5s} from {size:>8d} B: {winner}", file=out)
-    if args.dump:
-        table.save(args.dump)
-        print(f"table written to {args.dump}", file=out)
     return 0
 
 

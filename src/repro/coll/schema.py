@@ -1,4 +1,4 @@
-"""Schema for the ``repro tune --coll --dump`` tuning-table JSON document.
+"""Schema for the ``repro tune --dump`` tuning-table JSON document.
 
 Mirrors :mod:`repro.obs.schema`: hand-rolled structural validation, a
 :class:`CollTableError` naming the first offending field, and a version

@@ -17,7 +17,7 @@ Three layers (docs/COLLECTIVES.md):
   as ``coll_selected_total``.
 - :class:`CollTuner` — builds tables offline by scoring
   (algorithm x protocol x channels) combinations over a probe-size grid
-  on a synthetic cluster (``repro tune --coll``).
+  on a synthetic cluster (``repro tune``).
 """
 
 from __future__ import annotations
@@ -397,15 +397,13 @@ class CollTuner:
     #: Probe grid: message sizes the table is scored at (bytes).
     PROBE_SIZES = (64, 1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20, 32 << 20)
 
-    def __init__(self, machine, n_gpus: int, n_nodes: Optional[int] = None):
+    def __init__(self, machine, n_gpus: int):
         from ..hardware.cluster import Cluster
         from ..hardware.machines import get_machine
 
         spec = get_machine(machine) if isinstance(machine, str) else machine
-        if n_nodes is None:
-            n_nodes = -(-n_gpus // spec.gpus_per_node)
         self.machine = spec
-        self.cluster = Cluster(spec, n_nodes)
+        self.cluster = Cluster(spec, -(-n_gpus // spec.gpus_per_node))
         self.topo = Topology(self.cluster, list(range(n_gpus)))
 
     def model(self, backend: str):
@@ -447,20 +445,6 @@ class CollTuner:
                 bands.append((None, current))
                 table.set_bands(sig, backend, kind, bands)
         return table
-
-    def crossovers(self, backend: str, kind: str,
-                   sizes: Optional[Sequence[int]] = None
-                   ) -> List[Tuple[int, CollSelection, CollSelection]]:
-        """(boundary_nbytes, smaller_side, larger_side) switches; the
-        boundary is the first probe size the larger-side winner wins
-        (the exclusive band ceiling it induces in the table)."""
-        sizes = sorted(sizes or self.PROBE_SIZES)
-        winners = [self.best(backend, kind, s)[0] for s in sizes]
-        out = []
-        for cur_size, prev, cur in zip(sizes[1:], winners, winners[1:]):
-            if self._key(prev) != self._key(cur):
-                out.append((cur_size, prev, cur))
-        return out
 
 
 def resolve_policy(coll) -> Optional[CollPolicy]:

@@ -4,7 +4,7 @@ shapes of the paper's Figs. 2-4 (who wins where)."""
 import pytest
 
 from repro.apps.osu import OsuConfig, run_bandwidth, run_latency
-from repro.hardware import perlmutter
+from repro.hardware import lumi, perlmutter
 
 FAST = OsuConfig(sizes=(8, 1024, 1 << 20), iters_small=6, warmup_small=1,
                  iters_large=4, warmup_large=1, window=16, repeats=3)
@@ -73,6 +73,32 @@ def test_fig2_shape_lumi_rccl_small_messages_poor():
     perl = run_latency("gpuccl-native", TINY, machine="perlmutter")[8]
     lumi = run_latency("gpuccl-native", TINY, machine="lumi")[8]
     assert lumi > 1.5 * perl
+
+
+UNICONN = ("uniconn:mpi", "uniconn:gpuccl", "uniconn:gpushmem", "uniconn:gpushmem-device")
+
+
+@pytest.mark.parametrize("machine, inter_node, winner", [
+    ("perlmutter", False, "uniconn:gpushmem-device"),
+    ("perlmutter", True, "uniconn:mpi"),
+    ("marenostrum5", False, "uniconn:gpushmem-device"),
+])
+def test_small_message_winner_among_uniconn_variants(machine, inter_node, winner):
+    """Fig. 2's ordering through the Uniconn API, at 8 B: device-initiated
+    one-sided wins intra-node on the NVLink machines (H100 NVLink4 on
+    MareNostrum5 too); MPI's eager CPU path wins inter-node."""
+    lat = {v: run_latency(v, TINY, machine=machine, inter_node=inter_node)[8]
+           for v in UNICONN}
+    assert min(lat, key=lat.get) == winner, lat
+
+
+def test_rocshmem_lumi_keeps_mpi_the_small_message_winner():
+    """The immature rocSHMEM's heavy overheads keep MPI ahead of the
+    host-API GPUSHMEM at 8 B intra-node on LUMI, unlike NVSHMEM on the
+    NVIDIA machines."""
+    spec = lumi(enable_rocshmem=True)
+    lat = {v: run_latency(v, TINY, machine=spec)[8] for v in UNICONN[:3]}
+    assert min(lat, key=lat.get) == "uniconn:mpi", lat
 
 
 def test_unknown_variants_rejected():

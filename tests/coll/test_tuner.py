@@ -1,4 +1,4 @@
-"""CollTable / CollPolicy / CollTuner + the ``repro tune --coll`` CLI."""
+"""CollTable / CollPolicy / CollTuner + the ``repro tune`` CLI."""
 
 import io
 import json
@@ -77,11 +77,13 @@ def test_tuner_selects_differently_small_vs_large():
 
 
 def test_crossovers_reported():
+    """The table's band edges are the crossovers: each closes a band whose
+    winner differs from the next one's, at a probe size."""
     t = _tuner()
-    cross = t.crossovers("gpuccl", "all_reduce")
-    assert cross, "expected at least one selection crossover at 64 GPUs"
-    for nbytes, small_sel, large_sel in cross:
-        assert small_sel.describe() != large_sel.describe()
+    bands = t.build_table().entries[t.topo.signature()]["gpuccl"]["all_reduce"]
+    assert len(bands) >= 2, "expected at least one selection crossover at 64 GPUs"
+    for (nbytes, *small_sel), (_, *large_sel) in zip(bands, bands[1:]):
+        assert small_sel != large_sel
         assert nbytes in t.PROBE_SIZES
 
 
@@ -180,7 +182,7 @@ def test_cli_tune_coll_dump(tmp_path):
 
     dest = tmp_path / "coll_table.json"
     out = io.StringIO()
-    rc = main(["tune", "--coll", "--gpus", "64", "--machine", "perlmutter",
+    rc = main(["tune", "--gpus", "64", "--machine", "perlmutter",
                "--dump", str(dest)], out=out)
     assert rc == 0
     assert "schema valid" in out.getvalue()

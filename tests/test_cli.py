@@ -59,11 +59,43 @@ def test_bandwidth_command_inter_node():
 
 def test_tune_writes_table(tmp_path):
     path = tmp_path / "table.json"
-    code, text = run_cli(["tune", "--machine", "lumi", "--dump", str(path)])
+    code, text = run_cli(["tune", "--machine", "lumi", "--gpus", "8", "--dump", str(path)])
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["machine"] == "lumi"
-    assert "intra" in doc["measurements"]
+    assert doc["schema"] == "repro.coll.table" and doc["machine"] == "lumi"
+    assert "lumi/p8/8" in text
+
+
+@pytest.mark.parametrize("gpus", ["0", "-4"])
+def test_tune_rejects_fewer_than_one_gpu(gpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["tune", "--gpus", gpus])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == f"repro tune: error: argument --gpus: must be >= 1, got {gpus}"
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("tune", "--dump"), ("report", "--metrics-out"), ("report", "--trace-out"),
+    ("submit", "--json")])
+def test_an_output_path_that_cannot_be_written_is_refused_before_the_run(
+        tmp_path, capsys, verb, flag):
+    """A missing directory or a directory as the file is a parse error:
+    no table is tuned, no job simulated or stored, for output that
+    cannot land."""
+    store = tmp_path / "store"
+    extra = ["--gpus", "8"] if verb == "tune" else ["--gpus", "2", "--size", "32"]
+    if verb == "submit":
+        extra += ["--store", str(store)]
+    for bad in (tmp_path / "no_such_dir" / "out.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([verb, *extra, flag, str(bad)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        why = (f"{str(bad)!r} is a directory" if bad.is_dir()
+               else f"directory {str(bad.parent)!r} does not exist")
+        assert err.splitlines()[-1] == f"repro {verb}: error: argument {flag}: {why}"
+    assert not store.exists()
 
 
 def test_report_trace_out_writes_chrome_json(tmp_path):
@@ -151,6 +183,8 @@ def test_parse_variant_is_the_one_grammar():
     ["cg", "--nnz", "33"],
     ["latency", "--sizes", "8", "1024"],
     ["trace", "--out", "trace.json"],  # now `report --trace-out`
+    ["tune", "--coll"],  # tune builds only the collective table
+    ["tune", "--nodes", "2"],  # the node count follows from --gpus
 ])
 def test_retired_jacobi_flags_rejected(argv):
     with pytest.raises(SystemExit):

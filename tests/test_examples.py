@@ -42,10 +42,6 @@ def test_backend_comparison_example():
     run_example("backend_comparison.py", ["lumi"])
 
 
-def test_auto_backend_example():
-    run_example("auto_backend.py", ["lumi"])
-
-
 def test_jacobi2d_tiles_example():
     run_example("jacobi2d_tiles.py", ["4", "48"])
 

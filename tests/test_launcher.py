@@ -138,7 +138,8 @@ def _report_cli(*extra):
 
 def test_unwritable_trace_out_fails_before_the_run(tmp_path, monkeypatch):
     """The path is checked up front, through launch() and `repro report
-    --trace-out` alike: nothing is simulated for a trace that cannot land."""
+    --trace-out` alike (the CLI refuses it as a parse error, exit 2):
+    nothing is simulated for a trace that cannot land."""
     from repro import launcher
 
     simulated = []
@@ -148,8 +149,9 @@ def test_unwritable_trace_out_fails_before_the_run(tmp_path, monkeypatch):
     bad = str(tmp_path / "no_such_dir" / "trace.json")
     with pytest.raises(OSError, match="no_such_dir"):
         launch(lambda ctx: None, 2, trace_out=bad)
-    with pytest.raises(OSError, match="no_such_dir"):
+    with pytest.raises(SystemExit) as exc:
         _report_cli("--trace-out", bad)
+    assert exc.value.code == 2
     assert not simulated
 
 
