@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc digest digest-check leak-check bench-selftest faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc digest digest-check leak-check call-census bench-selftest faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -13,7 +13,7 @@ loc:
 		printf '%s/ %s\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
 	done
 
-# Byte-identity digest of 98 pinned runs (tools/run_digest.py): one line
+# Byte-identity digest of 101 pinned runs (tools/run_digest.py): one line
 # per run with the sha256 of its Chrome trace and of its RunReport document
 # (plus the host-side scheduler counters and OS-thread count, and on
 # sanitized runs the sanitizer's bookkeeping counts, as unhashed
@@ -40,6 +40,15 @@ digest-check:
 # `python tools/gc_census.py <variant> [--iters A,B]` examines one variant.
 leak-check:
 	@$(PYTHON) tools/gc_census.py --check
+
+# Host cost per transfer as a noise-free count (tools/call_census.py): calls
+# into repro functions, under cProfile on every thread, per MPI message,
+# GPUCCL send and GPUSHMEM put of three fixed programs (the marginal count
+# between two round counts), and per pass of the jacobi_live job list;
+# exits 1 when a count exceeds its committed bound (the count when the
+# bound was set + 5 %); ~5 s.
+call-census:
+	@$(PYTHON) tools/call_census.py --check
 
 # Layered host-time benchmark self-test (benchmarks/perf/README.md): every
 # workload at toy scale through the real harness, output checks included;

@@ -12,45 +12,40 @@ import numpy as np
 from ..coll import CANONICAL_SHMEM_KINDS
 from ..errors import BackendError
 from ..gpu.buffer import DeviceBuffer
-from ..obs import record_transfer
 
-__all__ = ["BufferLike", "as_array", "nbytes_of", "REDUCE_OPS", "apply_reduce",
-           "InFlight", "FusedCollective"]
+__all__ = ["BufferLike", "storage", "as_array", "REDUCE_OPS", "apply_reduce",
+           "DataPlane", "InFlight", "FusedCollective"]
 
 BufferLike = Union[DeviceBuffer, np.ndarray]
 
 
-def _storage(buf: BufferLike) -> np.ndarray:
-    # DeviceBuffer and SymBuffer expose live storage through ``.raw``
-    # (like ``.data`` but without sanitizer access recording: backend
-    # internals record their payload reads/writes explicitly, with precise
-    # kinds and ranges).
-    raw = getattr(buf, "raw", None)
-    if isinstance(raw, np.ndarray):
-        return raw
-    data = getattr(buf, "data", None)
-    if isinstance(data, np.ndarray):
-        return data
-    return np.asarray(buf)
+def storage(buf: BufferLike, count: int = 0) -> np.ndarray:
+    """The live 1-D storage behind a device/symmetric buffer or host array,
+    checked to hold at least ``count`` elements.
 
-
-def as_array(buf: BufferLike, count: int = None) -> np.ndarray:
-    """The live storage behind a device/symmetric buffer or host array."""
-    arr = _storage(buf)
-    if arr.ndim != 1:  # device buffers are always 1-D; skip the reshape
-        arr = arr.reshape(-1)
-    if count is not None:
-        if count > arr.size:
-            raise BackendError(f"count {count} exceeds buffer size {arr.size}")
-        arr = arr[:count]
+    Device, symmetric and RMA buffers expose it as ``.raw`` (like ``.data``
+    but without sanitizer access recording: backend internals record their
+    payload reads/writes explicitly, with precise kinds and ranges; ``.raw``
+    still refuses a freed buffer). A backend resolves each side of a
+    transfer once, where the call is made, and hands the array on.
+    """
+    if isinstance(buf, np.ndarray):
+        arr = buf if buf.ndim == 1 else buf.reshape(-1)
+    else:
+        try:
+            arr = buf.raw  # device buffers are always 1-D
+        except AttributeError:
+            arr = np.asarray(buf).reshape(-1)
+    if count > arr.size:
+        raise BackendError(f"count {count} exceeds buffer size {arr.size}")
     return arr
 
 
-def nbytes_of(buf: BufferLike, count: int = None) -> int:
-    """Byte size of count elements (or the whole buffer)."""
-    arr = _storage(buf)
-    itemsize = arr.dtype.itemsize
-    return int((arr.size if count is None else count) * itemsize)
+def as_array(buf: BufferLike, count: int = None) -> np.ndarray:
+    """The live storage behind a buffer (its first ``count`` elements)."""
+    if count is None:
+        return storage(buf)
+    return storage(buf, count)[:count]
 
 
 REDUCE_OPS = {
@@ -80,6 +75,24 @@ def _ptr(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
+class DataPlane:
+    """One backend world's end of the data plane, fixed when the world is
+    made: its engine, its metric label, and the two link series every wire
+    reservation feeds — the queueing delay behind earlier messages on a
+    shared link, and the wire-occupancy seconds (link utilization, divided
+    by the run's makespan)."""
+
+    __slots__ = ("engine", "backend", "queue_delay", "busy")
+
+    def __init__(self, engine, backend: str):
+        self.engine = engine
+        self.backend = backend  # metric label: "mpi" | "gpuccl" | "gpushmem"
+        metrics = engine.metrics
+        self.queue_delay = metrics.bind_histogram("link_queue_delay_seconds",
+                                                  backend=backend)
+        self.busy = metrics.bind_counter("link_busy_seconds_total", backend=backend)
+
+
 class InFlight:
     """One payload between issue and landing — the data plane's only seam.
 
@@ -87,33 +100,40 @@ class InFlight:
     completion is observed; what happens to the payload in between does
     not differ, so it lives here once. Issue captures the revoke fence
     epoch (:meth:`Engine.fence`); :meth:`snapshot` copies the source;
-    :meth:`wire` accounts the link reservation that carries it; at delivery
-    the backend asks :meth:`dropped` and, unless a revoke fenced the data
-    plane in between, calls :meth:`land`. Every cross-cutting subsystem
-    hooks in here and nowhere else in ``repro.backends``: the sanitizer's
-    payload read/write records, the capture runtime's replayable
-    snapshot/delivery effects and congestion marker, the link metrics and
-    ``fenced_deliveries_total``.
+    :meth:`wire` reserves the path that carries it and accounts the
+    reservation; at delivery the backend asks :meth:`dropped` and, unless a
+    revoke fenced the data plane in between, calls :meth:`land`. Every
+    cross-cutting subsystem hooks in here and nowhere else in
+    ``repro.backends``: the sanitizer's payload read/write records, the
+    capture runtime's replayable snapshot/delivery effects and congestion
+    marker, the link metrics and ``fenced_deliveries_total``.
+
+    Both ends take a buffer *and* its storage array (:func:`storage`),
+    which the backend resolved once where the transfer was made: the
+    buffer is what the sanitizer records, the array is what moves.
 
     What stays with each backend is what is genuinely its own: matching,
     request/op completion, whether a fenced op *retires* (GPUSHMEM, RMA) or
-    *stays pending* (MPI two-sided, GPUCCL), and the sanitizer's
+    *stays pending* (MPI two-sided, GPUCCL), the per-pair records that fix
+    each (src, dst) pair's path, labels and series, and the sanitizer's
     acquire/release edges on its request, path or slot objects.
     """
 
-    __slots__ = ("engine", "backend", "epoch", "src", "offset", "count",
+    __slots__ = ("plane", "engine", "epoch", "src", "src_arr", "offset", "count",
                  "note", "key", "data")
 
-    def __init__(self, engine, backend: str):
-        self.engine = engine
-        self.backend = backend  # metric label: "mpi" | "gpuccl" | "gpushmem"
+    def __init__(self, plane: DataPlane):
+        self.plane = plane
+        self.engine = engine = plane.engine
         self.epoch = engine.fence_epoch
         self.data: Optional[np.ndarray] = None
 
-    def snapshot(self, src: BufferLike, count: int, *, note: str,
+    def snapshot(self, src: BufferLike, arr: np.ndarray, count: int, *, note: str,
                  key: Optional[tuple] = None, offset: int = 0,
                  live: bool = False) -> "InFlight":
-        """Take ``count`` elements of ``src`` as this payload.
+        """Take ``count`` elements of ``src`` from ``offset`` as this
+        payload; ``arr`` is ``src``'s storage, checked by the caller to
+        hold them.
 
         ``key`` — ``(kind letter, *endpoint ids)`` — names the payload to
         the capture runtime (effects ``<kind>snap`` here and ``<kind>dlv``
@@ -122,7 +142,7 @@ class InFlight:
         the closest single-snapshot approximation of a one-sided get
         racing with remote writes.
         """
-        self.src, self.offset, self.count = src, offset, count
+        self.src, self.src_arr, self.offset, self.count = src, arr, offset, count
         self.note, self.key = note, key
         if live:
             self.data = None
@@ -131,8 +151,7 @@ class InFlight:
         san = engine.sanitizer
         if san is not None:
             san.record(src, "r", offset, count, note=note)
-        arr = as_array(src, offset + count)
-        view = arr[offset:] if offset else arr
+        view = arr if offset == 0 and count == arr.size else arr[offset:offset + count]
         self.data = data = view.copy()
         cap = engine.capture
         if cap is not None and key is not None:
@@ -142,15 +161,18 @@ class InFlight:
                        lambda: np.copyto(data, view))
         return self
 
-    def wire(self, transfer, requested: Optional[float] = None):
-        """Account the link reservation carrying this payload (requested at
-        virtual time ``requested``, default now); returns ``transfer``."""
-        engine = self.engine
-        cap = engine.capture
+    def wire(self, path, nbytes: int, requested: float):
+        """Reserve ``path`` for ``nbytes`` from virtual time ``requested``
+        and account the reservation; returns the :class:`Transfer`. Any gap
+        between ``requested`` and the transfer's start is queueing delay
+        behind earlier messages on a shared link."""
+        transfer = path.reserve(requested, nbytes)
+        cap = self.engine.capture
         if cap is not None:
             cap.on_reserve(transfer)
-        record_transfer(engine.metrics, self.backend,
-                        engine.now if requested is None else requested, transfer)
+        plane = self.plane
+        plane.queue_delay.observe(transfer.start - requested)
+        plane.busy.inc(transfer.inject_done - transfer.start)
         return transfer
 
     @property
@@ -166,31 +188,31 @@ class InFlight:
             return False
         metrics = self.engine.metrics
         if metrics.enabled:
-            metrics.inc("fenced_deliveries_total", backend=self.backend)
+            metrics.inc("fenced_deliveries_total", backend=self.plane.backend)
         return True
 
-    def land(self, dst: BufferLike, *, note: str, offset: int = 0,
+    def land(self, dst: BufferLike, arr: np.ndarray, *, note: str, offset: int = 0,
              reduce: Optional[str] = None) -> None:
-        """Write the payload into ``dst[offset:]`` (``reduce``: accumulate
-        atomically with that op instead of overwriting)."""
+        """Write the payload into ``dst[offset:]``, whose storage is ``arr``
+        (``reduce``: accumulate atomically with that op instead of
+        overwriting)."""
         engine = self.engine
         count, data = self.count, self.data
-        src, lo = self.src, self.offset
         san = engine.sanitizer
         if san is not None:
             if data is None:
-                san.record(src, "r", lo, count, note=self.note)
+                san.record(self.src, "r", self.offset, count, note=self.note)
             # Accumulates are atomic: they conflict with reads/writes but
             # not with each other ("aw").
             san.record(dst, "aw" if reduce else "w", offset, count, note=note)
 
-        # Resolved once. Views alias live storage, so the replayed effect
-        # re-reads a live source; the capture key names the buffer that
-        # varies — the destination, or the remote source of a live read.
-        keyed = as_array(dst)
-        view = keyed[offset:offset + count]
+        # Views alias live storage, so the replayed effect re-reads a live
+        # source; the capture key names the buffer that varies — the
+        # destination, or the remote source of a live read.
+        keyed = arr
+        view = arr if offset == 0 and count == arr.size else arr[offset:offset + count]
         if data is None:
-            keyed = as_array(src)
+            keyed, lo = self.src_arr, self.offset
             data = keyed[lo:lo + count]
         if reduce is None:
             view[:] = data
@@ -223,11 +245,12 @@ class FusedCollective:
     step), so labels and messages stay the library's own.
     """
 
-    def __init__(self, engine, backend: str, size: int,
+    def __init__(self, plane: DataPlane, size: int,
                  duration: Callable[..., float], kind: str, count: int,
                  op: Optional[str], root: Optional[int], algorithm):
-        self.engine = engine
-        self.backend = backend
+        self.plane = plane
+        self.engine = plane.engine
+        backend = plane.backend
         self.size = size
         self.duration = duration
         # (kind, count, op, root, algorithm, protocol, channels): the slot
@@ -279,7 +302,7 @@ class FusedCollective:
                          if snap is not None), 1)
         kind, count = self.signature[:2]
         duration = self.duration(kind, count * itemsize, *self.signature[4:])
-        flight = InFlight(self.engine, self.backend)
+        flight = InFlight(self.plane)
 
         def complete() -> None:
             if flight.dropped():

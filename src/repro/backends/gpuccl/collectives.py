@@ -51,7 +51,7 @@ def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[Bu
         # RingModel timing exactly; any other selection is priced over its
         # generated schedule with the chosen wire protocol and rail count.
         slot = shared.coll_slots[seq] = FusedCollective(
-            comm.engine, "gpuccl", comm.size, shared.ring.duration,
+            shared.plane, comm.size, shared.ring.duration,
             kind, count, op, root, algorithm)
         # Every member has looked the slot up by the time it completes:
         # it leaves the table then, snapshots and finishers with it.

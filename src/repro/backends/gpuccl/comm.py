@@ -14,7 +14,8 @@ Semantics follow NCCL/RCCL:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ...coll import GpucclModel, Topology, model_for
 from ...errors import GpucclError
@@ -22,7 +23,7 @@ from ...gpu.stream import ExternalOp, Stream
 from ...launcher import RankContext
 from ...obs import SeriesBy, size_class
 from ...sim import current_engine
-from ..common import BufferLike, InFlight, as_array
+from ..common import BufferLike, DataPlane, InFlight, storage
 from ..rendezvous import RendezvousBoard
 
 __all__ = ["GpucclComm", "GpucclUniqueId", "get_unique_id", "group_start", "group_end"]
@@ -51,16 +52,37 @@ def get_unique_id() -> GpucclUniqueId:
 # --------------------------------------------------------------------- #
 
 
-class _P2PEntry:
-    __slots__ = ("kind", "buf", "count", "nbytes", "src", "dst", "parent", "_san_clock")
+class _Pair:
+    """What is fixed for one ordered (src, dst) pair of communicator ranks,
+    made on the pair's first op: the path between their GPUs, the pair's
+    FIFO match queues, its byte series and message series per message
+    size, and the labels its payloads carry to the sanitizer and capture."""
 
-    def __init__(self, kind: str, buf: BufferLike, count: int, src: int, dst: int):
+    __slots__ = ("src", "dst", "path", "sends", "recvs", "messages", "bytes",
+                 "key", "send_note", "recv_note")
+
+    def __init__(self, shared: "_CommShared", src: int, dst: int):
+        self.src, self.dst = src, dst
+        self.path = shared.cluster.path(shared.gpu_ids[src], shared.gpu_ids[dst])
+        self.sends: Deque["_P2PEntry"] = deque()
+        self.recvs: Deque["_P2PEntry"] = deque()
+        self.messages: Dict[int, object] = {}  # nbytes -> series
+        self.bytes = shared._bytes[src]
+        self.key = ("c", src, dst)
+        self.send_note = f"ccl-send->{dst}"
+        self.recv_note = f"ccl-recv<-{src}"
+
+
+class _P2PEntry:
+    __slots__ = ("kind", "buf", "arr", "count", "nbytes", "pair", "parent", "_san_clock")
+
+    def __init__(self, kind: str, buf: BufferLike, count: int, pair: _Pair):
         self.kind = kind
         self.buf = buf
+        self.arr = arr = storage(buf, count)
         self.count = count
-        self.nbytes = int(count * as_array(buf).dtype.itemsize)
-        self.src = src
-        self.dst = dst
+        self.nbytes = int(count * arr.dtype.itemsize)
+        self.pair = pair
         self.parent: Optional["_FusedOp"] = None
 
 
@@ -119,7 +141,8 @@ class _CommShared:
         # all ranks, as in NCCL where the comm itself goes into error state).
         self.error: Optional[GpucclError] = None
         self.board = RendezvousBoard(engine)
-        self._queues: Dict[Tuple[int, int], Tuple[List[_P2PEntry], List[_P2PEntry]]] = {}
+        self.plane = DataPlane(engine, "gpuccl")
+        self._pairs: Dict[Tuple[int, int], _Pair] = {}
         self.coll_slots: Dict[int, object] = {}
         self._ring: Optional[GpucclModel] = None
         metrics = engine.metrics
@@ -138,13 +161,23 @@ class _CommShared:
 
     def close(self) -> None:
         """Untie the finished job's communicator state (``Job.close``):
-        unmatched entries, collective slots, the bootstrap rendezvous and
-        the ring model's topology."""
-        self._queues.clear()
+        the pair records with their unmatched entries, collective slots, the
+        bootstrap rendezvous and the ring model's topology."""
+        for pair in self._pairs.values():  # an unmatched entry names its pair
+            pair.sends.clear()
+            pair.recvs.clear()
+        self._pairs.clear()
         self.coll_slots.clear()
         self.board.close()
         if self._ring is not None:
             self._ring.topo.close()
+
+    def pair(self, src: int, dst: int) -> _Pair:
+        """The record of ranks ``src`` -> ``dst``."""
+        pair = self._pairs.get((src, dst))
+        if pair is None:
+            pair = self._pairs[src, dst] = _Pair(self, src, dst)
+        return pair
 
     def register(self, entry: _P2PEntry) -> None:
         san = self.engine.sanitizer
@@ -152,34 +185,37 @@ class _CommShared:
             # register() runs in the entry's stream-kernel chain; the match
             # in _fire must be ordered after it (see the acquires there).
             san.release(entry)
-        key = (entry.src, entry.dst)
-        sends, recvs = self._queues.setdefault(key, ([], []))
+        pair = entry.pair
+        sends, recvs = pair.sends, pair.recvs
         (sends if entry.kind == "send" else recvs).append(entry)
         while sends and recvs:
-            self._fire(sends.pop(0), recvs.pop(0))
+            self._fire(pair, sends.popleft(), recvs.popleft())
 
-    def _fire(self, send: _P2PEntry, recv: _P2PEntry) -> None:
+    def _fire(self, pair: _Pair, send: _P2PEntry, recv: _P2PEntry) -> None:
         if recv.count < send.count:
             raise GpucclError(
                 f"gpuccl p2p size mismatch: send {send.count} > recv {recv.count} "
-                f"({send.src}->{send.dst})"
+                f"({pair.src}->{pair.dst})"
             )
-        path = self.cluster.path(self.gpu_ids[send.src], self.gpu_ids[send.dst])
-        requested = self.engine.now + self.profile.protocol_overhead
-        flight = InFlight(self.engine, "gpuccl")
-        transfer = flight.wire(path.reserve(requested, send.nbytes), requested)
-        if self.engine.metrics.enabled:
-            self._messages[size_class(send.nbytes), send.src].inc()
-            self._bytes[send.src].inc(send.nbytes)
-        san = self.engine.sanitizer
+        engine = self.engine
+        nbytes = send.nbytes
+        requested = engine.now + self.profile.protocol_overhead
+        flight = InFlight(self.plane)
+        transfer = flight.wire(pair.path, nbytes, requested)
+        if engine.metrics.enabled:
+            messages = pair.messages.get(nbytes)
+            if messages is None:
+                messages = pair.messages[nbytes] = self._messages[size_class(nbytes), pair.src]
+            messages.inc()
+            pair.bytes.inc(nbytes)
+        san = engine.sanitizer
         if san is not None:
             # The match runs in whichever side registered last; order it
             # after BOTH sides so the payload read/write inherit each
             # stream's happens-before edges.
             san.acquire(send)
             san.acquire(recv)
-        flight.snapshot(send.buf, send.count, key=("c", send.src, send.dst),
-                        note=f"ccl-send->{send.dst}")
+        flight.snapshot(send.buf, send.arr, send.count, key=pair.key, note=pair.send_note)
 
         def deliver() -> None:
             if flight.dropped():
@@ -187,11 +223,11 @@ class _CommShared:
                 # discarded and the op left unfinished — its waiters have
                 # already unwound through the recovery path.
                 return
-            flight.land(recv.buf, note=f"ccl-recv<-{send.src}")
+            flight.land(recv.buf, recv.arr, note=pair.recv_note)
             send.parent.entry_done()
             recv.parent.entry_done()
 
-        self.engine.schedule(max(0.0, transfer.delivered - self.engine.now), deliver)
+        engine.schedule(max(0.0, transfer.delivered - engine.now), deliver)
 
 
 # --------------------------------------------------------------------- #
@@ -338,8 +374,7 @@ class GpucclComm:
         raise error
 
     def _submit(self, entry: _P2PEntry, stream: Stream) -> None:
-        task = _current_task()
-        group = _active_groups.get(task)
+        group = _active_groups.get(self.engine.current_task)
         if group is not None:
             group.pending.append((self, stream, entry))
         else:
@@ -348,12 +383,12 @@ class GpucclComm:
     def send(self, buf: BufferLike, count: int, peer: int, stream: Stream) -> None:
         """ncclSend: stream-ordered; blocks the stream until matched."""
         self._check(peer)
-        self._submit(_P2PEntry("send", buf, count, self.rank, peer), stream)
+        self._submit(_P2PEntry("send", buf, count, self.shared.pair(self.rank, peer)), stream)
 
     def recv(self, buf: BufferLike, count: int, peer: int, stream: Stream) -> None:
         """ncclRecv: stream-ordered; blocks the stream until matched."""
         self._check(peer)
-        self._submit(_P2PEntry("recv", buf, count, peer, self.rank), stream)
+        self._submit(_P2PEntry("recv", buf, count, self.shared.pair(peer, self.rank)), stream)
 
     # Collectives live in collectives.py; bound here for a flat API.
     from .collectives import (  # noqa: E402  (methods-by-import idiom)

@@ -73,9 +73,8 @@ class ShmemTeam:
             # "tree" with no explicit protocol is the historical put-tree
             # formula; any other selection is priced over its generated
             # schedule with the chosen wire protocol and rail count.
-            slot = FusedCollective(self.world.engine, "gpushmem", self.size,
-                                   self.model.duration, kind, count, op, root,
-                                   algorithm)
+            slot = FusedCollective(self.world.plane, self.size, self.model.duration,
+                                   kind, count, op, root, algorithm)
             done = SimEvent(self.world.engine, name=f"shmem-{kind}")
             # Every member has looked the slot up by the time it completes:
             # it leaves the table then, snapshots and finishers with it.

@@ -26,12 +26,12 @@ from ...gpu.stream import ExternalOp, Stream
 from ...launcher import Job, RankContext
 from ...obs import SeriesBy
 from ...sim import Counter, SimEvent, wait_until
-from ..common import BufferLike
+from ..common import BufferLike, DataPlane
 from ..rendezvous import RendezvousBoard
 from .collectives import ShmemTeam
 from .device_api import ShmemDevice
 from .heap import CMP, SIGNAL_SET, SymBuffer, SymObject
-from .transfers import issue_get, issue_put
+from .transfers import PePair, check_signal, issue_get, issue_put
 
 __all__ = ["ShmemContext", "ShmemWorld"]
 
@@ -52,6 +52,9 @@ class ShmemWorld:
         self.board = RendezvousBoard(job.engine)
         self.contexts: Dict[int, "ShmemContext"] = {}
         self.allocations: List[SymObject] = []
+        self.plane = DataPlane(self.engine, "gpushmem")
+        #: (src PE, dst PE) -> the pair's record (transfers.PePair).
+        self.pairs: Dict[Tuple[int, int], PePair] = {}
         # Traffic series (fed by transfers.issue_put / issue_get).
         bind = self.engine.metrics.bind_counter
         self.puts = SeriesBy(bind, "shmem_puts_total", "size", "rank")
@@ -60,10 +63,19 @@ class ShmemWorld:
 
     def close(self) -> None:
         """Untie the finished job's GPUSHMEM state (``Job.close``): world
-        <-> contexts (and through them the teams), and the rendezvous
-        board with the symmetric heap and the teams' topologies."""
+        <-> contexts (and through them the teams), the pair records, and
+        the rendezvous board with the symmetric heap and the teams'
+        topologies."""
         self.contexts.clear()
+        self.pairs.clear()
         self.board.close()
+
+    def pair(self, src: int, dst: int) -> PePair:
+        """The record of PE ``src`` -> PE ``dst``."""
+        pair = self.pairs.get((src, dst))
+        if pair is None:
+            pair = self.pairs[src, dst] = PePair(self, src, dst)
+        return pair
 
     def gpu_of(self, pe: int) -> int:
         """The GPU id a PE drives."""
@@ -71,10 +83,6 @@ class ShmemWorld:
         if ctx is None:
             raise GpushmemError(f"PE {pe} is not initialized")
         return ctx.device.gpu_id
-
-    def same_node(self, a: int, b: int) -> bool:
-        """True when two PEs' GPUs share a node."""
-        return self.cluster.same_node(self.gpu_of(a), self.gpu_of(b))
 
 
 class ShmemContext:
@@ -134,38 +142,29 @@ class ShmemContext:
         if not 0 <= pe < self.n_pes:
             raise GpushmemError(f"PE {pe} out of range [0,{self.n_pes})")
 
-    def _latency_terms(self, pe: int, device_initiated: bool):
-        """(extra issue latency, delivery adjust) for one put/get.
+    def _pair(self, pe: int) -> PePair:
+        """The record of this PE's traffic to ``pe`` (range-checked when
+        first made)."""
+        pair = self.world.pairs.get((self.my_pe, pe))
+        if pair is None:
+            self._pe_check(pe)
+            pair = self.world.pair(self.my_pe, pe)
+        return pair
 
-        Device-initiated inter-node traffic pays the proxy thread; device-
-        initiated intra-node traffic is direct NVLink load/store and skips
-        most of the channel's software latency.
-        """
-        if not device_initiated or pe == self.my_pe:
-            return 0.0, 0.0
-        if self.world.same_node(self.my_pe, pe):
-            return 0.0, -self.profile.device_direct_discount
-        return self.profile.proxy_overhead, 0.0
-
-    def _extra_latency(self, pe: int, device_initiated: bool) -> float:
-        return self._latency_terms(pe, device_initiated)[0]
-
-    def _issue_put(self, dest, src, count, pe, *, signal=None, penalty=1.0,
+    def _issue_put(self, pair, dest, src, count, *, signal=None, penalty=1.0,
                    device_initiated=False, on_local_done=None) -> None:
-        """One put; it counts as outstanding from its issue (see
-        :func:`issue_put`) until it is delivered."""
-        self._pe_check(pe)
-        outstanding = self._outstanding
-        extra, adjust = self._latency_terms(pe, device_initiated)
+        """One put along ``pair``; it counts as outstanding from its issue
+        (see :func:`issue_put`) until it is delivered. A device-initiated
+        put pays the pair's device-path latency terms."""
+        extra, adjust = pair.device_terms if device_initiated else (0.0, 0.0)
         issue_put(
-            self.world, self.my_pe, pe, dest, src, count,
+            self.world, pair, dest, src, count,
             signal=signal,
             bandwidth_penalty=penalty,
             extra_latency=extra,
             latency_adjust=adjust,
-            on_issue=lambda: outstanding.add(1),
+            outstanding=self._outstanding,
             on_local_done=on_local_done,
-            on_delivered=lambda: outstanding.add(-1),
         )
 
     def _outstanding_at_own_time(self) -> List[int]:
@@ -185,7 +184,7 @@ class ShmemContext:
         """Blocking host put: returns when the data is delivered."""
         self.engine.defer_busy(self.profile.host_post_overhead)
         before = self._outstanding_at_own_time()
-        self._issue_put(dest, src, count, pe)
+        self._issue_put(self._pair(pe), dest, src, count)
         self._outstanding.wait_for(lambda v: v <= before[0])
 
     def get(self, dest: BufferLike, src: SymBuffer, count: int, pe: int) -> None:
@@ -193,7 +192,8 @@ class ShmemContext:
         self._pe_check(pe)
         self.engine.defer_busy(self.profile.host_post_overhead)
         done = SimEvent(self.engine, "get")
-        issue_get(self.world, self.my_pe, pe, dest, src, count, on_delivered=done.set)
+        issue_get(self.world, self.world.pair(pe, self.my_pe), dest, src, count,
+                  on_delivered=done.set)
         done.wait()
 
     def put_signal(self, dest: SymBuffer, src: BufferLike, count: int,
@@ -201,7 +201,7 @@ class ShmemContext:
         """Blocking host put-with-signal."""
         self.engine.defer_busy(self.profile.host_post_overhead)
         before = self._outstanding_at_own_time()
-        self._issue_put(dest, src, count, pe, signal=(sig, value, op))
+        self._issue_put(self._pair(pe), dest, src, count, signal=(sig, value, op))
         self._outstanding.wait_for(lambda v: v <= before[0])
 
     def signal_wait_until(self, sig: SymBuffer, cmp: str, value: int,
@@ -238,11 +238,11 @@ class ShmemContext:
     def put_on_stream(self, dest: SymBuffer, src: BufferLike, count: int,
                       pe: int, stream: Stream) -> None:
         """Stream-ordered one-sided put (nvshmemx_putmem_on_stream)."""
-        self._pe_check(pe)
+        pair = self._pair(pe)
 
         def on_start(op: ExternalOp) -> None:
             def issue() -> None:
-                self._issue_put(dest, src, count, pe, on_local_done=op.finish)
+                self._issue_put(pair, dest, src, count, on_local_done=op.finish)
 
             self.engine.schedule(self.profile.host_post_overhead, issue)
 
@@ -251,12 +251,14 @@ class ShmemContext:
     def put_signal_on_stream(self, dest: SymBuffer, src: BufferLike, count: int,
                              sig: SymBuffer, value: int, pe: int, stream: Stream,
                              op: str = SIGNAL_SET) -> None:
-        """Stream-ordered put-with-signal (payload first, then signal)."""
-        self._pe_check(pe)
+        """Stream-ordered put-with-signal (payload first, then signal).
+        The pair and the signal are checked here, at enqueue time."""
+        pair = self._pair(pe)
+        check_signal(sig, op)
 
         def on_start(op_handle: ExternalOp) -> None:
             def issue() -> None:
-                self._issue_put(dest, src, count, pe, signal=(sig, value, op),
+                self._issue_put(pair, dest, src, count, signal=(sig, value, op),
                                 on_local_done=op_handle.finish)
 
             self.engine.schedule(self.profile.host_post_overhead, issue)
@@ -267,10 +269,11 @@ class ShmemContext:
                       pe: int, stream: Stream) -> None:
         """Stream-ordered one-sided get."""
         self._pe_check(pe)
+        pair = self.world.pair(pe, self.my_pe)
 
         def on_start(op: ExternalOp) -> None:
             def issue() -> None:
-                issue_get(self.world, self.my_pe, pe, dest, src, count, on_delivered=op.finish)
+                issue_get(self.world, pair, dest, src, count, on_delivered=op.finish)
 
             self.engine.schedule(self.profile.host_post_overhead, issue)
 
@@ -374,10 +377,12 @@ def _signal_predicate(sig: SymBuffer, cmp: str, value: int):
     except KeyError:
         raise GpushmemError(f"unknown comparison {cmp!r}; known: {sorted(CMP)}") from None
 
+    local = sig.local  # the one view of the signal word on this PE
+
     def pred() -> bool:
         # `.raw`: predicates are simulation machinery, evaluated at notify
         # points under arbitrary contexts — the synchronization they build
         # (signal_wait_until) is what creates the happens-before edge.
-        return bool(compare(int(sig.local.raw[0]), value))
+        return bool(compare(int(local.raw[0]), value))
 
     return pred

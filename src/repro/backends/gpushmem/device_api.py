@@ -60,7 +60,7 @@ class ShmemDevice:
         has elapsed."""
         self.engine.defer_busy(self.profile.device_post_overhead)
         self._ctx._issue_put(
-            dest, src, count, pe,
+            self._ctx._pair(pe), dest, src, count,
             signal=signal,
             penalty=self._penalty(group),
             device_initiated=True,
@@ -92,14 +92,14 @@ class ShmemDevice:
     def get(self, dest: BufferLike, src: SymBuffer, count: int, pe: int,
             group: str = BLOCK) -> None:
         """Blocking get from PE ``pe``."""
-        if not 0 <= pe < self.n_pes:
-            raise GpushmemError(f"PE {pe} out of range [0,{self.n_pes})")
+        ctx = self._ctx
+        extra = ctx._pair(pe).device_terms[0]  # range-checks pe
         self.engine.defer_busy(self.profile.device_post_overhead)
         done = SimEvent(self.engine, "dev-get")
         issue_get(
-            self._ctx.world, self.my_pe, pe, dest, src, count,
+            ctx.world, ctx.world.pair(pe, self.my_pe), dest, src, count,
             bandwidth_penalty=self._penalty(group),
-            extra_latency=self._ctx._extra_latency(pe, device_initiated=True),
+            extra_latency=extra,
             on_delivered=done.set,
         )
         done.wait()

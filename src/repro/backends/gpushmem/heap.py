@@ -18,6 +18,7 @@ O(its waiters), not O(all PEs).
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,12 +33,12 @@ SIGNAL_SET = "set"
 SIGNAL_ADD = "add"
 
 CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "lt": operator.lt,
+    "le": operator.le,
 }
 
 
@@ -179,7 +180,8 @@ class SymBuffer:
     @property
     def raw(self) -> np.ndarray:
         """Local storage without sanitizer recording (simulation internals)."""
-        return self.local.raw
+        view = self._views.get(self.my_pe)
+        return (view if view is not None else self.view_at(self.my_pe)).raw
 
     def view_at(self, pe: int) -> DeviceBuffer:
         """The slice's storage on PE ``pe`` (the one-sided address map).
@@ -207,7 +209,9 @@ class SymBuffer:
         slice is the same object."""
         if count is None or start < 0 or count < 0 or start + count > self.count:
             return self[start:self.count if count is None else start + count]  # clamped
-        return self.obj.slice(self.my_pe, self.offset + start, count)
+        obj = self.obj
+        buf = obj._slices.get((self.my_pe, self.offset + start, count))
+        return buf if buf is not None else obj.slice(self.my_pe, self.offset + start, count)
 
     def read(self) -> np.ndarray:
         """Snapshot the local window contents."""

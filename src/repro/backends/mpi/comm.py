@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional
 
 from ...errors import MpiError
 from ...launcher import Job, RankContext
-from ..common import BufferLike, as_array
+from ..common import BufferLike
 from ..rendezvous import RendezvousBoard
 from . import collectives as _coll
 from .matching import ANY_SOURCE, ANY_TAG, MessageEngine
@@ -40,6 +40,11 @@ class MpiWorld:
         gpn = self.job.cluster.gpus_per_node
         return self.job.node_of_rank(global_rank) * gpn + self.job.node_rank_of(global_rank)
 
+    def device_moved(self, global_rank: int) -> None:
+        """``set_device`` gave a rank another GPU (``Job.device_moved``):
+        the matcher's pair records fixed paths from the old one."""
+        self.matcher.forget_pairs()
+
     def close(self) -> None:
         """Untie the finished job's MPI state (``Job.close``): world <->
         contexts <-> COMM_WORLD, the matcher and its rank lookup, and what
@@ -48,6 +53,7 @@ class MpiWorld:
             ctx.comm_world = None
         self.contexts.clear()
         self.board.close()
+        self.matcher.close()
         self.matcher = None
 
     def alloc_comm_ids(self, key: Any, n: int) -> int:
@@ -101,6 +107,7 @@ class MpiCommunicator:
         except ValueError:
             raise MpiError(f"rank {ctx.rank_ctx.rank} not in communicator members") from None
         self.size = len(members)
+        self._profile = ctx.profile
         self._coll_seq = 0
 
     # ------------------------------------------------------------------ #
@@ -111,10 +118,6 @@ class MpiCommunicator:
 
     def _charge(self, seconds: float) -> None:
         self.engine.defer_busy(seconds)
-
-    @property
-    def _profile(self):
-        return self.ctx.profile
 
     def _next_coll_tag(self) -> int:
         """A fresh internal tag space for one collective invocation."""

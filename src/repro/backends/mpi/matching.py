@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ...errors import MpiError, MpiTimeoutError
 from ...hardware.profiles import MpiProfile
 from ...obs import SeriesBy, size_class
-from ..common import BufferLike, InFlight, as_array
+from ..common import BufferLike, DataPlane, InFlight, storage
 from .request import Request
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "MessageEngine"]
@@ -34,21 +34,53 @@ ANY_SOURCE = None
 ANY_TAG = None
 
 
+class _Endpoint:
+    """One receiver's match queues on one communicator — pending sends
+    (the unexpected-message queue) and posted receives, each in arrival
+    order — and the depth gauge of each."""
+
+    __slots__ = ("sends", "recvs", "unexpected", "posted")
+
+    def __init__(self, depth: SeriesBy, dst: int):
+        self.sends: List["_SendRec"] = []
+        self.recvs: List["_RecvRec"] = []
+        self.unexpected = depth["unexpected", dst]
+        self.posted = depth["posted", dst]
+
+
+class _Pair:
+    """What is fixed for one (communicator, src, dst) pair of comm-local
+    ranks, made on the pair's first send: the path between the two ranks'
+    GPUs, their world ranks, the receiver's match queues, and the message
+    and byte series of each message size seen. It lives as long as the
+    matcher, unless either rank selects another GPU
+    (:meth:`MessageEngine.forget_pairs`)."""
+
+    __slots__ = ("path", "src_g", "dst_g", "endpoint", "sized")
+
+    def __init__(self, path, src_g: int, dst_g: int, endpoint: _Endpoint):
+        self.path = path
+        self.src_g, self.dst_g = src_g, dst_g
+        self.endpoint = endpoint
+        self.sized: Dict[int, tuple] = {}  # nbytes -> (messages, bytes) series
+
+
 class _SendRec:
     __slots__ = (
-        "src", "tag", "count", "nbytes", "kind", "path", "buf", "arrival_time",
+        "src", "tag", "count", "nbytes", "kind", "pair", "buf", "arr", "arrival_time",
         "flight", "request", "matched",
     )
 
     def __init__(self, src: int, tag: int, count: int, nbytes: int, kind: str,
-                 path, buf: BufferLike):
+                 pair: _Pair, buf: BufferLike, arr):
         self.src = src
         self.tag = tag
         self.count = count
         self.nbytes = nbytes
         self.kind = kind  # "eager" | "rdv"
-        self.path = path
+        self.pair = pair
         self.buf = buf  # live send buffer (rendezvous reads it at transfer time)
+        self.arr = arr  # its storage
         self.arrival_time: float = 0.0
         self.flight: Optional[InFlight] = None  # eager payload, already on the wire
         self.request: Optional[Request] = None
@@ -56,23 +88,17 @@ class _SendRec:
 
 
 class _RecvRec:
-    __slots__ = ("src", "tag", "count", "buf", "request", "matched")
+    __slots__ = ("src", "tag", "count", "buf", "arr", "request", "matched")
 
-    def __init__(self, src: Optional[int], tag: Optional[int], count: int, buf: BufferLike, request: Request):
+    def __init__(self, src: Optional[int], tag: Optional[int], count: int, buf: BufferLike,
+                 arr, request: Request):
         self.src = src
         self.tag = tag
         self.count = count
         self.buf = buf
+        self.arr = arr
         self.request = request
         self.matched = False
-
-
-def _tags_match(recv: _RecvRec, send: _SendRec) -> bool:
-    if recv.src is not ANY_SOURCE and recv.src != send.src:
-        return False
-    if recv.tag is not ANY_TAG and recv.tag != send.tag:
-        return False
-    return True
 
 
 class _Delivery:
@@ -93,21 +119,21 @@ class _Delivery:
     __slots__ = ("engine", "profile", "send", "recv", "dst", "flight",
                  "injector", "src_g", "dst_g", "first_try")
 
-    def __init__(self, engine, comm, profile: MpiProfile, send: _SendRec,
+    def __init__(self, plane: DataPlane, profile: MpiProfile, send: _SendRec,
                  recv: _RecvRec, dst: int):
-        self.engine = engine
+        self.engine = engine = plane.engine
         self.profile = profile
         self.send = send
         self.recv = recv
         self.dst = dst
         # Eager payloads were snapshotted and put on the wire at post time;
         # a rendezvous payload is issued by this match.
-        self.flight = send.flight or InFlight(engine, "mpi")
+        self.flight = send.flight or InFlight(plane)
         injector = engine.fault_injector
         if injector is not None and injector.has_message_faults:
             self.injector = injector
-            self.src_g = comm.global_rank_of(send.src)
-            self.dst_g = comm.global_rank_of(dst)
+            self.src_g = send.pair.src_g
+            self.dst_g = send.pair.dst_g
         else:
             self.injector = None
         self.first_try: Optional[float] = None  # time of the first wire attempt
@@ -134,10 +160,10 @@ class _Delivery:
             # wire now; rendezvous data moves straight from the live send
             # buffer.
             if not eager:
-                flight.snapshot(send.buf, send.count,
+                flight.snapshot(send.buf, send.arr, send.count,
                                 key=("r", send.src, self.dst, send.tag),
                                 note=f"send[{send.src}->{self.dst} tag={send.tag}]")
-            transfer = flight.wire(send.path.reserve(now, send.nbytes))
+            transfer = flight.wire(send.pair.path, send.nbytes, now)
             if not eager and not send.request.done:
                 engine.schedule(max(0.0, transfer.inject_done - now),
                                 send.request.complete)
@@ -180,22 +206,30 @@ class _Delivery:
             # and the recv stays pending — its waiter already unwound
             # through the recovery path.
             return
-        send = self.send
-        self.flight.land(self.recv.buf,
+        send, recv = self.send, self.recv
+        self.flight.land(recv.buf, recv.arr,
                          note=f"recv[{send.src}->{self.dst} tag={send.tag}]")
-        self.recv.request.complete()
+        recv.request.complete()
 
 
 class MessageEngine:
-    """Shared matcher for one MPI 'world' (all communicators)."""
+    """Shared matcher for one MPI 'world' (all communicators).
+
+    Matching state lives in two kinds of record, each made on first use:
+    an :class:`_Endpoint` per (communicator, receiver) — the match queues,
+    shared by every sender, as a wildcard receive must see all of them in
+    arrival order — and a :class:`_Pair` per (communicator, sender,
+    receiver), which fixes what every message of the pair would otherwise
+    re-derive. Ranks are comm-local throughout, as in the metric labels.
+    """
 
     def __init__(self, engine, cluster, gpu_of):
         self.engine = engine
         self.cluster = cluster
         self._gpu_of = gpu_of  # callable: global rank -> gpu id
-        # (comm_id, dst_local) -> pending records, in arrival order.
-        self._sends: Dict[Tuple[int, int], List[_SendRec]] = {}
-        self._recvs: Dict[Tuple[int, int], List[_RecvRec]] = {}
+        self.plane = DataPlane(engine, "mpi")
+        self._endpoints: Dict[Tuple[int, int], _Endpoint] = {}  # (comm_id, dst)
+        self._pairs: Dict[Tuple[int, int, int], _Pair] = {}  # (comm_id, src, dst)
         metrics = engine.metrics
         self._messages = SeriesBy(metrics.bind_counter, "mpi_messages_total",
                                    "protocol", "size", "rank")
@@ -216,22 +250,44 @@ class MessageEngine:
         skip the wire delay.  (Link ``busy_until`` anchors are shifted
         by the launcher's cluster-wide hook, not per-world here.)
         """
-        for pending in self._sends.values():
-            for send in pending:
+        for endpoint in self._endpoints.values():
+            for send in endpoint.sends:
                 if not send.matched:
                     send.arrival_time += span
 
     # ------------------------------------------------------------------ #
 
-    def _queues(self, comm_id: int, dst: int) -> Tuple[List[_SendRec], List[_RecvRec]]:
+    def endpoint(self, comm_id: int, dst: int) -> _Endpoint:
+        """The match queues of comm-local rank ``dst`` on ``comm_id``."""
         key = (comm_id, dst)
-        return (self._sends.setdefault(key, []), self._recvs.setdefault(key, []))
+        endpoint = self._endpoints.get(key)
+        if endpoint is None:
+            endpoint = self._endpoints[key] = _Endpoint(self._depth, dst)
+        return endpoint
 
-    def path_between(self, comm, src_local: int, dst_local: int):
-        """The network path between two comm-local ranks' GPUs."""
-        src_gpu = self._gpu_of(comm.global_rank_of(src_local))
-        dst_gpu = self._gpu_of(comm.global_rank_of(dst_local))
-        return self.cluster.path(src_gpu, dst_gpu)
+    def pair(self, comm, src: int, dst: int) -> _Pair:
+        """The record of two comm-local ranks of ``comm``."""
+        pair = self._pairs.get((comm.comm_id, src, dst))
+        if pair is None:
+            src_g, dst_g = comm.members[src], comm.members[dst]
+            pair = self._pairs[comm.comm_id, src, dst] = _Pair(
+                self.cluster.path(self._gpu_of(src_g), self._gpu_of(dst_g)), src_g, dst_g,
+                self.endpoint(comm.comm_id, dst))
+        return pair
+
+    def close(self) -> None:
+        """Drop every record (``MpiWorld.close``): an unmatched message
+        names its pair, whose endpoint queues the message."""
+        for endpoint in self._endpoints.values():
+            endpoint.sends.clear()
+            endpoint.recvs.clear()
+        self._endpoints.clear()
+        self._pairs.clear()
+
+    def forget_pairs(self) -> None:
+        """Drop every pair record: a rank now drives another GPU, so the
+        paths they fixed may be wrong (queues and series stay)."""
+        self._pairs.clear()
 
     # ------------------------------------------------------------------ #
     # Posting.
@@ -261,54 +317,64 @@ class MessageEngine:
         if not 0 <= dst < comm.size:
             raise MpiError(f"send: destination {dst} out of range [0,{comm.size})")
         src = comm.rank
-        arr = as_array(buf, count)
+        arr = storage(buf, count)
         nbytes = int(count * arr.dtype.itemsize)
-        request = Request(self.engine, f"send[{src}->{dst} tag={tag}]")
+        label = f"send[{src}->{dst} tag={tag}]"
+        engine = self.engine
+        request = Request(engine, label)
 
         def register() -> None:
-            metrics = self.engine.metrics
-            path = self.path_between(comm, src, dst)
-            san = self.engine.sanitizer
+            pair = self._pairs.get((comm.comm_id, src, dst)) or self.pair(comm, src, dst)
+            san = engine.sanitizer
             if san is not None:
                 # Posting happens-before the matched pair fires (_fire
                 # acquires both records).
                 san.release(request)
             if nbytes <= profile.eager_threshold:
-                rec = _SendRec(src, tag, count, nbytes, "eager", path, buf)
-                rec.flight = InFlight(self.engine, "mpi").snapshot(
-                    buf, count, key=("m", src, dst, tag),
-                    note=f"send[{src}->{dst} tag={tag}]")
-                transfer = rec.flight.wire(path.reserve(self.engine.now, nbytes))
+                rec = _SendRec(src, tag, count, nbytes, "eager", pair, buf, arr)
+                rec.flight = InFlight(self.plane).snapshot(
+                    buf, arr, count, key=("m", src, dst, tag), note=label)
+                now = engine.now
+                transfer = rec.flight.wire(pair.path, nbytes, now)
                 rec.arrival_time = transfer.delivered
                 # The sender's buffer is free once the payload is on the wire.
-                self.engine.schedule(
-                    max(0.0, transfer.inject_done - self.engine.now), request.complete
-                )
+                engine.schedule(max(0.0, transfer.inject_done - now), request.complete)
             else:
-                rec = _SendRec(src, tag, count, nbytes, "rdv", path, buf)
+                rec = _SendRec(src, tag, count, nbytes, "rdv", pair, buf, arr)
             rec.request = request
+            metrics = engine.metrics
             if metrics.enabled:
-                self._messages[rec.kind, size_class(nbytes), src].inc()
-                self._bytes[rec.kind, src].inc(nbytes)
-            self.engine.trace("mpi.send", src=src, dst=dst, tag=tag, nbytes=nbytes,
-                              protocol=rec.kind, comm=comm.comm_id)
-            sends, recvs = self._queues(comm.comm_id, dst)
+                series = pair.sized.get(nbytes)
+                if series is None:
+                    series = pair.sized[nbytes] = (
+                        self._messages[rec.kind, size_class(nbytes), src],
+                        self._bytes[rec.kind, src])
+                series[0].inc()
+                series[1].inc(nbytes)
+            if engine.trace_hook is not None:
+                engine.trace_fields("mpi.send", {
+                    "src": src, "dst": dst, "tag": tag, "nbytes": nbytes,
+                    "protocol": rec.kind, "comm": comm.comm_id})
+            endpoint = pair.endpoint
+            recvs = endpoint.recvs
             # Incremental matching: no pending (send, recv) pair matched
             # before this post, so only the new send can complete a pair —
             # scan the posted receives once, in FIFO order (MPI matching
             # order).
             for i, recv in enumerate(recvs):
-                if _tags_match(recv, rec):
+                if ((recv.src is ANY_SOURCE or recv.src == src)
+                        and (recv.tag is ANY_TAG or recv.tag == tag)):
                     del recvs[i]
-                    self._fire(comm, profile, rec, recv, dst)
+                    self._fire(profile, rec, recv, dst)
                     return
+            sends = endpoint.sends
             sends.append(rec)
             # Depth of the unexpected-message queue at this receiver; the
             # high-water mark surfaces receives posted chronically late.
             if metrics.enabled:
-                self._depth["unexpected", dst].set(len(sends))
+                endpoint.unexpected.set(len(sends))
 
-        self.engine.after_busy(register, overhead)
+        engine.after_busy(register, overhead)
         return request
 
     def post_recv(
@@ -326,38 +392,45 @@ class MessageEngine:
         if src is not ANY_SOURCE and not 0 <= src < comm.size:
             raise MpiError(f"recv: source {src} out of range [0,{comm.size})")
         dst = comm.rank
-        as_array(buf, count)  # validates capacity
-        request = Request(self.engine, f"recv[{src}->{dst} tag={tag}]")
+        arr = storage(buf, count)
+        engine = self.engine
+        request = Request(engine, f"recv[{src}->{dst} tag={tag}]")
 
         def register() -> None:
-            rec = _RecvRec(src, tag, count, buf, request)
-            san = self.engine.sanitizer
+            rec = _RecvRec(src, tag, count, buf, arr, request)
+            san = engine.sanitizer
             if san is not None:
                 # Posting happens-before the matched pair fires; the recv
                 # post carries the receiver's prior accesses to the buffer
                 # (e.g. a kernel read completed before re-posting).
                 san.release(request)
-            self.engine.trace("mpi.recv", src=src, dst=dst, tag=tag, comm=comm.comm_id)
-            sends, recvs = self._queues(comm.comm_id, dst)
+            if engine.trace_hook is not None:
+                engine.trace_fields("mpi.recv", {
+                    "src": src, "dst": dst, "tag": tag, "comm": comm.comm_id})
+            endpoint = (self._endpoints.get((comm.comm_id, dst))
+                        or self.endpoint(comm.comm_id, dst))
+            sends = endpoint.sends
             # Incremental matching (see post_send): only the new receive can
             # complete a pair, against the earliest matching pending send.
             for i, send in enumerate(sends):
-                if _tags_match(rec, send):
+                if ((src is ANY_SOURCE or src == send.src)
+                        and (tag is ANY_TAG or tag == send.tag)):
                     del sends[i]
-                    self._fire(comm, profile, send, rec, dst)
+                    self._fire(profile, send, rec, dst)
                     return
+            recvs = endpoint.recvs
             recvs.append(rec)
-            if self.engine.metrics.enabled:
-                self._depth["posted", dst].set(len(recvs))
+            if engine.metrics.enabled:
+                endpoint.posted.set(len(recvs))
 
-        self.engine.after_busy(register, overhead)
+        engine.after_busy(register, overhead)
         return request
 
     # ------------------------------------------------------------------ #
     # Matching and completion.
     # ------------------------------------------------------------------ #
 
-    def _fire(self, comm, profile: MpiProfile, send: _SendRec, recv: _RecvRec, dst: int) -> None:
+    def _fire(self, profile: MpiProfile, send: _SendRec, recv: _RecvRec, dst: int) -> None:
         engine = self.engine
         san = engine.sanitizer
         if san is not None:
@@ -377,16 +450,16 @@ class MessageEngine:
             )
             send.request.complete()
             return
-        delivery = _Delivery(engine, comm, profile, send, recv, dst)
+        delivery = _Delivery(self.plane, profile, send, recv, dst)
         if send.kind == "eager":
             delivery.attempt(0)
         else:
-            engine.schedule(profile.rendezvous_rtt_factor * send.path.latency,
+            engine.schedule(profile.rendezvous_rtt_factor * send.pair.path.latency,
                             lambda: delivery.attempt(0))
 
     # ------------------------------------------------------------------ #
 
     def pending_counts(self, comm_id: int, dst: int) -> Tuple[int, int]:
         """(pending sends, pending recvs) for diagnostics/tests."""
-        sends, recvs = self._queues(comm_id, dst)
-        return len(sends), len(recvs)
+        endpoint = self.endpoint(comm_id, dst)
+        return len(endpoint.sends), len(endpoint.recvs)

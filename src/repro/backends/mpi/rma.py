@@ -27,7 +27,7 @@ import numpy as np
 from ...errors import MpiError
 from ...obs import size_class
 from ...sim import Broadcast, Counter, wait_until
-from ..common import BufferLike, InFlight, as_array
+from ..common import BufferLike, InFlight, storage
 
 __all__ = ["MpiWindow"]
 
@@ -49,7 +49,7 @@ class MpiWindow:
 
     def __init__(self, comm, buf: BufferLike, count: int):
         """MPI_Win_create: collective over every member of ``comm``."""
-        as_array(buf, count)  # validates
+        storage(buf, count)  # validates
         self.comm = comm
         self.ctx = comm.ctx
         self.engine = comm.engine
@@ -79,7 +79,7 @@ class MpiWindow:
         exposed = self.shared.exposed.get(target)
         if exposed is None:
             raise MpiError(f"target {target} exposed no memory in this window")
-        arr = as_array(exposed)
+        arr = storage(exposed)
         if disp < 0 or disp + count > arr.size:
             raise MpiError(
                 f"RMA access [{disp}:{disp + count}] outside target window of {arr.size}"
@@ -87,11 +87,11 @@ class MpiWindow:
         return arr
 
     def _path_to(self, target: int):
-        world = self.ctx.world
-        return world.job.cluster.path(
-            world.gpu_of(self.comm.global_rank_of(self.comm.rank)),
-            world.gpu_of(self.comm.global_rank_of(target)),
-        )
+        """The path to ``target``, from the matcher's pair record."""
+        return self.ctx.world.matcher.pair(self.comm, self.comm.rank, target).path
+
+    def _flight(self) -> InFlight:
+        return InFlight(self.ctx.world.matcher.plane)
 
     def _launch(self, flight: InFlight, target: int, nbytes: int,
                 land: Callable[[], None]) -> None:
@@ -101,7 +101,7 @@ class MpiWindow:
         path = self._path_to(target)
 
         def issue() -> None:
-            transfer = flight.wire(path.reserve(self.engine.now, nbytes))
+            transfer = flight.wire(path, nbytes, self.engine.now)
             metrics = self.engine.metrics
             if metrics.enabled:
                 metrics.inc("mpi_rma_messages_total", size=size_class(nbytes),
@@ -142,34 +142,35 @@ class MpiWindow:
 
     def put(self, origin: BufferLike, count: int, target: int, target_disp: int = 0) -> None:
         """MPI_Put: write ``count`` elements into the target's window."""
-        self._check(target, count, target_disp)
+        arr = self._check(target, count, target_disp)
         exposed = self.shared.exposed[target]
-        flight = InFlight(self.engine, "mpi").snapshot(
-            origin, count, note=f"rma-put->{target}")
+        flight = self._flight().snapshot(
+            origin, storage(origin, count), count, note=f"rma-put->{target}")
         note = f"rma-put<-{self.comm.rank}"
         self._launch(flight, target, flight.data.nbytes,
-                     lambda: flight.land(exposed, note=note, offset=target_disp))
+                     lambda: flight.land(exposed, arr, note=note, offset=target_disp))
 
     def get(self, origin: BufferLike, count: int, target: int, target_disp: int = 0) -> None:
         """MPI_Get: read ``count`` elements from the target's window."""
-        self._check(target, count, target_disp)
-        nbytes = int(count * as_array(origin, count).dtype.itemsize)
-        flight = InFlight(self.engine, "mpi").snapshot(
-            self.shared.exposed[target], count, note=f"rma-get->{target}",
+        arr = self._check(target, count, target_disp)
+        local = storage(origin, count)
+        nbytes = int(count * local.dtype.itemsize)
+        flight = self._flight().snapshot(
+            self.shared.exposed[target], arr, count, note=f"rma-get->{target}",
             offset=target_disp, live=True)
         note = f"rma-get<-{target}"
-        self._launch(flight, target, nbytes, lambda: flight.land(origin, note=note))
+        self._launch(flight, target, nbytes, lambda: flight.land(origin, local, note=note))
 
     def accumulate(self, origin: BufferLike, count: int, target: int,
                    op: str = "sum", target_disp: int = 0) -> None:
         """MPI_Accumulate: atomic element-wise update of the target window."""
-        self._check(target, count, target_disp)
+        arr = self._check(target, count, target_disp)
         exposed = self.shared.exposed[target]
-        flight = InFlight(self.engine, "mpi").snapshot(
-            origin, count, note=f"rma-acc->{target}")
+        flight = self._flight().snapshot(
+            origin, storage(origin, count), count, note=f"rma-acc->{target}")
         note = f"rma-acc<-{self.comm.rank}"
         self._launch(flight, target, flight.data.nbytes,
-                     lambda: flight.land(exposed, note=note, offset=target_disp,
+                     lambda: flight.land(exposed, arr, note=note, offset=target_disp,
                                          reduce=op))
 
     # ------------------------------------------------------------------ #
@@ -211,7 +212,7 @@ class MpiWindow:
     def wait_value(self, predicate: Callable[[np.ndarray], bool]) -> None:
         """Block until the *local* window content satisfies ``predicate``
         (the polling loop a one-sided consumer runs, e.g. on a flag word)."""
-        local = as_array(self.buf)
+        local = storage(self.buf)
         wait_until(self.shared.updated, lambda: predicate(local))
 
     def free(self) -> None:

@@ -37,6 +37,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a duration that must be above zero."""
+    value = float(text)
+    if not value > 0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count that may be zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _out_path(path: str) -> str:
     """argparse type of an output file: refused before anything runs when
     it is a directory or its directory does not exist."""
@@ -153,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--store", default=None, metavar="PATH",
                         help="result-store root (default: $REPRO_SERVE_STORE "
                              "or ~/.cache/repro-serve)")
-        sp.add_argument("--jobs", type=int, default=None, metavar="N",
+        sp.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                         help="worker processes (default: all cores)")
-        sp.add_argument("--timeout", type=float, default=None, metavar="S",
+        sp.add_argument("--timeout", type=_positive_float, default=None, metavar="S",
                         help="per-job wall-clock limit in seconds")
-        sp.add_argument("--retries", type=int, default=1,
+        sp.add_argument("--retries", type=_non_negative_int, default=1,
                         help="re-attempts after a failed/crashed/timed-out "
                              "job (default 1)")
         sp.add_argument("--quiet", action="store_true",

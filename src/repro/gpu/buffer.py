@@ -104,8 +104,12 @@ class DeviceBuffer:
         same slice is the same view object."""
         if count is None or start < 0 or count < 0 or start + count > self._array.size:
             return self[start:None if count is None else start + count]  # clamped
-        array = self.raw  # the freed-root check, on every lookup
-        root = self.root
+        root = self._root
+        if root is None:
+            root = self
+        if root.freed:  # the freed-root check, on every lookup
+            self.raw  # raises (reporting the use under the sanitizer)
+        array = self._array
         views = self.device._views  # one view per slice for the job
         where = (root, self._offset + start, count)
         view = views.get(where)

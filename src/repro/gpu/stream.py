@@ -186,8 +186,10 @@ class Stream:
             cap = self.engine.capture
             if cap is not None:
                 cap.n_enq += 1
-            self.engine.trace("stream.enqueue", stream=self.name, op=op.name,
-                              gpu=self.gpu_id)
+            engine = self.engine
+            if engine.trace_hook is not None:
+                engine.trace_fields("stream.enqueue", {
+                    "stream": self.name, "op": op.name, "gpu": self.gpu_id})
         if self._active is None:
             self._active = op
             self._start(op)
@@ -198,9 +200,11 @@ class Stream:
         if op.silent:
             op.start()
             return
-        self.engine.trace("stream.start", stream=self.name, op=op.name,
-                          gpu=self.gpu_id)
-        san = self.engine.sanitizer
+        engine = self.engine
+        if engine.trace_hook is not None:
+            engine.trace_fields("stream.start", {
+                "stream": self.name, "op": op.name, "gpu": self.gpu_id})
+        san = engine.sanitizer
         if san is None:
             op.start()
             return
@@ -219,9 +223,11 @@ class Stream:
             cap = self.engine.capture
             if cap is not None:
                 cap.n_comp += 1
-            self.engine.trace("stream.complete", stream=self.name, op=finished.name,
-                              gpu=self.gpu_id)
-            san = self.engine.sanitizer
+            engine = self.engine
+            if engine.trace_hook is not None:
+                engine.trace_fields("stream.complete", {
+                    "stream": self.name, "op": finished.name, "gpu": self.gpu_id})
+            san = engine.sanitizer
             if san is not None:
                 # FIFO chain: each op's completion context (which contains
                 # its memory effects) happens-before the next op on this

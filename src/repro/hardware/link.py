@@ -15,16 +15,17 @@ and every link on the path is occupied for its own serialization time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import HardwareError
 
 __all__ = ["Link", "Path", "Transfer"]
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """Resolved timing of one message over a link or path."""
+class Transfer(NamedTuple):
+    """Resolved timing of one message over a link or path (immutable; a
+    tuple, which costs half a frozen dataclass to make — one is made per
+    reservation)."""
 
     start: float  # when the wire starts carrying the message
     inject_done: float  # when the *sender side* is free again

@@ -58,6 +58,15 @@ class Job:
             self._devices[gpu_id] = dev
         return dev
 
+    def device_moved(self, rank: int) -> None:
+        """A rank selected another GPU: every shared world that fixed
+        something from the old one (a ``device_moved(rank)`` method) hears
+        of it."""
+        for state in self._shared.values():
+            moved = getattr(state, "device_moved", None)
+            if moved is not None:
+                moved(rank)
+
     def shared_state(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Create-once shared state (backends keep their matchers here)."""
         if key not in self._shared:
@@ -217,8 +226,11 @@ class RankContext:
         gpn = self.job.cluster.gpus_per_node
         if not 0 <= local_index < gpn:
             raise HardwareError(f"local device index {local_index} out of range [0,{gpn})")
-        self.device = self.job.device(self.node * gpn + local_index)
-        return self.device
+        device = self.job.device(self.node * gpn + local_index)
+        if device is not self.device:
+            self.device = device
+            self.job.device_moved(self.rank)
+        return device
 
     def require_device(self) -> Device:
         """The selected GPU, or an error if set_device was never called."""

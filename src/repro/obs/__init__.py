@@ -24,8 +24,7 @@ helpers are what every run — and a cached ``repro submit`` — needs.
 
 from importlib import import_module
 
-from .metrics import (SIZE_CLASSES, MetricsRegistry, SeriesBy, record_transfer,
-                      size_class)
+from .metrics import SIZE_CLASSES, MetricsRegistry, SeriesBy, size_class
 from .spans import begin_span, end_span, span, spans_enabled
 
 #: Analysis name -> the submodule that defines it (resolved on first use).
@@ -43,7 +42,6 @@ _LAZY = {
 __all__ = [
     "MetricsRegistry",
     "SIZE_CLASSES",
-    "record_transfer",
     "SeriesBy",
     "size_class",
     "span",

@@ -27,8 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, List, Tuple
 
-__all__ = ["MetricsRegistry", "SIZE_CLASSES", "SeriesBy", "record_transfer",
-           "size_class"]
+__all__ = ["MetricsRegistry", "SIZE_CLASSES", "SeriesBy", "size_class"]
 
 #: Message size-class buckets (upper bounds in bytes, label).
 SIZE_CLASSES: Tuple[Tuple[int, str], ...] = (
@@ -198,14 +197,13 @@ class MetricsRegistry:
     registry is used, not flipped in mid-run.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms", "_links")
+    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[_SeriesKey, _Counter] = {}
         self._gauges: Dict[_SeriesKey, _Gauge] = {}
         self._histograms: Dict[_SeriesKey, _Histogram] = {}
-        self._links: Dict[str, Tuple[_Histogram, _Counter]] = {}  # record_transfer
 
     # ------------------------------------------------------------------ #
 
@@ -354,24 +352,3 @@ class SeriesBy(dict):
         labels = zip(varying, values if len(varying) > 1 else (values,))
         series = self[values] = self._bind(self._name, **dict(labels), **self._fixed)
         return series
-
-
-def record_transfer(metrics: MetricsRegistry, backend: str, requested: float, transfer) -> None:
-    """Account one :class:`~repro.hardware.link.Transfer` reservation.
-
-    ``requested`` is the virtual time the caller asked the path for; any gap
-    to ``transfer.start`` is queueing delay behind earlier messages on a
-    shared link. Busy-seconds accumulate the wire-occupancy term, giving
-    link utilization when divided by the run's makespan.
-    """
-    if not metrics.enabled:
-        return
-    series = metrics._links.get(backend)
-    if series is None:
-        series = metrics._links[backend] = (
-            metrics.bind_histogram("link_queue_delay_seconds", backend=backend),
-            metrics.bind_counter("link_busy_seconds_total", backend=backend),
-        )
-    delay, busy = series
-    delay.observe(transfer.start - requested)
-    busy.inc(transfer.inject_done - transfer.start)

@@ -420,7 +420,14 @@ class Engine:
         if seconds <= 0:
             return
         if self._defer:
-            self._charge(self._require_current(), seconds)
+            # _require_current and _charge, inlined: one charge per host
+            # call overhead makes this the engine's hottest entry.
+            task = self._current
+            if task is None or threading.get_ident() != task._ident:
+                raise EngineStateError("blocking call outside a simulated task")
+            now = self._now
+            task.busy_until = (task.busy_until if task.busy_until > now else now) + seconds
+            self.stats.timers_fired += 1
         else:
             self.sleep(seconds)
 
@@ -621,38 +628,47 @@ class Engine:
         ready = self._ready
         heap = self._heap
         stats = self.stats
-        while True:
-            if ready:
-                nxt = ready.popleft()
-                self._current = nxt
-                return nxt
-            # Callbacks run for no task: whoever is firing them is blocked.
-            # (Every way out of this function assigns _current again.)
-            self._current = None
-            fired = False
-            while heap and not fired:
-                when, _, timer = heapq.heappop(heap)
-                if timer.cancelled:
+        try:
+            while True:
+                if ready:
+                    nxt = ready.popleft()
+                    self._current = nxt
+                    return nxt
+                # Callbacks run for no task: whoever is firing them is
+                # blocked. (Every way out of this function assigns _current
+                # again.)
+                self._current = None
+                fired = False
+                while heap and not fired:
+                    when, _, timer = heapq.heappop(heap)
+                    if timer.cancelled:
+                        continue
+                    if when > self._now:
+                        self._now = when
+                    cap = self.capture
+                    if cap is not None:
+                        cap.on_fire(timer)
+                        timer.callback()
+                        cap.on_fired()
+                    else:
+                        timer.callback()
+                    stats.timers_fired += 1
+                    fired = True
+                if fired:
                     continue
-                if when > self._now:
-                    self._now = when
-                cap = self.capture
-                if cap is not None:
-                    cap.on_fire(timer)
-                    timer.callback()
-                    cap.on_fired()
-                else:
-                    timer.callback()
-                stats.timers_fired += 1
-                fired = True
-            if fired:
-                continue
-            # No runnable task and no future event.
-            if self._tasks:
-                self._record_failure(DeadlockError(self._waiter_report(), when=self._now))
-                return self._drain_select()
-            self._done_sem.release()
-            return None
+                # No runnable task and no future event.
+                if self._tasks:
+                    self._record_failure(DeadlockError(self._waiter_report(), when=self._now))
+                    return self._drain_select()
+                self._done_sem.release()
+                return None
+        except BaseException as exc:  # noqa: BLE001 - a callback's error is the run's
+            # A timer callback raised. It acts for no task, so the error is
+            # the run's failure: the tasks unwind as after a task failure,
+            # and Engine.run re-raises it — never the task that happened to
+            # be firing timers.
+            self._record_failure(exc)
+            return self._drain_select()
 
     def _drain_select(self) -> Optional[Task]:
         """After a failure: pick the next remaining task to unwind."""

@@ -75,8 +75,10 @@ class SimEvent:
     def set(self) -> None:
         if self._set:
             return
-        self.engine.settle()
-        san = self.engine.sanitizer
+        engine = self.engine
+        if engine._current is not None:  # a timer callback owes no debt
+            engine.settle()
+        san = engine.sanitizer
         if san is not None:
             san.release(self)
         self._set = True
@@ -157,8 +159,10 @@ class Broadcast:
         waiters stay registered at their original position until they
         proceed (a woken-but-unsatisfied waiter blocks again in place).
         """
-        self.engine.settle()
-        san = self.engine.sanitizer
+        engine = self.engine
+        if engine._current is not None:
+            engine.settle()
+        san = engine.sanitizer
         if san is not None:
             san.release(self)
         if not self._waiters:
@@ -344,7 +348,9 @@ class Counter:
 
     def add(self, delta: int) -> None:
         """Adjust the value and wake waiters."""
-        self.engine.settle()
+        engine = self.engine
+        if engine._current is not None:
+            engine.settle()
         self._value += delta
         self._bcast.notify_all()
 

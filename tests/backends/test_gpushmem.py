@@ -527,3 +527,47 @@ def test_invalid_pe_rejected():
         return True
 
     assert all(shmem_run(1, body))
+
+
+@pytest.mark.parametrize("api", ["host", "stream", "device"])
+@pytest.mark.parametrize("op, window, why", [
+    ("bogus", 1, "unknown signal op 'bogus'"),
+    (SIGNAL_SET, 0, "at least one element"),
+])
+def test_a_signal_that_cannot_apply_is_refused_before_the_payload_moves(
+        api, op, window, why):
+    """The signal op and the signal window are checked where the
+    put-with-signal is called — on-stream, at enqueue time — not at
+    delivery, after the payload has landed: the destination stays
+    untouched and the signal word unwritten."""
+
+    def body(shmem, stream):
+        src, dst = shmem.malloc(4), shmem.malloc(4)
+        sig = shmem.malloc(1, np.uint64)
+        word = sig if window else sig.offset_by(1, 0)
+        src.write(np.full(4, 7.0, np.float32))
+        shmem.barrier_all()
+        peer, errors = 1 - shmem.my_pe, []
+        if api == "host":
+            with pytest.raises(GpushmemError, match=why):
+                shmem.put_signal(dst, src, 4, word, 1, peer, op=op)
+        elif api == "stream":
+            with pytest.raises(GpushmemError, match=why):
+                shmem.put_signal_on_stream(dst, src, 4, word, 1, peer, stream, op=op)
+        else:
+            @device_kernel(name="bad_signal")
+            def kernel(ctx):
+                try:
+                    ctx.shmem.put_signal_nbi(dst, src, 4, word, 1, peer, op=op)
+                except GpushmemError as exc:
+                    errors.append(str(exc))
+
+            shmem.collective_launch(kernel, 1, 32, stream=stream)
+        stream.synchronize()
+        if api == "device":
+            assert len(errors) == 1 and why in errors[0]
+        shmem.quiet()
+        shmem.barrier_all()
+        return dst.read().tolist(), int(sig.read()[0])
+
+    assert shmem_run(2, body) == [([0.0] * 4, 0)] * 2

@@ -277,3 +277,34 @@ def test_inter_node_send_uses_network_latency():
     m = perlmutter()
     inter_latency = 2 * m.nic_latency + m.fabric_latency
     assert results[4] >= inter_latency
+
+
+def test_a_rank_that_selects_another_gpu_sends_over_the_new_path():
+    """The matcher fixes a pair's path on its first message; a rank that
+    then selects another GPU (MPI_Init before cudaSetDevice, as Uniconn's
+    Environment does) must not keep the old one. Both ranks first share
+    GPU 0 — a loopback path at HBM speed — then move to their own GPUs,
+    joined by NVLink: the timed exchange then costs what it costs on
+    NVLink, not on the loopback."""
+    n = 1 << 18  # 1 MiB of float32: the wire time dominates
+
+    def main(ctx, first, then):
+        ctx.set_device(first)
+        mpi = MpiContext(ctx)
+        comm = mpi.comm_world
+        buf = np.zeros(n, np.float32)
+        peer = 1 - comm.rank
+        comm.sendrecv(buf, n, peer, buf, n, peer)  # the pair records form
+        ctx.set_device(ctx.rank if then == "own" else 0)
+        comm.barrier()
+        start = mpi.engine.now
+        comm.sendrecv(buf, n, peer, buf, n, peer, tag=1)
+        elapsed = mpi.engine.now - start
+        mpi.finalize()
+        return elapsed
+
+    stay = launch(lambda ctx: main(ctx, 0, "shared"), 2)
+    moved = launch(lambda ctx: main(ctx, 0, "own"), 2)
+    own = launch(lambda ctx: main(ctx, ctx.rank, "own"), 2)
+    assert min(moved) > 2 * max(stay)
+    assert moved == pytest.approx(own, rel=0.05)

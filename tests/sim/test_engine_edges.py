@@ -1,5 +1,7 @@
 """Engine/runtime edge cases not covered elsewhere."""
 
+import threading
+
 import pytest
 
 from repro.errors import EngineStateError
@@ -65,3 +67,53 @@ def test_tracer_callable_records_fields():
     assert tracer.records[0].kind == "custom.kind"
     assert tracer.records[0].t == 2.5
     assert tracer.records[0].fields == {"alpha": 1, "beta": "x"}
+
+
+# A timer callback acts for no task: its error is the run's failure.
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+def _run_guarded(eng, seconds=10.0):
+    """``eng.run()`` on a helper thread; the exception it raised, or a
+    failure if it has not returned within ``seconds`` of wall clock."""
+    outcome = []
+
+    def drive():
+        try:
+            eng.run()
+            outcome.append(None)
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=drive, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "Engine.run() hung after a timer callback raised"
+    return outcome[0]
+
+
+def test_raising_callback_after_the_last_task_fails_the_run():
+    eng = Engine()
+    eng.spawn(lambda: eng.schedule(1.0, _boom), name="t0")
+    error = _run_guarded(eng)
+    assert isinstance(error, ValueError) and str(error) == "boom"
+
+
+def test_raising_callback_is_not_delivered_to_a_sleeping_task():
+    eng = Engine()
+    caught = []
+
+    def sleeper():
+        try:
+            eng.sleep(2.0)
+        except ValueError as exc:  # the callback's error is not this task's
+            caught.append(exc)
+
+    eng.spawn(lambda: eng.schedule(1.0, _boom), name="arm")
+    eng.spawn(sleeper, name="sleeper")
+    error = _run_guarded(eng)
+    assert isinstance(error, ValueError) and str(error) == "boom"
+    assert caught == []

@@ -98,6 +98,30 @@ def test_an_output_path_that_cannot_be_written_is_refused_before_the_run(
     assert not store.exists()
 
 
+@pytest.mark.parametrize("verb", ["submit", "serve"])
+@pytest.mark.parametrize("flag, value, why", [
+    ("--jobs", "0", "must be >= 1, got 0"),
+    ("--jobs", "-2", "must be >= 1, got -2"),
+    ("--timeout", "0", "must be > 0, got 0"),
+    ("--timeout", "-1", "must be > 0, got -1"),
+    ("--retries", "-1", "must be >= 0, got -1"),
+])
+def test_service_values_that_cannot_work_are_refused_at_parse_time(
+        tmp_path, capsys, verb, flag, value, why):
+    """A zero or negative timeout would fail every job only after workers
+    were forked, retried and respawned; zero workers or negative retries
+    would be clamped silently. All are parse errors: nothing runs."""
+    store = tmp_path / "store"
+    extra = (["--gpus", "2", "--size", "32"] if verb == "submit"
+             else ["--queue", str(tmp_path / "q.jsonl"), "--once"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli([verb, *extra, "--store", str(store), flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == f"repro {verb}: error: argument {flag}: {why}"
+    assert not store.exists()
+
+
 def test_report_trace_out_writes_chrome_json(tmp_path):
     """`repro report --trace-out` writes the run's Chrome trace, spans included."""
     path = tmp_path / "t.json"

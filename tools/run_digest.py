@@ -262,6 +262,50 @@ def _shmem_api(side, **options):
                                  tracer=tracer, **options)
 
 
+def split_p2p(backend):
+    """Rank body (4 ranks over 2 nodes, ``placement="spread"``): split the
+    world by parity with a key that reverses rank order, so a
+    sub-communicator rank is never its world rank; a grouped
+    post/acknowledge ring and an all_reduce on the sub-communicator, then
+    the same ring on the world. Returns what each phase received."""
+    from repro import Communicator, Coordinator, Environment
+    from repro.core import Memory
+
+    def body(ctx):
+        env = Environment(ctx, backend=backend)
+        env.set_device(env.node_rank())
+        world = Communicator(env)
+        coord = Coordinator(env, stream=env.device.create_stream())
+        me, n = world.global_rank(), 4
+        a, b, c = (Memory.alloc(env, n) for _ in range(3))
+        sig = Memory.alloc(env, 2, dtype=np.uint64) if coord.uses_signals else None
+        a.write(np.arange(n, dtype=np.float32) + 10.0 * (me + 1))
+        sub = world.split(me % 2, key=-me)
+        seen = []
+
+        def ring(comm, slot):
+            p, r = comm.global_size(), comm.global_rank()
+            if sig is not None:
+                slot = sig.offset_by(slot, 1)
+            coord.comm_start()
+            coord.post(a, b, n, slot, 1, (r + 1) % p, comm)
+            coord.acknowledge(b, n, slot, 1, (r - 1) % p, comm)
+            coord.comm_end()
+            coord.stream.synchronize()
+            world.barrier(stream=coord.stream)
+            seen.append(b.read().copy())
+
+        ring(sub, 0)
+        coord.all_reduce(a, c, n, "sum", sub)
+        coord.stream.synchronize()
+        seen.append(c.read().copy())
+        ring(world, 1)
+        env.close()
+        return seen
+
+    return lambda tracer: launch(body, 4, n_nodes=2, placement="spread", tracer=tracer)
+
+
 def matrix():
     """(name, run(tracer) -> RunReport) for every pinned run, in order."""
     for variant in JACOBI_VARIANTS:
@@ -334,6 +378,9 @@ def matrix():
     # The blocking GPUSHMEM calls and Communicator.split, which no app runs.
     for side in ("host", "device"):
         yield f"shmem-api4/uniconn:gpushmem:{side}", _shmem_api(side)
+    # Point-to-point where communicator ranks are not world ranks.
+    for backend in BACKENDS:
+        yield f"split-p2p4/uniconn:{backend}", split_p2p(backend)
 
 
 def _sha(doc) -> str:
