@@ -14,11 +14,10 @@ from ...backends import gpuccl as _ccl
 from ...backends.gpuccl import GpucclComm, get_unique_id
 from ...backends.gpushmem import ShmemContext
 from ...backends.mpi import MpiContext, waitall
-from ...bench.timing import paper_mean
 from ...core import Communicator, Coordinator, Environment, LaunchMode, Memory
 from ...gpu.kernel import device_kernel
 from ...launcher import RankContext
-from .config import OsuConfig
+from .config import OsuConfig, paper_mean
 
 __all__ = ["BANDWIDTH_VARIANTS", "run_bandwidth"]
 

@@ -16,10 +16,9 @@ from typing import Dict
 
 import numpy as np
 
-from ...bench.timing import paper_mean
 from ...core import Communicator, Coordinator, Environment, Memory
 from ...launcher import RankContext
-from .config import OsuConfig
+from .config import OsuConfig, paper_mean
 
 __all__ = ["COLLECTIVE_KINDS", "run_collective"]
 

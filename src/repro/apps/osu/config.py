@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["OsuConfig", "default_sizes"]
+__all__ = ["OsuConfig", "default_sizes", "paper_mean"]
+
+
+def paper_mean(samples: Sequence[float]) -> float:
+    """The paper's reduction of repeated samples (Section VI-A2): drop min
+    and max (when there are >= 3 samples), then average."""
+    xs = sorted(samples)
+    if len(xs) == 0:
+        raise ValueError("no samples")
+    if len(xs) >= 3:
+        xs = xs[1:-1]
+    return sum(xs) / len(xs)
 
 
 def default_sizes(min_bytes: int = 4, max_bytes: int = 4 << 20) -> List[int]:

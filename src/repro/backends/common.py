@@ -191,11 +191,12 @@ class InFlight:
             metrics.inc("fenced_deliveries_total", backend=self.plane.backend)
         return True
 
-    def land(self, dst: BufferLike, arr: np.ndarray, *, note: str, offset: int = 0,
+    def land(self, dst: BufferLike, arr: np.ndarray, *, note: Optional[str], offset: int = 0,
              reduce: Optional[str] = None) -> None:
         """Write the payload into ``dst[offset:]``, whose storage is ``arr``
         (``reduce``: accumulate atomically with that op instead of
-        overwriting)."""
+        overwriting); ``note`` names the write to the race sanitizer, and
+        nothing reads it when none is installed."""
         engine = self.engine
         count, data = self.count, self.data
         san = engine.sanitizer

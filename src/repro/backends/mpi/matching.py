@@ -65,45 +65,25 @@ class _Pair:
         self.sized: Dict[int, tuple] = {}  # nbytes -> (messages, bytes) series
 
 
-class _SendRec:
-    __slots__ = (
-        "src", "tag", "count", "nbytes", "kind", "pair", "buf", "arr", "arrival_time",
-        "flight", "request", "matched",
-    )
+class _RecvRec(Request):
+    """A posted receive: the receiver's request, filled by the send it
+    matches."""
 
-    def __init__(self, src: int, tag: int, count: int, nbytes: int, kind: str,
-                 pair: _Pair, buf: BufferLike, arr):
-        self.src = src
-        self.tag = tag
-        self.count = count
-        self.nbytes = nbytes
-        self.kind = kind  # "eager" | "rdv"
-        self.pair = pair
-        self.buf = buf  # live send buffer (rendezvous reads it at transfer time)
-        self.arr = arr  # its storage
-        self.arrival_time: float = 0.0
-        self.flight: Optional[InFlight] = None  # eager payload, already on the wire
-        self.request: Optional[Request] = None
-        self.matched = False
+    __slots__ = ("src", "tag", "count", "buf", "arr")
+
+    def __init__(self, engine, src: Optional[int], dst: int, tag: Optional[int], count: int,
+                 buf: BufferLike, arr):
+        super().__init__(engine, f"recv[{src}->{dst} tag={tag}]")
+        self.src, self.tag, self.count = src, tag, count
+        self.buf, self.arr = buf, arr
 
 
-class _RecvRec:
-    __slots__ = ("src", "tag", "count", "buf", "arr", "request", "matched")
+class _SendRec(Request):
+    """One message from its post to its landing, and the sender's request.
 
-    def __init__(self, src: Optional[int], tag: Optional[int], count: int, buf: BufferLike,
-                 arr, request: Request):
-        self.src = src
-        self.tag = tag
-        self.count = count
-        self.buf = buf
-        self.arr = arr
-        self.request = request
-        self.matched = False
-
-
-class _Delivery:
-    """A matched pair on its way to the receive buffer: wire attempts —
-    one, unless a fault plan drops some — then the landing.
+    Posted, it waits in its receiver's unexpected queue unless a receive
+    already does; matched, it holds that receive (``recv``) and goes on the
+    wire — one attempt, unless a fault plan drops some — then lands.
 
     Each attempt asks the fault injector — when one that targets MPI
     messages is installed — for its fate; with none the verdict is simply
@@ -116,111 +96,113 @@ class _Delivery:
     timing of a run without a plan.
     """
 
-    __slots__ = ("engine", "profile", "send", "recv", "dst", "flight",
-                 "injector", "src_g", "dst_g", "first_try")
+    __slots__ = ("src", "dst", "tag", "count", "nbytes", "kind", "profile", "buf", "arr",
+                 "pair", "arrival_time", "flight", "recv", "first_try")
 
-    def __init__(self, plane: DataPlane, profile: MpiProfile, send: _SendRec,
-                 recv: _RecvRec, dst: int):
-        self.engine = engine = plane.engine
+    def __init__(self, engine, profile: MpiProfile, src: int, dst: int, tag: int, count: int,
+                 buf: BufferLike, arr):
+        super().__init__(engine, f"send[{src}->{dst} tag={tag}]")
+        self.src, self.dst, self.tag, self.count = src, dst, tag, count
+        self.nbytes = nbytes = int(count * arr.dtype.itemsize)
+        self.kind = "eager" if nbytes <= profile.eager_threshold else "rdv"
         self.profile = profile
-        self.send = send
-        self.recv = recv
-        self.dst = dst
-        # Eager payloads were snapshotted and put on the wire at post time;
-        # a rendezvous payload is issued by this match.
-        self.flight = send.flight or InFlight(plane)
-        injector = engine.fault_injector
-        if injector is not None and injector.has_message_faults:
-            self.injector = injector
-            self.src_g = send.pair.src_g
-            self.dst_g = send.pair.dst_g
-        else:
-            self.injector = None
-        self.first_try: Optional[float] = None  # time of the first wire attempt
+        # The live send buffer (rendezvous reads it at transfer time) and
+        # its storage.
+        self.buf, self.arr = buf, arr
+        self.pair: Optional[_Pair] = None  # resolved at registration
+        self.arrival_time = 0.0
+        # The payload: an eager one is snapshotted and on the wire from
+        # registration, a rendezvous one is issued by the match.
+        self.flight: Optional[InFlight] = None
+        self.recv: Optional[_RecvRec] = None  # the matched receive
+        self.first_try: Optional[float] = None  # time of the first faultable attempt
 
     def attempt(self, k: int) -> None:
-        engine, send, flight = self.engine, self.send, self.flight
+        engine, flight = self.engine, self.flight
         if k and flight.fenced:
             return  # revoked mid-retry: stop retransmitting
         now = engine.now
-        injector = self.injector
-        if injector is not None and self._faulted(k, now):
+        injector = engine.fault_injector
+        if (injector is not None and injector.has_message_faults
+                and self._faulted(injector, k, now)):
             return
-        eager = send.kind == "eager"
+        eager = self.kind == "eager"
         if eager and k == 0:
-            if send.arrival_time > now:
-                engine.schedule(send.arrival_time - now, self.deliver)
-            else:
-                # Unexpected message: already here, pay the bounce-buffer
-                # copy.
-                engine.schedule(send.nbytes / self.profile.eager_copy_bandwidth,
-                                self.deliver)
+            # An unexpected message is already here: it pays the
+            # bounce-buffer copy.
+            engine.schedule(self.arrival_time - now if self.arrival_time > now
+                            else self.nbytes / self.profile.eager_copy_bandwidth,
+                            self.deliver)
         else:
             # The rendezvous transfer (or any retransmission) reserves the
             # wire now; rendezvous data moves straight from the live send
             # buffer.
             if not eager:
-                flight.snapshot(send.buf, send.arr, send.count,
-                                key=("r", send.src, self.dst, send.tag),
-                                note=f"send[{send.src}->{self.dst} tag={send.tag}]")
-            transfer = flight.wire(send.pair.path, send.nbytes, now)
-            if not eager and not send.request.done:
-                engine.schedule(max(0.0, transfer.inject_done - now),
-                                send.request.complete)
+                flight.snapshot(self.buf, self.arr, self.count,
+                                key=("r", self.src, self.dst, self.tag), note=self.name[4:])
+            transfer = flight.wire(self.pair.path, self.nbytes, now)
+            if not eager:
+                engine.schedule(max(0.0, transfer.inject_done - now), self.complete)
             engine.schedule(max(0.0, transfer.delivered - now), self.deliver)
         if k > 0:
-            injector.record("fault.mpi_recovered", src=self.src_g, dst=self.dst_g,
-                            tag=send.tag, attempt=k)
+            injector.record("fault.mpi_recovered", src=self.pair.src_g, dst=self.pair.dst_g,
+                            tag=self.tag, attempt=k)
 
-    def _faulted(self, k: int, now: float) -> bool:
+    def _faulted(self, injector, k: int, now: float) -> bool:
         """Ask the injector for attempt ``k``'s fate; on a fault, schedule
         the retransmission (or give up) and return True."""
-        injector, send = self.injector, self.send
-        src_g, dst_g = self.src_g, self.dst_g
+        src_g, dst_g, tag = self.pair.src_g, self.pair.dst_g, self.tag
         if self.first_try is None:
             self.first_try = now
-        verdict = injector.message_verdict(src_g, dst_g, send.tag, now)
+        verdict = injector.message_verdict(src_g, dst_g, tag, now)
         if verdict is None:
             return False
         injector.record(f"fault.mpi_{verdict}", src=src_g, dst=dst_g,
-                        tag=send.tag, attempt=k, nbytes=send.nbytes)
+                        tag=tag, attempt=k, nbytes=self.nbytes)
         policy = injector.plan.retry_policy()
         if policy.exhausted(k, now - self.first_try):
             error = MpiTimeoutError(
-                f"transfer {src_g}->{dst_g} tag={send.tag} ({send.nbytes} B) gave up "
+                f"transfer {src_g}->{dst_g} tag={tag} ({self.nbytes} B) gave up "
                 f"after {k} retransmissions at t={now:.9g}s"
             )
-            injector.record("fault.mpi_giveup", src=src_g, dst=dst_g, tag=send.tag,
+            injector.record("fault.mpi_giveup", src=src_g, dst=dst_g, tag=tag,
                             attempts=k)
-            self.recv.request.fail(error)
-            if send.kind == "rdv":
-                send.request.fail(error)
+            self.recv.fail(error)
+            if self.kind == "rdv":
+                self.fail(error)
         else:
             self.engine.schedule(policy.backoff(k, injector.rng),
                                  lambda: self.attempt(k + 1))
         return True
 
     def deliver(self) -> None:
-        if self.flight.dropped():
+        flight, recv = self.flight, self.recv
+        # Landed or fenced, the message is done with its payload and its
+        # receive: a request its caller keeps holds neither.
+        self.flight = self.recv = None
+        if flight.dropped():
             # Fenced by a revoke while on the wire: the payload never lands
             # and the recv stays pending — its waiter already unwound
             # through the recovery path.
             return
-        send, recv = self.send, self.recv
-        self.flight.land(recv.buf, recv.arr,
-                         note=f"recv[{send.src}->{self.dst} tag={send.tag}]")
-        recv.request.complete()
+        note = (f"recv[{self.src}->{self.dst} tag={self.tag}]"
+                if self.engine.sanitizer is not None else None)
+        flight.land(recv.buf, recv.arr, note=note)
+        recv.complete()
 
 
 class MessageEngine:
     """Shared matcher for one MPI 'world' (all communicators).
 
-    Matching state lives in two kinds of record, each made on first use:
-    an :class:`_Endpoint` per (communicator, receiver) — the match queues,
-    shared by every sender, as a wildcard receive must see all of them in
-    arrival order — and a :class:`_Pair` per (communicator, sender,
-    receiver), which fixes what every message of the pair would otherwise
-    re-derive. Ranks are comm-local throughout, as in the metric labels.
+    A message is two records, each the request its poster waits on — a
+    :class:`_SendRec` and the :class:`_RecvRec` it matches — and the
+    :class:`InFlight` of its payload. Matching state lives in two kinds of
+    record, each made on first use: an :class:`_Endpoint` per
+    (communicator, receiver) — the match queues, shared by every sender,
+    as a wildcard receive must see all of them in arrival order — and a
+    :class:`_Pair` per (communicator, sender, receiver), which fixes what
+    every message of the pair would otherwise re-derive. Ranks are
+    comm-local throughout, as in the metric labels.
     """
 
     def __init__(self, engine, cluster, gpu_of):
@@ -252,8 +234,7 @@ class MessageEngine:
         """
         for endpoint in self._endpoints.values():
             for send in endpoint.sends:
-                if not send.matched:
-                    send.arrival_time += span
+                send.arrival_time += span
 
     # ------------------------------------------------------------------ #
 
@@ -303,7 +284,8 @@ class MessageEngine:
         tag: int,
         overhead: float = 0.0,
     ) -> Request:
-        """Register a send; returns the sender-completion request.
+        """Register a send; returns its record, the sender-completion
+        request.
 
         ``overhead`` is the host-call cost a nonblocking caller has not
         slept: it is charged here, and the registration (snapshot, wire
@@ -317,44 +299,41 @@ class MessageEngine:
         if not 0 <= dst < comm.size:
             raise MpiError(f"send: destination {dst} out of range [0,{comm.size})")
         src = comm.rank
-        arr = storage(buf, count)
-        nbytes = int(count * arr.dtype.itemsize)
-        label = f"send[{src}->{dst} tag={tag}]"
         engine = self.engine
-        request = Request(engine, label)
+        send = _SendRec(engine, profile, src, dst, tag, count, buf, storage(buf, count))
 
         def register() -> None:
-            pair = self._pairs.get((comm.comm_id, src, dst)) or self.pair(comm, src, dst)
+            # Resolved here, not in the caller's frame: a task in debt may
+            # select another GPU before its post registers.
+            pair = send.pair = (self._pairs.get((comm.comm_id, src, dst))
+                                or self.pair(comm, src, dst))
             san = engine.sanitizer
             if san is not None:
                 # Posting happens-before the matched pair fires (_fire
                 # acquires both records).
-                san.release(request)
-            if nbytes <= profile.eager_threshold:
-                rec = _SendRec(src, tag, count, nbytes, "eager", pair, buf, arr)
-                rec.flight = InFlight(self.plane).snapshot(
-                    buf, arr, count, key=("m", src, dst, tag), note=label)
+                san.release(send)
+            nbytes, kind = send.nbytes, send.kind
+            if kind == "eager":
+                flight = send.flight = InFlight(self.plane).snapshot(
+                    buf, send.arr, count, key=("m", src, dst, tag), note=send.name[4:])
                 now = engine.now
-                transfer = rec.flight.wire(pair.path, nbytes, now)
-                rec.arrival_time = transfer.delivered
+                transfer = flight.wire(pair.path, nbytes, now)
+                send.arrival_time = transfer.delivered
                 # The sender's buffer is free once the payload is on the wire.
-                engine.schedule(max(0.0, transfer.inject_done - now), request.complete)
-            else:
-                rec = _SendRec(src, tag, count, nbytes, "rdv", pair, buf, arr)
-            rec.request = request
+                engine.schedule(max(0.0, transfer.inject_done - now), send.complete)
             metrics = engine.metrics
             if metrics.enabled:
                 series = pair.sized.get(nbytes)
                 if series is None:
                     series = pair.sized[nbytes] = (
-                        self._messages[rec.kind, size_class(nbytes), src],
-                        self._bytes[rec.kind, src])
+                        self._messages[kind, size_class(nbytes), src],
+                        self._bytes[kind, src])
                 series[0].inc()
                 series[1].inc(nbytes)
             if engine.trace_hook is not None:
                 engine.trace_fields("mpi.send", {
                     "src": src, "dst": dst, "tag": tag, "nbytes": nbytes,
-                    "protocol": rec.kind, "comm": comm.comm_id})
+                    "protocol": kind, "comm": comm.comm_id})
             endpoint = pair.endpoint
             recvs = endpoint.recvs
             # Incremental matching: no pending (send, recv) pair matched
@@ -365,17 +344,17 @@ class MessageEngine:
                 if ((recv.src is ANY_SOURCE or recv.src == src)
                         and (recv.tag is ANY_TAG or recv.tag == tag)):
                     del recvs[i]
-                    self._fire(profile, rec, recv, dst)
+                    self._fire(send, recv)
                     return
             sends = endpoint.sends
-            sends.append(rec)
+            sends.append(send)
             # Depth of the unexpected-message queue at this receiver; the
             # high-water mark surfaces receives posted chronically late.
             if metrics.enabled:
                 endpoint.unexpected.set(len(sends))
 
         engine.after_busy(register, overhead)
-        return request
+        return send
 
     def post_recv(
         self,
@@ -387,23 +366,21 @@ class MessageEngine:
         tag: Optional[int],
         overhead: float = 0.0,
     ) -> Request:
-        """Register a receive; returns the receive-completion request
-        (``overhead`` as in :meth:`post_send`)."""
+        """Register a receive; returns its record, the receive-completion
+        request (``overhead`` as in :meth:`post_send`)."""
         if src is not ANY_SOURCE and not 0 <= src < comm.size:
             raise MpiError(f"recv: source {src} out of range [0,{comm.size})")
         dst = comm.rank
-        arr = storage(buf, count)
         engine = self.engine
-        request = Request(engine, f"recv[{src}->{dst} tag={tag}]")
+        recv = _RecvRec(engine, src, dst, tag, count, buf, storage(buf, count))
 
         def register() -> None:
-            rec = _RecvRec(src, tag, count, buf, arr, request)
             san = engine.sanitizer
             if san is not None:
                 # Posting happens-before the matched pair fires; the recv
                 # post carries the receiver's prior accesses to the buffer
                 # (e.g. a kernel read completed before re-posting).
-                san.release(request)
+                san.release(recv)
             if engine.trace_hook is not None:
                 engine.trace_fields("mpi.recv", {
                     "src": src, "dst": dst, "tag": tag, "comm": comm.comm_id})
@@ -416,50 +393,43 @@ class MessageEngine:
                 if ((src is ANY_SOURCE or src == send.src)
                         and (tag is ANY_TAG or tag == send.tag)):
                     del sends[i]
-                    self._fire(profile, send, rec, dst)
+                    self._fire(send, recv)
                     return
             recvs = endpoint.recvs
-            recvs.append(rec)
+            recvs.append(recv)
             if engine.metrics.enabled:
                 endpoint.posted.set(len(recvs))
 
         engine.after_busy(register, overhead)
-        return request
+        return recv
 
     # ------------------------------------------------------------------ #
-    # Matching and completion.
+    # Matching.
     # ------------------------------------------------------------------ #
 
-    def _fire(self, profile: MpiProfile, send: _SendRec, recv: _RecvRec, dst: int) -> None:
+    def _fire(self, send: _SendRec, recv: _RecvRec) -> None:
         engine = self.engine
         san = engine.sanitizer
         if san is not None:
             # The match runs in whichever side posted last; order the
             # delivery after BOTH posts so it inherits, in particular, the
             # receiver's accesses that completed before the irecv.
-            san.acquire(send.request)
-            san.acquire(recv.request)
+            san.acquire(send)
+            san.acquire(recv)
         if recv.count < send.count:
             # Reported on the receive side (MPI_ERR_TRUNC); the sender is
             # unaffected, matching real MPI behaviour.
-            recv.request.fail(
-                MpiError(
-                    f"message truncation: recv count {recv.count} < send count "
-                    f"{send.count} (src={send.src}, dst={dst}, tag={send.tag})"
-                )
-            )
-            send.request.complete()
+            recv.fail(MpiError(
+                f"message truncation: recv count {recv.count} < send count "
+                f"{send.count} (src={send.src}, dst={send.dst}, tag={send.tag})"))
+            send.complete()
             return
-        delivery = _Delivery(self.plane, profile, send, recv, dst)
+        send.recv = recv
         if send.kind == "eager":
-            delivery.attempt(0)
+            send.attempt(0)
         else:
-            engine.schedule(profile.rendezvous_rtt_factor * send.pair.path.latency,
-                            lambda: delivery.attempt(0))
-
-    # ------------------------------------------------------------------ #
-
-    def pending_counts(self, comm_id: int, dst: int) -> Tuple[int, int]:
-        """(pending sends, pending recvs) for diagnostics/tests."""
-        endpoint = self.endpoint(comm_id, dst)
-        return len(endpoint.sends), len(endpoint.recvs)
+            # Issued here, so a revoke between the post and the match does
+            # not fence it.
+            send.flight = InFlight(self.plane)
+            engine.schedule(send.profile.rendezvous_rtt_factor * send.pair.path.latency,
+                            lambda: send.attempt(0))

@@ -2,50 +2,49 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from ...sim import Engine, SimEvent
 
 __all__ = ["Request", "waitall"]
 
 
-class Request:
-    """Handle for a pending nonblocking operation.
+class Request(SimEvent):
+    """Handle for a pending nonblocking operation: the event that sets when
+    it completes, named ``req:<name>`` in wait reasons. The matcher's two
+    message records (``matching._SendRec``, ``_RecvRec``) are requests.
 
     A request may complete *with an error* (e.g. message truncation is
     reported on the receive side, like MPI_ERR_TRUNC); the error is raised
     from ``wait()`` in the task that owns the request.
     """
 
-    __slots__ = ("engine", "name", "_event", "_error", "_san_clock")
+    __slots__ = ("_error",)
 
     def __init__(self, engine: Engine, name: str):
-        self.engine = engine
-        self.name = name
-        self._event = SimEvent(engine, name=f"req:{name}")
+        super().__init__(engine, f"req:{name}")
         self._error: BaseException = None
 
-    def complete(self) -> None:
-        """Mark the operation finished; wakes waiters."""
-        self._event.set()
+    #: Mark the operation finished; wakes waiters.
+    complete = SimEvent.set
 
     def fail(self, error: BaseException) -> None:
         """Complete the request erroneously; ``wait`` will raise ``error``."""
         self._error = error
-        self._event.set()
+        self.set()
 
     @property
     def done(self) -> bool:
         """True once the operation completed (possibly with error)."""
-        return self._event.poll()
+        return self.poll()
 
     def test(self) -> bool:
         """Nonblocking completion check (MPI_Test)."""
-        return self.done
+        return self.poll()
 
     def wait(self) -> None:
         """Block the calling task until the operation completes (MPI_Wait)."""
-        self._event.wait()
+        super().wait()
         if self._error is not None:
             raise self._error
 
@@ -60,7 +59,7 @@ def waitall(requests: Iterable[Request]) -> None:
     reqs = list(requests)
     # The raw state, not the settling `done` poll: what is pending gets
     # waited for, and a wait catches up with the caller's busy time itself.
-    pending = [r for r in reqs if not r._event.is_set()]
+    pending = [r for r in reqs if not r._set]
     if len(pending) > 1:
         engine = pending[0].engine
         task = engine._require_current()
@@ -72,7 +71,7 @@ def waitall(requests: Iterable[Request]) -> None:
                 task.make_ready()
 
         for req in pending:
-            req._event.on_set(one_done)
+            req.on_set(one_done)
         engine.block("waitall")
     for req in reqs:
         req.wait()

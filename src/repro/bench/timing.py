@@ -3,24 +3,16 @@
 Each measurement is repeated; the lowest and highest samples are dropped
 and the rest averaged. (On the deterministic virtual clock the spread comes
 only from carried-over link occupancy, so few repeats suffice; the paper
-used ten on real hardware.)
+used ten on real hardware.) The OSU apps reduce their samples this way
+themselves, so :func:`paper_mean` lives with them, in the model; this
+harness package is outside the model fingerprint.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from ..apps.osu.config import paper_mean
 
 __all__ = ["paper_mean", "percent_diff"]
-
-
-def paper_mean(samples: Sequence[float]) -> float:
-    """Drop min and max (when there are >= 3 samples), then average."""
-    xs = sorted(samples)
-    if len(xs) == 0:
-        raise ValueError("no samples")
-    if len(xs) >= 3:
-        xs = xs[1:-1]
-    return sum(xs) / len(xs)
 
 
 def percent_diff(measured: float, reference: float) -> float:

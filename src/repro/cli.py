@@ -64,6 +64,14 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _queue_path(path: str) -> str:
+    """argparse type of the serve queue: a file or FIFO, which may not
+    exist yet (the loop waits for it), but never a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI (exposed for tests and docs)."""
     p = argparse.ArgumentParser(prog="repro", description=__doc__,
@@ -216,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
                "and executes new lines as they arrive; --once drains the "
                "current content and exits (the CI smoke mode).")
     _service_args(sp)
-    sp.add_argument("--queue", required=True, metavar="PATH",
+    sp.add_argument("--queue", type=_queue_path, required=True, metavar="PATH",
                     help="JSONL job file or FIFO to consume")
     sp.add_argument("--once", action="store_true",
                     help="drain what is currently readable, then exit")
-    sp.add_argument("--poll", type=float, default=0.5, metavar="S",
+    sp.add_argument("--poll", type=_positive_float, default=0.5, metavar="S",
                     help="poll interval while tailing (default 0.5s)")
 
     sp = sub.add_parser(

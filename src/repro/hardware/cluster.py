@@ -154,11 +154,6 @@ class Cluster:
         for coll in (self._intra, self._loop, self._nic_out, self._nic_in):
             yield from coll.values()
 
-    def reset_links(self) -> None:
-        """Clear all occupancy state (for reusing a cluster across runs)."""
-        for link in self.links():
-            link.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Cluster {self.machine.name}: {self.n_nodes} nodes x "

@@ -92,10 +92,6 @@ class Link:
         self.busy_until = inject_done
         return Transfer(start, inject_done, inject_done + self.latency)
 
-    def reset(self) -> None:
-        """Clear occupancy (reuse across runs)."""
-        self.busy_until = 0.0
-
 
 @dataclass
 class Path:
@@ -182,8 +178,3 @@ class Path:
     def transfer_time(self, nbytes: int) -> float:
         """Uncontended end-to-end time for one message (no reservation)."""
         return self.serialization_time(nbytes) + self.latency
-
-    def reset(self) -> None:
-        """Clear occupancy (reuse across runs)."""
-        for link in self.links:
-            link.reset()

@@ -55,9 +55,10 @@ _INT_FIELDS = ("ranks", "size", "iters", "seed", "fault_seed")
 _STR_FIELDS = ("backend", "machine")
 _BOOL_FIELDS = ("sanitize", "collect")
 
-#: Not part of the model: the service envelope and the CLI can change
+#: Not part of the model: the service envelope, the CLI and the benchmark
+#: harness (report tables, shape checks, the SLOC counter) can change
 #: without invalidating a single cached result.
-_NOT_MODEL = ("serve", "cli.py", "__main__.py")
+_NOT_MODEL = ("serve", "bench", "cli.py", "__main__.py")
 
 
 @lru_cache(maxsize=None)
@@ -65,9 +66,9 @@ def model_fingerprint() -> str:
     """SHA-256 over the simulator's source files (hex), once per process.
 
     Every ``*.py`` under the ``repro`` package except ``serve/``,
-    ``cli.py`` and ``__main__.py``, as (sorted relative path, bytes). The
-    files are read, never imported, so fingerprinting costs a few
-    milliseconds and loads nothing; mtimes and ``__pycache__`` do not
+    ``bench/``, ``cli.py`` and ``__main__.py``, as (sorted relative path,
+    bytes). The files are read, never imported, so fingerprinting costs a
+    few milliseconds and loads nothing; mtimes and ``__pycache__`` do not
     enter. Falls back to ``__version__`` when no source is readable (a
     bytecode-only install).
     """

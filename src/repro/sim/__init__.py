@@ -17,7 +17,7 @@ from .faults import (
     Straggler,
 )
 from .spmd import run_spmd
-from .sync import Broadcast, Counter, SimEvent, SimQueue, wait_until
+from .sync import Broadcast, Counter, SimEvent, wait_until
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Broadcast",
     "Counter",
     "SimEvent",
-    "SimQueue",
     "wait_until",
     "TraceRecord",
     "Tracer",

@@ -201,13 +201,6 @@ class FaultPlan:
             timeout=self.retry_timeout,
         )
 
-    def to_spec(self) -> str:
-        """Spec string preserving clause order: ``FaultPlan.parse(
-        plan.to_spec())`` is equivalent to ``plan``, so any error text
-        carrying it is replayable. For a *canonical* form that is equal
-        for equivalent plans, use :meth:`spec_string`."""
-        return self._spec("{:g}".format)
-
     def spec_string(self) -> str:
         """Canonical re-serialization: equivalent plans — any clause
         order, any float spelling (``1e-4`` vs ``0.0001``), any field
@@ -234,19 +227,19 @@ class FaultPlan:
             stragglers=tuple(sorted(
                 self.stragglers, key=lambda st: (st.gpu, st.factor))),
         )
-        return plan._spec(lambda x: repr(float(x)))
+        return plan._spec()
 
-    def _spec(self, fmt) -> str:
-        """Render this plan as a spec string; ``fmt`` formats floats."""
+    def _spec(self) -> str:
+        """Render this plan as a spec string, in its clause order."""
         clauses: List[str] = []
         for lf in self.link_faults:
             c = f"{lf.kind},link={lf.link}"
             if lf.kind == "degrade":
-                c += f",factor={fmt(lf.factor)}"
+                c += f",factor={float(lf.factor)!r}"
             if lf.start != 0.0:
-                c += f",start={fmt(lf.start)}"
+                c += f",start={float(lf.start)!r}"
             if lf.end != _INF:
-                c += f",end={fmt(lf.end)}"
+                c += f",end={float(lf.end)!r}"
             clauses.append(c)
         for mf in self.message_faults:
             c = mf.kind
@@ -255,32 +248,32 @@ class FaultPlan:
                 if value is not None:
                     c += f",{name}={value}"
             if mf.p != 1.0:
-                c += f",p={fmt(mf.p)}"
+                c += f",p={float(mf.p)!r}"
             if mf.start != 0.0:
-                c += f",start={fmt(mf.start)}"
+                c += f",start={float(mf.start)!r}"
             if mf.end != _INF:
-                c += f",end={fmt(mf.end)}"
+                c += f",end={float(mf.end)!r}"
             clauses.append(c)
         for cr in self.crashes:
-            clauses.append(f"crash,rank={cr.rank},at={fmt(cr.at)}")
+            clauses.append(f"crash,rank={cr.rank},at={float(cr.at)!r}")
         for st in self.stragglers:
-            clauses.append(f"straggler,gpu={st.gpu},factor={fmt(st.factor)}")
+            clauses.append(f"straggler,gpu={st.gpu},factor={float(st.factor)!r}")
         defaults = FaultPlan()
         retry_fields = []
         if self.retry_base != defaults.retry_base:
-            retry_fields.append(f"base={fmt(self.retry_base)}")
+            retry_fields.append(f"base={float(self.retry_base)!r}")
         if self.max_retries != defaults.max_retries:
             retry_fields.append(f"max={self.max_retries}")
         if self.retry_multiplier != defaults.retry_multiplier:
-            retry_fields.append(f"mult={fmt(self.retry_multiplier)}")
+            retry_fields.append(f"mult={float(self.retry_multiplier)!r}")
         if self.retry_jitter != defaults.retry_jitter:
-            retry_fields.append(f"jitter={fmt(self.retry_jitter)}")
+            retry_fields.append(f"jitter={float(self.retry_jitter)!r}")
         if self.retry_timeout is not None:
-            retry_fields.append(f"timeout={fmt(self.retry_timeout)}")
+            retry_fields.append(f"timeout={float(self.retry_timeout)!r}")
         if retry_fields:
             clauses.append("retry," + ",".join(retry_fields))
         if self.watchdog is not None:
-            clauses.append(f"watchdog,timeout={fmt(self.watchdog)}")
+            clauses.append(f"watchdog,timeout={float(self.watchdog)!r}")
         return ";".join(clauses)
 
     @staticmethod
@@ -393,7 +386,7 @@ class FaultInjector:
 
     def describe(self) -> str:
         """One-line provenance, embedded in hang reports: spec + seed."""
-        return f"fault spec {self.plan.to_spec()!r} seed={self.seed}"
+        return f"fault spec {self.plan.spec_string()!r} seed={self.seed}"
 
     # ------------------------------------------------------------------ #
     # Installation.

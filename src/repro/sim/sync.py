@@ -33,7 +33,7 @@ no longer holds.
 
 Busy-time debt: a task may run ahead of the clock (``Engine.defer_busy``),
 and what it publishes must happen at its own time. So the publishing half
-of every primitive (``set``, ``notify_all``, ``add``, ``put``) and
+of every primitive (``set``, ``notify_all``, ``add``) and
 ``wait_until``, whose predicate could come out differently later, call
 ``Engine.settle`` first. Blocking halves need nothing: ``Engine.block``
 catches up before it returns, and ``wait`` on a set event is monotone.
@@ -41,12 +41,11 @@ catches up before it returns, and ``wait`` on a set event is monotone.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Callable, List, Optional
 
 from .engine import Engine, Task
 
-__all__ = ["SimEvent", "Broadcast", "SimQueue", "Counter", "wait_until"]
+__all__ = ["SimEvent", "Broadcast", "Counter", "wait_until"]
 
 
 class SimEvent:
@@ -287,39 +286,6 @@ def wait_until(
             + (f" (active {context})" if context else ""),
             when=engine.now,
         )
-
-
-class SimQueue:
-    """Unbounded FIFO queue between simulated tasks."""
-
-    __slots__ = ("engine", "_items", "_bcast")
-
-    def __init__(self, engine: Engine, name: str = "queue"):
-        self.engine = engine
-        self._items: Deque[Any] = deque()
-        self._bcast = Broadcast(engine, name)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append an item and wake waiters."""
-        self.engine.settle()
-        self._items.append(item)
-        self._bcast.notify_all()
-
-    def get(self) -> Any:
-        """Block until an item is available; pop it."""
-        wait_until(self._bcast, lambda: bool(self._items))
-        return self._items.popleft()
-
-    def try_get(self) -> Optional[Any]:
-        """Pop an item if present, else None (nonblocking). "Empty" is for
-        the caller to act on, and an item may arrive within its busy time,
-        so that is settled first."""
-        if not self._items:
-            self.engine.settle()
-        return self._items.popleft() if self._items else None
 
 
 class Counter:

@@ -1,9 +1,12 @@
 """Tests for simulated MPI point-to-point semantics and protocols."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.backends.mpi import ANY_SOURCE, ANY_TAG, MpiContext, waitall
+from repro.backends.common import InFlight
+from repro.backends.mpi import ANY_SOURCE, ANY_TAG, MpiContext, Request, waitall
 from repro.errors import DeadlockError, MpiError
 from repro.hardware import perlmutter
 from repro.launcher import launch
@@ -152,6 +155,62 @@ def test_request_test_transitions(run2):
 
     results = run2(body)
     assert results[1] == (False, True)
+
+
+def test_isend_and_irecv_return_requests(run2):
+    """A message's records are the requests its caller waits on; a request
+    still builds on its own."""
+    def body(mpi, comm):
+        peer = 1 - comm.rank
+        buf = np.zeros(1, np.float32)
+        reqs = [comm.irecv(buf, 1, src=peer), comm.isend(buf, 1, dst=peer)]
+        waitall(reqs)
+        solo = Request(mpi.engine, "solo")
+        mpi.engine.schedule(1e-6, solo.complete)
+        solo.wait()
+        return [isinstance(r, Request) and r.done for r in reqs + [solo]]
+
+    assert run2(body) == [[True] * 3] * 2
+
+
+def test_a_receive_that_never_matches_names_the_transfer_in_the_deadlock_report():
+    def body(ctx):
+        ctx.set_device(ctx.node_rank)
+        comm = MpiContext(ctx).comm_world
+        if comm.rank == 1:
+            comm.recv(np.zeros(1, np.float32), 1, src=0, tag=0)
+
+    with pytest.raises(DeadlockError) as excinfo:
+        launch(body, 2)
+    assert "rank1: blocked on event:req:recv[0->1 tag=0]" in excinfo.value.report
+
+
+@pytest.mark.parametrize("count", [4, EAGER], ids=["eager", "rendezvous"])
+def test_a_request_held_after_waitall_does_not_keep_the_payload(monkeypatch, run2, count):
+    """A request outlives its wait in the caller's hands; the snapshot of
+    the payload it sent must not: once landed, the copy is freed."""
+    copies = []
+    snapshot = InFlight.snapshot
+
+    def keep_a_weakref(flight, *args, **kwargs):
+        out = snapshot(flight, *args, **kwargs)
+        copies.append(weakref.ref(flight.data))
+        return out
+
+    monkeypatch.setattr(InFlight, "snapshot", keep_a_weakref)
+
+    def body(mpi, comm):
+        buf, ack = np.ones(count, np.float32), np.zeros(1, np.float32)
+        if comm.rank == 1:
+            comm.recv(buf, count, src=0)
+            comm.send(ack, 1, dst=0)
+            return None
+        req = comm.isend(buf, count, dst=1)
+        waitall([req])
+        comm.recv(ack, 1, src=1)  # rank 1 has its payload
+        return req.done, [copy() is None for copy in copies]
+
+    assert run2(body)[0] == (True, [True, True])
 
 
 def test_sendrecv_ring_shift(run4):

@@ -71,14 +71,6 @@ def test_inter_node_transfers_share_source_nic(cluster):
     assert p_a.links[1] is not p_b.links[1]
 
 
-def test_reset_links(cluster):
-    cluster.path(0, 1).reserve(0.0, 10**6)
-    cluster.path(0, 4).reserve(0.0, 10**6)
-    cluster.reset_links()
-    assert cluster.path(0, 1).links[0].busy_until == 0.0
-    assert cluster.path(0, 4).links[0].busy_until == 0.0
-
-
 def test_invalid_node_count():
     with pytest.raises(HardwareError):
         Cluster(perlmutter(), n_nodes=0)

@@ -60,13 +60,6 @@ def test_link_negative_latency_rejected():
         Link(name="bad", latency=-1.0, bandwidth=1.0)
 
 
-def test_link_reset_clears_occupancy():
-    link = mk_link()
-    link.reserve(0.0, 10**6)
-    link.reset()
-    assert link.busy_until == 0.0
-
-
 def test_path_latency_sums_bandwidth_bottlenecks():
     p = Path([mk_link(lat=1e-6, bw=4e9, name="a"), mk_link(lat=2e-6, bw=1e9, name="b")])
     assert p.latency == pytest.approx(3e-6)

@@ -3,6 +3,7 @@ outlive the simulator sources that produced it (ROADMAP item 5)."""
 
 import compileall
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,7 +65,7 @@ def test_one_model_byte_changes_every_hash_but_the_envelope_does_not(tmp_path):
     base = _probe(tmp_path)
 
     # The envelope: how results are served is not what they are.
-    for name in ("serve/store.py", "cli.py", "__main__.py"):
+    for name in ("serve/store.py", "bench/report.py", "cli.py", "__main__.py"):
         with open(copy / name, "a") as fh:
             fh.write("# touched\n")
     assert _probe(tmp_path) == base
@@ -80,6 +81,16 @@ def test_one_model_byte_changes_every_hash_but_the_envelope_does_not(tmp_path):
     assert moved[0] != fingerprint
     (copy / "coll" / "extra.py").rename(copy / "sim" / "extra.py")
     assert _probe(tmp_path)[0] not in (fingerprint, moved[0])
+
+
+def test_no_model_module_imports_the_harness():
+    """``bench/`` is outside the fingerprint, so nothing a run executes may
+    live there: no module of the model imports it."""
+    harness = re.compile(r"^\s*(from\s+(\.+|repro\.)bench\b|import\s+repro\.bench\b)", re.M)
+    importers = [str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
+                 if path.relative_to(PACKAGE).parts[0] not in ("bench", "serve", "cli.py")
+                 and harness.search(path.read_text())]
+    assert importers == []
 
 
 def test_falls_back_to_the_version_without_sources(tmp_path):

@@ -609,28 +609,24 @@ def test_callback_enqueue_ignores_a_blocked_tasks_debt():
     assert started == [1.0]
 
 
-@pytest.mark.parametrize("publish", ["set", "add", "put", "notify_all", "spawn", "schedule"])
+@pytest.mark.parametrize("publish", ["set", "add", "notify_all", "spawn", "schedule"])
 def test_a_task_in_debt_publishes_at_its_own_time(publish):
     """Whatever another task can observe happens at the publisher's busy
     time, not at the clock it is running ahead of."""
-    from repro.sim import SimQueue
-
     engine = Engine()
-    event, counter = SimEvent(engine), Counter(engine)
-    queue, bcast = SimQueue(engine), Broadcast(engine)
+    event, counter, bcast = SimEvent(engine), Counter(engine), Broadcast(engine)
     seen = []
     observe = lambda: seen.append(engine.now)
 
     def observer():
         {"set": event.wait, "add": lambda: counter.wait_for(lambda v: v > 0),
-         "put": queue.get, "notify_all": bcast.wait}.get(publish, lambda: None)()
+         "notify_all": bcast.wait}.get(publish, lambda: None)()
         if publish not in ("spawn", "schedule"):
             observe()
 
     def publisher():
         engine.defer_busy(1.0)
-        {"set": event.set, "add": lambda: counter.add(1), "put": lambda: queue.put(1),
-         "notify_all": bcast.notify_all,
+        {"set": event.set, "add": lambda: counter.add(1), "notify_all": bcast.notify_all,
          "spawn": lambda: engine.spawn(observe, name="child"),
          "schedule": lambda: engine.schedule(0.0, observe)}[publish]()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError
-from repro.sim import Broadcast, Counter, Engine, SimEvent, SimQueue, wait_until
+from repro.sim import Broadcast, Counter, Engine, SimEvent, wait_until
 
 
 def test_event_set_before_wait_is_nonblocking():
@@ -98,60 +98,6 @@ def test_broadcast_wait_until_predicate():
     eng.spawn(producer)
     eng.run()
     assert out == [(3, 3.0)]
-
-
-def test_queue_fifo_order():
-    eng = Engine()
-    q = SimQueue(eng)
-    got = []
-
-    def producer():
-        for i in range(4):
-            eng.sleep(0.5)
-            q.put(i)
-
-    def consumer():
-        for _ in range(4):
-            got.append(q.get())
-
-    eng.spawn(consumer)
-    eng.spawn(producer)
-    eng.run()
-    assert got == [0, 1, 2, 3]
-
-
-def test_queue_try_get_nonblocking():
-    eng = Engine()
-
-    def body():
-        q = SimQueue(eng)
-        assert q.try_get() is None
-        q.put("x")
-        assert len(q) == 1
-        assert q.try_get() == "x"
-
-    eng.spawn(body)
-    eng.run()
-
-
-@pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])
-def test_queue_try_get_sees_an_item_arriving_within_the_callers_busy_time(eager):
-    """"Empty" is something the caller acts on, so a poll by a task in debt
-    answers for the task's own time, as it does when charges are slept."""
-    eng = Engine()
-    if eager:
-        eng.watchdog_timeout = 100.0  # any instrument: defer_busy sleeps
-    out = []
-
-    def body():
-        q = SimQueue(eng)
-        eng.schedule(0.5, lambda: q.put("x"))
-        eng.defer_busy(1.0)
-        out.append((q.try_get(), eng.now))
-
-    eng.spawn(body)
-    eng.run()
-    assert out == [("x", 1.0)]
 
 
 def test_counter_wait_for_threshold():

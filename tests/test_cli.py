@@ -122,6 +122,24 @@ def test_service_values_that_cannot_work_are_refused_at_parse_time(
     assert not store.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--poll", "-1"), ("--poll", "0"), ("--queue", "")])
+def test_serve_queue_and_poll_that_cannot_work_are_refused_at_parse_time(
+        tmp_path, capsys, flag, value):
+    """A negative poll interval would die in time.sleep once the queue is
+    drained and a zero one spins a core; a directory as the queue dies on
+    its first read. A missing queue file stays legal: the loop waits."""
+    store = tmp_path / "store"
+    queue = str(tmp_path) if flag == "--queue" else str(tmp_path / "q.jsonl")
+    poll = value if flag == "--poll" else "0.5"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["serve", "--store", str(store), "--once", "--queue", queue, "--poll", poll])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    why = f"{queue!r} is a directory" if flag == "--queue" else f"must be > 0, got {value}"
+    assert err.splitlines()[-1] == f"repro serve: error: argument {flag}: {why}"
+    assert not store.exists()
+
+
 def test_report_trace_out_writes_chrome_json(tmp_path):
     """`repro report --trace-out` writes the run's Chrome trace, spans included."""
     path = tmp_path / "t.json"

@@ -93,25 +93,28 @@ def test_parse_rejects_bad_specs(spec):
 
 
 def test_link_outage_delays_transfers():
+    def faulty():
+        return Link("l", latency=1e-6, bandwidth=1e9,
+                    fault_windows=[(1e-3, 2e-3, "down", 1.0)])
+
     healthy = Link("l", latency=1e-6, bandwidth=1e9)
-    faulty = Link("l", latency=1e-6, bandwidth=1e9,
-                  fault_windows=[(1e-3, 2e-3, "down", 1.0)])
-    before = faulty.reserve(0.0, 1000)
+    before = faulty().reserve(0.0, 1000)
     assert before.start == healthy.reserve(0.0, 1000).start
-    faulty.reset()
-    during = faulty.reserve(1.5e-3, 1000)
+    link = faulty()
+    during = link.reserve(1.5e-3, 1000)
     assert during.start == 2e-3  # pushed past the outage window
-    after = faulty.reserve(2.5e-3, 1000)
+    after = link.reserve(2.5e-3, 1000)
     assert after.start >= 2e-3
 
 
 def test_link_degradation_scales_serialization():
-    link = Link("l", latency=0.0, bandwidth=1e9,
-                fault_windows=[(0.0, 1.0, "degrade", 4.0)])
-    t = link.reserve(0.0, 1000)
+    def degraded():
+        return Link("l", latency=0.0, bandwidth=1e9,
+                    fault_windows=[(0.0, 1.0, "degrade", 4.0)])
+
+    t = degraded().reserve(0.0, 1000)
     assert t.inject_done == pytest.approx(4 * 1000 / 1e9)
-    link.reset()
-    t2 = link.reserve(2.0, 1000)  # outside the window
+    t2 = degraded().reserve(2.0, 1000)  # outside the window
     assert t2.inject_done - t2.start == pytest.approx(1000 / 1e9)
 
 

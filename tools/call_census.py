@@ -29,6 +29,13 @@ Usage::
 
     python tools/call_census.py            # print the counts
     python tools/call_census.py --check    # also exit 1 above a bound
+    python tools/call_census.py --breakdown mpi-pingpong
+                                           # marginal calls per transfer
+                                           # of each repro function
+
+The breakdown says where a program's per-transfer calls go: how many
+objects a transfer builds (their ``__init__`` rows), which wrappers it
+passes through, which hook it pays for.
 
 Each bound in ``BOUNDS`` is the count when it was last set plus 5 %: a
 change that adds per-transfer work fails the check; one that removes some
@@ -36,6 +43,7 @@ lowers the bound in the same change.
 """
 
 import cProfile
+import os
 import pstats
 import sys
 import threading
@@ -58,14 +66,16 @@ ROUNDS = (20, 40)
 COUNT = 16  # float32 elements per transfer
 
 #: Upper bounds: calls per transfer for the census programs, calls per
-#: pass for jacobi-live — each the count when the bound was set (the
-#: per-pair records of the three data planes, docs/LOGBOOK.md "A transfer
-#: resolves its pair once"), plus 5 %.
+#: pass for jacobi-live — each the count when the bound was set, plus 5 %
+#: (GPUCCL and GPUSHMEM: the per-pair records of the three data planes,
+#: docs/LOGBOOK.md "A transfer resolves its pair once"; MPI and
+#: jacobi-live: an MPI message is two records, "An MPI message is two
+#: records").
 BOUNDS = {
-    "mpi-pingpong": 71.2,  # 67.8
+    "mpi-pingpong": 65.9,  # 62.8
     "gpuccl-ring": 74.6,  # 71.0
     "gpushmem-signal": 97.7,  # 93.0
-    "jacobi-live": 998_101,  # 950 572
+    "jacobi-live": 985_800,  # 938 857
 }
 
 
@@ -129,14 +139,18 @@ JACOBI_LIVE = [dict(app="jacobi", backend=backend, mode=mode, ranks=64, size=64,
 TRANSFER_COUNTERS = ("mpi_messages_total", "gpuccl_messages_total", "shmem_puts_total")
 
 
-def _repro_calls(profiles) -> int:
+def _repro_calls(profiles) -> dict:
+    """Calls into each repro function, keyed ``path:line(name)``."""
     stats = pstats.Stats(*profiles).stats
-    return sum(nc for (filename, _, name), (_, nc, *_rest) in stats.items()
-               if filename.startswith(PACKAGE) and name not in COMPREHENSIONS)
+    return {f"{os.path.relpath(filename, PACKAGE)}:{line}({name})": nc
+            for (filename, line, name), (_, nc, *_rest) in stats.items()
+            if filename.startswith(PACKAGE) and name not in COMPREHENSIONS}
 
 
-def profiled(fn):
-    """``(fn(), calls into repro on every thread while it ran)``.
+def profiled(fn, by_function=False):
+    """``(fn(), calls into repro on every thread while it ran)``; with
+    ``by_function`` the calls are a dict per function (see
+    :func:`_repro_calls`).
 
     Before Python 3.12 a profiler hooks only the thread that enables it,
     so each thread started meanwhile enables one of its own; from 3.12 on
@@ -161,7 +175,8 @@ def profiled(fn):
         main.disable()
         if per_thread:
             threading.setprofile(None)
-    return result, _repro_calls(profiles)
+    calls = _repro_calls(profiles)
+    return result, (calls if by_function else sum(calls.values()))
 
 
 def _transfers(metrics, names) -> int:
@@ -169,14 +184,28 @@ def _transfers(metrics, names) -> int:
 
 
 def census(name):
-    """Marginal repro calls per transfer of one census program."""
+    """Marginal repro calls per transfer of one census program, per
+    function whose count moved, and the marginal transfers."""
     body, ranks, counter = PROGRAMS[name]
     points = []
     for rounds in ROUNDS:
-        report, calls = profiled(lambda: launch(body, ranks, args=(rounds,)))
+        report, calls = profiled(lambda: launch(body, ranks, args=(rounds,)), by_function=True)
         points.append((calls, _transfers(report.metrics, (counter,))))
     (c0, t0), (c1, t1) = points
-    return (c1 - c0) / (t1 - t0), t1 - t0
+    return {f: (c1.get(f, 0) - c0.get(f, 0)) / (t1 - t0) for f in {*c0, *c1}
+            if c1.get(f, 0) != c0.get(f, 0)}, t1 - t0
+
+
+def breakdown(name) -> None:
+    """Print one census program's marginal calls per transfer by function,
+    most first. A negative row is one-time work the first launch of the
+    process does (an import, a cache fill), which the marginal count
+    subtracts as the census itself does."""
+    per, transfers = census(name)
+    for function, n in sorted(per.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{n:8.2f}  {function}")
+    print(f"{sum(per.values()):8.2f}  total per transfer ({name}, {transfers} "
+          f"transfers marginal)")
 
 
 def jacobi_live():
@@ -194,13 +223,17 @@ def jacobi_live():
 
 
 def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--breakdown" and argv[1] in PROGRAMS:
+        breakdown(argv[1])
+        return 0
     if argv not in ([], ["--check"]):
-        print("usage: call_census.py [--check]", file=sys.stderr)
+        print(f"usage: call_census.py [--check | --breakdown {{{','.join(PROGRAMS)}}}]",
+              file=sys.stderr)
         return 2
     readings = {}
     for name in PROGRAMS:
-        per, transfers = census(name)
-        readings[name] = per
+        by_function, transfers = census(name)
+        per = readings[name] = sum(by_function.values())
         print(f"{name:16s} {per:8.1f} calls/transfer  ({transfers} transfers marginal)")
     calls, transfers = jacobi_live()
     readings["jacobi-live"] = calls
