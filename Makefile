@@ -43,10 +43,12 @@ leak-check:
 
 # Host cost per transfer as a noise-free count (tools/call_census.py): calls
 # into repro functions, under cProfile on every thread, per MPI message,
-# GPUCCL send and GPUSHMEM put of three fixed programs (the marginal count
-# between two round counts), and per pass of the jacobi_live job list;
-# exits 1 when a count exceeds its committed bound (the count when the
-# bound was set + 5 %); ~5 s.
+# GPUCCL send and GPUSHMEM put of fixed programs — four native ones and the
+# same ring through Uniconn on each backend (the marginal count between two
+# round counts) — and per pass of the jacobi_live job list; exits 1 when a
+# count exceeds its committed bound (the count when the bound was set
+# + 5 %) or a Uniconn program's core/ calls per transfer exceed their
+# budget; ~7 s.
 call-census:
 	@$(PYTHON) tools/call_census.py --check
 

@@ -39,72 +39,84 @@ class CommHealth:
 class DeviceComm:
     """Device-side communicator handle (valid inside GPU kernels)."""
 
-    __slots__ = ("team", "size", "rank")
+    __slots__ = ("team", "size", "rank", "pes")
 
-    def __init__(self, team, size: int, rank: int):
+    def __init__(self, team, size: int, rank: int, pes: dict):
         self.team = team
         self.size = size
         self.rank = rank
+        self.pes = pes
+
+
+class _Latch:
+    """Revocation and abort state shared by every member's handle on one
+    communicator, like NCCL's shared comm error."""
+
+    __slots__ = ("revoked", "aborted")
+
+    def __init__(self):
+        self.revoked: Optional[Tuple[str, float]] = None  # (reason, virtual time)
+        self.aborted: Optional[str] = None  # the abort's detail
+
+    def error(self) -> CommRevokedError:
+        reason, when = self.revoked
+        return CommRevokedError(f"communicator revoked at t={when:.9g}s: {reason}",
+                                reason=reason, when=when)
 
 
 class Communicator:
-    """Backend-agnostic process group."""
+    """Backend-agnostic process group, bound at construction: ``native`` is
+    the backend's own communicator or team, ``size``/``rank`` its size and
+    this process's rank, ``pes`` (GPUSHMEM) maps a rank to its world PE and
+    ``latch`` is the revocation state every op reads (the Coordinator too)."""
 
     def __init__(self, env: Environment, _parts=None, _kind: Optional[str] = None):
         self.env = env
-        self.backend = env.backend
+        self.backend = backend = env.backend
         self.engine = env.engine
         if _parts is not None:
-            self._mpi_comm, self._ccl_comm, self._team = _parts
+            self._mpi_comm, self.native = _parts
         else:
+            # The CPU-side communicator: the only one on MPI, the one the
+            # other backends coordinate through (latch, consensus, split).
             self._mpi_comm = env.mpi.comm_world
-            self._ccl_comm: Optional[GpucclComm] = None
-            self._team = None
-            if self.backend is GpucclBackend:
-                uid_value = env.bootstrap_gpuccl_uid()
+            if backend is GpucclBackend:
                 uid = GpucclUniqueId.__new__(GpucclUniqueId)
-                uid.value = uid_value
-                self._ccl_comm = GpucclComm(
-                    env.rank_ctx, uid, env.world_size(), env.world_rank()
-                )
-            elif self.backend is GpushmemBackend:
-                self._team = env.shmem.team_world
+                uid.value = env.bootstrap_gpuccl_uid()
+                self.native = GpucclComm(env.rank_ctx, uid, env.world_size(), env.world_rank())
+            elif backend is GpushmemBackend:
+                self.native = env.shmem.team_world
+            else:
+                self.native = self._mpi_comm
+        self.size = self.native.size
+        self.rank = self.native.my_pe if backend is GpushmemBackend else self.native.rank
+        # A dict, not a list: a peer out of range raises instead of wrapping.
+        self.pes = dict(enumerate(self.native.members)) if backend is GpushmemBackend else None
         self._closed = False
-        # Flags shared by every member's handle on this communicator
-        # (revocation and abort latch here, like NCCL's shared comm error).
-        self._shared_flags = env.rank_ctx.job.shared_state(
-            ("uniconn_comm_flags", self._mpi_comm.comm_id), dict
+        self.latch = env.rank_ctx.job.shared_state(
+            ("uniconn_comm_flags", self._mpi_comm.comm_id), _Latch
         )
         self._res_seq = 0  # agree/shrink round counter (lockstep by contract)
         metrics = self.engine.metrics
         metrics.inc(
             "communicator_init_total",
-            backend=self.backend.name,
+            backend=backend.name,
             rank=env.world_rank(),
             kind=_kind or ("split" if _parts is not None else "world"),
         )
         self._barrier_calls = metrics.bind_counter(
-            "uniconn_calls_total", op="barrier", backend=self.backend.name,
-            rank=self.global_rank(),
+            "uniconn_calls_total", op="barrier", backend=backend.name, rank=self.rank,
         )
 
     # ------------------------------------------------------------------ #
 
     def global_size(self) -> int:
         """Process count of this communicator (paper GlobalSize)."""
-        if self._ccl_comm is not None:
-            return self._ccl_comm.size
-        if self._team is not None:
-            return self._team.size
-        return self._mpi_comm.size
+        return self.size
 
     def global_rank(self) -> int:
         """This process's rank in the communicator (paper GlobalRank)."""
-        if self._ccl_comm is not None:
-            return self._ccl_comm.rank
-        if self._team is not None:
-            return self._team.my_pe
-        return self._mpi_comm.rank
+        return self.rank
 
     # ------------------------------------------------------------------ #
 
@@ -116,35 +128,33 @@ class Communicator:
         the communicator's team barrier (stream-ordered when a stream is
         given), so split sub-communicators synchronize only their members.
         """
-        self._check_revoked()
+        if self.latch.revoked:
+            raise self.latch.error()
         self._barrier_calls.inc()
         with self._span("barrier", "sync"):
             self.engine.defer_busy(self.env.costs.dispatch)
             if self.backend is MPIBackend:
                 if stream is not None:
                     stream.synchronize()
-                self._mpi_comm.barrier()
+                self.native.barrier()
             elif self.backend is GpucclBackend:
                 s = stream if stream is not None else self.env.device.default_stream
                 token = np.zeros(1, np.float32)
-                self._ccl_comm.all_reduce(token, token, 1, "sum", s)
+                self.native.all_reduce(token, token, 1, "sum", s)
                 if stream is None:
                     s.synchronize()
             else:
-                self._team.run_collective("barrier", None, None, 0, stream=stream)
+                self.native.run_collective("barrier", None, None, 0, stream=stream)
 
     def split(self, color: int, *, key: int = 0) -> "Communicator":
         """Create a sub-communicator (collective over all members)."""
-        self._check_revoked()
+        if self.latch.revoked:
+            raise self.latch.error()
         self.engine.defer_busy(self.env.costs.dispatch)
-        if self.backend is MPIBackend:
-            return Communicator(self.env, _parts=(self._mpi_comm.split(color, key), None, None))
-        if self.backend is GpucclBackend:
-            # GPUCCL needs the CPU library for coordination too.
-            sub_mpi = self._mpi_comm.split(color, key)
-            return Communicator(self.env, _parts=(sub_mpi, self._ccl_comm.split(color, key), None))
         sub_mpi = self._mpi_comm.split(color, key)
-        return Communicator(self.env, _parts=(sub_mpi, None, self._team.split(color, key)))
+        if self.backend is MPIBackend:
+            return Communicator(self.env, _parts=(sub_mpi, sub_mpi))
+        return Communicator(self.env, _parts=(sub_mpi, self.native.split(color, key)))
 
     def to_device(self) -> DeviceComm:
         """A communicator handle usable inside device kernels.
@@ -157,7 +167,7 @@ class Communicator:
                 f"backend {self.backend.name} has no device API; "
                 f"to_device() requires GPUSHMEM"
             )
-        return DeviceComm(self._team, self.global_size(), self.global_rank())
+        return DeviceComm(self.native, self.size, self.rank, self.pes)
 
     # ------------------------------------------------------------------ #
     # Robustness (fault injection, repro.sim.faults).
@@ -180,16 +190,16 @@ class Communicator:
             if injector is not None and injector.crashed_ranks
             else ()
         )
-        if self._ccl_comm is not None:
-            error = self._ccl_comm.async_error_query()
+        if self.backend is GpucclBackend:
+            error = self.native.async_error_query()
             if error is not None:
                 return CommHealth(ok=False, crashed_ranks=crashed, detail=str(error))
-        aborted = self._shared_flags.get("aborted")
+        aborted = self.latch.aborted
         if aborted is not None:
             return CommHealth(
                 ok=False, crashed_ranks=crashed, detail=f"communicator aborted: {aborted}"
             )
-        revoked = self._shared_flags.get("revoked")
+        revoked = self.latch.revoked
         if revoked is not None:
             return CommHealth(
                 ok=False, crashed_ranks=crashed, detail=f"communicator revoked: {revoked[0]}"
@@ -213,14 +223,15 @@ class Communicator:
         """
         health = self.health()
         detail = reason or health.detail or "application abort"
-        self._shared_flags.setdefault("aborted", detail)
+        if self.latch.aborted is None:
+            self.latch.aborted = detail
         message = (
-            f"communicator aborted by rank {self.global_rank()}/"
-            f"{self.global_size()} at t={self.engine.now:.9g}s: {detail}"
+            f"communicator aborted by rank {self.rank}/"
+            f"{self.size} at t={self.engine.now:.9g}s: {detail}"
         )
-        if self._ccl_comm is not None:
+        if self.backend is GpucclBackend:
             try:
-                self._ccl_comm.abort(detail)
+                self.native.abort(detail)
             except GpucclError as exc:
                 raise UniconnError(message) from exc
         raise UniconnError(message)
@@ -229,20 +240,10 @@ class Communicator:
     # Recovery (ULFM-style revoke/agree/shrink; repro.resilience).
     # ------------------------------------------------------------------ #
 
-    def _check_revoked(self) -> None:
-        revoked = self._shared_flags.get("revoked")
-        if revoked is not None:
-            reason, when = revoked
-            raise CommRevokedError(
-                f"communicator revoked at t={when:.9g}s: {reason}",
-                reason=reason,
-                when=when,
-            )
-
     @property
     def revoked(self) -> bool:
         """True once any member revoked this communicator."""
-        return self._shared_flags.get("revoked") is not None
+        return self.latch.revoked is not None
 
     def revoke(self, reason: str = "") -> None:
         """Revoke the communicator (ULFM ``MPI_Comm_revoke`` analogue).
@@ -255,28 +256,28 @@ class Communicator:
         ``async_error_query`` observe the revocation like any async error.
         Idempotent.
         """
-        if self._shared_flags.get("revoked") is not None:
+        if self.latch.revoked is not None:
             return
         detail = reason or "communicator revoked"
         when = self.engine.now
-        self._shared_flags["revoked"] = (detail, when)
+        self.latch.revoked = (detail, when)
         # Tear down in-flight traffic: any payload still on the wire (for
         # example stuck behind a downed link) must never land in buffers a
         # post-shrink generation rebuilds. Latched above, so the epoch
         # advances exactly once per revocation.
         self.engine.fence()
-        if self._ccl_comm is not None and self._ccl_comm.shared.error is None:
-            self._ccl_comm.shared.error = GpucclError(
+        if self.backend is GpucclBackend and self.native.shared.error is None:
+            self.native.shared.error = GpucclError(
                 f"gpuccl comm revoked at t={when:.9g}s: {detail}"
             )
         self.engine.metrics.inc(
-            "comm_revoked_total", backend=self.backend.name, rank=self.global_rank()
+            "comm_revoked_total", backend=self.backend.name, rank=self.rank
         )
         injector = self.engine.fault_injector
         if injector is not None:
-            injector.record("recover.revoke", rank=self.global_rank(), reason=detail)
+            injector.record("recover.revoke", rank=self.rank, reason=detail)
         else:
-            self.engine.trace("recover.revoke", rank=self.global_rank(), reason=detail)
+            self.engine.trace("recover.revoke", rank=self.rank, reason=detail)
 
     def _retry_policy(self):
         injector = self.engine.fault_injector
@@ -315,7 +316,7 @@ class Communicator:
             "uniconn_calls_total",
             op="agree",
             backend=self.backend.name,
-            rank=self.global_rank(),
+            rank=self.rank,
         )
         ok, _ = self._consensus(bool(flag))
         return ok
@@ -341,18 +342,16 @@ class Communicator:
             from ..backends.mpi.comm import MpiCommunicator
 
             new_id = ctx.world.alloc_comm_ids(key, 1)
-            new_mpi = MpiCommunicator(ctx, new_id, members)
-            new_ccl = None
-            new_team = None
-            if self._ccl_comm is not None:
+            new_mpi = native = MpiCommunicator(ctx, new_id, members)
+            if self.backend is GpucclBackend:
                 uid = self.env.rank_ctx.job.shared_state(
                     ("gpuccl_uid",) + key, GpucclUniqueId
                 )
-                new_ccl = GpucclComm(self.env.rank_ctx, uid, len(members), members.index(me))
-            if self._team is not None:
+                native = GpucclComm(self.env.rank_ctx, uid, len(members), members.index(me))
+            elif self.backend is GpushmemBackend:
                 from ..backends.gpushmem.collectives import ShmemTeam
 
-                new_team = ShmemTeam(self._team.world, members, me, key)
+                native = ShmemTeam(self.native.world, members, me, key)
             if me == members[0]:
                 # Run-level bookkeeping lands once per shrink, not per rank.
                 if lost > 0:
@@ -374,9 +373,7 @@ class Communicator:
                         survivors=members,
                         lost=lost,
                     )
-            return Communicator(
-                self.env, _parts=(new_mpi, new_ccl, new_team), _kind="shrink"
-            )
+            return Communicator(self.env, _parts=(new_mpi, native), _kind="shrink")
 
     # ------------------------------------------------------------------ #
     # Structured teardown (context-manager form of the paper's RAII).
@@ -392,8 +389,8 @@ class Communicator:
         if self._closed:
             return
         self._closed = True
-        if self._ccl_comm is not None and not self._ccl_comm.destroyed:
-            self._ccl_comm.destroy()
+        if self.backend is GpucclBackend and not self.native.destroyed:
+            self.native.destroy()
 
     def __enter__(self) -> "Communicator":
         return self
@@ -412,36 +409,9 @@ class Communicator:
             device = self.env.rank_ctx.device
             if device is not None:
                 fields.setdefault("gpu", device.gpu_id)
-            return Span(engine, name, cat, {"rank": self.global_rank(),
+            return Span(engine, name, cat, {"rank": self.rank,
                                             "backend": self.backend.name, **fields})
         return _NULL
 
-    # Internal accessors used by the Coordinator.
-
-    @property
-    def mpi(self):
-        """The underlying MPI communicator (backend internals)."""
-        self._check_revoked()
-        return self._mpi_comm
-
-    @property
-    def ccl(self) -> GpucclComm:
-        """The underlying GPUCCL communicator (backend internals)."""
-        self._check_revoked()
-        if self._ccl_comm is None:
-            raise UniconnError("no GPUCCL communicator on this backend")
-        return self._ccl_comm
-
-    @property
-    def team(self):
-        """The underlying GPUSHMEM team (backend internals)."""
-        self._check_revoked()
-        if self._team is None:
-            raise UniconnError("no GPUSHMEM team on this backend")
-        return self._team
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Communicator backend={self.backend.name} "
-            f"rank={self.global_rank()}/{self.global_size()}>"
-        )
+        return f"<Communicator backend={self.backend.name} rank={self.rank}/{self.size}>"

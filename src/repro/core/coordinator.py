@@ -25,7 +25,11 @@ stream (MPI has no stream integration), charged from the machine's
 Backend and launch mode are the paper's template parameters and are
 resolved like them, once: ``Coordinator(env, ...)`` builds the class for
 ``env``'s backend (one per column above, GPUSHMEM one per launch mode) with
-costs, runtimes and metric series looked up in ``__init__``; span tracing
+costs, runtimes and metric series looked up in ``__init__``; it reads the
+backend object, ranks and revocation latch a :class:`Communicator` bound at
+its construction, so ``post``/``acknowledge``/``comm_start``/``comm_end``
+are each one frame into the backend, and a collective is one
+``_collective`` over the binding's kind -> native-call table. Span tracing
 (``launch(obs="spans")``) is a layer around it that other runs never build.
 """
 
@@ -36,9 +40,10 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ..backends.common import as_array
+from ..backends.gpuccl import GpucclComm
 from ..backends.gpuccl import group_end as _ccl_group_end, group_start as _ccl_group_start
-from ..backends.gpushmem import SymBuffer
-from ..backends.mpi import waitall as _mpi_waitall
+from ..backends.gpushmem import ShmemContext, SymBuffer
+from ..backends.mpi import MpiCommunicator, waitall as _mpi_waitall
 from ..errors import UniconnError
 from ..gpu.kernel import DeviceCtx, KernelSpec
 from ..gpu.stream import Stream
@@ -133,7 +138,8 @@ class Coordinator:
             args=b.args() if callable(b.args) else b.args, stream=self.stream,
         )
 
-    # Operation grouping (paper Section IV-G).
+    # Operation grouping (paper Section IV-G). These are the one-sided
+    # bindings' (nothing to complete); the two-sided ones override them.
 
     def comm_start(self) -> None:
         """Begin a non-blocking group of communication operations."""
@@ -151,7 +157,8 @@ class Coordinator:
         self.engine.defer_busy(self._dispatch)
         self._grouping = False
 
-    # P2P primitives (paper Section IV-F2).
+    # P2P primitives (paper Section IV-F2). Every op of every binding counts
+    # the call, pays its charge, then raises if ``comm`` is revoked.
 
     def post(self, sendbuf, recvbuf, count: int, sig, sig_val: int, dest: int,
              comm: Communicator, *, tag: int = 0) -> None:
@@ -168,74 +175,71 @@ class Coordinator:
         """Complete the reception of a matching :meth:`post`."""
         raise NotImplementedError
 
-    # Collectives (paper Section IV-F3; mapping per Section V-A). The
-    # public method normalizes arguments and counts the call; ``_<name>``
-    # is the backend's own mapping.
+    # Collectives (paper Section IV-F3; mapping per Section V-A). The public
+    # method resolves IN_PLACE where the op accepts it and hands the
+    # binding's ``_collective(kind, comm, args, buf, count, root=None)`` the
+    # native-order arguments; ``buf``, ``count`` and ``root`` say what the
+    # op moves (the span layer's fields).
 
     def all_reduce(self, sendbuf, recvbuf, count: int, op, comm: Communicator) -> None:
         """Uniconn AllReduce (paper Listing 7; IN_PLACE accepted)."""
-        op = resolve_op(op)
-        self._calls["all_reduce"].inc()
-        self._all_reduce(recvbuf if sendbuf is IN_PLACE else sendbuf, recvbuf, count, op, comm)
+        send = recvbuf if sendbuf is IN_PLACE else sendbuf
+        self._collective("all_reduce", comm, (send, recvbuf, count, resolve_op(op)), recvbuf, count)
 
     def reduce(self, sendbuf, recvbuf, count: int, op, root: int, comm: Communicator) -> None:
         """Uniconn Reduce to a root (IN_PLACE accepted)."""
-        op = resolve_op(op)
-        self._calls["reduce"].inc()
-        self._reduce(recvbuf if sendbuf is IN_PLACE else sendbuf, recvbuf, count, op, root, comm)
+        send = recvbuf if sendbuf is IN_PLACE else sendbuf
+        self._collective("reduce", comm, (send, recvbuf, count, resolve_op(op), root),
+                         recvbuf, count, root)
 
     def broadcast(self, buf, count: int, root: int, comm: Communicator) -> None:
         """Uniconn Broadcast from a root."""
-        self._calls["broadcast"].inc()
-        self._broadcast(buf, count, root, comm)
+        self._collective("broadcast", comm, (buf, count, root), buf, count, root)
 
     def all_gather(self, sendbuf, recvbuf, count: int, comm: Communicator) -> None:
         """Uniconn AllGather (equal counts)."""
-        self._calls["all_gather"].inc()
-        self._all_gather(sendbuf, recvbuf, count, comm)
+        self._collective("all_gather", comm, (sendbuf, recvbuf, count), sendbuf, count)
 
     def reduce_scatter(self, sendbuf, recvbuf, count: int, op, comm: Communicator) -> None:
         """Uniconn ReduceScatter: each rank keeps its ``count``-element
         chunk of the reduced ``size * count`` vector (IN_PLACE accepted)."""
-        op = resolve_op(op)
-        self._calls["reduce_scatter"].inc()
-        self._reduce_scatter(recvbuf if sendbuf is IN_PLACE else sendbuf, recvbuf, count, op, comm)
+        send = recvbuf if sendbuf is IN_PLACE else sendbuf
+        self._collective("reduce_scatter", comm, (send, recvbuf, count, resolve_op(op)),
+                         recvbuf, count)
 
     def all_gather_v(self, sendbuf, sendcount: int, recvbuf, counts: Sequence[int],
                      displs: Sequence[int], comm: Communicator) -> None:
         """Vectorized allgather (the CG solver's exchange primitive)."""
-        self._calls["all_gather_v"].inc()
-        self._all_gather_v(sendbuf, sendcount, recvbuf, counts, displs, comm)
+        self._collective("all_gather_v", comm, (sendbuf, sendcount, recvbuf, counts, displs),
+                         sendbuf, sendcount)
 
     def gather(self, sendbuf, recvbuf, count: int, root: int, comm: Communicator) -> None:
         """Uniconn Gather (equal counts) to a root."""
-        p = comm.global_size()
+        p = comm.size
         self.gather_v(sendbuf, count, recvbuf, [count] * p, [i * count for i in range(p)], root, comm)
 
     def gather_v(self, sendbuf, sendcount: int, recvbuf, counts: Sequence[int],
                  displs: Sequence[int], root: int, comm: Communicator) -> None:
-        """Uniconn vectorized Gather (+Vectorized in Listing 7)."""
+        """Uniconn vectorized Gather (+Vectorized in Listing 7; IN_PLACE accepted)."""
         if sendbuf is IN_PLACE:
-            me = comm.global_rank()
-            sendbuf = _slice(recvbuf, displs[me], counts[me])
-        self._calls["gather_v"].inc()
-        self._gather_v(sendbuf, sendcount, recvbuf, counts, displs, root, comm)
+            sendbuf = _slice(recvbuf, displs[comm.rank], counts[comm.rank])
+        self._collective("gather_v", comm, (sendbuf, sendcount, recvbuf, counts, displs, root),
+                         recvbuf, sendcount, root)
 
     def scatter(self, sendbuf, recvbuf, count: int, root: int, comm: Communicator) -> None:
         """Uniconn Scatter (equal counts) from a root."""
-        p = comm.global_size()
+        p = comm.size
         self.scatter_v(sendbuf, [count] * p, [i * count for i in range(p)], recvbuf, count, root, comm)
 
     def scatter_v(self, sendbuf, counts: Sequence[int], displs: Sequence[int], recvbuf,
                   recvcount: int, root: int, comm: Communicator) -> None:
         """Uniconn vectorized Scatter."""
-        self._calls["scatter_v"].inc()
-        self._scatter_v(sendbuf, counts, displs, recvbuf, recvcount, root, comm)
+        self._collective("scatter_v", comm, (sendbuf, counts, displs, recvbuf, recvcount, root),
+                         recvbuf, recvcount, root)
 
     def all_to_all(self, sendbuf, recvbuf, count: int, comm: Communicator) -> None:
         """Uniconn AlltoAll."""
-        self._calls["all_to_all"].inc()
-        self._all_to_all(sendbuf, recvbuf, count, comm)
+        self._collective("all_to_all", comm, (sendbuf, recvbuf, count), sendbuf, count)
 
 
 def _slice(buf, start: int, count: int):
@@ -246,22 +250,31 @@ def _slice(buf, start: int, count: int):
     return buf.offset(start, count)  # DeviceBuffer
 
 
-# MPI: host-driven, two-sided, not stream-aware.
+def _reject_in_place(kind: str, args: tuple) -> None:
+    """IN_PLACE left among a collective's arguments: an op that does not
+    accept it (only all_reduce, reduce, reduce_scatter and gather_v do)."""
+    for arg in args:
+        if arg is IN_PLACE:
+            raise UniconnError(f"{kind} does not accept IN_PLACE")
 
 
-def _mpi_collective(name: str):
-    """``_<collective>`` of the MPI column: the overhead path, then the MPI
-    collective ``name`` on the communicator (the last argument) with the rest."""
+# MPI: host-driven, two-sided, not stream-aware. Every collective is native.
 
-    def collective(self, *args) -> None:
-        getattr(self._pre(args[-1]), name)(*args[:-1])
 
-    return collective
+_MPI_COLLECTIVES = {
+    "all_reduce": MpiCommunicator.allreduce, "reduce": MpiCommunicator.reduce,
+    "broadcast": MpiCommunicator.bcast, "all_gather": MpiCommunicator.allgather,
+    "reduce_scatter": MpiCommunicator.reduce_scatter,
+    "all_gather_v": MpiCommunicator.allgatherv, "gather_v": MpiCommunicator.gatherv,
+    "scatter_v": MpiCommunicator.scatterv, "all_to_all": MpiCommunicator.alltoall,
+}
 
 
 class _MpiCoordinator(Coordinator):
-    """Send/Recv, Isend/Irecv + waitall inside a group; every call pays the
-    decision logic, the stream query and a stream drain first."""
+    """Send/Recv, Isend/Irecv + waitall inside a group. Every call first
+    pays the overhead path the paper analyzes: Uniconn's decision logic plus
+    the GPU-stream query each blocking MPI call performs, then the mandatory
+    stream drain (MPI is not stream-aware)."""
 
     def __init__(self, env, **options):
         super().__init__(env, **options)
@@ -269,52 +282,48 @@ class _MpiCoordinator(Coordinator):
         self._pre_cost = costs.dispatch + costs.mpi_decision + costs.mpi_stream_query
         self._pending: List = []  # requests collected inside a group
 
-    def _pre(self, comm: Communicator):
-        """Charges + stream drain before any host MPI call; returns the MPI
-        communicator to make it on.
-
-        This is the overhead path the paper analyzes: Uniconn's decision
-        logic plus the GPU-stream query each blocking MPI call performs,
-        and the mandatory stream synchronization (MPI is not stream-aware).
-        """
-        self.engine.defer_busy(self._pre_cost)
-        self._drain()
-        return comm.mpi
-
     def _drain(self) -> None:
         self.stream.synchronize()
 
     def comm_end(self) -> None:
-        super().comm_end()
+        if not self._grouping:
+            raise UniconnError("comm_end without comm_start")
+        self._calls["comm_end"].inc()
+        self.engine.defer_busy(self._dispatch)
+        self._grouping = False
         reqs, self._pending = self._pending, []
         _mpi_waitall(reqs)
 
     def post(self, sendbuf, recvbuf, count, sig, sig_val, dest, comm, *, tag=0) -> None:
         self._calls["post"].inc()
-        mpi = self._pre(comm)
+        self.engine.defer_busy(self._pre_cost)
+        self._drain()
+        if comm.latch.revoked:
+            raise comm.latch.error()
         if self._grouping:
-            self._pending.append(mpi.isend(sendbuf, count, dest, tag))
+            self._pending.append(comm.native.isend(sendbuf, count, dest, tag))
         else:
-            mpi.send(sendbuf, count, dest, tag)
+            comm.native.send(sendbuf, count, dest, tag)
 
     def acknowledge(self, recvbuf, count, sig, sig_val, src, comm, *, tag=0) -> None:
         self._calls["acknowledge"].inc()
-        mpi = self._pre(comm)
+        self.engine.defer_busy(self._pre_cost)
+        self._drain()
+        if comm.latch.revoked:
+            raise comm.latch.error()
         if self._grouping:
-            self._pending.append(mpi.irecv(recvbuf, count, src, tag))
+            self._pending.append(comm.native.irecv(recvbuf, count, src, tag))
         else:
-            mpi.recv(recvbuf, count, src, tag)
+            comm.native.recv(recvbuf, count, src, tag)
 
-    # MPI has every collective natively, under these names.
-    _all_reduce = _mpi_collective("allreduce")
-    _reduce = _mpi_collective("reduce")
-    _broadcast = _mpi_collective("bcast")
-    _all_gather = _mpi_collective("allgather")
-    _reduce_scatter = _mpi_collective("reduce_scatter")
-    _all_gather_v = _mpi_collective("allgatherv")
-    _gather_v = _mpi_collective("gatherv")
-    _scatter_v = _mpi_collective("scatterv")
-    _all_to_all = _mpi_collective("alltoall")
+    def _collective(self, kind, comm, args, buf, count, root=None) -> None:
+        _reject_in_place(kind, args)
+        self._calls[kind].inc()
+        self.engine.defer_busy(self._pre_cost)
+        self._drain()
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        _MPI_COLLECTIVES[kind](comm.native, *args)
 
 
 class _MpiRmaCoordinator(_MpiCoordinator):
@@ -329,7 +338,10 @@ class _MpiRmaCoordinator(_MpiCoordinator):
         self._calls["post"].inc()
         self.engine.defer_busy(self._pre_cost)
         self._drain()
-        _require_rma(recvbuf, sig, "post")
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        if not (isinstance(recvbuf, RmaBuffer) and isinstance(sig, RmaBuffer)):
+            raise _not_in_a_window("post")
         recvbuf.window.put(sendbuf, count, dest, recvbuf.disp)
         sig.window.put(np.array([sig_val], sig.dtype), 1, dest, sig.disp)
 
@@ -337,109 +349,174 @@ class _MpiRmaCoordinator(_MpiCoordinator):
         self._calls["acknowledge"].inc()
         self.engine.defer_busy(self._pre_cost)
         self._drain()
-        _require_rma(recvbuf, sig, "acknowledge")
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        if not (isinstance(recvbuf, RmaBuffer) and isinstance(sig, RmaBuffer)):
+            raise _not_in_a_window("acknowledge")
         sig.window.wait_value(lambda a, d=sig.disp, v=sig_val: a[d] >= v)
 
 
-def _require_rma(recvbuf, sig, what: str) -> None:
-    if not isinstance(recvbuf, RmaBuffer) or not isinstance(sig, RmaBuffer):
-        raise UniconnError(
-            f"{what} over one-sided MPI needs window-backed destination and "
-            f"signal buffers (allocate them with Memory.alloc on the mpi-rma backend)"
-        )
+def _not_in_a_window(what: str) -> UniconnError:
+    return UniconnError(
+        f"{what} over one-sided MPI needs window-backed destination and "
+        f"signal buffers (allocate them with Memory.alloc on the mpi-rma backend)"
+    )
 
 
-# GPUCCL: stream-ordered, two-sided, group semantics.
+# GPUCCL: stream-ordered, two-sided, group semantics. Collectives are native
+# where NCCL has them, grouped P2P compositions where it does not; each
+# takes (the GPUCCL communicator, the op's arguments..., the stream).
+
+
+def _ccl_all_gather_v(ccl, sendbuf, sendcount, recvbuf, counts, displs, stream) -> None:
+    # No native allgatherv: grouped P2P composition. The self pair is
+    # skipped when the exchange is in place: a self send/recv lands
+    # asynchronously on the region the other sends are still
+    # snapshotting, which is a data race (the local block is already in
+    # position anyway).
+    p, me = ccl.size, ccl.rank
+    my_view = _slice(recvbuf, displs[me], counts[me])
+    in_place = np.shares_memory(as_array(sendbuf, sendcount), as_array(my_view, counts[me]))
+    _ccl_group_start()
+    for dst in range(p):
+        if not (in_place and dst == me):
+            ccl.send(sendbuf, sendcount, dst, stream)
+    for src in range(p):
+        if not (in_place and src == me):
+            ccl.recv(_slice(recvbuf, displs[src], counts[src]), counts[src], src, stream)
+    _ccl_group_end()
+
+
+def _ccl_gather_v(ccl, sendbuf, sendcount, recvbuf, counts, displs, root, stream) -> None:
+    _ccl_group_start()
+    ccl.send(sendbuf, sendcount, root, stream)
+    if ccl.rank == root:
+        for src in range(ccl.size):
+            ccl.recv(_slice(recvbuf, displs[src], counts[src]), counts[src], src, stream)
+    _ccl_group_end()
+
+
+def _ccl_scatter_v(ccl, sendbuf, counts, displs, recvbuf, recvcount, root, stream) -> None:
+    _ccl_group_start()
+    if ccl.rank == root:
+        for dst in range(ccl.size):
+            ccl.send(_slice(sendbuf, displs[dst], counts[dst]), counts[dst], dst, stream)
+    ccl.recv(recvbuf, recvcount, root, stream)
+    _ccl_group_end()
+
+
+def _ccl_all_to_all(ccl, sendbuf, recvbuf, count, stream) -> None:
+    _ccl_group_start()
+    for dst in range(ccl.size):
+        ccl.send(_slice(sendbuf, dst * count, count), count, dst, stream)
+    for src in range(ccl.size):
+        ccl.recv(_slice(recvbuf, src * count, count), count, src, stream)
+    _ccl_group_end()
+
+
+_CCL_COLLECTIVES = {
+    "all_reduce": GpucclComm.all_reduce, "reduce": GpucclComm.reduce,
+    "broadcast": lambda ccl, buf, count, root, stream: ccl.broadcast(buf, buf, count, root, stream),
+    "all_gather": GpucclComm.all_gather, "reduce_scatter": GpucclComm.reduce_scatter,
+    "all_gather_v": _ccl_all_gather_v, "gather_v": _ccl_gather_v,
+    "scatter_v": _ccl_scatter_v, "all_to_all": _ccl_all_to_all,
+}
 
 
 class _GpucclCoordinator(Coordinator):
-    """ncclSend/ncclRecv on the stream; collectives native where NCCL has
-    them, grouped P2P compositions where it does not."""
-
-    def _ccl(self, comm: Communicator):
-        """Pay the wrapper's dispatch; returns the GPUCCL communicator."""
-        self.engine.defer_busy(self._dispatch)
-        return comm.ccl
+    """ncclSend/ncclRecv on the stream inside ncclGroupStart/End."""
 
     def comm_start(self) -> None:
-        super().comm_start()
+        if self._grouping:
+            raise UniconnError("comm_start inside an open group")
+        self._calls["comm_start"].inc()
+        self.engine.defer_busy(self._dispatch)
+        self._grouping = True
         _ccl_group_start()
 
     def comm_end(self) -> None:
-        super().comm_end()
+        if not self._grouping:
+            raise UniconnError("comm_end without comm_start")
+        self._calls["comm_end"].inc()
+        self.engine.defer_busy(self._dispatch)
+        self._grouping = False
         _ccl_group_end()
 
     def post(self, sendbuf, recvbuf, count, sig, sig_val, dest, comm, *, tag=0) -> None:
         self._calls["post"].inc()
-        self._ccl(comm).send(sendbuf, count, dest, self.stream)
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        comm.native.send(sendbuf, count, dest, self.stream)
 
     def acknowledge(self, recvbuf, count, sig, sig_val, src, comm, *, tag=0) -> None:
         self._calls["acknowledge"].inc()
-        self._ccl(comm).recv(recvbuf, count, src, self.stream)
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        comm.native.recv(recvbuf, count, src, self.stream)
 
-    def _all_reduce(self, sendbuf, recvbuf, count, op, comm) -> None:
-        self._ccl(comm).all_reduce(sendbuf, recvbuf, count, op, self.stream)
-
-    def _reduce(self, sendbuf, recvbuf, count, op, root, comm) -> None:
-        self._ccl(comm).reduce(sendbuf, recvbuf, count, op, root, self.stream)
-
-    def _broadcast(self, buf, count, root, comm) -> None:
-        self._ccl(comm).broadcast(buf, buf, count, root, self.stream)
-
-    def _all_gather(self, sendbuf, recvbuf, count, comm) -> None:
-        self._ccl(comm).all_gather(sendbuf, recvbuf, count, self.stream)
-
-    def _reduce_scatter(self, sendbuf, recvbuf, count, op, comm) -> None:
-        self._ccl(comm).reduce_scatter(sendbuf, recvbuf, count, op, self.stream)
-
-    def _all_gather_v(self, sendbuf, sendcount, recvbuf, counts, displs, comm) -> None:
-        # No native allgatherv: grouped P2P composition. The self pair is
-        # skipped when the exchange is in place: a self send/recv lands
-        # asynchronously on the region the other sends are still
-        # snapshotting, which is a data race (the local block is already in
-        # position anyway).
-        ccl, stream = self._ccl(comm), self.stream
-        p, me = comm.global_size(), comm.global_rank()
-        my_view = _slice(recvbuf, displs[me], counts[me])
-        in_place = np.shares_memory(as_array(sendbuf, sendcount), as_array(my_view, counts[me]))
-        _ccl_group_start()
-        for dst in range(p):
-            if not (in_place and dst == me):
-                ccl.send(sendbuf, sendcount, dst, stream)
-        for src in range(p):
-            if not (in_place and src == me):
-                ccl.recv(_slice(recvbuf, displs[src], counts[src]), counts[src], src, stream)
-        _ccl_group_end()
-
-    def _gather_v(self, sendbuf, sendcount, recvbuf, counts, displs, root, comm) -> None:
-        p, ccl, stream = comm.global_size(), self._ccl(comm), self.stream
-        _ccl_group_start()
-        ccl.send(sendbuf, sendcount, root, stream)
-        if comm.global_rank() == root:
-            for src in range(p):
-                ccl.recv(_slice(recvbuf, displs[src], counts[src]), counts[src], src, stream)
-        _ccl_group_end()
-
-    def _scatter_v(self, sendbuf, counts, displs, recvbuf, recvcount, root, comm) -> None:
-        p, ccl, stream = comm.global_size(), self._ccl(comm), self.stream
-        _ccl_group_start()
-        if comm.global_rank() == root:
-            for dst in range(p):
-                ccl.send(_slice(sendbuf, displs[dst], counts[dst]), counts[dst], dst, stream)
-        ccl.recv(recvbuf, recvcount, root, stream)
-        _ccl_group_end()
-
-    def _all_to_all(self, sendbuf, recvbuf, count, comm) -> None:
-        p, ccl, stream = comm.global_size(), self._ccl(comm), self.stream
-        _ccl_group_start()
-        for dst in range(p):
-            ccl.send(_slice(sendbuf, dst * count, count), count, dst, stream)
-        for src in range(p):
-            ccl.recv(_slice(recvbuf, src * count, count), count, src, stream)
-        _ccl_group_end()
+    def _collective(self, kind, comm, args, buf, count, root=None) -> None:
+        _reject_in_place(kind, args)
+        self._calls[kind].inc()
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        _CCL_COLLECTIVES[kind](comm.native, *args, self.stream)
 
 
-# GPUSHMEM: one-sided, stream-ordered host API plus a device API.
+# GPUSHMEM: one-sided, stream-ordered host API plus a device API. Collectives
+# are native team ops, or puts + a team barrier for the vector kinds; each
+# takes (the GPUSHMEM runtime, the op's arguments..., team=, stream=). The
+# barrier is scoped to the communicator's team so split sub-communicators
+# don't synchronize the whole world.
+
+
+def _shmem_all_gather_v(shmem, sendbuf, sendcount, recvbuf, counts, displs, *, team,
+                        stream) -> None:
+    # Put my block into every PE's symmetric recv buffer, then a
+    # stream-ordered team barrier closes the round.
+    p, me = team.size, team.my_pe
+    if not isinstance(recvbuf, SymBuffer):
+        raise _not_symmetric("all_gather_v")
+    window = recvbuf.offset_by(displs[me], sendcount)
+    in_place = np.shares_memory(as_array(sendbuf, sendcount), as_array(window, sendcount))
+    for shift in range(p):
+        pe = (me + shift) % p
+        # Putting a window onto itself races with the forward puts
+        # reading it; the block is already in place.
+        if not (in_place and pe == me):
+            shmem.put_on_stream(window, sendbuf, sendcount, team.translate(pe), stream)
+    team.run_collective("barrier", None, None, 0, stream=stream)
+
+
+def _shmem_gather_v(shmem, sendbuf, sendcount, recvbuf, counts, displs, root, *, team,
+                    stream) -> None:
+    if not isinstance(recvbuf, SymBuffer):
+        raise _not_symmetric("gather_v")
+    window = recvbuf.offset_by(displs[team.my_pe], sendcount)
+    shmem.put_on_stream(window, sendbuf, sendcount, team.translate(root), stream)
+    team.run_collective("barrier", None, None, 0, stream=stream)
+
+
+def _shmem_scatter_v(shmem, sendbuf, counts, displs, recvbuf, recvcount, root, *, team,
+                     stream) -> None:
+    if not isinstance(recvbuf, SymBuffer):
+        raise _not_symmetric("scatter_v")
+    if team.my_pe == root:
+        for dst in range(team.size):
+            shmem.put_on_stream(recvbuf, _slice(sendbuf, displs[dst], counts[dst]),
+                                counts[dst], team.translate(dst), stream)
+    team.run_collective("barrier", None, None, 0, stream=stream)
+
+
+_SHMEM_COLLECTIVES = {
+    "all_reduce": ShmemContext.allreduce, "reduce": ShmemContext.reduce,
+    "broadcast": lambda shmem, buf, count, root, **on: shmem.broadcast(buf, buf, count, root, **on),
+    "all_gather": ShmemContext.fcollect, "reduce_scatter": ShmemContext.reduce_scatter,
+    "all_gather_v": _shmem_all_gather_v, "gather_v": _shmem_gather_v,
+    "scatter_v": _shmem_scatter_v, "all_to_all": ShmemContext.alltoall,
+}
 
 
 class _GpushmemCoordinator(Coordinator):
@@ -452,71 +529,30 @@ class _GpushmemCoordinator(Coordinator):
         super().__init__(env, **options)
         self._shmem = env.shmem
 
-    def _host(self):
-        """Pay the wrapper's dispatch; returns the GPUSHMEM runtime."""
-        self.engine.defer_busy(self._dispatch)
-        return self._shmem
-
     def post(self, sendbuf, recvbuf, count, sig, sig_val, dest, comm, *, tag=0) -> None:
         self._calls["post"].inc()
-        shmem, dest_pe = self._host(), comm.team.translate(dest)
-        _require_sym(recvbuf, "post")
-        shmem.put_signal_on_stream(recvbuf, sendbuf, count, sig, sig_val, dest_pe, self.stream)
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        if not isinstance(recvbuf, SymBuffer):
+            raise _not_symmetric("post")
+        self._shmem.put_signal_on_stream(recvbuf, sendbuf, count, sig, sig_val, comm.pes[dest],
+                                         self.stream)
 
     def acknowledge(self, recvbuf, count, sig, sig_val, src, comm, *, tag=0) -> None:
         self._calls["acknowledge"].inc()
-        self._host().signal_wait_until_on_stream(sig, "ge", sig_val, self.stream)
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        self._shmem.signal_wait_until_on_stream(sig, "ge", sig_val, self.stream)
 
-    def _all_reduce(self, sendbuf, recvbuf, count, op, comm) -> None:
-        self._host().allreduce(sendbuf, recvbuf, count, op, team=comm.team, stream=self.stream)
-
-    def _reduce(self, sendbuf, recvbuf, count, op, root, comm) -> None:
-        self._host().reduce(sendbuf, recvbuf, count, op, root, team=comm.team, stream=self.stream)
-
-    def _broadcast(self, buf, count, root, comm) -> None:
-        self._host().broadcast(buf, buf, count, root, team=comm.team, stream=self.stream)
-
-    def _all_gather(self, sendbuf, recvbuf, count, comm) -> None:
-        self._host().fcollect(sendbuf, recvbuf, count, team=comm.team, stream=self.stream)
-
-    def _reduce_scatter(self, sendbuf, recvbuf, count, op, comm) -> None:
-        self._host().reduce_scatter(sendbuf, recvbuf, count, op, team=comm.team, stream=self.stream)
-
-    def _all_gather_v(self, sendbuf, sendcount, recvbuf, counts, displs, comm) -> None:
-        # Put my block into every PE's symmetric recv buffer, then a
-        # stream-ordered team barrier closes the round (put/get + barriers).
-        # The barrier is scoped to the communicator's team so split
-        # sub-communicators don't synchronize the whole world.
-        shmem, p, me = self._host(), comm.global_size(), comm.global_rank()
-        _require_sym(recvbuf, "all_gather_v")
-        window = recvbuf.offset_by(displs[me], sendcount)
-        in_place = np.shares_memory(as_array(sendbuf, sendcount), as_array(window, sendcount))
-        for shift in range(p):
-            pe = (me + shift) % p
-            # Putting a window onto itself races with the forward puts
-            # reading it; the block is already in place.
-            if not (in_place and pe == me):
-                shmem.put_on_stream(window, sendbuf, sendcount, comm.team.translate(pe), self.stream)
-        comm.team.run_collective("barrier", None, None, 0, stream=self.stream)
-
-    def _gather_v(self, sendbuf, sendcount, recvbuf, counts, displs, root, comm) -> None:
-        shmem = self._host()
-        _require_sym(recvbuf, "gather_v")
-        window = recvbuf.offset_by(displs[comm.global_rank()], sendcount)
-        shmem.put_on_stream(window, sendbuf, sendcount, comm.team.translate(root), self.stream)
-        comm.team.run_collective("barrier", None, None, 0, stream=self.stream)
-
-    def _scatter_v(self, sendbuf, counts, displs, recvbuf, recvcount, root, comm) -> None:
-        shmem = self._host()
-        _require_sym(recvbuf, "scatter_v")
-        if comm.global_rank() == root:
-            for dst in range(comm.global_size()):
-                shmem.put_on_stream(recvbuf, _slice(sendbuf, displs[dst], counts[dst]),
-                                    counts[dst], comm.team.translate(dst), self.stream)
-        comm.team.run_collective("barrier", None, None, 0, stream=self.stream)
-
-    def _all_to_all(self, sendbuf, recvbuf, count, comm) -> None:
-        self._host().alltoall(sendbuf, recvbuf, count, team=comm.team, stream=self.stream)
+    def _collective(self, kind, comm, args, buf, count, root=None) -> None:
+        _reject_in_place(kind, args)
+        self._calls[kind].inc()
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        _SHMEM_COLLECTIVES[kind](self._shmem, *args, team=comm.native, stream=self.stream)
 
 
 class _DeviceModeCoordinator(_GpushmemCoordinator):
@@ -544,11 +580,13 @@ class _PartialDeviceCoordinator(_DeviceModeCoordinator):
 
     def post(self, sendbuf, recvbuf, count, sig, sig_val, dest, comm, *, tag=0) -> None:
         self._calls["post"].inc()
-        shmem, dest_pe = self._host(), comm.team.translate(dest)
-        _require_sym(recvbuf, "post")
-        shmem.put_signal_on_stream(
-            recvbuf[0:0], np.empty(0, recvbuf.dtype), 0, sig, sig_val, dest_pe, self.stream
-        )
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
+        if not isinstance(recvbuf, SymBuffer):
+            raise _not_symmetric("post")
+        self._shmem.put_signal_on_stream(recvbuf[0:0], np.empty(0, recvbuf.dtype), 0, sig,
+                                         sig_val, comm.pes[dest], self.stream)
 
 
 class _PureDeviceCoordinator(_DeviceModeCoordinator):
@@ -557,19 +595,22 @@ class _PureDeviceCoordinator(_DeviceModeCoordinator):
 
     def post(self, sendbuf, recvbuf, count, sig, sig_val, dest, comm, *, tag=0) -> None:
         self._calls["post"].inc()
-        self._host()
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
 
     def acknowledge(self, recvbuf, count, sig, sig_val, src, comm, *, tag=0) -> None:
         self._calls["acknowledge"].inc()
-        self._host()
+        self.engine.defer_busy(self._dispatch)
+        if comm.latch.revoked:
+            raise comm.latch.error()
 
 
-def _require_sym(buf, what: str) -> None:
-    if not isinstance(buf, SymBuffer):
-        raise UniconnError(
-            f"{what} over GPUSHMEM needs a symmetric destination buffer "
-            f"(allocate it with Memory.alloc)"
-        )
+def _not_symmetric(what: str) -> UniconnError:
+    return UniconnError(
+        f"{what} over GPUSHMEM needs a symmetric destination buffer "
+        f"(allocate it with Memory.alloc)"
+    )
 
 
 # Span tracing (repro.obs), layered on in runs with ``obs="spans"``.
@@ -580,15 +621,6 @@ def _nbytes(buf, count: int) -> int:
         return int(count) * int(np.dtype(buf.dtype).itemsize)
     except (TypeError, AttributeError, ValueError):
         return 0
-
-
-#: Where a collective's span fields sit among the arguments of its ``_<name>``
-#: method: the buffer and the count that size it, and the root if it has one.
-_COLLECTIVE_SPANS = {
-    "_all_reduce": (1, 2), "_reduce": (1, 2, 4), "_broadcast": (0, 1, 2),
-    "_all_gather": (0, 2), "_reduce_scatter": (1, 2), "_all_gather_v": (0, 1),
-    "_gather_v": (2, 1, 5), "_scatter_v": (3, 4, 5), "_all_to_all": (0, 2),
-}
 
 
 class _Spans:
@@ -636,25 +668,12 @@ class _Spans:
                                                        "nbytes": _nbytes(recvbuf, count)}):
             super().acknowledge(recvbuf, count, sig, sig_val, src, comm, tag=tag)
 
-
-def _bracketed(name: str, buf: int, count: int, root: Optional[int] = None):
-    """The ``_Spans`` method bracketing collective ``name`` (a method of the
-    class, not a closure on the instance: that would tie a knot per
-    coordinator)."""
-    label = name[1:]
-
-    def bracketed(self, *args) -> None:
-        fields = {**self._span_fields, "nbytes": _nbytes(args[buf], args[count])}
+    def _collective(self, kind, comm, args, buf, count, root=None) -> None:
+        fields = {**self._span_fields, "nbytes": _nbytes(buf, count)}
         if root is not None:
-            fields["root"] = args[root]
-        with Span(self.engine, label, "comm", fields):
-            getattr(super(_Spans, self), name)(*args)
-
-    return bracketed
-
-
-for _name, _where in _COLLECTIVE_SPANS.items():
-    setattr(_Spans, _name, _bracketed(_name, *_where))
+            fields["root"] = root
+        with Span(self.engine, kind, "comm", fields):
+            super()._collective(kind, comm, args, buf, count, root)
 
 
 _GPUSHMEM_MODES = {

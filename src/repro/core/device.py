@@ -55,10 +55,6 @@ class UniconnDevice:
         # charge ends.
         self.engine.defer_busy(self._costs.device_dispatch)
 
-    @staticmethod
-    def _world_pe(comm: DeviceComm, peer: int) -> int:
-        return comm.team.translate(peer)
-
     # ------------------------------------------------------------------ #
 
     def post(
@@ -77,7 +73,7 @@ class UniconnDevice:
         self._charge()
         gname = _GROUP_NAMES[ThreadGroup(group)] if not isinstance(group, str) else group
         shmem = self._shmem()
-        pe = self._world_pe(comm, dest)
+        pe = comm.pes[dest]
         if sig is None:
             shmem.put_nbi(recvbuf, sendbuf, count, pe, group=gname)
         else:

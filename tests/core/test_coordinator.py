@@ -227,6 +227,30 @@ def test_all_to_all(backend):
         assert got == [c * 10.0 + me for c in range(4)]
 
 
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_in_place_rejected_where_not_accepted(backend):
+    # Only all_reduce, reduce, reduce_scatter and gather_v accept IN_PLACE;
+    # the others reject it before they count, charge or post anything.
+    def body(env, comm, coord):
+        p, me = comm.global_size(), comm.global_rank()
+        buf = Memory.alloc(env, 4 * p)
+        start = env.engine.now
+        for op, call in {
+            "all_gather": lambda: coord.all_gather(IN_PLACE, buf, 4, comm),
+            "all_to_all": lambda: coord.all_to_all(IN_PLACE, buf, 4, comm),
+            "scatter_v": lambda: coord.scatter_v(buf, [4] * p, [4 * r for r in range(p)],
+                                                 IN_PLACE, 4, 0, comm),
+        }.items():
+            with pytest.raises(UniconnError, match=f"^{op} does not accept IN_PLACE$"):
+                call()
+        return env.engine.now - start
+
+    report = uniconn_run(2, backend, body)
+    assert list(report) == [0.0, 0.0]
+    for op in ("all_gather", "all_to_all", "scatter_v"):
+        assert report.metrics.counter_total("uniconn_calls_total", op=op) == 0
+
+
 # --------------------------------------------------------------------- #
 # Launch modes.
 # --------------------------------------------------------------------- #

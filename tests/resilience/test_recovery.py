@@ -80,6 +80,48 @@ def test_revoke_poisons_communication_on_every_member(backend):
     assert list(uniconn_run(3, backend, body)) == [("revoked", False, True)] * 3
 
 
+@pytest.mark.parametrize("backend,mode", [
+    ("mpi", "PureHost"), ("mpi-rma", "PureHost"), ("gpuccl", "PureHost"),
+    ("gpushmem", "PureHost"), ("gpushmem", "PartialDevice"), ("gpushmem", "PureDevice"),
+])
+def test_revoke_between_two_posts_stops_every_op(backend, mode):
+    # Every binding checks the latch in every op: after a revoke between
+    # two posts, a post, an acknowledge and a collective all raise, inside
+    # and outside a comm_start group.
+    from repro.core import Memory
+
+    def body(env, comm, coord):
+        peer = 1 - comm.global_rank()
+        send, recv = Memory.alloc(env, 4), Memory.alloc(env, 4)
+        sig = Memory.alloc(env, 1, dtype=np.uint64) if coord.uses_signals else None
+        coord.comm_start()
+        coord.post(send, recv, 4, sig, 1, peer, comm)
+        coord.acknowledge(recv, 4, sig, 1, peer, comm)
+        coord.comm_end()
+        coord.stream.synchronize()
+        if comm.global_rank() == 0:
+            comm.revoke("between two posts")
+        env.engine.sleep(1e-4)  # let the latch land everywhere
+        raised = []
+        for grouped in (False, True):
+            for name, call in [
+                ("post", lambda: coord.post(send, recv, 4, sig, 2, peer, comm)),
+                ("acknowledge", lambda: coord.acknowledge(recv, 4, sig, 2, peer, comm)),
+                ("all_reduce", lambda: coord.all_reduce(send, recv, 4, "sum", comm)),
+            ]:
+                if grouped:
+                    coord.comm_start()
+                with pytest.raises(CommRevokedError, match="between two posts"):
+                    call()
+                raised.append(name)
+                if grouped:
+                    coord.comm_end()
+        return raised
+
+    report = uniconn_run(2, backend, body, launch_mode=mode)
+    assert list(report) == [["post", "acknowledge", "all_reduce"] * 2] * 2
+
+
 def test_recovery_operations_survive_revocation(backend):
     # health/agree/shrink are exactly the operations a revoked communicator
     # must still serve — they are the way out.

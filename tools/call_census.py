@@ -18,7 +18,20 @@ bootstrap rendezvous) does not dilute it:
 - ``gpuccl-ring``: four ranks, a grouped send/recv ring on a stream
   (``gpuccl_messages_total``);
 - ``gpushmem-signal``: four PEs, ``put_signal_on_stream`` to the next PE
-  plus a signal wait on the stream (``shmem_puts_total``).
+  plus a signal wait on the stream (``shmem_puts_total``);
+- ``mpi-ring``: four ranks, a stream sync, ``isend`` right, a stream sync,
+  ``irecv`` left, ``waitall``, a stream sync (``mpi_messages_total``);
+- ``uniconn-mpi``, ``uniconn-gpuccl``, ``uniconn-gpushmem``: the same ring
+  on four ranks through ``Environment``/``Communicator``/``Coordinator``/
+  ``Memory`` — ``comm_start``, ``post`` right, ``acknowledge`` left,
+  ``comm_end``, a stream sync. Each has a native twin of exactly its
+  pattern (``TWINS``: ``mpi-ring``, ``gpuccl-ring``, ``gpushmem-signal``);
+  the report prints the difference, and the calls per transfer of the
+  functions under ``core/`` (the Uniconn layer's own frames).
+
+Each program runs once unprofiled before the two counted launches, so
+one-time work of a process (an import, a cache fill) lands in neither and
+the reading does not depend on which program ran first.
 
 ``jacobi-live`` is the benchmark's ``jacobi_live`` job list (64 ranks, 11
 iterations; ``uniconn:mpi``, ``uniconn:gpuccl``, ``uniconn:gpushmem`` and
@@ -28,7 +41,8 @@ pass's total calls and its transfers.
 Usage::
 
     python tools/call_census.py            # print the counts
-    python tools/call_census.py --check    # also exit 1 above a bound
+    python tools/call_census.py --check    # also exit 1 above a bound or
+                                           # over a core/ budget
     python tools/call_census.py --breakdown mpi-pingpong
                                            # marginal calls per transfer
                                            # of each repro function
@@ -39,7 +53,9 @@ passes through, which hook it pays for.
 
 Each bound in ``BOUNDS`` is the count when it was last set plus 5 %: a
 change that adds per-transfer work fails the check; one that removes some
-lowers the bound in the same change.
+lowers the bound in the same change. ``CORE_BUDGET`` caps each Uniconn
+program's ``core/`` calls per transfer: one frame per entry point (the MPI
+binding adds the stream drain before ``post`` and ``acknowledge``).
 """
 
 import cProfile
@@ -57,6 +73,7 @@ import repro  # noqa: E402
 from repro.backends import gpuccl  # noqa: E402
 from repro.backends.gpushmem import ShmemContext  # noqa: E402
 from repro.backends.mpi import MpiContext, waitall  # noqa: E402
+from repro.core import Communicator, Coordinator, Environment, Memory  # noqa: E402
 from repro.launcher import launch  # noqa: E402
 from repro.serve import JobSpec, execute_job  # noqa: E402
 
@@ -66,17 +83,24 @@ ROUNDS = (20, 40)
 COUNT = 16  # float32 elements per transfer
 
 #: Upper bounds: calls per transfer for the census programs, calls per
-#: pass for jacobi-live — each the count when the bound was set, plus 5 %
-#: (GPUCCL and GPUSHMEM: the per-pair records of the three data planes,
-#: docs/LOGBOOK.md "A transfer resolves its pair once"; MPI and
-#: jacobi-live: an MPI message is two records, "An MPI message is two
-#: records").
+#: pass for jacobi-live — each the count when the bound was set, plus 5 %.
+#: docs/LOGBOOK.md says why each was last set: "A transfer resolves its pair
+#: once" (gpuccl-ring, gpushmem-signal), "An MPI message is two records"
+#: (mpi-pingpong, at 62.8: read first in its process, before the warm-up
+#: launch existed), "Uniconn binds once" (the others).
 BOUNDS = {
-    "mpi-pingpong": 65.9,  # 62.8
+    "mpi-pingpong": 65.9,  # 63.0
     "gpuccl-ring": 74.6,  # 71.0
     "gpushmem-signal": 97.7,  # 93.0
-    "jacobi-live": 985_800,  # 938 857
+    "mpi-ring": 68.3,  # 65.0
+    "uniconn-mpi": 83.0,  # 79.0
+    "uniconn-gpuccl": 89.3,  # 85.0
+    "uniconn-gpushmem": 114.5,  # 109.0
+    "jacobi-live": 947_500,  # 902 346
 }
+
+#: Most calls per transfer a Uniconn program may make into ``core/``.
+CORE_BUDGET = {"uniconn-mpi": 6.0, "uniconn-gpuccl": 4.0, "uniconn-gpushmem": 4.0}
 
 
 def _mpi_pingpong(ctx, rounds):
@@ -124,12 +148,60 @@ def _gpushmem_signal(ctx, rounds):
         stream.synchronize()
 
 
+def _mpi_ring(ctx, rounds):
+    """The native twin of ``uniconn-mpi``: the stream drains the Uniconn
+    MPI binding makes before each call, then the same messages."""
+    ctx.set_device(ctx.node_rank)
+    mpi = MpiContext(ctx)
+    comm = mpi.comm_world
+    device = ctx.require_device()
+    stream = device.create_stream()
+    a, b = device.malloc(COUNT), device.malloc(COUNT)
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    for _ in range(rounds):
+        stream.synchronize()
+        send = comm.isend(a, COUNT, right)
+        stream.synchronize()
+        waitall([send, comm.irecv(b, COUNT, left)])
+        stream.synchronize()
+    mpi.finalize()
+
+
+def _uniconn_ring(backend):
+    def ring(ctx, rounds):
+        env = Environment(ctx, backend=backend)
+        env.set_device(env.node_rank())
+        comm = Communicator(env)
+        coord = Coordinator(env, stream=env.device.create_stream())
+        send, recv = Memory.alloc(env, COUNT), Memory.alloc(env, COUNT)
+        sig = Memory.alloc(env, 1, dtype=np.uint64) if coord.uses_signals else None
+        p, me = comm.global_size(), comm.global_rank()
+        right, left = (me + 1) % p, (me - 1) % p
+        for i in range(1, rounds + 1):
+            coord.comm_start()
+            coord.post(send, recv, COUNT, sig, i, right, comm)
+            coord.acknowledge(recv, COUNT, sig, i, left, comm)
+            coord.comm_end()
+            coord.stream.synchronize()
+        env.close()
+
+    return ring
+
+
 #: name -> (rank body, ranks, the counter whose series sum is the transfers)
 PROGRAMS = {
     "mpi-pingpong": (_mpi_pingpong, 2, "mpi_messages_total"),
     "gpuccl-ring": (_gpuccl_ring, 4, "gpuccl_messages_total"),
     "gpushmem-signal": (_gpushmem_signal, 4, "shmem_puts_total"),
+    "mpi-ring": (_mpi_ring, 4, "mpi_messages_total"),
+    "uniconn-mpi": (_uniconn_ring("mpi"), 4, "mpi_messages_total"),
+    "uniconn-gpuccl": (_uniconn_ring("gpuccl"), 4, "gpuccl_messages_total"),
+    "uniconn-gpushmem": (_uniconn_ring("gpushmem"), 4, "shmem_puts_total"),
 }
+
+#: Uniconn program -> its native twin
+TWINS = {"uniconn-mpi": "mpi-ring", "uniconn-gpuccl": "gpuccl-ring",
+         "uniconn-gpushmem": "gpushmem-signal"}
 
 JACOBI_LIVE = [dict(app="jacobi", backend=backend, mode=mode, ranks=64, size=64,
                     iters=11, collect=True)
@@ -187,6 +259,7 @@ def census(name):
     """Marginal repro calls per transfer of one census program, per
     function whose count moved, and the marginal transfers."""
     body, ranks, counter = PROGRAMS[name]
+    launch(body, ranks, args=(ROUNDS[0],))  # warm-up: one-time work lands here
     points = []
     for rounds in ROUNDS:
         report, calls = profiled(lambda: launch(body, ranks, args=(rounds,)), by_function=True)
@@ -230,19 +303,25 @@ def main(argv) -> int:
         print(f"usage: call_census.py [--check | --breakdown {{{','.join(PROGRAMS)}}}]",
               file=sys.stderr)
         return 2
-    readings = {}
+    readings, over = {}, []
     for name in PROGRAMS:
         by_function, transfers = census(name)
         per = readings[name] = sum(by_function.values())
         print(f"{name:16s} {per:8.1f} calls/transfer  ({transfers} transfers marginal)")
+        if name in TWINS:
+            core = sum(n for f, n in by_function.items() if f.startswith("core" + os.sep))
+            print(f"{'':16s} {per - readings[TWINS[name]]:8.1f} over {TWINS[name]}, "
+                  f"{core:.1f} of them in core/")
+            if core > CORE_BUDGET[name]:
+                over.append(f"{name} core/: {core:.1f} > budget {CORE_BUDGET[name]}")
     calls, transfers = jacobi_live()
     readings["jacobi-live"] = calls
     print(f"{'jacobi-live':16s} {calls:8d} calls  ({transfers} transfers, "
           f"{calls / transfers:.1f} calls/transfer)")
     if not argv:
         return 0
-    over = [f"{name}: {readings[name]:.1f} > bound {bound}"
-            for name, bound in BOUNDS.items() if readings[name] > bound]
+    over += [f"{name}: {readings[name]:.1f} > bound {bound}"
+             for name, bound in BOUNDS.items() if readings[name] > bound]
     for line in over:
         print(f"OVER {line}", file=sys.stderr)
     return 1 if over else 0
