@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc digest digest-check leak-check call-census bench-selftest faults-demo obs-smoke sanitize-smoke coll-smoke bench-coll resilience-smoke chaos-matrix serve-smoke
+.PHONY: test loc digest digest-check leak-check call-census bench-selftest faults-demo obs-smoke sanitize-smoke coll-smoke fig6-check bench-coll resilience-smoke chaos-matrix serve-smoke
 
 # Tier-1: the full deterministic test suite.
 test:
@@ -128,6 +128,14 @@ coll-smoke:
 	$(PYTHON) -m pytest -q tests/sim/test_fastpath.py -k "coll or capture"
 	$(PYTHON) -m repro tune --gpus 64 --dump /tmp/coll_table.json
 	$(PYTHON) benchmarks/bench_coll.py --smoke --check
+
+# Fig. 6 gate (paper figure, CG on 8 GPUs): the bench's shape_checks
+# assert, and the virtual times it writes must equal the committed
+# benchmarks/results/fig6_cg.json byte for byte (they are deterministic); a
+# change that means to move them regenerates and commits the file. ~20 s.
+fig6-check:
+	$(PYTHON) -m benchmarks.bench_fig6_cg
+	git diff --exit-code benchmarks/results/fig6_cg.json
 
 # Full-scale collective benchmark; rewrites the committed baseline, then
 # re-checks it — the tuned-beats-ring and coll_protocol_* >= 1.5x gates

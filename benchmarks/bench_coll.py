@@ -2,8 +2,8 @@
 
 Runs the OSU-style collective sweeps (repro.apps.osu.collectives) for
 GPUCCL AllReduce and AllGather at job scale — 64 GPUs on the Perlmutter
-preset — twice: once with no policy installed (the legacy fixed-ring
-path) and once with ``coll="auto"`` (the repro.coll cost-model tuner
+preset — twice: once with no policy installed (GPUCCL's default ring,
+no wire protocol) and once with ``coll="auto"`` (the repro.coll cost-model tuner
 picking per message size). Virtual seconds per call and the tuned/ring
 speedup are recorded per size.
 
@@ -72,7 +72,7 @@ def _cfg(scale: str, kind: str) -> OsuConfig:
 
 
 # Policy column of each benchmark cell -> the launch(coll=...) argument.
-# "simple" is the NCCL legacy default (bandwidth-optimized ring on the
+# "simple" is NCCL's own default (bandwidth-optimized ring on the
 # Simple protocol, one channel) the protocol rows compare against; small
 # messages are where LL pays off (no rendezvous round-trip), and the
 # check gate requires the tuned small-message AllReduce to win >= 1.5x.

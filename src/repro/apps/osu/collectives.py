@@ -6,7 +6,7 @@ Unlike the ping-pong benchmarks these run at job scale (``--gpus``), which
 is where the algorithm choice (docs/COLLECTIVES.md) shows: latency-bound
 trees/recursive-doubling win small messages, the bandwidth-optimal ring
 wins large ones. ``coll=`` forwards a :mod:`repro.coll` policy, so the same
-sweep measures the fixed legacy algorithm, a forced catalogue entry, or the
+sweep measures the backend's default algorithm, a forced catalogue entry, or the
 autotuned selection.
 """
 

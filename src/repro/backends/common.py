@@ -128,7 +128,7 @@ class InFlight:
         self.epoch = engine.fence_epoch
         self.data: Optional[np.ndarray] = None
 
-    def snapshot(self, src: BufferLike, arr: np.ndarray, count: int, *, note: str,
+    def snapshot(self, src: BufferLike, arr: np.ndarray, count: int, *, note: Optional[str],
                  key: Optional[tuple] = None, offset: int = 0,
                  live: bool = False) -> "InFlight":
         """Take ``count`` elements of ``src`` from ``offset`` as this
@@ -137,7 +137,8 @@ class InFlight:
 
         ``key`` — ``(kind letter, *endpoint ids)`` — names the payload to
         the capture runtime (effects ``<kind>snap`` here and ``<kind>dlv``
-        at landing); None keeps it out of replay. With ``live=True``
+        at landing); None keeps it out of replay. ``note`` names the read
+        to the race sanitizer (None when none runs). With ``live=True``
         nothing is copied now: the source is read when the payload lands,
         the closest single-snapshot approximation of a one-sided get
         racing with remote writes.
@@ -353,7 +354,7 @@ class FusedCollective:
             gathered = np.concatenate([records[r][0] for r in range(p)])
             for _, recv in records.values():
                 put(recv, count * p, gathered)
-        elif kind == "alltoall":
+        elif kind == "all_to_all":
             for dst in range(p):
                 out = np.concatenate([records[src][0][dst * count:(dst + 1) * count]
                                       for src in range(p)])

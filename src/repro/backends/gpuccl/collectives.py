@@ -1,17 +1,18 @@
-"""GPUCCL collectives: fused ring kernels with analytic timing.
+"""GPUCCL collectives: fused kernels priced by their schedules.
 
 Every rank enqueues one stream op per collective call; the ops of one
 logical collective rendezvous in a shared slot (keyed by the per-comm
 collective sequence number — GPUCCL requires identical call order on all
-ranks). When the last rank's op starts, the ring duration is computed and
-all ranks complete together, with the data applied at completion time.
+ranks). When the last rank's op starts, the communicator's model prices
+the selected algorithm's schedule (the ring by default) and all ranks
+complete together, with the data applied at completion time.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ...coll import CollSelection
+from ...coll import DEFAULT_ALGORITHM, CollSelection
 from ...errors import GpucclError
 from ...gpu.stream import ExternalOp, Stream
 from ...obs import size_class
@@ -19,8 +20,9 @@ from ..common import BufferLike, FusedCollective, as_array
 
 __all__ = ["all_reduce", "broadcast", "reduce", "all_gather", "reduce_scatter"]
 
-#: What runs when no policy selects: the ring on its legacy wire behaviour.
-_RING = CollSelection("ring")
+#: What runs when no policy selects, per kind.
+_DEFAULT = {kind: CollSelection(algorithm)
+            for kind, algorithm in DEFAULT_ALGORITHM["gpuccl"].items()}
 
 
 def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[BufferLike],
@@ -28,10 +30,10 @@ def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[Bu
     comm._check(0 if root is None else root)
     shared = comm.shared
     policy = comm.engine.coll
-    algorithm = _RING
+    algorithm = _DEFAULT[kind]
     if policy is not None and comm.size > 1:
         nbytes = int(count * as_array(send).dtype.itemsize)
-        selected = policy.select("gpuccl", kind, nbytes, shared.ring.topo,
+        selected = policy.select("gpuccl", kind, nbytes, shared.model.topo,
                                  engine=comm.engine)
         if selected is not None:
             algorithm = selected
@@ -47,11 +49,10 @@ def _submit(comm, stream: Stream, kind: str, send: BufferLike, recv: Optional[Bu
     seq = comm._coll_seq
     slot = shared.coll_slots.get(seq)
     if slot is None:
-        # "ring" with no explicit protocol reproduces the historical
-        # RingModel timing exactly; any other selection is priced over its
-        # generated schedule with the chosen wire protocol and rail count.
+        # The model prices the selection's generated schedule with its
+        # wire protocol and rail count.
         slot = shared.coll_slots[seq] = FusedCollective(
-            shared.plane, comm.size, shared.ring.duration,
+            shared.plane, comm.size, shared.model.duration,
             kind, count, op, root, algorithm)
         # Every member has looked the slot up by the time it completes:
         # it leaves the table then, snapshots and finishers with it.

@@ -144,33 +144,33 @@ class _CommShared:
         self.plane = DataPlane(engine, "gpuccl")
         self._pairs: Dict[Tuple[int, int], _Pair] = {}
         self.coll_slots: Dict[int, object] = {}
-        self._ring: Optional[GpucclModel] = None
+        self._model: Optional[GpucclModel] = None
         metrics = engine.metrics
         self._messages = SeriesBy(metrics.bind_counter, "gpuccl_messages_total",
                                    "size", "rank")
         self._bytes = SeriesBy(metrics.bind_counter, "gpuccl_bytes_total", "rank")
 
     @property
-    def ring(self) -> GpucclModel:
+    def model(self) -> GpucclModel:
         """Timing model of this communicator, on the Topology that owns
-        its generated schedules (``ring.topo``; see repro.coll.cost)."""
-        if self._ring is None:
+        its generated schedules (``model.topo``; see repro.coll.cost)."""
+        if self._model is None:
             gpus = [self.gpu_ids[r] for r in range(self.nranks)]
-            self._ring = model_for("gpuccl", Topology(self.cluster, gpus))
-        return self._ring
+            self._model = model_for("gpuccl", Topology(self.cluster, gpus))
+        return self._model
 
     def close(self) -> None:
         """Untie the finished job's communicator state (``Job.close``):
         the pair records with their unmatched entries, collective slots, the
-        bootstrap rendezvous and the ring model's topology."""
+        bootstrap rendezvous and the timing model's topology."""
         for pair in self._pairs.values():  # an unmatched entry names its pair
             pair.sends.clear()
             pair.recvs.clear()
         self._pairs.clear()
         self.coll_slots.clear()
         self.board.close()
-        if self._ring is not None:
-            self._ring.topo.close()
+        if self._model is not None:
+            self._model.topo.close()
 
     def pair(self, src: int, dst: int) -> _Pair:
         """The record of ranks ``src`` -> ``dst``."""

@@ -1,11 +1,12 @@
 """GPUSHMEM teams and collectives.
 
 Where NVSHMEM lacks a native algorithm, it composes collectives from
-put/get plus barriers (paper Section V-A); the cost model here reflects
-that: log2(p) tree rounds of puts over the team's slowest path, plus
-barrier costs. Collectives exist in three call flavours sharing one
-rendezvous slot: blocking task calls (host API), stream-ordered ops
-(``*_on_stream``), and device calls from inside kernels.
+put/get plus barriers (paper Section V-A); the team's model prices that:
+the put rounds of each kind's schedule (``DEFAULT_ALGORITHM["gpushmem"]``
+unless a policy selects), plus the closing barrier. Collectives exist in
+three call flavours sharing one rendezvous slot: blocking task calls (host
+API), stream-ordered ops (``*_on_stream``), and device calls from inside
+kernels.
 """
 
 from __future__ import annotations
@@ -14,15 +15,19 @@ from typing import List, Optional, Tuple
 
 from ...errors import GpushmemError
 from ...gpu.stream import ExternalOp, Stream
-from ...coll import (CANONICAL_SHMEM_KINDS, CollSelection, ShmemModel,
-                     Topology, model_for)
+from ...coll import (CANONICAL_SHMEM_KINDS, CATALOGUE_KINDS,
+                     DEFAULT_ALGORITHM, CollSelection, ShmemModel, Topology,
+                     model_for)
 from ...sim import SimEvent
 from ..common import BufferLike, FusedCollective, as_array
 
 __all__ = ["ShmemTeam"]
 
-#: What runs when no policy selects: the historical put-tree.
-_TREE = CollSelection("tree")
+#: What runs when no policy selects, per native kind; a barrier has no
+#: schedule and is labelled by its own name.
+_DEFAULT = {kind: CollSelection(DEFAULT_ALGORITHM["gpushmem"][canonical])
+            for kind, canonical in CANONICAL_SHMEM_KINDS.items()}
+_DEFAULT["barrier"] = CollSelection("barrier")
 
 
 class ShmemTeam:
@@ -70,9 +75,8 @@ class ShmemTeam:
         self._seq += 1
         entry = self._shared.get(self._seq)
         if entry is None:
-            # "tree" with no explicit protocol is the historical put-tree
-            # formula; any other selection is priced over its generated
-            # schedule with the chosen wire protocol and rail count.
+            # The model prices the selection's generated schedule with its
+            # wire protocol and rail count.
             slot = FusedCollective(self.world.plane, self.size, self.model.duration,
                                    kind, count, op, root, algorithm)
             done = SimEvent(self.world.engine, name=f"shmem-{kind}")
@@ -102,11 +106,11 @@ class ShmemTeam:
     ):
         """Join a collective; blocks the task, or enqueues on ``stream``."""
         engine = self.world.engine
-        algorithm = _TREE
+        algorithm = _DEFAULT[kind]
         policy = engine.coll
         if policy is not None and self.size > 1:
             canonical = CANONICAL_SHMEM_KINDS.get(kind)
-            if canonical is not None:
+            if canonical in CATALOGUE_KINDS:
                 itemsize = as_array(send).dtype.itemsize if send is not None else 1
                 selected = policy.select("gpushmem", canonical,
                                          int(count * itemsize),
@@ -115,10 +119,8 @@ class ShmemTeam:
                     algorithm = selected
         metrics = engine.metrics
         if metrics.enabled:
-            legacy_tree = algorithm == "tree" and algorithm.protocol is None
-            algo_label = "put-tree" if legacy_tree else str(algorithm)
             metrics.inc("shmem_collectives_total", kind=kind,
-                        algorithm=algo_label,
+                        algorithm=str(algorithm),
                         protocol=algorithm.protocol or "-",
                         channels=str(algorithm.channels),
                         team_size=self.size, rank=self.members[self.my_pe])

@@ -69,13 +69,18 @@ class _RecvRec(Request):
     """A posted receive: the receiver's request, filled by the send it
     matches."""
 
-    __slots__ = ("src", "tag", "count", "buf", "arr")
+    __slots__ = ("src", "dst", "tag", "count", "buf", "arr")
 
     def __init__(self, engine, src: Optional[int], dst: int, tag: Optional[int], count: int,
                  buf: BufferLike, arr):
-        super().__init__(engine, f"recv[{src}->{dst} tag={tag}]")
-        self.src, self.tag, self.count = src, tag, count
+        super().__init__(engine)
+        self.src, self.dst, self.tag, self.count = src, dst, tag, count
         self.buf, self.arr = buf, arr
+
+    @property
+    def name(self) -> str:
+        """Read only by wait reasons, reports and the race sanitizer."""
+        return f"req:recv[{self.src}->{self.dst} tag={self.tag}]"
 
 
 class _SendRec(Request):
@@ -101,7 +106,7 @@ class _SendRec(Request):
 
     def __init__(self, engine, profile: MpiProfile, src: int, dst: int, tag: int, count: int,
                  buf: BufferLike, arr):
-        super().__init__(engine, f"send[{src}->{dst} tag={tag}]")
+        super().__init__(engine)
         self.src, self.dst, self.tag, self.count = src, dst, tag, count
         self.nbytes = nbytes = int(count * arr.dtype.itemsize)
         self.kind = "eager" if nbytes <= profile.eager_threshold else "rdv"
@@ -116,6 +121,11 @@ class _SendRec(Request):
         self.flight: Optional[InFlight] = None
         self.recv: Optional[_RecvRec] = None  # the matched receive
         self.first_try: Optional[float] = None  # time of the first faultable attempt
+
+    @property
+    def name(self) -> str:
+        """Read only by wait reasons, reports and the race sanitizer."""
+        return f"req:send[{self.src}->{self.dst} tag={self.tag}]"
 
     def attempt(self, k: int) -> None:
         engine, flight = self.engine, self.flight
@@ -139,7 +149,8 @@ class _SendRec(Request):
             # buffer.
             if not eager:
                 flight.snapshot(self.buf, self.arr, self.count,
-                                key=("r", self.src, self.dst, self.tag), note=self.name[4:])
+                                key=("r", self.src, self.dst, self.tag),
+                                note=self.name[4:] if engine.sanitizer is not None else None)
             transfer = flight.wire(self.pair.path, self.nbytes, now)
             if not eager:
                 engine.schedule(max(0.0, transfer.inject_done - now), self.complete)
@@ -315,7 +326,8 @@ class MessageEngine:
             nbytes, kind = send.nbytes, send.kind
             if kind == "eager":
                 flight = send.flight = InFlight(self.plane).snapshot(
-                    buf, send.arr, count, key=("m", src, dst, tag), note=send.name[4:])
+                    buf, send.arr, count, key=("m", src, dst, tag),
+                    note=send.name[4:] if san is not None else None)
                 now = engine.now
                 transfer = flight.wire(pair.path, nbytes, now)
                 send.arrival_time = transfer.delivered

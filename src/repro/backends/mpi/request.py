@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ...sim import Engine, SimEvent
 
@@ -12,7 +12,8 @@ __all__ = ["Request", "waitall"]
 class Request(SimEvent):
     """Handle for a pending nonblocking operation: the event that sets when
     it completes, named ``req:<name>`` in wait reasons. The matcher's two
-    message records (``matching._SendRec``, ``_RecvRec``) are requests.
+    message records (``matching._SendRec``, ``_RecvRec``) are requests
+    that pass no name: theirs is a property, formatted only when read.
 
     A request may complete *with an error* (e.g. message truncation is
     reported on the receive side, like MPI_ERR_TRUNC); the error is raised
@@ -21,8 +22,8 @@ class Request(SimEvent):
 
     __slots__ = ("_error",)
 
-    def __init__(self, engine: Engine, name: str):
-        super().__init__(engine, f"req:{name}")
+    def __init__(self, engine: Engine, name: Optional[str] = None):
+        super().__init__(engine, None if name is None else f"req:{name}")
         self._error: BaseException = None
 
     #: Mark the operation finished; wakes waiters.

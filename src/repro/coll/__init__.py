@@ -7,13 +7,14 @@ models (:mod:`repro.coll.models`) and the autotuner / runtime policy
 (:mod:`repro.coll.tuner`). See docs/COLLECTIVES.md.
 
 Backends consult ``engine.coll`` (a :class:`CollPolicy`, or None when no
-engine is installed — the default, which keeps every legacy code path and
-trace byte-identical). This package never imports the backends; they
+engine is installed — the default, under which every backend runs its
+:data:`DEFAULT_ALGORITHM`). This package never imports the backends; they
 import it.
 """
 
 from .algorithms import (ALGORITHMS, CATALOGUE_KINDS, DEFAULT_ALGORITHM,
-                         candidates, generate, is_applicable)
+                         KNOWN_ALGORITHMS, candidates, generate,
+                         is_applicable)
 from .cost import (CHANNEL_COUNTS, PROTOCOL_SPECS, PROTOCOLS, ProtocolSpec,
                    Topology, protocol_spec, schedule_cost)
 from .models import (CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel,
@@ -30,6 +31,7 @@ __all__ = [
     "ALGORITHMS",
     "CATALOGUE_KINDS",
     "DEFAULT_ALGORITHM",
+    "KNOWN_ALGORITHMS",
     "CANONICAL_SHMEM_KINDS",
     "CHANNEL_COUNTS",
     "PROTOCOLS",

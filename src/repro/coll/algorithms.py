@@ -18,9 +18,9 @@ Every generator produces a :class:`~repro.coll.schedule.Schedule` for one
 collective (:func:`_native`) — binomial broadcast and reduce, linear
 gather-v/scatter-v at the root, and the compositions of those the
 GPU-buffer path takes — so MPI executes, prices and link-checks one
-schedule. GPUCCL's and GPUSHMEM's fused kernels keep their own legacy
-code paths under the names "ring" and "tree"; selecting those routes
-through them, which is what keeps default traces byte-identical.
+schedule. GPUCCL's and GPUSHMEM's fused kernels run no schedule, but each
+is priced by one: :data:`DEFAULT_ALGORITHM` names the schedule of the
+library's own algorithm for every kind.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .schedule import COPY, RECV, SEND, Schedule, chunk_layout
+from .schedule import COPY, KINDS, RECV, SEND, Schedule, chunk_layout
 
-__all__ = ["ALGORITHMS", "CATALOGUE_KINDS", "DEFAULT_ALGORITHM", "generate",
-           "is_applicable", "candidates"]
+__all__ = ["ALGORITHMS", "CATALOGUE_KINDS", "DEFAULT_ALGORITHM",
+           "KNOWN_ALGORITHMS", "generate", "is_applicable", "candidates"]
 
 #: Generator names, in catalogue order.
 ALGORITHMS = ("ring", "tree", "recdbl", "bruck", "hier")
@@ -41,8 +41,25 @@ ALGORITHMS = ("ring", "tree", "recdbl", "bruck", "hier")
 CATALOGUE_KINDS = ("all_reduce", "all_gather", "broadcast", "reduce",
                     "reduce_scatter")
 
-#: Each backend's default: its legacy code path, or MPI's native schedule.
-DEFAULT_ALGORITHM = {"gpuccl": "ring", "gpushmem": "tree", "mpi": "native"}
+#: backend -> kind -> the schedule that backend runs, and is priced by,
+#: when no policy selects. GPUCCL runs its ring everywhere; GPUSHMEM
+#: composes puts: a binomial tree for the rooted kinds, ceil(log2 p)
+#: full-payload rounds (recursive doubling) for all_reduce, the p - 1
+#: round put ring for all_gather and reduce_scatter, pairwise rounds for
+#: all_to_all (priced, never selected); MPI runs ``native``.
+DEFAULT_ALGORITHM = {
+    "gpuccl": dict.fromkeys(CATALOGUE_KINDS, "ring"),
+    "gpushmem": {"broadcast": "tree", "reduce": "tree",
+                 "all_reduce": "recdbl", "all_gather": "ring",
+                 "reduce_scatter": "ring", "all_to_all": "native"},
+    "mpi": dict.fromkeys(KINDS, "native"),
+}
+
+#: Every algorithm name a policy may select: the catalogue, then the
+#: defaults outside it (MPI's ``native``).
+KNOWN_ALGORITHMS = tuple(dict.fromkeys(
+    ALGORITHMS + tuple(a for kinds in DEFAULT_ALGORITHM.values()
+                       for a in kinds.values())))
 
 
 def _ceil_log2(n: int) -> int:

@@ -293,9 +293,9 @@ def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
     terms to every send; ``channels`` stripes each message over that many
     parallel rails sharing the wire — each rail pays per-message overhead
     but the stripes together can recover bandwidth a single channel's
-    ``bw_scale`` discount leaves idle (capped at the physical wire). The
-    defaults (``None``, ``1``) price sends with arithmetic identical to
-    the historical model, so legacy callers see bit-identical costs.
+    ``bw_scale`` discount leaves idle (capped at the physical wire).
+    ``protocol=None`` means no wire-protocol framing: a send pays one
+    path latency, one per-message overhead and its bytes at ``bw_scale``.
     """
     spec = protocol_spec(protocol)
     bw_factor = 1.0 if spec is None else spec.bw_factor

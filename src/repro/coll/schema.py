@@ -10,7 +10,7 @@ Version 2 (the only one read): bands are ``[ceiling_nbytes, algorithm,
 protocol, channels]`` quadruples with *exclusive* ceilings (``nbytes <
 ceiling``), matching the tuner's "first size the next winner wins"
 convention; ``protocol`` is an NCCL-style wire protocol name or ``null``
-(backend legacy) and ``channels`` the parallel-rail count. Version 1
+(no wire-protocol framing) and ``channels`` the parallel-rail count. Version 1
 (``[max_nbytes, algorithm]`` pairs, inclusive ceilings) is rejected.
 """
 

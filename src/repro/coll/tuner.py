@@ -26,7 +26,8 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algorithms import DEFAULT_ALGORITHM, candidates, is_applicable
+from .algorithms import (DEFAULT_ALGORITHM, KNOWN_ALGORITHMS, candidates,
+                         is_applicable)
 from .cost import CHANNEL_COUNTS, PROTOCOLS, Topology
 from .models import CANONICAL_SHMEM_KINDS, model_for
 from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError,
@@ -48,8 +49,8 @@ class CollSelection(str):
     selection against an algorithm name (slot mismatch checks, metric
     labels, ``algorithm == "ring"`` fast paths) keeps working unchanged;
     the protocol/channel knobs ride along as attributes. ``protocol`` is
-    ``None`` for the backend's legacy wire behaviour and ``channels`` is
-    ``1`` for a single rail — ``CollSelection("ring")`` is
+    ``None`` for no wire-protocol framing and ``channels`` is ``1`` for a
+    single rail — ``CollSelection("ring")`` is
     indistinguishable from the plain string ``"ring"`` downstream.
     """
 
@@ -101,7 +102,7 @@ class CollSelection(str):
         return f"<CollSelection {self.describe()}>"
 
 
-#: The ``coll_selected_total`` labels of "no selection: legacy path".
+#: The ``coll_selected_total`` labels of "no selection: the default runs".
 _NO_SELECTION = CollSelection("default")
 
 
@@ -119,8 +120,7 @@ def _best(model, backend: str, kind: str, nbytes: int,
           ) -> Tuple[CollSelection, float]:
     """(winner, predicted seconds) over ``combos``, each priced by the
     backend model plus an optional per-candidate ``surcharge``; ties go to
-    the earliest combination, so a leading legacy default wins exact
-    draws."""
+    the earliest combination, so a leading default wins exact draws."""
     best_sel, best_cost = None, None
     for sel in combos:
         cost = _score(model, backend, kind, sel, nbytes)
@@ -133,8 +133,8 @@ def _best(model, backend: str, kind: str, nbytes: int,
 
 def _algorithms(backend: str, kind: str, nranks: int,
                 topo: Optional[Topology]) -> List[str]:
-    """The backend's legacy default, then every other applicable algorithm."""
-    default = DEFAULT_ALGORITHM[backend]
+    """The backend's default, then every other applicable algorithm."""
+    default = DEFAULT_ALGORITHM[backend][kind]
     return [default] + [a for a in candidates(kind, nranks, topo)
                         if a != default]
 
@@ -143,8 +143,8 @@ def _combos(backend: str, kind: str, nranks: int,
             topo: Optional[Topology]) -> List[CollSelection]:
     """The (algorithm x protocol x channels) space one backend tunes over.
 
-    The first entry is always the backend's legacy default (no explicit
-    protocol, one channel) so ties preserve historical behaviour. MPI has
+    The first entry is always the backend's default (no explicit
+    protocol, one channel), so ties keep what runs with no policy. MPI has
     no GPU wire protocols — it tunes (algorithm x channels) only — and
     its ``native`` path ignores both knobs, so it appears exactly once.
     """
@@ -180,7 +180,7 @@ class CollTable:
                   bands: Sequence[Sequence]) -> None:
         """Install bands; each entry is ``(ceiling, selection)`` where the
         selection may be a :class:`CollSelection`, a plain algorithm name
-        (legacy protocol, one channel), or an explicit
+        (no protocol, one channel), or an explicit
         ``(ceiling, algorithm, protocol, channels)`` quadruple."""
         normalized = []
         for band in bands:
@@ -359,7 +359,7 @@ class CollPolicy:
 
     def select(self, backend: str, kind: str, nbytes: int, topo: Topology,
                engine=None) -> Optional[CollSelection]:
-        """The selection to run, or None to stay on the legacy path."""
+        """The selection to run, or None to run the backend's default."""
         if topo.nranks <= 1:
             return None
         if engine is not None:
@@ -373,20 +373,17 @@ class CollPolicy:
         if key in self._cache:
             algo = self._cache[key]
         else:
-            if self.mode == "fixed":
-                algo = self.algorithm
-                if algo != DEFAULT_ALGORITHM[backend] and not is_applicable(
-                        str(algo), kind, topo.nranks, topo):
-                    algo = None
-            elif self.mode == "table":
-                algo = self.table.lookup(topo.signature(), backend, kind,
-                                         int(nbytes))
-                if algo is not None and algo != DEFAULT_ALGORITHM[backend] \
+            if self.mode == "auto":
+                algo = self._auto_select(backend, kind, int(nbytes), topo)
+            else:
+                algo = (self.algorithm if self.mode == "fixed" else
+                        self.table.lookup(topo.signature(), backend, kind,
+                                          int(nbytes)))
+                # A default always applies; anything else must apply here.
+                if algo is not None and algo != DEFAULT_ALGORITHM[backend][kind] \
                         and not is_applicable(str(algo), kind, topo.nranks,
                                               topo):
                     algo = None
-            else:
-                algo = self._auto_select(backend, kind, int(nbytes), topo)
             self._cache[key] = algo
         return self._count(engine, backend, kind, nbytes, algo)
 
@@ -417,7 +414,7 @@ class CollTuner:
              nbytes: int) -> Tuple[CollSelection, float]:
         """(winner, predicted seconds) over (algorithm x protocol x
         channels); ties go to the earliest combination, so the backend's
-        legacy default wins exact draws."""
+        default wins exact draws."""
         return _best(self.model(backend), backend, kind, nbytes,
                      _combos(backend, kind, self.topo.nranks, self.topo))
 
@@ -450,12 +447,12 @@ class CollTuner:
 def resolve_policy(coll) -> Optional[CollPolicy]:
     """Map ``launch(coll=...)`` to a policy (or None).
 
-    Accepts: None/False/"off" (no policy: every backend keeps its legacy
+    Accepts: None/False/"off" (no policy: every backend runs its default
     algorithm), "auto" (cost-model policy), an algorithm name or a
     fixed-selection string ``algo[+protocol][/channels]`` (e.g.
     ``ring+LL/2``), a :class:`CollTable`, a table path, or a ready
     :class:`CollPolicy`. A table whose signature misses the running
-    topology selects nothing (legacy path).
+    topology selects nothing (the defaults run).
     """
     if coll is None or coll is False or coll == "off":
         return None
@@ -466,17 +463,14 @@ def resolve_policy(coll) -> Optional[CollPolicy]:
     if isinstance(coll, str):
         if coll == "auto":
             return CollPolicy.auto()
-        from .algorithms import ALGORITHMS
-
-        known = set(ALGORITHMS) | set(DEFAULT_ALGORITHM.values())
-        if coll in known:
+        if coll in KNOWN_ALGORITHMS:
             return CollPolicy.fixed(coll)
         if ("+" in coll or "/" in coll) and not os.path.exists(coll):
             try:
                 sel = CollSelection.parse(coll)
             except ValueError:
                 sel = None
-            if sel is not None and str(sel) in known:
+            if sel is not None and str(sel) in KNOWN_ALGORITHMS:
                 return CollPolicy.fixed(sel)
         if os.path.exists(coll):
             return CollPolicy.from_table(CollTable.load(coll))

@@ -297,7 +297,8 @@ def launch(
     schedule where applicable, ``"auto"`` selects per message size with
     the cost model, and a :class:`~repro.coll.CollTable` (or a path to a
     dumped table) replays saved selections. None (the default), False and
-    ``"off"`` leave every backend on its legacy algorithm: identical traces.
+    ``"off"`` leave every backend on its default algorithm (the one a
+    policy that selects it would run: identical traces).
 
     ``capture`` selects graph capture & replay (:mod:`repro.sim.capture`;
     ``"off"``/``"regions"``, default ``"off"``): annotated

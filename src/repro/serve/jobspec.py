@@ -118,7 +118,7 @@ def canonical_fault_spec(spec: Optional[str]) -> Optional[str]:
 def canonical_coll(coll: Any) -> Optional[str]:
     """Normalize a collective policy to its canonical spec string.
 
-    None/False/"off" -> None (backend legacy algorithms); "auto" stays
+    None/False/"off" -> None (backend default algorithms); "auto" stays
     "auto" (cost-model selection); an algorithm or full wire selection
     ("ring", "ring+LL/2", "tree/1") -> ``CollSelection.spec_string()``.
     Table objects/paths are rejected: a path is not content-addressed, so
@@ -135,13 +135,13 @@ def canonical_coll(coll: Any) -> Optional[str]:
             f"selection string (got {type(coll).__name__}); tuning tables "
             f"are not hashable job inputs")
     from ..coll import CollSelection
-    from ..coll.algorithms import ALGORITHMS, DEFAULT_ALGORITHM
+    from ..coll.algorithms import KNOWN_ALGORITHMS
 
     sel = CollSelection.parse(coll)
-    known = set(ALGORITHMS) | set(DEFAULT_ALGORITHM.values())
-    if str(sel) not in known:
+    if str(sel) not in KNOWN_ALGORITHMS:
         raise ValueError(f"unknown collective algorithm {str(sel)!r} in "
-                         f"coll spec {coll!r}; known: {sorted(known)}")
+                         f"coll spec {coll!r}; known: "
+                         f"{sorted(KNOWN_ALGORITHMS)}")
     return sel.spec_string()
 
 

@@ -243,8 +243,8 @@ class Engine:
         # trace — is byte-identical to an uninstrumented run.
         self.sanitizer: Optional[Any] = None
         # Collective algorithm policy (see repro.coll). None means no
-        # engine installed: backends pay one attribute check and stay on
-        # their legacy code paths, so default traces are byte-identical.
+        # engine installed: backends pay one attribute check and run their
+        # default algorithms.
         self.coll: Optional[Any] = None
         # Graph capture & replay runtime (see repro.sim.capture). None —
         # the default — keeps every hook at one attribute check, so

@@ -53,9 +53,10 @@ class SimEvent:
 
     __slots__ = ("engine", "_set", "_waiters", "_callbacks", "name", "_san_clock")
 
-    def __init__(self, engine: Engine, name: str = "event"):
+    def __init__(self, engine: Engine, name: Optional[str] = "event"):
         self.engine = engine
-        self.name = name
+        if name is not None:  # None: the subclass formats it when read
+            self.name = name
         self._set = False
         self._waiters: List[Task] = []
         self._callbacks: List[Callable[[], None]] = []

@@ -10,7 +10,7 @@ never hides a routing bug.
 
 A fixed policy that is inapplicable to some (kind, nranks) — e.g. bruck
 outside allgather, recdbl reduce_scatter at p=7 — legitimately falls back
-to the backend's legacy path; the matrix still checks that fallback's
+to the backend's default; the matrix still checks that fallback's
 output, so nothing is silently skipped.
 """
 

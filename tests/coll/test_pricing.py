@@ -16,9 +16,11 @@ import json
 
 import pytest
 
-from repro.coll import (ALGORITHMS, CHANNEL_COUNTS, KINDS, PROTOCOLS,
+from repro.coll import (ALGORITHMS, CANONICAL_SHMEM_KINDS, CATALOGUE_KINDS,
+                        CHANNEL_COUNTS, DEFAULT_ALGORITHM, KINDS, PROTOCOLS,
                         CollTuner, Copy, Recv, RecvReduce, Send, Topology,
                         generate, protocol_spec, schedule_cost)
+from repro.coll.tuner import _combos
 from repro.hardware import Cluster, get_machine
 
 RANK_COUNTS = tuple(range(2, 17)) + (64,)
@@ -142,19 +144,19 @@ def test_empty_schedule_costs_only_round_overhead():
 
 
 #: sha256 of ``json.dumps(CollTuner(m, n).build_table().to_doc(),
-#: sort_keys=True)``, recorded with the step-walking cost model and MPI's
-#: ``native`` priced over its schedule. A change here means a selection
-#: moved: re-derive the bands by hand before touching a digest.
+#: sort_keys=True)``, recorded with the step-walking cost model and every
+#: backend's default priced over its schedule. A change here means a
+#: selection moved: re-derive the bands by hand before touching a digest.
 _TABLE_DIGESTS = {
-    ("perlmutter", 8): "00290eb773fa5e2f4e9f866a8181d395be85999c2bc500f10a9c4788d198bd61",
-    ("perlmutter", 16): "5d3a975a5fc0d1c582cd871d12ca3bb1f2bd2a5735978cb2874a82889e187948",
-    ("perlmutter", 64): "00a83859930cbccca65b242554579a9fbf24386d48ae03b7058c2aaf573771f6",
-    ("lumi", 8): "74e1b1da66fd6ecace4673263bfa9982c6be6daf4d12e518a5fb5f2ecfdd6418",
-    ("lumi", 16): "63b7c4ba0cc2beededee6abc6c4378c1a02982806d429e5aaa81ec9d14db6c13",
-    ("lumi", 64): "e5f0bbe92d9cbf229f724614f5df02a7119d8601f248610c2e6b292b2e57ff71",
-    ("marenostrum5", 8): "115272c1772cc07602bd08244199d11c676759a9b06ccb22f461e58c26261b4b",
-    ("marenostrum5", 16): "44be938973a7a7ba855df6fd7254c6c8652cf467d833b1516f9a5f917fcb2411",
-    ("marenostrum5", 64): "4ab88dc2a84a390ea9ad97b09953949a2caf8fd97d1f303d38f7aff406b8ba59",
+    ("perlmutter", 8): "3eb21673aed4afc14d0213adff686f5cad4b8ddf9ed42b62cd4b60abbabe6871",
+    ("perlmutter", 16): "4834a74cba1b4d8af417f88ed4a35f15224f669c4cb4540f4ce2b00c0a2b32ce",
+    ("perlmutter", 64): "4b79a5979349079830b76f8b3525f022dd9ed7491ad78ce248df79c2a9d36a19",
+    ("lumi", 8): "36112059c8a8bbdf70f315de0351304358553f589411c1c3c8a3034aad15cb49",
+    ("lumi", 16): "e457d0076850b051029ce3158737beb44136ee3d455aa6ee1e3538166de4936d",
+    ("lumi", 64): "92007cbfe59dbd3d538e46c459dd4d2761397d24764a235dd327cce6f75976c9",
+    ("marenostrum5", 8): "f035359621cb7b16db19457eecaf685dcaf78b22a1433582d664c8c853054e10",
+    ("marenostrum5", 16): "935fa88205c7f0453e4e6664373dd817d0631aecedbb27fbc88ea031a9bb01f1",
+    ("marenostrum5", 64): "c7c7c03ccc65fe9b497519c67ae791662f8954af28ecc883c678ca51b45aeb09",
 }
 
 
@@ -164,3 +166,50 @@ def test_tuning_table_digest(machine, gpus):
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == _TABLE_DIGESTS[(machine, gpus)]
+
+
+def _default_charges(backend, model, kind, nbytes):
+    """What ``model.duration(kind, nbytes)`` must be: the backend's fixed
+    charges plus ``schedule_cost`` of the kind's default schedule."""
+    topo, profile = model.topo, model.profile
+    if backend == "gpuccl":
+        sched = topo.schedule(DEFAULT_ALGORITHM["gpuccl"][kind], kind, nbytes)
+        return (profile.comm_launch_overhead + profile.protocol_overhead
+                + profile.channel_launch_overhead
+                + schedule_cost(sched, topo, 1,
+                                bw_scale=profile.ring_efficiency))
+    canonical = CANONICAL_SHMEM_KINDS[kind]
+    sched = topo.schedule(DEFAULT_ALGORITHM["gpushmem"][canonical], canonical,
+                          nbytes)
+    return (profile.channel_post_overhead
+            + schedule_cost(sched, topo, 1,
+                            per_round_overhead=profile.host_post_overhead)
+            + model.barrier_time())
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 8, 16, 64))
+@pytest.mark.parametrize("machine", ("perlmutter", "lumi", "marenostrum5"))
+def test_one_price_per_collective(machine, p):
+    """GPUCCL's and GPUSHMEM's no-policy price is the price of a schedule,
+    the same formula every explicit candidate gets, and that schedule is
+    the one the tuner ranks first."""
+    tuner = CollTuner(machine, p)
+    kinds = {"gpuccl": CATALOGUE_KINDS, "gpushmem": tuple(CANONICAL_SHMEM_KINDS)}
+    checked = 0
+    for backend, native_kinds in kinds.items():
+        model = tuner.model(backend)
+        if model is None:
+            continue
+        for kind in native_kinds:
+            canonical = CANONICAL_SHMEM_KINDS.get(kind, kind)
+            default = DEFAULT_ALGORITHM[backend][canonical]
+            first = _combos(backend, canonical, p, tuner.topo)[0]
+            assert (str(first), first.protocol, first.channels) == \
+                (default, None, 1), (backend, kind)
+            for nbytes in (1, 4, 4100, 1 << 20):
+                want = _default_charges(backend, model, kind, nbytes)
+                assert model.duration(kind, nbytes) == want, \
+                    (backend, kind, nbytes)
+                assert model.duration(kind, nbytes, str(first)) == want
+                checked += 1
+    assert checked >= 4 * len(CATALOGUE_KINDS)

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from repro.coll import (ALGORITHMS, CollPolicy, CollSelection, CollTable,
-                        CollTableError, CollTuner, DEFAULT_ALGORITHM,
+from repro.coll import (CollPolicy, CollSelection, CollTable,
+                        CollTableError, CollTuner, KNOWN_ALGORITHMS,
                         SCHEMA_NAME, SCHEMA_VERSION,
                         resolve_policy, validate_table)
 
@@ -107,7 +107,7 @@ def test_build_table_band_structure():
                 ceilings = [band[0] for band in bands[:-1]]
                 assert ceilings == sorted(ceilings)
                 for _, algo, protocol, channels in bands:
-                    assert algo in ALGORITHMS or algo in DEFAULT_ALGORITHM.values()
+                    assert algo in KNOWN_ALGORITHMS
                     assert protocol in (None, "LL", "LL128", "Simple")
                     assert isinstance(channels, int) and channels >= 1
 
@@ -119,7 +119,7 @@ def test_policy_from_table_respects_bands():
     small = policy.select("gpuccl", "all_reduce", 64, t.topo)
     large = policy.select("gpuccl", "all_reduce", 32 << 20, t.topo)
     assert small != large
-    # Unknown signature -> stay on the legacy path.
+    # Unknown signature -> the default runs.
     other = CollTuner("marenostrum5", 8).topo
     assert policy.select("gpuccl", "all_reduce", 64, other) is None
 

@@ -35,7 +35,7 @@ CLEAN = (
     UniconnError,
 )
 
-#: None = each backend's legacy algorithm; the rest force repro.coll
+#: None = each backend's default algorithm; the rest force repro.coll
 #: schedules so the schedule-execution paths are covered too.
 POLICIES = (None, "ring", "tree", "auto")
 

@@ -355,14 +355,14 @@ def test_trace_byte_identical_with_sanitizer_on_clean_run():
 
 
 def _default_selecting_table():
-    """A tuning table mapping every backend to its own legacy algorithm."""
+    """A tuning table mapping every backend and kind to its own default."""
     from repro.coll import (CollPolicy, CollTable, CollTuner,
-                            DEFAULT_ALGORITHM, KINDS)
+                            DEFAULT_ALGORITHM)
 
     sig = CollTuner("perlmutter", 8).topo.signature()
     table = CollTable(machine="perlmutter")
-    for backend, algo in DEFAULT_ALGORITHM.items():
-        for kind in KINDS:
+    for backend, defaults in DEFAULT_ALGORITHM.items():
+        for kind, algo in defaults.items():
             table.set_bands(sig, backend, kind, [(None, algo)])
     return CollPolicy.from_table(table)
 
@@ -374,10 +374,10 @@ def test_trace_byte_identical_with_coll_tuning_disabled(variant):
     """The collective engine must be invisible unless it changes a choice.
 
     Three runs must trace byte-identically: no policy at all (engine.coll
-    is None — the backends' legacy code paths), the policy explicitly off,
-    and a table policy that maps every backend to its own default
-    algorithm (the selection machinery runs, resolves to the legacy
-    algorithm, and the legacy formulas price it — see repro.coll.models)."""
+    is None — the backends' defaults), the policy explicitly off, and a
+    table policy that maps every backend to its own default algorithm (the
+    selection machinery runs, resolves to the default, and its schedule
+    prices it — see repro.coll.models)."""
     _, stats_none, trace_none = _traced_run(variant)
     _, stats_off, trace_off = _traced_run(variant, coll="off")
     _, stats_table, trace_table = _traced_run(variant, coll=_default_selecting_table())
