@@ -40,6 +40,7 @@ from .solver import (
     k_pupdate,
     k_spmv,
     k_update,
+    row_block,
     row_partition,
 )
 
@@ -91,7 +92,7 @@ def run(
         counts, displs = row_partition(n, p)
         lo, cnt = displs[me], counts[me]
         state = CgState(
-            a_local=problem.a[lo : lo + cnt, :].tocsr(),
+            a_local=row_block(problem.a, lo, cnt),
             p_full=p_full,
             q=device.malloc(cnt, np.float64),
             x=device.malloc(cnt, np.float64),

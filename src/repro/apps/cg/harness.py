@@ -9,7 +9,7 @@ import numpy as np
 
 from ...gpu import GpuEvent, elapsed
 from ...launcher import RankContext
-from .solver import CgConfig, CgProblem, CgState, make_problem, row_partition
+from .solver import CgConfig, CgProblem, CgState, make_problem, row_block, row_partition
 
 __all__ = ["CgResult", "setup_state", "measure_cg", "assemble_x"]
 
@@ -39,7 +39,7 @@ def setup_state(
     n = problem.a.shape[0]
     counts, displs = row_partition(n, p)
     lo, cnt = displs[me], counts[me]
-    a_local = problem.a[lo : lo + cnt, :].tocsr()
+    a_local = row_block(problem.a, lo, cnt)
     b_local = problem.b[lo : lo + cnt]
 
     state = CgState(

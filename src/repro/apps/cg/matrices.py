@@ -42,39 +42,56 @@ def synthetic_spd(n: int, nnz_per_row: int, seed: int = 0) -> sp.csr_matrix:
     Structure: tri-diagonal core + two FEM-like bands at ±k and ±k^2-ish
     offsets + random symmetric couplings to reach the target density; made
     strictly diagonally dominant (hence SPD).
+
+    The build peaks near twice its result: the upper triangle is written
+    once into int32/float64 triplets (banded entries first, then the
+    couplings, the order its duplicates are summed in), and every
+    intermediate is dropped as soon as the next one exists.
     """
     if n < CG_MIN_ROWS:
         raise ValueError(f"matrix too small: n={n} (minimum {CG_MIN_ROWS})")
     rng = np.random.default_rng(seed)
     k = max(2, int(np.sqrt(n)))
     offsets = [1, k, min(k * 7, n - 1)]
-    rows, cols, vals = [], [], []
-    for off in offsets:
-        idx = np.arange(n - off)
-        rows.append(idx)
-        cols.append(idx + off)
-        vals.append(-np.abs(rng.normal(1.0, 0.2, size=n - off)).astype(np.float64))
-    # Random long-range couplings to hit the density target.
-    structured = 2 * sum(len(r) for r in rows)  # symmetric counterparts
-    want = max(0, n * nnz_per_row - structured - n) // 2
-    if want > 0:
-        rr = rng.integers(0, n, size=want)
-        cc = rng.integers(0, n, size=want)
-        lo, hi = np.minimum(rr, cc), np.maximum(rr, cc)
-        keep = lo < hi  # drop accidental diagonal hits
-        rows.append(lo[keep])
-        cols.append(hi[keep])
-        vals.append(-np.abs(rng.normal(0.3, 0.1, size=int(keep.sum()))))
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
+    band_vals = [-np.abs(rng.normal(1.0, 0.2, size=n - off)) for off in offsets]
+    banded = sum(n - off for off in offsets)
+    # Random long-range couplings to hit the density target; diagonal hits
+    # are dropped.
+    want = max(0, n * nnz_per_row - 2 * banded - n) // 2
+    rr = rng.integers(0, n, size=want).astype(np.int32)
+    cc = rng.integers(0, n, size=want).astype(np.int32)
+    lo = np.minimum(rr, cc)
+    hi = np.maximum(rr, cc, out=cc)
+    del rr, cc
+    keep = lo < hi
+    total = banded + int(np.count_nonzero(keep))
+    r = np.empty(total, dtype=np.int32)
+    c = np.empty(total, dtype=np.int32)
+    v = np.empty(total)
+    at = 0
+    for off, vals in zip(offsets, band_vals):
+        end = at + n - off
+        r[at:end] = np.arange(n - off, dtype=np.int32)
+        c[at:end] = r[at:end] + off
+        v[at:end] = vals
+        at = end
+    del band_vals
+    np.compress(keep, lo, out=r[at:])
+    np.compress(keep, hi, out=c[at:])
+    del lo, hi, keep
+    v[at:] = -np.abs(rng.normal(0.3, 0.1, size=total - at))
     upper = sp.coo_matrix((v, (r, c)), shape=(n, n))
-    a = (upper + upper.T).tocsr()
+    del r, c, v
+    # upper + upper.T, with each operand converted before the triplets go.
+    lower = upper.T.tocsr()
+    upper = upper.tocsr()
+    a = upper + lower
+    del upper, lower
     a.sum_duplicates()
     # Strict diagonal dominance -> SPD.
     row_abs = np.abs(a).sum(axis=1).A1
     a = a + sp.diags(row_abs + 1.0)
-    out = a.tocsr().astype(np.float64)
+    out = a.astype(np.float64, copy=False)
     out.sort_indices()
     return out
 

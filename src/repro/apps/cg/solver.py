@@ -21,7 +21,7 @@ from ...gpu.kernel import DeviceCtx, kernel
 from ...hardware.gpu import KernelCost
 
 __all__ = [
-    "CgConfig", "CgProblem", "CgState", "make_problem", "row_partition",
+    "CgConfig", "CgProblem", "CgState", "make_problem", "row_partition", "row_block",
     "serial_cg", "k_spmv", "k_dot_pq", "k_update", "k_pupdate", "final_residual",
 ]
 
@@ -50,7 +50,7 @@ _held: Dict[Tuple[int, int, int], CgProblem] = {}
 _held_lock = threading.Lock()
 
 
-def make_problem(cfg: CgConfig, matrix: sp.csr_matrix = None) -> CgProblem:
+def make_problem(cfg: CgConfig, matrix: sp.spmatrix | sp.sparray = None) -> CgProblem:
     """Build A (or take it) and a right-hand side with a known solution.
 
     A problem built from ``cfg`` alone is shared and immutable. The process
@@ -60,10 +60,11 @@ def make_problem(cfg: CgConfig, matrix: sp.csr_matrix = None) -> CgProblem:
     the old one go, so at most one is held. Its ``a.data``, ``a.indices``,
     ``a.indptr``, ``b`` and ``x_true`` are not writeable: copy before
     changing one. ``matrix=`` builds from the caller's matrix, is never
-    cached and leaves that matrix as it was.
+    cached and leaves that matrix as it was; it may be any scipy sparse
+    format (a CSR one is used as it is, another is converted once).
     """
     if matrix is not None:
-        return _with_solution(cfg, matrix)
+        return _with_solution(cfg, matrix if matrix.format == "csr" else matrix.tocsr())
     key = (cfg.n, cfg.nnz_per_row, cfg.seed)
     with _held_lock:
         problem = _held.get(key)
@@ -92,6 +93,18 @@ def row_partition(n: int, nranks: int) -> Tuple[List[int], List[int]]:
     counts = [base + (1 if r < extra else 0) for r in range(nranks)]
     displs = [sum(counts[:r]) for r in range(nranks)]
     return counts, displs
+
+
+def row_block(a: sp.csr_matrix, lo: int, cnt: int) -> sp.csr_matrix:
+    """Rows ``[lo, lo + cnt)`` of CSR ``a`` as a CSR view: its data and
+    indices are slices of ``a``'s (no copy; read-only when ``a`` is)."""
+    s, e = a.indptr[lo], a.indptr[lo + cnt]
+    block = type(a)((cnt, a.shape[1]), dtype=a.dtype)
+    # Set after construction: the constructor copies a slice of a much
+    # larger array.
+    block.data, block.indices = a.data[s:e], a.indices[s:e]
+    block.indptr = a.indptr[lo : lo + cnt + 1] - s
+    return block
 
 
 def serial_cg(problem: CgProblem, iters: int) -> Tuple[np.ndarray, float]:

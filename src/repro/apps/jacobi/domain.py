@@ -50,31 +50,25 @@ class Partition:
     ny: int
     row_start: int  # first interior row owned (global index)
     row_end: int  # one past the last owned row
+    # Derived once from the fields above (out of equality and repr): the
+    # halo exchange reads them on every iteration.
+    chunk: int = field(init=False, repr=False, compare=False)
+    """Number of interior rows this rank owns."""
+    has_top: bool = field(init=False, repr=False, compare=False)
+    """True if a neighbouring rank owns the row above (not a boundary)."""
+    has_bottom: bool = field(init=False, repr=False, compare=False)
+    """True if a neighbouring rank owns the row below."""
+    top: int = field(init=False, repr=False, compare=False)
+    """Rank of the neighbour above."""
+    bottom: int = field(init=False, repr=False, compare=False)
+    """Rank of the neighbour below."""
 
-    @property
-    def chunk(self) -> int:
-        """Number of interior rows this rank owns."""
-        return self.row_end - self.row_start
-
-    @property
-    def has_top(self) -> bool:
-        """True if a neighbouring rank owns the row above (not a boundary)."""
-        return self.rank > 0
-
-    @property
-    def has_bottom(self) -> bool:
-        """True if a neighbouring rank owns the row below."""
-        return self.rank < self.nranks - 1
-
-    @property
-    def top(self) -> int:
-        """Rank of the neighbour above."""
-        return self.rank - 1
-
-    @property
-    def bottom(self) -> int:
-        """Rank of the neighbour below."""
-        return self.rank + 1
+    def __post_init__(self) -> None:
+        derived = dict(chunk=self.row_end - self.row_start, has_top=self.rank > 0,
+                       has_bottom=self.rank < self.nranks - 1,
+                       top=self.rank - 1, bottom=self.rank + 1)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def partition_rows(cfg: JacobiConfig, rank: int, nranks: int) -> Partition:

@@ -87,7 +87,8 @@ COUNT = 16  # float32 elements per transfer
 #: docs/LOGBOOK.md says why each was last set: "A transfer resolves its pair
 #: once" (gpuccl-ring, gpushmem-signal), "An MPI message is two records"
 #: (mpi-pingpong, at 62.8: read first in its process, before the warm-up
-#: launch existed), "Uniconn binds once" (the others).
+#: launch existed), "CG holds its matrix once" (jacobi-live: the derived
+#: ``Partition`` properties became fields), "Uniconn binds once" (the others).
 BOUNDS = {
     "mpi-pingpong": 65.9,  # 63.0
     "gpuccl-ring": 74.6,  # 71.0
@@ -96,7 +97,7 @@ BOUNDS = {
     "uniconn-mpi": 83.0,  # 79.0
     "uniconn-gpuccl": 89.3,  # 85.0
     "uniconn-gpushmem": 114.5,  # 109.0
-    "jacobi-live": 947_500,  # 902 346
+    "jacobi-live": 907_900,  # 864 600
 }
 
 #: Most calls per transfer a Uniconn program may make into ``core/``.
